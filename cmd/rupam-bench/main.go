@@ -89,10 +89,8 @@ func main() {
 	streamingSeeds := flag.Int("streaming-seeds", 0, "topology seeds per placer in the streaming sweep (0 = default)")
 	perfScale := flag.String("perf-scale", "standard", "perf battery sweep size: smoke|standard")
 	perfReps := flag.Int("perf-reps", 3, "perf battery repetitions per case (fastest kept)")
-	perfUnopt := flag.Bool("perf-compare-unopt", true, "pair every perf case with a run under the unoptimized reference kernels")
 	baselinePath := flag.String("baseline", "", "BENCH JSON to compare the perf battery against (regressions fail the run)")
 	threshold := flag.Float64("threshold", 0.15, "events/sec regression tolerated against -baseline")
-	kernelBaseline := flag.String("kernel-baseline", "", "kernel-baseline JSON to embed in the perf battery's -json artifact")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	tracePath := flag.String("trace", "", "write a runtime execution trace to this file")
@@ -469,23 +467,10 @@ func main() {
 		matched = true
 		run("Perf battery", func() {
 			rep := perf.RunBattery(perf.Options{
-				Scale:        *perfScale,
-				CompareUnopt: *perfUnopt,
-				Reps:         *perfReps,
-				Progress:     func(s string) { fmt.Fprintln(w, s) },
+				Scale:    *perfScale,
+				Reps:     *perfReps,
+				Progress: func(s string) { fmt.Fprintln(w, s) },
 			})
-			if *kernelBaseline != "" {
-				kb, err := perf.ReadKernelBaseline(*kernelBaseline)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-					stopProfiles()
-					os.Exit(1)
-				}
-				rep.BaselineKernel = kb
-				fmt.Fprintf(w, "kernel baseline %s: %.0f events/s -> %.0f events/s (%.2fx)\n",
-					kb.Commit, kb.Total.EventsPerSec, rep.Total.EventsPerSec,
-					rep.Total.EventsPerSec/kb.Total.EventsPerSec)
-			}
 			if *jsonPath != "" {
 				f, err := os.Create(*jsonPath)
 				if err != nil {

@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-
-	"rupam/internal/task"
 )
 
 // persistedRecord is the JSON form of a Record; maps keyed by Resource
@@ -233,5 +231,3 @@ func (s *RUPAM) WarmStartFrom(prev *RUPAM) {
 
 // RecordCount is a test hook: distinct flushed records.
 func (db *CharDB) RecordCount() int { return len(db.store) }
-
-var _ = task.Pending // keep the task import for doc references

@@ -64,7 +64,7 @@ type Monitor struct {
 	// re-arming so heartbeats resume the moment the node recovers.
 	Drop func(node string) bool
 
-	timers  []simx.Timer
+	timers  []simx.Timer // pending heartbeat per node, indexed like clu.Nodes
 	stopped bool
 	// Heartbeats counts reports received (monitoring overhead accounting).
 	Heartbeats int
@@ -92,22 +92,23 @@ func (m *Monitor) RegisterProbe(node string, p HeapProbe) { m.probes[node] = p }
 // Start begins heartbeat collection, staggering nodes across the interval
 // the way independently-started workers would be.
 func (m *Monitor) Start() {
+	m.timers = make([]simx.Timer, len(m.clu.Nodes))
 	for i, n := range m.clu.Nodes {
-		node := n
+		slot, node := i, n
 		offset := m.interval * float64(i) / float64(len(m.clu.Nodes))
-		m.timers = append(m.timers, m.eng.Schedule(offset, func() {
-			m.tick(node)
-		}))
+		m.timers[i] = m.eng.Schedule(offset, func() {
+			m.tick(slot, node)
+		})
 	}
 }
 
-// Stop halts future heartbeats.
+// Stop halts future heartbeats. The slots stay allocated: a tick already
+// firing when Stop runs still re-arms into its own, as a no-op.
 func (m *Monitor) Stop() {
 	m.stopped = true
 	for _, t := range m.timers {
 		t.Cancel()
 	}
-	m.timers = nil
 }
 
 // Resume restarts heartbeat collection after a Stop, re-staggering nodes
@@ -122,7 +123,7 @@ func (m *Monitor) Resume() {
 	m.Start()
 }
 
-func (m *Monitor) tick(node *cluster.Node) {
+func (m *Monitor) tick(slot int, node *cluster.Node) {
 	if m.stopped {
 		return
 	}
@@ -134,9 +135,9 @@ func (m *Monitor) tick(node *cluster.Node) {
 			m.OnHeartbeat(node.Name(), nm)
 		}
 	}
-	m.timers = append(m.timers, m.eng.Schedule(m.interval, func() {
-		m.tick(node)
-	}))
+	m.timers[slot] = m.eng.Schedule(m.interval, func() {
+		m.tick(slot, node)
+	})
 }
 
 // Collect samples a node's current state (the Collector's job).

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"math"
 	"testing"
 
 	"rupam/internal/cluster"
@@ -162,5 +163,34 @@ func TestNeverDroppingEqualsNilDrop(t *testing.T) {
 	falseBeats := run(func(string) bool { return false })
 	if nilBeats == 0 || nilBeats != falseBeats {
 		t.Fatalf("nil Drop gave %d beats, never-dropping gave %d", nilBeats, falseBeats)
+	}
+}
+
+// TestLongRunHoldsOneTimerPerNode runs the Hydra monitor for six
+// virtual hours: the monitor must keep at most one pending heartbeat
+// timer per node, not one handle per heartbeat ever armed.
+func TestLongRunHoldsOneTimerPerNode(t *testing.T) {
+	eng := simx.NewEngine()
+	clu := cluster.NewHydra(cluster.New(eng))
+	m := New(eng, clu, 1)
+	m.Start()
+	const horizon = 6*3600 - 0.5
+	eng.RunUntil(horizon)
+
+	want := 0
+	for i := range clu.Nodes {
+		offset := float64(i) / float64(len(clu.Nodes))
+		want += int(math.Floor(horizon-offset)) + 1
+	}
+	if m.Heartbeats != want {
+		t.Fatalf("heartbeats = %d, want %d", m.Heartbeats, want)
+	}
+	if len(m.timers) > len(clu.Nodes) {
+		t.Fatalf("monitor holds %d timers for %d nodes", len(m.timers), len(clu.Nodes))
+	}
+	m.Stop()
+	eng.Run()
+	if m.Heartbeats != want {
+		t.Fatalf("heartbeats after stop: %d → %d", want, m.Heartbeats)
 	}
 }

@@ -2,21 +2,13 @@
 // bandwidth sharing. Each node has an egress and an ingress capacity (its
 // NIC, full duplex); a flow transfers a byte count from one node to
 // another and is throttled by whichever of the two directions is more
-// contended. Rates are recomputed by progressive filling (water-filling)
-// whenever a flow starts, finishes, or is cancelled.
+// contended. Rates of all active flows are recomputed by progressive
+// filling (water-filling) whenever a flow starts, finishes, or is
+// cancelled, or a NIC's capacity changes.
 //
 // This reproduces the asymmetry RUPAM exploits in the paper: shuffles
 // terminating at a 1 GbE node are ~10× slower than at a 10 GbE node, and
 // concurrent shuffle waves contend for the same NICs.
-//
-// Re-rating is incremental by default: a flow change re-runs the
-// water-filling only over the connected component of flows that share an
-// interface (transitively) with the changed flow. Max-min allocation
-// decomposes exactly across connected components of the flow↔interface
-// graph, so the incremental rates equal a full recompute bit-for-bit;
-// SetVerify makes the network check that equality after every change, and
-// SetIncremental(false) restores the full O(all flows) recompute as the
-// reference mode for equivalence tests.
 package netsim
 
 import (
@@ -39,23 +31,6 @@ const loopbackRate = 8e9 // 8 GB/s
 // never recycled).
 const flowChunk = 64
 
-// defaultIncremental seeds new networks' re-rating mode; tests flip it to
-// compare whole runs under full-recompute reference semantics.
-var defaultIncremental = true
-
-// SetIncrementalDefault sets whether networks created from now on re-rate
-// incrementally (the default) or with a full recompute per change. Not
-// safe for concurrent use with New; intended for tests and the perf
-// battery only.
-func SetIncrementalDefault(on bool) { defaultIncremental = on }
-
-// defaultVerify seeds new networks' self-check mode (see SetVerify).
-var defaultVerify = false
-
-// SetVerifyDefault makes every network created from now on verify each
-// incremental re-rate against a full recompute. Test-only.
-func SetVerifyDefault(on bool) { defaultVerify = on }
-
 // Iface holds one node's NIC state.
 type Iface struct {
 	name       string
@@ -65,10 +40,6 @@ type Iface struct {
 	egRate, inRate   float64 // currently allocated rates
 	egUtil, inUtil   stats.TimeAvg
 	egBytes, inBytes float64 // totals transferred
-
-	flows []*Flow // non-loopback flows touching this iface (lazily compacted)
-	dead  int     // done entries in flows
-	visit uint64  // BFS stamp (== Network.visitGen when seen)
 
 	// water-filling scratch, valid when the stamp equals Network.wfGen
 	egStamp, inStamp   uint64
@@ -113,25 +84,6 @@ func (i *Iface) Utilization() float64 {
 	return math.Max(eg, in)
 }
 
-// compact drops done flows from the adjacency list once they outnumber
-// the live ones, preserving seq order.
-func (i *Iface) compact() {
-	if len(i.flows) < 16 || i.dead*2 <= len(i.flows) {
-		return
-	}
-	live := i.flows[:0]
-	for _, f := range i.flows {
-		if !f.done {
-			live = append(live, f)
-		}
-	}
-	for j := len(live); j < len(i.flows); j++ {
-		i.flows[j] = nil
-	}
-	i.flows = live
-	i.dead = 0
-}
-
 // Flow is an in-progress transfer.
 type Flow struct {
 	src, dst  *Iface
@@ -141,9 +93,7 @@ type Flow struct {
 	onDone    func()
 	done      bool
 	loopback  bool
-
-	visit  uint64  // BFS stamp
-	wfRate float64 // water-filling output scratch
+	wfRate    float64 // water-filling output scratch
 }
 
 // Remaining returns the bytes left to transfer as of the last network
@@ -173,16 +123,11 @@ type Network struct {
 	lastUpdate float64
 	timer      simx.Timer
 	target     *Flow // flow the armed timer is for; force-completed on fire
-
-	incremental bool
-	verify      bool
-	completeFn  func()
+	completeFn func()
 
 	// scratch, reused across re-rates
-	visitGen uint64
 	wfGen    uint64
-	comp     []*Flow  // component / active netflow collection
-	ifq      []*Iface // BFS queue
+	active   []*Flow  // active non-loopback flows
 	wfEg     []*Iface // distinct egress links this waterfill
 	wfIn     []*Iface // distinct ingress links this waterfill
 	wfAct    []*Flow  // unfrozen flows, compacted between rounds
@@ -192,26 +137,10 @@ type Network struct {
 
 // New creates an empty network on the given engine.
 func New(eng *simx.Engine) *Network {
-	n := &Network{
-		eng:         eng,
-		ifaces:      make(map[string]*Iface),
-		incremental: defaultIncremental,
-		verify:      defaultVerify,
-	}
+	n := &Network{eng: eng, ifaces: make(map[string]*Iface)}
 	n.completeFn = n.complete
 	return n
 }
-
-// SetIncremental switches between incremental per-component re-rating
-// (true, the default) and a full recompute on every flow change (the
-// reference mode for equivalence tests). Both produce identical rates.
-func (n *Network) SetIncremental(on bool) { n.incremental = on }
-
-// SetVerify makes every incremental re-rate check its rates against a
-// full water-filling recompute and panic on any difference — the
-// executable proof that incremental == full. Test-only: it makes every
-// change O(all flows) again.
-func (n *Network) SetVerify(on bool) { n.verify = on }
 
 // AddNode registers a node with the given full-duplex NIC capacities in
 // bytes/sec. It panics on duplicates or non-positive capacities.
@@ -245,7 +174,7 @@ func (n *Network) SetCapacity(name string, egress, ingress float64) {
 	}
 	n.advance()
 	i.egressCap, i.ingressCap = egress, ingress
-	n.reallocate(i, nil)
+	n.reallocate()
 }
 
 // ActiveFlows returns the number of in-progress flows.
@@ -288,30 +217,15 @@ func (n *Network) Start(src, dst string, bytes float64, onDone func()) *Flow {
 	n.advance()
 	n.flows = append(n.flows, f)
 	n.live++
-	if f.loopback {
-		// Loopback flows bypass the NICs entirely: fixed rate, no
-		// component to re-rate — only the completion timer moves.
-		f.rate = loopbackRate
-		n.reallocate(nil, nil)
-	} else {
-		s.flows = append(s.flows, f)
-		d.flows = append(d.flows, f)
-		n.reallocate(s, d)
-	}
+	n.reallocate()
 	return f
 }
 
 // drop marks a flow done and maintains the live count and lazy
-// compaction of the flow list and adjacency lists.
+// compaction of the flow list.
 func (n *Network) drop(f *Flow) {
 	f.done = true
 	n.live--
-	if !f.loopback {
-		f.src.dead++
-		f.dst.dead++
-		f.src.compact()
-		f.dst.compact()
-	}
 	if len(n.flows) >= 16 && n.live*2 < len(n.flows) {
 		liveFlows := n.flows[:0]
 		for _, g := range n.flows {
@@ -334,12 +248,8 @@ func (n *Network) Cancel(f *Flow) float64 {
 	}
 	n.advance()
 	rem := f.remaining
-	src, dst := f.src, f.dst
-	if f.loopback {
-		src, dst = nil, nil
-	}
 	n.drop(f)
-	n.reallocate(src, dst)
+	n.reallocate()
 	return rem
 }
 
@@ -366,11 +276,7 @@ func (n *Network) Sync() {
 	// construction, only the completion timer needs re-arming against the
 	// advanced remaining bytes (the re-arm arithmetic is part of the
 	// simulation's float trajectory, so it is not skippable).
-	if n.incremental {
-		n.rearm()
-	} else {
-		n.reallocate(nil, nil)
-	}
+	n.rearm()
 }
 
 // AvgEgressRate returns the node's time-weighted average outbound rate in
@@ -410,201 +316,41 @@ func (n *Network) advance() {
 	n.lastUpdate = now
 }
 
-// incrementalMinIfaces is the node-count floor below which incremental
-// mode falls back to a full recompute. What makes a component BFS pay
-// off is graph sparsity, and node count is its stable proxy: on a
-// small cluster every shuffle wave connects nearly every node into one
-// component, so the BFS re-discovers the whole graph on every event
-// and only adds stamping overhead to the same waterfill. Large
-// networks fragment into components a BFS can actually bound.
-const incrementalMinIfaces = 32
-
-// useIncremental reports whether a change should be re-rated through
-// the component BFS or a full recompute. Either path computes
-// bit-identical rates (verifyAgainstFull is the proof obligation), so
-// this is purely a cost decision — except under verify, which forces
-// the incremental machinery so the equivalence check actually
-// exercises it at every network size.
-func (n *Network) useIncremental() bool {
-	return n.incremental && (n.verify || len(n.ifaces) > incrementalMinIfaces)
-}
-
-// reallocate recomputes max-min fair rates after a change touching the
-// given interfaces (either may be nil) and re-arms the completion timer.
-// In incremental mode only the connected component of flows reachable
-// from the touched interfaces is re-rated; in reference mode everything
-// is recomputed.
-func (n *Network) reallocate(a, b *Iface) {
-	if n.useIncremental() {
-		n.reallocateComponent(a, b)
-		if n.verify {
-			n.verifyAgainstFull()
-		}
-		n.rearm()
-		return
-	}
-	n.reallocateFull()
-	n.rearm()
-}
-
-// reallocateFull is the reference algorithm: reset every interface,
-// water-fill every active flow.
-func (n *Network) reallocateFull() {
+// reallocate recomputes max-min fair rates for every active flow after
+// a membership or capacity change and re-arms the completion timer.
+func (n *Network) reallocate() {
 	for _, name := range n.order {
 		i := n.ifaces[name]
 		i.egRate, i.inRate = 0, 0
 	}
-	if n.live == 0 {
-		return
-	}
-	// Active non-loopback flows, already in seq order.
-	netFlows := n.comp[:0]
-	for _, f := range n.flows {
-		if f.done {
-			continue
+	if n.live > 0 {
+		// Active non-loopback flows, already in seq order.
+		netFlows := n.active[:0]
+		for _, f := range n.flows {
+			if f.done {
+				continue
+			}
+			if f.loopback {
+				f.rate = loopbackRate
+			} else {
+				f.rate = 0
+				netFlows = append(netFlows, f)
+			}
 		}
-		if f.loopback {
-			f.rate = loopbackRate
-		} else {
-			f.rate = 0
-			netFlows = append(netFlows, f)
-		}
-	}
-	n.waterfill(netFlows)
-	for _, f := range netFlows {
-		f.rate = f.wfRate
-		f.src.egRate += f.rate
-		f.dst.inRate += f.rate
-	}
-	n.releaseComp(netFlows)
-}
-
-// reallocateComponent re-rates only the flows connected (through shared
-// interfaces) to the changed interfaces. Max-min fairness decomposes
-// across connected components, so untouched components keep their exact
-// rates.
-func (n *Network) reallocateComponent(a, b *Iface) {
-	comp, ifaces := n.collectComponent(a, b)
-	// Reset and re-rate only the touched interfaces; untouched components
-	// would recompute to the very same sums, so skipping them is exact.
-	for _, i := range ifaces {
-		i.egRate, i.inRate = 0, 0
-	}
-	if len(comp) > 0 {
-		n.waterfill(comp)
-		for _, f := range comp {
+		n.waterfill(netFlows)
+		for i, f := range netFlows {
 			f.rate = f.wfRate
 			f.src.egRate += f.rate
 			f.dst.inRate += f.rate
+			netFlows[i] = nil
 		}
+		n.active = netFlows[:0]
 	}
-	n.releaseComp(comp)
-	n.ifq = n.ifq[:0]
-}
-
-// collectComponent gathers every live non-loopback flow transitively
-// sharing an interface with the seeds, plus every interface visited.
-// Returned slices alias the network's scratch buffers. The flow slice
-// comes back in seq order — waterfill's round arithmetic depends on
-// it — by filtering the globally seq-ordered flow list for stamped
-// members rather than sorting BFS discovery order.
-func (n *Network) collectComponent(a, b *Iface) ([]*Flow, []*Iface) {
-	n.visitGen++
-	gen := n.visitGen
-	stamped := 0
-	queue := n.ifq[:0]
-	push := func(i *Iface) {
-		if i != nil && i.visit != gen {
-			i.visit = gen
-			queue = append(queue, i)
-		}
-	}
-	push(a)
-	push(b)
-	for head := 0; head < len(queue); head++ {
-		i := queue[head]
-		i.compact()
-		for _, f := range i.flows {
-			if f.done || f.visit == gen {
-				continue
-			}
-			f.visit = gen
-			stamped++
-			push(f.src)
-			push(f.dst)
-		}
-	}
-	n.comp = n.filterStamped(n.comp[:0], gen, stamped)
-	n.ifq = queue
-	return n.comp, queue
-}
-
-// filterStamped appends the live flows carrying the given visit stamp
-// to dst in global seq order (the order of n.flows) and returns it.
-// The scan stops as soon as every stamped flow has been found.
-func (n *Network) filterStamped(dst []*Flow, gen uint64, stamped int) []*Flow {
-	if stamped == 0 {
-		return dst
-	}
-	for _, f := range n.flows {
-		if !f.done && f.visit == gen {
-			dst = append(dst, f)
-			if len(dst) == stamped {
-				break
-			}
-		}
-	}
-	return dst
-}
-
-// releaseComp returns a flow slice to the scratch buffer.
-func (n *Network) releaseComp(s []*Flow) {
-	for i := range s {
-		s[i] = nil
-	}
-	n.comp = s[:0]
-}
-
-// verifyAgainstFull recomputes every active flow's rate with the full
-// water-filling and panics if any differs from the incrementally
-// maintained rate. Pure check: it does not consume engine state, so a
-// verified run's event trajectory is bit-identical to an unverified one.
-func (n *Network) verifyAgainstFull() {
-	all := make([]*Flow, 0, n.live)
-	for _, f := range n.flows {
-		if f.done || f.loopback {
-			continue
-		}
-		all = append(all, f)
-	}
-	n.waterfill(all)
-	for _, f := range all {
-		if f.wfRate != f.rate {
-			panic(fmt.Sprintf("netsim: incremental rate mismatch on %s→%s (seq %d): incremental %v, full %v",
-				f.src.name, f.dst.name, f.seq, f.rate, f.wfRate))
-		}
-	}
-	// Also check the per-iface aggregates the monitor reads.
-	for _, name := range n.order {
-		i := n.ifaces[name]
-		var eg, in float64
-		for _, f := range all {
-			if f.src == i {
-				eg += f.rate
-			}
-			if f.dst == i {
-				in += f.rate
-			}
-		}
-		if eg != i.egRate || in != i.inRate {
-			panic(fmt.Sprintf("netsim: incremental iface rate mismatch on %s: eg %v vs %v, in %v vs %v",
-				name, i.egRate, eg, i.inRate, in))
-		}
-	}
+	n.rearm()
 }
 
 // rearm scans every active flow for the earliest completion and re-arms
-// the single completion timer, exactly as the reference algorithm does.
+// the single completion timer.
 func (n *Network) rearm() {
 	n.timer.Cancel()
 	n.timer = simx.Timer{}
@@ -664,9 +410,9 @@ func (n *Network) waterfill(flows []*Flow) {
 	// Unfrozen flows and unsaturated links are compacted between rounds
 	// (relative order preserved), so each round only touches what is
 	// still in play. The arithmetic — which shares are computed, in what
-	// order — is exactly the reference algorithm's: frozen flows were
-	// skipped before, now they are simply absent, and the min over link
-	// shares is order-independent.
+	// order — is plain progressive filling's: frozen flows are absent
+	// rather than skipped, and the min over link shares is
+	// order-independent.
 	act := append(n.wfAct[:0], flows...)
 	for len(act) > 0 {
 		// Find the bottleneck share among links with unfrozen flows.
@@ -700,8 +446,8 @@ func (n *Network) waterfill(flows []*Flow) {
 		}
 		// Freeze every unfrozen flow crossing a bottleneck link at the
 		// bottleneck share. Link shares are the quotients cached by the
-		// min-scan, re-derived on mutation — the same divisions the
-		// reference performs inline, so shares stay bit-identical.
+		// min-scan, re-derived on mutation — the same divisions an inline
+		// recompute performs, so shares stay bit-identical.
 		keep := act[:0]
 		for _, f := range act {
 			le, li := f.src, f.dst
@@ -753,74 +499,11 @@ func (n *Network) complete() {
 			finished = append(finished, f)
 		}
 	}
-	if n.useIncremental() {
-		// Every finished flow's interfaces seed one component BFS; the
-		// union recompute equals recomputing each touched component.
-		n.visitGen++
-		gen := n.visitGen
-		queue := n.ifq[:0]
-		for _, f := range finished {
-			src, dst := f.src, f.dst
-			n.drop(f)
-			f.remaining = 0
-			if f.loopback {
-				continue
-			}
-			if src.visit != gen {
-				src.visit = gen
-				queue = append(queue, src)
-			}
-			if dst.visit != gen {
-				dst.visit = gen
-				queue = append(queue, dst)
-			}
-		}
-		stamped := 0
-		for head := 0; head < len(queue); head++ {
-			i := queue[head]
-			i.compact()
-			for _, f := range i.flows {
-				if f.done || f.visit == gen {
-					continue
-				}
-				f.visit = gen
-				stamped++
-				for _, other := range [2]*Iface{f.src, f.dst} {
-					if other.visit != gen {
-						other.visit = gen
-						queue = append(queue, other)
-					}
-				}
-			}
-		}
-		n.ifq = queue
-		for _, i := range queue {
-			i.egRate, i.inRate = 0, 0
-		}
-		comp := n.filterStamped(n.comp[:0], gen, stamped)
-		n.comp = comp
-		if len(comp) > 0 {
-			n.waterfill(comp)
-			for _, f := range comp {
-				f.rate = f.wfRate
-				f.src.egRate += f.rate
-				f.dst.inRate += f.rate
-			}
-		}
-		n.releaseComp(comp)
-		n.ifq = n.ifq[:0]
-		if n.verify {
-			n.verifyAgainstFull()
-		}
-		n.rearm()
-	} else {
-		for _, f := range finished {
-			n.drop(f)
-			f.remaining = 0
-		}
-		n.reallocateFull()
-		n.rearm()
+	for _, f := range finished {
+		n.drop(f)
+		f.remaining = 0
 	}
+	n.reallocate()
 	for _, f := range finished {
 		if f.onDone != nil {
 			f.onDone()

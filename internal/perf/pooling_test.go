@@ -3,44 +3,8 @@ package perf
 import (
 	"testing"
 
-	"rupam/internal/chaos"
 	"rupam/internal/simx"
 )
-
-// TestPoolingBitIdentity is the timer-pooling optimization's safety
-// case. A chaos soak with pooling enabled (the default) self-verifies
-// bit-identical double runs and the full invariant battery; the same
-// seeds with pooling disabled — one heap allocation per event, the
-// reference allocation strategy — must land on the same fingerprints.
-func TestPoolingBitIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos soak is a multi-second sweep")
-	}
-	seeds := []uint64{5, 17}
-
-	pooled := chaos.Soak(chaos.Config{Seeds: seeds})
-	if pooled.Violations != 0 {
-		for _, r := range pooled.Runs {
-			for _, v := range r.Violations {
-				t.Errorf("%s seed %d: %s", r.Scheduler, r.Seed, v)
-			}
-		}
-		t.Fatalf("pooled chaos soak reported %d violations", pooled.Violations)
-	}
-
-	simx.SetPoolingDefault(false)
-	unpooled := chaos.Soak(chaos.Config{Seeds: seeds, SkipVerify: true})
-	simx.SetPoolingDefault(true)
-	if len(unpooled.Runs) != len(pooled.Runs) {
-		t.Fatalf("run count mismatch: %d pooled, %d unpooled", len(pooled.Runs), len(unpooled.Runs))
-	}
-	for i, r := range pooled.Runs {
-		if unpooled.Runs[i].Fingerprint != r.Fingerprint {
-			t.Errorf("%s seed %d: fingerprint %s pooled, %s unpooled",
-				r.Scheduler, r.Seed, r.Fingerprint, unpooled.Runs[i].Fingerprint)
-		}
-	}
-}
 
 // TestPoolSteadyState is the leak test: under a fixed-concurrency
 // workload the timer-node pool must reach steady state — after the
