@@ -1,6 +1,14 @@
 package chaos
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"rupam/internal/cluster"
+	"rupam/internal/faults"
+	"rupam/internal/simx"
+	"rupam/internal/streaming"
+)
 
 // The golden tables pin soak fingerprints across commits: a changed
 // fingerprint is a behaviour change, never a refactoring side effect.
@@ -83,6 +91,58 @@ func TestGoldenStreamingFingerprints(t *testing.T) {
 		if r.Placer != g.placer || r.Seed != g.seed || r.Fingerprint != g.fingerprint {
 			t.Errorf("run %d: %s seed %d fingerprint %s, golden %s seed %d %s",
 				i, r.Placer, r.Seed, r.Fingerprint, g.placer, g.seed, g.fingerprint)
+		}
+	}
+}
+
+// goldenStreamingEnvelope pins streaming runs on the streaming-faults
+// benchmark envelope (benchEnvelope): deeper, wider and hotter topologies
+// than the soak default, each under a StreamingGen fault plan and a
+// forced migration, for every placer.
+var goldenStreamingEnvelope = []struct {
+	placer      string
+	seed        uint64
+	fingerprint string
+}{
+	{"default", 1, "b495c386da4e655e"},
+	{"resource", 1, "afd0d523b05d19b1"},
+	{"rupam", 1, "6deff943ac97df6f"},
+	{"default", 2, "2b6d2f2420f73346"},
+	{"resource", 2, "e71b048d8712f7cb"},
+	{"rupam", 2, "ba3a95ad97f0601c"},
+}
+
+// benchEnvelope is the topology envelope of the benchmark's
+// streaming-faults workload: parallelism 12–24 and offered load near
+// what a good placement can sustain.
+func benchEnvelope() streaming.TopoConfig {
+	return streaming.TopoConfig{
+		Sources: 3, Layers: 4, WidthMin: 3, WidthMax: 4,
+		RateMin: 4000, RateMax: 7000,
+		CyclesMin: 2e-4, CyclesMax: 4.5e-4,
+		SelMin: 0.6, SelMax: 1.05,
+		ParMin: 12, ParMax: 24,
+	}
+}
+
+func TestGoldenStreamingEnvelopeFingerprints(t *testing.T) {
+	const horizon = 90
+	nodes := cluster.NewHydra(cluster.New(simx.NewEngine())).NodeNames()
+	for _, g := range goldenStreamingEnvelope {
+		res := streaming.Run(streaming.Config{
+			Seed:           g.seed,
+			Placer:         g.placer,
+			Topo:           benchEnvelope(),
+			Horizon:        horizon,
+			Warmup:         horizon / 5,
+			Faults:         faults.RandomSchedule(g.seed, nodes, StreamingGen()),
+			ForceMigrateAt: horizon * 0.4,
+		})
+		if v := streaming.CheckInvariants(res); len(v) != 0 {
+			t.Errorf("%s seed %d: invariant violations: %v", g.placer, g.seed, v)
+		}
+		if fp := fmt.Sprintf("%016x", res.Fingerprint()); fp != g.fingerprint {
+			t.Errorf("%s seed %d: fingerprint %s, golden %s", g.placer, g.seed, fp, g.fingerprint)
 		}
 	}
 }
