@@ -108,10 +108,10 @@ func (r *Runtime) result() *Result {
 	if r.sloTotal > 0 {
 		res.SLOAttain = r.sloHit / r.sloTotal
 	}
-	for _, id := range r.topo.TopoOrder() {
+	for _, id := range r.order {
 		a := r.acc[id]
 		res.Ops = append(res.Ops, OpStat{
-			ID: id, Name: r.topo.Op(id).Name, Node: r.opNode[id],
+			ID: id, Name: r.ops[id].Name, Node: r.opNode[id],
 			Consumed: a.consumed, Emitted: a.emitted, Cycles: a.cycles,
 			MaxBacklog: a.maxBack,
 		})

@@ -70,7 +70,7 @@ func (r *Runtime) startMigration(opID int, to, reason string, emergency bool) bo
 	if r.migrating[opID] != nil {
 		return false
 	}
-	o := r.topo.Op(opID)
+	o := r.ops[opID]
 	from := r.opNode[opID]
 	if to == "" {
 		ex := r.liveExclusions()
@@ -88,8 +88,10 @@ func (r *Runtime) startMigration(opID int, to, reason string, emergency bool) bo
 		for _, ch := range r.inChans[opID] {
 			ch.paused = true
 		}
-		r.trace("migrating %s (%s): %s -> %s, draining %.0f records",
-			o.Name, reason, from, to, r.backlog(opID))
+		if r.cfg.Trace != nil {
+			r.trace("migrating %s (%s): %s -> %s, draining %.0f records",
+				o.Name, reason, from, to, r.backlog(opID))
+		}
 	}
 	// Close the operator's current "run" span at the migration boundary.
 	if openFrom, ok := r.runSpanFrom[opID]; ok {
@@ -117,7 +119,7 @@ func (r *Runtime) emergency(opID int, reason string) {
 		return
 	}
 	ex := r.liveExclusions()
-	to := r.placer.Pick(r.topo, r.topo.Op(opID), r.nodes, r.opNode, ex)
+	to := r.placer.Pick(r.topo, r.ops[opID], r.nodes, r.opNode, ex)
 	if to == "" {
 		r.violations = append(r.violations, fmt.Sprintf(
 			"operator %d stranded: host %s dead and no live target", opID, r.opNode[opID]))
@@ -139,7 +141,7 @@ func (r *Runtime) backlog(opID int) float64 {
 // the handoff phase.
 func (r *Runtime) advanceMigrations() {
 	// Topological order keeps the scan deterministic despite the map.
-	for _, id := range r.topo.TopoOrder() {
+	for _, id := range r.order {
 		m := r.migrating[id]
 		if m == nil || m.shipping || m.emergency {
 			continue
@@ -163,7 +165,7 @@ func (r *Runtime) advanceMigrations() {
 func (r *Runtime) beginHandoff(m *migration) {
 	m.shipping = true
 	m.handoffAt = r.eng.Now()
-	o := r.topo.Op(m.op)
+	o := r.ops[m.op]
 	src := m.from
 	if m.emergency || !r.nodeAlive(src) {
 		src = m.to // fall back to loopback rehydration
@@ -190,7 +192,7 @@ func (r *Runtime) finishMigration(opID int) {
 		return
 	}
 	now := r.eng.Now()
-	o := r.topo.Op(opID)
+	o := r.ops[opID]
 	r.opNode[opID] = m.to
 
 	// Out-channel wires re-home by Redirect: the flow's remaining budget,
@@ -227,8 +229,12 @@ func (r *Runtime) finishMigration(opID int) {
 	if !m.emergency {
 		r.streamSpanAt(m.from, o.Name, "drain", m.reason, m.start, m.handoffAt)
 	}
-	r.streamSpanAt(m.to, o.Name, "handoff",
-		fmt.Sprintf("%d state bytes from %s", o.StateBytes, m.from), m.handoffAt, now)
+	if r.col != nil {
+		r.streamSpanAt(m.to, o.Name, "handoff",
+			fmt.Sprintf("%d state bytes from %s", o.StateBytes, m.from), m.handoffAt, now)
+	}
 	r.col.OperatorMigrated(o.Name, m.from, m.to, m.reason, now-m.start)
-	r.trace("migrated %s: %s -> %s in %.2fs (%s)", o.Name, m.from, m.to, now-m.start, m.reason)
+	if r.cfg.Trace != nil {
+		r.trace("migrated %s: %s -> %s in %.2fs (%s)", o.Name, m.from, m.to, now-m.start, m.reason)
+	}
 }

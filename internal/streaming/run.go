@@ -1,8 +1,9 @@
 package streaming
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rupam/internal/cluster"
 	"rupam/internal/core"
@@ -122,6 +123,13 @@ type Runtime struct {
 	placer Placer
 	nodes  []NodeInfo
 
+	// Per-run topology index, built once by Run: nothing on the tick
+	// path walks the Topology's operator or edge lists.
+	order   []int                // topological order
+	sources []int                // operators with no in-edges, ascending
+	ops     map[int]*Operator    // by ID
+	keys    map[int]core.TaskKey // CharDB stream key by operator ID
+
 	opNode   map[int]string
 	chans    []*channel // topology edge order
 	inChans  map[int][]*channel
@@ -149,6 +157,18 @@ type Runtime struct {
 	drained        bool
 	quiesceAt      float64
 	violations     []string
+
+	// Tick scratch, reused so the steady-state tick allocates nothing.
+	tickFn func()     // r.tick, bound once
+	items  []nodeItem // processNode's water-fill
+	popBuf []cohort   // processOp's consumed cohorts
+}
+
+// nodeItem is one operator's share of its node's cycle budget in a tick.
+type nodeItem struct {
+	id     int
+	demand float64 // cycles wanted, capped by parallelism × per-core speed
+	grant  float64 // cycles granted by the water-fill
 }
 
 // opAccum accumulates one operator's lifetime and CharDB-window stats.
@@ -182,6 +202,8 @@ func Run(cfg Config) *Result {
 		col:           cfg.Collector,
 		db:            cfg.CharDB,
 		opNode:        make(map[int]string),
+		ops:           make(map[int]*Operator),
+		keys:          make(map[int]core.TaskKey),
 		inChans:       make(map[int][]*channel),
 		outChans:      make(map[int][]*channel),
 		spikeMult:     1,
@@ -206,6 +228,12 @@ func Run(cfg Config) *Result {
 	}
 
 	r.topo = GenTopology(cfg.Seed, cfg.Topo)
+	r.order = r.topo.TopoOrder()
+	r.sources = r.topo.Sources()
+	for _, o := range r.topo.Ops {
+		r.ops[o.ID] = o
+		r.keys[o.ID] = StreamKey(r.topo.Name, o)
+	}
 	r.nodes = SnapshotNodes(clu)
 	placer, err := NewPlacer(cfg.Placer, r.db, r.col)
 	if err != nil {
@@ -215,7 +243,7 @@ func Run(cfg Config) *Result {
 
 	// Initial placement.
 	r.opNode = placer.Place(r.topo, r.nodes)
-	for _, id := range r.topo.TopoOrder() {
+	for _, id := range r.order {
 		r.acc[id] = &opAccum{}
 		r.runSpanFrom[id] = 0
 		if r.opNode[id] == "" {
@@ -230,7 +258,8 @@ func Run(cfg Config) *Result {
 		if capRecords < 100 {
 			capRecords = 100
 		}
-		ch := &channel{from: e.From, to: e.To, capacity: capRecords}
+		ch := &channel{from: e.From, to: e.To, capacity: capRecords,
+			bytesPerRecord: r.ops[e.From].BytesPerRecord}
 		r.chans = append(r.chans, ch)
 		r.inChans[e.To] = append(r.inChans[e.To], ch)
 		r.outChans[e.From] = append(r.outChans[e.From], ch)
@@ -243,7 +272,9 @@ func Run(cfg Config) *Result {
 	r.inj.Trace = cfg.Trace
 	r.inj.OnLoadSpike = func(mult float64) {
 		r.spikeMult = mult
-		r.trace("load multiplier now ×%.2f", mult)
+		if r.cfg.Trace != nil {
+			r.trace("load multiplier now ×%.2f", mult)
+		}
 	}
 	r.inj.OnSpotNotice = func(node string, grace float64) {
 		r.evacuate(node, "spot-notice")
@@ -257,12 +288,15 @@ func Run(cfg Config) *Result {
 		r.inj.Install(cfg.Faults)
 	}
 
-	eng.Schedule(cfg.BatchInterval, r.tick)
+	r.tickFn = r.tick
+	eng.Schedule(cfg.BatchInterval, r.tickFn)
 	eng.Run()
 
 	return r.result()
 }
 
+// trace emits a Trace line. Call sites that pass arguments check
+// cfg.Trace first, so an untraced run does not box them.
 func (r *Runtime) trace(format string, args ...interface{}) {
 	if r.cfg.Trace != nil {
 		r.cfg.Trace(fmt.Sprintf("[%8.2fs] %s", r.eng.Now(), fmt.Sprintf(format, args...)))
@@ -294,11 +328,11 @@ func (r *Runtime) tick() {
 	// (1) Fold wire progress into arrivals.
 	r.clu.Net.Sync()
 	for _, ch := range r.chans {
-		ch.settleWire(r.topo.Op(ch.from).BytesPerRecord)
+		ch.settleWire()
 	}
 
 	// (2) Liveness: operators on dead hosts fail over.
-	for _, id := range r.topo.TopoOrder() {
+	for _, id := range r.order {
 		if !r.nodeAlive(r.opNode[id]) {
 			r.emergency(id, "host-dead")
 		}
@@ -318,7 +352,7 @@ func (r *Runtime) tick() {
 	// (5) Sources emit, throttled by downstream credit — the terminal
 	// stage of backpressure.
 	if !r.sourcesStopped {
-		for _, id := range r.topo.Sources() {
+		for _, id := range r.sources {
 			r.emitSource(id, now, dt)
 		}
 	}
@@ -340,12 +374,8 @@ func (r *Runtime) tick() {
 	r.triggerMigrations(now)
 
 	// (9) Book backlog stats.
-	for _, id := range r.topo.TopoOrder() {
-		back := 0.0
-		for _, ch := range r.inChans[id] {
-			back += ch.q.count
-		}
-		if a := r.acc[id]; back > a.maxBack {
+	for _, id := range r.order {
+		if back, a := r.backlog(id), r.acc[id]; back > a.maxBack {
 			a.maxBack = back
 		}
 	}
@@ -365,7 +395,7 @@ func (r *Runtime) tick() {
 		r.finish(now, false)
 		return
 	}
-	r.eng.Schedule(dt, r.tick)
+	r.eng.Schedule(dt, r.tickFn)
 }
 
 // quiesced reports whether every channel is empty and no migration is in
@@ -392,9 +422,9 @@ func (r *Runtime) finish(now float64, drained bool) {
 		}
 		ch.wire = nil
 	}
-	for _, id := range r.topo.TopoOrder() {
+	for _, id := range r.order {
 		if from, ok := r.runSpanFrom[id]; ok {
-			r.streamSpanAt(r.opNode[id], r.topo.Op(id).Name, "run", "", from, now)
+			r.streamSpanAt(r.opNode[id], r.ops[id].Name, "run", "", from, now)
 		}
 	}
 	r.feedCharDB(now)
@@ -408,21 +438,12 @@ func (r *Runtime) processNode(node *cluster.Node, now, dt float64) {
 	if !r.nodeAlive(name) {
 		return
 	}
-	type item struct {
-		id     int
-		want   float64 // records processable this tick
-		demand float64 // cycles wanted
-		cap    float64 // cycles attainable (parallelism × per-core speed)
-	}
-	var items []item
-	for _, id := range r.topo.TopoOrder() {
-		if r.opNode[id] != name {
-			continue
-		}
-		o := r.topo.Op(id)
-		if len(r.topo.In(id)) == 0 {
+	items := r.items[:0]
+	for _, id := range r.order {
+		if r.opNode[id] != name || len(r.inChans[id]) == 0 {
 			continue // sources emit in their own phase
 		}
+		o := r.ops[id]
 		avail := 0.0
 		for _, ch := range r.inChans[id] {
 			avail += ch.arrived
@@ -431,11 +452,9 @@ func (r *Runtime) processNode(node *cluster.Node, now, dt float64) {
 			continue
 		}
 		space := avail
-		if outs := r.outChans[id]; len(outs) > 0 {
-			for _, ch := range outs {
-				if s := ch.free() / o.Selectivity; s < space {
-					space = s
-				}
+		for _, ch := range r.outChans[id] {
+			if s := ch.free() / o.Selectivity; s < space {
+				space = s
 			}
 		}
 		want := avail
@@ -450,38 +469,34 @@ func (r *Runtime) processNode(node *cluster.Node, now, dt float64) {
 		if demand > perCap {
 			demand = perCap
 		}
-		items = append(items, item{id: id, want: want, demand: demand, cap: perCap})
+		items = append(items, nodeItem{id: id, demand: demand})
 	}
+	r.items = items
 	if len(items) == 0 {
 		return
 	}
 	// Exact water-filling of capped demands: ascending by demand, each
 	// item takes min(demand, equal share of what remains).
-	sort.Slice(items, func(a, b int) bool {
-		if items[a].demand != items[b].demand {
-			return items[a].demand < items[b].demand
+	slices.SortFunc(items, func(a, b nodeItem) int {
+		if c := cmp.Compare(a.demand, b.demand); c != 0 {
+			return c
 		}
-		return items[a].id < items[b].id
+		return cmp.Compare(a.id, b.id)
 	})
 	budget := node.CPU.Capacity() * dt
-	grants := make(map[int]float64, len(items))
-	for i, it := range items {
+	for i := range items {
 		share := budget / float64(len(items)-i)
-		g := it.demand
+		g := items[i].demand
 		if g > share {
 			g = share
 		}
-		grants[it.id] = g
+		items[i].grant = g
 		budget -= g
 	}
 	// Execute grants in deterministic operator order.
-	ids := make([]int, 0, len(items))
+	slices.SortFunc(items, func(a, b nodeItem) int { return cmp.Compare(a.id, b.id) })
 	for _, it := range items {
-		ids = append(ids, it.id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		r.processOp(id, grants[id], now)
+		r.processOp(it.id, it.grant, now)
 	}
 }
 
@@ -489,7 +504,7 @@ func (r *Runtime) processNode(node *cluster.Node, now, dt float64) {
 // operator's in-channels and emits the results downstream (or samples
 // latency, for sinks).
 func (r *Runtime) processOp(id int, grant float64, now float64) {
-	o := r.topo.Op(id)
+	o := r.ops[id]
 	a := r.acc[id]
 	n := grant / o.CyclesPerRecord
 	avail := 0.0
@@ -502,17 +517,18 @@ func (r *Runtime) processOp(id int, grant float64, now float64) {
 	if n <= 0 {
 		return
 	}
-	isSink := len(r.topo.Out(id)) == 0
+	isSink := len(r.outChans[id]) == 0
 	// Pop proportionally across in-channels so a slow upstream cannot be
 	// starved by a fast one.
 	for _, ch := range r.inChans[id] {
 		share := n * (ch.arrived / avail)
-		for _, c := range ch.consume(share) {
+		r.popBuf = ch.consume(share, r.popBuf)
+		for _, c := range r.popBuf {
 			a.consumed += c.count
 			a.cycles += c.count * o.CyclesPerRecord
 			a.winConsumed += c.count
 			a.winCycles += c.count * o.CyclesPerRecord
-			a.winInBytes += c.count * r.topo.Op(ch.from).BytesPerRecord
+			a.winInBytes += c.count * ch.bytesPerRecord
 			if isSink {
 				lat := now - c.born
 				r.latSamples = append(r.latSamples, latSample{lat: lat, weight: c.count})
@@ -538,7 +554,7 @@ func (r *Runtime) processOp(id int, grant float64, now float64) {
 // emitSource emits one tick of source records, bounded by the credit of
 // every out-channel — when downstream is full, the source throttles.
 func (r *Runtime) emitSource(id int, now, dt float64) {
-	o := r.topo.Op(id)
+	o := r.ops[id]
 	if !r.nodeAlive(r.opNode[id]) {
 		return // a dead host ingests nothing until the source fails over
 	}
@@ -602,12 +618,12 @@ func (r *Runtime) manageWires() {
 // carries Gcycles/s, ShuffleRead/Write carry bytes/s, PeakMemory the
 // state size. This is the evidence path the rupam placer reads.
 func (r *Runtime) feedCharDB(now float64) {
-	for _, id := range r.topo.TopoOrder() {
+	for _, id := range r.order {
 		a := r.acc[id]
 		if a.winConsumed <= 0 && a.winOutBytes <= 0 {
 			continue
 		}
-		o := r.topo.Op(id)
+		o := r.ops[id]
 		node := r.opNode[id]
 		cpu := a.winCycles / charDBInterval
 		inBps := a.winInBytes / charDBInterval
@@ -629,7 +645,7 @@ func (r *Runtime) feedCharDB(now float64) {
 				bottleneck = core.Net
 			}
 		}
-		r.db.Update(StreamKey(r.topo.Name, o), m, bottleneck, true)
+		r.db.Update(r.keys[id], m, bottleneck, true)
 		a.winCycles, a.winConsumed, a.winInBytes, a.winOutBytes = 0, 0, 0, 0
 	}
 	r.db.Flush()
@@ -642,15 +658,11 @@ func (r *Runtime) triggerMigrations(now float64) {
 	if r.cfg.ForceMigrateAt > 0 && now >= r.cfg.ForceMigrateAt && !r.forcedDone {
 		// Most backlogged operator, ties to the lowest ID.
 		bestID, bestBack := -1, -1.0
-		for _, id := range r.topo.TopoOrder() {
+		for _, id := range r.order {
 			if r.migrating[id] != nil {
 				continue
 			}
-			back := 0.0
-			for _, ch := range r.inChans[id] {
-				back += ch.q.count
-			}
-			if back > bestBack {
+			if back := r.backlog(id); back > bestBack {
 				bestID, bestBack = id, back
 			}
 		}
@@ -658,8 +670,8 @@ func (r *Runtime) triggerMigrations(now float64) {
 			r.forcedDone = true
 		}
 	}
-	for _, id := range r.topo.TopoOrder() {
-		if r.migrating[id] != nil || len(r.topo.In(id)) == 0 {
+	for _, id := range r.order {
+		if r.migrating[id] != nil || len(r.inChans[id]) == 0 {
 			r.overTicks[id] = 0
 			continue
 		}
@@ -700,7 +712,7 @@ func (r *Runtime) triggerMigrations(now float64) {
 // evacuate gracefully migrates every operator off a doomed node (spot
 // notice: the host is still alive for the grace window).
 func (r *Runtime) evacuate(node, reason string) {
-	for _, id := range r.topo.TopoOrder() {
+	for _, id := range r.order {
 		if r.opNode[id] == node && r.migrating[id] == nil {
 			r.startMigration(id, "", reason, false)
 		}
@@ -709,7 +721,7 @@ func (r *Runtime) evacuate(node, reason string) {
 
 // failover emergency-migrates every operator still homed on a dead node.
 func (r *Runtime) failover(node, reason string) {
-	for _, id := range r.topo.TopoOrder() {
+	for _, id := range r.order {
 		if r.opNode[id] == node {
 			r.emergency(id, reason)
 		}
