@@ -134,7 +134,7 @@ type Executor struct {
 
 	peers map[string]*Executor // all executors by node, for remote reads
 
-	running     map[*Run]struct{}
+	running     []*Run // in-flight attempts in launch (seq) order
 	down        bool
 	failStopped bool
 
@@ -206,7 +206,6 @@ func New(eng *simx.Engine, clu *cluster.Cluster, node *cluster.Node, cache *Cach
 		cache:       cache,
 		rng:         stats.NewRand(cfg.Seed ^ hashName(node.Name())),
 		peers:       peers,
-		running:     make(map[*Run]struct{}),
 		memPressure: 1,
 	}
 	peers[node.Name()] = ex
@@ -328,14 +327,10 @@ func (ex *Executor) Reactivate() {
 // RunningTasks returns the number of in-flight task attempts.
 func (ex *Executor) RunningTasks() int { return len(ex.running) }
 
-// Running returns the in-flight runs (deterministic order by launch).
+// Running returns a copy of the in-flight runs in launch order, so the
+// caller may kill runs while iterating.
 func (ex *Executor) Running() []*Run {
-	rs := make([]*Run, 0, len(ex.running))
-	for r := range ex.running {
-		rs = append(rs, r)
-	}
-	sortRuns(rs)
-	return rs
+	return append([]*Run(nil), ex.running...)
 }
 
 // AttemptOf returns this executor's in-flight attempt of t, or nil. When
@@ -343,13 +338,12 @@ func (ex *Executor) Running() []*Run {
 // earliest-launched wins (deterministic). A recovering driver uses this to
 // re-adopt attempts it logged as launched before crashing.
 func (ex *Executor) AttemptOf(t *task.Task) *Run {
-	var found *Run
-	for r := range ex.running {
-		if r.t == t && (found == nil || r.seq < found.seq) {
-			found = r
+	for _, r := range ex.running {
+		if r.t == t {
+			return r
 		}
 	}
-	return found
+	return nil
 }
 
 // Options controls one task attempt.
@@ -388,7 +382,7 @@ func (ex *Executor) Launch(t *task.Task, st *task.Stage, opts Options, onDone fu
 	r.tr = ex.cfg.Tracer.AttemptStarted(t, st, ex.node.Name(), opts.Locality.String(), opts.Speculative)
 	r.reservedMem = t.Demand.PeakMemory
 	ex.reserved += r.reservedMem
-	ex.running[r] = struct{}{}
+	ex.running = append(ex.running, r)
 	ex.TasksRun++
 	r.armTimer(ex.cfg.DispatchDelay, r.start)
 	return r

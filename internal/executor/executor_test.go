@@ -485,3 +485,56 @@ func TestFailStopRecoveryBumpsIncarnation(t *testing.T) {
 		t.Fatalf("incarnation = %d, want 1", r.a.Incarnation)
 	}
 }
+
+// TestRunningKeepsLaunchOrder finishes and kills attempts out of launch
+// order: the rest must stay in launch order, Running must hand out a copy
+// the caller may mutate, and AttemptOf must pick the earliest launch.
+func TestRunningKeepsLaunchOrder(t *testing.T) {
+	r := newRig(t, 8*cluster.GB, Config{})
+	var runs []*Run
+	for i := 0; i < 6; i++ {
+		// Task 2 is short and finishes first; the rest run far longer.
+		work := 40.0
+		if i == 2 {
+			work = 1
+		}
+		tk, st := mkTask(i, task.Demand{CPUWork: work, PeakMemory: 10 * cluster.MB})
+		runs = append(runs, r.a.Launch(tk, st, Options{}, nil))
+	}
+	// A second attempt of task 4, launched last.
+	dup := r.a.Launch(runs[4].Task(), runs[4].Stage(), Options{Speculative: true}, nil)
+
+	want := func(when string, rs ...*Run) {
+		t.Helper()
+		got := r.a.Running()
+		if len(got) != len(rs) || r.a.RunningTasks() != len(rs) {
+			t.Fatalf("%s: %d running (RunningTasks %d), want %d", when, len(got), r.a.RunningTasks(), len(rs))
+		}
+		for i := range rs {
+			if got[i] != rs[i] {
+				t.Fatalf("%s: position %d holds task %d, want task %d",
+					when, i, got[i].Task().ID, rs[i].Task().ID)
+			}
+		}
+	}
+	r.eng.RunUntil(5)
+	want("after the short task finished", runs[0], runs[1], runs[3], runs[4], runs[5], dup)
+
+	runs[3].Kill(false)
+	runs[0].Kill(false)
+	want("after out-of-order kills", runs[1], runs[4], runs[5], dup)
+
+	if got := r.a.AttemptOf(runs[4].Task()); got != runs[4] {
+		t.Fatalf("AttemptOf picked the later attempt")
+	}
+	runs[4].Kill(false)
+	if got := r.a.AttemptOf(runs[4].Task()); got != dup {
+		t.Fatalf("AttemptOf missed the remaining attempt")
+	}
+
+	// Killing through the returned slice must not disturb iteration.
+	for _, run := range r.a.Running() {
+		run.Kill(false)
+	}
+	want("after killing all")
+}

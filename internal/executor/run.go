@@ -1,7 +1,6 @@
 package executor
 
 import (
-	"cmp"
 	"slices"
 	"sort"
 
@@ -50,12 +49,6 @@ type Run struct {
 
 	pending int // barrier counter for parallel transfers
 	done    bool
-}
-
-func sortRuns(rs []*Run) {
-	// slices.SortFunc, not sort.Slice: this runs on every scheduler scan
-	// of an executor, and the reflection-based swapper allocates.
-	slices.SortFunc(rs, func(a, b *Run) int { return cmp.Compare(a.seq, b.seq) })
 }
 
 // Task returns the task being attempted.
@@ -422,10 +415,28 @@ func (r *Run) readShuffle() {
 		r.compute()
 	}
 	barrier := r.barrier(done)
+	shareOf := func(n string) int64 {
+		return int64(float64(d.ShuffleReadBytes) * float64(byNode[n]) / float64(total))
+	}
+
+	// One network re-rate serves the whole fetch wave: the flows start
+	// under a hold released right after the last of them, before that
+	// source's disk claim, so the completion timer lands where re-rating
+	// at every start would have put it (see netsim.Network.Hold).
+	lastRemote := -1
+	for i, n := range nodes {
+		if n != me && shareOf(n) > 0 {
+			lastRemote = i
+		}
+	}
+	network := r.ex.clu.Net
+	if lastRemote >= 0 {
+		network.Hold()
+	}
 
 	r.pending = 1 // guard against zero-byte splits completing synchronously
-	for _, n := range nodes {
-		share := int64(float64(d.ShuffleReadBytes) * float64(byNode[n]) / float64(total))
+	for i, n := range nodes {
+		share := shareOf(n)
 		if share <= 0 {
 			continue
 		}
@@ -440,6 +451,9 @@ func (r *Run) readShuffle() {
 		r.pending++
 		r.fetchSrcs = append(r.fetchSrcs, n)
 		r.startFlow(n, me, share, barrier)
+		if i == lastRemote {
+			network.Release()
+		}
 		if peer := r.ex.peers[n]; peer != nil {
 			r.pending++
 			r.claimDisk(peer.node.DiskRead, share, barrier)
@@ -593,7 +607,9 @@ func (r *Run) finish(o Outcome) {
 	r.release()
 	r.m.End = r.ex.eng.Now()
 	r.tr.Finish(o.String())
-	delete(r.ex.running, r)
+	if i := slices.Index(r.ex.running, r); i >= 0 {
+		r.ex.running = slices.Delete(r.ex.running, i, i+1)
+	}
 	if r.onDone != nil {
 		cb := r.onDone
 		r.onDone = nil

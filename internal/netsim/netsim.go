@@ -4,7 +4,9 @@
 // another and is throttled by whichever of the two directions is more
 // contended. Rates of all active flows are recomputed by progressive
 // filling (water-filling) whenever a flow starts, finishes, or is
-// cancelled, or a NIC's capacity changes.
+// cancelled, or a NIC's capacity changes. A caller starting several flows
+// at one instant can bracket them with Hold and Release to pay for one
+// water-fill instead of one per flow.
 //
 // This reproduces the asymmetry RUPAM exploits in the paper: shuffles
 // terminating at a 1 GbE node are ~10× slower than at a 10 GbE node, and
@@ -16,7 +18,6 @@ import (
 	"math"
 
 	"rupam/internal/simx"
-	"rupam/internal/stats"
 )
 
 const bytesEps = 1e-6
@@ -38,7 +39,6 @@ type Iface struct {
 	ingressCap float64 // bytes/sec
 
 	egRate, inRate   float64 // currently allocated rates
-	egUtil, inUtil   stats.TimeAvg
 	egBytes, inBytes float64 // totals transferred
 
 	// water-filling scratch, valid when the stamp equals Network.wfGen
@@ -116,7 +116,7 @@ func (f *Flow) Done() bool { return f.done }
 type Network struct {
 	eng        *simx.Engine
 	ifaces     map[string]*Iface
-	order      []string // deterministic iteration order
+	ifaceList  []*Iface // insertion order, for deterministic iteration
 	flows      []*Flow  // seq order; done flows compacted lazily
 	live       int      // flows not yet done
 	flowSeq    uint64
@@ -124,6 +124,12 @@ type Network struct {
 	timer      simx.Timer
 	target     *Flow // flow the armed timer is for; force-completed on fire
 	completeFn func()
+
+	// holding defers re-rating of started flows until Release; stale
+	// records that a flow started under the hold has not been rated yet.
+	holding bool
+	holdAt  float64
+	stale   bool
 
 	// scratch, reused across re-rates
 	wfGen    uint64
@@ -153,7 +159,7 @@ func (n *Network) AddNode(name string, egress, ingress float64) *Iface {
 	}
 	i := &Iface{name: name, egressCap: egress, ingressCap: ingress}
 	n.ifaces[name] = i
-	n.order = append(n.order, name)
+	n.ifaceList = append(n.ifaceList, i)
 	return i
 }
 
@@ -190,6 +196,38 @@ func (n *Network) newFlow() *Flow {
 	return f
 }
 
+// Hold defers re-rating for the flows started until the matching
+// Release: a Start under a hold appends its flow without recomputing any
+// rate. Hold and Release must bracket one instant of virtual time, and
+// nothing may read flow rates or remaining bytes in between. Every
+// water-fill recomputes all rates from scratch, and no bytes move within
+// one instant, so the rates after Release equal those after re-rating at
+// every Start. Only the completion timer's position among same-time
+// events can differ: it is re-armed at Release, not at the last Start.
+func (n *Network) Hold() {
+	if n.holding {
+		panic("netsim: nested Hold")
+	}
+	n.holding = true
+	n.holdAt = n.eng.Now()
+}
+
+// Release ends a hold and re-rates once if any flow started under it
+// has not been rated since.
+func (n *Network) Release() {
+	if !n.holding {
+		panic("netsim: Release without Hold")
+	}
+	if n.eng.Now() != n.holdAt {
+		panic("netsim: hold spans virtual time")
+	}
+	n.holding = false
+	if n.stale {
+		n.advance()
+		n.reallocate()
+	}
+}
+
 // Start begins transferring bytes from src to dst; onDone fires at
 // completion. Transfers with src == dst run at loopback speed. A
 // non-positive byte count completes immediately (asynchronously).
@@ -217,6 +255,10 @@ func (n *Network) Start(src, dst string, bytes float64, onDone func()) *Flow {
 	n.advance()
 	n.flows = append(n.flows, f)
 	n.live++
+	if n.holding {
+		n.stale = true
+		return f
+	}
 	n.reallocate()
 	return f
 }
@@ -267,9 +309,9 @@ func (n *Network) Redirect(f *Flow, newSrc string) *Flow {
 	return n.Start(newSrc, dst, rem, onDone)
 }
 
-// Sync folds the elapsed interval into flow progress and utilization
-// accounting without changing allocations. Call before reading Remaining
-// or utilization statistics mid-simulation.
+// Sync folds the elapsed interval into flow progress and byte totals
+// without changing allocations. Call before reading Remaining or the
+// byte totals mid-simulation.
 func (n *Network) Sync() {
 	n.advance()
 	// No membership or capacity change: rates are unchanged by
@@ -279,28 +321,9 @@ func (n *Network) Sync() {
 	n.rearm()
 }
 
-// AvgEgressRate returns the node's time-weighted average outbound rate in
-// bytes/sec.
-func (n *Network) AvgEgressRate(name string) float64 {
-	n.Sync()
-	return n.ifaces[name].egUtil.Value()
-}
-
-// AvgIngressRate returns the node's time-weighted average inbound rate in
-// bytes/sec.
-func (n *Network) AvgIngressRate(name string) float64 {
-	n.Sync()
-	return n.ifaces[name].inUtil.Value()
-}
-
 // advance applies transfer progress between lastUpdate and now.
 func (n *Network) advance() {
 	now := n.eng.Now()
-	for _, name := range n.order {
-		i := n.ifaces[name]
-		i.egUtil.Observe(now, i.egRate)
-		i.inUtil.Observe(now, i.inRate)
-	}
 	dt := now - n.lastUpdate
 	if dt > 0 {
 		for _, f := range n.flows {
@@ -319,8 +342,8 @@ func (n *Network) advance() {
 // reallocate recomputes max-min fair rates for every active flow after
 // a membership or capacity change and re-arms the completion timer.
 func (n *Network) reallocate() {
-	for _, name := range n.order {
-		i := n.ifaces[name]
+	n.stale = false
+	for _, i := range n.ifaceList {
 		i.egRate, i.inRate = 0, 0
 	}
 	if n.live > 0 {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -157,20 +158,6 @@ func TestUtilizationInstantaneous(t *testing.T) {
 	_ = eng
 }
 
-func TestAvgRates(t *testing.T) {
-	eng, n := twoNodes(t)
-	n.Start("a", "b", 100, nil) // 1 s at 100
-	eng.Run()
-	eng.Schedule(1, func() {}) // 1 s idle
-	eng.Run()
-	if got := n.AvgEgressRate("a"); !almost(got, 50, 1e-6) {
-		t.Fatalf("avg egress = %v, want 50", got)
-	}
-	if got := n.AvgIngressRate("b"); !almost(got, 50, 1e-6) {
-		t.Fatalf("avg ingress = %v, want 50", got)
-	}
-}
-
 func TestDuplicateNodePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -303,4 +290,133 @@ func TestSetCapacityNonPositivePanics(t *testing.T) {
 		}
 	}()
 	n.SetCapacity("a", 0, 10)
+}
+
+// wave builds a network of uneven NICs carrying two long flows, then at
+// t=1 starts a fetch wave of flows to one reader — under a hold when
+// held is set. It returns the wave's flows and a log of completions.
+func wave(held bool) (*simx.Engine, *Network, []*Flow, *[]string) {
+	eng := simx.NewEngine()
+	n := New(eng)
+	caps := []float64{100, 250, 40, 1000, 75, 300}
+	names := []string{"r", "s1", "s2", "s3", "s4", "s5"}
+	for i, name := range names {
+		n.AddNode(name, caps[i], caps[(i+2)%len(caps)])
+	}
+	log := &[]string{}
+	done := func(tag string) func() {
+		return func() { *log = append(*log, fmt.Sprintf("%s@%v", tag, eng.Now())) }
+	}
+	n.Start("s1", "s3", 900, done("bg1"))
+	n.Start("s3", "r", 400, done("bg2"))
+	var fs []*Flow
+	eng.Schedule(1, func() {
+		if held {
+			n.Hold()
+		}
+		for i, src := range []string{"s1", "s2", "s3", "r", "s4", "s5", "s2"} {
+			fs = append(fs, n.Start(src, "r", float64(100+37*i), done(fmt.Sprintf("f%d", i))))
+		}
+		if held {
+			n.Release()
+		}
+	})
+	eng.RunUntil(1)
+	return eng, n, fs, log
+}
+
+func TestHoldReleaseMatchesPerFlowRerate(t *testing.T) {
+	engA, a, fa, logA := wave(false)
+	engB, b, fb, logB := wave(true)
+	if len(fa) != len(fb) || len(fa) == 0 {
+		t.Fatalf("wave sizes %d vs %d", len(fa), len(fb))
+	}
+	for i := range fa {
+		if fa[i].Rate() != fb[i].Rate() || fa[i].Remaining() != fb[i].Remaining() {
+			t.Errorf("flow %d: rate %v / %v, remaining %v / %v",
+				i, fa[i].Rate(), fb[i].Rate(), fa[i].Remaining(), fb[i].Remaining())
+		}
+	}
+	engA.Run()
+	engB.Run()
+	if fmt.Sprint(*logA) != fmt.Sprint(*logB) {
+		t.Errorf("completions differ:\n per-flow %v\n held     %v", *logA, *logB)
+	}
+	if len(*logA) != len(fa)+2 {
+		t.Errorf("%d completions, want %d", len(*logA), len(fa)+2)
+	}
+	for _, name := range []string{"r", "s1", "s2", "s3", "s4", "s5"} {
+		ia, ib := a.Iface(name), b.Iface(name)
+		if ia.TotalSent() != ib.TotalSent() || ia.TotalReceived() != ib.TotalReceived() {
+			t.Errorf("%s: sent %v / %v, received %v / %v",
+				name, ia.TotalSent(), ib.TotalSent(), ia.TotalReceived(), ib.TotalReceived())
+		}
+	}
+	if engA.Fired() != engB.Fired() {
+		t.Errorf("events fired %d / %d", engA.Fired(), engB.Fired())
+	}
+}
+
+// scheduled counts the engine's Schedule calls; every re-rate re-arms
+// the completion timer with one.
+func scheduled(eng *simx.Engine) uint64 {
+	ps := eng.PoolStats()
+	return ps.Gets + ps.News
+}
+
+func TestHeldStartDefersRerate(t *testing.T) {
+	eng, n := twoNodes(t)
+	n.Start("a", "b", 500, nil)
+	before := scheduled(eng)
+	n.Hold()
+	g := n.Start("b", "a", 500, nil)
+	h := n.Start("a", "b", 500, nil)
+	if got := scheduled(eng); got != before || g.Rate() != 0 || h.Rate() != 0 {
+		t.Fatalf("held starts re-rated: %d schedules (want %d), rates %v, %v",
+			got, before, g.Rate(), h.Rate())
+	}
+	n.Release()
+	if got := scheduled(eng); got != before+1 {
+		t.Fatalf("Release scheduled %d timers, want 1", got-before)
+	}
+	if g.Rate() != 100 || h.Rate() != 50 {
+		t.Fatalf("rates after Release %v, %v; want 100, 50", g.Rate(), h.Rate())
+	}
+}
+
+func TestReleaseWithoutHeldStartDoesNotRerate(t *testing.T) {
+	eng, n := twoNodes(t)
+	f := n.Start("a", "b", 500, nil)
+	before := scheduled(eng)
+	n.Hold()
+	n.Release()
+	if got := scheduled(eng); got != before {
+		t.Fatalf("empty hold re-armed the completion timer (%d schedules, want %d)", got, before)
+	}
+	// A held flow cancelled under the hold re-rates at once; Release
+	// then has nothing left to rate.
+	n.Hold()
+	g := n.Start("b", "a", 500, nil)
+	n.Cancel(g)
+	before = scheduled(eng)
+	n.Release()
+	if got := scheduled(eng); got != before {
+		t.Fatalf("Release after an immediate re-rate re-armed the timer")
+	}
+	if f.Rate() != 100 {
+		t.Fatalf("rate %v, want 100", f.Rate())
+	}
+}
+
+func TestHoldSpanningTimePanics(t *testing.T) {
+	eng, n := twoNodes(t)
+	n.Hold()
+	eng.Schedule(1, func() {})
+	eng.Run()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for a hold across virtual time")
+		}
+	}()
+	n.Release()
 }

@@ -131,7 +131,7 @@ func (rt *Runtime) Launch(t *task.Task, node string, opts executor.Options) *exe
 		rt.SpecCopies++
 	}
 	r := ex.Launch(t, st, opts, rt.onTaskEnd)
-	rt.runningAtt[t.ID] = append(rt.runningAtt[t.ID], r)
+	rt.setRunning(t.ID, append(rt.runningAtt[t.ID], r))
 	rt.wlog.Append(wal.Record{Kind: wal.KindTaskLaunched,
 		Task: t.ID, Stage: st.ID, Index: t.Index, Node: node, Spec: opts.Speculative})
 	if rt.broker != nil {
@@ -142,6 +142,24 @@ func (rt *Runtime) Launch(t *task.Task, node string, opts executor.Options) *exe
 
 // RunningAttempts returns the live attempts of a task.
 func (rt *Runtime) RunningAttempts(t *task.Task) []*executor.Run { return rt.runningAtt[t.ID] }
+
+// setRunning replaces a task's live attempts. Every write to runningAtt
+// goes through here (or resetRunning), so a task whose last attempt left
+// has no entry and liveAtt stays the total count.
+func (rt *Runtime) setRunning(id int, rs []*executor.Run) {
+	rt.liveAtt += len(rs) - len(rt.runningAtt[id])
+	if len(rs) == 0 {
+		delete(rt.runningAtt, id)
+		return
+	}
+	rt.runningAtt[id] = rs
+}
+
+// resetRunning forgets every live attempt.
+func (rt *Runtime) resetRunning() {
+	rt.runningAtt = make(map[int][]*executor.Run)
+	rt.liveAtt = 0
+}
 
 // onTaskEnd is the single completion path for every attempt. While the
 // driver is down (a DriverCrash window) completions are not lost: they
@@ -164,7 +182,7 @@ func (rt *Runtime) onTaskEnd(r *executor.Run, out executor.Outcome) {
 			break
 		}
 	}
-	rt.runningAtt[t.ID] = live
+	rt.setRunning(t.ID, live)
 
 	rt.sched.TaskEnded(t, r, out)
 	if rt.OnAttemptEnd != nil {
@@ -204,7 +222,7 @@ func (rt *Runtime) onTaskEnd(r *executor.Run, out executor.Outcome) {
 				rt.wlog.Append(wal.Record{Kind: wal.KindAttemptEnded,
 					Task: t.ID, Node: a.Metrics().Executor, Outcome: "killed"})
 			}
-			rt.runningAtt[t.ID] = nil
+			rt.setRunning(t.ID, nil)
 			if st.MarkCompleted() {
 				rt.onStageComplete(st)
 			}
@@ -450,13 +468,7 @@ func (rt *Runtime) StageOf(t *task.Task) *task.Stage { return rt.stageOf[t.ID] }
 // LiveAttempts returns the number of attempts still registered as
 // in-flight. After a run (completed or aborted) it must be zero — the
 // chaos harness's attempt-leak invariant.
-func (rt *Runtime) LiveAttempts() int {
-	n := 0
-	for _, rs := range rt.runningAtt {
-		n += len(rs)
-	}
-	return n
-}
+func (rt *Runtime) LiveAttempts() int { return rt.liveAtt }
 
 // SpeculatableCount returns the size of the straggler set (drained to
 // zero by the end of a completed run).

@@ -210,13 +210,11 @@ func (rt *Runtime) attemptsOn(node string) []*executor.Run {
 // launch) order.
 func (rt *Runtime) runningSorted() []*executor.Run {
 	ids := make([]int, 0, len(rt.runningAtt))
-	for id, rs := range rt.runningAtt {
-		if len(rs) > 0 {
-			ids = append(ids, id)
-		}
+	for id := range rt.runningAtt {
+		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	var out []*executor.Run
+	out := make([]*executor.Run, 0, rt.liveAtt)
 	for _, id := range ids {
 		out = append(out, rt.runningAtt[id]...)
 	}
@@ -325,7 +323,7 @@ func (rt *Runtime) abortJob(t *task.Task, st *task.Stage, reason string) {
 	for _, r := range rt.runningSorted() {
 		r.Kill(false)
 	}
-	rt.runningAtt = make(map[int][]*executor.Run)
+	rt.resetRunning()
 	rt.finishApp()
 }
 

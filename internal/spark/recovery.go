@@ -201,7 +201,7 @@ func (rt *Runtime) restoreFromState(s *wal.State) {
 	rt.stageOf = make(map[int]*task.Stage)
 	rt.activeStages = make(map[int]*task.Stage)
 	rt.submitted = make(map[int]bool)
-	rt.runningAtt = make(map[int][]*executor.Run)
+	rt.resetRunning()
 	rt.speculatable = make(map[int]*task.Task)
 
 	rt.jobIdx = s.JobIdx
@@ -329,7 +329,7 @@ func (rt *Runtime) adoptSurvivors(s *wal.State) int {
 				continue
 			}
 			t.State = task.Running
-			rt.runningAtt[t.ID] = append(rt.runningAtt[t.ID], r)
+			rt.setRunning(t.ID, append(rt.runningAtt[t.ID], r))
 			rt.wlog.Append(wal.Record{Kind: wal.KindTaskAdopted,
 				Task: t.ID, Stage: r.Stage().ID, Index: t.Index,
 				Node: name, Spec: r.Speculative()})

@@ -255,7 +255,8 @@ type Runtime struct {
 	jobIdx       int
 	activeStages map[int]*task.Stage
 	submitted    map[int]bool
-	runningAtt   map[int][]*executor.Run // live attempts by task ID
+	runningAtt   map[int][]*executor.Run // live attempts by task ID; no empty entries
+	liveAtt      int                     // Σ len(runningAtt), kept by setRunning
 	speculatable map[int]*task.Task
 	specTimer    simx.Timer
 	appDone      bool
