@@ -1,7 +1,10 @@
 package chaos
 
 import (
+	"bytes"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"math"
 	"testing"
 
@@ -262,6 +265,69 @@ func TestGoldenTenancyFingerprints(t *testing.T) {
 		if rep.Fingerprint != g.fingerprint || events != g.events {
 			t.Errorf("%s seed %d: fingerprint %s, %d events; golden %s, %d events",
 				g.scheduler, g.seed, rep.Fingerprint, events, g.fingerprint, g.events)
+		}
+	}
+}
+
+// soakReport is what every soak's report offers its callers.
+type soakReport interface {
+	WriteJSON(io.Writer) error
+	Print(io.Writer)
+}
+
+// goldenReports pins whole soak reports, not just their fingerprints:
+// FNV-64a digests of each report's JSON artifact and printed table, so a
+// moved or renamed field, a changed column or a reworded verdict fails
+// even where every fingerprint holds. Each soak runs one seed with
+// SkipVerify; the unknown-scheduler sweep pins the panic path.
+var goldenReports = []struct {
+	name        string
+	run         func() soakReport
+	json, print string
+}{
+	{"chaos", func() soakReport {
+		return Soak(Config{Seeds: []uint64{1}, SkipVerify: true})
+	}, "37cd750b6e476ce5", "d58505a661f4bda2"},
+	{"recovery", func() soakReport {
+		return RecoverySoak(Config{Seeds: []uint64{1}, SkipVerify: true})
+	}, "5020770add14936f", "cbf70768bf4c9cd4"},
+	{"tenancy", func() soakReport {
+		return TenancySoak(TenancyConfig{Seeds: []uint64{1}, SkipVerify: true})
+	}, "04387b4bc5c42fcc", "0dbdf49c5b36285d"},
+	{"preempt", func() soakReport {
+		return PreemptionSoak(PreemptConfig{Seeds: []uint64{1}, SkipVerify: true})
+	}, "63bc5e04b8c95f71", "93f9984e0be42963"},
+	{"federation", func() soakReport {
+		return FederationSoak(FederationConfig{Seeds: []uint64{1}, SkipVerify: true})
+	}, "0b6b484b5fd78d55", "ebc7eb529cd89e62"},
+	{"streaming", func() soakReport {
+		return StreamingSoak(StreamingConfig{Seeds: []uint64{1}, SkipVerify: true})
+	}, "599839c66e5efd27", "5f8030e712697700"},
+	{"unknown-scheduler", func() soakReport {
+		return Soak(Config{Seeds: []uint64{1}, Schedulers: []string{"nope"}})
+	}, "91acc9b5c728198a", "b59e2da1c6ed920a"},
+}
+
+// bytesDigest is the FNV-64a digest of b in hex.
+func bytesDigest(b []byte) string {
+	h := fnv.New64a()
+	h.Write(b)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+func TestGoldenReportBytes(t *testing.T) {
+	for _, g := range goldenReports {
+		rep := g.run()
+		var j, p bytes.Buffer
+		if err := rep.WriteJSON(&j); err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		rep.Print(&p)
+		if got := bytesDigest(j.Bytes()); got != g.json {
+			t.Errorf("%s: JSON digest %s, golden %s\n%s", g.name, got, g.json, j.String())
+		}
+		if got := bytesDigest(p.Bytes()); got != g.print {
+			t.Errorf("%s: printout digest %s, golden %s\n%s", g.name, got, g.print, p.String())
 		}
 	}
 }
