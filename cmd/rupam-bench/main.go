@@ -50,11 +50,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"slices"
 	"strings"
 	"time"
 
@@ -81,7 +83,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "base PRNG seed")
 	csvDir := flag.String("csv", "", "directory for raw CSV series (fig2, fig3, fig9)")
 	chaosSeeds := flag.Int("chaos-seeds", 20, "fault-plan seeds in the chaos sweep")
-	jsonPath := flag.String("json", "", "file for the chaos/tenancy sweep's JSON report")
+	jsonPath := flag.String("json", "", "file for the JSON report of chaos, recovery, tenancy, preempt, elastic, federation, streaming or perf")
 	tenancySeeds := flag.Int("tenancy-seeds", 5, "arrival-stream seeds in the tenancy sweep")
 	tenancyApps := flag.Int("tenancy-apps", 10, "application arrivals per tenancy stream")
 	elasticSeeds := flag.Int("elastic-seeds", 0, "arrival-stream seeds per policy in the elastic sweep (0 = default)")
@@ -96,56 +98,55 @@ func main() {
 	tracePath := flag.String("trace", "", "write a runtime execution trace to this file")
 	flag.Parse()
 
-	known := false
-	for _, n := range experimentNames {
-		if *exp == n {
-			known = true
-			break
-		}
-	}
-	if !known {
-		fmt.Fprintf(os.Stderr, "rupam-bench: unknown experiment %q (have: %s)\n",
-			*exp, strings.Join(experimentNames, ", "))
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *runs < 1 {
-		fmt.Fprintf(os.Stderr, "rupam-bench: -runs must be at least 1, got %d\n", *runs)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *perfScale != perf.ScaleSmoke && *perfScale != perf.ScaleStandard {
-		fmt.Fprintf(os.Stderr, "rupam-bench: -perf-scale must be %s or %s, got %q\n",
-			perf.ScaleSmoke, perf.ScaleStandard, *perfScale)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *perfReps < 1 {
-		fmt.Fprintf(os.Stderr, "rupam-bench: -perf-reps must be at least 1, got %d\n", *perfReps)
-		flag.Usage()
-		os.Exit(2)
+	switch {
+	case !slices.Contains(experimentNames, *exp):
+		usageError("unknown experiment %q (have: %s)", *exp, strings.Join(experimentNames, ", "))
+	case *runs < 1:
+		usageError("-runs must be at least 1, got %d", *runs)
+	case *perfScale != perf.ScaleSmoke && *perfScale != perf.ScaleStandard:
+		usageError("-perf-scale must be %s or %s, got %q", perf.ScaleSmoke, perf.ScaleStandard, *perfScale)
+	case *perfReps < 1:
+		usageError("-perf-reps must be at least 1, got %d", *perfReps)
+	case *chaosSeeds < 1:
+		usageError("-chaos-seeds must be at least 1, got %d", *chaosSeeds)
+	case *tenancySeeds < 1 || *tenancyApps < 1:
+		usageError("-tenancy-seeds and -tenancy-apps must be at least 1")
+	case *elasticSeeds < 0:
+		usageError("-elastic-seeds must be non-negative, got %d", *elasticSeeds)
+	case *fedSeeds < 1:
+		usageError("-federation-seeds must be at least 1, got %d", *fedSeeds)
+	case *streamingSeeds < 0:
+		usageError("-streaming-seeds must be non-negative, got %d", *streamingSeeds)
 	}
 
 	stopProfiles := startProfiles(*cpuProfile, *memProfile, *tracePath)
 	defer stopProfiles()
+	// fail ends the process with a nonzero code, closing the profiles
+	// first so they are complete exactly when a sweep fails. Every
+	// failing exit from here on goes through it.
+	fail := func(code int) {
+		if code != 0 {
+			stopProfiles()
+			os.Exit(code)
+		}
+	}
+	// finishSweep writes a sweep's -json report and fails on its
+	// violations.
+	finishSweep := func(write func(io.Writer) error, violations int, verdict string) {
+		fail(finish(os.Stderr, *jsonPath, write, violations, verdict))
+	}
 
-	writeCSV := func(name string, write func(f *os.File) error) {
+	writeCSV := func(name string, write func(io.Writer) error) {
 		if *csvDir == "" {
 			return
 		}
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-			os.Exit(1)
+		err := os.MkdirAll(*csvDir, 0o755)
+		if err == nil {
+			err = writeFile(filepath.Join(*csvDir, name), write)
 		}
-		f, err := os.Create(filepath.Join(*csvDir, name))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := write(f); err != nil {
-			fmt.Fprintf(os.Stderr, "rupam-bench: writing %s: %v\n", name, err)
-			os.Exit(1)
+			fail(1)
 		}
 	}
 
@@ -158,364 +159,211 @@ func main() {
 	}
 
 	all := *exp == "all"
-	matched := false
 	if all || *exp == "tab2" {
-		matched = true
 		run("Table II", func() { experiments.TableII(w) })
 	}
 	if all || *exp == "tab4" {
-		matched = true
 		run("Table IV", func() { experiments.TableIV(w) })
 	}
 	if all || *exp == "fig2" {
-		matched = true
 		run("Figure 2", func() {
 			r := experiments.Fig2(*seed)
 			r.Print(w)
-			writeCSV("fig2_trace.csv", func(f *os.File) error {
+			writeCSV("fig2_trace.csv", func(f io.Writer) error {
 				return metrics.WriteTraceCSV(f, r.Trace)
 			})
 		})
 	}
 	if all || *exp == "fig3" {
-		matched = true
 		run("Figure 3", func() {
 			r := experiments.Fig3(*seed)
 			r.Print(w)
-			writeCSV("fig3_tasks.csv", func(f *os.File) error {
+			writeCSV("fig3_tasks.csv", func(f io.Writer) error {
 				return metrics.WriteTaskRowsCSV(f, r.Rows)
 			})
 		})
 	}
 	if all || *exp == "fig5" {
-		matched = true
 		run("Figure 5", func() { experiments.Fig5(*runs).Print(w) })
 	}
 	if all || *exp == "fig6" {
-		matched = true
 		run("Figure 6", func() { experiments.Fig6(nil, *seed).Print(w) })
 	}
 	if all || *exp == "tab5" {
-		matched = true
 		run("Table V", func() { experiments.Tab5(*seed).Print(w) })
 	}
 	if all || *exp == "fig7" {
-		matched = true
 		run("Figure 7", func() { experiments.Fig7(*seed).Print(w) })
 	}
 	if all || *exp == "fig8" {
-		matched = true
 		run("Figure 8", func() { experiments.Fig8(*seed).Print(w) })
 	}
 	if all || *exp == "fig9" {
-		matched = true
 		run("Figure 9", func() {
 			r := experiments.Fig9(*seed)
 			r.Print(w)
-			writeCSV("fig9_spark.csv", func(f *os.File) error {
+			writeCSV("fig9_spark.csv", func(f io.Writer) error {
 				return metrics.WriteBalanceCSV(f, r.Spark)
 			})
-			writeCSV("fig9_rupam.csv", func(f *os.File) error {
+			writeCSV("fig9_rupam.csv", func(f io.Writer) error {
 				return metrics.WriteBalanceCSV(f, r.RUPAM)
 			})
 		})
 	}
 	if all || *exp == "ablations" {
-		matched = true
 		run("Ablations", func() { experiments.Ablations(*seed).Print(w) })
 	}
 	// Deliberately NOT part of "all": fault injection would perturb the
 	// deterministic artifact sweep above.
 	if *exp == "faults" {
-		matched = true
 		run("Fault recovery", func() { experiments.FaultRecovery(*seed).Print(w) })
 	}
 	if *exp == "chaos" {
-		matched = true
 		run("Chaos soak", func() {
-			if *chaosSeeds < 1 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: -chaos-seeds must be at least 1, got %d\n", *chaosSeeds)
-				os.Exit(2)
-			}
-			seeds := make([]uint64, *chaosSeeds)
-			for i := range seeds {
-				seeds[i] = *seed + uint64(i)
-			}
-			rep := chaos.Soak(chaos.Config{Seeds: seeds})
+			rep := chaos.Soak(chaos.Config{Seeds: seedRange(*seed, *chaosSeeds)})
 			rep.Print(w)
-			if *jsonPath != "" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-					os.Exit(1)
-				}
-				defer f.Close()
-				if err := rep.WriteJSON(f); err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: writing %s: %v\n", *jsonPath, err)
-					os.Exit(1)
-				}
-			}
-			if rep.Violations > 0 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: chaos sweep found %d invariant violations\n", rep.Violations)
-				os.Exit(1)
-			}
+			finishSweep(rep.WriteJSON, rep.Violations, "chaos sweep found %d invariant violations")
 		})
 	}
 	if *exp == "recovery" {
-		matched = true
 		run("Crash recovery", func() {
-			if *chaosSeeds < 1 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: -chaos-seeds must be at least 1, got %d\n", *chaosSeeds)
-				os.Exit(2)
-			}
-			seeds := make([]uint64, *chaosSeeds)
-			for i := range seeds {
-				seeds[i] = *seed + uint64(i)
-			}
-			rep := chaos.RecoverySoak(chaos.Config{Seeds: seeds})
+			rep := chaos.RecoverySoak(chaos.Config{Seeds: seedRange(*seed, *chaosSeeds)})
 			rep.Print(w)
-			if *jsonPath != "" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-					os.Exit(1)
-				}
-				defer f.Close()
-				if err := rep.WriteJSON(f); err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: writing %s: %v\n", *jsonPath, err)
-					os.Exit(1)
-				}
-			}
-			if rep.Violations > 0 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: recovery sweep found %d violations\n", rep.Violations)
-				os.Exit(1)
-			}
+			finishSweep(rep.WriteJSON, rep.Violations, "recovery sweep found %d violations")
 		})
 	}
 	if *exp == "tenancy" {
-		matched = true
 		run("Multi-tenant sweep", func() {
-			if *tenancySeeds < 1 || *tenancyApps < 1 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: -tenancy-seeds and -tenancy-apps must be at least 1\n")
-				os.Exit(2)
-			}
 			rep := experiments.Tenancy(experiments.TenancyConfig{
 				BaseSeed: *seed,
 				Seeds:    *tenancySeeds,
 				Apps:     *tenancyApps,
 			})
 			rep.Print(w)
-			writeCSV("tenancy_pools.csv", func(f *os.File) error {
-				return rep.WritePoolCSV(f)
-			})
-			if *jsonPath != "" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-					os.Exit(1)
-				}
-				defer f.Close()
-				if err := rep.WriteJSON(f); err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: writing %s: %v\n", *jsonPath, err)
-					os.Exit(1)
-				}
-			}
-			if rep.Violations > 0 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: tenancy sweep found %d invariant violations\n", rep.Violations)
-				os.Exit(1)
-			}
+			writeCSV("tenancy_pools.csv", rep.WritePoolCSV)
+			finishSweep(rep.WriteJSON, rep.Violations, "tenancy sweep found %d invariant violations")
 		})
 	}
 	if *exp == "preempt" {
-		matched = true
 		run("Preemption soak", func() {
-			if *chaosSeeds < 1 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: -chaos-seeds must be at least 1, got %d\n", *chaosSeeds)
-				os.Exit(2)
-			}
-			seeds := make([]uint64, *chaosSeeds)
-			for i := range seeds {
-				seeds[i] = *seed + uint64(i)
-			}
-			rep := chaos.PreemptionSoak(chaos.PreemptConfig{Seeds: seeds})
+			rep := chaos.PreemptionSoak(chaos.PreemptConfig{Seeds: seedRange(*seed, *chaosSeeds)})
 			rep.Print(w)
-			if *jsonPath != "" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-					os.Exit(1)
-				}
-				defer f.Close()
-				if err := rep.WriteJSON(f); err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: writing %s: %v\n", *jsonPath, err)
-					os.Exit(1)
-				}
-			}
-			if rep.Violations > 0 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: preemption soak found %d invariant violations\n", rep.Violations)
-				os.Exit(1)
-			}
+			finishSweep(rep.WriteJSON, rep.Violations, "preemption soak found %d invariant violations")
 		})
 	}
 	if *exp == "elastic" {
-		matched = true
 		run("Elastic Pareto sweep", func() {
-			if *elasticSeeds < 0 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: -elastic-seeds must be non-negative, got %d\n", *elasticSeeds)
-				os.Exit(2)
-			}
 			rep := experiments.Elastic(experiments.ElasticConfig{
 				BaseSeed: *seed,
 				Seeds:    *elasticSeeds,
 			})
 			rep.Print(w)
-			writeCSV("elastic_pareto.csv", func(f *os.File) error {
-				return rep.WriteParetoCSV(f)
-			})
-			if *jsonPath != "" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-					os.Exit(1)
-				}
-				defer f.Close()
-				if err := rep.WriteJSON(f); err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: writing %s: %v\n", *jsonPath, err)
-					os.Exit(1)
-				}
-			}
-			if rep.Violations > 0 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: elastic sweep found %d violations\n", rep.Violations)
-				os.Exit(1)
-			}
+			writeCSV("elastic_pareto.csv", rep.WriteParetoCSV)
+			finishSweep(rep.WriteJSON, rep.Violations, "elastic sweep found %d violations")
 		})
 	}
 	if *exp == "federation" {
-		matched = true
 		run("Federation soak + scaling sweep", func() {
-			if *fedSeeds < 1 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: -federation-seeds must be at least 1, got %d\n", *fedSeeds)
-				os.Exit(2)
-			}
-			seeds := make([]uint64, *fedSeeds)
-			for i := range seeds {
-				seeds[i] = *seed + uint64(i)
-			}
-			rep := chaos.FederationSoak(chaos.FederationConfig{Seeds: seeds})
+			rep := chaos.FederationSoak(chaos.FederationConfig{Seeds: seedRange(*seed, *fedSeeds)})
 			rep.Print(w)
-			if *jsonPath != "" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-					os.Exit(1)
-				}
-				defer f.Close()
-				if err := rep.WriteJSON(f); err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: writing %s: %v\n", *jsonPath, err)
-					os.Exit(1)
-				}
-			}
 			sweep := experiments.Federation(experiments.FederationConfig{BaseSeed: *seed})
 			sweep.Print(w)
-			writeCSV("federation_scale.csv", func(f *os.File) error {
-				return sweep.WriteCSV(f)
-			})
-			writeCSV("federation_agent_churn.csv", func(f *os.File) error {
-				return sweep.WriteChurnCSV(f)
-			})
-			if rep.Violations+sweep.Violations > 0 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: federation sweep found %d invariant violations\n",
-					rep.Violations+sweep.Violations)
-				os.Exit(1)
-			}
+			writeCSV("federation_scale.csv", sweep.WriteCSV)
+			writeCSV("federation_agent_churn.csv", sweep.WriteChurnCSV)
+			finishSweep(rep.WriteJSON, rep.Violations+sweep.Violations,
+				"federation sweep found %d invariant violations")
 		})
 	}
 	if *exp == "streaming" {
-		matched = true
 		run("Streaming placement sweep", func() {
-			if *streamingSeeds < 0 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: -streaming-seeds must be non-negative, got %d\n", *streamingSeeds)
-				os.Exit(2)
-			}
 			rep := experiments.Streaming(experiments.StreamingConfig{
 				BaseSeed: *seed,
 				Seeds:    *streamingSeeds,
 			})
 			rep.Print(w)
-			writeCSV("streaming_throughput.csv", func(f *os.File) error {
-				return rep.WriteThroughputCSV(f)
-			})
-			if *jsonPath != "" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-					os.Exit(1)
-				}
-				defer f.Close()
-				if err := rep.WriteJSON(f); err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: writing %s: %v\n", *jsonPath, err)
-					os.Exit(1)
-				}
-			}
-			if rep.Violations > 0 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: streaming sweep found %d violations\n", rep.Violations)
-				os.Exit(1)
-			}
+			writeCSV("streaming_throughput.csv", rep.WriteThroughputCSV)
+			finishSweep(rep.WriteJSON, rep.Violations, "streaming sweep found %d violations")
 		})
 	}
 	if *exp == "perf" {
-		matched = true
 		run("Perf battery", func() {
 			rep := perf.RunBattery(perf.Options{
 				Scale:    *perfScale,
 				Reps:     *perfReps,
 				Progress: func(s string) { fmt.Fprintln(w, s) },
 			})
-			if *jsonPath != "" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-					stopProfiles()
-					os.Exit(1)
-				}
-				defer f.Close()
-				if err := rep.WriteJSON(f); err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: writing %s: %v\n", *jsonPath, err)
-					stopProfiles()
-					os.Exit(1)
-				}
-			}
+			finishSweep(rep.WriteJSON, 0, "")
 			if *baselinePath != "" {
 				base, err := perf.ReadReportFile(*baselinePath)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-					stopProfiles()
-					os.Exit(1)
+					fail(1)
 				}
 				violations := perf.Compare(base, rep, *threshold)
 				for _, v := range violations {
 					fmt.Fprintf(os.Stderr, "rupam-bench: perf regression: %s\n", v)
 				}
 				if len(violations) > 0 {
-					stopProfiles()
-					os.Exit(1)
+					fail(1)
 				}
 				fmt.Fprintf(w, "no regression against %s (threshold %.0f%%)\n", *baselinePath, *threshold*100)
 			}
 		})
 	}
 	if *exp == "tracesanity" {
-		matched = true
 		run("Trace sanity", func() {
 			rep := experiments.RunTraceSanity(*seed)
 			rep.Print(w)
-			if len(rep.Violations) > 0 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: trace sanity found %d invariant violations\n", len(rep.Violations))
-				os.Exit(1)
-			}
+			finishSweep(nil, len(rep.Violations), "trace sanity found %d invariant violations")
 		})
 	}
-	_ = matched
+}
+
+// usageError reports a bad flag value with the usage text and exits 2.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "rupam-bench: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
+}
+
+// seedRange returns the n consecutive seeds starting at base.
+func seedRange(base uint64, n int) []uint64 {
+	seeds := make([]uint64, n)
+	for i := range seeds {
+		seeds[i] = base + uint64(i)
+	}
+	return seeds
+}
+
+// finish closes a sweep: it writes the sweep's JSON report with write when
+// path is set, reports violations (verdict formats their count) on
+// stderr, and returns the exit code, 1 when the report cannot be written
+// or violations is nonzero and 0 otherwise.
+func finish(stderr io.Writer, path string, write func(io.Writer) error, violations int, verdict string) int {
+	if path != "" && write != nil {
+		if err := writeFile(path, write); err != nil {
+			fmt.Fprintf(stderr, "rupam-bench: %v\n", err)
+			return 1
+		}
+	}
+	if violations > 0 {
+		fmt.Fprintf(stderr, "rupam-bench: "+verdict+"\n", violations)
+		return 1
+	}
+	return 0
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	return f.Close()
 }
 
 // startProfiles wires the standard pprof/trace outputs around the run
@@ -527,6 +375,9 @@ func startProfiles(cpu, mem, tr string) func() {
 	var stops []func()
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
+		for _, stop := range stops {
+			stop()
+		}
 		os.Exit(1)
 	}
 	if cpu != "" {

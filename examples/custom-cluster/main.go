@@ -11,7 +11,6 @@ import (
 
 	"rupam/internal/cluster"
 	"rupam/internal/core"
-	"rupam/internal/executor"
 	"rupam/internal/hdfs"
 	"rupam/internal/rdd"
 	"rupam/internal/simx"
@@ -19,7 +18,6 @@ import (
 )
 
 func main() {
-	executor.ResetRunSeq()
 	eng := simx.NewEngine()
 	clu := cluster.New(eng)
 

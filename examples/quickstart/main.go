@@ -9,7 +9,6 @@ import (
 
 	"rupam/internal/cluster"
 	"rupam/internal/core"
-	"rupam/internal/executor"
 	"rupam/internal/hdfs"
 	"rupam/internal/metrics"
 	"rupam/internal/simx"
@@ -23,7 +22,6 @@ import (
 // automates.
 func runOnce(schedName string) *spark.Result {
 	// Fresh simulation world.
-	executor.ResetRunSeq()
 	eng := simx.NewEngine()
 
 	// The heterogeneous cluster of Table II.

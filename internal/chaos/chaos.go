@@ -9,16 +9,12 @@
 package chaos
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
-	"math"
 
 	"rupam/internal/cluster"
 	"rupam/internal/core"
-	"rupam/internal/executor"
+	"rupam/internal/digest"
 	"rupam/internal/faults"
 	"rupam/internal/hdfs"
 	"rupam/internal/simx"
@@ -112,12 +108,7 @@ type RunRecord struct {
 	Resubmissions     int `json:"resubmissions"`
 	NodesBlacklisted  int `json:"nodes_blacklisted"`
 
-	// Fingerprint hashes the run's full observable outcome (durations,
-	// per-attempt timelines, counters); two runs of the same seed must
-	// produce the same value.
-	Fingerprint string `json:"fingerprint"`
-
-	Violations []string `json:"violations,omitempty"`
+	Verdict
 }
 
 // Report is a full sweep's outcome.
@@ -134,36 +125,15 @@ type Report struct {
 func Soak(cfg Config) *Report {
 	cfg = cfg.withDefaults()
 	rep := &Report{Workload: cfg.Workload, Seeds: cfg.Seeds}
-	for _, seed := range cfg.Seeds {
-		for _, sched := range cfg.Schedulers {
-			rec := runSeed(cfg, sched, seed)
-			if !cfg.SkipVerify && rec.Aborted != "panic" {
-				again := runSeed(cfg, sched, seed)
-				if again.Fingerprint != rec.Fingerprint {
-					rec.Violations = append(rec.Violations, fmt.Sprintf(
-						"non-deterministic: fingerprint %s on re-run, %s first",
-						again.Fingerprint, rec.Fingerprint))
-				}
-			}
-			rep.Violations += len(rec.Violations)
-			rep.Runs = append(rep.Runs, rec)
-		}
-	}
+	rep.Runs, rep.Violations = sweep(cfg.Seeds, cfg.Schedulers, cfg.SkipVerify, cfg.runSeed,
+		func(rec *RunRecord) { rec.Aborted = "panic" })
 	return rep
 }
 
 // runSeed executes one plan under one scheduler and checks the
-// invariants. A panic anywhere inside the run becomes a violation.
-func runSeed(cfg Config, scheduler string, seed uint64) (rec RunRecord) {
-	rec = RunRecord{Scheduler: scheduler, Seed: seed}
-	defer func() {
-		if r := recover(); r != nil {
-			rec.Aborted = "panic"
-			rec.Violations = append(rec.Violations, fmt.Sprintf("run panicked: %v", r))
-		}
-	}()
-
-	executor.ResetRunSeq()
+// invariants.
+func (cfg Config) runSeed(rec *RunRecord, scheduler string, seed uint64) {
+	rec.Scheduler, rec.Seed = scheduler, seed
 	eng := simx.NewEngine()
 	clu := cluster.New(eng)
 	cluster.NewHydra(clu)
@@ -210,7 +180,6 @@ func runSeed(cfg Config, scheduler string, seed uint64) (rec RunRecord) {
 	rec.NodesBlacklisted = res.NodesBlacklisted
 	rec.Fingerprint = Fingerprint(res)
 	rec.Violations = CheckInvariants(res, rt)
-	return rec
 }
 
 // HardenedConfig is the framework configuration the soak runs under:
@@ -237,23 +206,21 @@ func HardenedConfig(seed uint64) spark.Config {
 // fault-tolerance counters. Identical seeds must produce identical
 // fingerprints — the bit-identity invariant.
 func Fingerprint(res *spark.Result) string {
-	h := fnv.New64a()
-	f64 := func(x float64) { binary.Write(h, binary.LittleEndian, math.Float64bits(x)) }
-	i64 := func(x int) { binary.Write(h, binary.LittleEndian, int64(x)) }
-	f64(res.Duration)
-	i64(len(res.JobEnds))
+	h := digest.New()
+	h.F64(res.Duration)
+	h.Int(len(res.JobEnds))
 	for _, je := range res.JobEnds {
-		f64(je)
+		h.F64(je)
 	}
 	for _, tk := range res.App.AllTasks() {
-		i64(tk.ID)
-		i64(int(tk.State))
-		i64(len(tk.Attempts))
+		h.Int(tk.ID)
+		h.Int(int(tk.State))
+		h.Int(len(tk.Attempts))
 		for _, a := range tk.Attempts {
-			io.WriteString(h, a.Executor)
-			f64(a.Launch)
-			f64(a.Start)
-			f64(a.End)
+			h.Str(a.Executor)
+			h.F64(a.Launch)
+			h.F64(a.Start)
+			h.F64(a.End)
 			flags := 0
 			if a.OOM {
 				flags |= 1
@@ -270,7 +237,7 @@ func Fingerprint(res *spark.Result) string {
 			if a.UsedGPU {
 				flags |= 16
 			}
-			i64(flags)
+			h.Int(flags)
 		}
 	}
 	for _, c := range []int{
@@ -278,27 +245,23 @@ func Fingerprint(res *spark.Result) string {
 		res.TaskFlakes, res.ExecutorsLost, res.ExecutorsRejoined,
 		res.FetchFailures, res.Resubmissions, res.NodesBlacklisted,
 	} {
-		i64(c)
+		h.Int(c)
 	}
 	if res.Aborted != nil {
-		io.WriteString(h, res.Aborted.Error())
+		h.Str(res.Aborted.Error())
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return h.Hex()
 }
 
 // WriteJSON writes the report as a deterministic, indented JSON artifact.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *Report) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // Print summarizes the sweep, one line per run plus a verdict.
 func (r *Report) Print(w io.Writer) {
 	fmt.Fprintf(w, "chaos soak: %s, %d seeds\n", r.Workload, len(r.Seeds))
 	fmt.Fprintf(w, "%-6s %6s %6s %9s %5s %6s %5s %5s %6s %s\n",
 		"sched", "seed", "events", "dur(s)", "spec", "flakes", "lost", "resub", "abort", "fingerprint")
-	for _, rec := range r.Runs {
+	printRuns(w, r.Runs, r.Violations, "invariant", "runs", func(rec *RunRecord) {
 		abort := "-"
 		if rec.Aborted != "" {
 			abort = "yes"
@@ -306,13 +269,5 @@ func (r *Report) Print(w io.Writer) {
 		fmt.Fprintf(w, "%-6s %6d %6d %9.1f %5d %6d %5d %5d %6s %s\n",
 			rec.Scheduler, rec.Seed, rec.Events, rec.Duration, rec.SpecCopies,
 			rec.TaskFlakes, rec.ExecutorsLost, rec.Resubmissions, abort, rec.Fingerprint)
-		for _, v := range rec.Violations {
-			fmt.Fprintf(w, "    VIOLATION: %s\n", v)
-		}
-	}
-	if r.Violations == 0 {
-		fmt.Fprintf(w, "0 invariant violations across %d runs\n", len(r.Runs))
-	} else {
-		fmt.Fprintf(w, "%d INVARIANT VIOLATIONS across %d runs\n", r.Violations, len(r.Runs))
-	}
+	})
 }

@@ -6,13 +6,13 @@ import (
 	"testing"
 )
 
-// soakSeeds returns the test's seed budget: a handful under -short, a
-// larger fixed sweep otherwise. Fixed (not time-derived) so CI failures
-// reproduce with `go test -run TestChaosSoak`.
-func soakSeeds(short bool) []uint64 {
-	n := 12
-	if short {
-		n = 4
+// testSeeds returns a soak test's seed budget, seeds 1..n: n = short
+// under -short and n = full otherwise. Fixed (not time-derived) so CI
+// failures reproduce with `go test -run TestChaosSoak`.
+func testSeeds(short, full int) []uint64 {
+	n := full
+	if testing.Short() {
+		n = short
 	}
 	seeds := make([]uint64, n)
 	for i := range seeds {
@@ -25,7 +25,7 @@ func soakSeeds(short bool) []uint64 {
 // both schedulers, every invariant checked after every run, every seed
 // run twice for bit-identity.
 func TestChaosSoak(t *testing.T) {
-	rep := Soak(Config{Seeds: soakSeeds(testing.Short())})
+	rep := Soak(Config{Seeds: testSeeds(4, 12)})
 	for _, rec := range rep.Runs {
 		for _, v := range rec.Violations {
 			t.Errorf("scheduler=%s seed=%d: %s", rec.Scheduler, rec.Seed, v)
@@ -59,7 +59,7 @@ func TestSoakDeterministicReport(t *testing.T) {
 // schedules that never touch the run: across the sweep, at least some
 // runs must observe gray failures (flakes) and fault-tolerance activity.
 func TestSoakExercisesFaults(t *testing.T) {
-	rep := Soak(Config{Seeds: soakSeeds(testing.Short()), SkipVerify: true})
+	rep := Soak(Config{Seeds: testSeeds(4, 12), SkipVerify: true})
 	flakes, lost, events := 0, 0, 0
 	for _, rec := range rep.Runs {
 		flakes += rec.TaskFlakes

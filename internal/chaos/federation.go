@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -93,8 +92,7 @@ type FederationRunRecord struct {
 	MsgDropped int `json:"msg_dropped"`
 	MsgDuped   int `json:"msg_duped"`
 
-	Fingerprint string   `json:"fingerprint"`
-	Violations  []string `json:"violations,omitempty"`
+	Verdict
 }
 
 // FederationReport is a full federation sweep's outcome.
@@ -118,39 +116,23 @@ func FederationSoak(cfg FederationConfig) *FederationReport {
 		rep.Scenarios++
 		for _, f := range federation.RunAcceptScenario(s) {
 			rep.Violations++
-			rep.Runs = append(rep.Runs, FederationRunRecord{
+			rep.Runs = append(rep.Runs, FederationRunRecord{Verdict: Verdict{
 				Violations: []string{fmt.Sprintf("acceptance %s: %s", s.Name, f)},
-			})
+			}})
 		}
 	}
 
-	for _, seed := range cfg.Seeds {
-		rec := runFederationSeed(cfg, seed)
-		if !cfg.SkipVerify && rec.Fingerprint != "" {
-			again := runFederationSeed(cfg, seed)
-			if again.Fingerprint != rec.Fingerprint {
-				rec.Violations = append(rec.Violations, fmt.Sprintf(
-					"non-deterministic: fingerprint %s on re-run, %s first",
-					again.Fingerprint, rec.Fingerprint))
-			}
-		}
-		rep.Violations += len(rec.Violations)
-		rep.Runs = append(rep.Runs, rec)
-	}
+	runs, violations := sweep(cfg.Seeds, []string{""}, cfg.SkipVerify, cfg.runSeed, nil)
+	rep.Runs = append(rep.Runs, runs...)
+	rep.Violations += violations
 	return rep
 }
 
-// runFederationSeed executes one federated run under one random fault
-// plan and layers the chaos batteries on top of the protocol's own
-// end-state checks.
-func runFederationSeed(cfg FederationConfig, seed uint64) (rec FederationRunRecord) {
-	rec = FederationRunRecord{Seed: seed, Drivers: cfg.Drivers}
-	defer func() {
-		if r := recover(); r != nil {
-			rec.Violations = append(rec.Violations, fmt.Sprintf("run panicked: %v", r))
-		}
-	}()
-
+// runSeed executes one federated run under one random fault plan and
+// layers the chaos batteries on top of the protocol's own end-state
+// checks. Federation has one variant, so the variant name is unused.
+func (cfg FederationConfig) runSeed(rec *FederationRunRecord, _ string, seed uint64) {
+	rec.Seed, rec.Drivers = seed, cfg.Drivers
 	plan := faults.RandomSchedule(seed, hydraNodeNames(), cfg.Gen)
 	rec.Events = len(plan.Events)
 
@@ -197,15 +179,10 @@ func runFederationSeed(cfg FederationConfig, seed uint64) (rec FederationRunReco
 			rec.Violations = append(rec.Violations, "conservation: "+v)
 		}
 	}
-	return rec
 }
 
 // WriteJSON writes the report as a deterministic, indented JSON artifact.
-func (r *FederationReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *FederationReport) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // Print summarizes the sweep, one line per run plus a verdict.
 func (r *FederationReport) Print(w io.Writer) {
@@ -213,17 +190,9 @@ func (r *FederationReport) Print(w io.Writer) {
 		len(r.Seeds), r.Drivers, r.Scenarios)
 	fmt.Fprintf(w, "%6s %6s %10s %4s %4s %8s %6s %6s %6s %s\n",
 		"seed", "events", "makespan", "done", "abrt", "commits", "crash", "agent", "drops", "fingerprint")
-	for _, rec := range r.Runs {
+	printRuns(w, r.Runs, r.Violations, "invariant", "runs", func(rec *FederationRunRecord) {
 		fmt.Fprintf(w, "%6d %6d %10.1f %4d %4d %8d %6d %6d %6d %s\n",
 			rec.Seed, rec.Events, rec.Makespan, rec.Completed, rec.Aborted,
 			rec.Commits, rec.Crashes, rec.AgentCrashes, rec.MsgDropped, rec.Fingerprint)
-		for _, v := range rec.Violations {
-			fmt.Fprintf(w, "    VIOLATION: %s\n", v)
-		}
-	}
-	if r.Violations == 0 {
-		fmt.Fprintf(w, "0 invariant violations across %d runs\n", len(r.Runs))
-	} else {
-		fmt.Fprintf(w, "%d INVARIANT VIOLATIONS across %d runs\n", r.Violations, len(r.Runs))
-	}
+	})
 }

@@ -10,7 +10,6 @@ import (
 
 	"rupam/internal/cluster"
 	"rupam/internal/core"
-	"rupam/internal/executor"
 	"rupam/internal/faults"
 	"rupam/internal/hdfs"
 	"rupam/internal/simx"
@@ -192,7 +191,6 @@ const goldenFig5Seed = 3
 // parameters (experiments imports this package, so it cannot be called
 // from here).
 func fig5Run(workload, scheduler string, seed uint64) (*spark.Runtime, *spark.Result) {
-	executor.ResetRunSeq()
 	eng := simx.NewEngine()
 	clu := cluster.New(eng)
 	cluster.NewHydra(clu)

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -115,8 +114,7 @@ type PreemptRunRecord struct {
 	CloudCost       float64 `json:"cloud_cost"`
 	Acquisitions    int     `json:"acquisitions"`
 
-	Fingerprint string   `json:"fingerprint"`
-	Violations  []string `json:"violations,omitempty"`
+	Verdict
 }
 
 // PreemptReport is a full preemption sweep's outcome.
@@ -132,34 +130,14 @@ type PreemptReport struct {
 func PreemptionSoak(cfg PreemptConfig) *PreemptReport {
 	cfg = cfg.withDefaults()
 	rep := &PreemptReport{Seeds: cfg.Seeds, SpotNodes: cfg.SpotNodes}
-	for _, seed := range cfg.Seeds {
-		for _, sched := range cfg.Schedulers {
-			rec := runPreemptSeed(cfg, sched, seed)
-			if !cfg.SkipVerify && rec.Fingerprint != "" {
-				again := runPreemptSeed(cfg, sched, seed)
-				if again.Fingerprint != rec.Fingerprint {
-					rec.Violations = append(rec.Violations, fmt.Sprintf(
-						"non-deterministic: fingerprint %s on re-run, %s first",
-						again.Fingerprint, rec.Fingerprint))
-				}
-			}
-			rep.Violations += len(rec.Violations)
-			rep.Runs = append(rep.Runs, rec)
-		}
-	}
+	rep.Runs, rep.Violations = sweep(cfg.Seeds, cfg.Schedulers, cfg.SkipVerify, cfg.runSeed, nil)
 	return rep
 }
 
-// runPreemptSeed executes one elastic multi-tenant run under one scheduler
-// and checks the full battery.
-func runPreemptSeed(cfg PreemptConfig, scheduler string, seed uint64) (rec PreemptRunRecord) {
-	rec = PreemptRunRecord{Scheduler: scheduler, Seed: seed}
-	defer func() {
-		if r := recover(); r != nil {
-			rec.Violations = append(rec.Violations, fmt.Sprintf("run panicked: %v", r))
-		}
-	}()
-
+// runSeed executes one elastic multi-tenant run under one scheduler and
+// checks the full battery.
+func (cfg PreemptConfig) runSeed(rec *PreemptRunRecord, scheduler string, seed uint64) {
+	rec.Scheduler, rec.Seed = scheduler, seed
 	plan := faults.SpotSchedule(seed, cfg.SpotNodes, SpotHazards(nil, cfg.SpotNodes), cfg.Gen)
 	rec.Events = len(plan.Events)
 
@@ -209,7 +187,6 @@ func runPreemptSeed(cfg PreemptConfig, scheduler string, seed uint64) (rec Preem
 			}
 		}
 	}
-	return rec
 }
 
 // CheckPreemptionInvariants is the graceful-drain battery over one
@@ -277,29 +254,17 @@ func clearedLabel(at float64) string {
 }
 
 // WriteJSON writes the report as a deterministic, indented JSON artifact.
-func (r *PreemptReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *PreemptReport) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // Print summarizes the sweep, one line per run plus a verdict.
 func (r *PreemptReport) Print(w io.Writer) {
 	fmt.Fprintf(w, "preemption soak: %d seeds, %d spot nodes\n", len(r.Seeds), len(r.SpotNodes))
 	fmt.Fprintf(w, "%-6s %6s %6s %10s %4s %4s %6s %6s %7s %8s %s\n",
 		"sched", "seed", "events", "makespan", "done", "abrt", "kills", "drains", "moved", "cost($)", "fingerprint")
-	for _, rec := range r.Runs {
+	printRuns(w, r.Runs, r.Violations, "invariant", "runs", func(rec *PreemptRunRecord) {
 		fmt.Fprintf(w, "%-6s %6d %6d %10.1f %4d %4d %6d %6d %7d %8.4f %s\n",
 			rec.Scheduler, rec.Seed, rec.Events, rec.Makespan, rec.Completed,
 			rec.Aborted, rec.Kills, rec.DrainsCompleted, rec.BlocksMoved,
 			rec.CloudCost, rec.Fingerprint)
-		for _, v := range rec.Violations {
-			fmt.Fprintf(w, "    VIOLATION: %s\n", v)
-		}
-	}
-	if r.Violations == 0 {
-		fmt.Fprintf(w, "0 invariant violations across %d runs\n", len(r.Runs))
-	} else {
-		fmt.Fprintf(w, "%d INVARIANT VIOLATIONS across %d runs\n", r.Violations, len(r.Runs))
-	}
+	})
 }

@@ -5,20 +5,6 @@ import (
 	"testing"
 )
 
-// preemptSeeds mirrors tenancySeeds: small under -short, and at least the
-// twenty-seed acceptance sweep otherwise.
-func preemptSeeds(short bool) []uint64 {
-	n := 20
-	if short {
-		n = 2
-	}
-	seeds := make([]uint64, n)
-	for i := range seeds {
-		seeds[i] = uint64(i + 1)
-	}
-	return seeds
-}
-
 // TestPreemptionSoak is the graceful-drain acceptance battery: market-
 // hazard spot plans against elastic multi-tenant runs under both
 // schedulers. Every notice must resolve, fenced nodes must see no
@@ -26,7 +12,7 @@ func preemptSeeds(short bool) []uint64 {
 // must stay uncharged, the market must conserve instances and leases, and
 // every seed must reproduce bit-identically.
 func TestPreemptionSoak(t *testing.T) {
-	rep := PreemptionSoak(PreemptConfig{Seeds: preemptSeeds(testing.Short())})
+	rep := PreemptionSoak(PreemptConfig{Seeds: testSeeds(2, 20)})
 	sawKill := false
 	for _, rec := range rep.Runs {
 		for _, v := range rec.Violations {
@@ -53,7 +39,7 @@ func TestPreemptionSoak(t *testing.T) {
 // though the drain protocol never runs.
 func TestPreemptionSoakIgnoreNotices(t *testing.T) {
 	rep := PreemptionSoak(PreemptConfig{
-		Seeds:         preemptSeeds(true),
+		Seeds:         testSeeds(2, 2),
 		IgnoreNotices: true,
 	})
 	for _, rec := range rep.Runs {

@@ -11,14 +11,12 @@ package chaos
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 
 	"rupam/internal/cluster"
 	"rupam/internal/core"
-	"rupam/internal/executor"
 	"rupam/internal/faults"
 	"rupam/internal/hdfs"
 	"rupam/internal/simx"
@@ -45,9 +43,7 @@ type RecoveryRecord struct {
 	Completed   bool    `json:"completed"`
 	Aborted     string  `json:"aborted,omitempty"`
 
-	Fingerprint string `json:"fingerprint"`
-
-	Violations []string `json:"violations,omitempty"`
+	Verdict
 }
 
 // RecoveryReport is a full recovery sweep's outcome.
@@ -76,7 +72,6 @@ func recoveryGen(cfg Config) faults.GenConfig {
 // task outcomes are directly comparable.
 func RecoveryRun(cfg Config, scheduler string, seed uint64, crash bool) (*spark.Result, *spark.Runtime) {
 	cfg = cfg.withDefaults()
-	executor.ResetRunSeq()
 	eng := simx.NewEngine()
 	clu := cluster.New(eng)
 	cluster.NewHydra(clu)
@@ -114,22 +109,11 @@ func RecoveryRun(cfg Config, scheduler string, seed uint64, crash bool) (*spark.
 func RecoverySoak(cfg Config) *RecoveryReport {
 	cfg = cfg.withDefaults()
 	rep := &RecoveryReport{Workload: cfg.Workload, Seeds: cfg.Seeds}
-	for _, seed := range cfg.Seeds {
-		for _, sched := range cfg.Schedulers {
-			rec := recoverySeed(cfg, sched, seed)
-			if !cfg.SkipVerify && rec.Aborted != "panic" {
-				again := recoverySeed(cfg, sched, seed)
-				if again.Fingerprint != rec.Fingerprint {
-					rec.Violations = append(rec.Violations, fmt.Sprintf(
-						"non-deterministic: fingerprint %s on re-run, %s first",
-						again.Fingerprint, rec.Fingerprint))
-				}
-			}
-			if rec.CrashFired {
-				rep.CrashesHit++
-			}
-			rep.Violations += len(rec.Violations)
-			rep.Runs = append(rep.Runs, rec)
+	rep.Runs, rep.Violations = sweep(cfg.Seeds, cfg.Schedulers, cfg.SkipVerify, cfg.recoverySeed,
+		func(rec *RecoveryRecord) { rec.Aborted = "panic" })
+	for _, rec := range rep.Runs {
+		if rec.CrashFired {
+			rep.CrashesHit++
 		}
 	}
 	return rep
@@ -137,15 +121,8 @@ func RecoverySoak(cfg Config) *RecoveryReport {
 
 // recoverySeed runs one crashed trial against its reference and checks the
 // recovery battery.
-func recoverySeed(cfg Config, scheduler string, seed uint64) (rec RecoveryRecord) {
-	rec = RecoveryRecord{Scheduler: scheduler, Seed: seed}
-	defer func() {
-		if r := recover(); r != nil {
-			rec.Aborted = "panic"
-			rec.Violations = append(rec.Violations, fmt.Sprintf("run panicked: %v", r))
-		}
-	}()
-
+func (cfg Config) recoverySeed(rec *RecoveryRecord, scheduler string, seed uint64) {
+	rec.Scheduler, rec.Seed = scheduler, seed
 	res, rt := RecoveryRun(cfg, scheduler, seed, true)
 	refRes, _ := RecoveryRun(cfg, scheduler, seed, false)
 
@@ -173,7 +150,6 @@ func recoverySeed(cfg Config, scheduler string, seed uint64) (rec RecoveryRecord
 	} else if rec.CrashFired {
 		rec.Violations = append(rec.Violations, "driver crashed with no write-ahead log")
 	}
-	return rec
 }
 
 // CheckRecoveryEquivalence compares a crashed-and-recovered run's final
@@ -301,11 +277,7 @@ func equalInts(a, b []int) bool {
 }
 
 // WriteJSON writes the report as a deterministic, indented JSON artifact.
-func (r *RecoveryReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *RecoveryReport) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // Print summarizes the sweep, one line per trial plus a verdict.
 func (r *RecoveryReport) Print(w io.Writer) {
@@ -313,7 +285,7 @@ func (r *RecoveryReport) Print(w io.Writer) {
 		r.Workload, len(r.Seeds), r.CrashesHit, len(r.Runs))
 	fmt.Fprintf(w, "%-6s %6s %6s %9s %9s %5s %8s %s\n",
 		"sched", "seed", "crash", "dur(s)", "ref(s)", "recov", "walrecs", "fingerprint")
-	for _, rec := range r.Runs {
+	printRuns(w, r.Runs, r.Violations, "recovery", "trials", func(rec *RecoveryRecord) {
 		crash := "-"
 		if rec.CrashFired {
 			crash = "yes"
@@ -321,13 +293,5 @@ func (r *RecoveryReport) Print(w io.Writer) {
 		fmt.Fprintf(w, "%-6s %6d %6s %9.1f %9.1f %5d %8d %s\n",
 			rec.Scheduler, rec.Seed, crash, rec.Duration, rec.RefDuration,
 			rec.Recoveries, rec.WALRecords, rec.Fingerprint)
-		for _, v := range rec.Violations {
-			fmt.Fprintf(w, "    VIOLATION: %s\n", v)
-		}
-	}
-	if r.Violations == 0 {
-		fmt.Fprintf(w, "0 recovery violations across %d trials\n", len(r.Runs))
-	} else {
-		fmt.Fprintf(w, "%d RECOVERY VIOLATIONS across %d trials\n", r.Violations, len(r.Runs))
-	}
+	})
 }

@@ -6,7 +6,6 @@ import (
 
 	"rupam/internal/cluster"
 	"rupam/internal/core"
-	"rupam/internal/executor"
 	"rupam/internal/faults"
 	"rupam/internal/hdfs"
 	"rupam/internal/rdd"
@@ -21,7 +20,7 @@ import (
 // shuffle outputs, no completion lost or double-counted, WAL replay
 // byte-identical — and each trial is run twice for bit-identity.
 func TestRecoverySoak(t *testing.T) {
-	rep := RecoverySoak(Config{Seeds: soakSeeds(testing.Short())[:seedCap(testing.Short())]})
+	rep := RecoverySoak(Config{Seeds: testSeeds(3, 10)})
 	for _, rec := range rep.Runs {
 		for _, v := range rec.Violations {
 			t.Errorf("scheduler=%s seed=%d: %s", rec.Scheduler, rec.Seed, v)
@@ -36,15 +35,6 @@ func TestRecoverySoak(t *testing.T) {
 		rep.Print(&buf)
 		t.Logf("full report:\n%s", buf.String())
 	}
-}
-
-// seedCap bounds the recovery sweep: the full ten-seed acceptance battery
-// normally, a faster sweep under -short.
-func seedCap(short bool) int {
-	if short {
-		return 3
-	}
-	return 10
 }
 
 // TestRecoveryReportDeterministic requires the whole recovery-sweep JSON
@@ -67,7 +57,6 @@ func TestRecoveryReportDeterministic(t *testing.T) {
 // raceWorld builds the three-class cluster the spark package's race tests
 // use, on a fresh engine.
 func raceWorld() (*simx.Engine, *cluster.Cluster, *hdfs.Store) {
-	executor.ResetRunSeq()
 	eng := simx.NewEngine()
 	clu := cluster.New(eng)
 	clu.AddNode(cluster.NodeSpec{

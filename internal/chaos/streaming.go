@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -81,9 +80,8 @@ type StreamingRunRecord struct {
 	Migrations   int     `json:"migrations"`
 	Emergencies  int     `json:"emergencies"`
 	LoadSpikes   int     `json:"load_spikes"`
-	Fingerprint  string  `json:"fingerprint"`
 
-	Violations []string `json:"violations,omitempty"`
+	Verdict
 }
 
 // StreamingReport is a full streaming sweep's outcome.
@@ -101,34 +99,14 @@ type StreamingReport struct {
 func StreamingSoak(cfg StreamingConfig) *StreamingReport {
 	cfg = cfg.withDefaults()
 	rep := &StreamingReport{Seeds: cfg.Seeds}
-	for _, seed := range cfg.Seeds {
-		for _, placer := range cfg.Placers {
-			rec := runStreamingSeed(cfg, placer, seed)
-			if !cfg.SkipVerify {
-				again := runStreamingSeed(cfg, placer, seed)
-				if again.Fingerprint != rec.Fingerprint {
-					rec.Violations = append(rec.Violations, fmt.Sprintf(
-						"non-deterministic: fingerprint %s on re-run, %s first",
-						again.Fingerprint, rec.Fingerprint))
-				}
-			}
-			rep.Violations += len(rec.Violations)
-			rep.Runs = append(rep.Runs, rec)
-		}
-	}
+	rep.Runs, rep.Violations = sweep(cfg.Seeds, cfg.Placers, cfg.SkipVerify, cfg.runSeed, nil)
 	return rep
 }
 
-// runStreamingSeed executes one streaming plan under one placer and runs
-// the battery. A panic anywhere inside becomes a violation.
-func runStreamingSeed(cfg StreamingConfig, placer string, seed uint64) (rec StreamingRunRecord) {
-	rec = StreamingRunRecord{Placer: placer, Seed: seed}
-	defer func() {
-		if r := recover(); r != nil {
-			rec.Violations = append(rec.Violations, fmt.Sprintf("run panicked: %v", r))
-		}
-	}()
-
+// runSeed executes one streaming plan under one placer and runs the
+// battery.
+func (cfg StreamingConfig) runSeed(rec *StreamingRunRecord, placer string, seed uint64) {
+	rec.Placer, rec.Seed = placer, seed
 	nodes := cluster.NewHydra(cluster.New(simx.NewEngine())).NodeNames()
 	plan := faults.RandomSchedule(seed, nodes, cfg.Gen)
 	rec.Events = len(plan.Events)
@@ -158,22 +136,17 @@ func runStreamingSeed(cfg StreamingConfig, placer string, seed uint64) (rec Stre
 	rec.Violations = append(rec.Violations, streaming.CheckInvariants(res)...)
 	rec.Violations = append(rec.Violations,
 		CheckSubstrateConservation(res.Execs, res.Clu, res.Cache)...)
-	return rec
 }
 
 // WriteJSON writes the report as a deterministic, indented JSON artifact.
-func (r *StreamingReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *StreamingReport) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // Print summarizes the sweep, one line per run plus a verdict.
 func (r *StreamingReport) Print(w io.Writer) {
 	fmt.Fprintf(w, "streaming soak: %d seeds\n", len(r.Seeds))
 	fmt.Fprintf(w, "%-9s %6s %6s %7s %9s %8s %5s %5s %s\n",
 		"placer", "seed", "events", "drain", "thr(Hz)", "p99(ms)", "migs", "emerg", "fingerprint")
-	for _, rec := range r.Runs {
+	printRuns(w, r.Runs, r.Violations, "invariant", "runs", func(rec *StreamingRunRecord) {
 		drain := "yes"
 		if !rec.Drained {
 			drain = "NO"
@@ -181,13 +154,5 @@ func (r *StreamingReport) Print(w io.Writer) {
 		fmt.Fprintf(w, "%-9s %6d %6d %7s %9.1f %8.0f %5d %5d %s\n",
 			rec.Placer, rec.Seed, rec.Events, drain, rec.ThroughputHz,
 			rec.P99Ms, rec.Migrations, rec.Emergencies, rec.Fingerprint)
-		for _, v := range rec.Violations {
-			fmt.Fprintf(w, "    VIOLATION: %s\n", v)
-		}
-	}
-	if r.Violations == 0 {
-		fmt.Fprintf(w, "0 invariant violations across %d runs\n", len(r.Runs))
-	} else {
-		fmt.Fprintf(w, "%d INVARIANT VIOLATIONS across %d runs\n", r.Violations, len(r.Runs))
-	}
+	})
 }

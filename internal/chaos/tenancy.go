@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -80,8 +79,7 @@ type TenancyRunRecord struct {
 	Completed int `json:"completed"`
 	Aborted   int `json:"aborted"`
 
-	Fingerprint string   `json:"fingerprint"`
-	Violations  []string `json:"violations,omitempty"`
+	Verdict
 }
 
 // TenancyReport is a full tenancy sweep's outcome.
@@ -96,34 +94,14 @@ type TenancyReport struct {
 func TenancySoak(cfg TenancyConfig) *TenancyReport {
 	cfg = cfg.withDefaults()
 	rep := &TenancyReport{Seeds: cfg.Seeds}
-	for _, seed := range cfg.Seeds {
-		for _, sched := range cfg.Schedulers {
-			rec := runTenancySeed(cfg, sched, seed)
-			if !cfg.SkipVerify && rec.Fingerprint != "" {
-				again := runTenancySeed(cfg, sched, seed)
-				if again.Fingerprint != rec.Fingerprint {
-					rec.Violations = append(rec.Violations, fmt.Sprintf(
-						"non-deterministic: fingerprint %s on re-run, %s first",
-						again.Fingerprint, rec.Fingerprint))
-				}
-			}
-			rep.Violations += len(rec.Violations)
-			rep.Runs = append(rep.Runs, rec)
-		}
-	}
+	rep.Runs, rep.Violations = sweep(cfg.Seeds, cfg.Schedulers, cfg.SkipVerify, cfg.runSeed, nil)
 	return rep
 }
 
-// runTenancySeed executes one multi-tenant run under one scheduler and
-// checks both the manager's battery and the per-application invariants.
-func runTenancySeed(cfg TenancyConfig, scheduler string, seed uint64) (rec TenancyRunRecord) {
-	rec = TenancyRunRecord{Scheduler: scheduler, Seed: seed}
-	defer func() {
-		if r := recover(); r != nil {
-			rec.Violations = append(rec.Violations, fmt.Sprintf("run panicked: %v", r))
-		}
-	}()
-
+// runSeed executes one multi-tenant run under one scheduler and checks
+// both the manager's battery and the per-application invariants.
+func (cfg TenancyConfig) runSeed(rec *TenancyRunRecord, scheduler string, seed uint64) {
+	rec.Scheduler, rec.Seed = scheduler, seed
 	plan := faults.RandomSchedule(seed, hydraNodeNames(), cfg.Gen)
 	rec.Events = len(plan.Events)
 
@@ -152,7 +130,6 @@ func runTenancySeed(cfg TenancyConfig, scheduler string, seed uint64) (rec Tenan
 			rec.Violations = append(rec.Violations, fmt.Sprintf("%s: %s", run.Record.Label, v))
 		}
 	}
-	return rec
 }
 
 // tenancyHardened mirrors HardenedConfig for the per-application runtimes
@@ -176,28 +153,16 @@ func hydraNodeNames() []string {
 }
 
 // WriteJSON writes the report as a deterministic, indented JSON artifact.
-func (r *TenancyReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *TenancyReport) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // Print summarizes the sweep, one line per run plus a verdict.
 func (r *TenancyReport) Print(w io.Writer) {
 	fmt.Fprintf(w, "tenancy soak: %d seeds\n", len(r.Seeds))
 	fmt.Fprintf(w, "%-6s %6s %6s %10s %4s %4s %4s %6s %s\n",
 		"sched", "seed", "events", "makespan", "done", "abrt", "rej", "", "fingerprint")
-	for _, rec := range r.Runs {
+	printRuns(w, r.Runs, r.Violations, "invariant", "runs", func(rec *TenancyRunRecord) {
 		fmt.Fprintf(w, "%-6s %6d %6d %10.1f %4d %4d %4d %6s %s\n",
 			rec.Scheduler, rec.Seed, rec.Events, rec.Makespan,
 			rec.Completed, rec.Aborted, rec.Rejected, "", rec.Fingerprint)
-		for _, v := range rec.Violations {
-			fmt.Fprintf(w, "    VIOLATION: %s\n", v)
-		}
-	}
-	if r.Violations == 0 {
-		fmt.Fprintf(w, "0 invariant violations across %d runs\n", len(r.Runs))
-	} else {
-		fmt.Fprintf(w, "%d INVARIANT VIOLATIONS across %d runs\n", r.Violations, len(r.Runs))
-	}
+	})
 }

@@ -7,26 +7,13 @@ import (
 	"rupam/internal/faults"
 )
 
-// tenancySeeds mirrors soakSeeds: small under -short, wider otherwise.
-func tenancySeeds(short bool) []uint64 {
-	n := 6
-	if short {
-		n = 2
-	}
-	seeds := make([]uint64, n)
-	for i := range seeds {
-		seeds[i] = uint64(i + 1)
-	}
-	return seeds
-}
-
 // TestTenancySoak is the cross-application isolation battery: random
 // fault plans (including a routed driver crash) against whole arrival
 // streams under both schedulers; the tenant manager's invariants and each
 // application's own accounting must hold, and every seed must reproduce
 // bit-identically.
 func TestTenancySoak(t *testing.T) {
-	rep := TenancySoak(TenancyConfig{Seeds: tenancySeeds(testing.Short())})
+	rep := TenancySoak(TenancyConfig{Seeds: testSeeds(2, 6)})
 	for _, rec := range rep.Runs {
 		for _, v := range rec.Violations {
 			t.Errorf("scheduler=%s seed=%d: %s", rec.Scheduler, rec.Seed, v)

@@ -23,7 +23,6 @@ type world struct {
 
 func newWorld(t *testing.T) *world {
 	t.Helper()
-	executor.ResetRunSeq()
 	eng := simx.NewEngine()
 	clu := cluster.New(eng)
 	clu.AddNode(cluster.NodeSpec{

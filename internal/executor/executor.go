@@ -134,7 +134,7 @@ type Executor struct {
 
 	peers map[string]*Executor // all executors by node, for remote reads
 
-	running     []*Run // in-flight attempts in launch (seq) order
+	running     []*Run // in-flight attempts in launch order
 	down        bool
 	failStopped bool
 
@@ -378,7 +378,7 @@ func (ex *Executor) Launch(t *task.Task, st *task.Stage, opts Options, onDone fu
 	}
 	r := &ex.runArena[0]
 	ex.runArena = ex.runArena[1:]
-	*r = Run{ex: ex, t: t, st: st, m: m, opts: opts, onDone: onDone, seq: nextRunSeq()}
+	*r = Run{ex: ex, t: t, st: st, m: m, opts: opts, onDone: onDone}
 	r.tr = ex.cfg.Tracer.AttemptStarted(t, st, ex.node.Name(), opts.Locality.String(), opts.Speculative)
 	r.reservedMem = t.Demand.PeakMemory
 	ex.reserved += r.reservedMem

@@ -23,7 +23,6 @@ type rig struct {
 
 func newRig(t *testing.T, heap int64, cfg Config) *rig {
 	t.Helper()
-	ResetRunSeq()
 	eng := simx.NewEngine()
 	clu := cluster.New(eng)
 	spec := cluster.NodeSpec{

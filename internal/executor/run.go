@@ -10,13 +10,10 @@ import (
 	"rupam/internal/tracing"
 )
 
-var runSeq uint64
-
-func nextRunSeq() uint64 { runSeq++; return runSeq }
-
-// ResetRunSeq restores the global run sequence counter; tests call it so
-// that runs are reproducible regardless of execution order.
-func ResetRunSeq() { runSeq = 0 }
+// ResetRunSeq does nothing. It reset a process-global run counter that
+// nothing read; it stays only because benchmark/workloads.go still calls
+// it.
+func ResetRunSeq() {}
 
 // Run is one in-flight task attempt: a small state machine whose phases
 // claim node resources and chain via completion callbacks.
@@ -27,7 +24,6 @@ type Run struct {
 	m      *task.Metrics
 	opts   Options
 	onDone func(*Run, Outcome)
-	seq    uint64
 	tr     *tracing.AttemptTrace // nil when tracing is disabled
 
 	memHeld     int64

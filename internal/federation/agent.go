@@ -2,9 +2,9 @@ package federation
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 
+	"rupam/internal/digest"
 	"rupam/internal/simx"
 )
 
@@ -96,7 +96,7 @@ func NewAgent(eng *simx.Engine, plane *Plane, cfg ProtocolConfig, node string, c
 		cfg:       cfg.withDefaults(),
 		claims:    make(map[ClaimID]*agentClaim),
 		verdicts:  make(map[ClaimID]string),
-		digest:    fnv.New64a().Sum64(),
+		digest:    digest.New().Sum64(),
 		violation: violation,
 	}
 	plane.Handle(node, a.handle)
@@ -221,17 +221,10 @@ func (a *Agent) finishResync() {
 func (a *Agent) Digest() uint64 { return a.digest }
 
 func (a *Agent) mix(parts ...uint64) {
-	h := fnv.New64a()
-	var buf [8]byte
-	write := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	write(a.digest)
+	h := digest.New()
+	h.U64(a.digest)
 	for _, p := range parts {
-		write(p)
+		h.U64(p)
 	}
 	a.digest = h.Sum64()
 }

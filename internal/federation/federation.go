@@ -2,11 +2,10 @@ package federation
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math"
 	"sort"
 
 	"rupam/internal/cluster"
+	"rupam/internal/digest"
 	"rupam/internal/faults"
 	"rupam/internal/monitor"
 	"rupam/internal/simx"
@@ -328,14 +327,7 @@ func Run(cfg Config) *Result {
 
 	// End-state battery: every slot free, every claim resolved, every
 	// driver drained.
-	h := fnv.New64a()
-	mix := func(v uint64) {
-		var b [8]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
+	h := digest.New()
 	sort.Slice(agents, func(i, j int) bool { return agents[i].Name < agents[j].Name })
 	for _, a := range agents {
 		a.CheckEndState()
@@ -349,7 +341,7 @@ func Run(cfg Config) *Result {
 		res.AgentRestarts += a.Restarts
 		res.Resyncs += a.Resyncs
 		res.RebuiltClaims += a.Rebuilt
-		mix(a.Digest())
+		h.U64(a.Digest())
 	}
 	for _, d := range drivers {
 		if n := d.LiveClaims(); n != 0 {
@@ -364,8 +356,8 @@ func Run(cfg Config) *Result {
 			ID: d.ID, Apps: len(d.apps), Commits: d.Commits,
 			BusySeconds: d.BusySeconds, Crashes: d.Crashes, Recoveries: d.Recoveries,
 		})
-		mix(uint64(d.Commits))
-		mix(math.Float64bits(d.BusySeconds))
+		h.Int(d.Commits)
+		h.F64(d.BusySeconds)
 	}
 	if res.MaxBusySeconds > 0 {
 		res.PlacementRate = float64(res.Commits) / res.MaxBusySeconds
@@ -380,15 +372,15 @@ func Run(cfg Config) *Result {
 			res.Completed++
 		}
 		res.Launches += r.Launches
-		mix(uint64(r.Launches))
-		mix(math.Float64bits(r.Duration))
+		h.Int(r.Launches)
+		h.F64(r.Duration)
 	}
 
 	res.MsgSent, res.MsgDelivered, res.MsgDropped = plane.Sent, plane.Delivered, plane.Dropped
 	res.MsgDuped, res.MsgDelayed, res.MsgReordered = plane.Duped, plane.Delayed, plane.Reordered
-	mix(uint64(plane.Sent))
-	mix(uint64(plane.Dropped))
-	mix(math.Float64bits(res.Makespan))
-	res.Fingerprint = fmt.Sprintf("%016x", h.Sum64())
+	h.Int(plane.Sent)
+	h.Int(plane.Dropped)
+	h.F64(res.Makespan)
+	res.Fingerprint = h.Hex()
 	return res
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"rupam/internal/cluster"
-	"rupam/internal/executor"
 	"rupam/internal/faults"
 	"rupam/internal/hdfs"
 	"rupam/internal/rdd"
@@ -64,7 +63,6 @@ func TestPreemptedLossesNeverCharged(t *testing.T) {
 // re-replication must *lose* the race.
 func drainWorld(t *testing.T) *world {
 	t.Helper()
-	executor.ResetRunSeq()
 	eng := simx.NewEngine()
 	clu := cluster.New(eng)
 	clu.AddNode(cluster.NodeSpec{

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"rupam/internal/cluster"
-	"rupam/internal/executor"
 	"rupam/internal/hdfs"
 	"rupam/internal/metrics"
 	"rupam/internal/rdd"
@@ -21,7 +20,6 @@ type world struct {
 
 func newWorld(t *testing.T) *world {
 	t.Helper()
-	executor.ResetRunSeq()
 	eng := simx.NewEngine()
 	clu := cluster.New(eng)
 	clu.AddNode(cluster.NodeSpec{

@@ -1,13 +1,10 @@
 package tenant
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/fnv"
-	"io"
 	"math"
 	"sort"
 
+	"rupam/internal/digest"
 	"rupam/internal/spark"
 )
 
@@ -261,46 +258,44 @@ func (m *Manager) buildReport() *Report {
 // timeline and every attempt's placement — so two runs of the same seed
 // can be compared bit-for-bit (the determinism invariant).
 func (m *Manager) fingerprint() string {
-	h := fnv.New64a()
-	f64 := func(x float64) { binary.Write(h, binary.LittleEndian, math.Float64bits(x)) }
-	i64 := func(x int) { binary.Write(h, binary.LittleEndian, int64(x)) }
+	h := digest.New()
 	// Elastic-substrate outcome bits: the churn soak's bit-identity check
 	// must cover cost metering and the acquisition stream too.
-	f64(m.cloudCost)
-	i64(m.acquisitions)
-	i64(m.denials)
-	i64(m.spotNotices)
-	i64(m.spotKills)
-	i64(len(m.apps))
+	h.F64(m.cloudCost)
+	h.Int(m.acquisitions)
+	h.Int(m.denials)
+	h.Int(m.spotNotices)
+	h.Int(m.spotKills)
+	h.Int(len(m.apps))
 	for _, a := range m.apps {
-		io.WriteString(h, a.label)
-		f64(a.arriveAt)
+		h.Str(a.label)
+		h.F64(a.arriveAt)
 		if a.rejected {
-			i64(-1)
+			h.Int(-1)
 			continue
 		}
 		if !a.started {
-			i64(-2)
+			h.Int(-2)
 			continue
 		}
-		f64(a.startAt)
-		f64(a.endAt)
+		h.F64(a.startAt)
+		h.F64(a.endAt)
 		if a.res != nil {
-			i64(a.res.Launches)
+			h.Int(a.res.Launches)
 			if a.res.Aborted != nil {
-				io.WriteString(h, a.res.Aborted.Error())
+				h.Str(a.res.Aborted.Error())
 			}
 		}
 		for _, tk := range a.app.AllTasks() {
-			i64(tk.ID)
-			i64(int(tk.State))
-			i64(len(tk.Attempts))
+			h.Int(tk.ID)
+			h.Int(int(tk.State))
+			h.Int(len(tk.Attempts))
 			for _, at := range tk.Attempts {
-				io.WriteString(h, at.Executor)
-				f64(at.Launch)
-				f64(at.End)
+				h.Str(at.Executor)
+				h.F64(at.Launch)
+				h.F64(at.End)
 			}
 		}
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return h.Hex()
 }

@@ -260,7 +260,6 @@ func NewManager(cfg Config) *Manager {
 // returns its report. It panics if the run exceeds MaxSimTime (livelock
 // watchdog), like the single-application runtime.
 func (m *Manager) Run() *Report {
-	executor.ResetRunSeq()
 	m.eng = simx.NewEngine()
 	m.clu = cluster.New(m.eng)
 	cluster.NewHydra(m.clu)
