@@ -277,7 +277,8 @@ type soakReport interface {
 // FNV-64a digests of each report's JSON artifact and printed table, so a
 // moved or renamed field, a changed column or a reworded verdict fails
 // even where every fingerprint holds. Each soak runs one seed with
-// SkipVerify; the unknown-scheduler sweep pins the panic path.
+// SkipVerify; the unknown-scheduler sweep pins the panic path, and
+// preempt-blind pins the notice-blind substrate beside graceful drain.
 var goldenReports = []struct {
 	name        string
 	run         func() soakReport
@@ -295,6 +296,9 @@ var goldenReports = []struct {
 	{"preempt", func() soakReport {
 		return PreemptionSoak(PreemptConfig{Seeds: []uint64{1}, SkipVerify: true})
 	}, "63bc5e04b8c95f71", "93f9984e0be42963"},
+	{"preempt-blind", func() soakReport {
+		return PreemptionSoak(PreemptConfig{Seeds: []uint64{1}, IgnoreNotices: true, SkipVerify: true})
+	}, "af6dcb7242427b13", "f5fdab46cdb75085"},
 	{"federation", func() soakReport {
 		return FederationSoak(FederationConfig{Seeds: []uint64{1}, SkipVerify: true})
 	}, "0b6b484b5fd78d55", "ebc7eb529cd89e62"},

@@ -66,6 +66,12 @@ func BuildCluster(eng *simx.Engine, name string) *cluster.Cluster {
 // Run executes one application under one scheduler on a fresh simulated
 // cluster and returns the framework's result.
 func Run(spec RunSpec) *spark.Result {
+	rt, app := newRun(spec)
+	return rt.Run(app)
+}
+
+// newRun builds the runtime and application Run executes.
+func newRun(spec RunSpec) (*spark.Runtime, *task.Application) {
 	eng := simx.NewEngine()
 	clu := BuildCluster(eng, spec.Cluster)
 
@@ -92,8 +98,7 @@ func Run(spec RunSpec) *spark.Result {
 	if !spec.Trace && cfg.SampleInterval == 0 {
 		cfg.SampleInterval = -1 // disable tracing unless requested
 	}
-	rt := spark.NewRuntime(eng, clu, sched, cfg)
-	return rt.Run(app)
+	return spark.NewRuntime(eng, clu, sched, cfg), app
 }
 
 // Repeat runs the spec with seeds 1..n (clearing all state between runs,
