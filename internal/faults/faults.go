@@ -291,10 +291,10 @@ func (s *Schedule) WithoutKind(k Kind) *Schedule {
 }
 
 // Validate checks every event and the schedule's cross-event consistency,
-// returning the first error. Two crash windows of the same node may not
-// overlap: a node cannot crash while it is already down, so such a plan
-// encodes an impossible state (a permanent crash — Duration 0 — occupies
-// the rest of the run).
+// returning the first error. Events in one overlap scope (see
+// overlapScope) may not have overlapping windows; pairs are compared in
+// event order, so a plan with several overlaps always reports the same
+// one.
 func (s *Schedule) Validate() error {
 	if s == nil {
 		return nil
@@ -304,115 +304,69 @@ func (s *Schedule) Validate() error {
 			return err
 		}
 	}
-	crashes := make(map[string][]Event)
-	for _, e := range s.Events {
-		if e.Kind == NodeCrash {
-			crashes[e.Node] = append(crashes[e.Node], e)
+	for i, a := range s.Events {
+		sa, ok := overlapScope(a)
+		if !ok {
+			continue
 		}
-	}
-	for node, evs := range crashes {
-		for i := 0; i < len(evs); i++ {
-			for j := i + 1; j < len(evs); j++ {
-				if crashWindowsOverlap(evs[i], evs[j]) {
-					return fmt.Errorf("faults: overlapping crash windows on %s (%s / %s)",
-						node, evs[i], evs[j])
-				}
-			}
-		}
-	}
-	// A node cannot receive a second preemption notice while an earlier
-	// notice's grace window is still open: the instance is already doomed.
-	// (A later notice after a kill is fine — it models the re-acquired
-	// instance being reclaimed again.)
-	preempts := make(map[string][]Event)
-	for _, e := range s.Events {
-		if e.Kind == SpotPreempt {
-			preempts[e.Node] = append(preempts[e.Node], e)
-		}
-	}
-	for node, evs := range preempts {
-		for i := 0; i < len(evs); i++ {
-			for j := i + 1; j < len(evs); j++ {
-				if crashWindowsOverlap(evs[i], evs[j]) {
-					return fmt.Errorf("faults: overlapping preemption notices on %s (%s / %s)",
-						node, evs[i], evs[j])
-				}
-			}
-		}
-	}
-	// The same impossibility holds for the driver: it cannot crash again
-	// while it is already down waiting to restart.
-	var dcs []Event
-	for _, e := range s.Events {
-		if e.Kind == DriverCrash {
-			dcs = append(dcs, e)
-		}
-	}
-	for i := 0; i < len(dcs); i++ {
-		for j := i + 1; j < len(dcs); j++ {
-			if crashWindowsOverlap(dcs[i], dcs[j]) {
-				return fmt.Errorf("faults: overlapping driver-crash windows (%s / %s)", dcs[i], dcs[j])
-			}
-		}
-	}
-	// Two message-fault windows of the same kind on the same scope (same
-	// Node string, "" being the global scope) may not overlap: the plane
-	// applies one factor per (kind, scope) window, so an overlap encodes an
-	// ambiguous severity. Distinct scopes and distinct kinds compose fine.
-	msgs := make(map[string][]Event)
-	for _, e := range s.Events {
-		if e.Kind.IsMessageKind() {
-			key := fmt.Sprintf("%s|%s", e.Kind, e.Node)
-			msgs[key] = append(msgs[key], e)
-		}
-	}
-	for _, evs := range msgs {
-		for i := 0; i < len(evs); i++ {
-			for j := i + 1; j < len(evs); j++ {
-				if crashWindowsOverlap(evs[i], evs[j]) {
-					return fmt.Errorf("faults: overlapping %s windows on scope %q (%s / %s)",
-						evs[i].Kind, evs[i].Node, evs[i], evs[j])
-				}
-			}
-		}
-	}
-	// Load spikes share one global scope, and the streaming runtime applies
-	// a single multiplier per window, so overlapping spikes would encode an
-	// ambiguous offered load.
-	var spikes []Event
-	for _, e := range s.Events {
-		if e.Kind == LoadSpike {
-			spikes = append(spikes, e)
-		}
-	}
-	for i := 0; i < len(spikes); i++ {
-		for j := i + 1; j < len(spikes); j++ {
-			if crashWindowsOverlap(spikes[i], spikes[j]) {
-				return fmt.Errorf("faults: overlapping load-spike windows (%s / %s)", spikes[i], spikes[j])
-			}
-		}
-	}
-	// An agent cannot crash while it is already down: overlapping
-	// agent-crash windows on one node encode an impossible state (a
-	// Duration-0 crash stays down until an explicit restart, i.e. an
-	// unbounded window).
-	agentCrashes := make(map[string][]Event)
-	for _, e := range s.Events {
-		if e.Kind == AgentCrash {
-			agentCrashes[e.Node] = append(agentCrashes[e.Node], e)
-		}
-	}
-	for node, evs := range agentCrashes {
-		for i := 0; i < len(evs); i++ {
-			for j := i + 1; j < len(evs); j++ {
-				if crashWindowsOverlap(evs[i], evs[j]) {
-					return fmt.Errorf("faults: overlapping agent-crash windows on %s (%s / %s)",
-						node, evs[i], evs[j])
-				}
+		for _, b := range s.Events[i+1:] {
+			if sb, ok := overlapScope(b); ok && sb == sa && crashWindowsOverlap(a, b) {
+				return overlapError(a, b)
 			}
 		}
 	}
 	return nil
+}
+
+// scope is a set of events whose windows may not overlap.
+type scope struct {
+	kind Kind
+	node string
+}
+
+// overlapScope returns the event's overlap scope; ok is false for kinds
+// whose windows compose freely.
+//   - A node cannot crash while it is already down, so two crash windows
+//     of one node encode an impossible state (a permanent crash — Duration
+//     0 — occupies the rest of the run). The same holds for the driver,
+//     which cannot crash again while it waits to restart, and for an
+//     agent (a Duration-0 agent crash stays down until an explicit
+//     restart, i.e. an unbounded window).
+//   - A node cannot receive a second preemption notice while an earlier
+//     notice's grace window is still open: the instance is already doomed.
+//     (A later notice after a kill is fine — it models the re-acquired
+//     instance being reclaimed again.)
+//   - The plane applies one factor per (kind, scope) message-fault window,
+//     "" being the global scope, so an overlap encodes an ambiguous
+//     severity. Distinct scopes and distinct kinds compose fine.
+//   - Load spikes share one global scope, and the streaming runtime
+//     applies a single multiplier per window, so overlapping spikes would
+//     encode an ambiguous offered load.
+func overlapScope(e Event) (scope, bool) {
+	switch {
+	case e.Kind == DriverCrash, e.Kind == LoadSpike:
+		return scope{kind: e.Kind}, true
+	case e.Kind == NodeCrash, e.Kind == SpotPreempt, e.Kind == AgentCrash, e.Kind.IsMessageKind():
+		return scope{kind: e.Kind, node: e.Node}, true
+	}
+	return scope{}, false
+}
+
+// overlapError describes two overlapping events of one scope.
+func overlapError(a, b Event) error {
+	switch a.Kind {
+	case NodeCrash:
+		return fmt.Errorf("faults: overlapping crash windows on %s (%s / %s)", a.Node, a, b)
+	case SpotPreempt:
+		return fmt.Errorf("faults: overlapping preemption notices on %s (%s / %s)", a.Node, a, b)
+	case DriverCrash:
+		return fmt.Errorf("faults: overlapping driver-crash windows (%s / %s)", a, b)
+	case LoadSpike:
+		return fmt.Errorf("faults: overlapping load-spike windows (%s / %s)", a, b)
+	case AgentCrash:
+		return fmt.Errorf("faults: overlapping agent-crash windows on %s (%s / %s)", a.Node, a, b)
+	}
+	return fmt.Errorf("faults: overlapping %s windows on scope %q (%s / %s)", a.Kind, a.Node, a, b)
 }
 
 // crashWindowsOverlap reports whether two NodeCrash events of one node

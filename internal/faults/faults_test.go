@@ -457,3 +457,47 @@ func TestRandomScheduleDrawsAgentCrashes(t *testing.T) {
 		t.Fatal("agent-crash draws perturbed the pre-existing fault trace")
 	}
 }
+
+func TestValidateOverlapErrors(t *testing.T) {
+	cases := []struct {
+		a, b Event
+		want string
+	}{
+		{Event{Kind: NodeCrash, Node: "n1", At: 1, Duration: 10}, Event{Kind: NodeCrash, Node: "n1", At: 5},
+			"faults: overlapping crash windows on n1 (node-crash n1 at 1.00s (dur 10.00s, factor 0.00) / node-crash n1 at 5.00s (dur 0.00s, factor 0.00))"},
+		{Event{Kind: SpotPreempt, Node: "n1", At: 1, Duration: 10}, Event{Kind: SpotPreempt, Node: "n1", At: 5, Duration: 10},
+			"faults: overlapping preemption notices on n1 (spot-preempt n1 at 1.00s (dur 10.00s, factor 0.00) / spot-preempt n1 at 5.00s (dur 10.00s, factor 0.00))"},
+		{Event{Kind: DriverCrash, At: 1, Duration: 10}, Event{Kind: DriverCrash, At: 5, Duration: 1},
+			"faults: overlapping driver-crash windows (driver-crash  at 1.00s (dur 10.00s, factor 0.00) / driver-crash  at 5.00s (dur 1.00s, factor 0.00))"},
+		{Event{Kind: MsgDrop, Node: "n1", At: 1, Duration: 10, Factor: 0.5}, Event{Kind: MsgDrop, Node: "n1", At: 5, Duration: 10, Factor: 0.5},
+			`faults: overlapping msg-drop windows on scope "n1" (msg-drop n1 at 1.00s (dur 10.00s, factor 0.50) / msg-drop n1 at 5.00s (dur 10.00s, factor 0.50))`},
+		{Event{Kind: LoadSpike, At: 1, Duration: 10, Factor: 2}, Event{Kind: LoadSpike, At: 5, Duration: 10, Factor: 2},
+			"faults: overlapping load-spike windows (load-spike  at 1.00s (dur 10.00s, factor 2.00) / load-spike  at 5.00s (dur 10.00s, factor 2.00))"},
+		{Event{Kind: AgentCrash, Node: "n1", At: 1}, Event{Kind: AgentCrash, Node: "n1", At: 5, Duration: 3},
+			"faults: overlapping agent-crash windows on n1 (agent-crash n1 at 1.00s (dur 0.00s, factor 0.00) / agent-crash n1 at 5.00s (dur 3.00s, factor 0.00))"},
+	}
+	for _, c := range cases {
+		s := &Schedule{Events: []Event{c.a, c.b}}
+		if err := s.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %s", c.a.Kind, err, c.want)
+		}
+	}
+
+	// Overlaps on two nodes: every call reports the pair that comes first
+	// in event order.
+	s := &Schedule{Events: []Event{
+		{Kind: NodeCrash, Node: "n2", At: 1, Duration: 10},
+		{Kind: NodeCrash, Node: "n1", At: 1, Duration: 10},
+		{Kind: NodeCrash, Node: "n2", At: 5, Duration: 10},
+		{Kind: NodeCrash, Node: "n1", At: 5, Duration: 10},
+	}}
+	first := s.Validate()
+	if first == nil || !strings.Contains(first.Error(), "on n2 ") {
+		t.Fatalf("error %v, want the n2 overlap", first)
+	}
+	for i := 0; i < 50; i++ {
+		if err := s.Validate(); err == nil || err.Error() != first.Error() {
+			t.Fatalf("call %d: error %v, first call %v", i, err, first)
+		}
+	}
+}
