@@ -234,6 +234,12 @@ func main() {
 	if (*walPath != "" || *crashAt > 0) && *compare {
 		usageError("-wal and -crash-at apply to a single run; drop -compare")
 	}
+	if *charDB != "" && *compare {
+		usageError("-chardb applies to a single run; drop -compare")
+	}
+	if *charDB != "" && *scheduler != experiments.SchedRUPAM {
+		usageError("-chardb applies only to -scheduler rupam")
+	}
 	// Validate the trace path up front: a typo'd directory must fail before
 	// the simulation spends minutes running.
 	var traceFile *os.File
@@ -329,6 +335,13 @@ func main() {
 		}
 		spec.Spark.Faults.Events = append(spec.Spark.Faults.Events, preempts...)
 	}
+	// Validate the assembled plan (chaos, -crash-at and -preempt events
+	// together) before the run: the injector panics on an invalid one.
+	if spec.Spark.Faults != nil {
+		if err := spec.Spark.Faults.Validate(); err != nil {
+			usageError("fault plan invalid: %v", err)
+		}
+	}
 	// Open the WAL sink up front, like -trace: a typo'd path must fail
 	// before the simulation runs. The runtime stamps the log with its own
 	// virtual clock once the run starts.
@@ -357,7 +370,7 @@ func main() {
 		fmt.Printf("speedup (spark/rupam): %.2fx\n", sparkRes.Duration/rupamRes.Duration)
 		return
 	}
-	if *charDB != "" && spec.Scheduler == experiments.SchedRUPAM {
+	if *charDB != "" {
 		res, db := experiments.RunWithCharDB(spec, *charDB)
 		report(res)
 		fmt.Printf("DB_taskchar: %d task records persisted to %s\n", db, *charDB)

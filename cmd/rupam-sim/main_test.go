@@ -156,3 +156,30 @@ func TestAgentCrashCLI(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchCLIRejects drives the built binary through batch flag
+// combinations that must exit 2 with a diagnostic before any run starts:
+// an invalid assembled fault plan, and -chardb where no RUPAM single run
+// would read it.
+func TestBatchCLIRejects(t *testing.T) {
+	bin := buildCLI(t, ".")
+
+	bad := [][]string{
+		// Overlapping preemption notices on one node.
+		{"-workload", "TeraSort", "-input", "2", "-partitions", "16",
+			"-preempt", "thor1:10:30", "-preempt", "thor1:20:30"},
+		// -chardb is read only by a single RUPAM run.
+		{"-chardb", filepath.Join(t.TempDir(), "db.json"), "-scheduler", "spark"},
+		{"-chardb", filepath.Join(t.TempDir(), "db.json"), "-compare"},
+	}
+	for _, args := range bad {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 {
+			t.Errorf("%v: want exit 2, got %v\n%s", args, err, out)
+		}
+		if s := string(out); !strings.Contains(s, "rupam-sim:") || strings.Contains(s, "panic") {
+			t.Errorf("%v: want a diagnostic and no panic:\n%s", args, out)
+		}
+	}
+}
