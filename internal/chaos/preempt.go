@@ -77,13 +77,11 @@ func DefaultSpotNodes() []string {
 	return []string{"thor4", "thor5", "thor6", "hulk3", "hulk4", "stack2"}
 }
 
-// SpotHazards maps each spot node to its class's market preemption hazard
-// (expected reclamations/hour), resolving classes through the reference
-// Hydra cluster. Input for faults.SpotSchedule.
-func SpotHazards(market *cluster.Market, spotNodes []string) map[string]float64 {
-	if market == nil {
-		market = cluster.DefaultMarket()
-	}
+// SpotHazards maps each spot node to its class's preemption hazard in the
+// default market (expected reclamations/hour), resolving classes through
+// the reference Hydra cluster. Input for faults.SpotSchedule.
+func SpotHazards(spotNodes []string) map[string]float64 {
+	market := cluster.DefaultMarket()
 	clu := cluster.New(simx.NewEngine())
 	cluster.NewHydra(clu)
 	hz := make(map[string]float64, len(spotNodes))
@@ -138,7 +136,7 @@ func PreemptionSoak(cfg PreemptConfig) *PreemptReport {
 // checks the full battery.
 func (cfg PreemptConfig) runSeed(rec *PreemptRunRecord, scheduler string, seed uint64) {
 	rec.Scheduler, rec.Seed = scheduler, seed
-	plan := faults.SpotSchedule(seed, cfg.SpotNodes, SpotHazards(nil, cfg.SpotNodes), cfg.Gen)
+	plan := faults.SpotSchedule(seed, cfg.SpotNodes, SpotHazards(cfg.SpotNodes), cfg.Gen)
 	rec.Events = len(plan.Events)
 
 	m := tenant.NewManager(tenant.Config{

@@ -22,31 +22,6 @@ type Config struct {
 	// shuffleWrite), and network-bound if shuffleRead > ResFactor ×
 	// shuffleWrite (paper example: 2).
 	ResFactor float64
-	// ReserveBytes is left to the OS when sizing each node's executor
-	// heap (dynamic executor sizing, §III-C2).
-	ReserveBytes int64
-	// LockAfterRuns pins a task to its best-observed node after this many
-	// successful observations (§III-C1's locking; Algorithm 2's strict
-	// all-five-resources condition also locks).
-	LockAfterRuns int
-	// LockTimeout unpins a locked task that has waited this long for its
-	// preferred node, preventing starvation.
-	LockTimeout float64
-	// OvercommitFactor bounds running tasks per node at factor × cores
-	// when over-committing idle resources (§III-C2).
-	OvercommitFactor float64
-	// UtilThreshold is the utilization above which a node stops being
-	// offered for that resource dimension.
-	UtilThreshold float64
-	// LowMemFrac triggers memory-straggler reclamation when a node's free
-	// heap falls below this fraction (§III-C3).
-	LowMemFrac float64
-	// GPURaceMinRun is how long a GPU-capable task must have run on a CPU
-	// before a racing copy is considered for an idle GPU node.
-	GPURaceMinRun float64
-	// UnknownPatience is how long an uncharacterized task holds out for
-	// its preferred (data-local) nodes before any node may take it.
-	UnknownPatience float64
 
 	// Ablation switches.
 	DisableLocking  bool // no best-node pinning
@@ -59,33 +34,38 @@ type Config struct {
 	StaticHeapBytes int64
 }
 
+// RUPAM's fixed parameters.
+const (
+	// reserveBytes is left to the OS when sizing each node's executor
+	// heap (dynamic executor sizing, §III-C2).
+	reserveBytes = 2 * cluster.GB
+	// lockAfterRuns pins a task to its best-observed node after this many
+	// successful observations (§III-C1's locking; Algorithm 2's strict
+	// all-five-resources condition also locks).
+	lockAfterRuns = 3
+	// lockTimeout unpins a locked task that has waited this long for its
+	// preferred node, preventing starvation.
+	lockTimeout float64 = 5
+	// overcommitFactor bounds running tasks per node at factor × cores
+	// when over-committing idle resources (§III-C2).
+	overcommitFactor float64 = 1.3
+	// utilThreshold is the utilization above which a node stops being
+	// offered for that resource dimension.
+	utilThreshold float64 = 0.9
+	// lowMemFrac triggers memory-straggler reclamation when a node's free
+	// heap falls below this fraction (§III-C3).
+	lowMemFrac float64 = 0.05
+	// gpuRaceMinRun is how long a GPU-capable task must have run on a CPU
+	// before a racing copy is considered for an idle GPU node.
+	gpuRaceMinRun float64 = 2
+	// unknownPatience is how long an uncharacterized task holds out for
+	// its preferred (data-local) nodes before any node may take it.
+	unknownPatience float64 = 4
+)
+
 func (c Config) withDefaults() Config {
 	if c.ResFactor == 0 {
 		c.ResFactor = 2
-	}
-	if c.ReserveBytes == 0 {
-		c.ReserveBytes = 2 * cluster.GB
-	}
-	if c.LockAfterRuns == 0 {
-		c.LockAfterRuns = 3
-	}
-	if c.LockTimeout == 0 {
-		c.LockTimeout = 5
-	}
-	if c.OvercommitFactor == 0 {
-		c.OvercommitFactor = 1.3
-	}
-	if c.UtilThreshold == 0 {
-		c.UtilThreshold = 0.9
-	}
-	if c.LowMemFrac == 0 {
-		c.LowMemFrac = 0.05
-	}
-	if c.GPURaceMinRun == 0 {
-		c.GPURaceMinRun = 2
-	}
-	if c.UnknownPatience == 0 {
-		c.UnknownPatience = 4
 	}
 	if c.StaticHeapBytes == 0 {
 		c.StaticHeapBytes = 14 * cluster.GB
@@ -217,7 +197,7 @@ func (s *RUPAM) HeapFor(node *cluster.Node) int64 {
 	if s.cfg.DisableMemAware {
 		return s.cfg.StaticHeapBytes
 	}
-	h := node.Spec.MemBytes - s.cfg.ReserveBytes
+	h := node.Spec.MemBytes - reserveBytes
 	if h < cluster.GB {
 		h = cluster.GB
 	}
@@ -504,14 +484,14 @@ func (s *RUPAM) reclaimMemory(nodeName string, nm *monitor.NodeMetrics) {
 	if ex == nil || ex.Down() {
 		return
 	}
-	if float64(ex.HeapFree()) >= s.cfg.LowMemFrac*float64(ex.Heap().Capacity()) {
+	if float64(ex.HeapFree()) >= lowMemFrac*float64(ex.Heap().Capacity()) {
 		return
 	}
 	// Cheapest relief first: drop cached partitions (they can be
 	// re-fetched) before killing a running task.
-	want := int64(2*s.cfg.LowMemFrac*float64(ex.Heap().Capacity())) - ex.HeapFree()
+	want := int64(2*lowMemFrac*float64(ex.Heap().Capacity())) - ex.HeapFree()
 	if ex.ReclaimCache(want) > 0 &&
-		float64(ex.HeapFree()) >= s.cfg.LowMemFrac*float64(ex.Heap().Capacity()) {
+		float64(ex.HeapFree()) >= lowMemFrac*float64(ex.Heap().Capacity()) {
 		return
 	}
 	var victim *executor.Run
@@ -586,7 +566,7 @@ func (s *RUPAM) raceGPUTasks() {
 				continue // another tenant's attempt on the shared executor
 			}
 			if t.Demand.GPUCapable() && !r.Metrics().UsedGPU &&
-				now-r.Metrics().Launch > s.cfg.GPURaceMinRun {
+				now-r.Metrics().Launch > gpuRaceMinRun {
 				s.rt.MarkSpeculatable(t)
 			}
 		}
@@ -606,11 +586,11 @@ func (s *RUPAM) offerNode(node *cluster.Node) {
 	// A node with a free core is always offerable; beyond that, only
 	// under-utilized dimensions are over-committed, up to the cap.
 	hasFreeCore := running < cores
-	overcommitOK := float64(running) < s.cfg.OvercommitFactor*float64(cores)
+	overcommitOK := float64(running) < overcommitFactor*float64(cores)
 	if !hasFreeCore && !overcommitOK {
 		return
 	}
-	thr := s.cfg.UtilThreshold
+	thr := utilThreshold
 	flight := s.inFlight[name]
 	if flight == nil {
 		flight = new([NumResources]int)
@@ -844,14 +824,14 @@ scan:
 			}
 			continue
 		}
-		locked := !s.cfg.DisableLocking && rec != nil && rec.Locked(s.cfg.LockAfterRuns)
+		locked := !s.cfg.DisableLocking && rec != nil && rec.Locked(lockAfterRuns)
 		if locked && rec.GPU {
 			// GPU tasks are raced across GPU and CPU nodes (§III-C3),
 			// never pinned: with only two accelerators, pinning would
 			// serialize the whole stage behind them.
 			locked = false
 		}
-		lockExpired := locked && now-s.pendingSince[t.ID] > s.cfg.LockTimeout
+		lockExpired := locked && now-s.pendingSince[t.ID] > lockTimeout
 
 		if t.Demand.PeakMemory > freeMem {
 			// Exception mirroring Algorithm 2 lines 13-16: a fully
@@ -900,7 +880,7 @@ scan:
 		// (§I).
 		if (rec == nil || rec.Runs == 0) && len(t.PrefNodes) > 0 && t.CachedOn == "" &&
 			t.LocalityOn(node) == hdfs.Any &&
-			now-s.pendingSince[t.ID] <= s.cfg.UnknownPatience &&
+			now-s.pendingSince[t.ID] <= unknownPatience &&
 			s.anyPrefFree(t) {
 			// Waiting is only worthwhile while some preferred node could
 			// actually take the task soon.
@@ -916,7 +896,7 @@ scan:
 		// stolen — but a more capable node may always take it, moving
 		// the partition along (§III-C1's "tries different assignments").
 		if t.CachedOn != "" && t.CachedOn != node &&
-			now-s.pendingSince[t.ID] <= s.cfg.LockTimeout &&
+			now-s.pendingSince[t.ID] <= lockTimeout &&
 			!s.nodeBetterFor(node, t.CachedOn, res) {
 			if d != nil {
 				d.Candidate(t.ID, t.LocalityOn(node).String(), "cache-affinity-wait",
@@ -940,7 +920,7 @@ scan:
 		}
 	}
 
-	if best == nil && lockedFallback != nil && now-s.pendingSince[lockedFallback.ID] > s.cfg.LockTimeout {
+	if best == nil && lockedFallback != nil && now-s.pendingSince[lockedFallback.ID] > lockTimeout {
 		// Anti-starvation: a locked task has waited too long; run it here.
 		best, bestLvl, heuristic = lockedFallback, lockedFallback.LocalityOn(node), "lock-timeout-fallback"
 	}

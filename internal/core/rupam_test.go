@@ -117,7 +117,7 @@ func TestGPUStageMarking(t *testing.T) {
 
 func TestHeapForDynamicSizing(t *testing.T) {
 	w := newWorld(t)
-	s := New(Config{ReserveBytes: 2 * cluster.GB})
+	s := New(Config{})
 	s.Bind(spark.NewRuntime(w.eng, w.clu, New(Config{}), spark.Config{}))
 	if got := s.HeapFor(w.clu.Node("bigmem")); got != 62*cluster.GB {
 		t.Fatalf("bigmem heap = %d", got)

@@ -54,10 +54,10 @@ func (o Outcome) String() string {
 	}
 }
 
-// Config holds the physical constants of the execution model. The zero
-// value is completed by withDefaults; schedulers override HeapBytes (the
-// paper's static 14 GB for default Spark, per-node dynamic for RUPAM) and
-// DispatchDelay.
+// Config holds the tunable parameters of the execution model; the fixed
+// ones are the constants below. The zero value is completed by
+// withDefaults; schedulers set HeapBytes (the paper's static 14 GB for
+// default Spark, per-node dynamic for RUPAM).
 type Config struct {
 	// HeapBytes is the executor's JVM heap, carved from node memory.
 	HeapBytes int64
@@ -66,19 +66,6 @@ type Config struct {
 	StorageFraction float64
 	// DriverNode receives result-task output flows.
 	DriverNode string
-	// DispatchDelay is the fixed scheduling/shipping latency per task.
-	DispatchDelay float64
-	// SerCPUPerByte is serialization compute cost in giga-cycles/byte.
-	SerCPUPerByte float64
-	// GCFactor scales garbage-collection time: seconds of GC per GB of
-	// allocation churn at the reference heap pressure.
-	GCFactor float64
-	// EvictGCPerGB is extra GC seconds per GB of cache evicted to admit a
-	// task (the LRU-management overhead of §IV-D).
-	EvictGCPerGB float64
-	// OOMRunFraction is how far through its compute estimate a doomed
-	// task gets before the allocation fails.
-	OOMRunFraction float64
 	// WorkerCrashProb is the probability an OOM kills the whole JVM.
 	WorkerCrashProb float64
 	// RestartDelay is worker recovery time after a crash.
@@ -94,24 +81,26 @@ type Config struct {
 	Tracer *tracing.Collector
 }
 
+// The execution model's fixed physical constants.
+const (
+	// dispatchDelay is the fixed scheduling/shipping latency per task.
+	dispatchDelay float64 = 0.04
+	// serCPUPerByte is serialization compute cost in giga-cycles/byte.
+	serCPUPerByte float64 = 2e-9
+	// gcFactor scales garbage-collection time: seconds of GC per GB of
+	// allocation churn at the reference heap pressure.
+	gcFactor float64 = 0.8
+	// evictGCPerGB is extra GC seconds per GB of cache evicted to admit a
+	// task (the LRU-management overhead of §IV-D).
+	evictGCPerGB float64 = 0.4
+	// oomRunFraction is how far through its compute estimate a doomed
+	// task gets before the allocation fails.
+	oomRunFraction float64 = 0.5
+)
+
 func (c Config) withDefaults() Config {
 	if c.StorageFraction == 0 {
 		c.StorageFraction = 0.5
-	}
-	if c.DispatchDelay == 0 {
-		c.DispatchDelay = 0.04
-	}
-	if c.SerCPUPerByte == 0 {
-		c.SerCPUPerByte = 2e-9
-	}
-	if c.GCFactor == 0 {
-		c.GCFactor = 0.8
-	}
-	if c.EvictGCPerGB == 0 {
-		c.EvictGCPerGB = 0.4
-	}
-	if c.OOMRunFraction == 0 {
-		c.OOMRunFraction = 0.5
 	}
 	if c.WorkerCrashProb == 0 {
 		c.WorkerCrashProb = 0.55
@@ -384,6 +373,6 @@ func (ex *Executor) Launch(t *task.Task, st *task.Stage, opts Options, onDone fu
 	ex.reserved += r.reservedMem
 	ex.running = append(ex.running, r)
 	ex.TasksRun++
-	r.armTimer(ex.cfg.DispatchDelay, r.start)
+	r.armTimer(dispatchDelay, r.start)
 	return r
 }

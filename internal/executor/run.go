@@ -140,7 +140,7 @@ func (r *Run) start() {
 		// Unified memory: evict cached partitions to make room, at a GC
 		// cost (LRU management, §IV-D).
 		reclaimed := r.ex.evictCache(need - heap.Free())
-		r.extraGC += r.ex.cfg.EvictGCPerGB * float64(reclaimed) / 1e9
+		r.extraGC += evictGCPerGB * float64(reclaimed) / 1e9
 	}
 	if heap.Free() < need {
 		// The allocation cannot succeed: the attempt is doomed to OOM
@@ -159,7 +159,7 @@ func (r *Run) oomLater() {
 	r.tr.Phase("oom-doomed")
 	d := r.t.Demand
 	est := d.TotalComputeWork() / r.ex.node.Spec.FreqGHz
-	delay := r.ex.cfg.OOMRunFraction*est + 0.5
+	delay := oomRunFraction*est + 0.5
 	r.claimCPU(delay*r.ex.node.Spec.FreqGHz, func() {
 		r.m.OOM = true
 		r.ex.OOMs++
@@ -237,7 +237,7 @@ func (r *Run) deserialize() {
 	r.tr.Phase("deserialize")
 	r.phaseStart = r.ex.eng.Now()
 	d := r.t.Demand
-	work := r.ex.cfg.SerCPUPerByte * float64(d.InputBytes+d.ShuffleReadBytes)
+	work := serCPUPerByte * float64(d.InputBytes+d.ShuffleReadBytes)
 	r.claimCPU(work, func() {
 		r.m.DeserializeTime = r.ex.eng.Now() - r.phaseStart
 		r.readInput()
@@ -509,7 +509,7 @@ func (r *Run) garbageCollect() {
 		pressure = 0.95
 	}
 	churnGB := float64(d.PeakMemory+d.InputBytes+d.ShuffleReadBytes+d.ShuffleWriteBytes) / 1e9
-	gcSec := r.ex.cfg.GCFactor*churnGB*(pressure*pressure)/(1-pressure) + r.extraGC
+	gcSec := gcFactor*churnGB*(pressure*pressure)/(1-pressure) + r.extraGC
 	if gcSec <= 0 {
 		r.cacheInsert()
 		return
@@ -577,7 +577,7 @@ func (r *Run) serialize() {
 	r.tr.Phase("serialize")
 	r.phaseStart = r.ex.eng.Now()
 	d := r.t.Demand
-	work := r.ex.cfg.SerCPUPerByte * float64(d.ShuffleWriteBytes+d.OutputBytes)
+	work := serCPUPerByte * float64(d.ShuffleWriteBytes+d.OutputBytes)
 	r.claimCPU(work, func() {
 		if d.OutputBytes > 0 && r.ex.cfg.DriverNode != "" {
 			r.startFlow(r.ex.node.Name(), r.ex.cfg.DriverNode, d.OutputBytes, func() {

@@ -136,7 +136,7 @@ func Elastic(cfg ElasticConfig) *ElasticResult {
 	res := &ElasticResult{Config: cfg}
 
 	masterPool := chaos.DefaultSpotNodes()
-	hazards := chaos.SpotHazards(nil, masterPool)
+	hazards := chaos.SpotHazards(masterPool)
 
 	sums := make(map[string]*ElasticSummary)
 	var order []string

@@ -53,7 +53,7 @@ type AcceptScenario struct {
 }
 
 // AcceptanceScenarios returns the protocol acceptance battery. Times are
-// chosen against the default ProtocolConfig (latency 0.002, AcceptTTL 2).
+// chosen against the protocol constants (msgLatency 0.002, acceptTTL 2).
 func AcceptanceScenarios() []AcceptScenario {
 	d0, d1 := "driver:0", "driver:1"
 	c01 := ClaimID{Driver: 0, Seq: 1}
@@ -281,7 +281,7 @@ func AcceptanceScenarios() []AcceptScenario {
 		},
 		{
 			// A driver that never answers the RESYNC: the agent retransmits
-			// MaxRetries times, refuses proposals while the handshake is open
+			// maxRetries times, refuses proposals while the handshake is open
 			// (with a retry hint, not a tombstoning reject), and opens for
 			// business when the resync deadline lapses.
 			Name:     "propose-during-resync-refused",
@@ -311,8 +311,8 @@ func RunAcceptScenario(s AcceptScenario) []string {
 		capacity = 2
 	}
 	eng := simx.NewEngine()
-	plane := NewPlane(eng, 1, 0)
-	agent := NewAgent(eng, plane, ProtocolConfig{}, "node1", capacity, func(v string) {
+	plane := NewPlane(eng, 1)
+	agent := NewAgent(eng, plane, "node1", capacity, func(v string) {
 		fails = append(fails, "violation: "+v)
 	})
 

@@ -35,7 +35,6 @@ type Agent struct {
 
 	eng   *simx.Engine
 	plane *Plane
-	cfg   ProtocolConfig
 
 	claims   map[ClaimID]*agentClaim
 	verdicts map[ClaimID]string // tombstones: rejected|expired|evicted|aborted|released
@@ -87,13 +86,12 @@ type Agent struct {
 
 // NewAgent creates the agent and registers it on the plane under the node
 // name. violation receives invariant breaches (never nil-checked hot).
-func NewAgent(eng *simx.Engine, plane *Plane, cfg ProtocolConfig, node string, capacity int, violation func(string)) *Agent {
+func NewAgent(eng *simx.Engine, plane *Plane, node string, capacity int, violation func(string)) *Agent {
 	a := &Agent{
 		Name:      node,
 		Capacity:  capacity,
 		eng:       eng,
 		plane:     plane,
-		cfg:       cfg.withDefaults(),
 		claims:    make(map[ClaimID]*agentClaim),
 		verdicts:  make(map[ClaimID]string),
 		digest:    digest.New().Sum64(),
@@ -168,21 +166,21 @@ func (a *Agent) Restart() {
 		a.resyncWait[addr] = true
 		a.sendResync(addr)
 	}
-	a.resyncDeadline = a.eng.Schedule(a.cfg.ResyncTimeout, a.finishResync)
+	a.resyncDeadline = a.eng.Schedule(resyncTimeout, a.finishResync)
 }
 
 // sendResync transmits one RESYNC and arms the next bounded retransmit
-// (try i waits RetryTimeout×i, like the drivers' cycles). After MaxRetries
+// (try i waits retryTimeout×i, like the drivers' cycles). After maxRetries
 // the driver is presumed dead; the resync deadline closes the handshake
 // without it.
 func (a *Agent) sendResync(addr string) {
 	a.plane.Send(a.Name, addr, Message{Type: Resync, Inc: a.inc})
 	a.resyncTries[addr]++
 	tries := a.resyncTries[addr]
-	if tries >= a.cfg.MaxRetries {
+	if tries >= maxRetries {
 		return
 	}
-	a.resyncTimers[addr] = a.eng.Schedule(a.cfg.RetryTimeout*float64(tries), func() {
+	a.resyncTimers[addr] = a.eng.Schedule(retryTimeout*float64(tries), func() {
 		if a.down || !a.resyncing || !a.resyncWait[addr] {
 			return
 		}
@@ -282,7 +280,7 @@ func (a *Agent) onPropose(from string, m Message) {
 		// reply's stamp teach the sender where the agent is now.
 		a.StaleRejects++
 		a.plane.Send(a.Name, from, Message{Type: Reject, Claim: m.Claim, Inc: a.inc,
-			RetryAfter: a.eng.Now() + a.cfg.RetryTimeout})
+			RetryAfter: a.eng.Now() + retryTimeout})
 		return
 	}
 	if a.resyncing {
@@ -291,19 +289,19 @@ func (a *Agent) onPropose(from string, m Message) {
 		// land. Refuse with a hint to retry after the window closes.
 		a.StaleRejects++
 		a.plane.Send(a.Name, from, Message{Type: Reject, Claim: m.Claim, Inc: a.inc,
-			RetryAfter: a.eng.Now() + a.cfg.ResyncTimeout})
+			RetryAfter: a.eng.Now() + resyncTimeout})
 		return
 	}
 	if c, ok := a.claims[m.Claim]; ok {
 		// Duplicate PROPOSE of a live claim: replay the accept verbatim.
-		a.plane.Send(a.Name, from, Message{Type: Accept, Claim: c.id, Inc: a.inc, Expiry: a.eng.Now() + a.cfg.AcceptTTL})
+		a.plane.Send(a.Name, from, Message{Type: Accept, Claim: c.id, Inc: a.inc, Expiry: a.eng.Now() + acceptTTL})
 		return
 	}
 	if _, dead := a.verdicts[m.Claim]; dead {
 		// A claim ID is never resurrected: whatever ended it (reject,
 		// expiry, abort) is final, so duplicates and stale retransmits
 		// deterministically converge on REJECT.
-		a.plane.Send(a.Name, from, Message{Type: Reject, Claim: m.Claim, Inc: a.inc, RetryAfter: a.eng.Now() + a.cfg.RetryTimeout})
+		a.plane.Send(a.Name, from, Message{Type: Reject, Claim: m.Claim, Inc: a.inc, RetryAfter: a.eng.Now() + retryTimeout})
 		return
 	}
 	if m.Slots <= 0 || m.Slots > a.Capacity {
@@ -324,8 +322,8 @@ func (a *Agent) onPropose(from string, m Message) {
 	a.claims[c.id] = c
 	a.reserve(c.slots)
 	a.Accepts++
-	expiry := a.eng.Now() + a.cfg.AcceptTTL
-	c.expiry = a.eng.Schedule(a.cfg.AcceptTTL, func() { a.expire(c.id) })
+	expiry := a.eng.Now() + acceptTTL
+	c.expiry = a.eng.Schedule(acceptTTL, func() { a.expire(c.id) })
 	a.plane.Send(a.Name, from, Message{Type: Accept, Claim: c.id, Inc: a.inc, Expiry: expiry})
 }
 
@@ -353,7 +351,7 @@ func (a *Agent) evictFor(m Message) bool {
 		}
 		a.drop(c, "evicted")
 		need -= c.slots
-		a.plane.Send(a.Name, c.driver, Message{Type: Reject, Claim: c.id, Inc: a.inc, RetryAfter: a.eng.Now() + a.cfg.RetryTimeout})
+		a.plane.Send(a.Name, c.driver, Message{Type: Reject, Claim: c.id, Inc: a.inc, RetryAfter: a.eng.Now() + retryTimeout})
 	}
 	return true
 }
@@ -361,7 +359,7 @@ func (a *Agent) evictFor(m Message) bool {
 func (a *Agent) rejectNow(from string, id ClaimID) {
 	a.verdicts[id] = "rejected"
 	a.Rejects++
-	a.plane.Send(a.Name, from, Message{Type: Reject, Claim: id, Inc: a.inc, RetryAfter: a.eng.Now() + a.cfg.RetryTimeout})
+	a.plane.Send(a.Name, from, Message{Type: Reject, Claim: id, Inc: a.inc, RetryAfter: a.eng.Now() + retryTimeout})
 }
 
 // drop removes a live claim, frees its slots and tombstones the ID.

@@ -16,8 +16,8 @@ import (
 // under the new incarnation is accepted.
 func TestAgentCrashFencesUntilRestart(t *testing.T) {
 	eng := simx.NewEngine()
-	plane := federation.NewPlane(eng, 1, 0)
-	agent := federation.NewAgent(eng, plane, federation.ProtocolConfig{}, "node1", 2, func(v string) {
+	plane := federation.NewPlane(eng, 1)
+	agent := federation.NewAgent(eng, plane, "node1", 2, func(v string) {
 		t.Errorf("violation: %s", v)
 	})
 

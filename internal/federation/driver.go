@@ -82,7 +82,6 @@ type Driver struct {
 
 	eng   *simx.Engine
 	plane *Plane
-	cfg   ProtocolConfig
 
 	apps []*fedApp
 	seq  uint64
@@ -123,13 +122,12 @@ type Driver struct {
 
 // NewDriver creates driver id and registers it on the plane as
 // "driver:<id>".
-func NewDriver(eng *simx.Engine, plane *Plane, cfg ProtocolConfig, id int, nodeCap map[string]int, violation func(string)) *Driver {
+func NewDriver(eng *simx.Engine, plane *Plane, id int, nodeCap map[string]int, violation func(string)) *Driver {
 	d := &Driver{
 		ID:             id,
 		Addr:           fmt.Sprintf("driver:%d", id),
 		eng:            eng,
 		plane:          plane,
-		cfg:            cfg.withDefaults(),
 		claims:         make(map[ClaimID]*fclaim),
 		byTask:         make(map[int]*fclaim),
 		inflight:       make(map[string]int),
@@ -194,8 +192,8 @@ func (d *Driver) enqueue(fn func()) {
 	if d.busyUntil > start {
 		start = d.busyUntil
 	}
-	d.busyUntil = start + d.cfg.DispatchCost
-	d.BusySeconds += d.cfg.DispatchCost
+	d.busyUntil = start + dispatchCost
+	d.BusySeconds += dispatchCost
 	gen := d.gen
 	d.eng.At(d.busyUntil, func() {
 		if d.down || d.gen != gen {
@@ -388,7 +386,7 @@ func (d *Driver) send(c *fclaim, mt MsgType) {
 	}
 	d.plane.Send(d.Addr, c.node, m)
 	c.attempts++
-	wait := d.cfg.RetryTimeout * float64(c.attempts)
+	wait := retryTimeout * float64(c.attempts)
 	c.timer.Cancel()
 	c.timer = d.eng.Schedule(wait, func() { d.onTimeout(c, mt) })
 }
@@ -400,7 +398,7 @@ func (d *Driver) onTimeout(c *fclaim, mt MsgType) {
 	if cur, ok := d.claims[c.id]; !ok || cur != c {
 		return
 	}
-	if c.attempts < d.cfg.MaxRetries {
+	if c.attempts < maxRetries {
 		d.enqueue(func() { d.send(c, mt) })
 		return
 	}
@@ -410,7 +408,7 @@ func (d *Driver) onTimeout(c *fclaim, mt MsgType) {
 		// ID and back the node off for a full accept-TTL so the scheduler
 		// re-proposes elsewhere first instead of hammering a dead daemon.
 		// Any grant in flight dies at the agent's TTL.
-		if until := d.eng.Now() + d.cfg.AcceptTTL; until > d.noProposeUntil[c.node] {
+		if until := d.eng.Now() + acceptTTL; until > d.noProposeUntil[c.node] {
 			d.noProposeUntil[c.node] = until
 		}
 		d.finishClaim(c, wal.KindClaimAborted)
@@ -425,7 +423,7 @@ func (d *Driver) onTimeout(c *fclaim, mt MsgType) {
 		if shift > 6 {
 			shift = 6
 		}
-		pause := d.cfg.RetryTimeout * float64(int(1)<<shift)
+		pause := retryTimeout * float64(int(1)<<shift)
 		c.attempts = 0
 		c.timer.Cancel()
 		c.timer = d.eng.Schedule(pause, func() {
@@ -490,7 +488,7 @@ func (d *Driver) handle(from string, m Message) {
 		d.Commits++
 		// A Ready claim the scheduler never consumes is released after
 		// the stale TTL so contended slots recirculate.
-		c.timer = d.eng.Schedule(d.cfg.StaleClaimTTL, func() {
+		c.timer = d.eng.Schedule(staleClaimTTL, func() {
 			if cur, ok := d.claims[c.id]; ok && cur == c && c.state == csReady && !d.down {
 				d.releaseClaim(c)
 			}
@@ -635,7 +633,7 @@ func (d *Driver) armSweep() {
 		return
 	}
 	d.sweepArmed = true
-	d.eng.Schedule(d.cfg.SweepInterval, d.sweep)
+	d.eng.Schedule(sweepInterval, d.sweep)
 }
 
 func (d *Driver) sweep() {

@@ -19,8 +19,8 @@ import (
 // must leave the running cycle's timer alone.
 func TestDoubleReleaseKeepsRetransmitCycleAlive(t *testing.T) {
 	eng := simx.NewEngine()
-	plane := NewPlane(eng, 1, 0.002)
-	d := NewDriver(eng, plane, ProtocolConfig{}, 0, map[string]int{"node1": 4}, func(v string) {
+	plane := NewPlane(eng, 1)
+	d := NewDriver(eng, plane, 0, map[string]int{"node1": 4}, func(v string) {
 		t.Errorf("violation: %s", v)
 	})
 
@@ -67,8 +67,8 @@ func TestDoubleReleaseKeepsRetransmitCycleAlive(t *testing.T) {
 // the ABORT cycle (recovery paths can abort a claim more than once).
 func TestDoubleAbortKeepsRetransmitCycleAlive(t *testing.T) {
 	eng := simx.NewEngine()
-	plane := NewPlane(eng, 1, 0.002)
-	d := NewDriver(eng, plane, ProtocolConfig{}, 0, map[string]int{"node1": 4}, func(v string) {
+	plane := NewPlane(eng, 1)
+	d := NewDriver(eng, plane, 0, map[string]int{"node1": 4}, func(v string) {
 		t.Errorf("violation: %s", v)
 	})
 

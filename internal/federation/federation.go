@@ -32,8 +32,6 @@ type Config struct {
 	Params workloads.Params
 	// Seed drives the whole run: plans, executors, transport faults.
 	Seed uint64
-	// Protocol tunes the placement protocol's timing.
-	Protocol ProtocolConfig
 	// Faults, when non-empty, is installed once: message kinds onto the
 	// control plane, node kinds onto a shared injector; DriverCrash
 	// events rotate round-robin over drivers that still own live apps.
@@ -61,7 +59,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSimTime <= 0 {
 		c.MaxSimTime = 3600
 	}
-	c.Protocol = c.Protocol.withDefaults()
 	return c
 }
 
@@ -149,7 +146,7 @@ func Run(cfg Config) *Result {
 	clu := cluster.New(eng)
 	cluster.NewHydra(clu)
 
-	plane := NewPlane(eng, cfg.Seed, cfg.Protocol.Latency)
+	plane := NewPlane(eng, cfg.Seed)
 	if !cfg.Faults.Empty() {
 		plane.Install(cfg.Faults)
 	}
@@ -157,13 +154,13 @@ func Run(cfg Config) *Result {
 	agents := make([]*Agent, 0, len(clu.Nodes))
 	nodeCap := make(map[string]int, len(clu.Nodes))
 	for _, n := range clu.Nodes {
-		agents = append(agents, NewAgent(eng, plane, cfg.Protocol, n.Name(), n.Spec.Cores, violation))
+		agents = append(agents, NewAgent(eng, plane, n.Name(), n.Spec.Cores, violation))
 		nodeCap[n.Name()] = n.Spec.Cores
 	}
 
 	drivers := make([]*Driver, cfg.Drivers)
 	for i := range drivers {
-		drivers[i] = NewDriver(eng, plane, cfg.Protocol, i, nodeCap, violation)
+		drivers[i] = NewDriver(eng, plane, i, nodeCap, violation)
 	}
 	addrs := make([]string, len(drivers))
 	for i, d := range drivers {

@@ -10,16 +10,15 @@ import (
 
 // Plane is the federation's control-plane transport: point-to-point
 // message delivery between named endpoints (agents register under their
-// node name, drivers under "driver:<id>") with a fixed base latency and
-// seeded message faults. It deliberately has no reliability of its own —
-// drop, duplicate, delay and reorder windows from a fault schedule apply
-// per message, so every protocol participant must tolerate loss, dups and
-// reordering. Delivery to a down endpoint (a crashed driver) silently
-// drops, modeling a dead process's socket.
+// node name, drivers under "driver:<id>") with a fixed base latency
+// (msgLatency) and seeded message faults. It deliberately has no
+// reliability of its own — drop, duplicate, delay and reorder windows from
+// a fault schedule apply per message, so every protocol participant must
+// tolerate loss, dups and reordering. Delivery to a down endpoint (a
+// crashed driver) silently drops, modeling a dead process's socket.
 type Plane struct {
 	eng      *simx.Engine
 	rng      *stats.Rand
-	latency  float64
 	handlers map[string]func(from string, m Message)
 	down     map[string]bool
 	windows  []faults.Event // message-fault windows only, deterministic order
@@ -36,14 +35,10 @@ type Plane struct {
 // NewPlane creates a transport on the engine. The seed scopes every fault
 // coin flip, so a fixed (seed, schedule) pair yields a bit-identical
 // loss/reorder pattern for the same message sequence.
-func NewPlane(eng *simx.Engine, seed uint64, latency float64) *Plane {
-	if latency <= 0 {
-		latency = 0.002
-	}
+func NewPlane(eng *simx.Engine, seed uint64) *Plane {
 	return &Plane{
 		eng:      eng,
 		rng:      stats.NewRand(seed ^ 0x91a9e5eed),
-		latency:  latency,
 		handlers: make(map[string]func(string, Message)),
 		down:     make(map[string]bool),
 	}
@@ -128,13 +123,13 @@ func (p *Plane) Send(from, to string, m Message) {
 			if p.rng.Float64() < ev.Factor {
 				// A random skew of up to four base latencies is enough to
 				// let any later message overtake this one.
-				extra += p.rng.Float64() * p.latency * 4
+				extra += p.rng.Float64() * msgLatency * 4
 				p.Reordered++
 			}
 		}
 	}
 	for c := 0; c < copies; c++ {
-		delay := p.latency + extra + float64(c)*p.latency*0.5
+		delay := msgLatency + extra + float64(c)*msgLatency*0.5
 		p.eng.Schedule(delay, func() { p.deliver(from, to, m) })
 	}
 }

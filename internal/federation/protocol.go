@@ -145,72 +145,41 @@ type Message struct {
 	Bound bool
 }
 
-// ProtocolConfig tunes the placement protocol's timing.
-type ProtocolConfig struct {
-	// Latency is the one-way control-plane message latency in seconds
-	// (default 0.002).
-	Latency float64
-	// DispatchCost is the serial CPU time a driver spends per protocol
+// The placement protocol's fixed timing.
+const (
+	// msgLatency is the one-way control-plane message latency in seconds.
+	msgLatency float64 = 0.002
+	// dispatchCost is the serial CPU time a driver spends per protocol
 	// action — the per-task dispatch overhead that caps a centralized
 	// scheduler, here paid per driver so placement throughput scales with
-	// driver count (default 0.001).
-	DispatchCost float64
-	// AcceptTTL is the agent-side lifetime of an accepted, uncommitted
+	// driver count.
+	dispatchCost float64 = 0.001
+	// acceptTTL is the agent-side lifetime of an accepted, uncommitted
 	// claim; past it the agent frees the slots and tombstones the claim.
 	// This is what unsticks slots whose proposing driver died before
-	// committing (default 2).
-	AcceptTTL float64
-	// RetryTimeout is the base retransmit timeout; try i of a cycle waits
-	// RetryTimeout×i. It doubles as the agent's reject-backoff hint
-	// (default 0.25).
-	RetryTimeout float64
-	// MaxRetries bounds sends per retransmit cycle. Propose cycles give
+	// committing.
+	acceptTTL float64 = 2
+	// retryTimeout is the base retransmit timeout; try i of a cycle waits
+	// retryTimeout×i. It doubles as the agent's reject-backoff hint.
+	retryTimeout float64 = 0.25
+	// maxRetries bounds sends per retransmit cycle. Propose cycles give
 	// up for good (the accept TTL cleans up any orphan grant); commit
 	// cycles fall back to an abort; abort/release cycles re-arm with a
 	// growing pause until acknowledged — those must eventually land or
-	// slots would leak (default 5).
-	MaxRetries int
-	// StaleClaimTTL releases a committed claim the scheduler never used
-	// (its task got placed elsewhere or finished) after this long
-	// (default 1.5).
-	StaleClaimTTL float64
-	// SweepInterval is the period of the driver's reconcile sweep, which
+	// slots would leak.
+	maxRetries = 5
+	// staleClaimTTL releases a committed claim the scheduler never used
+	// (its task got placed elsewhere or finished) after this long.
+	staleClaimTTL float64 = 1.5
+	// sweepInterval is the period of the driver's reconcile sweep, which
 	// releases bound claims whose attempt vanished through a silent-kill
-	// path such as a job abort (default 2) and reconciles claims orphaned
-	// by an agent incarnation change.
-	SweepInterval float64
-	// ResyncTimeout is how long a restarted agent waits for the drivers'
+	// path such as a job abort and reconciles claims orphaned by an agent
+	// incarnation change.
+	sweepInterval float64 = 2
+	// resyncTimeout is how long a restarted agent waits for the drivers'
 	// RESYNC answers before accepting proposals again; a crashed driver
 	// cannot answer, so the handshake must not wait forever. It also serves
 	// as the reject-backoff hint sent to proposals arriving mid-resync
-	// (default 4 — comfortably past a full resync retransmit cycle).
-	ResyncTimeout float64
-}
-
-func (c ProtocolConfig) withDefaults() ProtocolConfig {
-	if c.Latency <= 0 {
-		c.Latency = 0.002
-	}
-	if c.DispatchCost <= 0 {
-		c.DispatchCost = 0.001
-	}
-	if c.AcceptTTL <= 0 {
-		c.AcceptTTL = 2
-	}
-	if c.RetryTimeout <= 0 {
-		c.RetryTimeout = 0.25
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 5
-	}
-	if c.StaleClaimTTL <= 0 {
-		c.StaleClaimTTL = 1.5
-	}
-	if c.SweepInterval <= 0 {
-		c.SweepInterval = 2
-	}
-	if c.ResyncTimeout <= 0 {
-		c.ResyncTimeout = 4
-	}
-	return c
-}
+	// (comfortably past a full resync retransmit cycle).
+	resyncTimeout float64 = 4
+)

@@ -8,9 +8,6 @@ import "rupam/internal/simx"
 type BlacklistConfig struct {
 	// Enabled turns the tracker on.
 	Enabled bool
-	// MaxTaskFailuresPerNode blocks a specific task from a node after this
-	// many failures of that task there (default 2).
-	MaxTaskFailuresPerNode int
 	// MaxNodeFailures blacklists a whole node after this many task
 	// failures on it, across tasks (default 4).
 	MaxNodeFailures int
@@ -20,9 +17,6 @@ type BlacklistConfig struct {
 }
 
 func (c BlacklistConfig) withDefaults() BlacklistConfig {
-	if c.MaxTaskFailuresPerNode == 0 {
-		c.MaxTaskFailuresPerNode = 2
-	}
 	if c.MaxNodeFailures == 0 {
 		c.MaxNodeFailures = 4
 	}
@@ -114,7 +108,11 @@ func (b *blacklist) nodeBlacklisted(node string) bool {
 	return b.until[node] > b.eng.Now()
 }
 
+// maxTaskFailuresPerNode blocks a specific task from a node after this
+// many failures of that task there.
+const maxTaskFailuresPerNode = 2
+
 // taskBlocked reports whether taskID may not run on node.
 func (b *blacklist) taskBlocked(taskID int, node string) bool {
-	return b.taskNode[taskID][node] >= b.cfg.MaxTaskFailuresPerNode
+	return b.taskNode[taskID][node] >= maxTaskFailuresPerNode
 }

@@ -147,11 +147,8 @@ func (rt *Runtime) executorLost(node string, reason string) {
 	// process may well be alive and still serving shuffle blocks — the
 	// driver instead re-checks the fetch a bounded number of times with
 	// deterministic backoff, escalating only if the source is still gone.
-	confirmed := true
-	if ex := rt.Execs[node]; ex != nil && !ex.Down() && !ex.FailStopped() &&
-		reason != "executor restarted" && rt.Cfg.FetchRetries > 0 {
-		confirmed = false
-	}
+	ex := rt.Execs[node]
+	confirmed := ex == nil || ex.Down() || ex.FailStopped() || reason == "executor restarted"
 	for _, r := range rt.runningSorted() {
 		if !r.FetchingFrom(node) {
 			continue
@@ -172,14 +169,24 @@ func (rt *Runtime) executorLost(node string, reason string) {
 	rt.reschedule()
 }
 
+// Shuffle fetches from a slow-but-alive source get fetchRetries
+// deterministic-backoff re-checks before the driver escalates to
+// FetchFailed; re-check i fires fetchRetryBackoff×i seconds after the
+// previous one. Fetches from a source whose executor is confirmed dead
+// always escalate immediately.
+const (
+	fetchRetries              = 2
+	fetchRetryBackoff float64 = 1.5
+)
+
 // deferFetchFailure arms re-check number attempt of a shuffle fetch from a
 // slow-but-alive source. At each firing: a fetch that completed, moved on,
 // or whose source rejoined needs nothing; a source meanwhile confirmed
 // dead escalates at once; otherwise the next re-check is armed until the
-// budget (Cfg.FetchRetries) is spent and the fetch fails over to the
-// rollback path.
+// fetchRetries budget is spent and the fetch fails over to the rollback
+// path.
 func (rt *Runtime) deferFetchFailure(r *executor.Run, node string, attempt int) {
-	rt.Eng.Schedule(rt.Cfg.FetchRetryBackoff*float64(attempt), func() {
+	rt.Eng.Schedule(fetchRetryBackoff*float64(attempt), func() {
 		if rt.appDone || r.Done() || !r.FetchingFrom(node) {
 			return
 		}
@@ -187,7 +194,7 @@ func (rt *Runtime) deferFetchFailure(r *executor.Run, node string, attempt int) 
 			return // the source rejoined; let the fetch finish
 		}
 		ex := rt.Execs[node]
-		if ex == nil || ex.Down() || ex.FailStopped() || attempt >= rt.Cfg.FetchRetries {
+		if ex == nil || ex.Down() || ex.FailStopped() || attempt >= fetchRetries {
 			r.FailFetch()
 			return
 		}

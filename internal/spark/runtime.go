@@ -51,9 +51,6 @@ type Config struct {
 	SpeculationMaxPerStage int
 	// HeartbeatInterval is the worker heartbeat period (default 1 s).
 	HeartbeatInterval float64
-	// MaxAttempts bounds per-task attempts before the task is forced onto
-	// the highest-memory node (default 8).
-	MaxAttempts int
 	// HeartbeatTimeout is how long a node may go silent before the driver
 	// declares its executor lost (spark.network.timeout; default 10 s).
 	HeartbeatTimeout float64
@@ -74,15 +71,6 @@ type Config struct {
 	// a DriverCrash (a crash without a WAL would be unrecoverable), and no
 	// log is kept otherwise.
 	WAL *wal.Log
-	// FetchRetries bounds how many deterministic-backoff re-checks a
-	// shuffle fetch from a slow-but-alive source gets before the driver
-	// escalates to FetchFailed (default 2; negative disables, escalating
-	// immediately as before). Fetches from a source whose executor is
-	// confirmed dead always escalate immediately.
-	FetchRetries int
-	// FetchRetryBackoff is the base backoff between fetch re-checks in
-	// seconds; check i fires backoff×i after the previous (default 1.5).
-	FetchRetryBackoff float64
 	// SampleInterval is the utilization-trace sampling period (default
 	// 1 s; 0 keeps the default, negative disables tracing).
 	SampleInterval float64
@@ -124,20 +112,11 @@ func (c Config) withDefaults() Config {
 	if c.HeartbeatInterval == 0 {
 		c.HeartbeatInterval = 1
 	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 8
-	}
 	if c.HeartbeatTimeout == 0 {
 		c.HeartbeatTimeout = 10
 	}
 	if c.SampleInterval == 0 {
 		c.SampleInterval = 1
-	}
-	if c.FetchRetries == 0 {
-		c.FetchRetries = 2
-	}
-	if c.FetchRetryBackoff == 0 {
-		c.FetchRetryBackoff = 1.5
 	}
 	if c.MaxSimTime == 0 {
 		c.MaxSimTime = 86400

@@ -16,6 +16,8 @@ import (
 
 // Tuning constants of the streaming runtime.
 const (
+	// batchInterval is the micro-batch tick, in seconds.
+	batchInterval float64 = 0.25
 	// grayFreqFrac: a host whose effective per-core speed drops below
 	// this fraction of spec is considered gray-degraded.
 	grayFreqFrac = 0.7
@@ -54,8 +56,6 @@ type Config struct {
 	// Warmup excludes the initial transient from sustained-throughput and
 	// latency metrics (default 20).
 	Warmup float64
-	// BatchInterval is the micro-batch tick, in seconds (default 0.25).
-	BatchInterval float64
 	// BacklogSeconds sizes each channel to this many seconds of its
 	// closed-form steady rate (default 2, floor 100 records).
 	BacklogSeconds float64
@@ -91,9 +91,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Warmup <= 0 || c.Warmup >= c.Horizon {
 		c.Warmup = c.Horizon / 6
-	}
-	if c.BatchInterval <= 0 {
-		c.BatchInterval = 0.25
 	}
 	if c.BacklogSeconds <= 0 {
 		c.BacklogSeconds = 2
@@ -289,7 +286,7 @@ func Run(cfg Config) *Result {
 	}
 
 	r.tickFn = r.tick
-	eng.Schedule(cfg.BatchInterval, r.tickFn)
+	eng.Schedule(batchInterval, r.tickFn)
 	eng.Run()
 
 	return r.result()
@@ -320,10 +317,10 @@ func (r *Runtime) liveExclusions() map[string]bool {
 	return ex
 }
 
-// tick is the micro-batch loop body, every BatchInterval of virtual time.
+// tick is the micro-batch loop body, every batchInterval of virtual time.
 func (r *Runtime) tick() {
 	now := r.eng.Now()
-	dt := r.cfg.BatchInterval
+	dt := batchInterval
 
 	// (1) Fold wire progress into arrivals.
 	r.clu.Net.Sync()

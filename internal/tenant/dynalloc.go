@@ -15,9 +15,27 @@ import (
 // never oversubscribe a node: Σ leased cores per node ≤ the node's cores,
 // checked at every grant and tracked as a high-water mark for the report.
 
+// Dynamic executor allocation's fixed parameters.
+const (
+	// initialExecs is the lease count an application starts with
+	// (spark.dynamicAllocation.initialExecutors).
+	initialExecs = 1
+	// execCores is the lease grant granularity in cores — the simulated
+	// equivalent of one executor process.
+	execCores = 8
+	// backlogTimeout is how long a scheduler backlog must persist before
+	// the application's lease count doubles.
+	backlogTimeout float64 = 2
+	// idleTimeout releases a lease whose node ran none of the
+	// application's tasks for this long.
+	idleTimeout float64 = 10
+	// dynallocInterval is the allocation evaluation period.
+	dynallocInterval float64 = 1
+)
+
 // armDynalloc starts the periodic allocation evaluation.
 func (m *Manager) armDynalloc() {
-	m.dynTimer = m.eng.Schedule(m.cfg.Dynalloc.Interval, func() {
+	m.dynTimer = m.eng.Schedule(dynallocInterval, func() {
 		if m.finished {
 			return
 		}
@@ -45,7 +63,7 @@ func (m *Manager) dynallocTick() {
 			if len(a.leases) <= 1 {
 				break
 			}
-			if now-a.lastBusy[node] > m.cfg.Dynalloc.IdleTimeout {
+			if now-a.lastBusy[node] > idleTimeout {
 				m.releaseLease(a, node, "idle-timeout")
 				changed = true
 			}
@@ -57,9 +75,9 @@ func (m *Manager) dynallocTick() {
 		// still exist, and replacements are granted while the doomed node
 		// works through its grace window.
 		_, pending := m.demandOf(a)
-		if pending > 0 && now-a.lastScale >= m.cfg.Dynalloc.BacklogTimeout {
+		if pending > 0 && now-a.lastScale >= backlogTimeout {
 			live, pend := m.demandOf(a)
-			needExecs := (live + pend + m.cfg.Dynalloc.ExecCores - 1) / m.cfg.Dynalloc.ExecCores
+			needExecs := (live + pend + execCores - 1) / execCores
 			effLeases := 0
 			for node := range a.leases {
 				if !m.draining[node] {
@@ -102,7 +120,7 @@ func sortedLeaseNodes(a *appState) []string {
 
 // grantInitial gives a starting application its initial executor leases.
 func (m *Manager) grantInitial(a *appState) {
-	m.scaleUp(a, m.cfg.Dynalloc.InitialExecs)
+	m.scaleUp(a, initialExecs)
 }
 
 // scaleUp grants up to n one-executor leases on nodes with spare lease
@@ -120,7 +138,7 @@ func (m *Manager) scaleUp(a *appState, n int) int {
 		if !m.instanceUsable(node) {
 			continue // not acquired from the market, or draining toward a kill
 		}
-		cores := m.cfg.Dynalloc.ExecCores
+		cores := execCores
 		free := m.clu.Node(node).Spec.Cores - m.leasedNow[node]
 		if free < cores {
 			continue

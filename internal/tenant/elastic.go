@@ -28,34 +28,10 @@ type ElasticConfig struct {
 	// Enabled turns the instance market on: lease grants then require an
 	// acquired (held) instance, and idle instances are released.
 	Enabled bool
-	// Market prices the instance classes; nil takes cluster.DefaultMarket.
-	Market *cluster.Market
 	// SpotNodes names the nodes billed (and preemption-hazarded) as spot
 	// instances; every other node is on-demand. Node→billing is fixed for
 	// the run so the fault plan's per-node hazard draws stay meaningful.
 	SpotNodes []string
-	// QueueDelay is the pilot-job provisioning latency: seconds between an
-	// acquisition request and its grant batch arriving (default 5).
-	QueueDelay float64
-	// BatchSize caps instances granted per batch arrival (default 2).
-	BatchSize int
-	// BackoffBase is the first retry delay after a capacity denial; retry
-	// i waits min(BackoffBase·2^(i−1), BackoffMax) seconds. A successful
-	// grant resets the schedule (defaults 2 and 60).
-	BackoffBase float64
-	BackoffMax  float64
-	// InstanceIdleTimeout releases a held instance no application has
-	// leased for this long (default 30). Release is structurally
-	// drain-first: an instance is only idle once every lease on it is gone.
-	InstanceIdleTimeout float64
-	// DefaultTaskSeconds is the per-task work estimate used by the
-	// spot-vs-on-demand choice before the CharDB has observations
-	// (default 2).
-	DefaultTaskSeconds float64
-	// ReworkPenalty scales the expected-preemption surcharge on the spot
-	// price: eff = spot·(1 + ReworkPenalty·P(preempt before work drains))
-	// (default 3).
-	ReworkPenalty float64
 	// IgnoreNotices is the baseline policy for the elastic experiment: the
 	// substrate drops preemption warnings on the floor, so drivers take
 	// every kill cold (heartbeat-timeout discovery, fetch-failure storms,
@@ -63,36 +39,33 @@ type ElasticConfig struct {
 	IgnoreNotices bool
 }
 
-func (e ElasticConfig) withDefaults() ElasticConfig {
-	if e.Market == nil {
-		e.Market = cluster.DefaultMarket()
-	}
-	if e.QueueDelay == 0 {
-		e.QueueDelay = 5
-	}
-	if e.BatchSize == 0 {
-		e.BatchSize = 2
-	}
-	if e.BackoffBase == 0 {
-		e.BackoffBase = 2
-	}
-	if e.BackoffMax == 0 {
-		e.BackoffMax = 60
-	}
-	if e.InstanceIdleTimeout == 0 {
-		e.InstanceIdleTimeout = 30
-	}
-	if e.DefaultTaskSeconds == 0 {
-		e.DefaultTaskSeconds = 2
-	}
-	if e.ReworkPenalty == 0 {
-		e.ReworkPenalty = 3
-	}
-	return e
-}
+// The elastic substrate's fixed parameters.
+const (
+	// queueDelay is the pilot-job provisioning latency: seconds between an
+	// acquisition request and its grant batch arriving.
+	queueDelay float64 = 5
+	// batchSize caps instances granted per batch arrival.
+	batchSize = 2
+	// backoffBase is the first retry delay after a capacity denial; retry
+	// i waits min(backoffBase·2^(i−1), backoffMax) seconds. A successful
+	// grant resets the schedule.
+	backoffBase float64 = 2
+	backoffMax  float64 = 60
+	// instanceIdleTimeout releases a held instance no application has
+	// leased for this long. Release is structurally drain-first: an
+	// instance is only idle once every lease on it is gone.
+	instanceIdleTimeout float64 = 30
+	// defaultTaskSeconds is the per-task work estimate used by the
+	// spot-vs-on-demand choice before the CharDB has observations.
+	defaultTaskSeconds float64 = 2
+	// reworkPenalty scales the expected-preemption surcharge on the spot
+	// price: eff = spot·(1 + reworkPenalty·P(preempt before work drains)).
+	reworkPenalty float64 = 3
+)
 
 // initElastic sets up the market state; called from Run before arrivals.
 func (m *Manager) initElastic() {
+	m.market = cluster.DefaultMarket()
 	m.draining = make(map[string]bool)
 	m.held = make(map[string]bool)
 	m.holdStart = make(map[string]float64)
@@ -126,15 +99,15 @@ func (m *Manager) billingOf(node string) cluster.Billing {
 
 // priceOf returns the node's sticker $/hour.
 func (m *Manager) priceOf(node string) float64 {
-	return m.cfg.Elastic.Market.Price(m.clu.Node(node).Spec.Class, m.billingOf(node))
+	return m.market.Price(m.clu.Node(node).Spec.Class, m.billingOf(node))
 }
 
 // predictedHoldSeconds estimates how long a newly acquired instance would
 // stay busy: cluster-wide pending demand times the CharDB's mean observed
-// task compute time (DefaultTaskSeconds before any history), divided over
+// task compute time (defaultTaskSeconds before any history), divided over
 // the instance's lease cores.
 func (m *Manager) predictedHoldSeconds() float64 {
-	taskSec := m.cfg.Elastic.DefaultTaskSeconds
+	taskSec := defaultTaskSeconds
 	if m.sharedDB != nil {
 		if mean, ok := m.sharedDB.MeanComputeTime(); ok && mean > 0 {
 			taskSec = mean
@@ -145,11 +118,7 @@ func (m *Manager) predictedHoldSeconds() float64 {
 		_, p := m.demandOf(a)
 		pending += p
 	}
-	cores := m.cfg.Dynalloc.ExecCores
-	if cores <= 0 {
-		cores = 1
-	}
-	work := float64(pending) * taskSec / float64(cores)
+	work := float64(pending) * taskSec / execCores
 	if work < taskSec {
 		work = taskSec
 	}
@@ -163,11 +132,11 @@ func (m *Manager) predictedHoldSeconds() float64 {
 func (m *Manager) effectivePrice(node string, holdSec float64) float64 {
 	class := m.clu.Node(node).Spec.Class
 	if !m.spotSet[node] {
-		return m.cfg.Elastic.Market.Price(class, cluster.OnDemand)
+		return m.market.Price(class, cluster.OnDemand)
 	}
-	spot := m.cfg.Elastic.Market.Price(class, cluster.Spot)
-	pKill := 1 - math.Exp(-m.cfg.Elastic.Market.Hazard(class)*holdSec/3600)
-	return spot * (1 + m.cfg.Elastic.ReworkPenalty*pKill)
+	spot := m.market.Price(class, cluster.Spot)
+	pKill := 1 - math.Exp(-m.market.Hazard(class)*holdSec/3600)
+	return spot * (1 + reworkPenalty*pKill)
 }
 
 // requestInstances asks the pilot-job queue for capacity. Requests are
@@ -185,10 +154,10 @@ func (m *Manager) requestInstances(n int) {
 		return
 	}
 	m.reqPending = true
-	m.eng.Schedule(m.cfg.Elastic.QueueDelay, m.grantInstances)
+	m.eng.Schedule(queueDelay, m.grantInstances)
 }
 
-// grantInstances is the batch arrival: grant up to BatchSize of the
+// grantInstances is the batch arrival: grant up to batchSize of the
 // cheapest-effective unheld instances, or record a capacity denial and
 // back off exponentially (bounded, deterministic, reset by any grant).
 func (m *Manager) grantInstances() {
@@ -212,8 +181,8 @@ func (m *Manager) grantInstances() {
 		return m.effectivePrice(cands[i], hold) < m.effectivePrice(cands[j], hold)
 	})
 	n := m.reqWanted
-	if n > m.cfg.Elastic.BatchSize {
-		n = m.cfg.Elastic.BatchSize
+	if n > batchSize {
+		n = batchSize
 	}
 	if n > len(cands) {
 		n = len(cands)
@@ -221,9 +190,9 @@ func (m *Manager) grantInstances() {
 	if n == 0 {
 		m.denials++
 		m.reqAttempt++
-		delay := m.cfg.Elastic.BackoffBase * math.Pow(2, float64(m.reqAttempt-1))
-		if delay > m.cfg.Elastic.BackoffMax {
-			delay = m.cfg.Elastic.BackoffMax
+		delay := backoffBase * math.Pow(2, float64(m.reqAttempt-1))
+		if delay > backoffMax {
+			delay = backoffMax
 		}
 		m.backoffDelays = append(m.backoffDelays, delay)
 		m.cfg.Tracer.InstanceDenied(m.reqWanted, m.reqAttempt, delay)
@@ -238,7 +207,7 @@ func (m *Manager) grantInstances() {
 	m.reqWanted -= n
 	if m.reqWanted > 0 {
 		m.reqPending = true
-		m.eng.Schedule(m.cfg.Elastic.QueueDelay, m.grantInstances)
+		m.eng.Schedule(queueDelay, m.grantInstances)
 	}
 	m.ScheduleAll()
 }
@@ -289,7 +258,7 @@ func (m *Manager) releaseIdleInstances() {
 		if m.draining[node] {
 			continue
 		}
-		if now-m.holdIdle[node] > m.cfg.Elastic.InstanceIdleTimeout {
+		if now-m.holdIdle[node] > instanceIdleTimeout {
 			m.releaseInstance(node, "idle")
 		}
 	}

@@ -127,7 +127,7 @@ func (m *Manager) fairRound() {
 // poolTable materializes the configured pools (in config order) plus a
 // default-weight pool for any mix entry naming an undeclared pool.
 func (m *Manager) poolTable() ([]*poolShare, map[string]*poolShare) {
-	pools := make([]*poolShare, 0, len(m.cfg.Pools))
+	pools := make([]*poolShare, 0, len(fairPools))
 	byName := make(map[string]*poolShare)
 	add := func(cfg PoolConfig) {
 		if cfg.Weight <= 0 {
@@ -137,7 +137,7 @@ func (m *Manager) poolTable() ([]*poolShare, map[string]*poolShare) {
 		pools = append(pools, p)
 		byName[cfg.Name] = p
 	}
-	for _, pc := range m.cfg.Pools {
+	for _, pc := range fairPools {
 		add(pc)
 	}
 	for _, a := range m.activeApps() {

@@ -183,7 +183,7 @@ func (m *Manager) buildReport() *Report {
 		waits     []float64
 	}
 	poolAgg := make(map[string]*agg)
-	poolOrder := make([]string, 0, len(m.cfg.Pools))
+	poolOrder := make([]string, 0, len(fairPools))
 	addPool := func(pc PoolConfig) *agg {
 		g := &agg{rep: PoolReport{Name: pc.Name, Weight: pc.Weight, MinShare: pc.MinShare}}
 		if g.rep.Weight <= 0 {
@@ -193,7 +193,7 @@ func (m *Manager) buildReport() *Report {
 		poolOrder = append(poolOrder, pc.Name)
 		return g
 	}
-	for _, pc := range m.cfg.Pools {
+	for _, pc := range fairPools {
 		addPool(pc)
 	}
 

@@ -45,43 +45,6 @@ type PoolConfig struct {
 	MinShare int
 }
 
-// DynallocConfig tunes per-application dynamic executor allocation.
-type DynallocConfig struct {
-	// InitialExecs is the lease count an application starts with
-	// (spark.dynamicAllocation.initialExecutors; default 1).
-	InitialExecs int
-	// ExecCores is the lease grant granularity in cores — the simulated
-	// equivalent of one executor process (default 8).
-	ExecCores int
-	// BacklogTimeout is how long a scheduler backlog must persist before
-	// the application's lease count doubles (default 2 s).
-	BacklogTimeout float64
-	// IdleTimeout releases a lease whose node ran none of the
-	// application's tasks for this long (default 10 s).
-	IdleTimeout float64
-	// Interval is the allocation evaluation period (default 1 s).
-	Interval float64
-}
-
-func (d DynallocConfig) withDefaults() DynallocConfig {
-	if d.InitialExecs == 0 {
-		d.InitialExecs = 1
-	}
-	if d.ExecCores == 0 {
-		d.ExecCores = 8
-	}
-	if d.BacklogTimeout == 0 {
-		d.BacklogTimeout = 2
-	}
-	if d.IdleTimeout == 0 {
-		d.IdleTimeout = 10
-	}
-	if d.Interval == 0 {
-		d.Interval = 1
-	}
-	return d
-}
-
 // Config parameterizes one multi-tenant run.
 type Config struct {
 	// Scheduler is "spark" or "rupam"; every application in the run uses
@@ -90,8 +53,6 @@ type Config struct {
 	// Seed drives every random draw in the run: arrival times, workload
 	// mix, framework randomness.
 	Seed uint64
-	// Pools are the FAIR pools; empty takes DefaultPools.
-	Pools []PoolConfig
 	// Arrivals parameterizes the open-loop generator; zero fields take
 	// defaults (see ArrivalConfig).
 	Arrivals ArrivalConfig
@@ -101,8 +62,6 @@ type Config struct {
 	// MaxPendingApps bounds the admission queue; an arrival past it is
 	// rejected, never silently dropped (default 8).
 	MaxPendingApps int
-	// Dynalloc tunes dynamic executor allocation.
-	Dynalloc DynallocConfig
 	// Spark carries per-application framework overrides.
 	Spark spark.Config
 	// RUPAM carries scheduler tunables for Scheduler=="rupam".
@@ -130,9 +89,6 @@ func (c Config) withDefaults() Config {
 	if c.Scheduler == "" {
 		c.Scheduler = "spark"
 	}
-	if len(c.Pools) == 0 {
-		c.Pools = DefaultPools()
-	}
 	c.Arrivals = c.Arrivals.withDefaults()
 	if c.MaxConcurrentApps == 0 {
 		c.MaxConcurrentApps = 4
@@ -140,25 +96,19 @@ func (c Config) withDefaults() Config {
 	if c.MaxPendingApps == 0 {
 		c.MaxPendingApps = 8
 	}
-	c.Dynalloc = c.Dynalloc.withDefaults()
-	if c.Elastic.Enabled {
-		c.Elastic = c.Elastic.withDefaults()
-	}
 	if c.MaxSimTime == 0 {
 		c.MaxSimTime = 14400
 	}
 	return c
 }
 
-// DefaultPools is the three-tenant layout the tenancy experiment uses:
-// an interactive analytics pool with a capacity guarantee, an ML training
-// pool, and a best-effort batch pool.
-func DefaultPools() []PoolConfig {
-	return []PoolConfig{
-		{Name: "analytics", Weight: 2, MinShare: 32},
-		{Name: "ml", Weight: 1, MinShare: 16},
-		{Name: "batch", Weight: 1, MinShare: 0},
-	}
+// fairPools is the three-tenant FAIR layout every run uses: an
+// interactive analytics pool with a capacity guarantee, an ML training
+// pool, and a best-effort batch pool. It is never modified.
+var fairPools = []PoolConfig{
+	{Name: "analytics", Weight: 2, MinShare: 32},
+	{Name: "ml", Weight: 1, MinShare: 16},
+	{Name: "batch", Weight: 1, MinShare: 0},
 }
 
 // appState is one application's full lifecycle record.
@@ -224,6 +174,7 @@ type Manager struct {
 	peakLeased     int            // max total leased cores at once
 
 	// elastic substrate (elastic.go)
+	market        *cluster.Market
 	spotSet       map[string]bool    // node → billed as spot
 	draining      map[string]bool    // preemption notice heard, kill pending
 	held          map[string]bool    // instance currently acquired

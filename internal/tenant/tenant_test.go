@@ -180,8 +180,7 @@ func TestDynallocScalesAndDrains(t *testing.T) {
 	if len(rep.Violations) != 0 {
 		t.Fatalf("violations: %v", rep.Violations)
 	}
-	execCores := 8 // DynallocConfig default
-	if rep.PeakLeasedCores <= execCores {
+	if rep.PeakLeasedCores <= initialExecs*execCores {
 		t.Fatalf("dynamic allocation never scaled past the initial lease (peak %d cores)",
 			rep.PeakLeasedCores)
 	}
@@ -276,28 +275,27 @@ func TestElasticBackoffSchedule(t *testing.T) {
 	if len(delays) != m.AcquireDenials() {
 		t.Fatalf("%d backoff delays for %d denials", len(delays), m.AcquireDenials())
 	}
-	e := ElasticConfig{Enabled: true}.withDefaults()
 	for i, d := range delays {
-		if d > e.BackoffMax {
-			t.Fatalf("delay[%d] = %.0f exceeds BackoffMax %.0f", i, d, e.BackoffMax)
+		if d > backoffMax {
+			t.Fatalf("delay[%d] = %.0f exceeds backoffMax %.0f", i, d, backoffMax)
 		}
-		if i == 0 || delays[i-1] == e.BackoffMax {
+		if i == 0 || delays[i-1] == backoffMax {
 			// First retry, or continuing from a capped delay.
-			if d != e.BackoffBase && d != e.BackoffMax {
-				t.Fatalf("delay[%d] = %.0f, want base %.0f or cap %.0f", i, d, e.BackoffBase, e.BackoffMax)
+			if d != backoffBase && d != backoffMax {
+				t.Fatalf("delay[%d] = %.0f, want base %.0f or cap %.0f", i, d, backoffBase, backoffMax)
 			}
 			continue
 		}
-		if d != e.BackoffBase && d != 2*delays[i-1] {
+		if d != backoffBase && d != 2*delays[i-1] {
 			t.Fatalf("delay[%d] = %.0f follows %.0f: want a reset to %.0f or a doubling",
-				i, d, delays[i-1], e.BackoffBase)
+				i, d, delays[i-1], backoffBase)
 		}
 	}
 	// A grant must have reset the schedule at least once: the market frees
 	// instances as apps finish, so the denial streaks are interleaved.
 	resets := 0
 	for i := 1; i < len(delays); i++ {
-		if delays[i] == e.BackoffBase {
+		if delays[i] == backoffBase {
 			resets++
 		}
 	}
