@@ -16,7 +16,8 @@
 // With -chardb, RUPAM's task-characteristics database (DB_taskchar) is
 // loaded from FILE before the run (if it exists) and saved back after —
 // the paper's observation that data centers re-run the same applications
-// periodically, letting characterization carry across job runs.
+// periodically, letting characterization carry across job runs. It
+// applies only to a single RUPAM run (not -compare or -scheduler spark).
 //
 // With -chaos-seed, a random gray-failure fault plan (crashes, NIC/disk/
 // CPU degradation, memory pressure, task flakes, heartbeat loss) drawn

@@ -590,7 +590,6 @@ func (s *RUPAM) offerNode(node *cluster.Node) {
 	if !hasFreeCore && !overcommitOK {
 		return
 	}
-	thr := utilThreshold
 	flight := s.inFlight[name]
 	if flight == nil {
 		flight = new([NumResources]int)
@@ -614,10 +613,10 @@ func (s *RUPAM) offerNode(node *cluster.Node) {
 	// they are gated on the node's compute and disk health — over-commit
 	// must overlap *different* demands, not pile identical ones (§III-C2).
 	add(Mem, float64(ex.Heap().Capacity()), 1-float64(free)/float64(ex.Heap().Capacity()),
-		free > 256*cluster.MB && (hasFreeCore || (cpuUtil < thr && diskUtil < thr)))
-	add(Disk, node.Spec.DiskReadBW+node.Spec.DiskWriteBW, diskUtil, hasFreeCore || diskUtil < thr)
+		free > 256*cluster.MB && (hasFreeCore || (cpuUtil < utilThreshold && diskUtil < utilThreshold)))
+	add(Disk, node.Spec.DiskReadBW+node.Spec.DiskWriteBW, diskUtil, hasFreeCore || diskUtil < utilThreshold)
 	netUtil := node.NetUtil()
-	add(Net, node.Spec.NetBandwidth, netUtil, hasFreeCore || netUtil < thr)
+	add(Net, node.Spec.NetBandwidth, netUtil, hasFreeCore || netUtil < utilThreshold)
 	// A GPU offer is one accelerator slot: attempts already heading for
 	// this node's GPUs (launched but not yet in their compute phase)
 	// count against the idle total, otherwise the queue hands out the

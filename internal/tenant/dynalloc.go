@@ -138,14 +138,12 @@ func (m *Manager) scaleUp(a *appState, n int) int {
 		if !m.instanceUsable(node) {
 			continue // not acquired from the market, or draining toward a kill
 		}
-		cores := execCores
-		free := m.clu.Node(node).Spec.Cores - m.leasedNow[node]
-		if free < cores {
+		if m.clu.Node(node).Spec.Cores-m.leasedNow[node] < execCores {
 			continue
 		}
-		a.leases[node] = cores
+		a.leases[node] = execCores
 		a.lastBusy[node] = m.eng.Now()
-		m.leasedNow[node] += cores
+		m.leasedNow[node] += execCores
 		if m.leasedNow[node] > m.clu.Node(node).Spec.Cores {
 			m.violations = append(m.violations, fmt.Sprintf(
 				"lease capacity exceeded on %s: %d cores leased of %d",
@@ -157,7 +155,7 @@ func (m *Manager) scaleUp(a *appState, n int) int {
 		if tot := m.totalLeased(); tot > m.peakLeased {
 			m.peakLeased = tot
 		}
-		m.cfg.Tracer.LeaseChanged(a.label, node, cores, "scale-up")
+		m.cfg.Tracer.LeaseChanged(a.label, node, execCores, "scale-up")
 		granted++
 	}
 	if granted > 0 && a.rt != nil {

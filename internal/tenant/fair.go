@@ -124,7 +124,7 @@ func (m *Manager) fairRound() {
 	}
 }
 
-// poolTable materializes the configured pools (in config order) plus a
+// poolTable materializes the fairPools (in their order) plus a
 // default-weight pool for any mix entry naming an undeclared pool.
 func (m *Manager) poolTable() ([]*poolShare, map[string]*poolShare) {
 	pools := make([]*poolShare, 0, len(fairPools))
