@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"rupam/internal/cluster"
@@ -153,5 +155,146 @@ func TestAblationFlagsChangeHeapPolicy(t *testing.T) {
 	n := w.clu.Node("bigmem")
 	if full.HeapFor(n) == ablated.HeapFor(n) {
 		t.Fatal("DisableMemAware did not change executor sizing")
+	}
+}
+
+// TestStragglerScansLeaveRunListIntact drives the two heartbeat straggler
+// scans, which read each executor's live run list without copying it,
+// through a run mixing CPU-only and GPU-capable stages. At every probe the
+// run lists must be unchanged element for element, and each scan must mark
+// exactly the tasks a scan over copied lists marks.
+func TestStragglerScansLeaveRunListIntact(t *testing.T) {
+	w := newWorld(t)
+	ctx := rdd.NewContext("app", w.store, 1)
+	pts := ctx.Read(w.store.CreateEven("in", 400*1e6, 8)).
+		Map("parse", rdd.Profile{CPUPerByte: 3e-9, MemPerByte: 1.2}).Cache()
+	for i := 0; i < 4; i++ {
+		cpu := pts.Map("work", rdd.Profile{CPUPerByte: 20e-9, OutRatio: 1e-3})
+		gpu := pts.Map("blas", rdd.Profile{CPUPerByte: 5e-9, GPUPerByte: 400e-9, OutRatio: 1e-3})
+		cpu.Join(gpu, "join", rdd.Profile{}, 4).Count("iter")
+	}
+	s := New(Config{})
+	rt := spark.NewRuntime(w.eng, w.clu, s, spark.Config{Seed: 1})
+
+	marked := func() map[int]bool {
+		ids := make(map[int]bool)
+		for _, tk := range rt.SpeculativeTasks() {
+			ids[tk.ID] = true
+		}
+		return ids
+	}
+	clearMarks := func() {
+		for _, tk := range rt.SpeculativeTasks() {
+			rt.ClearSpeculatable(tk)
+		}
+	}
+	var probes, crowded, stragglers, races int
+	var probe func()
+	probe = func() {
+		probes++
+		now := w.eng.Now()
+		before := make(map[string][]*executor.Run)
+		wantStraggle, wantRace := make(map[int]bool), make(map[int]bool)
+		idleGPU := false
+		for _, n := range w.clu.Nodes {
+			if n.GPU.Idle() > 0 && rt.CanRunOn(n.Name()) {
+				idleGPU = true
+			}
+		}
+		for _, n := range w.clu.Nodes {
+			ex := rt.Execs[n.Name()]
+			runs := ex.Running()
+			before[n.Name()] = runs
+			gpuCapable := 0
+			for _, r := range runs {
+				tk := r.Task()
+				if tk.State != task.Running || rt.StageOf(tk) == nil {
+					continue
+				}
+				if tk.Demand.GPUCapable() {
+					gpuCapable++
+					if idleGPU && !r.Metrics().UsedGPU && now-r.Metrics().Launch > gpuRaceMinRun {
+						wantRace[tk.ID] = true
+					}
+				}
+				rec := s.db.Lookup(keyByRuntime(rt, tk))
+				if rec == nil || rec.BestTime == 0 ||
+					(s.lockCompatible(rec, n.Name()) && !s.degraded[n.Name()]) {
+					continue
+				}
+				if now-r.Metrics().Launch > 1.5*rec.BestTime+1 {
+					wantStraggle[tk.ID] = true
+				}
+			}
+			if len(runs) >= 2 && gpuCapable > 0 && gpuCapable < len(runs) {
+				crowded++
+			}
+		}
+
+		saved := rt.SpeculativeTasks()
+		clearMarks()
+		s.detectResourceStragglers()
+		gotStraggle := marked()
+		clearMarks()
+		s.raceGPUTasks()
+		gotRace := marked()
+		clearMarks()
+		for _, tk := range saved {
+			rt.MarkSpeculatable(tk)
+		}
+
+		for name, runs := range before {
+			if got := rt.Execs[name].RunningView(); !slices.Equal(got, runs) {
+				t.Fatalf("t=%.2f %s: run list changed by the scans: %v -> %v", now, name, runs, got)
+			}
+		}
+		if !maps.Equal(gotStraggle, wantStraggle) {
+			t.Fatalf("t=%.2f: resource stragglers %v, copied-list scan %v", now, gotStraggle, wantStraggle)
+		}
+		if !maps.Equal(gotRace, wantRace) {
+			t.Fatalf("t=%.2f: GPU race marks %v, copied-list scan %v", now, gotRace, wantRace)
+		}
+		stragglers += len(gotStraggle)
+		races += len(gotRace)
+		if !rt.Done() {
+			w.eng.Schedule(0.25, probe)
+		}
+	}
+	w.eng.Schedule(0.25, probe)
+	res := rt.Run(ctx.App())
+	for _, tk := range res.App.AllTasks() {
+		if tk.State != task.Finished {
+			t.Fatalf("%s unfinished", tk)
+		}
+	}
+	t.Logf("probes=%d crowded=%d stragglers=%d races=%d", probes, crowded, stragglers, races)
+	if crowded == 0 || stragglers == 0 || races == 0 {
+		t.Fatalf("scenario too thin: %d probes saw %d mixed run lists, %d straggler and %d race marks",
+			probes, crowded, stragglers, races)
+	}
+}
+
+// TestPendingTasksCountsDistinctWithoutAllocating covers the FAIR demand
+// query the tenant manager makes on every scheduling round: a task queued
+// in several resource queues counts once, launched tasks not at all, and
+// after the first call the count allocates nothing.
+func TestPendingTasksCountsDistinctWithoutAllocating(t *testing.T) {
+	s := New(Config{})
+	for i := 0; i < 64; i++ {
+		tk := &task.Task{ID: i}
+		if i%4 == 3 {
+			tk.State = task.Running
+		}
+		s.taskQ[CPU] = append(s.taskQ[CPU], tk)
+		if i%2 == 0 {
+			s.taskQ[Mem] = append(s.taskQ[Mem], tk)
+			s.taskQ[Net] = append(s.taskQ[Net], tk)
+		}
+	}
+	if n := s.PendingTasks(); n != 48 {
+		t.Fatalf("PendingTasks = %d, want 48 distinct pending tasks", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.PendingTasks() }); n != 0 {
+		t.Fatalf("PendingTasks allocates %v times per call after warm-up, want 0", n)
 	}
 }

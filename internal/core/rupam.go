@@ -146,6 +146,8 @@ type RUPAM struct {
 	inFlight map[string]*[NumResources]int
 	dimOf    map[*executor.Run]Resource // attempt's placing dimension
 
+	pendingSeen map[int]bool // PendingTasks scratch, cleared every call
+
 	rrIdx    int
 	offerSeq uint64
 }
@@ -160,6 +162,7 @@ func New(cfg Config) *RUPAM {
 		degraded:     make(map[string]bool),
 		inFlight:     make(map[string]*[NumResources]int),
 		dimOf:        make(map[*executor.Run]Resource),
+		pendingSeen:  make(map[int]bool),
 	}
 }
 
@@ -314,7 +317,8 @@ func (s *RUPAM) Resubmit(t *task.Task, st *task.Stage) {
 // finished tasks are skipped, as the dispatcher itself does). The chaos
 // harness's queue-drain invariant expects zero after a completed run.
 func (s *RUPAM) PendingTasks() int {
-	seen := make(map[int]bool)
+	seen := s.pendingSeen
+	clear(seen)
 	for r := range s.taskQ {
 		for _, t := range s.taskQ[r] {
 			if t.State == task.Pending && !seen[t.ID] {
@@ -495,7 +499,7 @@ func (s *RUPAM) reclaimMemory(nodeName string, nm *monitor.NodeMetrics) {
 		return
 	}
 	var victim *executor.Run
-	for _, r := range ex.Running() {
+	for _, r := range ex.RunningView() {
 		if victim == nil || r.Task().Demand.PeakMemory > victim.Task().Demand.PeakMemory {
 			victim = r
 		}
@@ -517,7 +521,7 @@ func (s *RUPAM) detectResourceStragglers() {
 		if ex == nil {
 			continue
 		}
-		for _, r := range ex.Running() {
+		for _, r := range ex.RunningView() {
 			t := r.Task()
 			if s.rt.StageOf(t) == nil {
 				continue // another tenant's attempt on the shared executor
@@ -560,7 +564,7 @@ func (s *RUPAM) raceGPUTasks() {
 		if ex == nil {
 			continue
 		}
-		for _, r := range ex.Running() {
+		for _, r := range ex.RunningView() {
 			t := r.Task()
 			if s.rt.StageOf(t) == nil {
 				continue // another tenant's attempt on the shared executor
@@ -623,7 +627,7 @@ func (s *RUPAM) offerNode(node *cluster.Node) {
 	// same GPU many times and the surplus tasks land on the GPU node's
 	// slow cores.
 	gpuWant := 0
-	for _, run := range ex.Running() {
+	for _, run := range ex.RunningView() {
 		if run.Task().Demand.GPUCapable() && !run.Metrics().UsedGPU {
 			gpuWant++
 		}
@@ -1068,7 +1072,7 @@ func (s *RUPAM) copyWorthwhile(t *task.Task, cur *executor.Run, nodeName string)
 		// (slow) cores.
 		pendingWant := 0
 		if ex := s.rt.Execs[nodeName]; ex != nil {
-			for _, r := range ex.Running() {
+			for _, r := range ex.RunningView() {
 				if r.Task().Demand.GPUCapable() && !r.Metrics().UsedGPU {
 					pendingWant++
 				}

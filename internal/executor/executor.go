@@ -322,6 +322,11 @@ func (ex *Executor) Running() []*Run {
 	return append([]*Run(nil), ex.running...)
 }
 
+// RunningView returns the in-flight runs in launch order without copying.
+// The slice is the executor's own: callers may only read it, and must not
+// launch or kill runs while iterating it (use Running for that).
+func (ex *Executor) RunningView() []*Run { return ex.running }
+
 // AttemptOf returns this executor's in-flight attempt of t, or nil. When
 // multiple attempts of the same task are somehow in flight here, the
 // earliest-launched wins (deterministic). A recovering driver uses this to

@@ -210,7 +210,7 @@ func Run(cfg Config) *Result {
 			if ex.FailStopped() {
 				return false
 			}
-			for _, r := range ex.Running() {
+			for _, r := range ex.RunningView() {
 				if r.Task().ID == taskID {
 					return true
 				}

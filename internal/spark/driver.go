@@ -349,12 +349,13 @@ func (rt *Runtime) scanForStragglers() {
 		if n <= 1 || float64(st.Completed()) < rt.Cfg.SpeculationQuantile*float64(n) {
 			continue
 		}
-		var durs []float64
+		durs := rt.specDurs[:0]
 		for _, t := range st.Tasks {
 			if m := t.SuccessMetrics(); m != nil {
 				durs = append(durs, m.Duration())
 			}
 		}
+		rt.specDurs = durs
 		if len(durs) == 0 {
 			continue
 		}

@@ -237,6 +237,7 @@ type Runtime struct {
 	runningAtt   map[int][]*executor.Run // live attempts by task ID; no empty entries
 	liveAtt      int                     // Σ len(runningAtt), kept by setRunning
 	speculatable map[int]*task.Task
+	specDurs     []float64 // scanForStragglers scratch
 	specTimer    simx.Timer
 	appDone      bool
 	appStart     float64

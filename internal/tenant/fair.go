@@ -62,24 +62,29 @@ type poolShare struct {
 	grant  int
 }
 
-// fairRound computes shares and dispatches one pass.
+// fairRound computes shares and dispatches one pass. Its apps and pool
+// table are per-Manager scratch, reset every round: rounds never nest
+// (ScheduleAll's guard), and nothing keeps them past the round.
 func (m *Manager) fairRound() {
-	apps := make([]*appState, 0, len(m.running))
-	for _, a := range m.activeApps() {
+	running := append(m.roundApps[:0], m.running...)
+	slices.SortFunc(running, func(a, b *appState) int { return cmp.Compare(a.idx, b.idx) })
+	pools := m.poolTable(running)
+	apps := running[:0]
+	for _, a := range running {
 		if !a.done && !a.rt.Crashed() {
 			apps = append(apps, a)
 		}
 	}
+	m.roundApps = running
 	if len(apps) == 0 {
 		return
 	}
 
-	pools, byName := m.poolTable()
 	for _, a := range apps {
 		live, pending := m.demandOf(a)
 		a.liveNow = live
 		a.demandNow = live + pending
-		p := byName[a.pool]
+		p := m.poolByName[a.pool]
 		p.apps = append(p.apps, a)
 		p.demand += a.demandNow
 	}
@@ -125,27 +130,39 @@ func (m *Manager) fairRound() {
 }
 
 // poolTable materializes the fairPools (in their order) plus a
-// default-weight pool for any mix entry naming an undeclared pool.
-func (m *Manager) poolTable() ([]*poolShare, map[string]*poolShare) {
-	pools := make([]*poolShare, 0, len(fairPools))
-	byName := make(map[string]*poolShare)
-	add := func(cfg PoolConfig) {
-		if cfg.Weight <= 0 {
-			cfg.Weight = 1
-		}
-		p := &poolShare{cfg: cfg}
-		pools = append(pools, p)
-		byName[cfg.Name] = p
-	}
+// default-weight pool for any of the running applications (in arrival
+// order) naming an undeclared pool. The returned pools are the Manager's
+// pool table, reset to empty shares; poolByName indexes them.
+func (m *Manager) poolTable(running []*appState) []*poolShare {
+	clear(m.poolByName)
+	m.pools = m.pools[:0]
 	for _, pc := range fairPools {
-		add(pc)
+		m.addPool(pc)
 	}
-	for _, a := range m.activeApps() {
-		if _, ok := byName[a.pool]; !ok {
-			add(PoolConfig{Name: a.pool, Weight: 1})
+	for _, a := range running {
+		if _, ok := m.poolByName[a.pool]; !ok {
+			m.addPool(PoolConfig{Name: a.pool, Weight: 1})
 		}
 	}
-	return pools, byName
+	return m.pools
+}
+
+// addPool appends cfg to the pool table, reusing a previous round's
+// poolShare where one is left beyond the table's length.
+func (m *Manager) addPool(cfg PoolConfig) {
+	if cfg.Weight <= 0 {
+		cfg.Weight = 1
+	}
+	var p *poolShare
+	if n := len(m.pools); n < cap(m.pools) {
+		p = m.pools[:n+1][n]
+	}
+	if p == nil {
+		p = new(poolShare)
+	}
+	*p = poolShare{cfg: cfg, apps: p.apps[:0]}
+	m.pools = append(m.pools, p)
+	m.poolByName[cfg.Name] = p
 }
 
 // waterFill distributes capacity over the pools: every pool first gets

@@ -169,6 +169,11 @@ type Manager struct {
 	finished          bool
 	finishedAt        float64
 
+	// fairRound scratch (fair.go), reset every round.
+	roundApps  []*appState
+	pools      []*poolShare
+	poolByName map[string]*poolShare
+
 	leasedNow      map[string]int // node → currently leased cores
 	leaseHighWater map[string]int // node → max cores ever leased at once
 	peakLeased     int            // max total leased cores at once
@@ -211,12 +216,26 @@ func NewManager(cfg Config) *Manager {
 // returns its report. It panics if the run exceeds MaxSimTime (livelock
 // watchdog), like the single-application runtime.
 func (m *Manager) Run() *Report {
+	m.start()
+	m.eng.RunUntil(m.cfg.MaxSimTime)
+	if !m.finished {
+		panic(fmt.Sprintf("tenant: run exceeded MaxSimTime=%v with %d running and %d queued apps — livelock?",
+			m.cfg.MaxSimTime, len(m.running), len(m.pending)))
+	}
+	m.checkEndState()
+	return m.buildReport()
+}
+
+// start builds the cluster and shared substrate and schedules every
+// arrival; the engine has not yet run.
+func (m *Manager) start() {
 	m.eng = simx.NewEngine()
 	m.clu = cluster.New(m.eng)
 	cluster.NewHydra(m.clu)
 
 	m.leasedNow = make(map[string]int)
 	m.leaseHighWater = make(map[string]int)
+	m.poolByName = make(map[string]*poolShare)
 	m.initElastic()
 	for _, n := range m.clu.Nodes {
 		m.capacity += n.Spec.Cores
@@ -241,14 +260,6 @@ func (m *Manager) Run() *Report {
 
 	m.sub.Mon.Start()
 	m.armDynalloc()
-
-	m.eng.RunUntil(m.cfg.MaxSimTime)
-	if !m.finished {
-		panic(fmt.Sprintf("tenant: run exceeded MaxSimTime=%v with %d running and %d queued apps — livelock?",
-			m.cfg.MaxSimTime, len(m.running), len(m.pending)))
-	}
-	m.checkEndState()
-	return m.buildReport()
 }
 
 // SubstrateOptions parameterizes BuildSubstrate — the knobs the tenant

@@ -353,3 +353,34 @@ func TestElasticSpotChurnConservesLeases(t *testing.T) {
 		t.Fatalf("spot churn not deterministic: %s vs %s", rep2.Fingerprint, rep.Fingerprint)
 	}
 }
+
+// fairRoundAllocBudget is the steady-state allocation ceiling of one FAIR
+// round on a running manager: its pool table, application list and
+// dispatch order are per-Manager scratch reused across rounds.
+const fairRoundAllocBudget = 0
+
+func TestFairRoundSteadyStateAllocs(t *testing.T) {
+	for _, sched := range []string{"spark", "rupam"} {
+		t.Run(sched, func(t *testing.T) {
+			m := NewManager(quickCfg(sched, 1))
+			m.start()
+			for now := 5.0; len(m.running) < 2; now += 5 {
+				if m.finished {
+					t.Fatal("run finished before two applications overlapped")
+				}
+				m.eng.RunUntil(now)
+			}
+			m.ScheduleAll() // launches whatever the round's shares allow
+			granted := 0
+			for _, a := range m.running {
+				granted += a.slotTarget
+			}
+			if granted == 0 {
+				t.Fatal("the round granted no application a share")
+			}
+			if n := testing.AllocsPerRun(50, m.ScheduleAll); n > fairRoundAllocBudget {
+				t.Fatalf("FAIR round allocates %v times in steady state, budget %d", n, fairRoundAllocBudget)
+			}
+		})
+	}
+}

@@ -21,6 +21,8 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -110,6 +112,8 @@ const DefaultSnapshotEvery = 128
 // same bytes for on-disk persistence.
 type Log struct {
 	mirror bytes.Buffer
+	body   bytes.Buffer  // write's per-record encode scratch
+	enc    *json.Encoder // encodes into body
 	out    io.Writer
 	err    error
 	seq    uint64
@@ -125,7 +129,9 @@ func New(out io.Writer, opts Options) *Log {
 	if every == 0 {
 		every = DefaultSnapshotEvery
 	}
-	return &Log{out: out, every: every, clock: opts.Clock, state: NewState()}
+	l := &Log{out: out, every: every, clock: opts.Clock, state: NewState()}
+	l.enc = json.NewEncoder(&l.body)
+	return l
 }
 
 // SetClock replaces the log's timestamp source. The runtime installs its
@@ -135,11 +141,18 @@ func (l *Log) SetClock(clock func() float64) { l.clock = clock }
 
 // Append stamps, frames and writes one record, folds it into the writer's
 // shadow state, and emits a snapshot checkpoint when the cadence is due.
-// Safe on a nil receiver (no-op).
+// Safe on a nil receiver (no-op). The check stays here, small enough to
+// inline, so a nil log costs its callers nothing: the record only moves to
+// the heap inside append, which a live log alone reaches.
 func (l *Log) Append(r Record) {
 	if l == nil || l.err != nil {
 		return
 	}
+	l.append(r)
+}
+
+//go:noinline
+func (l *Log) append(r Record) {
 	l.seq++
 	r.Seq = l.seq
 	if l.clock != nil {
@@ -165,16 +178,27 @@ func (l *Log) Append(r Record) {
 	}
 }
 
+// write frames r as "crc32(hex) space json\n" and appends the line to the
+// mirror and out. The encoder emits exactly json.Marshal's bytes plus the
+// newline (same encoder state, HTML escaping on), so the framing matches
+// Marshal+Sprintf byte for byte without their copies.
 func (l *Log) write(r *Record) {
-	b, err := json.Marshal(r)
-	if err != nil {
+	l.body.Reset()
+	if err := l.enc.Encode(r); err != nil {
 		l.err = fmt.Errorf("wal: encode: %w", err)
 		return
 	}
-	line := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(b), b)
-	l.mirror.WriteString(line)
+	body := l.body.Bytes()
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(body[:len(body)-1]))
+	var hdr [9]byte
+	hex.Encode(hdr[:8], sum[:])
+	hdr[8] = ' '
+	start := l.mirror.Len()
+	l.mirror.Write(hdr[:])
+	l.mirror.Write(body)
 	if l.out != nil {
-		if _, werr := io.WriteString(l.out, line); werr != nil {
+		if _, werr := l.out.Write(l.mirror.Bytes()[start:]); werr != nil {
 			l.err = fmt.Errorf("wal: write: %w", werr)
 		}
 	}

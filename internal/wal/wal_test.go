@@ -2,6 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -177,6 +181,102 @@ func TestNilLogIsNoOp(t *testing.T) {
 	l.Append(Record{Kind: KindJobSubmitted})
 	if l.Bytes() != nil || l.Seq() != 0 || l.Err() != nil {
 		t.Fatal("nil log must be inert")
+	}
+	// The driver appends on every speculation mark and task end whether
+	// or not it logs; a nil log must not move the record to the heap.
+	if n := testing.AllocsPerRun(100, func() {
+		l.Append(Record{Kind: KindSpecMarked, Task: 7, Stage: 3, Node: "fast"})
+	}); n != 0 {
+		t.Fatalf("nil Append allocates %v times per call, want 0", n)
+	}
+}
+
+// liveAppendAllocBudget is the per-record allocation ceiling of a live
+// log with snapshots off and the mirror pre-grown: the record's move to
+// the heap, and nothing else on the framing path.
+const liveAppendAllocBudget = 1
+
+func TestLiveAppendAllocBudget(t *testing.T) {
+	l := New(nil, Options{SnapshotEvery: -1, Clock: func() float64 { return 12.5 }})
+	l.mirror.Grow(1 << 20)
+	l.Append(Record{Kind: KindSpecMarked, Task: 7, Stage: 3})
+	n := testing.AllocsPerRun(200, func() {
+		l.Append(Record{Kind: KindSpecMarked, Task: 7, Stage: 3})
+	})
+	if n > liveAppendAllocBudget {
+		t.Fatalf("live Append allocates %v times per record, budget %d", n, liveAppendAllocBudget)
+	}
+}
+
+// legacyFrame is the framing write used before it encoded in place:
+// json.Marshal, then Sprintf. It is the reference write must match.
+func legacyFrame(r *Record) string {
+	b, err := json.Marshal(r)
+	if err != nil {
+		panic(err)
+	}
+	return fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(b), b)
+}
+
+// TestFramingMatchesMarshalSprintf appends every record kind with every
+// field set, strings that need HTML, control-character and Unicode
+// escaping, non-compact raw messages, and times in each float format, to
+// a log with an external writer, and checks both byte streams against the
+// reference framing.
+func TestFramingMatchesMarshalSprintf(t *testing.T) {
+	kinds := []string{
+		KindJobSubmitted, KindStageSubmitted, KindTaskLaunched, KindTaskAdopted,
+		KindTaskSucceeded, KindAttemptEnded, KindTaskRequeued, KindTaskRolledBack,
+		KindOutputLost, KindOutputMoved, KindExecLost, KindExecRejoined,
+		KindExecIncarnation, KindBlacklistAdd, KindCharDBPut, KindSpecMarked,
+		KindStageCompleted, KindJobCompleted, KindJobAborted, KindDriverCrashed,
+		KindRecovered, KindSnapshot, KindClaimProposed, KindClaimCommitted,
+		KindClaimBound, KindClaimAborted, KindClaimReleased,
+	}
+	strs := []string{
+		"", "fast", "<script>&amp;</script>", "caf\u00e9 \u2028\u2029 \U0001f600",
+		"tab\tnl\n\"q\"\\", "\x00\x01\x1f\x7f", "bad\xffutf8\xc3",
+	}
+	times := []float64{0, 0.1, 1e-7, 3.5, 1e21, 123456.789, 64.25}
+	chardb := json.RawMessage(`{ "signature" : "<grad>&", "partition": 0,
+		"vals": [1.5, 2e-9, -0.0] }`)
+	snapshot := json.RawMessage(`{"seq": 1, "t": 0.5, "job_idx": 0,
+		"chardb": {"a|0": {"x": "<&>"}}, "counters": {"launches": 2}}`)
+
+	var sink bytes.Buffer
+	calls := 0
+	l := New(&sink, Options{SnapshotEvery: -1, Clock: func() float64 {
+		calls++
+		return times[calls%len(times)]
+	}})
+	var want strings.Builder
+	var seq uint64
+	for i, kind := range kinds {
+		for j, s := range strs {
+			r := Record{
+				Kind: kind, Job: i, Stage: -j, Task: i * j, Index: j, Node: s,
+				Bytes: int64(i) << 40, Spec: j%2 == 0, Outcome: s,
+				Until: times[j%len(times)], Inc: j, Slots: i,
+				Key: s + ":" + strconv.Itoa(j), Reason: s,
+			}
+			if j%3 != 1 {
+				r.CharDB = chardb
+				r.Snapshot = snapshot
+			}
+			l.Append(r)
+			seq++
+			r.Seq, r.T = seq, times[int(seq)%len(times)]
+			want.WriteString(legacyFrame(&r))
+		}
+	}
+	if err := l.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(l.Bytes()); got != want.String() {
+		t.Fatalf("mirror framing differs from Marshal+Sprintf:\n got %q\nwant %q", got, want.String())
+	}
+	if !bytes.Equal(sink.Bytes(), l.Bytes()) {
+		t.Fatal("external writer diverged from the mirror")
 	}
 }
 
