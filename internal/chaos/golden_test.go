@@ -11,11 +11,13 @@ import (
 	"rupam/internal/cluster"
 	"rupam/internal/core"
 	"rupam/internal/faults"
+	"rupam/internal/federation"
 	"rupam/internal/hdfs"
 	"rupam/internal/simx"
 	"rupam/internal/spark"
 	"rupam/internal/streaming"
 	"rupam/internal/tenant"
+	"rupam/internal/wal"
 	"rupam/internal/workloads"
 )
 
@@ -331,5 +333,68 @@ func TestGoldenReportBytes(t *testing.T) {
 		if got := bytesDigest(p.Bytes()); got != g.print {
 			t.Errorf("%s: printout digest %s, golden %s\n%s", g.name, got, g.print, p.String())
 		}
+	}
+}
+
+// goldenWAL pins the write-ahead log's bytes, not just the state they
+// replay to: FNV-64a digests of every application log of one federated
+// run (two drivers, the federation soak's fault plan), and of one
+// driver-crash recovery run's log together with the canonical encoding
+// of its replay. The federated logs cover every claim record kind; the
+// recovery log covers snapshot checkpoints, the crash and recovery
+// barrier records, and Replay.
+var goldenWAL = struct {
+	federation    []string // per application, in AppRuntimes order
+	recovery      string
+	recoveryState string
+}{
+	federation: []string{
+		"9072c6f2cd79319c", "a7a1b958a01d67b7", "ab71bd4875fd93c7", "bdce6aac70b9f998",
+	},
+	recovery:      "97206c65e02a9889",
+	recoveryState: "80247a741c470c76",
+}
+
+// goldenWALRecoverySeed is the recovery run's seed; its plan's driver
+// crash lands while the application is running.
+const goldenWALRecoverySeed = 1
+
+func TestGoldenWALBytes(t *testing.T) {
+	cfg := FederationConfig{Seeds: []uint64{1}}.withDefaults()
+	res := federation.Run(federation.Config{
+		Drivers: cfg.Drivers,
+		Apps:    cfg.Apps,
+		Seed:    1,
+		Faults:  faults.RandomSchedule(1, hydraNodeNames(), cfg.Gen),
+		Spark:   tenancyHardened(),
+	})
+	if len(res.AppRuntimes) != len(goldenWAL.federation) {
+		t.Fatalf("%d federated applications, golden table has %d",
+			len(res.AppRuntimes), len(goldenWAL.federation))
+	}
+	for i, rt := range res.AppRuntimes {
+		if err := rt.WAL().Err(); err != nil {
+			t.Fatalf("app %d: %v", i, err)
+		}
+		if got := bytesDigest(rt.WAL().Bytes()); got != goldenWAL.federation[i] {
+			t.Errorf("federated app %d: WAL digest %s (%d bytes), golden %s",
+				i, got, len(rt.WAL().Bytes()), goldenWAL.federation[i])
+		}
+	}
+
+	res2, rt := RecoveryRun(Config{}, "rupam", goldenWALRecoverySeed, true)
+	if res2.DriverCrashes == 0 {
+		t.Fatal("recovery run's driver crash did not fire")
+	}
+	w := rt.WAL().Bytes()
+	if got := bytesDigest(w); got != goldenWAL.recovery {
+		t.Errorf("recovery run: WAL digest %s (%d bytes), golden %s", got, len(w), goldenWAL.recovery)
+	}
+	st, _, err := wal.Replay(bytes.NewReader(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bytesDigest(st.Encode()); got != goldenWAL.recoveryState {
+		t.Errorf("recovery run: replayed state digest %s, golden %s", got, goldenWAL.recoveryState)
 	}
 }
