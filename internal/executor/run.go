@@ -699,8 +699,16 @@ func (r *Run) release() {
 		c.Cancel()
 	}
 	r.claims = nil
+	// One re-rate for the whole kill, as for a fetch wave's starts.
+	network := r.ex.clu.Net
+	if len(r.flows) > 1 {
+		network.Hold()
+	}
 	for _, f := range r.flows {
-		r.ex.clu.Net.Cancel(f)
+		network.Cancel(f)
+	}
+	if len(r.flows) > 1 {
+		network.Release()
 	}
 	r.flows = nil
 	r.fetchSrcs = nil

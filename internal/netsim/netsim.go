@@ -125,8 +125,9 @@ type Network struct {
 	target     *Flow // flow the armed timer is for; force-completed on fire
 	completeFn func()
 
-	// holding defers re-rating of started flows until Release; stale
-	// records that a flow started under the hold has not been rated yet.
+	// holding defers re-rating of started and cancelled flows until
+	// Release; stale records that the hold changed the flow set since
+	// the last rating.
 	holding bool
 	holdAt  float64
 	stale   bool
@@ -196,9 +197,9 @@ func (n *Network) newFlow() *Flow {
 	return f
 }
 
-// Hold defers re-rating for the flows started until the matching
-// Release: a Start under a hold appends its flow without recomputing any
-// rate. Hold and Release must bracket one instant of virtual time, and
+// Hold defers re-rating for the flows started or cancelled until the
+// matching Release: a Start or Cancel under a hold adds or drops its flow
+// without recomputing any rate. Hold and Release must bracket one instant of virtual time, and
 // nothing may read flow rates or remaining bytes in between. Every
 // water-fill recomputes all rates from scratch, and no bytes move within
 // one instant, so the rates after Release equal those after re-rating at
@@ -212,8 +213,8 @@ func (n *Network) Hold() {
 	n.holdAt = n.eng.Now()
 }
 
-// Release ends a hold and re-rates once if any flow started under it
-// has not been rated since.
+// Release ends a hold and re-rates once if any flow started or
+// cancelled under it has not been rated since.
 func (n *Network) Release() {
 	if !n.holding {
 		panic("netsim: Release without Hold")
@@ -291,6 +292,10 @@ func (n *Network) Cancel(f *Flow) float64 {
 	n.advance()
 	rem := f.remaining
 	n.drop(f)
+	if n.holding {
+		n.stale = true
+		return rem
+	}
 	n.reallocate()
 	return rem
 }

@@ -393,18 +393,28 @@ func TestReleaseWithoutHeldStartDoesNotRerate(t *testing.T) {
 	if got := scheduled(eng); got != before {
 		t.Fatalf("empty hold re-armed the completion timer (%d schedules, want %d)", got, before)
 	}
-	// A held flow cancelled under the hold re-rates at once; Release
-	// then has nothing left to rate.
+	// A cancel under the hold defers its re-rate like a start: the
+	// cancelled flow's share stays unclaimed until Release, which
+	// re-rates once.
+	g := n.Start("a", "b", 500, nil)
+	if f.Rate() != 50 {
+		t.Fatalf("rate %v with a second flow on the link, want 50", f.Rate())
+	}
 	n.Hold()
-	g := n.Start("b", "a", 500, nil)
-	n.Cancel(g)
 	before = scheduled(eng)
-	n.Release()
+	n.Cancel(g)
 	if got := scheduled(eng); got != before {
-		t.Fatalf("Release after an immediate re-rate re-armed the timer")
+		t.Fatalf("Cancel under a hold re-armed the timer (%d schedules, want %d)", got, before)
+	}
+	if f.Rate() != 50 {
+		t.Fatalf("rate %v under the hold, want the last rating's 50", f.Rate())
+	}
+	n.Release()
+	if got := scheduled(eng); got != before+1 {
+		t.Fatalf("Release after a held cancel scheduled %d times, want 1", got-before)
 	}
 	if f.Rate() != 100 {
-		t.Fatalf("rate %v, want 100", f.Rate())
+		t.Fatalf("rate %v after Release, want 100", f.Rate())
 	}
 }
 

@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bufio"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -61,12 +63,13 @@ func decodeLine(line []byte) (*Record, bool) {
 	if len(line) < 10 || line[8] != ' ' {
 		return nil, false
 	}
-	var sum uint32
-	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &sum); err != nil {
+	// Exactly eight hex digits: no sign, prefix, separator or padding.
+	var sum [4]byte
+	if _, err := hex.Decode(sum[:], line[:8]); err != nil {
 		return nil, false
 	}
 	body := line[9:]
-	if crc32.ChecksumIEEE(body) != sum {
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(sum[:]) {
 		return nil, false
 	}
 	var rec Record

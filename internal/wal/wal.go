@@ -20,7 +20,6 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -111,16 +110,16 @@ const DefaultSnapshotEvery = 128
 // verifies byte-identity on it); an optional io.Writer mirror receives the
 // same bytes for on-disk persistence.
 type Log struct {
-	mirror bytes.Buffer
-	body   bytes.Buffer  // write's per-record encode scratch
-	enc    *json.Encoder // encodes into body
-	out    io.Writer
-	err    error
-	seq    uint64
-	since  int
-	every  int
-	clock  func() float64
-	state  *State
+	buf     []byte // the serialized log; see reserve for its growth
+	maxLine int    // longest line so far, the room reserve keeps free
+	enc     encoder
+	out     io.Writer
+	err     error
+	seq     uint64
+	since   int
+	every   int
+	clock   func() float64
+	state   *State
 }
 
 // New creates a Log. out may be nil for an in-memory-only log.
@@ -129,9 +128,7 @@ func New(out io.Writer, opts Options) *Log {
 	if every == 0 {
 		every = DefaultSnapshotEvery
 	}
-	l := &Log{out: out, every: every, clock: opts.Clock, state: NewState()}
-	l.enc = json.NewEncoder(&l.body)
-	return l
+	return &Log{out: out, every: every, clock: opts.Clock, state: NewState()}
 }
 
 // SetClock replaces the log's timestamp source. The runtime installs its
@@ -142,8 +139,8 @@ func (l *Log) SetClock(clock func() float64) { l.clock = clock }
 // Append stamps, frames and writes one record, folds it into the writer's
 // shadow state, and emits a snapshot checkpoint when the cadence is due.
 // Safe on a nil receiver (no-op). The check stays here, small enough to
-// inline, so a nil log costs its callers nothing: the record only moves to
-// the heap inside append, which a live log alone reaches.
+// inline, so a nil log costs its callers nothing. The first encoding or
+// write error stops the log: nothing more is written, and Err reports it.
 func (l *Log) Append(r Record) {
 	if l == nil || l.err != nil {
 		return
@@ -158,50 +155,76 @@ func (l *Log) append(r Record) {
 	if l.clock != nil {
 		r.T = l.clock()
 	}
-	l.write(&r)
+	start := l.open()
+	var err error
+	l.buf, err = l.enc.appendRecord(l.buf, &r)
+	if !l.close(start, err, "encode") {
+		return
+	}
 	l.state.Apply(&r)
 	l.since++
 	if l.every > 0 && l.since >= l.every {
-		snap, err := json.Marshal(l.state)
-		if err != nil {
-			l.err = fmt.Errorf("wal: snapshot: %w", err)
+		start = l.open()
+		l.buf, err = l.enc.appendSnapshot(l.buf, l.seq+1, r.T, l.state)
+		if !l.close(start, err, "snapshot") {
 			return
 		}
+		// The shadow state is not refolded from the snapshot: the JSON
+		// round-trip would only turn empty maps nil and compact CharDB
+		// payloads, and the encoder omits the one and compacts the other.
 		l.seq++
-		sr := Record{Seq: l.seq, T: r.T, Kind: KindSnapshot, Snapshot: snap}
-		l.write(&sr)
-		// Fold the snapshot back in so the shadow state is exactly what a
-		// replay starting from this checkpoint would hold (JSON round-trip
-		// normalizes empty containers away).
-		l.state.Apply(&sr)
+		l.state.Seq, l.state.T = l.seq, r.T
 		l.since = 0
 	}
 }
 
-// write frames r as "crc32(hex) space json\n" and appends the line to the
-// mirror and out. The encoder emits exactly json.Marshal's bytes plus the
-// newline (same encoder state, HTML escaping on), so the framing matches
-// Marshal+Sprintf byte for byte without their copies.
-func (l *Log) write(r *Record) {
-	l.body.Reset()
-	if err := l.enc.Encode(r); err != nil {
-		l.err = fmt.Errorf("wal: encode: %w", err)
-		return
+// open reserves room for the next line and its 9-byte "crc32(hex) space"
+// header, and returns where the line starts. The body is then appended
+// in place, and close fills in the header.
+func (l *Log) open() int {
+	l.reserve()
+	start := len(l.buf)
+	l.buf = append(l.buf, "00000000 "...)
+	return start
+}
+
+// close finishes the line open started: on an encoding error it drops
+// the partial line and stops the log; otherwise it writes the body's CRC
+// into the header, ends the line and copies it to out. It reports whether
+// the log is still healthy.
+func (l *Log) close(start int, err error, what string) bool {
+	if err != nil {
+		l.buf = l.buf[:start]
+		l.err = fmt.Errorf("wal: %s: %w", what, err)
+		return false
 	}
-	body := l.body.Bytes()
 	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(body[:len(body)-1]))
-	var hdr [9]byte
-	hex.Encode(hdr[:8], sum[:])
-	hdr[8] = ' '
-	start := l.mirror.Len()
-	l.mirror.Write(hdr[:])
-	l.mirror.Write(body)
+	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(l.buf[start+9:]))
+	hex.Encode(l.buf[start:start+8], sum[:])
+	l.buf = append(l.buf, '\n')
+	line := l.buf[start:]
+	l.maxLine = max(l.maxLine, len(line))
 	if l.out != nil {
-		if _, werr := l.out.Write(l.mirror.Bytes()[start:]); werr != nil {
-			l.err = fmt.Errorf("wal: write: %w", werr)
+		if _, err := l.out.Write(line); err != nil {
+			l.err = fmt.Errorf("wal: write: %w", err)
+			return false
 		}
 	}
+	return true
+}
+
+// reserve keeps room for the longest line so far plus a quarter (snapshot
+// lines grow between checkpoints), so a line is rarely moved while it is
+// encoded, and it at least doubles the capacity when it grows: the copies
+// of a log then total less than its final size.
+func (l *Log) reserve() {
+	need := max(512, l.maxLine+l.maxLine/4)
+	if cap(l.buf)-len(l.buf) >= need {
+		return
+	}
+	buf := make([]byte, len(l.buf), max(2*cap(l.buf), len(l.buf)+need))
+	copy(buf, l.buf)
+	l.buf = buf
 }
 
 // Bytes returns the full serialized log so far. Nil-safe (returns nil).
@@ -209,7 +232,7 @@ func (l *Log) Bytes() []byte {
 	if l == nil {
 		return nil
 	}
-	return l.mirror.Bytes()
+	return l.buf
 }
 
 // Seq returns the sequence number of the last appended record. Nil-safe.

@@ -192,13 +192,13 @@ func TestNilLogIsNoOp(t *testing.T) {
 }
 
 // liveAppendAllocBudget is the per-record allocation ceiling of a live
-// log with snapshots off and the mirror pre-grown: the record's move to
-// the heap, and nothing else on the framing path.
-const liveAppendAllocBudget = 1
+// log with snapshots off and the log pre-grown: the record stays on the
+// stack and the framing path encodes in place.
+const liveAppendAllocBudget = 0
 
 func TestLiveAppendAllocBudget(t *testing.T) {
 	l := New(nil, Options{SnapshotEvery: -1, Clock: func() float64 { return 12.5 }})
-	l.mirror.Grow(1 << 20)
+	l.buf = make([]byte, 0, 1<<20)
 	l.Append(Record{Kind: KindSpecMarked, Task: 7, Stage: 3})
 	n := testing.AllocsPerRun(200, func() {
 		l.Append(Record{Kind: KindSpecMarked, Task: 7, Stage: 3})
@@ -208,14 +208,15 @@ func TestLiveAppendAllocBudget(t *testing.T) {
 	}
 }
 
-// legacyFrame is the framing write used before it encoded in place:
-// json.Marshal, then Sprintf. It is the reference write must match.
-func legacyFrame(r *Record) string {
+// legacyFrame is the framing the log used before it encoded records
+// itself: json.Marshal, then Sprintf. It is the reference the log's
+// framing must match byte for byte, failing where Marshal fails.
+func legacyFrame(r *Record) (string, error) {
 	b, err := json.Marshal(r)
 	if err != nil {
-		panic(err)
+		return "", err
 	}
-	return fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(b), b)
+	return fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(b), b), nil
 }
 
 // TestFramingMatchesMarshalSprintf appends every record kind with every
@@ -266,7 +267,11 @@ func TestFramingMatchesMarshalSprintf(t *testing.T) {
 			l.Append(r)
 			seq++
 			r.Seq, r.T = seq, times[int(seq)%len(times)]
-			want.WriteString(legacyFrame(&r))
+			line, err := legacyFrame(&r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.WriteString(line)
 		}
 	}
 	if err := l.Err(); err != nil {
@@ -367,5 +372,48 @@ func TestClaimSnapshotRoundTrip(t *testing.T) {
 	}
 	if s.ClaimSeq != 7 {
 		t.Fatalf("claim seq lost across snapshot: %d", s.ClaimSeq)
+	}
+}
+
+// TestDecodeLineRejectsLaxCRCHeaders feeds decodeLine headers that a
+// lenient hex scan reads as the body's checksum although they are not
+// eight hex digits: a 0x prefix, an underscore, a leading sign or space,
+// trailing padding. Each must be rejected as a torn line, while the exact
+// header in either case, and every line the writer emits, decodes.
+func TestDecodeLineRejectsLaxCRCHeaders(t *testing.T) {
+	// A body whose checksum fits in 16 bits, so that each lax spelling
+	// below names the right value.
+	var body []byte
+	var sum uint32
+	for i := 0; ; i++ {
+		b, err := json.Marshal(Record{Seq: 1, Kind: KindJobAborted, Reason: strconv.Itoa(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum = crc32.ChecksumIEEE(b); sum < 1<<16 {
+			body = b
+			break
+		}
+	}
+	low := fmt.Sprintf("%04x", sum)
+	for _, hdr := range []string{fmt.Sprintf("%08x", sum), fmt.Sprintf("%08X", sum)} {
+		if _, ok := decodeLine([]byte(hdr + " " + string(body))); !ok {
+			t.Fatalf("exact header %q rejected", hdr)
+		}
+	}
+	for _, hdr := range []string{
+		"0x00" + low, "0X00" + low, "0_00" + low, "000_" + low, " 000" + low,
+		"+000" + low, low + "    ", "\t000" + low, "0000" + low[:3] + " ",
+	} {
+		if _, ok := decodeLine([]byte(hdr + " " + string(body))); ok {
+			t.Errorf("lax header %q accepted", hdr)
+		}
+	}
+
+	l := scriptedLog(t, 3)
+	lines := bytes.Count(l.Bytes(), []byte("\n"))
+	recs, err := ReadRecords(bytes.NewReader(l.Bytes()))
+	if err != nil || len(recs) != lines {
+		t.Fatalf("read %d of %d written lines (%v)", len(recs), lines, err)
 	}
 }
