@@ -700,14 +700,14 @@ func (r *Run) release() {
 	}
 	r.claims = nil
 	// One re-rate for the whole kill, as for a fetch wave's starts.
-	network := r.ex.clu.Net
-	if len(r.flows) > 1 {
+	network, held := r.ex.clu.Net, len(r.flows) > 1
+	if held {
 		network.Hold()
 	}
 	for _, f := range r.flows {
 		network.Cancel(f)
 	}
-	if len(r.flows) > 1 {
+	if held {
 		network.Release()
 	}
 	r.flows = nil

@@ -198,13 +198,14 @@ func (n *Network) newFlow() *Flow {
 }
 
 // Hold defers re-rating for the flows started or cancelled until the
-// matching Release: a Start or Cancel under a hold adds or drops its flow
-// without recomputing any rate. Hold and Release must bracket one instant of virtual time, and
-// nothing may read flow rates or remaining bytes in between. Every
-// water-fill recomputes all rates from scratch, and no bytes move within
-// one instant, so the rates after Release equal those after re-rating at
-// every Start. Only the completion timer's position among same-time
-// events can differ: it is re-armed at Release, not at the last Start.
+// matching Release: a Start or Cancel under a hold adds or drops its
+// flow without recomputing any rate. Hold and Release must bracket one
+// instant of virtual time, and nothing may read flow rates or remaining
+// bytes in between. Every water-fill recomputes all rates from scratch,
+// and no bytes move within one instant, so the rates after Release equal
+// those after re-rating at every Start or Cancel. Only the completion
+// timer's position among same-time events can differ: it is re-armed at
+// Release, not at the last Start or Cancel.
 func (n *Network) Hold() {
 	if n.holding {
 		panic("netsim: nested Hold")

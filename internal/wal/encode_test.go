@@ -169,6 +169,12 @@ func TestCmpDecimalOrdersLikeStrings(t *testing.T) {
 // whose buffer is pre-grown: the state is encoded in place.
 const snapshotAllocBudget = 0
 
+// raceEnabled reports a -race build (race_test.go). The race detector
+// makes sync.Pool drop a random quarter of its Puts, so json.Compact's
+// pooled scanner is reallocated at random and allocation counts that
+// include it are not deterministic.
+var raceEnabled bool
+
 func TestSnapshotAllocBudget(t *testing.T) {
 	l := New(nil, Options{SnapshotEvery: 1, Clock: func() float64 { return 2.5 }})
 	for i := range 40 {
@@ -196,7 +202,7 @@ func TestSnapshotAllocBudget(t *testing.T) {
 	if err != nil || len(recs) != 2*(runs+1) || recs[1].Kind != KindSnapshot {
 		t.Fatalf("measured appends wrote %d records (%v), want %d record+snapshot pairs", len(recs), err, runs+1)
 	}
-	if n > snapshotAllocBudget {
+	if n > snapshotAllocBudget && !raceEnabled {
 		t.Fatalf("Append with a snapshot allocates %v times, budget %d", n, snapshotAllocBudget)
 	}
 }

@@ -155,18 +155,18 @@ func (l *Log) append(r Record) {
 	if l.clock != nil {
 		r.T = l.clock()
 	}
-	start := l.open()
+	start := l.beginLine()
 	var err error
 	l.buf, err = l.enc.appendRecord(l.buf, &r)
-	if !l.close(start, err, "encode") {
+	if !l.endLine(start, err, "encode") {
 		return
 	}
 	l.state.Apply(&r)
 	l.since++
 	if l.every > 0 && l.since >= l.every {
-		start = l.open()
+		start = l.beginLine()
 		l.buf, err = l.enc.appendSnapshot(l.buf, l.seq+1, r.T, l.state)
-		if !l.close(start, err, "snapshot") {
+		if !l.endLine(start, err, "snapshot") {
 			return
 		}
 		// The shadow state is not refolded from the snapshot: the JSON
@@ -178,21 +178,21 @@ func (l *Log) append(r Record) {
 	}
 }
 
-// open reserves room for the next line and its 9-byte "crc32(hex) space"
-// header, and returns where the line starts. The body is then appended
-// in place, and close fills in the header.
-func (l *Log) open() int {
+// beginLine reserves room for the next line and its 9-byte
+// "crc32(hex) space" header, and returns where the line starts. The body
+// is then appended in place, and endLine fills in the header.
+func (l *Log) beginLine() int {
 	l.reserve()
 	start := len(l.buf)
 	l.buf = append(l.buf, "00000000 "...)
 	return start
 }
 
-// close finishes the line open started: on an encoding error it drops
-// the partial line and stops the log; otherwise it writes the body's CRC
-// into the header, ends the line and copies it to out. It reports whether
-// the log is still healthy.
-func (l *Log) close(start int, err error, what string) bool {
+// endLine finishes the line beginLine started: on an encoding error it
+// drops the partial line and stops the log; otherwise it writes the
+// body's CRC into the header, ends the line and copies it to out. It
+// reports whether the log is still healthy.
+func (l *Log) endLine(start int, err error, what string) bool {
 	if err != nil {
 		l.buf = l.buf[:start]
 		l.err = fmt.Errorf("wal: %s: %w", what, err)
