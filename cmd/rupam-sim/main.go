@@ -272,7 +272,7 @@ func main() {
 		}
 		if *chaosSeed > 0 {
 			names := experiments.BuildCluster(simx.NewEngine(), "hydra").NodeNames()
-			cfg.Spark = chaos.HardenedConfig(*seed)
+			cfg.Spark = experiments.HardenedConfig()
 			cfg.Faults = faults.RandomSchedule(*chaosSeed, names, chaos.FederationGen())
 		}
 		if len(agentCrashes) > 0 {
@@ -308,7 +308,7 @@ func main() {
 	}
 	if *chaosSeed > 0 {
 		names := experiments.BuildCluster(simx.NewEngine(), *clusterName).NodeNames()
-		spec.Spark = chaos.HardenedConfig(*seed)
+		spec.Spark = experiments.HardenedConfig()
 		spec.Spark.Faults = faults.RandomSchedule(*chaosSeed, names, chaos.DefaultGen())
 	}
 	if *crashAt > 0 {

@@ -12,13 +12,11 @@ import (
 	"fmt"
 	"io"
 
-	"rupam/internal/cluster"
-	"rupam/internal/core"
 	"rupam/internal/digest"
+	"rupam/internal/experiments"
 	"rupam/internal/faults"
-	"rupam/internal/hdfs"
-	"rupam/internal/simx"
 	"rupam/internal/spark"
+	"rupam/internal/task"
 	"rupam/internal/workloads"
 )
 
@@ -134,32 +132,9 @@ func Soak(cfg Config) *Report {
 // invariants.
 func (cfg Config) runSeed(rec *RunRecord, scheduler string, seed uint64) {
 	rec.Scheduler, rec.Seed = scheduler, seed
-	eng := simx.NewEngine()
-	clu := cluster.New(eng)
-	cluster.NewHydra(clu)
-	store := hdfs.NewStore(clu.NodeNames(), 2, seed*2654435761+1)
-	p := cfg.Params
-	if p.Seed == 0 {
-		p.Seed = seed*7 + 42
-	}
-	app := workloads.Build(cfg.Workload, store, p)
-
-	plan := faults.RandomSchedule(seed, clu.NodeNames(), cfg.Gen)
+	plan := faults.RandomSchedule(seed, hydraNodeNames(), cfg.Gen)
 	rec.Events = len(plan.Events)
-
-	var sched spark.Scheduler
-	switch scheduler {
-	case "rupam":
-		sched = core.New(core.Config{})
-	case "spark":
-		sched = spark.NewDefaultScheduler()
-	default:
-		panic(fmt.Sprintf("chaos: unknown scheduler %q", scheduler))
-	}
-
-	scfg := HardenedConfig(seed)
-	scfg.Faults = plan
-	rt := spark.NewRuntime(eng, clu, sched, scfg)
+	rt, app := cfg.newRun(scheduler, seed, plan)
 	res := rt.Run(app)
 
 	rec.Duration = res.Duration
@@ -182,23 +157,21 @@ func (cfg Config) runSeed(rec *RunRecord, scheduler string, seed uint64) {
 	rec.Violations = CheckInvariants(res, rt)
 }
 
-// HardenedConfig is the framework configuration the soak runs under:
-// bounded retries (so doomed tasks abort instead of spinning), the node
-// blacklist on, a speculation cap, a tight heartbeat so loss windows are
-// observed, and a low sim-time ceiling so a livelock fails fast (as a
-// recovered panic) instead of hanging the sweep. rupam-sim's -chaos-seed
-// mode reuses it so CLI fault runs abort structurally too.
-func HardenedConfig(seed uint64) spark.Config {
-	return spark.Config{
-		Seed:                   seed*31 + 7,
-		TaskMaxFailures:        8,
-		Blacklist:              spark.BlacklistConfig{Enabled: true},
-		SpeculationMaxPerStage: 4,
-		HeartbeatInterval:      0.5,
-		HeartbeatTimeout:       4,
-		MaxSimTime:             7200,
-		SampleInterval:         -1,
+// newRun builds one soak or recovery run of the configured workload on
+// the Hydra cluster under experiments.HardenedConfig and the given plan.
+func (cfg Config) newRun(scheduler string, seed uint64, plan *faults.Schedule) (*spark.Runtime, *task.Application) {
+	if scheduler != experiments.SchedSpark && scheduler != experiments.SchedRUPAM {
+		panic(fmt.Sprintf("chaos: unknown scheduler %q", scheduler))
 	}
+	scfg := experiments.HardenedConfig()
+	scfg.Faults = plan
+	return experiments.NewRun(experiments.RunSpec{
+		Workload:  cfg.Workload,
+		Params:    cfg.Params,
+		Scheduler: scheduler,
+		Seed:      seed,
+		Spark:     scfg,
+	})
 }
 
 // Fingerprint hashes a run's observable outcome: app duration, job ends,

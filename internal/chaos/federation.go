@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"rupam/internal/experiments"
 	"rupam/internal/faults"
 	"rupam/internal/federation"
 )
@@ -141,7 +142,7 @@ func (cfg FederationConfig) runSeed(rec *FederationRunRecord, _ string, seed uin
 		Apps:    cfg.Apps,
 		Seed:    seed,
 		Faults:  plan,
-		Spark:   tenancyHardened(),
+		Spark:   experiments.HardenedConfig(),
 	})
 
 	rec.Makespan = res.Makespan

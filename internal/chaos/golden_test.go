@@ -9,12 +9,9 @@ import (
 	"testing"
 
 	"rupam/internal/cluster"
-	"rupam/internal/core"
+	"rupam/internal/experiments"
 	"rupam/internal/faults"
 	"rupam/internal/federation"
-	"rupam/internal/hdfs"
-	"rupam/internal/simx"
-	"rupam/internal/spark"
 	"rupam/internal/streaming"
 	"rupam/internal/tenant"
 	"rupam/internal/wal"
@@ -138,7 +135,7 @@ func benchEnvelope() streaming.TopoConfig {
 
 func TestGoldenStreamingEnvelopeFingerprints(t *testing.T) {
 	const horizon = 90
-	nodes := cluster.NewHydra(cluster.New(simx.NewEngine())).NodeNames()
+	nodes := hydraNodeNames()
 	for _, g := range goldenStreamingEnvelope {
 		res := streaming.Run(streaming.Config{
 			Seed:           g.seed,
@@ -189,23 +186,6 @@ var goldenFig5 = []struct {
 // goldenFig5Seed is the run seed of every goldenFig5 entry.
 const goldenFig5Seed = 3
 
-// fig5Run is experiments.Run for the Hydra cluster with default
-// parameters (experiments imports this package, so it cannot be called
-// from here).
-func fig5Run(workload, scheduler string, seed uint64) (*spark.Runtime, *spark.Result) {
-	eng := simx.NewEngine()
-	clu := cluster.New(eng)
-	cluster.NewHydra(clu)
-	store := hdfs.NewStore(clu.NodeNames(), 2, seed*2654435761+1)
-	app := workloads.Build(workload, store, workloads.Params{Seed: seed*7 + 42})
-	var sched spark.Scheduler = spark.NewDefaultScheduler()
-	if scheduler == "rupam" {
-		sched = core.New(core.Config{})
-	}
-	rt := spark.NewRuntime(eng, clu, sched, spark.Config{Seed: seed*31 + 7, SampleInterval: -1})
-	return rt, rt.Run(app)
-}
-
 // sentBytes sums the bytes every interface of the cluster sent.
 func sentBytes(clu *cluster.Cluster) float64 {
 	var sum float64
@@ -220,7 +200,8 @@ func TestGoldenFig5Fingerprints(t *testing.T) {
 		t.Fatalf("golden table has %d runs, want %d", len(goldenFig5), want)
 	}
 	for _, g := range goldenFig5 {
-		rt, res := fig5Run(g.workload, g.scheduler, goldenFig5Seed)
+		rt, app := experiments.NewRun(experiments.RunSpec{Workload: g.workload, Scheduler: g.scheduler, Seed: goldenFig5Seed})
+		res := rt.Run(app)
 		if res.Aborted != nil {
 			t.Errorf("%s/%s aborted: %v", g.workload, g.scheduler, res.Aborted)
 		}
@@ -366,7 +347,7 @@ func TestGoldenWALBytes(t *testing.T) {
 		Apps:    cfg.Apps,
 		Seed:    1,
 		Faults:  faults.RandomSchedule(1, hydraNodeNames(), cfg.Gen),
-		Spark:   tenancyHardened(),
+		Spark:   experiments.HardenedConfig(),
 	})
 	if len(res.AppRuntimes) != len(goldenWAL.federation) {
 		t.Fatalf("%d federated applications, golden table has %d",

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"rupam/internal/cluster"
+	"rupam/internal/experiments"
 	"rupam/internal/faults"
-	"rupam/internal/simx"
 	"rupam/internal/spark"
 	"rupam/internal/tenant"
 )
@@ -21,8 +20,9 @@ import (
 // conserves instances and leases, and re-runs are bit-identical.
 
 // PreemptConfig parameterizes a preemption soak sweep. The zero value
-// (plus Seeds) is usable: four arrivals, both schedulers, PreemptGen
-// reclamations over DefaultSpotNodes, every seed run twice.
+// (plus Seeds) is usable: four arrivals, both schedulers,
+// tenant.PreemptGen reclamations over tenant.DefaultSpotNodes, every seed
+// run twice.
 type PreemptConfig struct {
 	// Schedulers to drive; default both ("spark", "rupam").
 	Schedulers []string
@@ -33,9 +33,10 @@ type PreemptConfig struct {
 	// MeanGap is the mean inter-arrival gap in seconds (default 20).
 	MeanGap float64
 	// SpotNodes are the spot-billed (reclaimable) instances; default
-	// DefaultSpotNodes. The driver node is never a sensible member.
+	// tenant.DefaultSpotNodes. The driver node is never a sensible member.
 	SpotNodes []string
-	// Gen parameterizes faults.SpotSchedule; zero value takes PreemptGen.
+	// Gen parameterizes faults.SpotSchedule; zero value takes
+	// tenant.PreemptGen.
 	Gen faults.GenConfig
 	// IgnoreNotices runs the notice-blind baseline substrate instead of the
 	// graceful drain (the drain-protocol record checks are then skipped —
@@ -56,41 +57,12 @@ func (c PreemptConfig) withDefaults() PreemptConfig {
 		c.MeanGap = 20
 	}
 	if len(c.SpotNodes) == 0 {
-		c.SpotNodes = DefaultSpotNodes()
+		c.SpotNodes = tenant.DefaultSpotNodes()
 	}
 	if c.Gen == (faults.GenConfig{}) {
-		c.Gen = PreemptGen()
+		c.Gen = tenant.PreemptGen()
 	}
 	return c
-}
-
-// PreemptGen is the soak's reclamation horizon and grace bounds; the
-// per-node rates come from the market hazards, not from here.
-func PreemptGen() faults.GenConfig {
-	return faults.GenConfig{Horizon: 150, MinGrace: 6, MaxGrace: 20}
-}
-
-// DefaultSpotNodes is the soak's spot pool: half of each Hydra class,
-// never thor1 (the driver node — reclaiming it would model losing the
-// cluster manager itself, which is the recovery soak's job).
-func DefaultSpotNodes() []string {
-	return []string{"thor4", "thor5", "thor6", "hulk3", "hulk4", "stack2"}
-}
-
-// SpotHazards maps each spot node to its class's preemption hazard in the
-// default market (expected reclamations/hour), resolving classes through
-// the reference Hydra cluster. Input for faults.SpotSchedule.
-func SpotHazards(spotNodes []string) map[string]float64 {
-	market := cluster.DefaultMarket()
-	clu := cluster.New(simx.NewEngine())
-	cluster.NewHydra(clu)
-	hz := make(map[string]float64, len(spotNodes))
-	for _, name := range spotNodes {
-		if n := clu.Node(name); n != nil {
-			hz[name] = market.Hazard(n.Spec.Class)
-		}
-	}
-	return hz
 }
 
 // PreemptRunRecord is one (scheduler, seed) outcome in the sweep.
@@ -136,7 +108,7 @@ func PreemptionSoak(cfg PreemptConfig) *PreemptReport {
 // checks the full battery.
 func (cfg PreemptConfig) runSeed(rec *PreemptRunRecord, scheduler string, seed uint64) {
 	rec.Scheduler, rec.Seed = scheduler, seed
-	plan := faults.SpotSchedule(seed, cfg.SpotNodes, SpotHazards(cfg.SpotNodes), cfg.Gen)
+	plan := faults.SpotSchedule(seed, cfg.SpotNodes, tenant.SpotHazards(cfg.SpotNodes), cfg.Gen)
 	rec.Events = len(plan.Events)
 
 	m := tenant.NewManager(tenant.Config{
@@ -144,7 +116,7 @@ func (cfg PreemptConfig) runSeed(rec *PreemptRunRecord, scheduler string, seed u
 		Seed:      seed,
 		Arrivals:  tenant.ArrivalConfig{Count: cfg.Apps, MeanGap: cfg.MeanGap},
 		Faults:    plan,
-		Spark:     tenancyHardened(),
+		Spark:     experiments.HardenedConfig(),
 		Elastic: tenant.ElasticConfig{
 			Enabled:       true,
 			SpotNodes:     cfg.SpotNodes,

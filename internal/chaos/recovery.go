@@ -15,15 +15,10 @@ import (
 	"io"
 	"sort"
 
-	"rupam/internal/cluster"
-	"rupam/internal/core"
 	"rupam/internal/faults"
-	"rupam/internal/hdfs"
-	"rupam/internal/simx"
 	"rupam/internal/spark"
 	"rupam/internal/task"
 	"rupam/internal/wal"
-	"rupam/internal/workloads"
 )
 
 // RecoveryRecord is one (scheduler, seed) crash-recovery trial.
@@ -72,34 +67,11 @@ func recoveryGen(cfg Config) faults.GenConfig {
 // task outcomes are directly comparable.
 func RecoveryRun(cfg Config, scheduler string, seed uint64, crash bool) (*spark.Result, *spark.Runtime) {
 	cfg = cfg.withDefaults()
-	eng := simx.NewEngine()
-	clu := cluster.New(eng)
-	cluster.NewHydra(clu)
-	store := hdfs.NewStore(clu.NodeNames(), 2, seed*2654435761+1)
-	p := cfg.Params
-	if p.Seed == 0 {
-		p.Seed = seed*7 + 42
-	}
-	app := workloads.Build(cfg.Workload, store, p)
-
-	plan := faults.RandomSchedule(seed, clu.NodeNames(), recoveryGen(cfg))
+	plan := faults.RandomSchedule(seed, hydraNodeNames(), recoveryGen(cfg))
 	if !crash {
 		plan = plan.WithoutKind(faults.DriverCrash)
 	}
-
-	var sched spark.Scheduler
-	switch scheduler {
-	case "rupam":
-		sched = core.New(core.Config{})
-	case "spark":
-		sched = spark.NewDefaultScheduler()
-	default:
-		panic(fmt.Sprintf("chaos: unknown scheduler %q", scheduler))
-	}
-
-	scfg := HardenedConfig(seed)
-	scfg.Faults = plan
-	rt := spark.NewRuntime(eng, clu, sched, scfg)
+	rt, app := cfg.newRun(scheduler, seed, plan)
 	return rt.Run(app), rt
 }
 

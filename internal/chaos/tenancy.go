@@ -5,9 +5,9 @@ import (
 	"io"
 
 	"rupam/internal/cluster"
+	"rupam/internal/experiments"
 	"rupam/internal/faults"
 	"rupam/internal/simx"
-	"rupam/internal/spark"
 	"rupam/internal/tenant"
 )
 
@@ -110,7 +110,7 @@ func (cfg TenancyConfig) runSeed(rec *TenancyRunRecord, scheduler string, seed u
 		Seed:      seed,
 		Arrivals:  tenant.ArrivalConfig{Count: cfg.Apps, MeanGap: cfg.MeanGap},
 		Faults:    plan,
-		Spark:     tenancyHardened(),
+		Spark:     experiments.HardenedConfig(),
 	})
 	rep := m.Run()
 
@@ -129,18 +129,6 @@ func (cfg TenancyConfig) runSeed(rec *TenancyRunRecord, scheduler string, seed u
 		for _, v := range CheckAppInvariants(run.Result, run.Runtime) {
 			rec.Violations = append(rec.Violations, fmt.Sprintf("%s: %s", run.Record.Label, v))
 		}
-	}
-}
-
-// tenancyHardened mirrors HardenedConfig for the per-application runtimes
-// (the manager owns seeds, WAL and fault installation itself).
-func tenancyHardened() spark.Config {
-	return spark.Config{
-		TaskMaxFailures:        8,
-		Blacklist:              spark.BlacklistConfig{Enabled: true},
-		SpeculationMaxPerStage: 4,
-		HeartbeatInterval:      0.5,
-		HeartbeatTimeout:       4,
 	}
 }
 

@@ -190,52 +190,3 @@ func TestNodeUtilHelpers(t *testing.T) {
 		t.Fatalf("free mem = %d", n.FreeMem())
 	}
 }
-
-func TestDVFSGovernor(t *testing.T) {
-	eng := simx.NewEngine()
-	c := New(eng)
-	n := c.AddNode(validSpec()) // 4 cores at 2 GHz
-	g := StartDVFS(eng, n, 0.5, 0.5)
-	// Idle: frequency decays to the floor.
-	eng.RunUntil(2)
-	if got := g.CurrentFreq(); got != 1 {
-		t.Fatalf("idle frequency = %v, want floor 1 GHz", got)
-	}
-	// Load arrives: the next tick ramps back to base, and the claim
-	// finishes faster than it would at the floor.
-	var done float64
-	n.CPU.Acquire(10, func() { done = eng.Now() })
-	eng.Schedule(1.1, func() {
-		if got := g.CurrentFreq(); got != 2 {
-			t.Errorf("loaded frequency = %v, want base 2 GHz", got)
-		}
-	})
-	eng.RunUntil(30)
-	// 10 Gc at ≤0.5 s of 1 GHz then 2 GHz: between 5 s (all at base) and
-	// 10 s (all at floor).
-	took := done - 2
-	if took < 4.9 || took > 7 {
-		t.Fatalf("claim took %v, want ~5-6 s with ramp-up", took)
-	}
-	if g.Adjustments == 0 {
-		t.Fatal("governor never adjusted")
-	}
-	g.Stop()
-	if g.CurrentFreq() != 2 {
-		t.Fatal("Stop did not restore base frequency")
-	}
-	eng.Run()
-}
-
-func TestDVFSDefaults(t *testing.T) {
-	eng := simx.NewEngine()
-	c := New(eng)
-	n := c.AddNode(validSpec())
-	g := StartDVFS(eng, n, -1, -1)
-	eng.RunUntil(1)
-	if got := g.CurrentFreq(); got != 1 { // default floor 0.5 × 2 GHz
-		t.Fatalf("default floor = %v", got)
-	}
-	g.Stop()
-	eng.Run()
-}

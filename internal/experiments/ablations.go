@@ -65,32 +65,6 @@ func Ablations(seed uint64) AblationResult {
 	return res
 }
 
-// ResFactorSweep measures sensitivity to Algorithm 1's Res_factor on a
-// workload (the paper's user-tunable characterization threshold).
-func ResFactorSweep(workload string, factors []float64, seed uint64) []AblationRow {
-	if len(factors) == 0 {
-		factors = []float64{1.2, 1.5, 2, 3, 4, 6}
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	var rows []AblationRow
-	for _, f := range factors {
-		r := Run(RunSpec{
-			Workload:  workload,
-			Scheduler: SchedRUPAM,
-			RUPAM:     core.Config{ResFactor: f},
-			Seed:      seed,
-		})
-		rows = append(rows, AblationRow{
-			Variant:  fmt.Sprintf("res-factor-%.1f", f),
-			Workload: workload,
-			Seconds:  r.Duration,
-		})
-	}
-	return rows
-}
-
 // Print writes the ablation table.
 func (r AblationResult) Print(w io.Writer) {
 	fmt.Fprintln(w, "Ablations: RUPAM variants on their stress workloads")

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"rupam/internal/chaos"
 	"rupam/internal/faults"
-	"rupam/internal/spark"
 	"rupam/internal/tenant"
 )
 
@@ -73,7 +71,7 @@ func (c ElasticConfig) withDefaults() ElasticConfig {
 // (on-demand, spot-heavy) plus a mixed point, and the notice-blind
 // spot-heavy baseline that isolates what the graceful drain buys.
 func DefaultElasticPolicies() []ElasticPolicy {
-	spot := chaos.DefaultSpotNodes()
+	spot := tenant.DefaultSpotNodes()
 	return []ElasticPolicy{
 		{Name: "on-demand"},
 		{Name: "mixed", SpotNodes: []string{"thor4", "hulk3", "stack2"}},
@@ -135,14 +133,14 @@ func Elastic(cfg ElasticConfig) *ElasticResult {
 	cfg = cfg.withDefaults()
 	res := &ElasticResult{Config: cfg}
 
-	masterPool := chaos.DefaultSpotNodes()
-	hazards := chaos.SpotHazards(masterPool)
+	masterPool := tenant.DefaultSpotNodes()
+	hazards := tenant.SpotHazards(masterPool)
 
 	sums := make(map[string]*ElasticSummary)
 	var order []string
 	for i := 0; i < cfg.Seeds; i++ {
 		seed := cfg.BaseSeed + uint64(i)
-		master := faults.SpotSchedule(seed, masterPool, hazards, chaos.PreemptGen())
+		master := faults.SpotSchedule(seed, masterPool, hazards, tenant.PreemptGen())
 		for _, pol := range cfg.Policies {
 			plan := filterPlan(master, pol.SpotNodes)
 			for _, sched := range []string{SchedSpark, SchedRUPAM} {
@@ -191,13 +189,8 @@ func runElastic(pol ElasticPolicy, scheduler string, seed uint64,
 		// notice-blind baseline pays for its charged losses in time, not in
 		// aborts, and a tight heartbeat so it discovers kills promptly (the
 		// fairest version of the baseline).
-		Spark: spark.Config{
-			TaskMaxFailures:        8,
-			Blacklist:              spark.BlacklistConfig{Enabled: true},
-			SpeculationMaxPerStage: 4,
-			HeartbeatInterval:      0.5,
-			HeartbeatTimeout:       4,
-		},
+		Spark: HardenedConfig(),
+
 		Elastic: tenant.ElasticConfig{
 			Enabled:       true,
 			SpotNodes:     pol.SpotNodes,

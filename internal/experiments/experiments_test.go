@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"rupam/internal/core"
@@ -66,16 +65,6 @@ func TestUnknownClusterPanics(t *testing.T) {
 		}
 	}()
 	Run(RunSpec{Workload: "LR", Cluster: "nope", Seed: 1})
-}
-
-func TestRepeatUsesDistinctSeeds(t *testing.T) {
-	ds := Repeat(RunSpec{Workload: "PR", Scheduler: SchedSpark}, 3)
-	if len(ds) != 3 {
-		t.Fatalf("durations = %v", ds)
-	}
-	if ds[0] == ds[1] && ds[1] == ds[2] {
-		t.Fatal("repetitions identical; seeds not varied")
-	}
 }
 
 // ---- paper-shape assertions -------------------------------------------------
@@ -190,21 +179,6 @@ func TestShapeAblationsRun(t *testing.T) {
 	for _, row := range res.Rows {
 		if row.Seconds <= 0 {
 			t.Errorf("%s/%s did not run", row.Variant, row.Workload)
-		}
-	}
-}
-
-func TestResFactorSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	rows := ResFactorSweep("LR", []float64{1.5, 3}, 1)
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if !strings.HasPrefix(r.Variant, "res-factor-") || r.Seconds <= 0 {
-			t.Errorf("bad row %+v", r)
 		}
 	}
 }

@@ -1,9 +1,10 @@
-package experiments
+package experiments_test
 
 import (
 	"testing"
 
 	"rupam/internal/chaos"
+	"rupam/internal/experiments"
 )
 
 // goldenAblations pins every ablationCases run at one seed: the run
@@ -32,20 +33,23 @@ var goldenAblations = []struct {
 const goldenAblationSeed = 1
 
 func TestGoldenAblationFingerprints(t *testing.T) {
-	if len(goldenAblations) != len(ablationCases) {
-		t.Fatalf("golden table has %d runs, want %d", len(goldenAblations), len(ablationCases))
+	cases := experiments.AblationCases()
+	if len(goldenAblations) != len(cases) {
+		t.Fatalf("golden table has %d runs, want %d", len(goldenAblations), len(cases))
 	}
-	for i, c := range ablationCases {
+	for i, c := range cases {
 		g := goldenAblations[i]
-		rt, app := newRun(RunSpec{Workload: c.workload, Scheduler: SchedRUPAM, RUPAM: c.cfg, Seed: goldenAblationSeed})
+		rt, app := experiments.NewRun(experiments.RunSpec{
+			Workload: c.Workload, Scheduler: experiments.SchedRUPAM, RUPAM: c.RUPAM, Seed: goldenAblationSeed,
+		})
 		res := rt.Run(app)
 		if res.Aborted != nil {
-			t.Errorf("%s/%s aborted: %v", c.name, c.workload, res.Aborted)
+			t.Errorf("%s/%s aborted: %v", c.Name, c.Workload, res.Aborted)
 		}
 		fp, events := chaos.Fingerprint(res), rt.Eng.Fired()
-		if c.name != g.name || c.workload != g.workload || fp != g.fingerprint || events != g.events {
+		if c.Name != g.name || c.Workload != g.workload || fp != g.fingerprint || events != g.events {
 			t.Errorf("%s/%s: fingerprint %s, %d events; golden %s/%s %s, %d events",
-				c.name, c.workload, fp, events, g.name, g.workload, g.fingerprint, g.events)
+				c.Name, c.Workload, fp, events, g.name, g.workload, g.fingerprint, g.events)
 		}
 	}
 }

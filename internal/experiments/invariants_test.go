@@ -1,9 +1,10 @@
-package experiments
+package experiments_test
 
 import (
 	"testing"
 
 	"rupam/internal/chaos"
+	"rupam/internal/experiments"
 	"rupam/internal/task"
 )
 
@@ -11,16 +12,16 @@ import (
 // asserts the cross-cutting conservation properties the simulation must
 // uphold regardless of policy.
 func TestRunInvariants(t *testing.T) {
-	cases := []RunSpec{
-		{Workload: "LR", Scheduler: SchedRUPAM, Seed: 4},
-		{Workload: "PR", Scheduler: SchedSpark, Seed: 4},
-		{Workload: "KMeans", Scheduler: SchedRUPAM, Seed: 4},
-		{Workload: "TC", Scheduler: SchedSpark, Seed: 4},
+	cases := []experiments.RunSpec{
+		{Workload: "LR", Scheduler: experiments.SchedRUPAM, Seed: 4},
+		{Workload: "PR", Scheduler: experiments.SchedSpark, Seed: 4},
+		{Workload: "KMeans", Scheduler: experiments.SchedRUPAM, Seed: 4},
+		{Workload: "TC", Scheduler: experiments.SchedSpark, Seed: 4},
 	}
 	for _, spec := range cases {
 		spec := spec
 		t.Run(spec.Workload+"-"+spec.Scheduler, func(t *testing.T) {
-			res := Run(spec)
+			res := experiments.Run(spec)
 
 			// Every task finished with exactly one successful attempt.
 			for _, tk := range res.App.AllTasks() {
@@ -83,10 +84,10 @@ func TestRunInvariants(t *testing.T) {
 // and nothing is running. The checks themselves live in package chaos so
 // the soak harness and this test can't drift apart.
 func TestResourceConservation(t *testing.T) {
-	// Use the harness pieces directly so the runtime's internals are
-	// inspectable after completion.
-	spec := RunSpec{Workload: "KMeans", Scheduler: SchedRUPAM, Seed: 6}
-	res, rt := runWithRuntime(t, spec)
+	// Build the run directly so the runtime's internals are inspectable
+	// after completion.
+	rt, app := experiments.NewRun(experiments.RunSpec{Workload: "KMeans", Scheduler: experiments.SchedRUPAM, Seed: 6})
+	res := rt.Run(app)
 	for _, v := range chaos.CheckInvariants(res, rt) {
 		t.Error(v)
 	}

@@ -66,12 +66,16 @@ func BuildCluster(eng *simx.Engine, name string) *cluster.Cluster {
 // Run executes one application under one scheduler on a fresh simulated
 // cluster and returns the framework's result.
 func Run(spec RunSpec) *spark.Result {
-	rt, app := newRun(spec)
+	rt, app := NewRun(spec)
 	return rt.Run(app)
 }
 
-// newRun builds the runtime and application Run executes.
-func newRun(spec RunSpec) (*spark.Runtime, *task.Application) {
+// NewRun builds the runtime and application of one run without starting
+// it. It is the one place a run's seeds are derived from spec.Seed: the
+// data placement, the workload draw and the framework's failure coins,
+// so a Spark run and a RUPAM run with the same seed differ only in the
+// scheduler.
+func NewRun(spec RunSpec) (*spark.Runtime, *task.Application) {
 	eng := simx.NewEngine()
 	clu := BuildCluster(eng, spec.Cluster)
 
@@ -101,63 +105,43 @@ func newRun(spec RunSpec) (*spark.Runtime, *task.Application) {
 	return spark.NewRuntime(eng, clu, sched, cfg), app
 }
 
-// Repeat runs the spec with seeds 1..n (clearing all state between runs,
-// as the paper clears DB_taskchar) and returns the durations.
-func Repeat(spec RunSpec, n int) []float64 {
-	durations := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := spec
-		s.Seed = uint64(i + 1)
-		durations[i] = Run(s).Duration
+// HardenedConfig is the framework configuration fault runs use: bounded
+// retries (so doomed tasks abort instead of spinning), the node blacklist
+// on, a speculation cap, a tight heartbeat so loss windows are observed,
+// and a low sim-time ceiling so a livelock fails fast (as a recovered
+// panic) instead of hanging a sweep. The chaos soaks, the elastic sweep
+// and rupam-sim's -chaos-seed mode all run under it; NewRun and the
+// multi-application harnesses set the seed themselves.
+func HardenedConfig() spark.Config {
+	return spark.Config{
+		TaskMaxFailures:        8,
+		Blacklist:              spark.BlacklistConfig{Enabled: true},
+		SpeculationMaxPerStage: 4,
+		HeartbeatInterval:      0.5,
+		HeartbeatTimeout:       4,
+		MaxSimTime:             7200,
+		SampleInterval:         -1,
 	}
-	return durations
-}
-
-// appOf rebuilds a spec's application without running it (task counts etc.).
-func appOf(spec RunSpec) *task.Application {
-	eng := simx.NewEngine()
-	clu := BuildCluster(eng, spec.Cluster)
-	store := hdfs.NewStore(clu.NodeNames(), 2, spec.Seed*2654435761+1)
-	p := spec.Params
-	if p.Seed == 0 {
-		p.Seed = spec.Seed*7 + 42
-	}
-	return workloads.Build(spec.Workload, store, p)
 }
 
 // RunWithCharDB runs a RUPAM spec warm-started from (and saved back to)
 // a persisted task-characteristics database file. It returns the run
 // result and the number of records persisted. A missing file starts cold.
 func RunWithCharDB(spec RunSpec, path string) (*spark.Result, int) {
-	eng := simx.NewEngine()
-	clu := BuildCluster(eng, spec.Cluster)
-	store := hdfs.NewStore(clu.NodeNames(), 2, spec.Seed*2654435761+1)
-	p := spec.Params
-	if p.Seed == 0 {
-		p.Seed = spec.Seed*7 + 42
-	}
-	app := workloads.Build(spec.Workload, store, p)
-
-	sched := core.New(spec.RUPAM)
-	if err := sched.DB().LoadFile(path); err != nil && !os.IsNotExist(err) {
+	spec.Scheduler = SchedRUPAM
+	rt, app := NewRun(spec)
+	db := rt.Scheduler().(*core.RUPAM).DB()
+	if err := db.LoadFile(path); err != nil && !os.IsNotExist(err) {
 		// A corrupt snapshot is not fatal: the characterization history is
 		// a performance hint, so warn and start cold. SaveFile below writes
 		// the replacement atomically.
 		fmt.Fprintf(os.Stderr, "experiments: chardb %s unreadable (%v); starting cold\n", path, err)
-		sched.DB().Clear()
+		db.Clear()
 	}
-
-	cfg := spec.Spark
-	cfg.Seed = spec.Seed*31 + 7
-	cfg.Tracer = spec.Tracer
-	if !spec.Trace && cfg.SampleInterval == 0 {
-		cfg.SampleInterval = -1
-	}
-	rt := spark.NewRuntime(eng, clu, sched, cfg)
 	res := rt.Run(app)
 
-	if err := sched.DB().SaveFile(path); err != nil {
+	if err := db.SaveFile(path); err != nil {
 		panic(fmt.Sprintf("experiments: saving chardb %s: %v", path, err))
 	}
-	return res, sched.DB().RecordCount()
+	return res, db.RecordCount()
 }

@@ -183,8 +183,8 @@ func Run(cfg Config) *Result {
 			}
 		}
 	}
-	sub := tenant.BuildSubstrate(eng, clu, tenant.SubstrateOptions{
-		Seed:              cfg.Seed,
+	sub := spark.NewSubstrate(eng, clu, spark.SubstrateOptions{
+		Seed:              cfg.Seed*31 + 7,
 		Exec:              cfg.Spark.Exec,
 		HeartbeatInterval: cfg.Spark.HeartbeatInterval,
 		Tracer:            cfg.Spark.Tracer,

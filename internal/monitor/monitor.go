@@ -18,10 +18,9 @@ type NodeMetrics struct {
 	Time float64
 
 	// CPUFreq is the *effective* per-core speed in GHz — the spec
-	// frequency unless a DVFS governor or an injected CPUDegrade window
-	// has rescaled the node, in which case the heartbeat reports the
-	// throttled value (Table I treats cpufreq as dynamic for exactly this
-	// reason). Consumers compare it against the spec to spot fail-slow
+	// frequency unless an injected CPUDegrade window has rescaled the
+	// node, in which case the heartbeat reports the throttled value
+	// (Table I treats cpufreq as dynamic for exactly this reason). Consumers compare it against the spec to spot fail-slow
 	// nodes.
 	CPUFreq      float64 // GHz
 	Cores        int
@@ -165,7 +164,7 @@ func (m *Monitor) Collect(node *cluster.Node) *NodeMetrics {
 
 // effectiveFreq reads the node's current per-core speed off its CPU
 // resource (the per-claim cap tracks the effective core frequency through
-// DVFS and fault-injected throttle windows), falling back to the spec
+// fault-injected throttle windows), falling back to the spec
 // when the resource carries no cap.
 func effectiveFreq(node *cluster.Node) float64 {
 	if f := node.CPU.PerClaimCap(); f > 0 {

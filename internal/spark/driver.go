@@ -427,7 +427,7 @@ func (rt *Runtime) SpecInFlight(stageID int) int {
 
 // NodeDegraded reports whether node's latest heartbeat shows a below-spec
 // effective CPU frequency — the driver-side view of a fail-slow node
-// inside an injected (or DVFS) throttle window.
+// inside an injected throttle window.
 func (rt *Runtime) NodeDegraded(node string) bool {
 	nm := rt.Mon.Latest(node)
 	if nm == nil {

@@ -25,10 +25,6 @@ import (
 // Config carries the framework's tunables; zero fields take the Spark
 // defaults noted per field.
 type Config struct {
-	// DriverNode hosts the driver program (result flows land here);
-	// defaults to the first cluster node, matching the paper's master
-	// co-located on a worker.
-	DriverNode string
 	// StaticHeapBytes is the executor heap the default scheduler uses on
 	// every node (the paper sets 14 GB to fit the 16 GB thor machines).
 	StaticHeapBytes int64
@@ -138,16 +134,6 @@ type CacheRelocator interface {
 // grants/revokes the application's slots on a node.
 type ExecutorSetAware interface {
 	ExecutorSetChanged()
-}
-
-// Substrate is the cluster-side state a multi-application run shares: one
-// executor (node-level worker) per node, one cache registry, and one
-// heartbeat monitor. A tenant manager builds it once and hands it to every
-// application's Runtime; single-application runs build their own in Start.
-type Substrate struct {
-	Execs map[string]*executor.Executor
-	Cache *executor.CacheTracker
-	Mon   *monitor.Monitor
 }
 
 // Scheduler is the task-placement policy. The Runtime notifies it of
@@ -313,10 +299,6 @@ func NewRuntime(eng *simx.Engine, clu *cluster.Cluster, sched Scheduler, cfg Con
 // behaves exactly like NewRuntime.
 func NewRuntimeOn(eng *simx.Engine, clu *cluster.Cluster, sched Scheduler, cfg Config, sub *Substrate) *Runtime {
 	cfg = cfg.withDefaults()
-	if cfg.DriverNode == "" && len(clu.Nodes) > 0 {
-		cfg.DriverNode = clu.Nodes[0].Name()
-	}
-	cfg.Exec.DriverNode = cfg.DriverNode
 	cfg.Exec.Seed = cfg.Seed
 	cfg.Exec.Tracer = cfg.Tracer
 	if cr, ok := sched.(CacheRelocator); ok {
@@ -346,9 +328,7 @@ func NewRuntimeOn(eng *simx.Engine, clu *cluster.Cluster, sched Scheduler, cfg C
 		drainFlows:   make(map[string][]*netsim.Flow),
 	}
 	if sub != nil {
-		rt.Cache = sub.Cache
-		rt.Execs = sub.Execs
-		rt.Mon = sub.Mon
+		rt.Cache, rt.Execs, rt.Mon = sub.Cache, sub.Execs, sub.Mon
 	}
 	if cfg.Blacklist.Enabled {
 		rt.bl = newBlacklist(eng, cfg.Blacklist)
@@ -562,30 +542,26 @@ func (rt *Runtime) Start(app *task.Application) {
 	}
 
 	if rt.sub == nil {
+		// Executors sized by the scheduler's policy; heartbeats drive
+		// scheduling rounds (and RUPAM's RM).
 		rt.ownsSubstrate = true
-
-		// Executors, sized by the scheduler's policy.
-		peers := rt.Execs
-		for i, n := range rt.Clu.Nodes {
-			cfg := rt.Cfg.Exec
-			cfg.HeapBytes = rt.sched.HeapFor(n)
-			cfg.Seed = rt.Cfg.Seed + uint64(i)*7919
-			ex := executor.New(rt.Eng, rt.Clu, n, rt.Cache, peers, cfg)
-			ex.OnRestart = func() {
+		sub := NewSubstrate(rt.Eng, rt.Clu, SubstrateOptions{
+			Seed:              rt.Cfg.Seed,
+			Exec:              rt.Cfg.Exec,
+			HeapFor:           rt.sched.HeapFor,
+			HeartbeatInterval: rt.Cfg.HeartbeatInterval,
+			RelocateCache:     rt.Cfg.Exec.RelocateCacheOnRemoteRead,
+			Tracer:            rt.Cfg.Tracer,
+			OnRestart: func() {
 				rt.notifyExecutorSetChanged()
 				rt.reschedule()
-			}
-		}
-
-		// Heartbeats drive scheduling rounds (and RUPAM's RM).
-		rt.Mon = monitor.New(rt.Eng, rt.Clu, rt.Cfg.HeartbeatInterval)
-		for name, ex := range rt.Execs {
-			rt.Mon.RegisterProbe(name, ex)
-		}
-		rt.Mon.OnHeartbeat = func(node string, nm *monitor.NodeMetrics) {
-			rt.DeliverHeartbeat(node, nm)
-			rt.reschedule()
-		}
+			},
+			OnHeartbeat: func(node string, nm *monitor.NodeMetrics) {
+				rt.DeliverHeartbeat(node, nm)
+				rt.reschedule()
+			},
+		})
+		rt.Cache, rt.Execs, rt.Mon = sub.Cache, sub.Execs, sub.Mon
 		rt.Mon.Start()
 	}
 

@@ -1,0 +1,76 @@
+package spark
+
+import (
+	"rupam/internal/cluster"
+	"rupam/internal/executor"
+	"rupam/internal/monitor"
+	"rupam/internal/simx"
+	"rupam/internal/tracing"
+)
+
+// Substrate is the cluster-side state of a run: one executor (node-level
+// worker) per node, one cache registry, and one heartbeat monitor. A
+// single-application runtime builds its own in Start; a tenant manager or
+// the federation harness builds one and hands it to every application's
+// Runtime.
+type Substrate struct {
+	Execs map[string]*executor.Executor
+	Cache *executor.CacheTracker
+	Mon   *monitor.Monitor
+}
+
+// SubstrateOptions parameterizes NewSubstrate.
+type SubstrateOptions struct {
+	// Seed is the framework seed; node i's executor draws from
+	// Seed + i*7919 over the cluster's node order.
+	Seed uint64
+	// Exec is the base per-node executor configuration; HeapBytes, Seed,
+	// DriverNode and Tracer are filled per node.
+	Exec executor.Config
+	// HeapFor sizes each node's executor heap; nil uses a static 14 GB.
+	HeapFor func(*cluster.Node) int64
+	// HeartbeatInterval is the monitor period; 0 means 1 s.
+	HeartbeatInterval float64
+	// RelocateCache mirrors the RUPAM cache-relocation policy.
+	RelocateCache bool
+	Tracer        *tracing.Collector
+	// OnRestart fires when any executor restarts (after a crash window);
+	// the owner fans executor-set-change notifications to its drivers.
+	OnRestart func()
+	// OnHeartbeat observes every node heartbeat; the owner fans it to its
+	// drivers and runs a scheduling round.
+	OnHeartbeat func(node string, nm *monitor.NodeMetrics)
+}
+
+// NewSubstrate creates the executors, cache registry and heartbeat
+// monitor every batch run executes on, without starting the monitor. The
+// driver program runs on the cluster's first node, so result flows land
+// there. Fault injection stays with the caller: it owns crash routing.
+func NewSubstrate(eng *simx.Engine, clu *cluster.Cluster, o SubstrateOptions) *Substrate {
+	heapFor := o.HeapFor
+	if heapFor == nil {
+		heapFor = func(*cluster.Node) int64 { return 14 * cluster.GB }
+	}
+	cache := executor.NewCacheTracker()
+	execs := make(map[string]*executor.Executor)
+	for i, n := range clu.Nodes {
+		ecfg := o.Exec
+		ecfg.HeapBytes = heapFor(n)
+		ecfg.Seed = o.Seed + uint64(i)*7919
+		ecfg.DriverNode = clu.Nodes[0].Name()
+		ecfg.Tracer = o.Tracer
+		ecfg.RelocateCacheOnRemoteRead = o.RelocateCache
+		ex := executor.New(eng, clu, n, cache, execs, ecfg)
+		ex.OnRestart = o.OnRestart
+	}
+	hb := o.HeartbeatInterval
+	if hb <= 0 {
+		hb = 1
+	}
+	mon := monitor.New(eng, clu, hb)
+	for name, ex := range execs {
+		mon.RegisterProbe(name, ex)
+	}
+	mon.OnHeartbeat = o.OnHeartbeat
+	return &Substrate{Execs: execs, Cache: cache, Mon: mon}
+}

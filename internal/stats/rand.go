@@ -85,49 +85,6 @@ func (r *Rand) Exp(rate float64) float64 {
 	return -math.Log(u) / rate
 }
 
-// Zipf returns a value in [1, n] following a Zipf distribution with
-// exponent s, via inverse-CDF on the precomputed harmonic weights held in
-// z. Use NewZipf to build z once per distribution.
-type Zipf struct {
-	cdf []float64
-	r   *Rand
-}
-
-// NewZipf builds a Zipf sampler over ranks 1..n with exponent s >= 0
-// (s = 0 degenerates to uniform). Data skew across partitions — the cause
-// of the intra-stage task skew in the paper's Fig 3 — is modelled by
-// sampling partition sizes from this distribution.
-func NewZipf(r *Rand, n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("stats: Zipf with non-positive n")
-	}
-	cdf := make([]float64, n)
-	var total float64
-	for i := 1; i <= n; i++ {
-		total += 1 / math.Pow(float64(i), s)
-		cdf[i-1] = total
-	}
-	for i := range cdf {
-		cdf[i] /= total
-	}
-	return &Zipf{cdf: cdf, r: r}
-}
-
-// Next returns the next rank in [1, n].
-func (z *Zipf) Next() int {
-	u := z.r.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo + 1
-}
-
 // SkewFactors returns n multiplicative skew factors with mean ~1 whose
 // spread grows with skew (0 = perfectly even). The generators multiply a
 // stage's per-task base demand by these to create realistic task skew.

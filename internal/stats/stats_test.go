@@ -152,22 +152,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestZipfRangeAndSkew(t *testing.T) {
-	r := NewRand(3)
-	z := NewZipf(r, 100, 1.0)
-	counts := make([]int, 101)
-	for i := 0; i < 20000; i++ {
-		v := z.Next()
-		if v < 1 || v > 100 {
-			t.Fatalf("zipf out of range: %d", v)
-		}
-		counts[v]++
-	}
-	if counts[1] <= counts[50] {
-		t.Fatalf("zipf not skewed: rank1=%d rank50=%d", counts[1], counts[50])
-	}
-}
-
 func TestSkewFactorsMeanOne(t *testing.T) {
 	r := NewRand(5)
 	for _, sigma := range []float64{0, 0.2, 0.8} {

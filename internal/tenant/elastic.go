@@ -6,6 +6,8 @@ import (
 	"sort"
 
 	"rupam/internal/cluster"
+	"rupam/internal/faults"
+	"rupam/internal/simx"
 )
 
 // This file is the elastic cloud substrate: the workload manager stops
@@ -37,6 +39,36 @@ type ElasticConfig struct {
 	// every kill cold (heartbeat-timeout discovery, fetch-failure storms,
 	// charged losses) instead of draining through the grace window.
 	IgnoreNotices bool
+}
+
+// PreemptGen is the reclamation horizon and grace bounds of the
+// preemption soak and the elastic sweep; the per-node rates come from the
+// market hazards, not from here.
+func PreemptGen() faults.GenConfig {
+	return faults.GenConfig{Horizon: 150, MinGrace: 6, MaxGrace: 20}
+}
+
+// DefaultSpotNodes is the default spot pool: half of each Hydra class,
+// never thor1 (the driver node — reclaiming it would model losing the
+// cluster manager itself, which is the recovery soak's job).
+func DefaultSpotNodes() []string {
+	return []string{"thor4", "thor5", "thor6", "hulk3", "hulk4", "stack2"}
+}
+
+// SpotHazards maps each spot node to its class's preemption hazard in the
+// default market (expected reclamations/hour), resolving classes through
+// the reference Hydra cluster. Input for faults.SpotSchedule.
+func SpotHazards(spotNodes []string) map[string]float64 {
+	market := cluster.DefaultMarket()
+	clu := cluster.New(simx.NewEngine())
+	cluster.NewHydra(clu)
+	hz := make(map[string]float64, len(spotNodes))
+	for _, name := range spotNodes {
+		if n := clu.Node(name); n != nil {
+			hz[name] = market.Hazard(n.Spec.Class)
+		}
+	}
+	return hz
 }
 
 // The elastic substrate's fixed parameters.

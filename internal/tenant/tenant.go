@@ -15,7 +15,6 @@ import (
 
 	"rupam/internal/cluster"
 	"rupam/internal/core"
-	"rupam/internal/executor"
 	"rupam/internal/faults"
 	"rupam/internal/hdfs"
 	"rupam/internal/monitor"
@@ -262,71 +261,12 @@ func (m *Manager) start() {
 	m.armDynalloc()
 }
 
-// SubstrateOptions parameterizes BuildSubstrate — the knobs the tenant
-// manager and the federation harness share when standing up one executor
-// set for many concurrently scheduling drivers.
-type SubstrateOptions struct {
-	// Seed derives per-node executor seeds (Seed + i*7919 over the
-	// cluster's node order).
-	Seed uint64
-	// Exec is the base per-node executor configuration; HeapBytes, Seed,
-	// DriverNode and Tracer are filled per node.
-	Exec executor.Config
-	// HeapFor sizes each node's executor heap; nil uses a static 14 GB.
-	HeapFor func(*cluster.Node) int64
-	// HeartbeatInterval is the monitor period; 0 means 1 s.
-	HeartbeatInterval float64
-	// RelocateCache mirrors the RUPAM cache-relocation policy.
-	RelocateCache bool
-	Tracer        *tracing.Collector
-	// OnRestart fires when any executor restarts (after a crash window);
-	// the owner fans executor-set-change notifications to its drivers.
-	OnRestart func()
-	// OnHeartbeat observes every node heartbeat; the owner fans it to its
-	// drivers and runs a scheduling round.
-	OnHeartbeat func(node string, nm *monitor.NodeMetrics)
-}
-
-// BuildSubstrate creates the shared executors, cache registry and
-// heartbeat monitor — the per-cluster state every application runtime
-// attaches to — without starting the monitor. Fault injection stays with
-// the caller: it owns crash routing.
-func BuildSubstrate(eng *simx.Engine, clu *cluster.Cluster, o SubstrateOptions) *spark.Substrate {
-	heapFor := o.HeapFor
-	if heapFor == nil {
-		heapFor = func(*cluster.Node) int64 { return 14 * cluster.GB }
-	}
-	cache := executor.NewCacheTracker()
-	execs := make(map[string]*executor.Executor)
-	execSeed := o.Seed*31 + 7
-	for i, n := range clu.Nodes {
-		ecfg := o.Exec
-		ecfg.HeapBytes = heapFor(n)
-		ecfg.Seed = execSeed + uint64(i)*7919
-		ecfg.DriverNode = clu.Nodes[0].Name()
-		ecfg.Tracer = o.Tracer
-		ecfg.RelocateCacheOnRemoteRead = o.RelocateCache
-		ex := executor.New(eng, clu, n, cache, execs, ecfg)
-		ex.OnRestart = o.OnRestart
-	}
-	hb := o.HeartbeatInterval
-	if hb <= 0 {
-		hb = 1
-	}
-	mon := monitor.New(eng, clu, hb)
-	for name, ex := range execs {
-		mon.RegisterProbe(name, ex)
-	}
-	mon.OnHeartbeat = o.OnHeartbeat
-	return &spark.Substrate{Execs: execs, Cache: cache, Mon: mon}
-}
-
 // buildSubstrate creates the shared executors, cache registry, heartbeat
 // monitor and (optional) fault injector — the per-cluster state every
 // application's runtime attaches to.
 func (m *Manager) buildSubstrate() {
-	m.sub = BuildSubstrate(m.eng, m.clu, SubstrateOptions{
-		Seed:              m.cfg.Seed,
+	m.sub = spark.NewSubstrate(m.eng, m.clu, spark.SubstrateOptions{
+		Seed:              m.cfg.Seed*31 + 7,
 		Exec:              m.cfg.Spark.Exec,
 		HeapFor:           m.heapPolicy(),
 		HeartbeatInterval: m.heartbeatInterval(),
