@@ -447,18 +447,14 @@ type GenConfig struct {
 	// MsgDrops/MsgDups/MsgDelays/MsgReorders count control-plane message
 	// fault windows for the federation plane; each scopes to one node's
 	// edges or (with probability 1/(len(nodes)+1)) to every edge, with a
-	// hit probability between MinMsgFactor and MaxMsgFactor and (for
-	// MsgDelay) an extra latency between MinMsgDelay and MaxMsgDelay.
+	// hit probability between minMsgFactor and maxMsgFactor and (for
+	// MsgDelay) an extra latency between minMsgDelay and maxMsgDelay.
 	// These draw last of all — after SpotPreempts — so pre-existing seeds'
 	// fault traces are unchanged by the message-fault extension.
-	MsgDrops     int
-	MsgDups      int
-	MsgDelays    int
-	MsgReorders  int
-	MinMsgFactor float64
-	MaxMsgFactor float64
-	MinMsgDelay  float64
-	MaxMsgDelay  float64
+	MsgDrops    int
+	MsgDups     int
+	MsgDelays   int
+	MsgReorders int
 	// LoadSpikes counts offered-load spike windows for streaming runs;
 	// each multiplies every source's emission rate by a factor drawn
 	// between MinSpikeFactor and MaxSpikeFactor (≥ 1). These draw last of
@@ -476,6 +472,15 @@ type GenConfig struct {
 	MinAgentDowntime float64
 	MaxAgentDowntime float64
 }
+
+// The message-fault windows' fixed bounds: each window's hit probability
+// and, for MsgDelay, its extra one-way latency in seconds.
+const (
+	minMsgFactor float64 = 0.1
+	maxMsgFactor float64 = 0.4
+	minMsgDelay  float64 = 0.05
+	maxMsgDelay  float64 = 0.5
+)
 
 func (g GenConfig) withDefaults() GenConfig {
 	if g.Horizon <= 0 {
@@ -517,18 +522,6 @@ func (g GenConfig) withDefaults() GenConfig {
 	if g.MaxGrace < g.MinGrace {
 		g.MaxGrace = g.MinGrace + 18
 	}
-	if g.MinMsgFactor <= 0 {
-		g.MinMsgFactor = 0.1
-	}
-	if g.MaxMsgFactor < g.MinMsgFactor {
-		g.MaxMsgFactor = 0.4
-	}
-	if g.MinMsgDelay <= 0 {
-		g.MinMsgDelay = 0.05
-	}
-	if g.MaxMsgDelay < g.MinMsgDelay {
-		g.MaxMsgDelay = 0.5
-	}
 	if g.MinSpikeFactor < 1 {
 		g.MinSpikeFactor = 1.5
 	}
@@ -557,33 +550,43 @@ func RandomSchedule(seed uint64, nodes []string, cfg GenConfig) *Schedule {
 	}
 	rng := stats.NewRand(seed ^ 0xfa17f5eed)
 	var evs []Event
-	crashes := make(map[string][]Event)
-	for i := 0; i < cfg.Crashes; i++ {
-		for try := 0; try < 16; try++ {
-			dur := rng.Range(cfg.MinRecovery, cfg.MaxRecovery)
-			if rng.Float64() < cfg.PermanentProb {
-				dur = 0
-			}
-			ev := Event{
-				Kind:     NodeCrash,
-				Node:     nodes[rng.Intn(len(nodes))],
-				At:       rng.Range(0, cfg.Horizon),
-				Duration: dur,
-			}
-			overlaps := false
-			for _, prev := range crashes[ev.Node] {
-				if crashWindowsOverlap(prev, ev) {
-					overlaps = true
+	// drawWindows appends count events from draw. An event whose window
+	// overlaps an earlier one of its overlap scope (the rule Validate
+	// enforces) is redrawn, and dropped after 16 tries; each draw closure
+	// keeps its kind's RNG call order, so a seed's plan never changes.
+	windows := make(map[scope][]Event)
+	drawWindows := func(count int, draw func() Event) {
+		for i := 0; i < count; i++ {
+			for try := 0; try < 16; try++ {
+				ev := draw()
+				sc, _ := overlapScope(ev)
+				overlaps := false
+				for _, prev := range windows[sc] {
+					if crashWindowsOverlap(prev, ev) {
+						overlaps = true
+						break
+					}
+				}
+				if !overlaps {
+					windows[sc] = append(windows[sc], ev)
+					evs = append(evs, ev)
 					break
 				}
 			}
-			if !overlaps {
-				crashes[ev.Node] = append(crashes[ev.Node], ev)
-				evs = append(evs, ev)
-				break
-			}
 		}
 	}
+	drawWindows(cfg.Crashes, func() Event {
+		dur := rng.Range(cfg.MinRecovery, cfg.MaxRecovery)
+		if rng.Float64() < cfg.PermanentProb {
+			dur = 0
+		}
+		return Event{
+			Kind:     NodeCrash,
+			Node:     nodes[rng.Intn(len(nodes))],
+			At:       rng.Range(0, cfg.Horizon),
+			Duration: dur,
+		}
+	})
 	for i := 0; i < cfg.Degrades; i++ {
 		kind := NICDegrade
 		if rng.Float64() < 0.5 {
@@ -632,150 +635,64 @@ func RandomSchedule(seed uint64, nodes []string, cfg GenConfig) *Schedule {
 			Factor:   rng.Range(cfg.MinFlakeProb, cfg.MaxFlakeProb),
 		})
 	}
-	// Driver crashes draw last (see GenConfig.DriverCrashes) and redraw on
-	// overlap like node crashes: the driver cannot die while already down.
-	var driverCrashes []Event
-	for i := 0; i < cfg.DriverCrashes; i++ {
-		for try := 0; try < 16; try++ {
-			ev := Event{
-				Kind:     DriverCrash,
-				At:       rng.Range(0, cfg.Horizon),
-				Duration: rng.Range(cfg.MinDriverRestart, cfg.MaxDriverRestart),
-			}
-			overlaps := false
-			for _, prev := range driverCrashes {
-				if crashWindowsOverlap(prev, ev) {
-					overlaps = true
-					break
-				}
-			}
-			if !overlaps {
-				driverCrashes = append(driverCrashes, ev)
-				evs = append(evs, ev)
-				break
-			}
+	// The kinds below draw in the order they were added to GenConfig, so
+	// each extension appended to — never reordered — older seeds' draws.
+	drawWindows(cfg.DriverCrashes, func() Event {
+		return Event{
+			Kind:     DriverCrash,
+			At:       rng.Range(0, cfg.Horizon),
+			Duration: rng.Range(cfg.MinDriverRestart, cfg.MaxDriverRestart),
 		}
-	}
-	// Spot preemptions draw last of all (see GenConfig.SpotPreempts) and
-	// redraw when a notice window would overlap an earlier one on the same
-	// node — an instance cannot be re-warned while already doomed.
-	preempts := make(map[string][]Event)
-	for i := 0; i < cfg.SpotPreempts; i++ {
-		for try := 0; try < 16; try++ {
-			ev := Event{
-				Kind:     SpotPreempt,
-				Node:     nodes[rng.Intn(len(nodes))],
-				At:       rng.Range(0, cfg.Horizon),
-				Duration: rng.Range(cfg.MinGrace, cfg.MaxGrace),
-			}
-			overlaps := false
-			for _, prev := range preempts[ev.Node] {
-				if crashWindowsOverlap(prev, ev) {
-					overlaps = true
-					break
-				}
-			}
-			if !overlaps {
-				preempts[ev.Node] = append(preempts[ev.Node], ev)
-				evs = append(evs, ev)
-				break
-			}
+	})
+	drawWindows(cfg.SpotPreempts, func() Event {
+		return Event{
+			Kind:     SpotPreempt,
+			Node:     nodes[rng.Intn(len(nodes))],
+			At:       rng.Range(0, cfg.Horizon),
+			Duration: rng.Range(cfg.MinGrace, cfg.MaxGrace),
 		}
-	}
-	// Message faults draw last of all (see GenConfig.MsgDrops…) and redraw
-	// when a window would overlap an earlier window of the same kind on
-	// the same scope. Scope draws len(nodes)+1 ways: index len(nodes) is
-	// the empty scope, i.e. every protocol edge.
-	msgWindows := make(map[string][]Event)
+	})
+	// A message fault's scope draws len(nodes)+1 ways: index len(nodes)
+	// is the empty scope, i.e. every protocol edge.
 	drawMsg := func(kind Kind, count int) {
-		for i := 0; i < count; i++ {
-			for try := 0; try < 16; try++ {
-				node := ""
-				if idx := rng.Intn(len(nodes) + 1); idx < len(nodes) {
-					node = nodes[idx]
-				}
-				ev := Event{
-					Kind:     kind,
-					Node:     node,
-					At:       rng.Range(0, cfg.Horizon),
-					Duration: rng.Range(cfg.MinDuration, cfg.MaxDuration),
-					Factor:   rng.Range(cfg.MinMsgFactor, cfg.MaxMsgFactor),
-				}
-				if kind == MsgDelay {
-					ev.Delay = rng.Range(cfg.MinMsgDelay, cfg.MaxMsgDelay)
-				}
-				key := fmt.Sprintf("%s|%s", kind, node)
-				overlaps := false
-				for _, prev := range msgWindows[key] {
-					if crashWindowsOverlap(prev, ev) {
-						overlaps = true
-						break
-					}
-				}
-				if !overlaps {
-					msgWindows[key] = append(msgWindows[key], ev)
-					evs = append(evs, ev)
-					break
-				}
+		drawWindows(count, func() Event {
+			node := ""
+			if idx := rng.Intn(len(nodes) + 1); idx < len(nodes) {
+				node = nodes[idx]
 			}
-		}
+			ev := Event{
+				Kind:     kind,
+				Node:     node,
+				At:       rng.Range(0, cfg.Horizon),
+				Duration: rng.Range(cfg.MinDuration, cfg.MaxDuration),
+				Factor:   rng.Range(minMsgFactor, maxMsgFactor),
+			}
+			if kind == MsgDelay {
+				ev.Delay = rng.Range(minMsgDelay, maxMsgDelay)
+			}
+			return ev
+		})
 	}
 	drawMsg(MsgDrop, cfg.MsgDrops)
 	drawMsg(MsgDup, cfg.MsgDups)
 	drawMsg(MsgDelay, cfg.MsgDelays)
 	drawMsg(MsgReorder, cfg.MsgReorders)
-	// Load spikes draw last of all (see GenConfig.LoadSpikes) and redraw
-	// when a window would overlap an earlier spike: one global offered-load
-	// multiplier per instant.
-	var spikes []Event
-	for i := 0; i < cfg.LoadSpikes; i++ {
-		for try := 0; try < 16; try++ {
-			ev := Event{
-				Kind:     LoadSpike,
-				At:       rng.Range(0, cfg.Horizon),
-				Duration: rng.Range(cfg.MinDuration, cfg.MaxDuration),
-				Factor:   rng.Range(cfg.MinSpikeFactor, cfg.MaxSpikeFactor),
-			}
-			overlaps := false
-			for _, prev := range spikes {
-				if crashWindowsOverlap(prev, ev) {
-					overlaps = true
-					break
-				}
-			}
-			if !overlaps {
-				spikes = append(spikes, ev)
-				evs = append(evs, ev)
-				break
-			}
+	drawWindows(cfg.LoadSpikes, func() Event {
+		return Event{
+			Kind:     LoadSpike,
+			At:       rng.Range(0, cfg.Horizon),
+			Duration: rng.Range(cfg.MinDuration, cfg.MaxDuration),
+			Factor:   rng.Range(cfg.MinSpikeFactor, cfg.MaxSpikeFactor),
 		}
-	}
-	// Agent crashes draw last of all (see GenConfig.AgentCrashes) and
-	// redraw when a downtime window would overlap an earlier one on the
-	// same node: an agent cannot die while it is already down.
-	agentCrashes := make(map[string][]Event)
-	for i := 0; i < cfg.AgentCrashes; i++ {
-		for try := 0; try < 16; try++ {
-			ev := Event{
-				Kind:     AgentCrash,
-				Node:     nodes[rng.Intn(len(nodes))],
-				At:       rng.Range(0, cfg.Horizon),
-				Duration: rng.Range(cfg.MinAgentDowntime, cfg.MaxAgentDowntime),
-			}
-			overlaps := false
-			for _, prev := range agentCrashes[ev.Node] {
-				if crashWindowsOverlap(prev, ev) {
-					overlaps = true
-					break
-				}
-			}
-			if !overlaps {
-				agentCrashes[ev.Node] = append(agentCrashes[ev.Node], ev)
-				evs = append(evs, ev)
-				break
-			}
+	})
+	drawWindows(cfg.AgentCrashes, func() Event {
+		return Event{
+			Kind:     AgentCrash,
+			Node:     nodes[rng.Intn(len(nodes))],
+			At:       rng.Range(0, cfg.Horizon),
+			Duration: rng.Range(cfg.MinAgentDowntime, cfg.MaxAgentDowntime),
 		}
-	}
+	})
 	s := &Schedule{Events: evs}
 	if err := s.Validate(); err != nil {
 		// Construction guarantees validity; a failure here is a bug in
