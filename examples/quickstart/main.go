@@ -18,7 +18,7 @@ import (
 )
 
 // runOnce wires the full stack by hand — engine, cluster, block store,
-// workload, scheduler, runtime — the same steps the experiments package
+// workload, scheduler, runtime — the same steps experiments.NewRun
 // automates.
 func runOnce(schedName string) *spark.Result {
 	// Fresh simulation world.

@@ -133,7 +133,7 @@ func (cfg TenancyConfig) runSeed(rec *TenancyRunRecord, scheduler string, seed u
 }
 
 // hydraNodeNames returns the reference cluster's node names (fault plans
-// are drawn before the manager builds its own cluster).
+// are drawn before a run builds its own cluster).
 func hydraNodeNames() []string {
 	clu := cluster.New(simx.NewEngine())
 	cluster.NewHydra(clu)
