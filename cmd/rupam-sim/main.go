@@ -79,6 +79,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -103,66 +104,49 @@ func usageError(format string, args ...interface{}) {
 	os.Exit(2)
 }
 
-// preemptPlan collects repeated -preempt NODE:AT:GRACE values into spot
-// reclamation events.
-type preemptPlan []faults.Event
+// eventPlan collects repeated NODE:AT:DURATION flag values into fault
+// events of one kind. dur names the duration in the flag's syntax; when
+// and length name the two numbers in error messages.
+type eventPlan struct {
+	kind         faults.Kind
+	dur          string
+	when, length string
+	events       []faults.Event
+}
 
-func (p *preemptPlan) String() string {
+func (p *eventPlan) String() string {
 	var parts []string
-	for _, ev := range *p {
+	for _, ev := range p.events {
 		parts = append(parts, fmt.Sprintf("%s:%g:%g", ev.Node, ev.At, ev.Duration))
 	}
 	return strings.Join(parts, ",")
 }
 
-func (p *preemptPlan) Set(s string) error {
+func (p *eventPlan) Set(s string) error {
 	parts := strings.Split(s, ":")
 	if len(parts) != 3 || parts[0] == "" {
-		return fmt.Errorf("want NODE:AT:GRACE, got %q", s)
+		return fmt.Errorf("want NODE:AT:%s, got %q", p.dur, s)
 	}
 	at, err := strconv.ParseFloat(parts[1], 64)
 	if err != nil || at < 0 {
-		return fmt.Errorf("notice time %q must be a non-negative number of seconds", parts[1])
+		return fmt.Errorf("%s %q must be a non-negative number of seconds", p.when, parts[1])
 	}
-	grace, err := strconv.ParseFloat(parts[2], 64)
-	if err != nil || grace <= 0 {
-		return fmt.Errorf("grace window %q must be a positive number of seconds", parts[2])
+	d, err := strconv.ParseFloat(parts[2], 64)
+	if err != nil || d <= 0 {
+		return fmt.Errorf("%s %q must be a positive number of seconds", p.length, parts[2])
 	}
-	*p = append(*p, faults.Event{
-		Kind: faults.SpotPreempt, Node: parts[0], At: at, Duration: grace,
-	})
+	p.events = append(p.events, faults.Event{Kind: p.kind, Node: parts[0], At: at, Duration: d})
 	return nil
 }
 
-// agentCrashPlan collects repeated -agent-crash NODE:AT:DOWNTIME values
-// into federation agent kill points.
-type agentCrashPlan []faults.Event
-
-func (p *agentCrashPlan) String() string {
-	var parts []string
-	for _, ev := range *p {
-		parts = append(parts, fmt.Sprintf("%s:%g:%g", ev.Node, ev.At, ev.Duration))
+// unknownNode returns the first planned node not in names, or "".
+func (p *eventPlan) unknownNode(names []string) string {
+	for _, ev := range p.events {
+		if !slices.Contains(names, ev.Node) {
+			return ev.Node
+		}
 	}
-	return strings.Join(parts, ",")
-}
-
-func (p *agentCrashPlan) Set(s string) error {
-	parts := strings.Split(s, ":")
-	if len(parts) != 3 || parts[0] == "" {
-		return fmt.Errorf("want NODE:AT:DOWNTIME, got %q", s)
-	}
-	at, err := strconv.ParseFloat(parts[1], 64)
-	if err != nil || at < 0 {
-		return fmt.Errorf("crash time %q must be a non-negative number of seconds", parts[1])
-	}
-	down, err := strconv.ParseFloat(parts[2], 64)
-	if err != nil || down <= 0 {
-		return fmt.Errorf("downtime %q must be a positive number of seconds", parts[2])
-	}
-	*p = append(*p, faults.Event{
-		Kind: faults.AgentCrash, Node: parts[0], At: at, Duration: down,
-	})
-	return nil
+	return ""
 }
 
 func main() {
@@ -176,9 +160,9 @@ func main() {
 	compare := flag.Bool("compare", false, "run under both schedulers and compare")
 	charDB := flag.String("chardb", "", "persist RUPAM's DB_taskchar across invocations")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "inject a random gray-failure fault plan drawn with this seed (0 = none)")
-	var preempts preemptPlan
+	preempts := eventPlan{kind: faults.SpotPreempt, dur: "GRACE", when: "notice time", length: "grace window"}
 	flag.Var(&preempts, "preempt", "spot-preempt NODE at time AT with a GRACE-second notice window, as NODE:AT:GRACE (repeatable)")
-	var agentCrashes agentCrashPlan
+	agentCrashes := eventPlan{kind: faults.AgentCrash, dur: "DOWNTIME", when: "crash time", length: "downtime"}
 	flag.Var(&agentCrashes, "agent-crash", "kill NODE's placement agent at time AT and restart it DOWNTIME seconds later, as NODE:AT:DOWNTIME (repeatable, federated runs only)")
 	walPath := flag.String("wal", "", "append the driver write-ahead log to this file")
 	crashAt := flag.Float64("crash-at", 0, "kill the driver at this virtual time in seconds and recover from the WAL (0 = never)")
@@ -229,7 +213,7 @@ func main() {
 				usageError("-%s does not apply to a federated run; drop it or -drivers", bad)
 			}
 		}
-	} else if len(agentCrashes) > 0 {
+	} else if len(agentCrashes.events) > 0 {
 		usageError("-agent-crash applies only to a federated run; add -drivers N (N > 1)")
 	}
 	if (*walPath != "" || *crashAt > 0) && *compare {
@@ -275,22 +259,16 @@ func main() {
 			cfg.Spark = experiments.HardenedConfig()
 			cfg.Faults = faults.RandomSchedule(*chaosSeed, names, chaos.FederationGen())
 		}
-		if len(agentCrashes) > 0 {
+		if len(agentCrashes.events) > 0 {
 			names := experiments.BuildCluster(simx.NewEngine(), "hydra").NodeNames()
-			known := make(map[string]bool, len(names))
-			for _, n := range names {
-				known[n] = true
-			}
-			for _, ev := range agentCrashes {
-				if !known[ev.Node] {
-					usageError("-agent-crash names unknown node %q (cluster hydra has: %s)",
-						ev.Node, strings.Join(names, ", "))
-				}
+			if n := agentCrashes.unknownNode(names); n != "" {
+				usageError("-agent-crash names unknown node %q (cluster hydra has: %s)",
+					n, strings.Join(names, ", "))
 			}
 			if cfg.Faults == nil {
 				cfg.Faults = &faults.Schedule{}
 			}
-			cfg.Faults.Events = append(cfg.Faults.Events, agentCrashes...)
+			cfg.Faults.Events = append(cfg.Faults.Events, agentCrashes.events...)
 			if err := cfg.Faults.Validate(); err != nil {
 				usageError("-agent-crash plan invalid: %v", err)
 			}
@@ -319,22 +297,16 @@ func main() {
 			Kind: faults.DriverCrash, At: *crashAt, Duration: *restartAfter,
 		})
 	}
-	if len(preempts) > 0 {
+	if len(preempts.events) > 0 {
 		names := experiments.BuildCluster(simx.NewEngine(), *clusterName).NodeNames()
-		known := make(map[string]bool, len(names))
-		for _, n := range names {
-			known[n] = true
-		}
-		for _, ev := range preempts {
-			if !known[ev.Node] {
-				usageError("-preempt names unknown node %q (cluster %s has: %s)",
-					ev.Node, *clusterName, strings.Join(names, ", "))
-			}
+		if n := preempts.unknownNode(names); n != "" {
+			usageError("-preempt names unknown node %q (cluster %s has: %s)",
+				n, *clusterName, strings.Join(names, ", "))
 		}
 		if spec.Spark.Faults == nil {
 			spec.Spark.Faults = &faults.Schedule{}
 		}
-		spec.Spark.Faults.Events = append(spec.Spark.Faults.Events, preempts...)
+		spec.Spark.Faults.Events = append(spec.Spark.Faults.Events, preempts.events...)
 	}
 	// Validate the assembled plan (chaos, -crash-at and -preempt events
 	// together) before the run: the injector panics on an invalid one.

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rupam/internal/faults"
 )
 
 func TestValidateStreamingFlags(t *testing.T) {
@@ -53,6 +55,61 @@ func TestValidateStreamingFlags(t *testing.T) {
 			}
 		} else if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestEventPlanFlags covers both NODE:AT:DURATION flags: each keeps its
+// own fault kind and error wording.
+func TestEventPlanFlags(t *testing.T) {
+	newPreempt := func() *eventPlan {
+		return &eventPlan{kind: faults.SpotPreempt, dur: "GRACE", when: "notice time", length: "grace window"}
+	}
+	newAgentCrash := func() *eventPlan {
+		return &eventPlan{kind: faults.AgentCrash, dur: "DOWNTIME", when: "crash time", length: "downtime"}
+	}
+	cases := []struct {
+		name    string
+		plan    func() *eventPlan
+		in      string
+		want    faults.Event
+		wantErr string
+	}{
+		{"preempt valid", newPreempt, "thor1:10:2.5",
+			faults.Event{Kind: faults.SpotPreempt, Node: "thor1", At: 10, Duration: 2.5}, ""},
+		{"preempt arity", newPreempt, "thor1:10", faults.Event{}, `want NODE:AT:GRACE, got "thor1:10"`},
+		{"preempt empty node", newPreempt, ":10:2", faults.Event{}, `want NODE:AT:GRACE, got ":10:2"`},
+		{"preempt negative time", newPreempt, "thor1:-1:2", faults.Event{},
+			`notice time "-1" must be a non-negative number of seconds`},
+		{"preempt zero grace", newPreempt, "thor1:10:0", faults.Event{},
+			`grace window "0" must be a positive number of seconds`},
+		{"agent-crash valid", newAgentCrash, "hulk2:0:3",
+			faults.Event{Kind: faults.AgentCrash, Node: "hulk2", At: 0, Duration: 3}, ""},
+		{"agent-crash arity", newAgentCrash, "hulk2:1:2:3", faults.Event{},
+			`want NODE:AT:DOWNTIME, got "hulk2:1:2:3"`},
+		{"agent-crash empty node", newAgentCrash, ":1:2", faults.Event{}, `want NODE:AT:DOWNTIME, got ":1:2"`},
+		{"agent-crash negative time", newAgentCrash, "hulk2:-0.5:2", faults.Event{},
+			`crash time "-0.5" must be a non-negative number of seconds`},
+		{"agent-crash negative downtime", newAgentCrash, "hulk2:1:-4", faults.Event{},
+			`downtime "-4" must be a positive number of seconds`},
+	}
+	for _, tc := range cases {
+		p := tc.plan()
+		err := p.Set(tc.in)
+		if tc.wantErr != "" {
+			if err == nil || err.Error() != tc.wantErr {
+				t.Errorf("%s: error %v, want %q", tc.name, err, tc.wantErr)
+			}
+			if len(p.events) != 0 {
+				t.Errorf("%s: a rejected value added %v", tc.name, p.events)
+			}
+			continue
+		}
+		if err != nil || len(p.events) != 1 || p.events[0] != tc.want {
+			t.Errorf("%s: got %v, %v; want %v", tc.name, p.events, err, tc.want)
+		}
+		if got := p.String(); got != tc.in {
+			t.Errorf("%s: String() = %q, want %q", tc.name, got, tc.in)
 		}
 	}
 }

@@ -16,6 +16,7 @@ func TestDisableRRFixedOrder(t *testing.T) {
 	s := New(Config{DisableRR: true})
 	w := newWorld(t)
 	rt := spark.NewRuntime(w.eng, w.clu, s, spark.Config{})
+	rt.Cache, rt.Execs = executor.NewCacheTracker(), map[string]*executor.Executor{}
 	for _, n := range w.clu.Nodes {
 		executor.New(w.eng, w.clu, n, rt.Cache, rt.Execs, executor.Config{
 			HeapBytes: s.HeapFor(n), Seed: 1,
@@ -86,6 +87,7 @@ func TestRescueStarvationLaunches(t *testing.T) {
 	w := newWorld(t)
 	s := New(Config{})
 	rt := spark.NewRuntime(w.eng, w.clu, s, spark.Config{})
+	rt.Cache, rt.Execs = executor.NewCacheTracker(), map[string]*executor.Executor{}
 	for _, n := range w.clu.Nodes {
 		executor.New(w.eng, w.clu, n, rt.Cache, rt.Execs, executor.Config{
 			HeapBytes: s.HeapFor(n), Seed: 1,
@@ -127,6 +129,7 @@ func TestGPUOfferGating(t *testing.T) {
 	w := newWorld(t)
 	s := New(Config{})
 	rt := spark.NewRuntime(w.eng, w.clu, s, spark.Config{})
+	rt.Cache, rt.Execs = executor.NewCacheTracker(), map[string]*executor.Executor{}
 	for _, n := range w.clu.Nodes {
 		executor.New(w.eng, w.clu, n, rt.Cache, rt.Execs, executor.Config{
 			HeapBytes: s.HeapFor(n), Seed: 1,

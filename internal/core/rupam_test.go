@@ -315,6 +315,7 @@ func TestRoundRobinCoversDimensions(t *testing.T) {
 	w := newWorld(t)
 	rt := spark.NewRuntime(w.eng, w.clu, s, spark.Config{})
 	// Offers require live executors; create them directly.
+	rt.Cache, rt.Execs = executor.NewCacheTracker(), map[string]*executor.Executor{}
 	for _, n := range w.clu.Nodes {
 		executor.New(w.eng, w.clu, n, rt.Cache, rt.Execs, executor.Config{
 			HeapBytes: s.HeapFor(n), Seed: 1,

@@ -1,13 +1,11 @@
 package federation
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 
-	"rupam/internal/executor"
 	"rupam/internal/simx"
 	"rupam/internal/spark"
 	"rupam/internal/task"
@@ -62,8 +60,10 @@ type fclaim struct {
 	timer    simx.Timer
 }
 
-// fedApp couples one application runtime to its federated driver.
+// fedApp couples one application runtime to its federated driver, and is
+// the runtime's placement broker.
 type fedApp struct {
+	d        *Driver
 	rt       *spark.Runtime
 	wlog     *wal.Log
 	taskByID map[int]*task.Task
@@ -72,7 +72,7 @@ type fedApp struct {
 
 // Driver is the federation side of one scheduler shard: it owns one or
 // more application runtimes, arbitrates their placements through the
-// agent protocol (implementing spark.PlacementBroker per app), and pays a
+// agent protocol (one spark.PlacementBroker per app), and pays a
 // serial dispatch cost per protocol action — the same per-task overhead
 // that caps a centralized dispatch loop, now paid per shard so aggregate
 // placement throughput scales with the driver count.
@@ -147,34 +147,33 @@ func (d *Driver) violate(format string, args ...interface{}) {
 	}
 }
 
-// Adopt attaches an application runtime to this driver, wiring the
-// placement broker and lifecycle hooks. Call before rt.Start.
-func (d *Driver) Adopt(rt *spark.Runtime, wlog *wal.Log, app *task.Application) *fedApp {
-	a := &fedApp{rt: rt, wlog: wlog, taskByID: make(map[int]*task.Task)}
+// Adopt attaches an application to this driver and returns the hooks its
+// runtime must be built with: the driver brokers every placement, releases
+// a claim when its attempt ends, refolds claims at driver recovery, and
+// releases what is left when the application finishes, before done runs.
+// Set the returned app's rt before starting the runtime.
+func (d *Driver) Adopt(wlog *wal.Log, app *task.Application, done func()) (*fedApp, spark.Hooks) {
+	a := &fedApp{d: d, wlog: wlog, taskByID: make(map[int]*task.Task)}
 	for _, t := range app.AllTasks() {
 		a.taskByID[t.ID] = t
 	}
 	d.apps = append(d.apps, a)
-	rt.SetPlacementBroker(&appBroker{d: d, a: a})
-	rt.OnAttemptEnd = func(t *task.Task, node string, out executor.Outcome) {
-		d.onAttemptEnd(a, t, node)
+	return a, spark.Hooks{
+		Broker:       a,
+		AttemptEnded: d.onAttemptEnd,
+		Recovered:    func(s *wal.State) { d.onAppRecovered(a, s) },
+		Done:         func() { d.AppDone(a); done() },
 	}
-	rt.OnRecovered = func() { d.onAppRecovered(a) }
-	return a
 }
 
-// appBroker adapts one runtime's PlacementBroker calls onto its driver.
-type appBroker struct {
-	d *Driver
-	a *fedApp
+// AdmitPlacement implements spark.PlacementBroker.
+func (a *fedApp) AdmitPlacement(t *task.Task, node string) bool {
+	return a.d.admitPlacement(a, t, node)
 }
 
-func (b *appBroker) AdmitPlacement(t *task.Task, node string) bool {
-	return b.d.admitPlacement(b.a, t, node)
-}
-
-func (b *appBroker) PlacementStarted(t *task.Task, node string) {
-	b.d.placementStarted(b.a, t, node)
+// PlacementStarted implements spark.PlacementBroker.
+func (a *fedApp) PlacementStarted(t *task.Task, node string) {
+	a.d.placementStarted(a, t, node)
 }
 
 // LiveClaims returns the driver's current claim count (tests).
@@ -267,7 +266,7 @@ func (d *Driver) placementStarted(a *fedApp, t *task.Task, node string) {
 }
 
 // onAttemptEnd releases the bound claim backing a finished attempt.
-func (d *Driver) onAttemptEnd(a *fedApp, t *task.Task, node string) {
+func (d *Driver) onAttemptEnd(t *task.Task, node string) {
 	if c := d.boundClaim(t.ID, node); c != nil {
 		d.releaseClaim(c)
 	}
@@ -741,22 +740,21 @@ func (d *Driver) Crash(restartAfter float64) {
 }
 
 // onAppRecovered fires per owned runtime at the end of its WAL-driven
-// recovery. The first one brings the driver process back up; each one
-// then refolds its own WAL's live claims into protocol state: proposed
-// and committed claims are re-aborted (the safe resolution either side
-// of the commit boundary), bound claims are kept only when the recovered
-// runtime still runs the attempt, and released otherwise.
-func (d *Driver) onAppRecovered(a *fedApp) {
+// recovery, with the state that recovery folded from the application's
+// log. The first one brings the driver process back up; each one then
+// refolds the fold's live claims into protocol state: proposed and
+// committed claims are re-aborted (the safe resolution either side of the
+// commit boundary), bound claims are kept only when the recovered runtime
+// still runs the attempt, and released otherwise. The runtime's fold is
+// current for claims: the application was crashed until its replay, and
+// the driver wiped its claims at Crash, so no claim record of this
+// application lands between the replay and this hook.
+func (d *Driver) onAppRecovered(a *fedApp, st *wal.State) {
 	if d.down {
 		d.down = false
 		d.busyUntil = d.eng.Now()
 		d.plane.SetDown(d.Addr, false)
 		d.Recoveries++
-	}
-	st, _, err := wal.Replay(bytes.NewReader(a.wlog.Bytes()))
-	if err != nil {
-		d.violate("recovery replay failed: %v", err)
-		return
 	}
 	if st.ClaimSeq > d.seq {
 		// Never reuse a claim ID across incarnations: agents tombstone
@@ -816,7 +814,8 @@ func (d *Driver) onAppRecovered(a *fedApp) {
 }
 
 // attemptAdopted reports whether the recovered runtime still runs an
-// attempt of t on node (survivor adoption happened before OnRecovered).
+// attempt of t on node (survivor adoption happens before the Recovered
+// hook).
 func (d *Driver) attemptAdopted(a *fedApp, t *task.Task, node string) bool {
 	for _, r := range a.rt.RunningAttempts(t) {
 		if r.Metrics().Executor == node {

@@ -222,6 +222,7 @@ func Run(cfg Config) *Result {
 	var inj *faults.Injector
 	if !cfg.Faults.Empty() {
 		inj = faults.NewInjector(eng, clu, sub.Execs)
+		sub.Inj = inj
 		sub.Mon.Drop = inj.Suppressed
 		inj.Collector = cfg.Spark.Tracer
 		// Agent faults: AgentCrash/AgentRestart events plus the collateral
@@ -295,12 +296,9 @@ func Run(cfg Config) *Result {
 		wlog := wal.New(nil, wal.Options{Clock: eng.Now})
 		scfg.WAL = wlog
 
-		rt := spark.NewRuntimeOn(eng, clu, spark.NewDefaultScheduler(), scfg, sub)
-		if inj != nil {
-			rt.SetSharedFaults(inj)
-		}
-		fa := d.Adopt(rt, wlog, app)
-		rt.OnAppDone = func() { d.AppDone(fa); finish() }
+		fa, hooks := d.Adopt(wlog, app, finish)
+		rt := spark.NewRuntimeOn(eng, clu, spark.NewDefaultScheduler(), scfg, sub, hooks)
+		fa.rt = rt
 		rts = append(rts, rt)
 		res.AppRuntimes = append(res.AppRuntimes, rt)
 		rt.Start(app)

@@ -41,9 +41,6 @@ type blacklist struct {
 	nodeFailures map[string]int
 	// until holds each node's blacklist expiry time.
 	until map[string]float64
-
-	// NodesBlacklisted counts blacklist activations (for reporting).
-	NodesBlacklisted int
 }
 
 func newBlacklist(eng *simx.Engine, cfg BlacklistConfig) *blacklist {
@@ -73,7 +70,6 @@ func (b *blacklist) noteFailure(taskID int, node string) (activated bool, until 
 	if b.nodeFailures[node] >= b.cfg.MaxNodeFailures && !b.nodeBlacklisted(node) {
 		b.until[node] = b.eng.Now() + b.cfg.Timeout
 		b.nodeFailures[node] = 0
-		b.NodesBlacklisted++
 		return true, b.until[node]
 	}
 	return false, 0
@@ -83,7 +79,7 @@ func (b *blacklist) noteFailure(taskID int, node string) (activated bool, until 
 // history. Expiry deadlines are absolute virtual-clock times carried over
 // verbatim: a node blacklisted at T with TTL D becomes usable at exactly
 // T+D whether or not the driver crashed in between.
-func (b *blacklist) restore(taskNode map[int]map[string]int, nodeFailures map[string]int, until map[string]float64, activations int) {
+func (b *blacklist) restore(taskNode map[int]map[string]int, nodeFailures map[string]int, until map[string]float64) {
 	b.taskNode = make(map[int]map[string]int)
 	for id, per := range taskNode {
 		cp := make(map[string]int, len(per))
@@ -100,7 +96,6 @@ func (b *blacklist) restore(taskNode map[int]map[string]int, nodeFailures map[st
 	for n, u := range until {
 		b.until[n] = u
 	}
-	b.NodesBlacklisted = activations
 }
 
 // nodeBlacklisted reports whether node is currently blacklisted.

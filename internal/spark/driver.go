@@ -85,7 +85,7 @@ func (rt *Runtime) CanRunOn(node string) bool {
 	if rt.bl != nil && rt.bl.nodeBlacklisted(node) {
 		return false
 	}
-	return rt.gate == nil || rt.gate(node)
+	return rt.hooks.CanLaunch == nil || rt.hooks.CanLaunch(node)
 }
 
 // Launch starts an attempt of t on node, returning the attempt's Run (nil
@@ -116,17 +116,17 @@ func (rt *Runtime) Launch(t *task.Task, node string, opts executor.Options) *exe
 			return nil
 		}
 	}
-	if rt.capFn != nil && !rt.capFn() {
+	if rt.hooks.UnderCap != nil && !rt.hooks.UnderCap() {
 		return nil // FAIR slot budget spent; another pool's turn
 	}
-	if rt.broker != nil && !rt.broker.AdmitPlacement(t, node) {
+	if rt.hooks.Broker != nil && !rt.hooks.Broker.AdmitPlacement(t, node) {
 		// Federated mode: the node's slots belong to its agent. A refusal
 		// either started a claim (a later round retries once it commits)
 		// or lost an arbitration; either way nothing launches now.
 		return nil
 	}
 	t.State = task.Running
-	rt.LaunchCount++
+	rt.Launches++
 	if opts.Speculative {
 		rt.SpecCopies++
 	}
@@ -134,8 +134,8 @@ func (rt *Runtime) Launch(t *task.Task, node string, opts executor.Options) *exe
 	rt.setRunning(t.ID, append(rt.runningAtt[t.ID], r))
 	rt.wlog.Append(wal.Record{Kind: wal.KindTaskLaunched,
 		Task: t.ID, Stage: st.ID, Index: t.Index, Node: node, Spec: opts.Speculative})
-	if rt.broker != nil {
-		rt.broker.PlacementStarted(t, node)
+	if rt.hooks.Broker != nil {
+		rt.hooks.Broker.PlacementStarted(t, node)
 	}
 	return r
 }
@@ -185,8 +185,8 @@ func (rt *Runtime) onTaskEnd(r *executor.Run, out executor.Outcome) {
 	rt.setRunning(t.ID, live)
 
 	rt.sched.TaskEnded(t, r, out)
-	if rt.OnAttemptEnd != nil {
-		rt.OnAttemptEnd(t, r.Metrics().Executor, out)
+	if rt.hooks.AttemptEnded != nil {
+		rt.hooks.AttemptEnded(t, r.Metrics().Executor)
 	}
 
 	switch out {
@@ -216,8 +216,8 @@ func (rt *Runtime) onTaskEnd(r *executor.Run, out executor.Outcome) {
 			for _, a := range append([]*executor.Run(nil), live...) {
 				a.Kill(false)
 				rt.sched.TaskEnded(t, a, executor.Killed)
-				if rt.OnAttemptEnd != nil {
-					rt.OnAttemptEnd(t, a.Metrics().Executor, executor.Killed)
+				if rt.hooks.AttemptEnded != nil {
+					rt.hooks.AttemptEnded(t, a.Metrics().Executor)
 				}
 				rt.wlog.Append(wal.Record{Kind: wal.KindAttemptEnded,
 					Task: t.ID, Node: a.Metrics().Executor, Outcome: "killed"})
@@ -316,8 +316,8 @@ func (rt *Runtime) finishApp() {
 	rt.specTimer = simx.Timer{}
 	rt.wdTimer.Cancel()
 	rt.wdTimer = simx.Timer{}
-	if rt.OnAppDone != nil {
-		rt.OnAppDone()
+	if rt.hooks.Done != nil {
+		rt.hooks.Done()
 	}
 }
 

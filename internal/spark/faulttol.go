@@ -299,6 +299,7 @@ func (rt *Runtime) noteTaskFailure(t *task.Task, st *task.Stage, r *executor.Run
 		// A fetch failure blames the dead source, not the node the attempt
 		// ran on; the source is already being handled as an executor loss.
 		if activated, until := rt.bl.noteFailure(t.ID, r.Metrics().Executor); activated {
+			rt.NodesBlacklisted++
 			rt.wlog.Append(wal.Record{Kind: wal.KindBlacklistAdd,
 				Node: r.Metrics().Executor, Until: until})
 		}

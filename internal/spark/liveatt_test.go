@@ -35,24 +35,24 @@ func TestLiveAttemptIndexUnderKillsAndDriverCrash(t *testing.T) {
 		{Kind: faults.NodeCrash, Node: "slow", At: 1.0, Duration: 1.0},
 		{Kind: faults.DriverCrash, At: 2.5, Duration: 0.5},
 	}}
-	rt := NewRuntime(w.eng, w.clu, NewDefaultScheduler(), Config{
+	recovered := false
+	var rt *Runtime
+	rt = NewRuntimeOn(w.eng, w.clu, NewDefaultScheduler(), Config{
 		Seed:              3,
 		HeartbeatInterval: 0.25, HeartbeatTimeout: 1,
 		SpeculationInterval: 0.25, SpeculationQuantile: 0.1, SpeculationMultiplier: 1.05,
 		TaskMaxFailures: 8,
 		Faults:          plan,
-	})
+	}, nil, Hooks{Recovered: func(*wal.State) {
+		recovered = true
+		checkLiveIndex(t, rt, "after recovery")
+	}})
 	peak := 0
 	for i := 1; i <= 400; i++ {
 		w.eng.At(float64(i)*0.05, func() {
 			checkLiveIndex(t, rt, "sample")
 			peak = max(peak, rt.LiveAttempts())
 		})
-	}
-	recovered := false
-	rt.OnRecovered = func() {
-		recovered = true
-		checkLiveIndex(t, rt, "after recovery")
 	}
 	res := rt.Run(simpleApp(w, 3))
 	if res.Aborted != nil {

@@ -46,8 +46,8 @@ func TestExecutorSetChangeRelaxesStaleLevel(t *testing.T) {
 	sched := NewDefaultScheduler()
 	var rt *Runtime
 	sub := buildTestSubstrate(w, &rt)
-	rt = NewRuntimeOn(w.eng, w.clu, sched, Config{Seed: 1, LocalityWait: 60}, sub)
-	rt.SetLaunchGate(func(n string) bool { return gate[n] })
+	rt = NewRuntimeOn(w.eng, w.clu, sched, Config{Seed: 1, LocalityWait: 60}, sub,
+		Hooks{CanLaunch: func(n string) bool { return gate[n] }})
 
 	st := &task.Stage{ID: 5, Name: "craft", Tasks: []*task.Task{
 		{ID: 50, StageID: 5, Index: 0, State: task.Pending, PrefNodes: []string{"fast"}},
@@ -87,8 +87,8 @@ func TestExecutorSetChangeUnstallsLocalityWait(t *testing.T) {
 
 		var rt *Runtime
 		sub := buildTestSubstrate(w, &rt)
-		rt = NewRuntimeOn(w.eng, w.clu, NewDefaultScheduler(), Config{Seed: 1, LocalityWait: 60}, sub)
-		rt.SetLaunchGate(func(n string) bool { return n != "fast" })
+		rt = NewRuntimeOn(w.eng, w.clu, NewDefaultScheduler(), Config{Seed: 1, LocalityWait: 60}, sub,
+			Hooks{CanLaunch: func(n string) bool { return n != "fast" }})
 		sub.Mon.Start()
 		rt.Start(app)
 		if notify {

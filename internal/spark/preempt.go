@@ -172,7 +172,6 @@ func (rt *Runtime) drainOutputs(node string, rec *PreemptionRecord) {
 		for _, idx := range idxs {
 			_, bytes := st.OutputOf(idx)
 			if b := float64(bytes); b > recomputeBytes || b > budget {
-				rt.DrainBlocksSkipped++
 				continue
 			}
 			if rt.drainOneOutput(node, st, idx, rec) {

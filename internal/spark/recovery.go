@@ -120,7 +120,7 @@ func (rt *Runtime) recoverDriver() {
 	// 5. Reconcile, part one — adoption: on every reachable executor
 	// still running the incarnation the log knew, re-adopt the in-flight
 	// attempts whose launches were logged. Adopted attempts keep their
-	// original launch accounting (no LaunchCount increment).
+	// original launch accounting (no Launches increment).
 	adopted := rt.adoptSurvivors(s)
 
 	// 6. Re-hand every submitted-but-incomplete stage to the scheduler so
@@ -183,11 +183,11 @@ func (rt *Runtime) recoverDriver() {
 	rt.DriverRecoveries++
 	rt.Cfg.Tracer.RecoverySpan(rt.crashAt, rt.Eng.Now())
 	rt.Cfg.Tracer.DriverRecovered(adopted, delivered, nrec)
-	if rt.OnRecovered != nil {
+	if rt.hooks.Recovered != nil {
 		// Federation hook: survivors are adopted and orphans redelivered,
-		// so the broker can tell which of its WAL-folded claims still back
-		// a live attempt and chase the rest.
-		rt.OnRecovered()
+		// so the broker can tell which of the fold's claims still back a
+		// live attempt and chase the rest.
+		rt.hooks.Recovered(s)
 	}
 	if !rt.appDone {
 		rt.reschedule()
@@ -277,16 +277,11 @@ func (rt *Runtime) restoreFromState(s *wal.State) {
 		rt.resubmits[id] = c
 	}
 	if rt.bl != nil {
-		rt.bl.restore(s.TaskNodeFailures, s.NodeFailures, s.Blacklist, s.Counters.NodesBlacklisted)
+		rt.bl.restore(s.TaskNodeFailures, s.NodeFailures, s.Blacklist)
 	}
 
-	// Counters come from the log, not the dead process's memory.
-	rt.LaunchCount = s.Counters.Launches
-	rt.SpecCopies = s.Counters.SpecCopies
-	rt.FetchFailures = s.Counters.FetchFailures
-	rt.Resubmissions = s.Counters.Resubmissions
-	rt.ExecutorsLost = s.Counters.ExecutorsLost
-	rt.ExecutorsRejoined = s.Counters.ExecutorsRejoined
+	// WAL-covered counters come from the log, not the dead process's memory.
+	rt.Counters.Counters = s.Counters
 
 	rt.crashed = false
 }

@@ -163,9 +163,11 @@ type Scheduler interface {
 // Runtime wires a cluster, an application, and a scheduler together and
 // runs the app to completion on the simulation engine.
 type Runtime struct {
-	Eng   *simx.Engine
-	Clu   *cluster.Cluster
-	Cfg   Config
+	Eng *simx.Engine
+	Clu *cluster.Cluster
+	Cfg Config
+	// Cache, Mon and Execs come from a shared substrate at construction,
+	// or from the runtime's own one in Start; they are nil in between.
 	Cache *executor.CacheTracker
 	Mon   *monitor.Monitor
 	Execs map[string]*executor.Executor
@@ -175,40 +177,15 @@ type Runtime struct {
 	app   *task.Application
 
 	// multi-application (tenant) mode. sub is non-nil when this runtime
-	// shares its executors, cache and monitor with sibling applications;
-	// the substrate's owner (the tenant manager) then drives heartbeats
-	// through DeliverHeartbeat and the engine itself. ownsSubstrate marks
-	// the classic single-application path, where the runtime creates and
-	// tears down those objects itself.
+	// shares its executors, cache, monitor and fault injector with sibling
+	// applications; the substrate's owner (the tenant manager or the
+	// federation harness) then drives heartbeats through DeliverHeartbeat
+	// and the engine itself, and steers the runtime through hooks.
+	// ownsSubstrate marks the classic single-application path, where the
+	// runtime creates and tears down those objects itself.
 	sub           *Substrate
 	ownsSubstrate bool
-	// gate, when set, is the tenant layer's per-node launch admission:
-	// fair-share slot caps and dynamic-allocation leases. Nil (single-app
-	// runs) admits everything, preserving the historical behavior.
-	gate func(node string) bool
-	// capFn, when set, is the application-wide slot budget (FAIR share);
-	// Launch refuses new attempts once it reports the budget spent.
-	capFn func() bool
-	// rescheduleFn replaces direct sched.Schedule() calls so the tenant
-	// manager can run a global FAIR round across all applications instead
-	// of a local one. Nil means local.
-	rescheduleFn func()
-	// OnAppDone, when set, fires once when the application completes or
-	// aborts — the tenant manager's completion hook.
-	OnAppDone func()
-	// broker, when set, is the federation layer's placement arbiter:
-	// Launch refuses any attempt the broker has not granted a committed
-	// claim for, and reports each granted launch back so the claim can be
-	// bound. Nil (non-federated runs) admits everything.
-	broker PlacementBroker
-	// OnAttemptEnd, when set, observes every attempt termination (success,
-	// loser kill, failure) after the runtime's own accounting — the
-	// federation layer releases the attempt's slot claim here.
-	OnAttemptEnd func(t *task.Task, node string, out executor.Outcome)
-	// OnRecovered, when set, fires at the end of driver crash recovery,
-	// after survivors are re-adopted and orphans redelivered — the
-	// federation layer rebuilds its protocol state from the WAL here.
-	OnRecovered func()
+	hooks         Hooks
 	// hbDelivered counts heartbeats this runtime actually processed; in
 	// shared-monitor mode Result.Heartbeats reports it instead of the
 	// monitor's all-application total.
@@ -258,18 +235,18 @@ type Runtime struct {
 	redelivering bool        // recovery is draining the orphan buffer right now
 	dupSuccess   map[int]int // per task: duplicate successes drained across crash windows
 
-	// counters
-	SpecCopies        int
-	MemKills          int
-	TotalOOMs         int
-	TotalCrash        int
-	LaunchCount       int
-	ExecutorsLost     int
-	ExecutorsRejoined int
-	FetchFailures     int
-	Resubmissions     int
-	DriverCrashes     int
-	DriverRecoveries  int
+	// Counters is the run's accounting; BuildResult copies it whole.
+	Counters
+}
+
+// Counters is the driver's accounting. The embedded wal.Counters are the
+// part the write-ahead log covers, so crash recovery restores them from
+// the replayed fold; the rest count events the log does not record.
+type Counters struct {
+	wal.Counters
+	MemKills         int
+	DriverCrashes    int
+	DriverRecoveries int
 	// Preemption counters (preempt.go): notices heard, kills observed,
 	// kills that landed on a fully drained node, drain re-replication
 	// volume, and announced losses exempted from failure accounting.
@@ -278,26 +255,68 @@ type Runtime struct {
 	DrainsCompleted        int
 	DrainBlocksMoved       int
 	DrainBytesMoved        int64
-	DrainBlocksSkipped     int
 	DrainFetchRedirects    int
 	PreemptLossesUncharged int
-	// SpecLiveAtCrash records, per crash, how many speculative copies were
-	// in flight at the instant the driver died (test observability for the
-	// crash-during-speculation race).
+	// SpecLiveAtCrash records, per driver crash, how many speculative
+	// copies were in flight at the instant the driver died.
 	SpecLiveAtCrash []int
 }
 
-// NewRuntime builds a runtime over the cluster for the given scheduler.
-// Executors are created lazily in Run, sized by the scheduler.
-func NewRuntime(eng *simx.Engine, clu *cluster.Cluster, sched Scheduler, cfg Config) *Runtime {
-	return NewRuntimeOn(eng, clu, sched, cfg, nil)
+// Hooks is how the owner of a shared substrate (the tenant manager, a
+// federation driver) steers one application's runtime. Every field is
+// optional, and the zero Hooks is a single-application run. Hooks are
+// fixed at construction.
+type Hooks struct {
+	// CanLaunch is the per-node launch admission (dynamic-allocation
+	// leases). CanRunOn consults it, so both schedulers see a refused
+	// node as unusable.
+	CanLaunch func(node string) bool
+	// UnderCap reports whether the application-wide slot budget (the
+	// FAIR share) has room. Unlike CanLaunch it is consulted only at
+	// launch time, not in CanRunOn: the budget moves every scheduling
+	// round, and folding it into node usability would make
+	// delay-scheduling locality state thrash.
+	UnderCap func() bool
+	// Reschedule replaces local scheduling rounds (the tenant manager's
+	// global FAIR round).
+	Reschedule func()
+	// Broker arbitrates placements for a federated driver.
+	Broker PlacementBroker
+	// AttemptEnded observes every attempt termination (success, loser
+	// kill, failure) after the runtime's own accounting; a federation
+	// driver releases the attempt's slot claim here.
+	AttemptEnded func(t *task.Task, node string)
+	// Recovered fires at the end of driver crash recovery with the state
+	// the recovery folded from the WAL, after survivors are re-adopted
+	// and orphans redelivered.
+	Recovered func(s *wal.State)
+	// Done fires once when the application completes or aborts.
+	Done func()
 }
 
-// NewRuntimeOn builds a runtime that shares sub's executors, cache and
-// monitor with sibling applications (multi-tenant mode). A nil sub is the
-// single-application path: the runtime owns its substrate and NewRuntimeOn
-// behaves exactly like NewRuntime.
-func NewRuntimeOn(eng *simx.Engine, clu *cluster.Cluster, sched Scheduler, cfg Config, sub *Substrate) *Runtime {
+// PlacementBroker arbitrates task placements for a federated driver.
+// AdmitPlacement is consulted by Launch for every (task, node) the
+// scheduler wants; returning false refuses the launch (the broker
+// typically starts a claim and lets a later scheduling round retry once
+// the claim commits). PlacementStarted reports the launch that a granted
+// claim actually produced, binding the claim to the attempt.
+type PlacementBroker interface {
+	AdmitPlacement(t *task.Task, node string) bool
+	PlacementStarted(t *task.Task, node string)
+}
+
+// NewRuntime builds a single-application runtime over the cluster for the
+// given scheduler. Its executors are created in Start, sized by the
+// scheduler.
+func NewRuntime(eng *simx.Engine, clu *cluster.Cluster, sched Scheduler, cfg Config) *Runtime {
+	return NewRuntimeOn(eng, clu, sched, cfg, nil, Hooks{})
+}
+
+// NewRuntimeOn builds a runtime that shares sub's executors, cache,
+// monitor and fault injector with sibling applications (multi-tenant
+// mode), steered by hooks. A nil sub is the single-application path: the
+// runtime builds its own substrate in Start.
+func NewRuntimeOn(eng *simx.Engine, clu *cluster.Cluster, sched Scheduler, cfg Config, sub *Substrate, hooks Hooks) *Runtime {
 	cfg = cfg.withDefaults()
 	cfg.Exec.Seed = cfg.Seed
 	cfg.Exec.Tracer = cfg.Tracer
@@ -308,9 +327,8 @@ func NewRuntimeOn(eng *simx.Engine, clu *cluster.Cluster, sched Scheduler, cfg C
 		Eng:          eng,
 		Clu:          clu,
 		Cfg:          cfg,
-		Cache:        executor.NewCacheTracker(),
-		Execs:        make(map[string]*executor.Executor),
 		sub:          sub,
+		hooks:        hooks,
 		sched:        sched,
 		stages:       make(map[int]*task.Stage),
 		stageOf:      make(map[int]*task.Stage),
@@ -328,7 +346,7 @@ func NewRuntimeOn(eng *simx.Engine, clu *cluster.Cluster, sched Scheduler, cfg C
 		drainFlows:   make(map[string][]*netsim.Flow),
 	}
 	if sub != nil {
-		rt.Cache, rt.Execs, rt.Mon = sub.Cache, sub.Execs, sub.Mon
+		rt.Cache, rt.Execs, rt.Mon, rt.inj = sub.Cache, sub.Execs, sub.Mon, sub.Inj
 	}
 	if cfg.Blacklist.Enabled {
 		rt.bl = newBlacklist(eng, cfg.Blacklist)
@@ -337,47 +355,11 @@ func NewRuntimeOn(eng *simx.Engine, clu *cluster.Cluster, sched Scheduler, cfg C
 	return rt
 }
 
-// SetLaunchGate installs the tenant layer's per-node launch admission
-// check (dynamic-allocation leases); CanRunOn consults it so both
-// schedulers see non-leased nodes as unusable. Must be set before Start.
-func (rt *Runtime) SetLaunchGate(gate func(node string) bool) { rt.gate = gate }
-
-// SetSlotCap installs the tenant layer's application-wide slot budget (the
-// FAIR share). Unlike the per-node gate it is consulted only at launch
-// time, not in CanRunOn: the budget fluctuates every scheduling round, and
-// folding it into node usability would make delay-scheduling locality
-// state thrash. Must be set before Start.
-func (rt *Runtime) SetSlotCap(fn func() bool) { rt.capFn = fn }
-
-// SetReschedule replaces local scheduling rounds with fn — the tenant
-// manager's global FAIR round. Must be set before Start.
-func (rt *Runtime) SetReschedule(fn func()) { rt.rescheduleFn = fn }
-
-// PlacementBroker arbitrates task placements for a federated driver.
-// AdmitPlacement is consulted by Launch for every (task, node) the
-// scheduler wants; returning false refuses the launch (the broker
-// typically starts a claim and lets a later scheduling round retry once
-// the claim commits). PlacementStarted reports the launch that a granted
-// claim actually produced, binding the claim to the attempt.
-type PlacementBroker interface {
-	AdmitPlacement(t *task.Task, node string) bool
-	PlacementStarted(t *task.Task, node string)
-}
-
-// SetPlacementBroker installs the federation layer's placement arbiter.
-// Must be set before Start.
-func (rt *Runtime) SetPlacementBroker(b PlacementBroker) { rt.broker = b }
-
-// SetSharedFaults points the runtime at a substrate-owned fault injector
-// so driver recovery can tell a partitioned node from a dead one. The
-// injector's installation and crash routing stay with the substrate owner.
-func (rt *Runtime) SetSharedFaults(inj *faults.Injector) { rt.inj = inj }
-
 // reschedule triggers a scheduling round: the bound scheduler's own in
 // single-application mode, the tenant manager's global round otherwise.
 func (rt *Runtime) reschedule() {
-	if rt.rescheduleFn != nil {
-		rt.rescheduleFn()
+	if rt.hooks.Reschedule != nil {
+		rt.hooks.Reschedule()
 		return
 	}
 	rt.sched.Schedule()
@@ -465,35 +447,14 @@ type Result struct {
 	OOMs       int
 	Crashes    int
 	Evictions  int
-	SpecCopies int
-	MemKills   int
-	Launches   int
 	Heartbeats int
 	Trace      *metrics.Trace
-
-	// Fault-tolerance outcomes (all zero on fault-free runs).
-	ExecutorsLost     int
-	ExecutorsRejoined int
-	FetchFailures     int
-	Resubmissions     int
-	NodesBlacklisted  int
-	FailStops         int
-	TaskFlakes        int
-	DriverCrashes     int
-	DriverRecoveries  int
-
-	// Spot-preemption outcomes (all zero without SpotPreempt events).
-	PreemptNotices         int
-	PreemptKills           int
-	DrainsCompleted        int
-	DrainBlocksMoved       int
-	DrainBytesMoved        int64
-	DrainBlocksSkipped     int
-	DrainFetchRedirects    int
-	PreemptLossesUncharged int
-	// SpecLiveAtCrash records, per driver crash, how many speculative
-	// copies were in flight at the instant the driver died.
-	SpecLiveAtCrash []int
+	// Counters is the driver's accounting (all fault-tolerance and
+	// preemption outcomes are zero on fault-free runs).
+	Counters
+	// Executor-side fault outcomes.
+	FailStops  int
+	TaskFlakes int
 	// Aborted is non-nil when the run ended in a job abort instead of
 	// completing; Duration then measures time to the abort.
 	Aborted *AbortError
@@ -525,8 +486,8 @@ func (rt *Runtime) Run(app *task.Application) *Result {
 // creates the substrate (single-application mode only), arms the periodic
 // machinery, and submits job 0. Single-application callers use Run; a
 // tenant manager calls Start per admitted application and runs the shared
-// engine itself, collecting each Result via BuildResult once OnAppDone
-// fires. It panics if called twice on the same Runtime.
+// engine itself, collecting each Result via BuildResult once its Done
+// hook fires. It panics if called twice on the same Runtime.
 func (rt *Runtime) Start(app *task.Application) {
 	if rt.app != nil {
 		panic("spark: Runtime.Start called twice")
@@ -617,7 +578,7 @@ func (rt *Runtime) Start(app *task.Application) {
 }
 
 // BuildResult assembles the run's Result. Run calls it after the engine
-// drains; tenant managers call it per application after OnAppDone.
+// drains; tenant managers call it per application from its Done hook.
 func (rt *Runtime) BuildResult() *Result {
 	app := rt.app
 	heartbeats := rt.hbDelivered
@@ -630,31 +591,9 @@ func (rt *Runtime) BuildResult() *Result {
 		Duration:   rt.appEnd - rt.appStart,
 		JobEnds:    rt.jobEnds,
 		Evictions:  rt.Cache.Evictions,
-		SpecCopies: rt.SpecCopies,
-		MemKills:   rt.MemKills,
-		Launches:   rt.LaunchCount,
 		Heartbeats: heartbeats,
-
-		ExecutorsLost:     rt.ExecutorsLost,
-		ExecutorsRejoined: rt.ExecutorsRejoined,
-		FetchFailures:     rt.FetchFailures,
-		Resubmissions:     rt.Resubmissions,
-		DriverCrashes:     rt.DriverCrashes,
-		DriverRecoveries:  rt.DriverRecoveries,
-		SpecLiveAtCrash:   rt.SpecLiveAtCrash,
-		Aborted:           rt.aborted,
-
-		PreemptNotices:         rt.PreemptNotices,
-		PreemptKills:           rt.PreemptKills,
-		DrainsCompleted:        rt.DrainsCompleted,
-		DrainBlocksMoved:       rt.DrainBlocksMoved,
-		DrainBytesMoved:        rt.DrainBytesMoved,
-		DrainBlocksSkipped:     rt.DrainBlocksSkipped,
-		DrainFetchRedirects:    rt.DrainFetchRedirects,
-		PreemptLossesUncharged: rt.PreemptLossesUncharged,
-	}
-	if rt.bl != nil {
-		res.NodesBlacklisted = rt.bl.NodesBlacklisted
+		Counters:   rt.Counters,
+		Aborted:    rt.aborted,
 	}
 	for _, ex := range rt.Execs {
 		res.OOMs += ex.OOMs

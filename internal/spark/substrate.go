@@ -3,20 +3,26 @@ package spark
 import (
 	"rupam/internal/cluster"
 	"rupam/internal/executor"
+	"rupam/internal/faults"
 	"rupam/internal/monitor"
 	"rupam/internal/simx"
 	"rupam/internal/tracing"
 )
 
 // Substrate is the cluster-side state of a run: one executor (node-level
-// worker) per node, one cache registry, and one heartbeat monitor. A
-// single-application runtime builds its own in Start; a tenant manager or
-// the federation harness builds one and hands it to every application's
-// Runtime.
+// worker) per node, one cache registry, one heartbeat monitor and, when
+// the run injects faults, one fault injector. A single-application
+// runtime builds its own in Start; a tenant manager or the federation
+// harness builds one and hands it to every application's Runtime.
 type Substrate struct {
 	Execs map[string]*executor.Executor
 	Cache *executor.CacheTracker
 	Mon   *monitor.Monitor
+	// Inj is the owner's fault injector (nil without faults). The owner
+	// installs it and routes its crashes; runtimes read it only to tell a
+	// partitioned node from a dead one at driver recovery. Set it before
+	// building the runtimes.
+	Inj *faults.Injector
 }
 
 // SubstrateOptions parameterizes NewSubstrate.

@@ -147,7 +147,6 @@ type Manager struct {
 	eng *simx.Engine
 	clu *cluster.Cluster
 	sub *spark.Substrate
-	inj *faults.Injector
 
 	sharedDB *core.CharDB // non-nil for shared-CharDB RUPAM runs
 
@@ -287,13 +286,14 @@ func (m *Manager) buildSubstrate() {
 	})
 
 	if !m.cfg.Faults.Empty() {
-		m.inj = faults.NewInjector(m.eng, m.clu, m.sub.Execs)
-		m.sub.Mon.Drop = m.inj.Suppressed
-		m.inj.Collector = m.cfg.Tracer
-		m.inj.OnDriverCrash = m.routeDriverCrash
-		m.inj.OnSpotNotice = m.onSpotNotice
-		m.inj.OnSpotKill = m.onSpotKill
-		m.inj.Install(m.cfg.Faults)
+		inj := faults.NewInjector(m.eng, m.clu, m.sub.Execs)
+		m.sub.Inj = inj
+		m.sub.Mon.Drop = inj.Suppressed
+		inj.Collector = m.cfg.Tracer
+		inj.OnDriverCrash = m.routeDriverCrash
+		inj.OnSpotNotice = m.onSpotNotice
+		inj.OnSpotKill = m.onSpotKill
+		inj.Install(m.cfg.Faults)
 	}
 }
 
@@ -426,14 +426,12 @@ func (m *Manager) startApp(a *appState) {
 		cfg.WAL = wal.New(nil, wal.Options{Clock: m.eng.Now})
 	}
 
-	rt := spark.NewRuntimeOn(m.eng, m.clu, sched, cfg, m.sub)
-	rt.SetLaunchGate(func(node string) bool { return a.leases[node] > 0 })
-	rt.SetSlotCap(func() bool { return rt.LiveAttempts() < a.slotTarget })
-	rt.SetReschedule(m.ScheduleAll)
-	if m.inj != nil {
-		rt.SetSharedFaults(m.inj)
-	}
-	rt.OnAppDone = func() { m.appFinished(a) }
+	rt := spark.NewRuntimeOn(m.eng, m.clu, sched, cfg, m.sub, spark.Hooks{
+		CanLaunch:  func(node string) bool { return a.leases[node] > 0 },
+		UnderCap:   func() bool { return a.rt.LiveAttempts() < a.slotTarget },
+		Reschedule: m.ScheduleAll,
+		Done:       func() { m.appFinished(a) },
+	})
 	a.rt = rt
 
 	m.running = append(m.running, a)

@@ -2,6 +2,7 @@ package tracing
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -68,11 +69,13 @@ func (c *Collector) nodePid(name string) int {
 	return driverPid
 }
 
+var errExportDisabled = errors.New("tracing: collector disabled; nothing to export")
+
 // WriteChromeTrace serializes everything collected so far as Chrome
 // trace_event JSON (the {"traceEvents": [...]} object form).
 func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	if c == nil {
-		return fmt.Errorf("tracing: collector disabled; nothing to export")
+		return errExportDisabled
 	}
 
 	var meta []chromeEvent

@@ -1,6 +1,7 @@
 package tracing
 
 import (
+	"errors"
 	"fmt"
 	"io"
 )
@@ -137,12 +138,14 @@ func (d *Decision) Commit() {
 // task; a long run can reject the same task in hundreds of rounds.
 const explainRejectionCap = 12
 
+var errExplainDisabled = errors.New("tracing: collector disabled; run with tracing enabled to explain placements")
+
 // Explain writes a plain-text audit for the task: its recorded attempts,
 // the committed decisions that placed it, and (capped) the decisions that
 // considered and rejected it.
 func (c *Collector) Explain(w io.Writer, taskID int) error {
 	if c == nil {
-		return fmt.Errorf("tracing: collector disabled; run with tracing enabled to explain placements")
+		return errExplainDisabled
 	}
 	attempts := c.attemptsByTask[taskID]
 	var placed, rejected []*Decision

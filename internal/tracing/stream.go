@@ -50,11 +50,7 @@ func (c *Collector) OperatorMigrated(op, from, to, reason string, tookSec float6
 	if c == nil {
 		return
 	}
-	c.instants = append(c.instants, instant{
-		seq: c.nextSeq(), time: c.now(),
-		name: "migrated " + op, cat: "stream", node: to,
-		args: map[string]interface{}{
-			"from": from, "to": to, "reason": reason, "took_sec": tookSec,
-		},
+	c.addInstant("migrated "+op, "stream", to, map[string]interface{}{
+		"from": from, "to": to, "reason": reason, "took_sec": tookSec,
 	})
 }

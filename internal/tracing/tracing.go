@@ -137,6 +137,16 @@ func (c *Collector) nextSeq() uint64 {
 	return c.seq
 }
 
+// addInstant files one point event stamped with the next sequence number
+// and the current virtual time. Callers check for a nil collector before
+// building the name or args.
+func (c *Collector) addInstant(name, cat, node string, args map[string]interface{}) {
+	c.instants = append(c.instants, instant{
+		seq: c.nextSeq(), time: c.now(),
+		name: name, cat: cat, node: node, args: args,
+	})
+}
+
 // EventCount returns the number of records collected so far (attempts,
 // decisions, instants and spans).
 func (c *Collector) EventCount() int {
@@ -225,10 +235,7 @@ func (c *Collector) SpeculatableMarked(id int) {
 		return
 	}
 	c.specMarked[id] = true
-	c.instants = append(c.instants, instant{
-		seq: c.nextSeq(), time: c.now(),
-		name: fmt.Sprintf("speculatable task %d", id), cat: "speculation",
-	})
+	c.addInstant(fmt.Sprintf("speculatable task %d", id), "speculation", "", nil)
 }
 
 // ExecutorLost records the driver declaring a node's executor dead.
@@ -236,11 +243,7 @@ func (c *Collector) ExecutorLost(node, reason string) {
 	if c == nil {
 		return
 	}
-	c.instants = append(c.instants, instant{
-		seq: c.nextSeq(), time: c.now(),
-		name: "executor lost", cat: "driver", node: node,
-		args: map[string]interface{}{"reason": reason},
-	})
+	c.addInstant("executor lost", "driver", node, map[string]interface{}{"reason": reason})
 }
 
 // ExecutorRejoined records a lost executor heartbeating again.
@@ -248,10 +251,7 @@ func (c *Collector) ExecutorRejoined(node string) {
 	if c == nil {
 		return
 	}
-	c.instants = append(c.instants, instant{
-		seq: c.nextSeq(), time: c.now(),
-		name: "executor rejoined", cat: "driver", node: node,
-	})
+	c.addInstant("executor rejoined", "driver", node, nil)
 }
 
 // DriverCrashed records the driver process dying; restartAfter is the
@@ -260,11 +260,7 @@ func (c *Collector) DriverCrashed(restartAfter float64) {
 	if c == nil {
 		return
 	}
-	c.instants = append(c.instants, instant{
-		seq: c.nextSeq(), time: c.now(),
-		name: "driver crashed", cat: "driver",
-		args: map[string]interface{}{"restart_after": restartAfter},
-	})
+	c.addInstant("driver crashed", "driver", "", map[string]interface{}{"restart_after": restartAfter})
 }
 
 // DriverRecovered records the end of a crash-recovery replay: how many
@@ -275,14 +271,10 @@ func (c *Collector) DriverRecovered(adopted, delivered, walRecords int) {
 	if c == nil {
 		return
 	}
-	c.instants = append(c.instants, instant{
-		seq: c.nextSeq(), time: c.now(),
-		name: "driver recovered", cat: "driver",
-		args: map[string]interface{}{
-			"adopted":     adopted,
-			"delivered":   delivered,
-			"wal_records": walRecords,
-		},
+	c.addInstant("driver recovered", "driver", "", map[string]interface{}{
+		"adopted":     adopted,
+		"delivered":   delivered,
+		"wal_records": walRecords,
 	})
 }
 
@@ -306,11 +298,7 @@ func (c *Collector) JobAborted(reason string) {
 	if c == nil {
 		return
 	}
-	c.instants = append(c.instants, instant{
-		seq: c.nextSeq(), time: c.now(),
-		name: "job aborted", cat: "driver",
-		args: map[string]interface{}{"reason": reason},
-	})
+	c.addInstant("job aborted", "driver", "", map[string]interface{}{"reason": reason})
 }
 
 // FaultSpan records an injected fault window [now, now+duration] on a

@@ -2,6 +2,8 @@ package tracing
 
 import (
 	"bytes"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -52,6 +54,69 @@ func TestNilCollectorIsInert(t *testing.T) {
 	}
 	if err := c.WriteChromeTrace(&bytes.Buffer{}); err == nil {
 		t.Fatal("nil collector export should error")
+	}
+}
+
+// TestNilCollectorAllocatesNothing holds the disabled state to its
+// promise: no exported Collector method allocates on a nil receiver, not
+// even for the names and argument maps it would have recorded. The table
+// must name every exported method.
+func TestNilCollectorAllocatesNothing(t *testing.T) {
+	var c *Collector
+	eng := simx.NewEngine()
+	st := &task.Stage{ID: 1}
+	tk := &task.Task{ID: 7}
+	calls := map[string]func(){
+		"AppAdmitted":        func() { c.AppAdmitted("a", "p", 3) },
+		"AppArrived":         func() { c.AppArrived("a", "p", "PR") },
+		"AppFinished":        func() { c.AppFinished("a", "p", 12.5, true) },
+		"AppRejected":        func() { c.AppRejected("a", "p", "full") },
+		"AppStarted":         func() { c.AppStarted("a", "p", 1.5) },
+		"AttemptStarted":     func() { c.AttemptStarted(tk, st, "n1", "ANY", true) },
+		"Bind":               func() { c.Bind(eng) },
+		"DecisionCount":      func() { c.DecisionCount() },
+		"Decisions":          func() { c.Decisions() },
+		"DrainMoved":         func() { c.DrainMoved("a", "n1", "n2", 1, 2, 3) },
+		"DriverCrashed":      func() { c.DriverCrashed(1) },
+		"DriverRecovered":    func() { c.DriverRecovered(1, 2, 3) },
+		"Enabled":            func() { c.Enabled() },
+		"EventCount":         func() { c.EventCount() },
+		"ExecutorLost":       func() { c.ExecutorLost("n1", "timeout") },
+		"ExecutorRejoined":   func() { c.ExecutorRejoined("n1") },
+		"Explain":            func() { _ = c.Explain(io.Discard, 7) },
+		"FaultSpan":          func() { c.FaultSpan("n1", "crash", "detail", 5) },
+		"InstanceAcquired":   func() { c.InstanceAcquired("n1", "spot", 0.5) },
+		"InstanceDenied":     func() { c.InstanceDenied(2, 1, 30) },
+		"InstanceReleased":   func() { c.InstanceReleased("n1", "idle", 60, 0.5) },
+		"JobAborted":         func() { c.JobAborted("budget") },
+		"JobBegin":           func() { c.JobBegin(0, "j") },
+		"JobEnd":             func() { c.JobEnd(0) },
+		"LeaseChanged":       func() { c.LeaseChanged("a", "n1", 4, "grant") },
+		"NewDecision":        func() { c.NewDecision("spark", "n1") },
+		"OperatorMigrated":   func() { c.OperatorMigrated("op", "n1", "n2", "slo", 1.5) },
+		"PreemptKill":        func() { c.PreemptKill("a", "n1", "drained", 2) },
+		"PreemptNotice":      func() { c.PreemptNotice("a", "n1", 30) },
+		"RecoverySpan":       func() { c.RecoverySpan(1, 2) },
+		"RegisterNode":       func() { c.RegisterNode("n1", 4) },
+		"SpeculatableMarked": func() { c.SpeculatableMarked(7) },
+		"StageBegin":         func() { c.StageBegin(st) },
+		"StageEnd":           func() { c.StageEnd(1) },
+		"StreamSpan":         func() { c.StreamSpan("n1", "op", "run", "detail", 5) },
+		"StreamSpanAt":       func() { c.StreamSpanAt("n1", "op", "drain", "detail", 1, 2) },
+		"TaskQueued":         func() { c.TaskQueued(7) },
+		"TracedTasks":        func() { c.TracedTasks() },
+		"WriteChromeTrace":   func() { _ = c.WriteChromeTrace(io.Discard) },
+	}
+	typ := reflect.TypeOf(c)
+	for i := 0; i < typ.NumMethod(); i++ {
+		if name := typ.Method(i).Name; calls[name] == nil {
+			t.Errorf("exported method %s has no entry in the table", name)
+		}
+	}
+	for name, call := range calls {
+		if n := testing.AllocsPerRun(10, call); n != 0 {
+			t.Errorf("%s on a nil collector: %v allocations per call, want 0", name, n)
+		}
 	}
 }
 

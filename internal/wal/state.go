@@ -32,6 +32,8 @@ type Output struct {
 // Counters are the driver's WAL-covered accounting counters. Launches in
 // particular must round-trip exactly: the chaos invariant battery checks
 // that per-task attempt metrics sum to the launch counter across a crash.
+// The driver's own accounting (spark.Counters) embeds this struct, so a
+// recovery restores the covered counters in one assignment.
 type Counters struct {
 	Launches          int `json:"launches"`
 	SpecCopies        int `json:"spec_copies"`
