@@ -37,7 +37,11 @@
 // time T seconds and recovers from the log after -restart-after D seconds
 // (default 1): state is replayed, in-flight attempts on surviving
 // executors are re-adopted, buffered completions are redelivered, and the
-// run resumes on the virtual clock.
+// run resumes on the virtual clock. The file holds the full stream; the
+// driver keeps in memory only the tail since the last checkpoint and
+// recovers from that. The run prints the stream's length and FNV-64a and
+// the FNV-64a of the state the tail replays to, so the file can be
+// checked against the run that wrote it.
 //
 // With -drivers N (N > 1), the run switches to the federated harness: N
 // driver shards share the Hydra cluster, each owning one copy of the
@@ -76,6 +80,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -84,6 +89,7 @@ import (
 	"strings"
 
 	"rupam/internal/chaos"
+	"rupam/internal/digest"
 	"rupam/internal/experiments"
 	"rupam/internal/faults"
 	"rupam/internal/federation"
@@ -492,7 +498,10 @@ func fedReport(r *federation.Result) {
 }
 
 // walReport flushes and closes the -wal sink. A nil log means the flag was
-// not given.
+// not given. Besides the record count it prints what the file can be
+// checked against: the full stream's length and FNV-64a, which the file
+// holds, and the FNV-64a of the canonical state the log's retained tail
+// replays to, which replaying the file must reproduce.
 func walReport(l *wal.Log, f *os.File, path string) {
 	if l == nil {
 		return
@@ -505,7 +514,16 @@ func walReport(l *wal.Log, f *os.File, path string) {
 		fmt.Fprintf(os.Stderr, "rupam-sim: closing wal: %v\n", err)
 		os.Exit(1)
 	}
+	st, _, err := wal.Replay(bytes.NewReader(l.Bytes()))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rupam-sim: replaying wal: %v\n", err)
+		os.Exit(1)
+	}
+	h := digest.New()
+	h.Bytes(st.Encode())
 	fmt.Printf("wal: %d records written to %s\n", l.Seq(), path)
+	fmt.Printf("wal: %d bytes, stream fnv64a %016x, replayed state fnv64a %s\n",
+		l.Written(), l.StreamDigest(), h.Hex())
 }
 
 // traceReports writes the post-run tracing artifacts requested by -trace,

@@ -1,12 +1,17 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"rupam/internal/faults"
+	"rupam/internal/wal"
 )
 
 func TestValidateStreamingFlags(t *testing.T) {
@@ -238,5 +243,57 @@ func TestBatchCLIRejects(t *testing.T) {
 		if s := string(out); !strings.Contains(s, "rupam-sim:") || strings.Contains(s, "panic") {
 			t.Errorf("%v: want a diagnostic and no panic:\n%s", args, out)
 		}
+	}
+}
+
+// TestWALFileHoldsFullStream drives the built binary through a driver
+// crash with -wal: the file must be the full stream the run reports (its
+// length and FNV-64a), although the driver kept only the tail since its
+// last checkpoint, and replaying the file must give the state the run's
+// tail replayed to.
+func TestWALFileHoldsFullStream(t *testing.T) {
+	bin := buildCLI(t, ".")
+	path := filepath.Join(t.TempDir(), "driver.wal")
+	out, err := exec.Command(bin, "-workload", "LR", "-scheduler", "spark",
+		"-wal", path, "-crash-at", "10").CombinedOutput()
+	if err != nil {
+		t.Fatalf("run failed: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "driver: 1 crashes, 1 recoveries") {
+		t.Fatalf("the driver crash did not fire:\n%s", out)
+	}
+	var written int64
+	var stream uint64
+	var state string
+	for _, line := range strings.Split(string(out), "\n") {
+		if n, _ := fmt.Sscanf(line, "wal: %d bytes, stream fnv64a %x, replayed state fnv64a %s",
+			&written, &stream, &state); n == 3 {
+			break
+		}
+	}
+	if state == "" {
+		t.Fatalf("no stream summary printed:\n%s", out)
+	}
+
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(file)) != written {
+		t.Errorf("file holds %d bytes, the run wrote %d", len(file), written)
+	}
+	h := fnv.New64a()
+	h.Write(file)
+	if h.Sum64() != stream {
+		t.Errorf("file fnv64a %016x, stream %016x", h.Sum64(), stream)
+	}
+	st, n, err := wal.Replay(bytes.NewReader(file))
+	if err != nil || n == 0 {
+		t.Fatalf("file replays %d records (%v)", n, err)
+	}
+	h = fnv.New64a()
+	h.Write(st.Encode())
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != state {
+		t.Errorf("file replays to state %s, the retained tail to %s", got, state)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"rupam/internal/faults"
 	"rupam/internal/spark"
 	"rupam/internal/task"
+	"rupam/internal/wal"
 	"rupam/internal/workloads"
 )
 
@@ -134,7 +135,7 @@ func (cfg Config) runSeed(rec *RunRecord, scheduler string, seed uint64) {
 	rec.Scheduler, rec.Seed = scheduler, seed
 	plan := faults.RandomSchedule(seed, hydraNodeNames(), cfg.Gen)
 	rec.Events = len(plan.Events)
-	rt, app := cfg.newRun(scheduler, seed, plan)
+	rt, app := cfg.newRun(scheduler, seed, plan, nil)
 	res := rt.Run(app)
 
 	rec.Duration = res.Duration
@@ -158,13 +159,15 @@ func (cfg Config) runSeed(rec *RunRecord, scheduler string, seed uint64) {
 }
 
 // newRun builds one soak or recovery run of the configured workload on
-// the Hydra cluster under experiments.HardenedConfig and the given plan.
-func (cfg Config) newRun(scheduler string, seed uint64, plan *faults.Schedule) (*spark.Runtime, *task.Application) {
+// the Hydra cluster under experiments.HardenedConfig, the given plan and
+// the given write-ahead log (nil lets the runtime decide).
+func (cfg Config) newRun(scheduler string, seed uint64, plan *faults.Schedule, wlog *wal.Log) (*spark.Runtime, *task.Application) {
 	if scheduler != experiments.SchedSpark && scheduler != experiments.SchedRUPAM {
 		panic(fmt.Sprintf("chaos: unknown scheduler %q", scheduler))
 	}
 	scfg := experiments.HardenedConfig()
 	scfg.Faults = plan
+	scfg.WAL = wlog
 	return experiments.NewRun(experiments.RunSpec{
 		Workload:  cfg.Workload,
 		Params:    cfg.Params,

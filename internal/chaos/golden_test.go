@@ -300,6 +300,10 @@ func bytesDigest(b []byte) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// streamDigest formats a log's digest of every byte it has written as
+// bytesDigest formats a digest of those bytes.
+func streamDigest(l *wal.Log) string { return fmt.Sprintf("%016x", l.StreamDigest()) }
+
 func TestGoldenReportBytes(t *testing.T) {
 	for _, g := range goldenReports {
 		rep := g.run()
@@ -318,12 +322,12 @@ func TestGoldenReportBytes(t *testing.T) {
 }
 
 // goldenWAL pins the write-ahead log's bytes, not just the state they
-// replay to: FNV-64a digests of every application log of one federated
-// run (two drivers, the federation soak's fault plan), and of one
-// driver-crash recovery run's log together with the canonical encoding
-// of its replay. The federated logs cover every claim record kind; the
-// recovery log covers snapshot checkpoints, the crash and recovery
-// barrier records, and Replay.
+// replay to: FNV-64a digests of the full stream of every application log
+// of one federated run (two drivers, the federation soak's fault plan),
+// and of one driver-crash recovery run's log together with the canonical
+// encoding of the replay of its retained tail. The federated logs cover
+// every claim record kind; the recovery log covers snapshot checkpoints,
+// the crash and recovery barrier records, and Replay.
 var goldenWAL = struct {
 	federation    []string // per application, in AppRuntimes order
 	recovery      string
@@ -357,21 +361,21 @@ func TestGoldenWALBytes(t *testing.T) {
 		if err := rt.WAL().Err(); err != nil {
 			t.Fatalf("app %d: %v", i, err)
 		}
-		if got := bytesDigest(rt.WAL().Bytes()); got != goldenWAL.federation[i] {
+		if got := streamDigest(rt.WAL()); got != goldenWAL.federation[i] {
 			t.Errorf("federated app %d: WAL digest %s (%d bytes), golden %s",
-				i, got, len(rt.WAL().Bytes()), goldenWAL.federation[i])
+				i, got, rt.WAL().Written(), goldenWAL.federation[i])
 		}
 	}
 
-	res2, rt := RecoveryRun(Config{}, "rupam", goldenWALRecoverySeed, true)
+	res2, rt, _ := RecoveryRun(Config{}, "rupam", goldenWALRecoverySeed, true)
 	if res2.DriverCrashes == 0 {
 		t.Fatal("recovery run's driver crash did not fire")
 	}
-	w := rt.WAL().Bytes()
-	if got := bytesDigest(w); got != goldenWAL.recovery {
-		t.Errorf("recovery run: WAL digest %s (%d bytes), golden %s", got, len(w), goldenWAL.recovery)
+	if got := streamDigest(rt.WAL()); got != goldenWAL.recovery {
+		t.Errorf("recovery run: WAL digest %s (%d bytes), golden %s", got, rt.WAL().Written(), goldenWAL.recovery)
 	}
-	st, _, err := wal.Replay(bytes.NewReader(w))
+	// The retained tail replays to the state the full log replayed to.
+	st, _, err := wal.Replay(bytes.NewReader(rt.WAL().Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,15 +64,22 @@ func recoveryGen(cfg Config) faults.GenConfig {
 // driver crash included (crash=true) or stripped out for the unfailed
 // reference (crash=false). Everything else — cluster, data placement,
 // workload, worker faults — is identical between the two, so their final
-// task outcomes are directly comparable.
-func RecoveryRun(cfg Config, scheduler string, seed uint64, crash bool) (*spark.Result, *spark.Runtime) {
+// task outcomes are directly comparable. A run with a driver crash logs
+// to a write-ahead log whose mirror keeps the full stream, which the run
+// returns: the log itself retains only the tail since its last snapshot.
+func RecoveryRun(cfg Config, scheduler string, seed uint64, crash bool) (*spark.Result, *spark.Runtime, []byte) {
 	cfg = cfg.withDefaults()
 	plan := faults.RandomSchedule(seed, hydraNodeNames(), recoveryGen(cfg))
 	if !crash {
 		plan = plan.WithoutKind(faults.DriverCrash)
 	}
-	rt, app := cfg.newRun(scheduler, seed, plan)
-	return rt.Run(app), rt
+	var stream bytes.Buffer
+	var wlog *wal.Log
+	if plan.HasKind(faults.DriverCrash) {
+		wlog = wal.New(&stream, wal.Options{})
+	}
+	rt, app := cfg.newRun(scheduler, seed, plan, wlog)
+	return rt.Run(app), rt, stream.Bytes()
 }
 
 // RecoverySoak sweeps every (scheduler, seed) pair through the crashed
@@ -95,8 +102,8 @@ func RecoverySoak(cfg Config) *RecoveryReport {
 // recovery battery.
 func (cfg Config) recoverySeed(rec *RecoveryRecord, scheduler string, seed uint64) {
 	rec.Scheduler, rec.Seed = scheduler, seed
-	res, rt := RecoveryRun(cfg, scheduler, seed, true)
-	refRes, _ := RecoveryRun(cfg, scheduler, seed, false)
+	res, rt, stream := RecoveryRun(cfg, scheduler, seed, true)
+	refRes, _, _ := RecoveryRun(cfg, scheduler, seed, false)
 
 	rec.CrashFired = res.DriverCrashes > 0
 	rec.Recoveries = res.DriverRecoveries
@@ -115,8 +122,8 @@ func (cfg Config) recoverySeed(rec *RecoveryRecord, scheduler string, seed uint6
 			"%d driver crashes but %d recoveries", res.DriverCrashes, res.DriverRecoveries))
 	}
 
-	if w := rt.WAL(); w != nil {
-		n, vs := CheckWALReplayIdentity(w.Bytes())
+	if rt.WAL() != nil {
+		n, vs := CheckWALReplayIdentity(stream)
 		rec.WALRecords = n
 		rec.Violations = append(rec.Violations, vs...)
 	} else if rec.CrashFired {
@@ -168,9 +175,17 @@ func CheckRecoveryEquivalence(res, ref *spark.Result) []string {
 	return v
 }
 
-// CheckWALReplayIdentity replays the log twice and requires both folds to
-// encode byte-identically; it returns the replayed record count and any
-// violations.
+// CheckWALReplayIdentity checks a WAL stream, whole or a retained tail,
+// for the two properties recovery rests on, and returns the replayed
+// record count and any violations:
+//   - replay is deterministic: two folds of the bytes encode
+//     byte-identically;
+//   - every snapshot is faithful: folding each record in order with the
+//     snapshots skipped reaches each snapshot's state exactly, so a replay
+//     that restarts at any snapshot (as recovery from a truncated log
+//     does) ends where a fold of the whole history ends.
+//
+// A tail opens with a snapshot, which is the fold's starting point.
 func CheckWALReplayIdentity(walBytes []byte) (int, []string) {
 	s1, n1, err1 := wal.Replay(bytes.NewReader(walBytes))
 	if err1 != nil {
@@ -184,10 +199,43 @@ func CheckWALReplayIdentity(walBytes []byte) (int, []string) {
 	if n1 != n2 {
 		v = append(v, fmt.Sprintf("wal replay record counts differ: %d vs %d", n1, n2))
 	}
-	if !bytes.Equal(s1.Encode(), s2.Encode()) {
+	replayed := s1.Encode()
+	if !bytes.Equal(replayed, s2.Encode()) {
 		v = append(v, "wal replay is not byte-identical across two folds")
 	}
-	return n1, v
+	return n1, append(v, checkSnapshots(walBytes, replayed)...)
+}
+
+// checkSnapshots folds the stream's records with its snapshots skipped
+// and compares the fold with each snapshot's state and, at the end, with
+// the replayed state.
+func checkSnapshots(walBytes, replayed []byte) []string {
+	recs, err := wal.ReadRecords(bytes.NewReader(walBytes))
+	if err != nil {
+		return []string{fmt.Sprintf("wal read failed: %v", err)}
+	}
+	fold := wal.NewState()
+	for i, r := range recs {
+		if r.Kind != wal.KindSnapshot {
+			fold.Apply(r)
+			continue
+		}
+		snap := wal.NewState()
+		snap.Apply(r)
+		if i == 0 {
+			fold = snap
+			continue
+		}
+		fold.Seq, fold.T = r.Seq, r.T
+		if !bytes.Equal(fold.Encode(), snap.Encode()) {
+			return []string{fmt.Sprintf(
+				"wal snapshot at seq %d differs from the fold of the records before it", r.Seq)}
+		}
+	}
+	if !bytes.Equal(fold.Encode(), replayed) {
+		return []string{"wal replay from the last snapshot differs from the fold of every record"}
+	}
+	return nil
 }
 
 // succeededTaskIDs returns the sorted IDs of tasks with at least one

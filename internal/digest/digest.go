@@ -1,8 +1,9 @@
 // Package digest is the allocation-free FNV-64a hash behind the run
-// fingerprints. Numbers are written as little-endian 8-byte words and
-// strings as their raw bytes, so a Hash fed a sequence of values sums to
-// what hash/fnv sums over the same values written with binary.Write and
-// io.WriteString.
+// fingerprints and the WAL's stream digest. Numbers are written as
+// little-endian 8-byte words and strings and byte slices as their raw
+// bytes, so a Hash fed a sequence of values sums to what hash/fnv sums
+// over the same values written with binary.Write, io.WriteString and
+// Write.
 package digest
 
 import (
@@ -39,13 +40,17 @@ func (h *Hash) Int(x int) { h.U64(uint64(int64(x))) }
 func (h *Hash) F64(x float64) { h.U64(math.Float64bits(x)) }
 
 // Str writes s's raw bytes, with no length prefix.
-func (h *Hash) Str(s string) {
-	sum := h.sum
-	for i := 0; i < len(s); i++ {
-		sum ^= uint64(s[i])
+func (h *Hash) Str(s string) { h.sum = raw(h.sum, s) }
+
+// Bytes writes b's raw bytes, with no length prefix.
+func (h *Hash) Bytes(b []byte) { h.sum = raw(h.sum, b) }
+
+func raw[T string | []byte](sum uint64, b T) uint64 {
+	for i := 0; i < len(b); i++ {
+		sum ^= uint64(b[i])
 		sum *= prime64
 	}
-	h.sum = sum
+	return sum
 }
 
 // Sum64 returns the hash of everything written so far.

@@ -16,7 +16,7 @@ func TestMatchesStdlib(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		h, ref := New(), fnv.New64a()
 		for i := rng.Intn(12); i >= 0; i-- {
-			switch rng.Intn(4) {
+			switch rng.Intn(5) {
 			case 0:
 				v := rng.Uint64()
 				h.U64(v)
@@ -34,6 +34,11 @@ func TestMatchesStdlib(t *testing.T) {
 				rng.Read(b)
 				h.Str(string(b))
 				io.WriteString(ref, string(b))
+			case 4:
+				b := make([]byte, rng.Intn(300))
+				rng.Read(b)
+				h.Bytes(b)
+				ref.Write(b)
 			}
 		}
 		if h.Sum64() != ref.Sum64() {
@@ -46,12 +51,14 @@ func TestMatchesStdlib(t *testing.T) {
 }
 
 func TestNoAllocs(t *testing.T) {
+	line := []byte("0a1b2c3d {\"seq\":1}\n")
 	allocs := testing.AllocsPerRun(100, func() {
 		h := New()
 		h.U64(7)
 		h.Int(-3)
 		h.F64(1.5)
 		h.Str("thor1")
+		h.Bytes(line)
 		_ = h.Sum64()
 	})
 	if allocs != 0 {

@@ -36,8 +36,10 @@ func TestLiveAttemptIndexUnderKillsAndDriverCrash(t *testing.T) {
 		{Kind: faults.DriverCrash, At: 2.5, Duration: 0.5},
 	}}
 	recovered := false
+	var stream bytes.Buffer // the log retains only its tail; the mirror keeps every record
 	var rt *Runtime
 	rt = NewRuntimeOn(w.eng, w.clu, NewDefaultScheduler(), Config{
+		WAL:               wal.New(&stream, wal.Options{}),
 		Seed:              3,
 		HeartbeatInterval: 0.25, HeartbeatTimeout: 1,
 		SpeculationInterval: 0.25, SpeculationQuantile: 0.1, SpeculationMultiplier: 1.05,
@@ -65,7 +67,7 @@ func TestLiveAttemptIndexUnderKillsAndDriverCrash(t *testing.T) {
 	if !recovered || res.DriverRecoveries != 1 {
 		t.Fatalf("driver recoveries %d, want 1", res.DriverRecoveries)
 	}
-	recs, err := wal.ReadRecords(bytes.NewReader(rt.WAL().Bytes()))
+	recs, err := wal.ReadRecords(&stream)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,7 +190,7 @@ func TestSnapshotAllocBudget(t *testing.T) {
 	buf := make([]byte, len(l.buf), len(l.buf)+1<<20)
 	copy(buf, l.buf)
 	l.buf = buf
-	before := len(l.Bytes())
+	before := l.Seq()
 	const runs = 50
 	n := testing.AllocsPerRun(runs, func() {
 		l.Append(Record{Kind: KindSpecMarked, Task: 7, Stage: 3})
@@ -198,9 +198,12 @@ func TestSnapshotAllocBudget(t *testing.T) {
 	if err := l.Err(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadRecords(bytes.NewReader(l.Bytes()[before:]))
-	if err != nil || len(recs) != 2*(runs+1) || recs[1].Kind != KindSnapshot {
-		t.Fatalf("measured appends wrote %d records (%v), want %d record+snapshot pairs", len(recs), err, runs+1)
+	if got := l.Seq() - before; got != 2*(runs+1) {
+		t.Fatalf("measured appends wrote %d records, want %d record+snapshot pairs", got, runs+1)
+	}
+	recs, err := ReadRecords(bytes.NewReader(l.Bytes()))
+	if err != nil || len(recs) != 1 || recs[0].Kind != KindSnapshot || recs[0].Seq != l.Seq() {
+		t.Fatalf("retained tail holds %d records (%v), want the last append's snapshot", len(recs), err)
 	}
 	if n > snapshotAllocBudget && !raceEnabled {
 		t.Fatalf("Append with a snapshot allocates %v times, budget %d", n, snapshotAllocBudget)

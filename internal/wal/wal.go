@@ -9,9 +9,11 @@
 // the serialized bytes back into a State, stopping cleanly at the first
 // torn line, and State.Encode is canonical so two replays of the same
 // bytes are byte-identical — the recovery invariant the chaos harness
-// checks. The package is deliberately leaf-level (no imports from spark or
-// core): records refer to jobs, stages, tasks and nodes by ID, and CharDB
-// payloads travel as opaque pre-marshaled JSON.
+// checks. In memory the log keeps only the tail since its last snapshot,
+// which replays to the same state as the whole stream. The package is
+// deliberately leaf-level (no imports from spark or core): records refer
+// to jobs, stages, tasks and nodes by ID, and CharDB payloads travel as
+// opaque pre-marshaled JSON.
 //
 // Framing: one record per line, "crc32(hex) space json\n". The CRC covers
 // the JSON body, so a crash mid-append (torn write) is detected and the
@@ -27,6 +29,8 @@ import (
 	"io"
 
 	"encoding/json"
+
+	"rupam/internal/digest"
 )
 
 // Record kinds. Fold semantics live in State.Apply; kinds marked audit-only
@@ -105,13 +109,18 @@ type Options struct {
 // DefaultSnapshotEvery is the checkpoint cadence when Options leaves it 0.
 const DefaultSnapshotEvery = 128
 
-// Log is an append-only WAL writer. It always retains the full serialized
-// stream in memory (the simulator's recovery path replays it, and chaos
-// verifies byte-identity on it); an optional io.Writer mirror receives the
-// same bytes for on-disk persistence.
+// Log is an append-only WAL writer. In memory it retains only the tail
+// recovery reads: the last snapshot line and the records written after it
+// (everything before a snapshot is dropped once the snapshot is written,
+// since Replay restarts its fold there). An optional io.Writer mirror
+// receives the full stream, every byte ever written, for on-disk
+// persistence and for checks that need the whole history; Written and
+// StreamDigest describe that stream without keeping it.
 type Log struct {
-	buf     []byte // the serialized log; see reserve for its growth
+	buf     []byte // the retained tail; see reserve for its growth
 	maxLine int    // longest line so far, the room reserve keeps free
+	written int64  // bytes ever written, the length of the full stream
+	stream  digest.Hash
 	enc     encoder
 	out     io.Writer
 	err     error
@@ -128,7 +137,7 @@ func New(out io.Writer, opts Options) *Log {
 	if every == 0 {
 		every = DefaultSnapshotEvery
 	}
-	return &Log{out: out, every: every, clock: opts.Clock, state: NewState()}
+	return &Log{out: out, stream: digest.New(), every: every, clock: opts.Clock, state: NewState()}
 }
 
 // SetClock replaces the log's timestamp source. The runtime installs its
@@ -169,6 +178,10 @@ func (l *Log) append(r Record) {
 		if !l.endLine(start, err, "snapshot") {
 			return
 		}
+		// Truncate: the snapshot alone replays to what every line before
+		// it does, so it moves to the front and the rest is dropped. The
+		// capacity stays, so the buffer stops growing at a high-water mark.
+		l.buf = l.buf[:copy(l.buf, l.buf[start:])]
 		// The shadow state is not refolded from the snapshot: the JSON
 		// round-trip would only turn empty maps nil and compact CharDB
 		// payloads, and the encoder omits the one and compacts the other.
@@ -204,6 +217,8 @@ func (l *Log) endLine(start int, err error, what string) bool {
 	l.buf = append(l.buf, '\n')
 	line := l.buf[start:]
 	l.maxLine = max(l.maxLine, len(line))
+	l.written += int64(len(line))
+	l.stream.Bytes(line)
 	if l.out != nil {
 		if _, err := l.out.Write(line); err != nil {
 			l.err = fmt.Errorf("wal: write: %w", err)
@@ -215,8 +230,9 @@ func (l *Log) endLine(start int, err error, what string) bool {
 
 // reserve keeps room for the longest line so far plus a quarter (snapshot
 // lines grow between checkpoints), so a line is rarely moved while it is
-// encoded, and it at least doubles the capacity when it grows: the copies
-// of a log then total less than its final size.
+// encoded, and it at least doubles the capacity when it grows. Truncation
+// keeps the tail short, so once the state stops growing the capacity
+// stops too and appends no longer allocate.
 func (l *Log) reserve() {
 	need := max(512, l.maxLine+l.maxLine/4)
 	if cap(l.buf)-len(l.buf) >= need {
@@ -227,12 +243,33 @@ func (l *Log) reserve() {
 	l.buf = buf
 }
 
-// Bytes returns the full serialized log so far. Nil-safe (returns nil).
+// Bytes returns the retained tail: the last snapshot line, if one has
+// been written, and every line after it. Replay of the tail gives the
+// same state as replay of the full stream. The slice aliases the log's
+// buffer and is valid only until the next Append. Nil-safe (returns nil).
 func (l *Log) Bytes() []byte {
 	if l == nil {
 		return nil
 	}
 	return l.buf
+}
+
+// Written returns the number of bytes ever written: the length of the
+// full stream the out mirror received. Nil-safe.
+func (l *Log) Written() int64 {
+	if l == nil {
+		return 0
+	}
+	return l.written
+}
+
+// StreamDigest returns the FNV-64a hash of the full stream, every byte
+// ever written, as hash/fnv's New64a would sum it. Nil-safe (returns 0).
+func (l *Log) StreamDigest() uint64 {
+	if l == nil {
+		return 0
+	}
+	return l.stream.Sum64()
 }
 
 // Seq returns the sequence number of the last appended record. Nil-safe.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"hash/fnv"
 	"strconv"
 	"strings"
 	"testing"
@@ -285,6 +286,9 @@ func TestFramingMatchesMarshalSprintf(t *testing.T) {
 	}
 }
 
+// TestMirrorWriterReceivesSameBytes checks that the out mirror receives
+// the full stream, which Written and StreamDigest describe, and that the
+// retained tail is its suffix from the last snapshot on.
 func TestMirrorWriterReceivesSameBytes(t *testing.T) {
 	var sink bytes.Buffer
 	now := 0.0
@@ -292,8 +296,19 @@ func TestMirrorWriterReceivesSameBytes(t *testing.T) {
 	l.Append(Record{Kind: KindJobSubmitted, Job: 0})
 	l.Append(Record{Kind: KindStageSubmitted, Stage: 0})
 	l.Append(Record{Kind: KindTaskLaunched, Task: 1, Stage: 0, Node: "fast"})
-	if !bytes.Equal(sink.Bytes(), l.Bytes()) {
-		t.Fatal("external sink diverged from in-memory mirror")
+	if got := int64(sink.Len()); got != l.Written() {
+		t.Fatalf("external sink holds %d bytes, Written reports %d", got, l.Written())
+	}
+	h := fnv.New64a()
+	h.Write(sink.Bytes())
+	if h.Sum64() != l.StreamDigest() {
+		t.Fatalf("external sink digest %016x, StreamDigest %016x", h.Sum64(), l.StreamDigest())
+	}
+	if !bytes.HasSuffix(sink.Bytes(), l.Bytes()) || len(l.Bytes()) >= sink.Len() {
+		t.Fatalf("retained tail (%d bytes) is not a proper suffix of the %d-byte stream", len(l.Bytes()), sink.Len())
+	}
+	if !bytes.HasPrefix(l.Bytes()[9:], []byte(`{"seq":3,"t":2,"kind":"snapshot"`)) {
+		t.Fatalf("retained tail does not start at the snapshot:\n%s", l.Bytes())
 	}
 }
 
@@ -415,5 +430,91 @@ func TestDecodeLineRejectsLaxCRCHeaders(t *testing.T) {
 	recs, err := ReadRecords(bytes.NewReader(l.Bytes()))
 	if err != nil || len(recs) != lines {
 		t.Fatalf("read %d of %d written lines (%v)", len(recs), lines, err)
+	}
+}
+
+// retentionRecord is record i of a long application's history, in
+// groups of eight records about one task. Its keys cycle (600 tasks over
+// 40 stages, 48 CharDB signatures, five nodes), so the state grows
+// through the first checkpoints and then churns in place.
+func retentionRecord(i int) Record {
+	g := i / 8
+	node := []string{"thor1", "thor2", "hulk1", "hulk2", "stack1"}[g%5]
+	task, stage := g%600, g%40
+	switch i % 8 {
+	case 0:
+		return Record{Kind: KindStageSubmitted, Stage: stage}
+	case 1:
+		return Record{Kind: KindTaskLaunched, Task: task, Stage: stage, Node: node}
+	case 2:
+		return Record{Kind: KindTaskSucceeded, Task: task, Stage: stage, Index: task, Node: node, Bytes: 1<<20 + int64(i%1000)}
+	case 3:
+		return Record{Kind: KindAttemptEnded, Task: task, Node: node, Outcome: []string{"oom", "killed"}[g/600%2]}
+	case 4:
+		return Record{Kind: KindCharDBPut, Key: "sig" + strconv.Itoa(g%48) + "|" + strconv.Itoa(g%3),
+			CharDB: []byte(`{"signature":"sig","cpu":[1.5,2.25],"mem":` + strconv.Itoa(i%1000) + `}`)}
+	case 5:
+		return Record{Kind: KindBlacklistAdd, Node: node, Until: float64(i) + 64.25}
+	case 6:
+		return Record{Kind: KindExecIncarnation, Node: node, Inc: g % 7}
+	}
+	return Record{Kind: KindSpecMarked, Task: task, Stage: stage}
+}
+
+// TestRetentionBounded is the bounded-memory gate of truncation at
+// checkpoints: over 24k records at the default cadence, the retained tail
+// never exceeds the last snapshot line plus DefaultSnapshotEvery of the
+// longest record line, the buffer's capacity stops growing once the state
+// does, and a warm log appends across a snapshot boundary without
+// allocating.
+func TestRetentionBounded(t *testing.T) {
+	now := 0.0
+	l := New(nil, Options{Clock: func() float64 { now += 0.25; return now }})
+	const records, warm = 24000, 8000
+	maxRecord, snapLine, warmCap := 0, 0, 0
+	for i := range records {
+		seq, written := l.Seq(), l.Written()
+		l.Append(retentionRecord(i))
+		line := int(l.Written() - written)
+		if b := l.Bytes(); l.Seq()-seq == 2 { // a snapshot followed: it is the last line
+			snapLine = len(b) - (bytes.LastIndexByte(b[:len(b)-1], '\n') + 1)
+			line -= snapLine
+		}
+		maxRecord = max(maxRecord, line)
+		if bound := snapLine + DefaultSnapshotEvery*maxRecord; len(l.Bytes()) > bound {
+			t.Fatalf("record %d: %d bytes retained, bound %d (snapshot line %d, longest record %d)",
+				i, len(l.Bytes()), bound, snapLine, maxRecord)
+		}
+		if i == warm {
+			warmCap = cap(l.Bytes())
+		}
+	}
+	if err := l.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got := cap(l.Bytes()); got != warmCap {
+		t.Fatalf("capacity grew after record %d: %d → %d bytes", warm, warmCap, got)
+	}
+	if l.Written() < 20*int64(warmCap) {
+		t.Fatalf("the stream (%d bytes) is not long beside the retained capacity (%d)", l.Written(), warmCap)
+	}
+
+	// Records whose fold only overwrites existing keys, so the shadow
+	// state's maps do not allocate; launches and CharDB puts copy.
+	i := records
+	n := testing.AllocsPerRun(5, func() {
+		for range DefaultSnapshotEvery + 2 {
+			for i%8 == 1 || i%8 == 4 || i%8 == 5 {
+				i++
+			}
+			l.Append(retentionRecord(i))
+			i++
+		}
+	})
+	if n != 0 && !raceEnabled {
+		t.Fatalf("a warm log allocates %v times per checkpoint interval, want 0", n)
+	}
+	if got := cap(l.Bytes()); got != warmCap {
+		t.Fatalf("capacity grew during the allocation check: %d → %d bytes", warmCap, got)
 	}
 }
