@@ -5,40 +5,40 @@
 // Usage:
 //
 //	rupam-bench [-experiment all|fig2|fig3|tab2|tab4|fig5|fig6|tab5|fig7|fig8|fig9|ablations|faults|chaos|recovery|tracesanity|tenancy|preempt|elastic|federation|streaming]
-//	            [-runs N] [-seed N] [-csv DIR] [-chaos-seeds N] [-json FILE]
-//	            [-tenancy-seeds N] [-tenancy-apps N] [-elastic-seeds N]
-//	            [-federation-seeds N] [-streaming-seeds N]
+//	            [-runs N] [-seed N] [-seeds N] [-csv DIR] [-json FILE]
 //
 // fig5 runs every workload under both schedulers -runs times (default 5,
 // as in the paper); everything else uses a single seeded run. With -csv,
 // the raw series behind Figures 2, 3 and 9 are also written as CSV files
-// into DIR for replotting. The faults experiment (PageRank under a seeded
-// fault plan, both schedulers), the chaos experiment (a -chaos-seeds
-// wide soak sweep with invariant checking; -json writes the full report),
-// the recovery experiment (a -chaos-seeds wide driver-crash sweep checking
+// into DIR for replotting. Every sweep below runs -seeds consecutive
+// seeds starting at -seed; -seeds 0 takes the sweep's own default count
+// (defaultSeeds). The faults experiment (PageRank under a seeded
+// fault plan, both schedulers), the chaos experiment (a soak sweep with
+// invariant checking; -json writes the full report),
+// the recovery experiment (a driver-crash sweep checking
 // each crashed-and-recovered run against its unfailed reference)
 // and the tracesanity experiment (traced runs under both schedulers with
 // trace-format, determinism, decision-audit and critical-path invariant
 // checks) must be requested explicitly — none is part of "all", which
 // stays fault-free and byte-reproducible. The tenancy experiment
-// (-tenancy-seeds open-loop arrival streams per scheduler on the shared
+// (open-loop arrival streams per scheduler on the shared
 // cluster, reporting per-pool throughput, latency percentiles and
 // slowdown versus isolated runs; -csv writes tenancy_pools.csv, -json the
 // full report, and any invariant violation exits nonzero) is likewise
 // explicit-only. So are the two elastic-substrate sweeps: the preempt
-// experiment (a -chaos-seeds wide preemption soak on the elastic instance
+// experiment (a preemption soak on the elastic instance
 // market, auditing the graceful-drain protocol end to end) and the elastic
 // experiment (the cost-vs-makespan Pareto sweep over acquisition policies
 // under identical reclamation plans; -csv writes elastic_pareto.csv, -json
 // the full report, and any frontier or invariant violation exits nonzero).
 // The federation experiment runs the two-phase placement protocol's
-// acceptance battery and a -federation-seeds wide soak (multi-driver runs
+// acceptance battery and a soak (multi-driver runs
 // under driver crashes, agent crash/restart episodes and an unreliable
 // control plane; -json writes the report), then the 1/2/4-driver scaling
 // sweep with its agent-churn column gating makespan under agent faults
 // within a tuned envelope of fault-free (-csv writes federation_scale.csv
 // and federation_agent_churn.csv); it is likewise explicit-only. The streaming
-// experiment sweeps -streaming-seeds seeded operator topologies under
+// experiment sweeps seeded operator topologies under
 // every placement policy on the heterogeneous cluster and gates on the
 // paper's ordering — RUPAM's demand-vector placement must sustain at
 // least the throughput of Storm-style resource-aware placement, which
@@ -77,18 +77,32 @@ var experimentNames = []string{
 	"streaming", "perf",
 }
 
+// defaultSeeds is each sweep's seed count when -seeds is 0. For the
+// federation experiment it counts the soak's seeds.
+var defaultSeeds = map[string]int{
+	"chaos": 20, "recovery": 20, "preempt": 20, "federation": 5,
+	// Per-seed makespans are dominated by placement luck (a narrow app
+	// pinned on a slow node for a stage); five arrival streams per
+	// (policy, scheduler) is the smallest sweep where the policy means
+	// separate from that noise.
+	"tenancy": 5, "elastic": 5,
+	// Single-seed orderings are hostage to one topology's shape; five
+	// seeds is the smallest sweep where the placer means separate from
+	// topology luck.
+	"streaming": 5,
+}
+
+// federationScaleSeeds is the seed count of the federation experiment's
+// scaling sweep, which runs after its soak whatever -seeds says.
+const federationScaleSeeds = 3
+
 func main() {
 	exp := flag.String("experiment", "all", "experiment to regenerate: "+strings.Join(experimentNames, "|"))
 	runs := flag.Int("runs", 5, "repetitions for fig5")
 	seed := flag.Uint64("seed", 1, "base PRNG seed")
 	csvDir := flag.String("csv", "", "directory for raw CSV series (fig2, fig3, fig9)")
-	chaosSeeds := flag.Int("chaos-seeds", 20, "fault-plan seeds in the chaos sweep")
+	nSeeds := flag.Int("seeds", 0, "seeds in the chaos, recovery, tenancy, preempt, elastic, federation or streaming sweep (0 = the sweep's default)")
 	jsonPath := flag.String("json", "", "file for the JSON report of chaos, recovery, tenancy, preempt, elastic, federation, streaming or perf")
-	tenancySeeds := flag.Int("tenancy-seeds", 5, "arrival-stream seeds in the tenancy sweep")
-	tenancyApps := flag.Int("tenancy-apps", 10, "application arrivals per tenancy stream")
-	elasticSeeds := flag.Int("elastic-seeds", 0, "arrival-stream seeds per policy in the elastic sweep (0 = default)")
-	fedSeeds := flag.Int("federation-seeds", 5, "fault-plan seeds in the federation soak")
-	streamingSeeds := flag.Int("streaming-seeds", 0, "topology seeds per placer in the streaming sweep (0 = default)")
 	perfScale := flag.String("perf-scale", "standard", "perf battery sweep size: smoke|standard")
 	perfReps := flag.Int("perf-reps", 3, "perf battery repetitions per case (fastest kept)")
 	baselinePath := flag.String("baseline", "", "BENCH JSON to compare the perf battery against (regressions fail the run)")
@@ -107,16 +121,16 @@ func main() {
 		usageError("-perf-scale must be %s or %s, got %q", perf.ScaleSmoke, perf.ScaleStandard, *perfScale)
 	case *perfReps < 1:
 		usageError("-perf-reps must be at least 1, got %d", *perfReps)
-	case *chaosSeeds < 1:
-		usageError("-chaos-seeds must be at least 1, got %d", *chaosSeeds)
-	case *tenancySeeds < 1 || *tenancyApps < 1:
-		usageError("-tenancy-seeds and -tenancy-apps must be at least 1")
-	case *elasticSeeds < 0:
-		usageError("-elastic-seeds must be non-negative, got %d", *elasticSeeds)
-	case *fedSeeds < 1:
-		usageError("-federation-seeds must be at least 1, got %d", *fedSeeds)
-	case *streamingSeeds < 0:
-		usageError("-streaming-seeds must be non-negative, got %d", *streamingSeeds)
+	case *nSeeds < 0:
+		usageError("-seeds must be non-negative, got %d", *nSeeds)
+	}
+	// seeds returns the seed list of the named sweep.
+	seeds := func(sweep string) []uint64 {
+		n := *nSeeds
+		if n == 0 {
+			n = defaultSeeds[sweep]
+		}
+		return seedRange(*seed, n)
 	}
 
 	stopProfiles := startProfiles(*cpuProfile, *memProfile, *tracePath)
@@ -220,25 +234,21 @@ func main() {
 	}
 	if *exp == "chaos" {
 		run("Chaos soak", func() {
-			rep := chaos.Soak(chaos.Config{Seeds: seedRange(*seed, *chaosSeeds)})
+			rep := chaos.Soak(chaos.Config{Seeds: seeds("chaos")})
 			rep.Print(w)
 			finishSweep(rep.WriteJSON, rep.Violations, "chaos sweep found %d invariant violations")
 		})
 	}
 	if *exp == "recovery" {
 		run("Crash recovery", func() {
-			rep := chaos.RecoverySoak(chaos.Config{Seeds: seedRange(*seed, *chaosSeeds)})
+			rep := chaos.RecoverySoak(chaos.Config{Seeds: seeds("recovery")})
 			rep.Print(w)
 			finishSweep(rep.WriteJSON, rep.Violations, "recovery sweep found %d violations")
 		})
 	}
 	if *exp == "tenancy" {
 		run("Multi-tenant sweep", func() {
-			rep := experiments.Tenancy(experiments.TenancyConfig{
-				BaseSeed: *seed,
-				Seeds:    *tenancySeeds,
-				Apps:     *tenancyApps,
-			})
+			rep := experiments.Tenancy(experiments.TenancyConfig{Seeds: seeds("tenancy")})
 			rep.Print(w)
 			writeCSV("tenancy_pools.csv", rep.WritePoolCSV)
 			finishSweep(rep.WriteJSON, rep.Violations, "tenancy sweep found %d invariant violations")
@@ -246,17 +256,14 @@ func main() {
 	}
 	if *exp == "preempt" {
 		run("Preemption soak", func() {
-			rep := chaos.PreemptionSoak(chaos.PreemptConfig{Seeds: seedRange(*seed, *chaosSeeds)})
+			rep := chaos.PreemptionSoak(chaos.PreemptConfig{Seeds: seeds("preempt")})
 			rep.Print(w)
 			finishSweep(rep.WriteJSON, rep.Violations, "preemption soak found %d invariant violations")
 		})
 	}
 	if *exp == "elastic" {
 		run("Elastic Pareto sweep", func() {
-			rep := experiments.Elastic(experiments.ElasticConfig{
-				BaseSeed: *seed,
-				Seeds:    *elasticSeeds,
-			})
+			rep := experiments.Elastic(experiments.ElasticConfig{Seeds: seeds("elastic")})
 			rep.Print(w)
 			writeCSV("elastic_pareto.csv", rep.WriteParetoCSV)
 			finishSweep(rep.WriteJSON, rep.Violations, "elastic sweep found %d violations")
@@ -264,9 +271,11 @@ func main() {
 	}
 	if *exp == "federation" {
 		run("Federation soak + scaling sweep", func() {
-			rep := chaos.FederationSoak(chaos.FederationConfig{Seeds: seedRange(*seed, *fedSeeds)})
+			rep := chaos.FederationSoak(chaos.FederationConfig{Seeds: seeds("federation")})
 			rep.Print(w)
-			sweep := experiments.Federation(experiments.FederationConfig{BaseSeed: *seed})
+			sweep := experiments.Federation(experiments.FederationConfig{
+				Seeds: seedRange(*seed, federationScaleSeeds),
+			})
 			sweep.Print(w)
 			writeCSV("federation_scale.csv", sweep.WriteCSV)
 			writeCSV("federation_agent_churn.csv", sweep.WriteChurnCSV)
@@ -276,10 +285,7 @@ func main() {
 	}
 	if *exp == "streaming" {
 		run("Streaming placement sweep", func() {
-			rep := experiments.Streaming(experiments.StreamingConfig{
-				BaseSeed: *seed,
-				Seeds:    *streamingSeeds,
-			})
+			rep := experiments.Streaming(experiments.StreamingConfig{Seeds: seeds("streaming")})
 			rep.Print(w)
 			writeCSV("streaming_throughput.csv", rep.WriteThroughputCSV)
 			finishSweep(rep.WriteJSON, rep.Violations, "streaming sweep found %d violations")

@@ -31,9 +31,9 @@ func buildBench(t *testing.T) (bin, dir string) {
 func TestStreamingExperimentCLI(t *testing.T) {
 	bin, dir := buildBench(t)
 
-	out, err := exec.Command(bin, "-experiment", "streaming", "-streaming-seeds", "-1").CombinedOutput()
+	out, err := exec.Command(bin, "-experiment", "streaming", "-seeds", "-1").CombinedOutput()
 	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-		t.Fatalf("negative -streaming-seeds: want exit 2, got %v\n%s", err, out)
+		t.Fatalf("negative -seeds: want exit 2, got %v\n%s", err, out)
 	}
 
 	csvDir := filepath.Join(dir, "csv")

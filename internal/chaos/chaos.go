@@ -22,42 +22,30 @@ import (
 )
 
 // Config parameterizes a soak sweep. The zero value (plus Seeds) is a
-// usable configuration: a reduced PageRank under DefaultGen faults, both
+// usable configuration: soakWorkload under DefaultGen faults, both
 // schedulers, every seed run twice for the determinism check.
 type Config struct {
-	// Workload is a package workloads name; default "PR" with reduced
-	// parameters (chaos wants many short runs, not a few long ones).
-	Workload string
-	// Params overrides the workload defaults (zero fields keep the
-	// chaos-reduced ones).
-	Params workloads.Params
 	// Schedulers to drive; default both ("spark", "rupam").
 	Schedulers []string
 	// Seeds are the fault-plan seeds to sweep.
 	Seeds []uint64
-	// Gen parameterizes faults.RandomSchedule; zero value takes
-	// DefaultGen.
-	Gen faults.GenConfig
 	// SkipVerify disables the second (bit-identity) run per seed.
 	SkipVerify bool
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workload == "" {
-		c.Workload = "PR"
-	}
-	if c.Workload == "PR" && c.Params.InputGB == 0 && c.Params.Partitions == 0 &&
-		c.Params.Iterations == 0 {
-		c.Params = workloads.Params{InputGB: 0.5, Partitions: 16, Iterations: 2}
-	}
 	if len(c.Schedulers) == 0 {
 		c.Schedulers = []string{"spark", "rupam"}
 	}
-	if c.Gen == (faults.GenConfig{}) {
-		c.Gen = DefaultGen()
-	}
 	return c
 }
+
+// soakWorkload is the workload of every soak and recovery run, with
+// soakParams in place of its defaults: chaos wants many short runs, not a
+// few long ones.
+const soakWorkload = "PR"
+
+var soakParams = workloads.Params{InputGB: 0.5, Partitions: 16, Iterations: 2}
 
 // DefaultGen is the soak sweep's fault mix: one crash (sometimes
 // permanent), NIC/disk windows, CPU-throttle windows, a heap squeeze, a
@@ -123,19 +111,19 @@ type Report struct {
 // inconsistency) is recorded as a violation on its record.
 func Soak(cfg Config) *Report {
 	cfg = cfg.withDefaults()
-	rep := &Report{Workload: cfg.Workload, Seeds: cfg.Seeds}
-	rep.Runs, rep.Violations = sweep(cfg.Seeds, cfg.Schedulers, cfg.SkipVerify, cfg.runSeed,
+	rep := &Report{Workload: soakWorkload, Seeds: cfg.Seeds}
+	rep.Runs, rep.Violations = sweep(cfg.Seeds, cfg.Schedulers, cfg.SkipVerify, soakSeed,
 		func(rec *RunRecord) { rec.Aborted = "panic" })
 	return rep
 }
 
-// runSeed executes one plan under one scheduler and checks the
+// soakSeed executes one plan under one scheduler and checks the
 // invariants.
-func (cfg Config) runSeed(rec *RunRecord, scheduler string, seed uint64) {
+func soakSeed(rec *RunRecord, scheduler string, seed uint64) {
 	rec.Scheduler, rec.Seed = scheduler, seed
-	plan := faults.RandomSchedule(seed, hydraNodeNames(), cfg.Gen)
+	plan := faults.RandomSchedule(seed, hydraNodeNames(), DefaultGen())
 	rec.Events = len(plan.Events)
-	rt, app := cfg.newRun(scheduler, seed, plan, nil)
+	rt, app := newRun(scheduler, seed, plan, nil)
 	res := rt.Run(app)
 
 	rec.Duration = res.Duration
@@ -158,10 +146,10 @@ func (cfg Config) runSeed(rec *RunRecord, scheduler string, seed uint64) {
 	rec.Violations = CheckInvariants(res, rt)
 }
 
-// newRun builds one soak or recovery run of the configured workload on
-// the Hydra cluster under experiments.HardenedConfig, the given plan and
-// the given write-ahead log (nil lets the runtime decide).
-func (cfg Config) newRun(scheduler string, seed uint64, plan *faults.Schedule, wlog *wal.Log) (*spark.Runtime, *task.Application) {
+// newRun builds one soak or recovery run of soakWorkload on the Hydra
+// cluster under experiments.HardenedConfig, the given plan and the given
+// write-ahead log (nil lets the runtime decide).
+func newRun(scheduler string, seed uint64, plan *faults.Schedule, wlog *wal.Log) (*spark.Runtime, *task.Application) {
 	if scheduler != experiments.SchedSpark && scheduler != experiments.SchedRUPAM {
 		panic(fmt.Sprintf("chaos: unknown scheduler %q", scheduler))
 	}
@@ -169,8 +157,8 @@ func (cfg Config) newRun(scheduler string, seed uint64, plan *faults.Schedule, w
 	scfg.Faults = plan
 	scfg.WAL = wlog
 	return experiments.NewRun(experiments.RunSpec{
-		Workload:  cfg.Workload,
-		Params:    cfg.Params,
+		Workload:  soakWorkload,
+		Params:    soakParams,
 		Scheduler: scheduler,
 		Seed:      seed,
 		Spark:     scfg,

@@ -23,33 +23,31 @@ import (
 // protocol regression fails before any expensive sweep.
 
 // FederationConfig parameterizes a federation soak sweep. The zero value
-// (plus Seeds) is usable: two drivers, four apps, FederationGen faults,
-// every seed run twice for the bit-identity check.
+// (plus Seeds) is usable: fedSoakDrivers drivers, fedSoakApps apps,
+// FederationGen faults, every seed run twice for the bit-identity check.
 type FederationConfig struct {
 	// Seeds are the sweep's plan seeds.
 	Seeds []uint64
-	// Drivers is the scheduler shard count per run (default 2).
-	Drivers int
-	// Apps is the application count per run (default 4).
-	Apps int
-	// Gen parameterizes faults.RandomSchedule; zero value takes
-	// FederationGen.
-	Gen faults.GenConfig
 	// SkipVerify disables the second (bit-identity) run per seed.
 	SkipVerify bool
 }
 
-func (c FederationConfig) withDefaults() FederationConfig {
-	if c.Drivers == 0 {
-		c.Drivers = 2
+// The federation soak's shape: scheduler shards and applications per run.
+const (
+	fedSoakDrivers = 2
+	fedSoakApps    = 4
+)
+
+// fedSoakRun is one federation soak run's configuration: the soak's
+// shape under its seed's FederationGen plan and the hardened framework.
+func fedSoakRun(seed uint64) federation.Config {
+	return federation.Config{
+		Drivers: fedSoakDrivers,
+		Apps:    fedSoakApps,
+		Seed:    seed,
+		Faults:  faults.RandomSchedule(seed, hydraNodeNames(), FederationGen()),
+		Spark:   experiments.HardenedConfig(),
 	}
-	if c.Apps == 0 {
-		c.Apps = 4
-	}
-	if c.Gen.Horizon == 0 && c.Gen.DriverCrashes == 0 && c.Gen.MsgDrops == 0 {
-		c.Gen = FederationGen()
-	}
-	return c
 }
 
 // FederationGen is the federation sweep's fault mix: the default node
@@ -108,8 +106,7 @@ type FederationReport struct {
 // FederationSoak sweeps every seed. Panicking runs are recorded as
 // violations, never propagated.
 func FederationSoak(cfg FederationConfig) *FederationReport {
-	cfg = cfg.withDefaults()
-	rep := &FederationReport{Seeds: cfg.Seeds, Drivers: cfg.Drivers}
+	rep := &FederationReport{Seeds: cfg.Seeds, Drivers: fedSoakDrivers}
 
 	// Acceptance preamble: the scripted interleavings must hold before
 	// any randomized sweep is worth running.
@@ -123,27 +120,21 @@ func FederationSoak(cfg FederationConfig) *FederationReport {
 		}
 	}
 
-	runs, violations := sweep(cfg.Seeds, []string{""}, cfg.SkipVerify, cfg.runSeed, nil)
+	runs, violations := sweep(cfg.Seeds, []string{""}, cfg.SkipVerify, federationSeed, nil)
 	rep.Runs = append(rep.Runs, runs...)
 	rep.Violations += violations
 	return rep
 }
 
-// runSeed executes one federated run under one random fault plan and
-// layers the chaos batteries on top of the protocol's own end-state
+// federationSeed executes one federated run under one random fault plan
+// and layers the chaos batteries on top of the protocol's own end-state
 // checks. Federation has one variant, so the variant name is unused.
-func (cfg FederationConfig) runSeed(rec *FederationRunRecord, _ string, seed uint64) {
-	rec.Seed, rec.Drivers = seed, cfg.Drivers
-	plan := faults.RandomSchedule(seed, hydraNodeNames(), cfg.Gen)
-	rec.Events = len(plan.Events)
+func federationSeed(rec *FederationRunRecord, _ string, seed uint64) {
+	rec.Seed, rec.Drivers = seed, fedSoakDrivers
+	cfg := fedSoakRun(seed)
+	rec.Events = len(cfg.Faults.Events)
 
-	res := federation.Run(federation.Config{
-		Drivers: cfg.Drivers,
-		Apps:    cfg.Apps,
-		Seed:    seed,
-		Faults:  plan,
-		Spark:   experiments.HardenedConfig(),
-	})
+	res := federation.Run(cfg)
 
 	rec.Makespan = res.Makespan
 	rec.Completed = res.Completed
@@ -162,9 +153,9 @@ func (cfg FederationConfig) runSeed(rec *FederationRunRecord, _ string, seed uin
 	// The sweep's whole point is exercising the agent fault domain: a plan
 	// that drew agent crashes but never landed one is a harness regression,
 	// not a lucky seed.
-	if cfg.Gen.AgentCrashes > 0 && res.AgentCrashes == 0 {
+	if res.AgentCrashes == 0 {
 		rec.Violations = append(rec.Violations, fmt.Sprintf(
-			"plan drew %d agent crashes but none fired", cfg.Gen.AgentCrashes))
+			"plan drew %d agent crashes but none fired", FederationGen().AgentCrashes))
 	}
 
 	// Per-application battery: completion, attempt and queue-drain

@@ -345,14 +345,7 @@ var goldenWAL = struct {
 const goldenWALRecoverySeed = 1
 
 func TestGoldenWALBytes(t *testing.T) {
-	cfg := FederationConfig{Seeds: []uint64{1}}.withDefaults()
-	res := federation.Run(federation.Config{
-		Drivers: cfg.Drivers,
-		Apps:    cfg.Apps,
-		Seed:    1,
-		Faults:  faults.RandomSchedule(1, hydraNodeNames(), cfg.Gen),
-		Spark:   experiments.HardenedConfig(),
-	})
+	res := federation.Run(fedSoakRun(1))
 	if len(res.AppRuntimes) != len(goldenWAL.federation) {
 		t.Fatalf("%d federated applications, golden table has %d",
 			len(res.AppRuntimes), len(goldenWAL.federation))
@@ -367,7 +360,7 @@ func TestGoldenWALBytes(t *testing.T) {
 		}
 	}
 
-	res2, rt, _ := RecoveryRun(Config{}, "rupam", goldenWALRecoverySeed, true)
+	res2, rt, _ := RecoveryRun("rupam", goldenWALRecoverySeed, true)
 	if res2.DriverCrashes == 0 {
 		t.Fatal("recovery run's driver crash did not fire")
 	}

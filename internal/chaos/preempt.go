@@ -20,7 +20,7 @@ import (
 // conserves instances and leases, and re-runs are bit-identical.
 
 // PreemptConfig parameterizes a preemption soak sweep. The zero value
-// (plus Seeds) is usable: four arrivals, both schedulers,
+// (plus Seeds) is usable: preemptSoakApps arrivals, both schedulers,
 // tenant.PreemptGen reclamations over tenant.DefaultSpotNodes, every seed
 // run twice.
 type PreemptConfig struct {
@@ -28,16 +28,6 @@ type PreemptConfig struct {
 	Schedulers []string
 	// Seeds are the sweep's plan seeds.
 	Seeds []uint64
-	// Apps is the arrival count per run (default 4).
-	Apps int
-	// MeanGap is the mean inter-arrival gap in seconds (default 20).
-	MeanGap float64
-	// SpotNodes are the spot-billed (reclaimable) instances; default
-	// tenant.DefaultSpotNodes. The driver node is never a sensible member.
-	SpotNodes []string
-	// Gen parameterizes faults.SpotSchedule; zero value takes
-	// tenant.PreemptGen.
-	Gen faults.GenConfig
 	// IgnoreNotices runs the notice-blind baseline substrate instead of the
 	// graceful drain (the drain-protocol record checks are then skipped —
 	// there is no protocol to audit, only crash-style recovery).
@@ -50,20 +40,15 @@ func (c PreemptConfig) withDefaults() PreemptConfig {
 	if len(c.Schedulers) == 0 {
 		c.Schedulers = []string{"spark", "rupam"}
 	}
-	if c.Apps == 0 {
-		c.Apps = 4
-	}
-	if c.MeanGap == 0 {
-		c.MeanGap = 20
-	}
-	if len(c.SpotNodes) == 0 {
-		c.SpotNodes = tenant.DefaultSpotNodes()
-	}
-	if c.Gen == (faults.GenConfig{}) {
-		c.Gen = tenant.PreemptGen()
-	}
 	return c
 }
+
+// The preemption soak's arrival stream: its count per run and its mean
+// inter-arrival gap in seconds.
+const (
+	preemptSoakApps            = 4
+	preemptSoakMeanGap float64 = 20
+)
 
 // PreemptRunRecord is one (scheduler, seed) outcome in the sweep.
 type PreemptRunRecord struct {
@@ -99,7 +84,7 @@ type PreemptReport struct {
 // recorded as violations, never propagated.
 func PreemptionSoak(cfg PreemptConfig) *PreemptReport {
 	cfg = cfg.withDefaults()
-	rep := &PreemptReport{Seeds: cfg.Seeds, SpotNodes: cfg.SpotNodes}
+	rep := &PreemptReport{Seeds: cfg.Seeds, SpotNodes: tenant.DefaultSpotNodes()}
 	rep.Runs, rep.Violations = sweep(cfg.Seeds, cfg.Schedulers, cfg.SkipVerify, cfg.runSeed, nil)
 	return rep
 }
@@ -108,18 +93,19 @@ func PreemptionSoak(cfg PreemptConfig) *PreemptReport {
 // checks the full battery.
 func (cfg PreemptConfig) runSeed(rec *PreemptRunRecord, scheduler string, seed uint64) {
 	rec.Scheduler, rec.Seed = scheduler, seed
-	plan := faults.SpotSchedule(seed, cfg.SpotNodes, tenant.SpotHazards(cfg.SpotNodes), cfg.Gen)
+	spot := tenant.DefaultSpotNodes()
+	plan := faults.SpotSchedule(seed, spot, tenant.SpotHazards(spot), tenant.PreemptGen())
 	rec.Events = len(plan.Events)
 
 	m := tenant.NewManager(tenant.Config{
 		Scheduler: scheduler,
 		Seed:      seed,
-		Arrivals:  tenant.ArrivalConfig{Count: cfg.Apps, MeanGap: cfg.MeanGap},
+		Arrivals:  tenant.ArrivalConfig{Count: preemptSoakApps, MeanGap: preemptSoakMeanGap},
 		Faults:    plan,
 		Spark:     experiments.HardenedConfig(),
 		Elastic: tenant.ElasticConfig{
 			Enabled:       true,
-			SpotNodes:     cfg.SpotNodes,
+			SpotNodes:     spot,
 			IgnoreNotices: cfg.IgnoreNotices,
 		},
 	})

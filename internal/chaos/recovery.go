@@ -50,13 +50,11 @@ type RecoveryReport struct {
 	Violations int              `json:"violations"`
 }
 
-// recoveryGen derives the sweep's fault mix: the configured mix plus at
-// least one driver crash.
-func recoveryGen(cfg Config) faults.GenConfig {
-	gen := cfg.Gen
-	if gen.DriverCrashes == 0 {
-		gen.DriverCrashes = 1
-	}
+// recoveryGen is the sweep's fault mix: DefaultGen plus one driver
+// crash.
+func recoveryGen() faults.GenConfig {
+	gen := DefaultGen()
+	gen.DriverCrashes = 1
 	return gen
 }
 
@@ -67,9 +65,8 @@ func recoveryGen(cfg Config) faults.GenConfig {
 // task outcomes are directly comparable. A run with a driver crash logs
 // to a write-ahead log whose mirror keeps the full stream, which the run
 // returns: the log itself retains only the tail since its last snapshot.
-func RecoveryRun(cfg Config, scheduler string, seed uint64, crash bool) (*spark.Result, *spark.Runtime, []byte) {
-	cfg = cfg.withDefaults()
-	plan := faults.RandomSchedule(seed, hydraNodeNames(), recoveryGen(cfg))
+func RecoveryRun(scheduler string, seed uint64, crash bool) (*spark.Result, *spark.Runtime, []byte) {
+	plan := faults.RandomSchedule(seed, hydraNodeNames(), recoveryGen())
 	if !crash {
 		plan = plan.WithoutKind(faults.DriverCrash)
 	}
@@ -78,7 +75,7 @@ func RecoveryRun(cfg Config, scheduler string, seed uint64, crash bool) (*spark.
 	if plan.HasKind(faults.DriverCrash) {
 		wlog = wal.New(&stream, wal.Options{})
 	}
-	rt, app := cfg.newRun(scheduler, seed, plan, wlog)
+	rt, app := newRun(scheduler, seed, plan, wlog)
 	return rt.Run(app), rt, stream.Bytes()
 }
 
@@ -87,8 +84,8 @@ func RecoveryRun(cfg Config, scheduler string, seed uint64, crash bool) (*spark.
 // panicking run is recorded as a violation, never propagated.
 func RecoverySoak(cfg Config) *RecoveryReport {
 	cfg = cfg.withDefaults()
-	rep := &RecoveryReport{Workload: cfg.Workload, Seeds: cfg.Seeds}
-	rep.Runs, rep.Violations = sweep(cfg.Seeds, cfg.Schedulers, cfg.SkipVerify, cfg.recoverySeed,
+	rep := &RecoveryReport{Workload: soakWorkload, Seeds: cfg.Seeds}
+	rep.Runs, rep.Violations = sweep(cfg.Seeds, cfg.Schedulers, cfg.SkipVerify, recoverySeed,
 		func(rec *RecoveryRecord) { rec.Aborted = "panic" })
 	for _, rec := range rep.Runs {
 		if rec.CrashFired {
@@ -100,10 +97,10 @@ func RecoverySoak(cfg Config) *RecoveryReport {
 
 // recoverySeed runs one crashed trial against its reference and checks the
 // recovery battery.
-func (cfg Config) recoverySeed(rec *RecoveryRecord, scheduler string, seed uint64) {
+func recoverySeed(rec *RecoveryRecord, scheduler string, seed uint64) {
 	rec.Scheduler, rec.Seed = scheduler, seed
-	res, rt, stream := RecoveryRun(cfg, scheduler, seed, true)
-	refRes, _, _ := RecoveryRun(cfg, scheduler, seed, false)
+	res, rt, stream := RecoveryRun(scheduler, seed, true)
+	refRes, _, _ := RecoveryRun(scheduler, seed, false)
 
 	rec.CrashFired = res.DriverCrashes > 0
 	rec.Recoveries = res.DriverRecoveries

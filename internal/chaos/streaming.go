@@ -11,20 +11,16 @@ import (
 )
 
 // StreamingConfig parameterizes the streaming soak: seeded topologies run
-// under seeded fault plans (crashes, gray CPU degradation, spot
-// reclamation, load spikes) for every placement policy, with one forced
-// migration per seed so the drain → handoff → resume path is always
-// exercised, and the full invariant battery checked after every run.
+// under seeded StreamingGen fault plans (crashes, gray CPU degradation,
+// spot reclamation, load spikes) for every placement policy, with one
+// forced migration per seed so the drain → handoff → resume path is
+// always exercised, and the full invariant battery checked after every
+// run.
 type StreamingConfig struct {
 	// Seeds are the (topology, fault-plan) seeds to sweep.
 	Seeds []uint64
 	// Placers to drive; default all of streaming.PlacerNames.
 	Placers []string
-	// Gen parameterizes faults.RandomSchedule; zero value takes
-	// StreamingGen.
-	Gen faults.GenConfig
-	// Horizon is per-run source time (default 100 s).
-	Horizon float64
 	// SkipVerify disables the second (bit-identity) run per seed.
 	SkipVerify bool
 }
@@ -33,14 +29,12 @@ func (c StreamingConfig) withDefaults() StreamingConfig {
 	if len(c.Placers) == 0 {
 		c.Placers = streaming.PlacerNames
 	}
-	if c.Gen == (faults.GenConfig{}) {
-		c.Gen = StreamingGen()
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 100
-	}
 	return c
 }
+
+// streamingSoakHorizon is each streaming soak run's source time in
+// seconds.
+const streamingSoakHorizon float64 = 100
 
 // StreamingGen is the streaming soak's fault mix: a crash (sometimes
 // permanent), two gray CPU-throttle windows, a spot reclamation with a
@@ -99,25 +93,25 @@ type StreamingReport struct {
 func StreamingSoak(cfg StreamingConfig) *StreamingReport {
 	cfg = cfg.withDefaults()
 	rep := &StreamingReport{Seeds: cfg.Seeds}
-	rep.Runs, rep.Violations = sweep(cfg.Seeds, cfg.Placers, cfg.SkipVerify, cfg.runSeed, nil)
+	rep.Runs, rep.Violations = sweep(cfg.Seeds, cfg.Placers, cfg.SkipVerify, streamingSeed, nil)
 	return rep
 }
 
-// runSeed executes one streaming plan under one placer and runs the
+// streamingSeed executes one streaming plan under one placer and runs the
 // battery.
-func (cfg StreamingConfig) runSeed(rec *StreamingRunRecord, placer string, seed uint64) {
+func streamingSeed(rec *StreamingRunRecord, placer string, seed uint64) {
 	rec.Placer, rec.Seed = placer, seed
 	nodes := cluster.NewHydra(cluster.New(simx.NewEngine())).NodeNames()
-	plan := faults.RandomSchedule(seed, nodes, cfg.Gen)
+	plan := faults.RandomSchedule(seed, nodes, StreamingGen())
 	rec.Events = len(plan.Events)
 
 	res := streaming.Run(streaming.Config{
 		Seed:           seed,
 		Placer:         placer,
-		Horizon:        cfg.Horizon,
-		Warmup:         cfg.Horizon / 5,
+		Horizon:        streamingSoakHorizon,
+		Warmup:         streamingSoakHorizon / 5,
 		Faults:         plan,
-		ForceMigrateAt: cfg.Horizon * 0.4,
+		ForceMigrateAt: streamingSoakHorizon * 0.4,
 	})
 
 	rec.Drained = res.Drained

@@ -20,20 +20,14 @@ import (
 // faults against one tenant must never corrupt a sibling's accounting.
 
 // TenancyConfig parameterizes a tenancy soak sweep. The zero value (plus
-// Seeds) is usable: five arrivals of the default mix, both schedulers,
-// TenancyGen faults, every seed run twice for the bit-identity check.
+// Seeds) is usable: tenancySoakApps arrivals of the default mix, both
+// schedulers, TenancyGen faults, every seed run twice for the bit-identity
+// check.
 type TenancyConfig struct {
 	// Schedulers to drive; default both ("spark", "rupam").
 	Schedulers []string
 	// Seeds are the sweep's plan seeds.
 	Seeds []uint64
-	// Apps is the arrival count per run (default 5).
-	Apps int
-	// MeanGap is the mean inter-arrival gap in seconds (default 25).
-	MeanGap float64
-	// Gen parameterizes faults.RandomSchedule; zero value takes
-	// TenancyGen.
-	Gen faults.GenConfig
 	// SkipVerify disables the second (bit-identity) run per seed.
 	SkipVerify bool
 }
@@ -42,17 +36,15 @@ func (c TenancyConfig) withDefaults() TenancyConfig {
 	if len(c.Schedulers) == 0 {
 		c.Schedulers = []string{"spark", "rupam"}
 	}
-	if c.Apps == 0 {
-		c.Apps = 5
-	}
-	if c.MeanGap == 0 {
-		c.MeanGap = 25
-	}
-	if c.Gen == (faults.GenConfig{}) {
-		c.Gen = TenancyGen()
-	}
 	return c
 }
+
+// The tenancy soak's arrival stream: its count per run and its mean
+// inter-arrival gap in seconds.
+const (
+	tenancySoakApps            = 5
+	tenancySoakMeanGap float64 = 25
+)
 
 // TenancyGen is the tenancy sweep's fault mix — DefaultGen stretched over
 // the longer multi-application horizon, plus one driver crash so the
@@ -94,21 +86,21 @@ type TenancyReport struct {
 func TenancySoak(cfg TenancyConfig) *TenancyReport {
 	cfg = cfg.withDefaults()
 	rep := &TenancyReport{Seeds: cfg.Seeds}
-	rep.Runs, rep.Violations = sweep(cfg.Seeds, cfg.Schedulers, cfg.SkipVerify, cfg.runSeed, nil)
+	rep.Runs, rep.Violations = sweep(cfg.Seeds, cfg.Schedulers, cfg.SkipVerify, tenancySeed, nil)
 	return rep
 }
 
-// runSeed executes one multi-tenant run under one scheduler and checks
-// both the manager's battery and the per-application invariants.
-func (cfg TenancyConfig) runSeed(rec *TenancyRunRecord, scheduler string, seed uint64) {
+// tenancySeed executes one multi-tenant run under one scheduler and
+// checks both the manager's battery and the per-application invariants.
+func tenancySeed(rec *TenancyRunRecord, scheduler string, seed uint64) {
 	rec.Scheduler, rec.Seed = scheduler, seed
-	plan := faults.RandomSchedule(seed, hydraNodeNames(), cfg.Gen)
+	plan := faults.RandomSchedule(seed, hydraNodeNames(), TenancyGen())
 	rec.Events = len(plan.Events)
 
 	m := tenant.NewManager(tenant.Config{
 		Scheduler: scheduler,
 		Seed:      seed,
-		Arrivals:  tenant.ArrivalConfig{Count: cfg.Apps, MeanGap: cfg.MeanGap},
+		Arrivals:  tenant.ArrivalConfig{Count: tenancySoakApps, MeanGap: tenancySoakMeanGap},
 		Faults:    plan,
 		Spark:     experiments.HardenedConfig(),
 	})

@@ -31,16 +31,14 @@ func TestTenancySoak(t *testing.T) {
 }
 
 // TestTenancySoakRoutesDriverCrash guards the crash-routing path: with a
-// plan that certainly contains driver crashes, some run in the sweep must
-// actually crash and recover a tenant driver (visible as a completed run —
+// plan that contains a driver crash, some run in the sweep must actually
+// crash and recover a tenant driver (visible as a completed run —
 // recovery worked — under a plan whose events include DriverCrash).
 func TestTenancySoakRoutesDriverCrash(t *testing.T) {
 	gen := TenancyGen()
-	gen.DriverCrashes = 2
 	rep := TenancySoak(TenancyConfig{
 		Seeds:      []uint64{2},
 		Schedulers: []string{"spark"},
-		Gen:        gen,
 		SkipVerify: true,
 	})
 	if rep.Violations != 0 {
@@ -52,7 +50,7 @@ func TestTenancySoakRoutesDriverCrash(t *testing.T) {
 	}
 	plan := faults.RandomSchedule(2, hydraNodeNames(), gen)
 	if !plan.HasKind(faults.DriverCrash) {
-		t.Fatal("generator produced no driver crash despite DriverCrashes=2")
+		t.Fatal("TenancyGen produced no driver crash for seed 2")
 	}
 	if rep.Runs[0].Completed == 0 {
 		t.Fatal("no application survived the driver-crash plan")

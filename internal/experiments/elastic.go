@@ -19,64 +19,39 @@ import (
 // policy is cheaper under the *same* provider behavior, not under a
 // luckier draw.
 
-// ElasticPolicy is one acquisition strategy in the sweep.
-type ElasticPolicy struct {
-	Name string `json:"name"`
-	// SpotNodes is the policy's spot pool (subset of the master pool);
+// elasticPolicy is one acquisition strategy in the sweep.
+type elasticPolicy struct {
+	name string
+	// spotNodes is the policy's spot pool (subset of the master pool);
 	// empty means everything is bought on-demand.
-	SpotNodes []string `json:"spot_nodes"`
-	// IgnoreNotices drops preemption warnings (the notice-blind baseline).
-	IgnoreNotices bool `json:"ignore_notices,omitempty"`
+	spotNodes []string
+	// ignoreNotices drops preemption warnings (the notice-blind baseline).
+	ignoreNotices bool
 }
 
 // ElasticConfig parameterizes the sweep.
 type ElasticConfig struct {
-	// BaseSeed is the first run seed; runs use BaseSeed..BaseSeed+Seeds-1.
-	BaseSeed uint64
-	// Seeds is the number of arrival streams per (policy, scheduler)
-	// (default 3).
-	Seeds int
-	// Apps is the arrival count per stream (default 4).
-	Apps int
-	// MeanGap is the mean inter-arrival gap in seconds (default 20).
-	MeanGap float64
-	// Policies overrides the default four-policy sweep.
-	Policies []ElasticPolicy
+	// Seeds are the arrival streams each (policy, scheduler) pair runs.
+	Seeds []uint64
 }
 
-func (c ElasticConfig) withDefaults() ElasticConfig {
-	if c.BaseSeed == 0 {
-		c.BaseSeed = 1
-	}
-	if c.Seeds == 0 {
-		// Per-seed makespans are dominated by placement luck (a narrow app
-		// pinned on a slow node for a stage); five arrival streams per
-		// (policy, scheduler) is the smallest sweep where the policy means
-		// separate from that noise.
-		c.Seeds = 5
-	}
-	if c.Apps == 0 {
-		c.Apps = 4
-	}
-	if c.MeanGap == 0 {
-		c.MeanGap = 20
-	}
-	if len(c.Policies) == 0 {
-		c.Policies = DefaultElasticPolicies()
-	}
-	return c
-}
+// The elastic sweep's arrival stream: its count per run and its mean
+// inter-arrival gap in seconds.
+const (
+	elasticApps            = 4
+	elasticMeanGap float64 = 20
+)
 
-// DefaultElasticPolicies is the shipped sweep: the frontier anchors
-// (on-demand, spot-heavy) plus a mixed point, and the notice-blind
-// spot-heavy baseline that isolates what the graceful drain buys.
-func DefaultElasticPolicies() []ElasticPolicy {
+// elasticPolicies is the sweep: the frontier anchors (on-demand,
+// spot-heavy) plus a mixed point, and the notice-blind spot-heavy
+// baseline that isolates what the graceful drain buys.
+func elasticPolicies() []elasticPolicy {
 	spot := tenant.DefaultSpotNodes()
-	return []ElasticPolicy{
-		{Name: "on-demand"},
-		{Name: "mixed", SpotNodes: []string{"thor4", "hulk3", "stack2"}},
-		{Name: "spot-heavy", SpotNodes: spot},
-		{Name: "spot-heavy-ignore", SpotNodes: spot, IgnoreNotices: true},
+	return []elasticPolicy{
+		{name: "on-demand"},
+		{name: "mixed", spotNodes: []string{"thor4", "hulk3", "stack2"}},
+		{name: "spot-heavy", spotNodes: spot},
+		{name: "spot-heavy-ignore", spotNodes: spot, ignoreNotices: true},
 	}
 }
 
@@ -130,7 +105,6 @@ type ElasticResult struct {
 // the identical spot plan the graceful drain must beat the notice-blind
 // baseline on makespan without completing fewer applications.
 func Elastic(cfg ElasticConfig) *ElasticResult {
-	cfg = cfg.withDefaults()
 	res := &ElasticResult{Config: cfg}
 
 	masterPool := tenant.DefaultSpotNodes()
@@ -138,21 +112,20 @@ func Elastic(cfg ElasticConfig) *ElasticResult {
 
 	sums := make(map[string]*ElasticSummary)
 	var order []string
-	for i := 0; i < cfg.Seeds; i++ {
-		seed := cfg.BaseSeed + uint64(i)
+	for _, seed := range cfg.Seeds {
 		master := faults.SpotSchedule(seed, masterPool, hazards, tenant.PreemptGen())
-		for _, pol := range cfg.Policies {
-			plan := filterPlan(master, pol.SpotNodes)
+		for _, pol := range elasticPolicies() {
+			plan := filterPlan(master, pol.spotNodes)
 			for _, sched := range []string{SchedSpark, SchedRUPAM} {
-				run := runElastic(pol, sched, seed, plan, cfg)
+				run := runElastic(pol, sched, seed, plan)
 				res.Violations += len(run.Violations)
 				res.Runs = append(res.Runs, run)
 
-				g := sums[pol.Name]
+				g := sums[pol.name]
 				if g == nil {
-					g = &ElasticSummary{Policy: pol.Name}
-					sums[pol.Name] = g
-					order = append(order, pol.Name)
+					g = &ElasticSummary{Policy: pol.name}
+					sums[pol.name] = g
+					order = append(order, pol.name)
 				}
 				g.MeanCost += run.CloudCost
 				g.MeanMakespan += run.Makespan
@@ -162,7 +135,7 @@ func Elastic(cfg ElasticConfig) *ElasticResult {
 			}
 		}
 	}
-	n := float64(cfg.Seeds * 2)
+	n := float64(len(cfg.Seeds) * 2)
 	for _, name := range order {
 		g := sums[name]
 		g.MeanCost /= n
@@ -175,15 +148,14 @@ func Elastic(cfg ElasticConfig) *ElasticResult {
 }
 
 // runElastic executes one policy run on the elastic substrate.
-func runElastic(pol ElasticPolicy, scheduler string, seed uint64,
-	plan *faults.Schedule, cfg ElasticConfig) ElasticRun {
-	run := ElasticRun{Policy: pol.Name, Scheduler: scheduler, Seed: seed,
+func runElastic(pol elasticPolicy, scheduler string, seed uint64, plan *faults.Schedule) ElasticRun {
+	run := ElasticRun{Policy: pol.name, Scheduler: scheduler, Seed: seed,
 		Events: len(plan.Events)}
 
 	m := tenant.NewManager(tenant.Config{
 		Scheduler: scheduler,
 		Seed:      seed,
-		Arrivals:  tenant.ArrivalConfig{Count: cfg.Apps, MeanGap: cfg.MeanGap},
+		Arrivals:  tenant.ArrivalConfig{Count: elasticApps, MeanGap: elasticMeanGap},
 		Faults:    plan,
 		// Hardened like the chaos soaks: enough retry budget that the
 		// notice-blind baseline pays for its charged losses in time, not in
@@ -193,8 +165,8 @@ func runElastic(pol ElasticPolicy, scheduler string, seed uint64,
 
 		Elastic: tenant.ElasticConfig{
 			Enabled:       true,
-			SpotNodes:     pol.SpotNodes,
-			IgnoreNotices: pol.IgnoreNotices,
+			SpotNodes:     pol.spotNodes,
+			IgnoreNotices: pol.ignoreNotices,
 		},
 	})
 	rep := m.Run()
@@ -235,9 +207,6 @@ func filterPlan(master *faults.Schedule, spotNodes []string) *faults.Schedule {
 // result (the CLI exits nonzero on any).
 func (r *ElasticResult) checkFrontier(sums map[string]*ElasticSummary) {
 	od, sh, ig := sums["on-demand"], sums["spot-heavy"], sums["spot-heavy-ignore"]
-	if od == nil || sh == nil || ig == nil {
-		return // custom policy set; nothing structural to assert
-	}
 	violate := func(f string, args ...interface{}) {
 		r.Violations++
 		r.FrontierViolations = append(r.FrontierViolations, fmt.Sprintf(f, args...))
@@ -285,7 +254,7 @@ func (r *ElasticResult) WriteParetoCSV(w io.Writer) error {
 // the verdict.
 func (r *ElasticResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Elastic sweep: %d policies x 2 schedulers x %d seeds, %d arrivals each\n",
-		len(r.Config.Policies), r.Config.Seeds, r.Config.Apps)
+		len(elasticPolicies()), len(r.Config.Seeds), elasticApps)
 	fmt.Fprintf(w, "%-18s %-6s %5s %7s %9s %4s %4s %6s %9s %7s\n",
 		"policy", "sched", "seed", "events", "makespan", "done", "abrt", "kills", "cost($)", "drains")
 	for _, run := range r.Runs {
@@ -296,7 +265,7 @@ func (r *ElasticResult) Print(w io.Writer) {
 			fmt.Fprintf(w, "    VIOLATION: %s\n", v)
 		}
 	}
-	fmt.Fprintf(w, "\ncost-vs-makespan frontier (means over %d seeds x 2 schedulers):\n", r.Config.Seeds)
+	fmt.Fprintf(w, "\ncost-vs-makespan frontier (means over %d seeds x 2 schedulers):\n", len(r.Config.Seeds))
 	fmt.Fprintf(w, "%-18s %10s %12s %5s %5s %6s\n", "policy", "cost($)", "makespan(s)", "done", "abrt", "kills")
 	for _, s := range r.Frontier {
 		fmt.Fprintf(w, "%-18s %10.4f %12.1f %5d %5d %6d\n",

@@ -25,50 +25,34 @@ import (
 
 // FederationConfig parameterizes the scaling sweep.
 type FederationConfig struct {
-	// BaseSeed is the first run seed; runs use BaseSeed..BaseSeed+Seeds-1.
-	BaseSeed uint64
-	// Seeds is the repetition count per driver level (default 3).
-	Seeds int
+	// Seeds are the repetitions run at every driver level.
+	Seeds []uint64
 	// DriverCounts are the federation sizes swept (default 1, 2, 4).
 	DriverCounts []int
 	// Apps is the application count per run (default 4).
 	Apps int
-	// ChurnEnvelope caps the mean makespan under agent churn at this
-	// multiple of the fault-free mean, per driver count; exceeding it is a
-	// violation (default 1.3).
-	ChurnEnvelope float64
-	// AgentCrashes is the number of agent kill points in each churn run's
-	// fault plan (default 2); ChurnHorizon is the window they are drawn
-	// from (default 60 — early enough that every crash lands mid-run at the
-	// sweep's makespans).
-	AgentCrashes int
-	ChurnHorizon float64
 }
 
 func (c FederationConfig) withDefaults() FederationConfig {
-	if c.BaseSeed == 0 {
-		c.BaseSeed = 1
-	}
-	if c.Seeds == 0 {
-		c.Seeds = 3
-	}
 	if len(c.DriverCounts) == 0 {
 		c.DriverCounts = []int{1, 2, 4}
 	}
 	if c.Apps == 0 {
 		c.Apps = 4
 	}
-	if c.ChurnEnvelope <= 0 {
-		c.ChurnEnvelope = 1.3
-	}
-	if c.AgentCrashes == 0 {
-		c.AgentCrashes = 2
-	}
-	if c.ChurnHorizon <= 0 {
-		c.ChurnHorizon = 60
-	}
 	return c
 }
+
+// The agent-churn column: each churn run's fault plan draws
+// churnAgentCrashes agent kill points from the first churnHorizon seconds
+// (early enough that every crash lands mid-run at the sweep's makespans),
+// and the mean makespan under churn may be at most churnEnvelope times
+// the fault-free mean, per driver count.
+const (
+	churnAgentCrashes         = 2
+	churnHorizon      float64 = 60
+	churnEnvelope     float64 = 1.3
+)
 
 // FederationRow is one run's outcome.
 type FederationRow struct {
@@ -112,8 +96,7 @@ func Federation(cfg FederationConfig) *FederationResult {
 	cluster.NewHydra(refClu)
 	nodes := refClu.NodeNames()
 	for _, n := range cfg.DriverCounts {
-		for i := 0; i < cfg.Seeds; i++ {
-			seed := cfg.BaseSeed + uint64(i)
+		for _, seed := range cfg.Seeds {
 			r := federation.Run(federation.Config{
 				Drivers: n,
 				Apps:    cfg.Apps,
@@ -130,8 +113,8 @@ func Federation(cfg FederationConfig) *FederationResult {
 			})
 
 			plan := faults.RandomSchedule(seed, nodes, faults.GenConfig{
-				Horizon:      cfg.ChurnHorizon,
-				AgentCrashes: cfg.AgentCrashes,
+				Horizon:      churnHorizon,
+				AgentCrashes: churnAgentCrashes,
 			})
 			cr := federation.Run(federation.Config{
 				Drivers: n,
@@ -150,19 +133,26 @@ func Federation(cfg FederationConfig) *FederationResult {
 			})
 		}
 	}
-	for _, n := range cfg.DriverCounts {
-		free, churn := res.MeanMakespan(n), res.MeanChurnMakespan(n)
+	res.gateChurn()
+	return res
+}
+
+// gateChurn records, as a gate and a violation, every driver count whose
+// mean makespan under agent churn exceeds churnEnvelope times its
+// fault-free mean.
+func (r *FederationResult) gateChurn() {
+	for _, n := range r.Config.DriverCounts {
+		free, churn := r.MeanMakespan(n), r.MeanChurnMakespan(n)
 		if free <= 0 || churn <= 0 {
 			continue
 		}
-		if churn > cfg.ChurnEnvelope*free {
-			res.Gates = append(res.Gates, fmt.Sprintf(
+		if churn > churnEnvelope*free {
+			r.Gates = append(r.Gates, fmt.Sprintf(
 				"%d drivers: churn makespan %.1fs exceeds %.2fx envelope of fault-free %.1fs",
-				n, churn, cfg.ChurnEnvelope, free))
-			res.Violations++
+				n, churn, churnEnvelope, free))
+			r.Violations++
 		}
 	}
-	return res
 }
 
 // MeanMakespan averages makespan over the sweep's runs at one driver

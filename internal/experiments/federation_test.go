@@ -11,7 +11,7 @@ import (
 // with the driver count while makespan does not degrade beyond 5% of the
 // single-driver baseline. Also checks the CSV artifact contract.
 func TestFederationSweep(t *testing.T) {
-	res := Federation(FederationConfig{BaseSeed: 1, Seeds: 3})
+	res := Federation(FederationConfig{Seeds: []uint64{1, 2, 3}})
 	if res.Violations != 0 {
 		t.Fatalf("%d invariant violations in fault-free sweep", res.Violations)
 	}
@@ -86,25 +86,31 @@ func TestFederationSweep(t *testing.T) {
 	}
 }
 
-// TestFederationChurnGateTrips pins the gate's failure path: an envelope
-// below 1.0 must trip (a faulted run cannot beat fault-free on average)
-// and be counted as a violation.
+// TestFederationChurnGateTrips pins the gate's failure path: a driver
+// count whose mean churn makespan exceeds the envelope must trip and be
+// counted as a violation, and one within it must not.
 func TestFederationChurnGateTrips(t *testing.T) {
-	res := Federation(FederationConfig{
-		BaseSeed: 1, Seeds: 1, DriverCounts: []int{2}, ChurnEnvelope: 0.01,
-	})
-	if len(res.Gates) == 0 {
-		t.Fatal("0.01x envelope did not trip the churn gate")
+	res := &FederationResult{
+		Config: FederationConfig{DriverCounts: []int{1, 2}},
+		Rows:   []FederationRow{{Drivers: 1, MakespanS: 100}, {Drivers: 2, MakespanS: 100}},
+		ChurnRows: []FederationChurnRow{
+			{Drivers: 1, MakespanS: 110},
+			{Drivers: 2, MakespanS: 200},
+		},
 	}
-	if res.Violations == 0 {
-		t.Fatal("tripped gate not counted as a violation")
+	res.gateChurn()
+	if len(res.Gates) != 1 || !strings.HasPrefix(res.Gates[0], "2 drivers:") {
+		t.Fatalf("churn gate verdicts %q, want exactly the 2-driver cell", res.Gates)
+	}
+	if res.Violations != 1 {
+		t.Fatalf("tripped gate counted as %d violations, want 1", res.Violations)
 	}
 }
 
 // TestFederationSweepDeterministic requires the whole JSON artifact to be
 // byte-identical across invocations.
 func TestFederationSweepDeterministic(t *testing.T) {
-	cfg := FederationConfig{BaseSeed: 5, Seeds: 1, DriverCounts: []int{1, 2}}
+	cfg := FederationConfig{Seeds: []uint64{5}, DriverCounts: []int{1, 2}}
 	var a, b bytes.Buffer
 	if err := Federation(cfg).WriteJSON(&a); err != nil {
 		t.Fatal(err)

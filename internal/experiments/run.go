@@ -85,7 +85,13 @@ func NewRun(spec RunSpec) (*spark.Runtime, *task.Application) {
 		p.Seed = spec.Seed*7 + 42
 	}
 	app := workloads.Build(spec.Workload, store, p)
+	return newRuntime(eng, clu, spec), app
+}
 
+// newRuntime is NewRun's runtime half: spec's scheduler and framework
+// configuration on clu, with the framework seed derived from spec.Seed.
+// A caller that builds its own application uses it directly.
+func newRuntime(eng *simx.Engine, clu *cluster.Cluster, spec RunSpec) *spark.Runtime {
 	var sched spark.Scheduler
 	switch spec.Scheduler {
 	case SchedRUPAM:
@@ -102,7 +108,7 @@ func NewRun(spec RunSpec) (*spark.Runtime, *task.Application) {
 	if !spec.Trace && cfg.SampleInterval == 0 {
 		cfg.SampleInterval = -1 // disable tracing unless requested
 	}
-	return spark.NewRuntime(eng, clu, sched, cfg), app
+	return spark.NewRuntime(eng, clu, sched, cfg)
 }
 
 // HardenedConfig is the framework configuration fault runs use: bounded

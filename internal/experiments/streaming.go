@@ -21,31 +21,15 @@ import (
 
 // StreamingConfig parameterizes the sweep.
 type StreamingConfig struct {
-	// BaseSeed is the first topology seed; runs use BaseSeed..+Seeds-1.
-	BaseSeed uint64
-	// Seeds is the number of topologies per placer (default 5).
-	Seeds int
+	// Seeds are the topologies each placer runs.
+	Seeds []uint64
 	// Horizon is per-run source time in virtual seconds (default 90).
 	Horizon float64
-	// SLOMs is the end-to-end latency objective (default 2000 ms).
-	SLOMs float64
 }
 
 func (c StreamingConfig) withDefaults() StreamingConfig {
-	if c.BaseSeed == 0 {
-		c.BaseSeed = 1
-	}
-	if c.Seeds == 0 {
-		// Single-seed orderings are hostage to one topology's shape;
-		// five seeds is the smallest sweep where the placer means
-		// separate from topology luck.
-		c.Seeds = 5
-	}
 	if c.Horizon <= 0 {
 		c.Horizon = 90
-	}
-	if c.SLOMs <= 0 {
-		c.SLOMs = 2000
 	}
 	return c
 }
@@ -119,15 +103,13 @@ func Streaming(cfg StreamingConfig) *StreamingResult {
 	for _, placer := range streaming.PlacerNames {
 		sum := &StreamingSummary{Placer: placer}
 		means[placer] = sum
-		for i := 0; i < cfg.Seeds; i++ {
-			seed := cfg.BaseSeed + uint64(i)
+		for _, seed := range cfg.Seeds {
 			r := streaming.Run(streaming.Config{
 				Seed:    seed,
 				Placer:  placer,
 				Topo:    streamingTopo(),
 				Horizon: cfg.Horizon,
 				Warmup:  cfg.Horizon / 6,
-				SLOMs:   cfg.SLOMs,
 			})
 			run := StreamingRun{
 				Placer:       placer,
@@ -142,12 +124,12 @@ func Streaming(cfg StreamingConfig) *StreamingResult {
 			}
 			res.Violations += len(run.Violations)
 			res.Runs = append(res.Runs, run)
-			sum.MeanThroughput += r.ThroughputHz / float64(cfg.Seeds)
+			sum.MeanThroughput += r.ThroughputHz / float64(len(cfg.Seeds))
 			if r.OfferedHz > 0 {
-				sum.MeanAttainFrac += r.ThroughputHz / r.OfferedHz / float64(cfg.Seeds)
+				sum.MeanAttainFrac += r.ThroughputHz / r.OfferedHz / float64(len(cfg.Seeds))
 			}
-			sum.MeanP99Ms += r.P99Ms / float64(cfg.Seeds)
-			sum.MeanSLOAttain += r.SLOAttain / float64(cfg.Seeds)
+			sum.MeanP99Ms += r.P99Ms / float64(len(cfg.Seeds))
+			sum.MeanSLOAttain += r.SLOAttain / float64(len(cfg.Seeds))
 		}
 		res.Summary = append(res.Summary, *sum)
 	}
@@ -171,7 +153,7 @@ func Streaming(cfg StreamingConfig) *StreamingResult {
 // Print summarizes the sweep.
 func (r *StreamingResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "streaming placement sweep: %d seeds × %d placers\n",
-		r.Config.Seeds, len(r.Summary))
+		len(r.Config.Seeds), len(r.Summary))
 	fmt.Fprintf(w, "%-9s %6s %12s %12s %9s %9s %7s\n",
 		"placer", "seed", "thr(Hz)", "offered(Hz)", "p50(ms)", "p99(ms)", "slo")
 	for _, run := range r.Runs {

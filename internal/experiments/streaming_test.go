@@ -10,7 +10,7 @@ import (
 // placement ordering to hold on mean sustained throughput, with zero
 // per-run invariant violations.
 func TestStreamingGate(t *testing.T) {
-	res := Streaming(StreamingConfig{})
+	res := Streaming(StreamingConfig{Seeds: []uint64{1, 2, 3, 4, 5}})
 	if res.Violations != 0 {
 		var b bytes.Buffer
 		res.Print(&b)
@@ -32,7 +32,7 @@ func TestStreamingGate(t *testing.T) {
 // TestStreamingArtifacts checks the JSON and CSV emitters round-trip the
 // fields the CI plots consume.
 func TestStreamingArtifacts(t *testing.T) {
-	res := Streaming(StreamingConfig{Seeds: 1, Horizon: 40})
+	res := Streaming(StreamingConfig{Seeds: []uint64{1}, Horizon: 40})
 	var j bytes.Buffer
 	if err := res.WriteJSON(&j); err != nil {
 		t.Fatal(err)

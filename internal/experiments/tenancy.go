@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"rupam/internal/cluster"
-	"rupam/internal/core"
 	"rupam/internal/simx"
-	"rupam/internal/spark"
 	"rupam/internal/tenant"
 	"rupam/internal/workloads"
 )
@@ -21,10 +18,8 @@ import (
 
 // TenancyConfig parameterizes the sweep.
 type TenancyConfig struct {
-	// BaseSeed is the first run seed; runs use BaseSeed..BaseSeed+Seeds-1.
-	BaseSeed uint64
-	// Seeds is the number of arrival streams per scheduler (default 5).
-	Seeds int
+	// Seeds are the arrival streams, each run once per scheduler.
+	Seeds []uint64
 	// Apps is the arrival count per stream (default 10).
 	Apps int
 	// MeanGap is the mean inter-arrival gap in seconds (default 30).
@@ -32,12 +27,6 @@ type TenancyConfig struct {
 }
 
 func (c TenancyConfig) withDefaults() TenancyConfig {
-	if c.BaseSeed == 0 {
-		c.BaseSeed = 1
-	}
-	if c.Seeds == 0 {
-		c.Seeds = 5
-	}
 	if c.Apps == 0 {
 		c.Apps = 10
 	}
@@ -63,8 +52,7 @@ func Tenancy(cfg TenancyConfig) *TenancyResult {
 	mix := tenant.DefaultMix()
 	baselines := make(map[string]float64)
 
-	for i := 0; i < cfg.Seeds; i++ {
-		seed := cfg.BaseSeed + uint64(i)
+	for _, seed := range cfg.Seeds {
 		for _, sched := range []string{SchedSpark, SchedRUPAM} {
 			m := tenant.NewManager(tenant.Config{
 				Scheduler: sched,
@@ -119,21 +107,9 @@ func fillSlowdowns(rep *tenant.Report, sched string, seed uint64,
 // returns its completion time — the denominator of the slowdown metric.
 func isolatedDuration(scheduler string, seed uint64, workload string, p workloads.Params) float64 {
 	eng := simx.NewEngine()
-	clu := cluster.New(eng)
-	cluster.NewHydra(clu)
+	clu := BuildCluster(eng, "hydra")
 	app := tenant.BuildApp(clu, seed, workload, p, tenant.IDSpan)
-
-	var sched spark.Scheduler
-	if scheduler == SchedRUPAM {
-		sched = core.New(core.Config{})
-	} else {
-		sched = spark.NewDefaultScheduler()
-	}
-	rt := spark.NewRuntime(eng, clu, sched, spark.Config{
-		Seed:           seed*31 + 7,
-		SampleInterval: -1,
-	})
-	return rt.Run(app).Duration
+	return newRuntime(eng, clu, RunSpec{Scheduler: scheduler, Seed: seed}).Run(app).Duration
 }
 
 // WriteJSON writes the sweep as a deterministic, indented JSON artifact.
@@ -168,7 +144,7 @@ func (r *TenancyResult) WritePoolCSV(w io.Writer) error {
 // aggregate table averaged over seeds.
 func (r *TenancyResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Multi-tenant sweep: %d seeds x 2 schedulers, %d arrivals each (mean gap %.0fs)\n",
-		r.Config.Seeds, r.Config.Apps, r.Config.MeanGap)
+		len(r.Config.Seeds), r.Config.Apps, r.Config.MeanGap)
 	fmt.Fprintf(w, "%-6s %5s %9s %4s %4s %4s %7s %8s %8s %8s\n",
 		"sched", "seed", "makespan", "done", "rej", "abrt", "apps/h", "p50(s)", "p95(s)", "p99(s)")
 	for _, run := range r.Runs {
@@ -208,7 +184,7 @@ func (r *TenancyResult) Print(w io.Writer) {
 			g.n++
 		}
 	}
-	fmt.Fprintf(w, "\nper-pool means over %d seeds:\n", r.Config.Seeds)
+	fmt.Fprintf(w, "\nper-pool means over %d seeds:\n", len(r.Config.Seeds))
 	fmt.Fprintf(w, "%-18s %7s %8s %8s %8s %8s %9s\n",
 		"sched/pool", "apps/h", "p50(s)", "p95(s)", "p99(s)", "wait(s)", "slowdown")
 	for _, key := range order {

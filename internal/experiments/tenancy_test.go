@@ -10,7 +10,7 @@ import (
 // no invariant violations, every run completed work, slowdowns populated
 // for pools that completed applications, and a parseable CSV.
 func TestTenancySweep(t *testing.T) {
-	res := Tenancy(TenancyConfig{BaseSeed: 1, Seeds: 1, Apps: 6, MeanGap: 20})
+	res := Tenancy(TenancyConfig{Seeds: []uint64{1}, Apps: 6, MeanGap: 20})
 	if res.Violations != 0 {
 		for _, run := range res.Runs {
 			for _, v := range run.Violations {
@@ -56,7 +56,7 @@ func TestTenancySweep(t *testing.T) {
 // TestTenancySweepDeterministic requires the whole JSON artifact to be
 // byte-identical across invocations.
 func TestTenancySweepDeterministic(t *testing.T) {
-	cfg := TenancyConfig{BaseSeed: 3, Seeds: 1, Apps: 5, MeanGap: 15}
+	cfg := TenancyConfig{Seeds: []uint64{3}, Apps: 5, MeanGap: 15}
 	var a, b bytes.Buffer
 	if err := Tenancy(cfg).WriteJSON(&a); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"rupam/internal/cluster"
 	"rupam/internal/executor"
 	"rupam/internal/simx"
+	"rupam/internal/tracing"
 )
 
 func TestEventValidate(t *testing.T) {
@@ -115,8 +117,9 @@ func twoNode(t *testing.T) (*simx.Engine, *cluster.Cluster, map[string]*executor
 func TestInjectorAppliesAndRestores(t *testing.T) {
 	eng, clu, execs := twoNode(t)
 	inj := NewInjector(eng, clu, execs)
-	var lines []string
-	inj.Trace = func(s string) { lines = append(lines, s) }
+	col := tracing.NewCollector()
+	col.Bind(eng)
+	inj.Collector = col
 	inj.Install(&Schedule{Events: []Event{
 		{Kind: NodeCrash, Node: "a", At: 1, Duration: 2},
 		{Kind: NICDegrade, Node: "b", At: 1, Duration: 3, Factor: 0.5},
@@ -151,8 +154,14 @@ func TestInjectorAppliesAndRestores(t *testing.T) {
 		inj.DiskDegrades != 1 || inj.HeartbeatLosses != 1 {
 		t.Fatalf("counters: %+v", inj)
 	}
-	if len(lines) == 0 || !strings.Contains(strings.Join(lines, "\n"), "crash a") {
-		t.Fatalf("trace lines missing: %v", lines)
+	var buf bytes.Buffer
+	if err := col.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"crash"`, "recovery 2s", `"nic-degrade"`, `"disk-degrade"`, `"heartbeat-loss"`} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("fault spans missing %s:\n%s", want, buf.String())
+		}
 	}
 }
 

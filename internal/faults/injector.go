@@ -39,9 +39,6 @@ type Injector struct {
 	// too early.
 	windows map[windowKey][]float64
 
-	// Trace, if set, receives a line per applied fault.
-	Trace func(string)
-
 	// Collector, if set, records each fault window as a structured span on
 	// the node's fault track. Nil (the default) records nothing.
 	Collector *tracing.Collector
@@ -153,12 +150,6 @@ func (inj *Injector) Install(s *Schedule) {
 	}
 }
 
-func (inj *Injector) trace(format string, args ...interface{}) {
-	if inj.Trace != nil {
-		inj.Trace(fmt.Sprintf("[%8.2fs] %s", inj.eng.Now(), fmt.Sprintf(format, args...)))
-	}
-}
-
 func (inj *Injector) apply(ev Event) {
 	switch ev.Kind {
 	case NodeCrash:
@@ -199,7 +190,6 @@ func (inj *Injector) crashAgent(ev Event) {
 	if ev.Duration > 0 {
 		detail = fmt.Sprintf("restart %.1fs", ev.Duration)
 	}
-	inj.trace("agent crash %s (%s)", ev.Node, detail)
 	inj.Collector.FaultSpan(ev.Node, "agent-crash", detail, ev.Duration)
 	inj.OnAgentCrash(ev.Node, ev.Duration)
 	if ev.Duration > 0 {
@@ -218,7 +208,6 @@ func (inj *Injector) agentBack(node string) {
 		return
 	}
 	inj.AgentRestarts++
-	inj.trace("agent restart %s", node)
 	inj.OnAgentRestart(node)
 }
 
@@ -231,7 +220,6 @@ func (inj *Injector) spikeLoad(ev Event) {
 		return
 	}
 	inj.LoadSpikes++
-	inj.trace("load spike ×%.2f for %.0fs", ev.Factor, ev.Duration)
 	inj.Collector.FaultSpan("", "load-spike",
 		fmt.Sprintf("×%.2f for %.0fs", ev.Factor, ev.Duration), ev.Duration)
 	inj.openWindow(ev, func(f float64) {
@@ -251,7 +239,6 @@ func (inj *Injector) preempt(ev Event) {
 		return
 	}
 	inj.SpotNotices++
-	inj.trace("spot notice %s (kill in %.1fs)", ev.Node, ev.Duration)
 	inj.Collector.FaultSpan(ev.Node, "spot-preempt",
 		fmt.Sprintf("grace %.1fs", ev.Duration), ev.Duration)
 	if inj.OnSpotNotice != nil {
@@ -262,7 +249,6 @@ func (inj *Injector) preempt(ev Event) {
 			return
 		}
 		inj.SpotKills++
-		inj.trace("spot kill %s", ev.Node)
 		if inj.OnAgentCrash != nil {
 			// Reclamation takes the whole instance: the co-located agent
 			// dies for good with the node (downtime 0, no scheduled
@@ -281,7 +267,6 @@ func (inj *Injector) crashDriver(ev Event) {
 		return
 	}
 	inj.DriverCrashes++
-	inj.trace("driver crash (restart %.1fs)", ev.Duration)
 	inj.Collector.FaultSpan("", "driver-crash",
 		fmt.Sprintf("restart %.1fs", ev.Duration), ev.Duration)
 	inj.OnDriverCrash(ev.Duration)
@@ -293,7 +278,6 @@ func (inj *Injector) crash(ev Event) {
 		return
 	}
 	inj.Crashes++
-	inj.trace("crash %s (recovery %.0fs)", ev.Node, ev.Duration)
 	detail := "permanent"
 	if ev.Duration > 0 {
 		detail = fmt.Sprintf("recovery %.0fs", ev.Duration)
@@ -311,7 +295,6 @@ func (inj *Injector) crash(ev Event) {
 	if ev.Duration > 0 {
 		inj.eng.Schedule(ev.Duration, func() {
 			inj.Recoveries++
-			inj.trace("recover %s", ev.Node)
 			inj.agentBack(ev.Node)
 		})
 	}
@@ -379,7 +362,6 @@ func (inj *Injector) degradeNIC(ev Event) {
 	node := inj.clu.Node(ev.Node)
 	base := node.Spec.NetBandwidth
 	inj.NICDegrades++
-	inj.trace("nic %s ×%.2f for %.0fs", ev.Node, ev.Factor, ev.Duration)
 	inj.Collector.FaultSpan(ev.Node, "nic-degrade",
 		fmt.Sprintf("×%.2f for %.0fs", ev.Factor, ev.Duration), ev.Duration)
 	inj.openWindow(ev, func(f float64) {
@@ -391,7 +373,6 @@ func (inj *Injector) degradeDisk(ev Event) {
 	node := inj.clu.Node(ev.Node)
 	readBase, writeBase := node.Spec.DiskReadBW, node.Spec.DiskWriteBW
 	inj.DiskDegrades++
-	inj.trace("disk %s ×%.2f for %.0fs", ev.Node, ev.Factor, ev.Duration)
 	inj.Collector.FaultSpan(ev.Node, "disk-degrade",
 		fmt.Sprintf("×%.2f for %.0fs", ev.Factor, ev.Duration), ev.Duration)
 	inj.openWindow(ev, func(f float64) {
@@ -404,7 +385,6 @@ func (inj *Injector) degradeCPU(ev Event) {
 	node := inj.clu.Node(ev.Node)
 	spec := node.Spec
 	inj.CPUDegrades++
-	inj.trace("cpu %s ×%.2f for %.0fs", ev.Node, ev.Factor, ev.Duration)
 	inj.Collector.FaultSpan(ev.Node, "cpu-degrade",
 		fmt.Sprintf("×%.2f for %.0fs", ev.Factor, ev.Duration), ev.Duration)
 	inj.openWindow(ev, func(f float64) {
@@ -419,7 +399,6 @@ func (inj *Injector) pressureMem(ev Event) {
 		return
 	}
 	inj.MemPressures++
-	inj.trace("mem %s ×%.2f for %.0fs", ev.Node, ev.Factor, ev.Duration)
 	inj.Collector.FaultSpan(ev.Node, "mem-pressure",
 		fmt.Sprintf("×%.2f for %.0fs", ev.Factor, ev.Duration), ev.Duration)
 	inj.openWindow(ev, func(f float64) {
@@ -433,7 +412,6 @@ func (inj *Injector) flakeTasks(ev Event) {
 		return
 	}
 	inj.TaskFlakes++
-	inj.trace("flake %s p=%.2f for %.0fs", ev.Node, ev.Factor, ev.Duration)
 	inj.Collector.FaultSpan(ev.Node, "task-flake",
 		fmt.Sprintf("p=%.2f for %.0fs", ev.Factor, ev.Duration), ev.Duration)
 	inj.openWindow(ev, func(p float64) {
@@ -443,7 +421,6 @@ func (inj *Injector) flakeTasks(ev Event) {
 
 func (inj *Injector) loseHeartbeats(ev Event) {
 	inj.HeartbeatLosses++
-	inj.trace("heartbeat loss %s for %.0fs", ev.Node, ev.Duration)
 	inj.Collector.FaultSpan(ev.Node, "heartbeat-loss",
 		fmt.Sprintf("for %.0fs", ev.Duration), ev.Duration)
 	inj.hbLost[ev.Node]++

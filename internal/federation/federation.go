@@ -39,9 +39,11 @@ type Config struct {
 	// Spark carries per-application framework overrides (Faults and WAL
 	// are owned by the harness and overwritten).
 	Spark spark.Config
-	// MaxSimTime bounds the run in virtual seconds (default 3600).
-	MaxSimTime float64
 }
+
+// maxSimTime bounds each application in virtual seconds; the run's
+// watchdog horizon is twice it.
+const maxSimTime float64 = 3600
 
 func (c Config) withDefaults() Config {
 	if c.Drivers <= 0 {
@@ -55,9 +57,6 @@ func (c Config) withDefaults() Config {
 		if c.Params == (workloads.Params{}) {
 			c.Params = workloads.Params{InputGB: 0.5, Partitions: 16, Iterations: 2}
 		}
-	}
-	if c.MaxSimTime <= 0 {
-		c.MaxSimTime = 3600
 	}
 	return c
 }
@@ -185,7 +184,6 @@ func Run(cfg Config) *Result {
 	}
 	sub := spark.NewSubstrate(eng, clu, spark.SubstrateOptions{
 		Seed:              cfg.Seed*31 + 7,
-		Exec:              cfg.Spark.Exec,
 		HeartbeatInterval: cfg.Spark.HeartbeatInterval,
 		Tracer:            cfg.Spark.Tracer,
 		OnRestart: func() {
@@ -290,7 +288,7 @@ func Run(cfg Config) *Result {
 		scfg.Seed = cfg.Seed*31 + 7 + uint64(j)*1013
 		scfg.AppLabel = app.Name
 		scfg.SampleInterval = -1
-		scfg.MaxSimTime = cfg.MaxSimTime
+		scfg.MaxSimTime = maxSimTime
 		// The application's WAL carries both scheduler state and claim
 		// protocol records; crash recovery folds both from one stream.
 		wlog := wal.New(nil, wal.Options{Clock: eng.Now})
@@ -311,7 +309,7 @@ func Run(cfg Config) *Result {
 	// agents ack unknown claims, and claims against permanently dead
 	// agents resolve locally). The horizon is a watchdog, not an expected
 	// path.
-	eng.RunUntil(cfg.MaxSimTime * 2)
+	eng.RunUntil(maxSimTime * 2)
 	if eng.Pending() > 0 {
 		violation(fmt.Sprintf("simulation did not quiesce: %d events pending at horizon", eng.Pending()))
 	}

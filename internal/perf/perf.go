@@ -183,7 +183,7 @@ func runBatch(scale, workload, scheduler string) int64 {
 // size: admission queues, pool weights and preemption all on the
 // measured path.
 func runTenancy(scale string) int64 {
-	cfg := experiments.TenancyConfig{BaseSeed: 1, Seeds: 1, Apps: 4, MeanGap: 20}
+	cfg := experiments.TenancyConfig{Seeds: []uint64{1}, Apps: 4, MeanGap: 20}
 	if scale == ScaleStandard {
 		cfg.Apps = 6
 	}
@@ -194,9 +194,9 @@ func runTenancy(scale string) int64 {
 // runStreaming runs the operator-placement sweep at reduced size:
 // topology generation, every placer, and the rate-solver loop.
 func runStreaming(scale string) int64 {
-	cfg := experiments.StreamingConfig{BaseSeed: 1, Seeds: 1, Horizon: 30}
+	cfg := experiments.StreamingConfig{Seeds: []uint64{1}, Horizon: 30}
 	if scale == ScaleStandard {
-		cfg.Seeds = 2
+		cfg.Seeds = []uint64{1, 2}
 		cfg.Horizon = 45
 	}
 	experiments.Streaming(cfg)
@@ -207,8 +207,7 @@ func runStreaming(scale string) int64 {
 // placement commit protocol and node agents on the measured path.
 func runFederation(scale string) int64 {
 	cfg := experiments.FederationConfig{
-		BaseSeed:     1,
-		Seeds:        1,
+		Seeds:        []uint64{1},
 		DriverCounts: []int{2},
 		Apps:         2,
 	}

@@ -88,14 +88,24 @@ func TestReportRoundTrip(t *testing.T) {
 		t.Fatal("foreign schema accepted")
 	}
 
-	// An artifact carrying fields this version no longer writes still
-	// decodes: unknown fields are ignored.
-	old, err := ReadReportFile("../../BENCH_10.json")
+	// The committed baseline decodes and covers every case.
+	base, err := ReadReportFile("../../BENCH_19.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(old.Cases) != len(cases()) {
-		t.Fatalf("BENCH_10.json: %d cases, want %d", len(old.Cases), len(cases()))
+	if len(base.Cases) != len(cases()) {
+		t.Fatalf("BENCH_19.json: %d cases, want %d", len(base.Cases), len(cases()))
+	}
+
+	// An artifact carrying fields this version no longer writes still
+	// decodes: unknown fields are ignored.
+	old, err := ReadReport(strings.NewReader(`{"schema":"` + SchemaV1 + `","baseline_kernel":"x",` +
+		`"cases":[{"name":"kernel/event-loop","events":3,"speedup":3.7,"unopt_wall_sec":0.5}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(old.Cases) != 1 || old.Cases[0].Events != 3 {
+		t.Fatalf("report with unknown fields decoded as %+v", old)
 	}
 }
 

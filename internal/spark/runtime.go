@@ -74,8 +74,6 @@ type Config struct {
 	// many seconds — a watchdog against scheduler livelocks (default
 	// 86400, one simulated day).
 	MaxSimTime float64
-	// Exec carries the physical execution-model constants.
-	Exec executor.Config
 	// Seed drives all run randomness (failure coin flips).
 	Seed uint64
 	// Tracer, when non-nil, records the structured event trace (attempt
@@ -318,11 +316,6 @@ func NewRuntime(eng *simx.Engine, clu *cluster.Cluster, sched Scheduler, cfg Con
 // runtime builds its own substrate in Start.
 func NewRuntimeOn(eng *simx.Engine, clu *cluster.Cluster, sched Scheduler, cfg Config, sub *Substrate, hooks Hooks) *Runtime {
 	cfg = cfg.withDefaults()
-	cfg.Exec.Seed = cfg.Seed
-	cfg.Exec.Tracer = cfg.Tracer
-	if cr, ok := sched.(CacheRelocator); ok {
-		cfg.Exec.RelocateCacheOnRemoteRead = cr.RelocatesCache()
-	}
 	rt := &Runtime{
 		Eng:          eng,
 		Clu:          clu,
@@ -506,12 +499,12 @@ func (rt *Runtime) Start(app *task.Application) {
 		// Executors sized by the scheduler's policy; heartbeats drive
 		// scheduling rounds (and RUPAM's RM).
 		rt.ownsSubstrate = true
+		cr, ok := rt.sched.(CacheRelocator)
 		sub := NewSubstrate(rt.Eng, rt.Clu, SubstrateOptions{
 			Seed:              rt.Cfg.Seed,
-			Exec:              rt.Cfg.Exec,
 			HeapFor:           rt.sched.HeapFor,
 			HeartbeatInterval: rt.Cfg.HeartbeatInterval,
-			RelocateCache:     rt.Cfg.Exec.RelocateCacheOnRemoteRead,
+			RelocateCache:     ok && cr.RelocatesCache(),
 			Tracer:            rt.Cfg.Tracer,
 			OnRestart: func() {
 				rt.notifyExecutorSetChanged()

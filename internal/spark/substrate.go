@@ -30,9 +30,6 @@ type SubstrateOptions struct {
 	// Seed is the framework seed; node i's executor draws from
 	// Seed + i*7919 over the cluster's node order.
 	Seed uint64
-	// Exec is the base per-node executor configuration; HeapBytes, Seed,
-	// DriverNode and Tracer are filled per node.
-	Exec executor.Config
 	// HeapFor sizes each node's executor heap; nil uses a static 14 GB.
 	HeapFor func(*cluster.Node) int64
 	// HeartbeatInterval is the monitor period; 0 means 1 s.
@@ -60,13 +57,13 @@ func NewSubstrate(eng *simx.Engine, clu *cluster.Cluster, o SubstrateOptions) *S
 	cache := executor.NewCacheTracker()
 	execs := make(map[string]*executor.Executor)
 	for i, n := range clu.Nodes {
-		ecfg := o.Exec
-		ecfg.HeapBytes = heapFor(n)
-		ecfg.Seed = o.Seed + uint64(i)*7919
-		ecfg.DriverNode = clu.Nodes[0].Name()
-		ecfg.Tracer = o.Tracer
-		ecfg.RelocateCacheOnRemoteRead = o.RelocateCache
-		ex := executor.New(eng, clu, n, cache, execs, ecfg)
+		ex := executor.New(eng, clu, n, cache, execs, executor.Config{
+			HeapBytes:                 heapFor(n),
+			Seed:                      o.Seed + uint64(i)*7919,
+			DriverNode:                clu.Nodes[0].Name(),
+			Tracer:                    o.Tracer,
+			RelocateCacheOnRemoteRead: o.RelocateCache,
+		})
 		ex.OnRestart = o.OnRestart
 	}
 	hb := o.HeartbeatInterval

@@ -28,16 +28,20 @@ type TopoConfig struct {
 	// (defaults 1e-4..8e-4 — i.e. 0.1–0.8 M cycles/record, so one
 	// 3.2 GHz core sustains 4k–32k records/sec).
 	CyclesMin, CyclesMax float64
-	// BytesMin/BytesMax bound the serialized record size (defaults
-	// 200..2000 bytes).
-	BytesMin, BytesMax float64
-	// StateMin/StateMax bound operator state size in bytes (defaults
-	// 8 MB..256 MB) — the migration payload.
-	StateMin, StateMax int64
 	// ParMin/ParMax bound per-operator parallelism (defaults 1..4;
 	// draws ParMin..ParMax).
 	ParMin, ParMax int
 }
+
+// The generator's fixed bounds: every operator's serialized record size
+// is drawn from bytesMin..bytesMax bytes and its state size, the
+// migration payload, from stateMin..stateMax bytes.
+const (
+	bytesMin float64 = 200
+	bytesMax float64 = 2000
+	stateMin int64   = 8 << 20
+	stateMax int64   = 256 << 20
+)
 
 func (c TopoConfig) withDefaults() TopoConfig {
 	if c.Sources <= 0 {
@@ -69,18 +73,6 @@ func (c TopoConfig) withDefaults() TopoConfig {
 	}
 	if c.CyclesMax < c.CyclesMin {
 		c.CyclesMax = 8e-4
-	}
-	if c.BytesMin <= 0 {
-		c.BytesMin = 200
-	}
-	if c.BytesMax < c.BytesMin {
-		c.BytesMax = 2000
-	}
-	if c.StateMin <= 0 {
-		c.StateMin = 8 << 20
-	}
-	if c.StateMax < c.StateMin {
-		c.StateMax = 256 << 20
 	}
 	if c.ParMin <= 0 {
 		c.ParMin = 1
@@ -115,9 +107,9 @@ func GenTopology(seed uint64, cfg TopoConfig) *Topology {
 	for i := 0; i < cfg.Sources; i++ {
 		o := add("src", Operator{
 			CyclesPerRecord: rng.Range(cfg.CyclesMin, cfg.CyclesMax) * 0.25,
-			BytesPerRecord:  rng.Range(cfg.BytesMin, cfg.BytesMax),
+			BytesPerRecord:  rng.Range(bytesMin, bytesMax),
 			Parallelism:     cfg.ParMin + rng.Intn(cfg.ParMax-cfg.ParMin+1),
-			StateBytes:      cfg.StateMin + int64(rng.Float64()*float64(cfg.StateMax-cfg.StateMin)),
+			StateBytes:      stateMin + int64(rng.Float64()*float64(stateMax-stateMin)),
 			RateHz:          rng.Range(cfg.RateMin, cfg.RateMax),
 		})
 		prev = append(prev, o.ID)
@@ -132,10 +124,10 @@ func GenTopology(seed uint64, cfg TopoConfig) *Topology {
 		for i := 0; i < width; i++ {
 			o := add("op", Operator{
 				CyclesPerRecord: rng.Range(cfg.CyclesMin, cfg.CyclesMax),
-				BytesPerRecord:  rng.Range(cfg.BytesMin, cfg.BytesMax),
+				BytesPerRecord:  rng.Range(bytesMin, bytesMax),
 				Selectivity:     rng.Range(cfg.SelMin, cfg.SelMax),
 				Parallelism:     cfg.ParMin + rng.Intn(cfg.ParMax-cfg.ParMin+1),
-				StateBytes:      cfg.StateMin + int64(rng.Float64()*float64(cfg.StateMax-cfg.StateMin)),
+				StateBytes:      stateMin + int64(rng.Float64()*float64(stateMax-stateMin)),
 			})
 			fanin := 1 + rng.Intn(2)
 			if fanin > len(prev) {
@@ -166,10 +158,10 @@ func GenTopology(seed uint64, cfg TopoConfig) *Topology {
 	// One sink absorbs the last layer.
 	sink := add("sink", Operator{
 		CyclesPerRecord: rng.Range(cfg.CyclesMin, cfg.CyclesMax) * 0.5,
-		BytesPerRecord:  rng.Range(cfg.BytesMin, cfg.BytesMax),
+		BytesPerRecord:  rng.Range(bytesMin, bytesMax),
 		Selectivity:     1,
 		Parallelism:     cfg.ParMin + rng.Intn(cfg.ParMax-cfg.ParMin+1),
-		StateBytes:      cfg.StateMin + int64(rng.Float64()*float64(cfg.StateMax-cfg.StateMin)),
+		StateBytes:      stateMin + int64(rng.Float64()*float64(stateMax-stateMin)),
 	})
 	for _, up := range prev {
 		t.Edges = append(t.Edges, Edge{From: up, To: sink.ID})

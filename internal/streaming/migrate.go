@@ -88,10 +88,6 @@ func (r *Runtime) startMigration(opID int, to, reason string, emergency bool) bo
 		for _, ch := range r.inChans[opID] {
 			ch.paused = true
 		}
-		if r.cfg.Trace != nil {
-			r.trace("migrating %s (%s): %s -> %s, draining %.0f records",
-				o.Name, reason, from, to, r.backlog(opID))
-		}
 	}
 	// Close the operator's current "run" span at the migration boundary.
 	if openFrom, ok := r.runSpanFrom[opID]; ok {
@@ -234,7 +230,4 @@ func (r *Runtime) finishMigration(opID int) {
 			fmt.Sprintf("%d state bytes from %s", o.StateBytes, m.from), m.handoffAt, now)
 	}
 	r.col.OperatorMigrated(o.Name, m.from, m.to, m.reason, now-m.start)
-	if r.cfg.Trace != nil {
-		r.trace("migrated %s: %s -> %s in %.2fs (%s)", o.Name, m.from, m.to, now-m.start, m.reason)
-	}
 }

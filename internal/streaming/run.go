@@ -40,6 +40,12 @@ const (
 	// execHeapBytes sizes the bookkeeping executor each node gets so the
 	// fault injector (crash, preempt, flake, mem-pressure) has a target.
 	execHeapBytes = int64(1) << 30
+	// backlogSeconds sizes each channel to this many seconds of its
+	// closed-form steady rate (floor 100 records).
+	backlogSeconds float64 = 2
+	// drainGrace bounds how long after the horizon the topology may take
+	// to drain before the run is declared stuck.
+	drainGrace float64 = 180
 )
 
 // Config parameterizes one streaming run. The zero value plus a Seed is
@@ -56,12 +62,6 @@ type Config struct {
 	// Warmup excludes the initial transient from sustained-throughput and
 	// latency metrics (default 20).
 	Warmup float64
-	// BacklogSeconds sizes each channel to this many seconds of its
-	// closed-form steady rate (default 2, floor 100 records).
-	BacklogSeconds float64
-	// DrainGrace bounds how long after Horizon the topology may take to
-	// drain before the run is declared stuck (default 180).
-	DrainGrace float64
 	// SLOMs is the end-to-end record-latency objective in milliseconds
 	// (default 2000); SLOAttain reports the fraction of sink records
 	// under it.
@@ -72,14 +72,9 @@ type Config struct {
 	// backlogged operator at that virtual time — the soak harness uses it
 	// to guarantee the migration path is exercised every seed.
 	ForceMigrateAt float64
-	// CharDB, if non-nil, is the shared characteristics store the rupam
-	// placer reads and the runtime feeds; nil gets a fresh private one.
-	CharDB *core.CharDB
 	// Collector, if non-nil, records placement decisions, operator phase
 	// spans and fault windows.
 	Collector *tracing.Collector
-	// Trace, if non-nil, receives a line per notable runtime event.
-	Trace func(string)
 }
 
 func (c Config) withDefaults() Config {
@@ -91,12 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Warmup <= 0 || c.Warmup >= c.Horizon {
 		c.Warmup = c.Horizon / 6
-	}
-	if c.BacklogSeconds <= 0 {
-		c.BacklogSeconds = 2
-	}
-	if c.DrainGrace <= 0 {
-		c.DrainGrace = 180
 	}
 	if c.SLOMs <= 0 {
 		c.SLOMs = 2000
@@ -197,7 +186,7 @@ func Run(cfg Config) *Result {
 		execs:         make(map[string]*executor.Executor),
 		cache:         executor.NewCacheTracker(),
 		col:           cfg.Collector,
-		db:            cfg.CharDB,
+		db:            core.NewCharDB(),
 		opNode:        make(map[int]string),
 		ops:           make(map[int]*Operator),
 		keys:          make(map[int]core.TaskKey),
@@ -210,9 +199,6 @@ func Run(cfg Config) *Result {
 		lastMigration: make(map[int]float64),
 		overTicks:     make(map[int]int),
 		runSpanFrom:   make(map[int]float64),
-	}
-	if r.db == nil {
-		r.db = core.NewCharDB()
 	}
 	r.col.Bind(eng)
 	for _, n := range clu.Nodes {
@@ -248,10 +234,10 @@ func Run(cfg Config) *Result {
 		}
 	}
 
-	// Channels, sized to BacklogSeconds of the closed-form steady rate.
+	// Channels, sized to backlogSeconds of the closed-form steady rate.
 	outRates := r.topo.SteadyOutRates()
 	for _, e := range r.topo.Edges {
-		capRecords := cfg.BacklogSeconds * outRates[e.From]
+		capRecords := backlogSeconds * outRates[e.From]
 		if capRecords < 100 {
 			capRecords = 100
 		}
@@ -266,13 +252,7 @@ func Run(cfg Config) *Result {
 	// streaming hooks route notices, kills and spikes into the runtime.
 	r.inj = faults.NewInjector(eng, clu, r.execs)
 	r.inj.Collector = r.col
-	r.inj.Trace = cfg.Trace
-	r.inj.OnLoadSpike = func(mult float64) {
-		r.spikeMult = mult
-		if r.cfg.Trace != nil {
-			r.trace("load multiplier now ×%.2f", mult)
-		}
-	}
+	r.inj.OnLoadSpike = func(mult float64) { r.spikeMult = mult }
 	r.inj.OnSpotNotice = func(node string, grace float64) {
 		r.evacuate(node, "spot-notice")
 	}
@@ -290,14 +270,6 @@ func Run(cfg Config) *Result {
 	eng.Run()
 
 	return r.result()
-}
-
-// trace emits a Trace line. Call sites that pass arguments check
-// cfg.Trace first, so an untraced run does not box them.
-func (r *Runtime) trace(format string, args ...interface{}) {
-	if r.cfg.Trace != nil {
-		r.cfg.Trace(fmt.Sprintf("[%8.2fs] %s", r.eng.Now(), fmt.Sprintf(format, args...)))
-	}
 }
 
 // nodeAlive reports whether the node can currently host operators.
@@ -380,15 +352,14 @@ func (r *Runtime) tick() {
 	// (10) Horizon and quiescence.
 	if now >= r.cfg.Horizon && !r.sourcesStopped {
 		r.sourcesStopped = true
-		r.trace("horizon: sources stopped")
 	}
 	if r.sourcesStopped && r.quiesced() {
 		r.finish(now, true)
 		return
 	}
-	if r.sourcesStopped && now >= r.cfg.Horizon+r.cfg.DrainGrace {
+	if r.sourcesStopped && now >= r.cfg.Horizon+drainGrace {
 		r.violations = append(r.violations,
-			fmt.Sprintf("backlog failed to drain within %.0fs of the horizon", r.cfg.DrainGrace))
+			fmt.Sprintf("backlog failed to drain within %.0fs of the horizon", drainGrace))
 		r.finish(now, false)
 		return
 	}

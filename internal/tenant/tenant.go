@@ -63,8 +63,6 @@ type Config struct {
 	MaxPendingApps int
 	// Spark carries per-application framework overrides.
 	Spark spark.Config
-	// RUPAM carries scheduler tunables for Scheduler=="rupam".
-	RUPAM core.Config
 	// Faults, when non-empty, is installed once over the shared cluster;
 	// DriverCrash events are routed to the oldest running application, and
 	// SpotPreempt notices/kills fan out to every running application.
@@ -79,10 +77,11 @@ type Config struct {
 	// database instead of the shared (externally persisted) one,
 	// disabling cross-application warm-starts.
 	PrivateCharDB bool
-	// MaxSimTime panics the run if the virtual clock exceeds it
-	// (default 14400, four simulated hours).
-	MaxSimTime float64
 }
+
+// maxSimTime is the livelock watchdog: a run whose virtual clock exceeds
+// it, four simulated hours, panics.
+const maxSimTime float64 = 14400
 
 func (c Config) withDefaults() Config {
 	if c.Scheduler == "" {
@@ -94,9 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPendingApps == 0 {
 		c.MaxPendingApps = 8
-	}
-	if c.MaxSimTime == 0 {
-		c.MaxSimTime = 14400
 	}
 	return c
 }
@@ -211,14 +207,14 @@ func NewManager(cfg Config) *Manager {
 }
 
 // Run executes the whole multi-tenant scenario on a fresh engine and
-// returns its report. It panics if the run exceeds MaxSimTime (livelock
+// returns its report. It panics if the run exceeds maxSimTime (livelock
 // watchdog), like the single-application runtime.
 func (m *Manager) Run() *Report {
 	m.start()
-	m.eng.RunUntil(m.cfg.MaxSimTime)
+	m.eng.RunUntil(maxSimTime)
 	if !m.finished {
 		panic(fmt.Sprintf("tenant: run exceeded MaxSimTime=%v with %d running and %d queued apps — livelock?",
-			m.cfg.MaxSimTime, len(m.running), len(m.pending)))
+			maxSimTime, len(m.running), len(m.pending)))
 	}
 	m.checkEndState()
 	return m.buildReport()
@@ -266,9 +262,8 @@ func (m *Manager) start() {
 func (m *Manager) buildSubstrate() {
 	m.sub = spark.NewSubstrate(m.eng, m.clu, spark.SubstrateOptions{
 		Seed:              m.cfg.Seed*31 + 7,
-		Exec:              m.cfg.Spark.Exec,
 		HeapFor:           m.heapPolicy(),
-		HeartbeatInterval: m.heartbeatInterval(),
+		HeartbeatInterval: m.cfg.Spark.HeartbeatInterval,
 		RelocateCache:     m.cfg.Scheduler == "rupam",
 		Tracer:            m.cfg.Tracer,
 		OnRestart: func() {
@@ -302,7 +297,7 @@ func (m *Manager) buildSubstrate() {
 // stock Spark's one static size everywhere.
 func (m *Manager) heapPolicy() func(*cluster.Node) int64 {
 	if m.cfg.Scheduler == "rupam" {
-		sizer := core.New(m.cfg.RUPAM)
+		sizer := core.New(core.Config{})
 		return sizer.HeapFor
 	}
 	static := m.cfg.Spark.StaticHeapBytes
@@ -310,13 +305,6 @@ func (m *Manager) heapPolicy() func(*cluster.Node) int64 {
 		static = 14 * cluster.GB
 	}
 	return func(*cluster.Node) int64 { return static }
-}
-
-func (m *Manager) heartbeatInterval() float64 {
-	if m.cfg.Spark.HeartbeatInterval > 0 {
-		return m.cfg.Spark.HeartbeatInterval
-	}
-	return 1
 }
 
 // activeApps returns the running applications in arrival order — the
@@ -403,9 +391,9 @@ func (m *Manager) startApp(a *appState) {
 	var sched spark.Scheduler
 	if m.cfg.Scheduler == "rupam" {
 		if m.sharedDB != nil {
-			sched = core.NewWithDB(m.cfg.RUPAM, m.sharedDB)
+			sched = core.NewWithDB(core.Config{}, m.sharedDB)
 		} else {
-			sched = core.New(m.cfg.RUPAM)
+			sched = core.New(core.Config{})
 		}
 	} else {
 		sched = spark.NewDefaultScheduler()
@@ -419,7 +407,7 @@ func (m *Manager) startApp(a *appState) {
 	cfg.AppLabel = a.label
 	cfg.PoolLabel = a.pool
 	cfg.SampleInterval = -1
-	cfg.MaxSimTime = m.cfg.MaxSimTime
+	cfg.MaxSimTime = maxSimTime
 	if m.cfg.Faults.HasKind(faults.DriverCrash) {
 		// A routed driver crash needs a log to replay; keep one in memory
 		// per application, exactly like the single-app auto-WAL.

@@ -53,9 +53,12 @@ func ReadRecords(r io.Reader) ([]*Record, error) {
 	return recs, nil
 }
 
+// newScanner reads r line by line. Its buffer starts at bufio's 4 KiB
+// and doubles as needed up to 16 MiB, since snapshot lines can be large,
+// so a short log costs a short buffer.
 func newScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024) // snapshot lines can be large
+	sc.Buffer(nil, 16*1024*1024)
 	return sc
 }
 

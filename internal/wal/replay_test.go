@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"runtime"
 	"testing"
 )
 
@@ -61,4 +62,34 @@ func reframe(data []byte) []byte {
 		out = fmt.Appendf(out, "%08x %s\n", crc32.ChecksumIEEE(body), body)
 	}
 	return out
+}
+
+// TestReplayBufferFitsTheStream bounds what one Replay of a short stream
+// allocates well below a 64 KiB scan buffer, and checks that a line
+// longer than that still replays.
+func TestReplayBufferFitsTheStream(t *testing.T) {
+	l := New(nil, Options{})
+	for i := 0; i < 8; i++ {
+		l.Append(Record{Kind: KindTaskLaunched, Task: i, Stage: 1, Node: "thor1"})
+	}
+	short := append([]byte(nil), l.Bytes()...)
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, n, err := Replay(bytes.NewReader(short)); err != nil || n != 8 {
+			t.Fatalf("short stream replayed %d records, %v", n, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 16<<10 {
+		t.Fatalf("replaying a %d-byte stream allocates %d bytes", len(short), per)
+	}
+
+	big := bytes.Repeat([]byte("x"), 100<<10)
+	l.Append(Record{Kind: KindCharDBPut, Key: "big|0", CharDB: []byte(`"` + string(big) + `"`)})
+	s, n, err := Replay(bytes.NewReader(l.Bytes()))
+	if err != nil || n != 9 || len(s.CharDB["big|0"]) != len(big)+2 {
+		t.Fatalf("a %d-byte line replayed %d records, %v", len(l.Bytes()), n, err)
+	}
 }
