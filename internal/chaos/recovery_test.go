@@ -92,20 +92,22 @@ func raceApp(store *hdfs.Store) *task.Application {
 }
 
 // TestCrashDuringSpecRace crashes the driver while a speculative copy and
-// its original are both in flight (a heartbeat partition plus aggressive
-// speculation manufactures the race; the crash time sweeps across the race
-// window so at least one sweep point catches copies live). After recovery,
+// its original are both in flight (a heartbeat partition plus a
+// CPU-throttled node's stragglers manufacture the race; the crash time
+// sweeps across the race window so at least one sweep point catches copies
+// live). After recovery,
 // under both schedulers, each task must be counted complete exactly once —
 // the invariant battery's double-count rule over the attempt metrics.
 func TestCrashDuringSpecRace(t *testing.T) {
 	for _, schedName := range []string{"spark", "rupam"} {
 		specLive := false
-		for crashAt := 1.75; crashAt <= 5.0; crashAt += 0.25 {
+		for crashAt := 14.0; crashAt <= 18.0; crashAt += 0.25 {
 			eng, clu, store := raceWorld()
 			app := raceApp(store)
 			plan := &faults.Schedule{Events: []faults.Event{
 				{Kind: faults.HeartbeatLoss, Node: "slow", At: 1.5, Duration: 2.5},
 				{Kind: faults.DriverCrash, At: crashAt, Duration: 0.5},
+				{Kind: faults.CPUDegrade, Node: "gpu", At: 0.5, Duration: 30, Factor: 0.1},
 			}}
 			var sched spark.Scheduler
 			if schedName == "rupam" {
@@ -116,7 +118,6 @@ func TestCrashDuringSpecRace(t *testing.T) {
 			rt := spark.NewRuntime(eng, clu, sched, spark.Config{
 				Seed:              3,
 				HeartbeatInterval: 0.25, HeartbeatTimeout: 1,
-				SpeculationInterval: 0.25, SpeculationQuantile: 0.1, SpeculationMultiplier: 1.05,
 				SampleInterval: -1,
 				Faults:         plan,
 			})

@@ -152,7 +152,7 @@ func TestGPUOfferGating(t *testing.T) {
 func TestAblationFlagsChangeHeapPolicy(t *testing.T) {
 	w := newWorld(t)
 	full := New(Config{})
-	ablated := New(Config{DisableMemAware: true, StaticHeapBytes: 3 * cluster.GB})
+	ablated := New(Config{DisableMemAware: true})
 	rtA := spark.NewRuntime(w.eng, w.clu, full, spark.Config{})
 	_ = rtA
 	n := w.clu.Node("bigmem")

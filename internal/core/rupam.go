@@ -28,10 +28,6 @@ type Config struct {
 	DisableMemAware bool // no memory-fit check, no dynamic heap, no mem stragglers
 	DisableRR       bool // drain resource queues in fixed order instead of round-robin
 	DisableGPURace  bool // GPU tasks wait for GPU nodes; no dual-version copies
-
-	// StaticHeapBytes is only used with DisableMemAware, to mirror the
-	// default scheduler's fixed executor size.
-	StaticHeapBytes int64
 }
 
 // RUPAM's fixed parameters.
@@ -66,9 +62,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.ResFactor == 0 {
 		c.ResFactor = 2
-	}
-	if c.StaticHeapBytes == 0 {
-		c.StaticHeapBytes = 14 * cluster.GB
 	}
 	return c
 }
@@ -198,7 +191,8 @@ func (s *RUPAM) Bind(rt *spark.Runtime) { s.rt = rt }
 // gets (memory − reserve), instead of one conservative global size.
 func (s *RUPAM) HeapFor(node *cluster.Node) int64 {
 	if s.cfg.DisableMemAware {
-		return s.cfg.StaticHeapBytes
+		// The default scheduler's fixed executor size.
+		return spark.StaticHeapBytes
 	}
 	h := node.Spec.MemBytes - reserveBytes
 	if h < cluster.GB {

@@ -125,8 +125,8 @@ func TestHeapForDynamicSizing(t *testing.T) {
 	if got := s.HeapFor(w.clu.Node("fast")); got != 10*cluster.GB {
 		t.Fatalf("fast heap = %d", got)
 	}
-	static := New(Config{DisableMemAware: true, StaticHeapBytes: 5 * cluster.GB})
-	if got := static.HeapFor(w.clu.Node("bigmem")); got != 5*cluster.GB {
+	static := New(Config{DisableMemAware: true})
+	if got := static.HeapFor(w.clu.Node("bigmem")); got != spark.StaticHeapBytes {
 		t.Fatalf("ablated heap = %d", got)
 	}
 }
@@ -206,12 +206,9 @@ func TestMemAwareAblationOOMs(t *testing.T) {
 	ctx.Read(w.store.CreateEven("in", 80*1e6, 8)).
 		Map("huge", rdd.Profile{CPUPerByte: 500e-9, MemBase: 5 * cluster.GB}).
 		Count("j")
-	res, _ := runApp(t, w, ctx.App(), Config{
-		DisableMemAware: true,
-		StaticHeapBytes: 10 * cluster.GB,
-	})
+	res, _ := runApp(t, w, ctx.App(), Config{DisableMemAware: true})
 	if res.OOMs == 0 {
-		t.Fatal("mem-aware ablation should hit OOMs on 5 GB tasks under a 10 GB heap")
+		t.Fatal("mem-aware ablation should hit OOMs on 5 GB tasks under the static 14 GB heap")
 	}
 	for _, tk := range res.App.AllTasks() {
 		if tk.State != task.Finished {

@@ -54,22 +54,14 @@ func (o Outcome) String() string {
 	}
 }
 
-// Config holds the tunable parameters of the execution model; the fixed
-// ones are the constants below. The zero value is completed by
-// withDefaults; schedulers set HeapBytes (the paper's static 14 GB for
-// default Spark, per-node dynamic for RUPAM).
+// Config holds the per-executor parameters of the execution model; the
+// fixed ones are the constants below. Schedulers set HeapBytes (the
+// paper's static 14 GB for default Spark, per-node dynamic for RUPAM).
 type Config struct {
 	// HeapBytes is the executor's JVM heap, carved from node memory.
 	HeapBytes int64
-	// StorageFraction of the heap is usable by the RDD cache
-	// (spark.memory.storageFraction).
-	StorageFraction float64
 	// DriverNode receives result-task output flows.
 	DriverNode string
-	// WorkerCrashProb is the probability an OOM kills the whole JVM.
-	WorkerCrashProb float64
-	// RestartDelay is worker recovery time after a crash.
-	RestartDelay float64
 	// RelocateCacheOnRemoteRead moves a cached partition to the reading
 	// node after a remote cache fetch. Stock Spark leaves blocks where
 	// they were computed; RUPAM's task migration carries the partition
@@ -96,20 +88,14 @@ const (
 	// oomRunFraction is how far through its compute estimate a doomed
 	// task gets before the allocation fails.
 	oomRunFraction float64 = 0.5
+	// storageFraction of the heap is usable by the RDD cache
+	// (spark.memory.storageFraction).
+	storageFraction float64 = 0.5
+	// workerCrashProb is the probability an OOM kills the whole JVM.
+	workerCrashProb float64 = 0.55
+	// restartDelay is worker recovery time after a crash, in seconds.
+	restartDelay float64 = 30
 )
-
-func (c Config) withDefaults() Config {
-	if c.StorageFraction == 0 {
-		c.StorageFraction = 0.5
-	}
-	if c.WorkerCrashProb == 0 {
-		c.WorkerCrashProb = 0.55
-	}
-	if c.RestartDelay == 0 {
-		c.RestartDelay = 30
-	}
-	return c
-}
 
 // Executor runs tasks on one node.
 type Executor struct {
@@ -178,7 +164,6 @@ type Executor struct {
 // node's free memory.
 func New(eng *simx.Engine, clu *cluster.Cluster, node *cluster.Node, cache *CacheTracker,
 	peers map[string]*Executor, cfg Config) *Executor {
-	cfg = cfg.withDefaults()
 	if cfg.HeapBytes <= 0 {
 		panic(fmt.Sprintf("executor: node %s: non-positive heap", node.Name()))
 	}
@@ -345,9 +330,6 @@ type Options struct {
 	// Locality is the level the scheduler assigned (recorded in metrics
 	// and used to decide local vs remote input reads).
 	Locality hdfs.Locality
-	// ForbidGPU forces the CPU fallback path even on a GPU node — the
-	// CPU copy of RUPAM's dual-version straggler race.
-	ForbidGPU bool
 	// Speculative marks the attempt as a speculative copy.
 	Speculative bool
 }

@@ -163,7 +163,7 @@ func (r *Run) oomLater() {
 	r.claimCPU(delay*r.ex.node.Spec.FreqGHz, func() {
 		r.m.OOM = true
 		r.ex.OOMs++
-		crash := r.ex.rng.Float64() < r.ex.cfg.WorkerCrashProb
+		crash := r.ex.rng.Float64() < workerCrashProb
 		r.finish(OOM)
 		if crash {
 			r.ex.crash()
@@ -207,7 +207,7 @@ func (ex *Executor) ReclaimCache(need int64) int64 {
 
 // crash takes the executor offline: every running attempt is killed, the
 // node's cached partitions are lost, and the executor restarts after
-// RestartDelay.
+// restartDelay.
 func (ex *Executor) crash() {
 	if ex.down {
 		return
@@ -220,7 +220,7 @@ func (ex *Executor) crash() {
 	if lost := ex.cache.DropNode(ex.node.Name()); lost > 0 {
 		ex.heap.Release(lost)
 	}
-	ex.eng.Schedule(ex.cfg.RestartDelay, func() {
+	ex.eng.Schedule(restartDelay, func() {
 		if ex.failStopped {
 			return // the node fail-stopped meanwhile; its recovery governs
 		}
@@ -336,7 +336,7 @@ func (r *Run) inputDone(remote bool) func() {
 // adoptCachedBlock moves a cached partition to this executor after a
 // remote cache read, when storage memory allows.
 func (ex *Executor) adoptCachedBlock(key CacheKey, bytes int64) {
-	storageCap := int64(ex.cfg.StorageFraction * float64(ex.heap.Capacity()))
+	storageCap := int64(storageFraction * float64(ex.heap.Capacity()))
 	if bytes > storageCap {
 		return
 	}
@@ -468,7 +468,7 @@ func (r *Run) readShuffle() {
 func (r *Run) compute() {
 	r.phaseStart = r.ex.eng.Now()
 	d := r.t.Demand
-	useGPU := d.GPUCapable() && !r.opts.ForbidGPU && r.ex.node.GPU.TryAcquire()
+	useGPU := d.GPUCapable() && r.ex.node.GPU.TryAcquire()
 	if useGPU {
 		r.tr.Phase("compute-gpu")
 		r.gpuHeld = true
@@ -536,7 +536,7 @@ func (r *Run) cacheInsert() {
 				peer.heap.Release(oldBytes)
 			}
 		}
-		storageCap := int64(ex.cfg.StorageFraction * float64(ex.heap.Capacity()))
+		storageCap := int64(storageFraction * float64(ex.heap.Capacity()))
 		if d.CacheBytes <= storageCap {
 			used := ex.cache.NodeBytes(ex.node.Name())
 			if used+d.CacheBytes > storageCap {

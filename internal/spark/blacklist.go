@@ -8,28 +8,19 @@ import "rupam/internal/simx"
 type BlacklistConfig struct {
 	// Enabled turns the tracker on.
 	Enabled bool
-	// MaxNodeFailures blacklists a whole node after this many task
-	// failures on it, across tasks (default 4).
-	MaxNodeFailures int
-	// Timeout is how long a node stays blacklisted, in seconds
-	// (spark.blacklist.timeout; default 60).
-	Timeout float64
 }
 
-func (c BlacklistConfig) withDefaults() BlacklistConfig {
-	if c.MaxNodeFailures == 0 {
-		c.MaxNodeFailures = 4
-	}
-	if c.Timeout == 0 {
-		c.Timeout = 60
-	}
-	return c
-}
+// A node is blacklisted after blacklistMaxNodeFailures task failures on
+// it, across tasks, for blacklistTimeout seconds
+// (spark.blacklist.timeout).
+const (
+	blacklistMaxNodeFailures         = 4
+	blacklistTimeout         float64 = 60
+)
 
 // blacklist tracks per-task-per-node and per-node failure counts and the
 // timed node blacklist they feed.
 type blacklist struct {
-	cfg BlacklistConfig
 	eng *simx.Engine
 
 	// taskNode counts failures of a task on a node (task ID → node →
@@ -43,9 +34,8 @@ type blacklist struct {
 	until map[string]float64
 }
 
-func newBlacklist(eng *simx.Engine, cfg BlacklistConfig) *blacklist {
+func newBlacklist(eng *simx.Engine) *blacklist {
 	return &blacklist{
-		cfg:          cfg.withDefaults(),
 		eng:          eng,
 		taskNode:     make(map[int]map[string]int),
 		nodeFailures: make(map[string]int),
@@ -67,8 +57,8 @@ func (b *blacklist) noteFailure(taskID int, node string) (activated bool, until 
 	}
 	per[node]++
 	b.nodeFailures[node]++
-	if b.nodeFailures[node] >= b.cfg.MaxNodeFailures && !b.nodeBlacklisted(node) {
-		b.until[node] = b.eng.Now() + b.cfg.Timeout
+	if b.nodeFailures[node] >= blacklistMaxNodeFailures && !b.nodeBlacklisted(node) {
+		b.until[node] = b.eng.Now() + blacklistTimeout
 		b.nodeFailures[node] = 0
 		return true, b.until[node]
 	}

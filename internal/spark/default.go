@@ -60,10 +60,18 @@ func (s *DefaultScheduler) Name() string { return "spark" }
 // Bind implements Scheduler.
 func (s *DefaultScheduler) Bind(rt *Runtime) { s.rt = rt }
 
-// HeapFor implements Scheduler: the same static heap everywhere, sized to
-// fit the smallest machine (the paper's 14 GB).
+// localityWait is the delay-scheduling relaxation timeout per locality
+// level, in seconds (spark.locality.wait).
+const localityWait float64 = 3
+
+// StaticHeapBytes is stock Spark's executor heap, the same on every node
+// and sized to fit the smallest machine: the paper sets 14 GB for the
+// 16 GB thor machines.
+const StaticHeapBytes int64 = 14 * cluster.GB
+
+// HeapFor implements Scheduler: StaticHeapBytes everywhere.
 func (s *DefaultScheduler) HeapFor(node *cluster.Node) int64 {
-	return s.rt.Cfg.StaticHeapBytes
+	return StaticHeapBytes
 }
 
 // StageSubmitted implements Scheduler.
@@ -248,7 +256,7 @@ func (s *DefaultScheduler) Schedule() {
 		if len(s.pending[id]) == 0 {
 			continue
 		}
-		if lvl < hdfs.Any && now-s.lastLaunch[id] > rt.Cfg.LocalityWait {
+		if lvl < hdfs.Any && now-s.lastLaunch[id] > localityWait {
 			s.allowed[id] = lvl + 1
 			s.lastLaunch[id] = now
 		}

@@ -323,9 +323,21 @@ func (rt *Runtime) finishApp() {
 
 // ---- speculative execution ---------------------------------------------
 
+// Spark's speculation defaults: stragglers are re-evaluated every
+// speculationInterval seconds (spark.speculation.interval); once
+// speculationQuantile of a stage has finished
+// (spark.speculation.quantile), a running task older than
+// speculationMultiplier times the median successful duration is a
+// straggler (spark.speculation.multiplier).
+const (
+	speculationInterval   float64 = 0.5
+	speculationQuantile   float64 = 0.75
+	speculationMultiplier float64 = 1.5
+)
+
 // scheduleSpeculationScan arms the periodic straggler check.
 func (rt *Runtime) scheduleSpeculationScan() {
-	rt.specTimer = rt.Eng.Schedule(rt.Cfg.SpeculationInterval, func() {
+	rt.specTimer = rt.Eng.Schedule(speculationInterval, func() {
 		if rt.appDone {
 			return
 		}
@@ -336,8 +348,8 @@ func (rt *Runtime) scheduleSpeculationScan() {
 }
 
 // scanForStragglers implements Spark's speculation rule: once a stage is
-// SpeculationQuantile complete, any running task older than
-// SpeculationMultiplier × the median successful duration becomes
+// speculationQuantile complete, any running task older than
+// speculationMultiplier × the median successful duration becomes
 // speculatable. The median matches TaskSetManager.checkSpeculatableTasks:
 // a mean would let a single fast thor-class completion drag the threshold
 // down and trigger storms of false speculations on slower stack-class
@@ -346,7 +358,7 @@ func (rt *Runtime) scanForStragglers() {
 	now := rt.Eng.Now()
 	for _, st := range rt.sortedActiveStages() {
 		n := st.NumTasks()
-		if n <= 1 || float64(st.Completed()) < rt.Cfg.SpeculationQuantile*float64(n) {
+		if n <= 1 || float64(st.Completed()) < speculationQuantile*float64(n) {
 			continue
 		}
 		durs := rt.specDurs[:0]
@@ -359,7 +371,7 @@ func (rt *Runtime) scanForStragglers() {
 		if len(durs) == 0 {
 			continue
 		}
-		threshold := rt.Cfg.SpeculationMultiplier * stats.Median(durs)
+		threshold := speculationMultiplier * stats.Median(durs)
 		if threshold < 0.1 {
 			threshold = 0.1
 		}

@@ -114,7 +114,7 @@ func TestRepeatedFailuresBlacklistNode(t *testing.T) {
 		{Kind: faults.NodeCrash, Node: "slow", At: 1.5, Duration: 1.0},
 		{Kind: faults.NodeCrash, Node: "slow", At: 4.0, Duration: 1.0},
 	}}
-	res := faultedRun(t, plan, Config{Blacklist: BlacklistConfig{Enabled: true, MaxNodeFailures: 3}})
+	res := faultedRun(t, plan, Config{Blacklist: BlacklistConfig{Enabled: true}})
 	if res.Aborted != nil {
 		t.Fatalf("run aborted: %v", res.Aborted)
 	}
@@ -124,15 +124,26 @@ func TestRepeatedFailuresBlacklistNode(t *testing.T) {
 }
 
 func TestBlacklistExpires(t *testing.T) {
-	// With a short timeout the blacklisted node must become schedulable
-	// again: a second round of failures re-activates the blacklist.
+	// The blacklisted node must become schedulable again once the
+	// timeout has passed: two early crashes of slow blacklist it, and a
+	// flake window after the expiry re-activates the blacklist. Thirty
+	// uncached jobs keep tasks landing on slow for the whole run.
+	w := newWorld(t)
+	ctx := rdd.NewContext("long-app", w.store, 1)
+	in := w.store.CreateEven("in", 640*1e6, 16)
+	for i := 0; i < 30; i++ {
+		ctx.Read(in).Map("work", rdd.Profile{CPUPerByte: 20e-9, MemPerByte: 1}).Count("job")
+	}
 	plan := &faults.Schedule{Events: []faults.Event{
-		{Kind: faults.NodeCrash, Node: "slow", At: 1.5, Duration: 0.5},
-		{Kind: faults.NodeCrash, Node: "slow", At: 4.5, Duration: 0.5},
+		{Kind: faults.NodeCrash, Node: "slow", At: 0.5, Duration: 0.25},
+		{Kind: faults.NodeCrash, Node: "slow", At: 1.25, Duration: 0.25},
+		{Kind: faults.TaskFlake, Node: "slow", At: blacklistTimeout + 5, Duration: 10, Factor: 1},
 	}}
-	res := faultedRun(t, plan, Config{Blacklist: BlacklistConfig{
-		Enabled: true, MaxNodeFailures: 2, Timeout: 1.0,
-	}})
+	res := NewRuntime(w.eng, w.clu, NewDefaultScheduler(), Config{
+		Seed: 3, HeartbeatInterval: 0.25, HeartbeatTimeout: 1,
+		Blacklist: BlacklistConfig{Enabled: true},
+		Faults:    plan,
+	}).Run(ctx.App())
 	if res.Aborted != nil {
 		t.Fatalf("run aborted: %v", res.Aborted)
 	}

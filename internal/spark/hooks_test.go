@@ -2,6 +2,7 @@ package spark
 
 import (
 	"fmt"
+	"rupam/internal/faults"
 	"testing"
 
 	"rupam/internal/task"
@@ -64,8 +65,6 @@ func TestHooksSteerSharedRuntime(t *testing.T) {
 	)
 	rt = NewRuntimeOn(w.eng, w.clu, NewDefaultScheduler(), Config{
 		Seed: 3, WAL: wal.New(nil, wal.Options{}),
-		// Eager speculation, so losing copies end through the kill path.
-		SpeculationInterval: 0.25, SpeculationQuantile: 0.1, SpeculationMultiplier: 1.05,
 	}, sub, Hooks{
 		CanLaunch: func(node string) bool {
 			askedGPU = askedGPU || node == "gpu"
@@ -108,6 +107,11 @@ func TestHooksSteerSharedRuntime(t *testing.T) {
 		launchesAtCrash = rt.Launches
 		rt.CrashDriver(1)
 	})
+	// A CPU-throttled node makes stragglers, so speculative copies race
+	// and the losers end through the kill path.
+	faults.NewInjector(w.eng, w.clu, sub.Execs).Install(&faults.Schedule{Events: []faults.Event{
+		{Kind: faults.CPUDegrade, Node: "slow", At: 0.5, Duration: 10, Factor: 0.1},
+	}})
 	sub.Mon.Start()
 	rt.Start(simpleApp(w, 3))
 	w.eng.RunUntil(3600)

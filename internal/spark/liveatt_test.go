@@ -26,14 +26,15 @@ func checkLiveIndex(t *testing.T, rt *Runtime, when string) {
 
 // TestLiveAttemptIndexUnderKillsAndDriverCrash samples the index through
 // a run that kills attempts every way the driver sees: a fail-stop node,
-// flaky attempts, speculative losers, and a driver crash whose recovery
-// re-adopts the survivors.
+// flaky attempts, speculative losers (a CPU-throttled node makes the
+// stragglers), and a driver crash whose recovery re-adopts the survivors.
 func TestLiveAttemptIndexUnderKillsAndDriverCrash(t *testing.T) {
 	w := newWorld(t)
 	plan := &faults.Schedule{Events: []faults.Event{
 		{Kind: faults.TaskFlake, Node: "fast", At: 0.5, Duration: 3, Factor: 0.5},
 		{Kind: faults.NodeCrash, Node: "slow", At: 1.0, Duration: 1.0},
 		{Kind: faults.DriverCrash, At: 2.5, Duration: 0.5},
+		{Kind: faults.CPUDegrade, Node: "gpu", At: 0.5, Duration: 10, Factor: 0.1},
 	}}
 	recovered := false
 	var stream bytes.Buffer // the log retains only its tail; the mirror keeps every record
@@ -42,7 +43,6 @@ func TestLiveAttemptIndexUnderKillsAndDriverCrash(t *testing.T) {
 		WAL:               wal.New(&stream, wal.Options{}),
 		Seed:              3,
 		HeartbeatInterval: 0.25, HeartbeatTimeout: 1,
-		SpeculationInterval: 0.25, SpeculationQuantile: 0.1, SpeculationMultiplier: 1.05,
 		TaskMaxFailures: 8,
 		Faults:          plan,
 	}, nil, Hooks{Recovered: func(*wal.State) {

@@ -46,7 +46,7 @@ func TestExecutorSetChangeRelaxesStaleLevel(t *testing.T) {
 	sched := NewDefaultScheduler()
 	var rt *Runtime
 	sub := buildTestSubstrate(w, &rt)
-	rt = NewRuntimeOn(w.eng, w.clu, sched, Config{Seed: 1, LocalityWait: 60}, sub,
+	rt = NewRuntimeOn(w.eng, w.clu, sched, Config{Seed: 1}, sub,
 		Hooks{CanLaunch: func(n string) bool { return gate[n] }})
 
 	st := &task.Stage{ID: 5, Name: "craft", Tasks: []*task.Task{
@@ -87,7 +87,7 @@ func TestExecutorSetChangeUnstallsLocalityWait(t *testing.T) {
 
 		var rt *Runtime
 		sub := buildTestSubstrate(w, &rt)
-		rt = NewRuntimeOn(w.eng, w.clu, NewDefaultScheduler(), Config{Seed: 1, LocalityWait: 60}, sub,
+		rt = NewRuntimeOn(w.eng, w.clu, NewDefaultScheduler(), Config{Seed: 1}, sub,
 			Hooks{CanLaunch: func(n string) bool { return n != "fast" }})
 		sub.Mon.Start()
 		rt.Start(app)
@@ -104,10 +104,10 @@ func TestExecutorSetChangeUnstallsLocalityWait(t *testing.T) {
 
 	stalled := run(false)
 	unstalled := run(true)
-	if stalled <= 120 {
+	if stalled <= 2*localityWait {
 		t.Fatalf("stall scenario did not engage: finished in %.1fs, want > 2 locality waits", stalled)
 	}
-	if unstalled >= 60 {
+	if unstalled >= localityWait {
 		t.Fatalf("executor-set change did not re-arm the locality wait: %.1fs", unstalled)
 	}
 }

@@ -71,13 +71,16 @@ func TestBlacklistExpiryRestoredAcrossCrash(t *testing.T) {
 	// TTL from recovery time.
 	w := newWorld(t)
 	app := simpleApp(w, 3)
+	// Two crashes of slow kill enough attempts there to blacklist it
+	// before the driver crash.
 	plan := &faults.Schedule{Events: []faults.Event{
-		{Kind: faults.NodeCrash, Node: "slow", At: 1.0, Duration: 0.5},
+		{Kind: faults.NodeCrash, Node: "slow", At: 0.5, Duration: 0.25},
+		{Kind: faults.NodeCrash, Node: "slow", At: 1.25, Duration: 0.25},
 		{Kind: faults.DriverCrash, At: 2.5, Duration: 0.5},
 	}}
 	rt := NewRuntime(w.eng, w.clu, NewDefaultScheduler(), Config{
 		Seed: 3, HeartbeatInterval: 0.25, HeartbeatTimeout: 1,
-		Blacklist: BlacklistConfig{Enabled: true, MaxNodeFailures: 2, Timeout: 3.0},
+		Blacklist: BlacklistConfig{Enabled: true},
 		Faults:    plan,
 	})
 

@@ -25,21 +25,6 @@ import (
 // Config carries the framework's tunables; zero fields take the Spark
 // defaults noted per field.
 type Config struct {
-	// StaticHeapBytes is the executor heap the default scheduler uses on
-	// every node (the paper sets 14 GB to fit the 16 GB thor machines).
-	StaticHeapBytes int64
-	// LocalityWait is the delay-scheduling relaxation timeout per level
-	// (spark.locality.wait, default 3 s).
-	LocalityWait float64
-	// SpeculationInterval is how often stragglers are re-evaluated
-	// (default 0.5 s).
-	SpeculationInterval float64
-	// SpeculationQuantile is the completed fraction before speculation
-	// kicks in (default 0.75).
-	SpeculationQuantile float64
-	// SpeculationMultiplier times the median successful duration marks a
-	// straggler (default 1.5).
-	SpeculationMultiplier float64
 	// SpeculationMaxPerStage caps in-flight speculative copies per stage
 	// (0 = unlimited, the historical behavior). Under gray failures an
 	// uncapped speculation pass can clone most of a stage onto the
@@ -88,21 +73,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.StaticHeapBytes == 0 {
-		c.StaticHeapBytes = 14 * cluster.GB
-	}
-	if c.LocalityWait == 0 {
-		c.LocalityWait = 3
-	}
-	if c.SpeculationInterval == 0 {
-		c.SpeculationInterval = 0.5
-	}
-	if c.SpeculationQuantile == 0 {
-		c.SpeculationQuantile = 0.75
-	}
-	if c.SpeculationMultiplier == 0 {
-		c.SpeculationMultiplier = 1.5
-	}
 	if c.HeartbeatInterval == 0 {
 		c.HeartbeatInterval = 1
 	}
@@ -342,7 +312,7 @@ func NewRuntimeOn(eng *simx.Engine, clu *cluster.Cluster, sched Scheduler, cfg C
 		rt.Cache, rt.Execs, rt.Mon, rt.inj = sub.Cache, sub.Execs, sub.Mon, sub.Inj
 	}
 	if cfg.Blacklist.Enabled {
-		rt.bl = newBlacklist(eng, cfg.Blacklist)
+		rt.bl = newBlacklist(eng)
 	}
 	sched.Bind(rt)
 	return rt

@@ -160,13 +160,12 @@ func TestDefaultSchedulerPrefersLocality(t *testing.T) {
 
 func TestOOMRetryEventuallyCompletes(t *testing.T) {
 	w := newWorld(t)
-	cfg := Config{Seed: 3, StaticHeapBytes: 2 * cluster.GB}
-	rt := NewRuntime(w.eng, w.clu, NewDefaultScheduler(), cfg)
-	// Tasks of 1.5 GB peak: two co-located on a 2 GB heap must OOM and
-	// retry; all must eventually finish.
+	rt := NewRuntime(w.eng, w.clu, NewDefaultScheduler(), Config{Seed: 3})
+	// Tasks of 10 GB peak: two co-located on the static 14 GB heap must
+	// OOM and retry; all must eventually finish.
 	ctx := rdd.NewContext("oomy", w.store, 4)
 	ctx.Read(w.store.CreateEven("oom-in", 80*1e6, 8)).
-		Map("m", rdd.Profile{CPUPerByte: 100e-9, MemBase: 1500 * cluster.MB}).
+		Map("m", rdd.Profile{CPUPerByte: 100e-9, MemBase: 10 * cluster.GB}).
 		Count("j")
 	res := rt.Run(ctx.App())
 	if res.OOMs == 0 {

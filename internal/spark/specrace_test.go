@@ -8,21 +8,22 @@ import (
 )
 
 // TestHeartbeatRejoinRaceSingleCompletion partitions a node mid-stage
-// under aggressive speculation: the watchdog declares it lost and kills
-// its attempts, speculative copies of stragglers race on the surviving
-// nodes, and the node rejoins while copies are still in flight. However
-// the races resolve, each task may be counted complete exactly once and
-// every loser's slot must be released.
+// while a CPU-throttled node makes stragglers: the watchdog declares the
+// partitioned node lost and kills its attempts, speculative copies of
+// stragglers race on the surviving nodes, and the node rejoins while
+// copies are still in flight. However the races resolve, each task may
+// be counted complete exactly once and every loser's slot must be
+// released.
 func TestHeartbeatRejoinRaceSingleCompletion(t *testing.T) {
 	w := newWorld(t)
 	app := simpleApp(w, 3)
 	plan := &faults.Schedule{Events: []faults.Event{
 		{Kind: faults.HeartbeatLoss, Node: "slow", At: 1.5, Duration: 2.5},
+		{Kind: faults.CPUDegrade, Node: "gpu", At: 0.5, Duration: 10, Factor: 0.1},
 	}}
 	rt := NewRuntime(w.eng, w.clu, NewDefaultScheduler(), Config{
 		Seed:              3,
 		HeartbeatInterval: 0.25, HeartbeatTimeout: 1,
-		SpeculationInterval: 0.25, SpeculationQuantile: 0.1, SpeculationMultiplier: 1.05,
 		Faults: plan,
 	})
 	res := rt.Run(app)

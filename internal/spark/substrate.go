@@ -30,7 +30,7 @@ type SubstrateOptions struct {
 	// Seed is the framework seed; node i's executor draws from
 	// Seed + i*7919 over the cluster's node order.
 	Seed uint64
-	// HeapFor sizes each node's executor heap; nil uses a static 14 GB.
+	// HeapFor sizes each node's executor heap; nil uses StaticHeapBytes.
 	HeapFor func(*cluster.Node) int64
 	// HeartbeatInterval is the monitor period; 0 means 1 s.
 	HeartbeatInterval float64
@@ -52,7 +52,7 @@ type SubstrateOptions struct {
 func NewSubstrate(eng *simx.Engine, clu *cluster.Cluster, o SubstrateOptions) *Substrate {
 	heapFor := o.HeapFor
 	if heapFor == nil {
-		heapFor = func(*cluster.Node) int64 { return 14 * cluster.GB }
+		heapFor = func(*cluster.Node) int64 { return StaticHeapBytes }
 	}
 	cache := executor.NewCacheTracker()
 	execs := make(map[string]*executor.Executor)

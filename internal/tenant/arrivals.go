@@ -1,7 +1,6 @@
 package tenant
 
 import (
-	"fmt"
 	"math"
 
 	"rupam/internal/stats"
@@ -29,13 +28,9 @@ type AppMix struct {
 type ArrivalConfig struct {
 	// Count is how many applications arrive in total (default 10).
 	Count int
-	// MeanGap is the mean inter-arrival time in seconds (default 30).
+	// MeanGap is the mean inter-arrival time in seconds (default 30); the
+	// gaps are exponential (a Poisson process).
 	MeanGap float64
-	// Distribution shapes the gaps: "exp" (Poisson process, default),
-	// "uniform" (0.5–1.5 × MeanGap), or "fixed".
-	Distribution string
-	// Mix is the workload mix; empty takes DefaultMix.
-	Mix []AppMix
 }
 
 func (a ArrivalConfig) withDefaults() ArrivalConfig {
@@ -44,12 +39,6 @@ func (a ArrivalConfig) withDefaults() ArrivalConfig {
 	}
 	if a.MeanGap == 0 {
 		a.MeanGap = 30
-	}
-	if a.Distribution == "" {
-		a.Distribution = "exp"
-	}
-	if len(a.Mix) == 0 {
-		a.Mix = DefaultMix()
 	}
 	return a
 }
@@ -81,49 +70,30 @@ type arrival struct {
 	params   workloads.Params
 }
 
-// drawArrivals materializes the whole arrival stream from the seed.
+// drawArrivals materializes the whole arrival stream from the seed: each
+// arrival draws its gap, then its DefaultMix entry by weight.
 func drawArrivals(seed uint64, cfg ArrivalConfig) []arrival {
 	rng := stats.NewRand(seed*9176 + 13)
+	mix := DefaultMix()
 	var totalW float64
-	for _, mx := range cfg.Mix {
-		w := mx.Weight
-		if w <= 0 {
-			w = 1
-		}
-		totalW += w
+	for _, mx := range mix {
+		totalW += mx.Weight
 	}
 	out := make([]arrival, cfg.Count)
 	t := 0.0
 	for i := range out {
-		t += drawGap(rng, cfg)
+		// Inverse-CDF exponential; 1-U keeps the argument in (0,1].
+		t += -cfg.MeanGap * math.Log(1-rng.Float64())
 		pick := rng.Float64() * totalW
-		mx := cfg.Mix[len(cfg.Mix)-1]
-		for _, c := range cfg.Mix {
-			w := c.Weight
-			if w <= 0 {
-				w = 1
-			}
-			if pick < w {
+		mx := mix[len(mix)-1]
+		for _, c := range mix {
+			if pick < c.Weight {
 				mx = c
 				break
 			}
-			pick -= w
+			pick -= c.Weight
 		}
 		out[i] = arrival{at: t, workload: mx.Workload, pool: mx.Pool, params: mx.Params}
 	}
 	return out
-}
-
-func drawGap(rng *stats.Rand, cfg ArrivalConfig) float64 {
-	switch cfg.Distribution {
-	case "exp":
-		// Inverse-CDF exponential; 1-U keeps the argument in (0,1].
-		return -cfg.MeanGap * math.Log(1-rng.Float64())
-	case "uniform":
-		return cfg.MeanGap * (0.5 + rng.Float64())
-	case "fixed":
-		return cfg.MeanGap
-	default:
-		panic(fmt.Sprintf("tenant: unknown arrival distribution %q", cfg.Distribution))
-	}
 }

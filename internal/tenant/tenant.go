@@ -55,12 +55,6 @@ type Config struct {
 	// Arrivals parameterizes the open-loop generator; zero fields take
 	// defaults (see ArrivalConfig).
 	Arrivals ArrivalConfig
-	// MaxConcurrentApps bounds simultaneously running applications
-	// (admission control; default 4).
-	MaxConcurrentApps int
-	// MaxPendingApps bounds the admission queue; an arrival past it is
-	// rejected, never silently dropped (default 8).
-	MaxPendingApps int
 	// Spark carries per-application framework overrides.
 	Spark spark.Config
 	// Faults, when non-empty, is installed once over the shared cluster;
@@ -73,27 +67,25 @@ type Config struct {
 	// Tracer, when non-nil, records the structured multi-application
 	// trace (app lifecycle, leases, pool-scoped decisions).
 	Tracer *tracing.Collector
-	// PrivateCharDB gives each RUPAM application its own characteristics
-	// database instead of the shared (externally persisted) one,
-	// disabling cross-application warm-starts.
-	PrivateCharDB bool
 }
 
-// maxSimTime is the livelock watchdog: a run whose virtual clock exceeds
-// it, four simulated hours, panics.
-const maxSimTime float64 = 14400
+// Admission control and the livelock watchdog.
+const (
+	// maxConcurrentApps bounds simultaneously running applications.
+	maxConcurrentApps = 4
+	// maxPendingApps bounds the admission queue; an arrival past it is
+	// rejected, never silently dropped.
+	maxPendingApps = 8
+	// maxSimTime is four simulated hours: a run whose virtual clock
+	// exceeds it panics.
+	maxSimTime float64 = 14400
+)
 
 func (c Config) withDefaults() Config {
 	if c.Scheduler == "" {
 		c.Scheduler = "spark"
 	}
 	c.Arrivals = c.Arrivals.withDefaults()
-	if c.MaxConcurrentApps == 0 {
-		c.MaxConcurrentApps = 4
-	}
-	if c.MaxPendingApps == 0 {
-		c.MaxPendingApps = 8
-	}
 	return c
 }
 
@@ -144,7 +136,7 @@ type Manager struct {
 	clu *cluster.Cluster
 	sub *spark.Substrate
 
-	sharedDB *core.CharDB // non-nil for shared-CharDB RUPAM runs
+	sharedDB *core.CharDB // every RUPAM application's characteristics; nil under spark
 
 	capacity  int // total cluster cores
 	nodeOrder []string
@@ -198,11 +190,6 @@ func NewManager(cfg Config) *Manager {
 	if cfg.Scheduler != "spark" && cfg.Scheduler != "rupam" {
 		panic(fmt.Sprintf("tenant: unknown scheduler %q", cfg.Scheduler))
 	}
-	for _, mx := range cfg.Arrivals.Mix {
-		if !workloads.Known(mx.Workload) {
-			panic(fmt.Sprintf("tenant: unknown workload %q in arrival mix", mx.Workload))
-		}
-	}
 	return &Manager{cfg: cfg}
 }
 
@@ -242,7 +229,7 @@ func (m *Manager) start() {
 	}
 
 	m.buildSubstrate()
-	if m.cfg.Scheduler == "rupam" && !m.cfg.PrivateCharDB {
+	if m.cfg.Scheduler == "rupam" {
 		m.sharedDB = core.NewCharDB()
 	}
 
@@ -300,11 +287,7 @@ func (m *Manager) heapPolicy() func(*cluster.Node) int64 {
 		sizer := core.New(core.Config{})
 		return sizer.HeapFor
 	}
-	static := m.cfg.Spark.StaticHeapBytes
-	if static == 0 {
-		static = 14 * cluster.GB
-	}
-	return func(*cluster.Node) int64 { return static }
+	return func(*cluster.Node) int64 { return spark.StaticHeapBytes }
 }
 
 // activeApps returns the running applications in arrival order — the
@@ -336,10 +319,10 @@ func (m *Manager) onArrival(i int) {
 	m.arrived++
 	m.cfg.Tracer.AppArrived(a.label, a.pool, a.workload)
 	switch {
-	case len(m.running) < m.cfg.MaxConcurrentApps && len(m.pending) == 0:
+	case len(m.running) < maxConcurrentApps && len(m.pending) == 0:
 		m.admitted++
 		m.startApp(a)
-	case len(m.pending) < m.cfg.MaxPendingApps:
+	case len(m.pending) < maxPendingApps:
 		m.admitted++
 		m.pending = append(m.pending, a)
 		m.cfg.Tracer.AppAdmitted(a.label, a.pool, len(m.pending))
@@ -390,11 +373,7 @@ func (m *Manager) startApp(a *appState) {
 
 	var sched spark.Scheduler
 	if m.cfg.Scheduler == "rupam" {
-		if m.sharedDB != nil {
-			sched = core.NewWithDB(core.Config{}, m.sharedDB)
-		} else {
-			sched = core.New(core.Config{})
-		}
+		sched = core.NewWithDB(core.Config{}, m.sharedDB)
 	} else {
 		sched = spark.NewDefaultScheduler()
 	}
@@ -451,7 +430,7 @@ func (m *Manager) appFinished(a *appState) {
 // tryStartPending drains the admission queue into free concurrency slots
 // (FIFO).
 func (m *Manager) tryStartPending() {
-	for len(m.running) < m.cfg.MaxConcurrentApps && len(m.pending) > 0 {
+	for len(m.running) < maxConcurrentApps && len(m.pending) > 0 {
 		a := m.pending[0]
 		m.pending = m.pending[1:]
 		m.startApp(a)

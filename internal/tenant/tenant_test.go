@@ -4,9 +4,12 @@ import (
 	"reflect"
 	"testing"
 
+	"rupam/internal/cluster"
 	"rupam/internal/core"
 	"rupam/internal/faults"
 	"rupam/internal/hdfs"
+	"rupam/internal/simx"
+	"rupam/internal/spark"
 	"rupam/internal/workloads"
 )
 
@@ -76,15 +79,9 @@ func TestTenancyDeterminism(t *testing.T) {
 // rejections and a bounded queue.
 func TestAdmissionControl(t *testing.T) {
 	cfg := Config{
-		Scheduler:         "spark",
-		Seed:              3,
-		MaxConcurrentApps: 1,
-		MaxPendingApps:    1,
-		Arrivals: ArrivalConfig{
-			Count: 6, MeanGap: 1, Distribution: "fixed",
-			Mix: []AppMix{{Workload: "PR", Pool: "analytics", Weight: 1,
-				Params: workloads.Params{InputGB: 0.5, Partitions: 16, Iterations: 2}}},
-		},
+		Scheduler: "spark",
+		Seed:      3,
+		Arrivals:  ArrivalConfig{Count: 20, MeanGap: 0.5},
 	}
 	rep := NewManager(cfg).Run()
 	if len(rep.Violations) != 0 {
@@ -111,28 +108,23 @@ func TestAdmissionControl(t *testing.T) {
 // TestSharedCharDBWarmStart is the cross-application learning check: with
 // the shared characteristics database, the second instance of a workload
 // launches far fewer uncharacterized (never-observed) tasks than the
-// first, because the first app's observations persist.
+// first, because the first app's observations persist. Seed 6 draws two
+// PageRank arrivals, the second long after the first has finished.
 func TestSharedCharDBWarmStart(t *testing.T) {
 	cfg := Config{
 		Scheduler: "rupam",
-		Seed:      5,
-		Arrivals: ArrivalConfig{
-			Count: 2, MeanGap: 400, Distribution: "fixed",
-			Mix: []AppMix{{Workload: "PR", Pool: "analytics", Weight: 1,
-				Params: workloads.Params{InputGB: 0.5, Partitions: 16, Iterations: 2}}},
-		},
+		Seed:      6,
+		Arrivals:  ArrivalConfig{Count: 2, MeanGap: 400},
 	}
-	rep := NewManager(cfg).Run()
+	m := NewManager(cfg)
+	rep := m.Run()
 	if len(rep.Violations) != 0 {
 		t.Fatalf("violations: %v", rep.Violations)
 	}
-	m2 := NewManager(cfg)
-	m2.cfg.PrivateCharDB = true
-	rep2 := m2.Run()
-	if len(rep2.Violations) != 0 {
-		t.Fatalf("violations (private DB): %v", rep2.Violations)
+	runs := m.AppRuns()
+	if len(runs) != 2 || runs[0].Record.Workload != "PR" || runs[1].Record.Workload != "PR" {
+		t.Fatalf("seed 6 no longer draws two PageRank runs: %+v", rep.Apps)
 	}
-
 	uncharacterized := func(m *Manager) []int {
 		var out []int
 		for _, run := range m.AppRuns() {
@@ -151,9 +143,6 @@ func TestSharedCharDBWarmStart(t *testing.T) {
 		t.Fatalf("warm-start rerun not deterministic")
 	}
 	shared := uncharacterized(mShared)
-	if len(shared) != 2 {
-		t.Fatalf("expected 2 app runs, got %d", len(shared))
-	}
 	if shared[0] == 0 {
 		t.Fatal("first app launched zero uncharacterized tasks (counter broken?)")
 	}
@@ -162,12 +151,19 @@ func TestSharedCharDBWarmStart(t *testing.T) {
 			shared[0], shared[1])
 	}
 
-	mPriv := NewManager(cfg)
-	mPriv.cfg.PrivateCharDB = true
-	mPriv.Run()
-	private := uncharacterized(mPriv)
-	if private[1] < shared[1] {
-		t.Fatalf("private DBs warm-started better than the shared one: %d < %d", private[1], shared[1])
+	// A private database is an empty one: the second application run
+	// alone from a cold start must not beat its shared-database run.
+	eng := simx.NewEngine()
+	clu := cluster.NewHydra(cluster.New(eng))
+	app := BuildApp(clu, cfg.Seed, "PR", DefaultMix()[0].Params, 2*IDSpan)
+	cold := core.New(core.Config{})
+	res := spark.NewRuntime(eng, clu, cold, spark.Config{Seed: cfg.Seed*31 + 7 + 1013, SampleInterval: -1}).Run(app)
+	if res.Aborted != nil {
+		t.Fatalf("cold run aborted: %v", res.Aborted)
+	}
+	if cold.UncharacterizedLaunches < shared[1] {
+		t.Fatalf("a private DB warm-started better than the shared one: %d < %d",
+			cold.UncharacterizedLaunches, shared[1])
 	}
 }
 

@@ -28,7 +28,7 @@ func FuzzRecordFraming(f *testing.F) {
 			Bytes: nbytes, Spec: spec, Outcome: outcome, Until: until, Inc: inc, Slots: slots,
 			Key: key, Reason: reason, CharDB: chardb, Snapshot: snapshot,
 		}
-		l := New(nil, Options{SnapshotEvery: -1, Clock: func() float64 { return tm }})
+		l := New(nil, Options{Clock: func() float64 { return tm }})
 		l.seq = seq - 1
 		l.Append(r)
 		r.Seq, r.T = seq, tm
@@ -164,9 +164,10 @@ func TestCmpDecimalOrdersLikeStrings(t *testing.T) {
 	}
 }
 
-// snapshotAllocBudget is the allocation ceiling of one record plus the
-// snapshot it triggers, on a log whose encoder scratch is warmed and
-// whose buffer is pre-grown: the state is encoded in place.
+// snapshotAllocBudget is the allocation ceiling of one checkpoint
+// interval, its records plus the snapshot the last one triggers, on a log
+// whose encoder scratch is warmed and whose buffer is pre-grown: the
+// state is encoded in place.
 const snapshotAllocBudget = 0
 
 // raceEnabled reports a -race build (race_test.go). The race detector
@@ -176,7 +177,7 @@ const snapshotAllocBudget = 0
 var raceEnabled bool
 
 func TestSnapshotAllocBudget(t *testing.T) {
-	l := New(nil, Options{SnapshotEvery: 1, Clock: func() float64 { return 2.5 }})
+	l := New(nil, Options{Clock: func() float64 { return 2.5 }})
 	for i := range 40 {
 		node := []string{"fast", "slow", "<gpu>"}[i%3]
 		l.Append(Record{Kind: KindStageSubmitted, Stage: i % 7})
@@ -187,25 +188,33 @@ func TestSnapshotAllocBudget(t *testing.T) {
 		l.Append(Record{Kind: KindClaimProposed, Key: "d0:" + strconv.Itoa(i), Task: i, Node: node, Slots: 1})
 	}
 	l.Append(Record{Kind: KindBlacklistAdd, Node: "slow", Until: 64.25})
+	// Close the interval the history left open, so the encoder has
+	// written a snapshot of the whole state and the next interval starts.
+	for l.since != 0 {
+		l.Append(Record{Kind: KindSpecMarked, Task: 7, Stage: 3})
+	}
 	buf := make([]byte, len(l.buf), len(l.buf)+1<<20)
 	copy(buf, l.buf)
 	l.buf = buf
 	before := l.Seq()
 	const runs = 50
 	n := testing.AllocsPerRun(runs, func() {
-		l.Append(Record{Kind: KindSpecMarked, Task: 7, Stage: 3})
+		for range snapshotEvery {
+			l.Append(Record{Kind: KindSpecMarked, Task: 7, Stage: 3})
+		}
 	})
 	if err := l.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Seq() - before; got != 2*(runs+1) {
-		t.Fatalf("measured appends wrote %d records, want %d record+snapshot pairs", got, runs+1)
+	if got := l.Seq() - before; got != (snapshotEvery+1)*(runs+1) {
+		t.Fatalf("measured appends wrote %d records, want %d intervals of %d records and a snapshot",
+			got, runs+1, snapshotEvery)
 	}
 	recs, err := ReadRecords(bytes.NewReader(l.Bytes()))
 	if err != nil || len(recs) != 1 || recs[0].Kind != KindSnapshot || recs[0].Seq != l.Seq() {
 		t.Fatalf("retained tail holds %d records (%v), want the last append's snapshot", len(recs), err)
 	}
 	if n > snapshotAllocBudget && !raceEnabled {
-		t.Fatalf("Append with a snapshot allocates %v times, budget %d", n, snapshotAllocBudget)
+		t.Fatalf("a checkpoint interval allocates %v times, budget %d", n, snapshotAllocBudget)
 	}
 }

@@ -97,17 +97,14 @@ type Record struct {
 
 // Options configures a Log.
 type Options struct {
-	// SnapshotEvery is the checkpoint cadence: a full state snapshot is
-	// appended after this many records. 0 uses the default (128); negative
-	// disables snapshots (pure log).
-	SnapshotEvery int
 	// Clock supplies virtual-clock timestamps for appended records. Nil
 	// stamps zero times (unit tests).
 	Clock func() float64
 }
 
-// DefaultSnapshotEvery is the checkpoint cadence when Options leaves it 0.
-const DefaultSnapshotEvery = 128
+// snapshotEvery is the checkpoint cadence: a full state snapshot is
+// appended after this many records.
+const snapshotEvery = 128
 
 // Log is an append-only WAL writer. In memory it retains only the tail
 // recovery reads: the last snapshot line and the records written after it
@@ -126,18 +123,13 @@ type Log struct {
 	err     error
 	seq     uint64
 	since   int
-	every   int
 	clock   func() float64
 	state   *State
 }
 
 // New creates a Log. out may be nil for an in-memory-only log.
 func New(out io.Writer, opts Options) *Log {
-	every := opts.SnapshotEvery
-	if every == 0 {
-		every = DefaultSnapshotEvery
-	}
-	return &Log{out: out, stream: digest.New(), every: every, clock: opts.Clock, state: NewState()}
+	return &Log{out: out, stream: digest.New(), clock: opts.Clock, state: NewState()}
 }
 
 // SetClock replaces the log's timestamp source. The runtime installs its
@@ -172,7 +164,7 @@ func (l *Log) append(r Record) {
 	}
 	l.state.Apply(&r)
 	l.since++
-	if l.every > 0 && l.since >= l.every {
+	if l.since >= snapshotEvery {
 		start = l.beginLine()
 		l.buf, err = l.enc.appendSnapshot(l.buf, l.seq+1, r.T, l.state)
 		if !l.endLine(start, err, "snapshot") {

@@ -14,10 +14,22 @@ import (
 // scriptedLog appends a representative driver history: two stages, a
 // launch/success cycle with map-output registration, a failure with
 // blacklist activation, an executor loss with rollback, and a CharDB put.
-func scriptedLog(t *testing.T, snapshotEvery int) *Log {
+// With snapAfter > 0, audit-only records stamped at time zero come first,
+// so that the checkpoint lands right after the history's snapAfter-th
+// record; the history itself and its timestamps are the same either way.
+func scriptedLog(t *testing.T, snapAfter int) *Log {
 	t.Helper()
-	now := 0.0
-	l := New(nil, Options{SnapshotEvery: snapshotEvery, Clock: func() float64 { now += 0.5; return now }})
+	now, ticking := 0.0, false
+	l := New(nil, Options{Clock: func() float64 {
+		if ticking {
+			now += 0.5
+		}
+		return now
+	}})
+	if snapAfter > 0 {
+		padAudit(l, snapshotEvery-snapAfter)
+	}
+	ticking = true
 	l.Append(Record{Kind: KindJobSubmitted, Job: 0})
 	l.Append(Record{Kind: KindStageSubmitted, Stage: 0, Job: 0})
 	l.Append(Record{Kind: KindStageSubmitted, Stage: 1, Job: 0})
@@ -42,8 +54,16 @@ func scriptedLog(t *testing.T, snapshotEvery int) *Log {
 	return l
 }
 
+// padAudit appends n audit-only records, which change no replayed state
+// but count toward the checkpoint cadence.
+func padAudit(l *Log, n int) {
+	for range n {
+		l.Append(Record{Kind: KindSpecMarked, Task: -1})
+	}
+}
+
 func TestReplayFoldsHistory(t *testing.T) {
-	l := scriptedLog(t, -1)
+	l := scriptedLog(t, 0)
 	s, n, err := Replay(bytes.NewReader(l.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +127,7 @@ func TestSnapshotPlusTailEqualsFullReplay(t *testing.T) {
 	// The same history logged with and without checkpoints must replay to
 	// the same state: snapshots are an optimization, not a semantic.
 	snap := scriptedLog(t, 3)
-	flat := scriptedLog(t, -1)
+	flat := scriptedLog(t, 0)
 	recs, err := ReadRecords(bytes.NewReader(snap.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +139,7 @@ func TestSnapshotPlusTailEqualsFullReplay(t *testing.T) {
 		}
 	}
 	if nsnaps == 0 {
-		t.Fatal("cadence 3 produced no snapshot records")
+		t.Fatal("the padded history produced no snapshot record")
 	}
 	a, _, err := Replay(bytes.NewReader(snap.Bytes()))
 	if err != nil {
@@ -138,7 +158,7 @@ func TestSnapshotPlusTailEqualsFullReplay(t *testing.T) {
 }
 
 func TestReplayStopsAtTornTail(t *testing.T) {
-	l := scriptedLog(t, -1)
+	l := scriptedLog(t, 0)
 	full := l.Bytes()
 	fullState, fullN, err := Replay(bytes.NewReader(full))
 	if err != nil {
@@ -193,15 +213,16 @@ func TestNilLogIsNoOp(t *testing.T) {
 }
 
 // liveAppendAllocBudget is the per-record allocation ceiling of a live
-// log with snapshots off and the log pre-grown: the record stays on the
+// log between checkpoints with the log pre-grown: the record stays on the
 // stack and the framing path encodes in place.
 const liveAppendAllocBudget = 0
 
 func TestLiveAppendAllocBudget(t *testing.T) {
-	l := New(nil, Options{SnapshotEvery: -1, Clock: func() float64 { return 12.5 }})
+	l := New(nil, Options{Clock: func() float64 { return 12.5 }})
 	l.buf = make([]byte, 0, 1<<20)
 	l.Append(Record{Kind: KindSpecMarked, Task: 7, Stage: 3})
-	n := testing.AllocsPerRun(200, func() {
+	// AllocsPerRun appends runs+1 records, all before the first checkpoint.
+	n := testing.AllocsPerRun(snapshotEvery-3, func() {
 		l.Append(Record{Kind: KindSpecMarked, Task: 7, Stage: 3})
 	})
 	if n > liveAppendAllocBudget {
@@ -245,15 +266,20 @@ func TestFramingMatchesMarshalSprintf(t *testing.T) {
 	snapshot := json.RawMessage(`{"seq": 1, "t": 0.5, "job_idx": 0,
 		"chardb": {"a|0": {"x": "<&>"}}, "counters": {"launches": 2}}`)
 
+	// One log per kind keeps each below the checkpoint cadence; the logs
+	// share the sink and continue one another's sequence.
 	var sink bytes.Buffer
 	calls := 0
-	l := New(&sink, Options{SnapshotEvery: -1, Clock: func() float64 {
+	clock := func() float64 {
 		calls++
 		return times[calls%len(times)]
-	}})
+	}
 	var want strings.Builder
 	var seq uint64
 	for i, kind := range kinds {
+		l := New(&sink, Options{Clock: clock})
+		l.seq = seq
+		var wantKind strings.Builder
 		for j, s := range strs {
 			r := Record{
 				Kind: kind, Job: i, Stage: -j, Task: i * j, Index: j, Node: s,
@@ -272,16 +298,17 @@ func TestFramingMatchesMarshalSprintf(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want.WriteString(line)
+			wantKind.WriteString(line)
 		}
+		if err := l.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if got := string(l.Bytes()); got != wantKind.String() {
+			t.Fatalf("mirror framing differs from Marshal+Sprintf:\n got %q\nwant %q", got, wantKind.String())
+		}
+		want.WriteString(wantKind.String())
 	}
-	if err := l.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(l.Bytes()); got != want.String() {
-		t.Fatalf("mirror framing differs from Marshal+Sprintf:\n got %q\nwant %q", got, want.String())
-	}
-	if !bytes.Equal(sink.Bytes(), l.Bytes()) {
+	if sink.String() != want.String() {
 		t.Fatal("external writer diverged from the mirror")
 	}
 }
@@ -292,7 +319,8 @@ func TestFramingMatchesMarshalSprintf(t *testing.T) {
 func TestMirrorWriterReceivesSameBytes(t *testing.T) {
 	var sink bytes.Buffer
 	now := 0.0
-	l := New(&sink, Options{SnapshotEvery: 2, Clock: func() float64 { now++; return now }})
+	l := New(&sink, Options{Clock: func() float64 { now++; return now }})
+	padAudit(l, snapshotEvery-2)
 	l.Append(Record{Kind: KindJobSubmitted, Job: 0})
 	l.Append(Record{Kind: KindStageSubmitted, Stage: 0})
 	l.Append(Record{Kind: KindTaskLaunched, Task: 1, Stage: 0, Node: "fast"})
@@ -307,13 +335,13 @@ func TestMirrorWriterReceivesSameBytes(t *testing.T) {
 	if !bytes.HasSuffix(sink.Bytes(), l.Bytes()) || len(l.Bytes()) >= sink.Len() {
 		t.Fatalf("retained tail (%d bytes) is not a proper suffix of the %d-byte stream", len(l.Bytes()), sink.Len())
 	}
-	if !bytes.HasPrefix(l.Bytes()[9:], []byte(`{"seq":3,"t":2,"kind":"snapshot"`)) {
+	if !bytes.HasPrefix(l.Bytes()[9:], []byte(`{"seq":129,"t":128,"kind":"snapshot"`)) {
 		t.Fatalf("retained tail does not start at the snapshot:\n%s", l.Bytes())
 	}
 }
 
 func TestClaimFold(t *testing.T) {
-	l := New(nil, Options{SnapshotEvery: -1})
+	l := New(nil, Options{})
 	l.Append(Record{Kind: KindClaimProposed, Key: "d0:3", Task: 10, Node: "fast", Slots: 1})
 	l.Append(Record{Kind: KindClaimProposed, Key: "d0:4", Task: 11, Node: "slow", Slots: 2})
 	l.Append(Record{Kind: KindClaimProposed, Key: "d0:5", Task: 12, Node: "gpu", Slots: 1})
@@ -359,7 +387,7 @@ func TestClaimFold(t *testing.T) {
 	}
 
 	// Committing or binding an unknown claim is a tolerated no-op (total fold).
-	l2 := New(nil, Options{SnapshotEvery: -1})
+	l2 := New(nil, Options{})
 	l2.Append(Record{Kind: KindClaimCommitted, Key: "d9:1"})
 	l2.Append(Record{Kind: KindClaimBound, Key: "d9:2"})
 	l2.Append(Record{Kind: KindClaimAborted, Key: "d9:3"})
@@ -374,7 +402,8 @@ func TestClaimFold(t *testing.T) {
 
 func TestClaimSnapshotRoundTrip(t *testing.T) {
 	// A snapshot taken with live claims must restore them exactly.
-	l := New(nil, Options{SnapshotEvery: 2})
+	l := New(nil, Options{})
+	padAudit(l, snapshotEvery-2)
 	l.Append(Record{Kind: KindClaimProposed, Key: "d2:7", Task: 3, Node: "fast", Slots: 1})
 	l.Append(Record{Kind: KindClaimCommitted, Key: "d2:7"}) // snapshot lands after this
 	l.Append(Record{Kind: KindTaskLaunched, Task: 3, Stage: 0, Node: "fast"})
@@ -462,11 +491,10 @@ func retentionRecord(i int) Record {
 }
 
 // TestRetentionBounded is the bounded-memory gate of truncation at
-// checkpoints: over 24k records at the default cadence, the retained tail
-// never exceeds the last snapshot line plus DefaultSnapshotEvery of the
-// longest record line, the buffer's capacity stops growing once the state
-// does, and a warm log appends across a snapshot boundary without
-// allocating.
+// checkpoints: over 24k records, the retained tail never exceeds the last
+// snapshot line plus snapshotEvery of the longest record line, the
+// buffer's capacity stops growing once the state does, and a warm log
+// appends across a snapshot boundary without allocating.
 func TestRetentionBounded(t *testing.T) {
 	now := 0.0
 	l := New(nil, Options{Clock: func() float64 { now += 0.25; return now }})
@@ -481,7 +509,7 @@ func TestRetentionBounded(t *testing.T) {
 			line -= snapLine
 		}
 		maxRecord = max(maxRecord, line)
-		if bound := snapLine + DefaultSnapshotEvery*maxRecord; len(l.Bytes()) > bound {
+		if bound := snapLine + snapshotEvery*maxRecord; len(l.Bytes()) > bound {
 			t.Fatalf("record %d: %d bytes retained, bound %d (snapshot line %d, longest record %d)",
 				i, len(l.Bytes()), bound, snapLine, maxRecord)
 		}
@@ -503,7 +531,7 @@ func TestRetentionBounded(t *testing.T) {
 	// state's maps do not allocate; launches and CharDB puts copy.
 	i := records
 	n := testing.AllocsPerRun(5, func() {
-		for range DefaultSnapshotEvery + 2 {
+		for range snapshotEvery + 2 {
 			for i%8 == 1 || i%8 == 4 || i%8 == 5 {
 				i++
 			}
