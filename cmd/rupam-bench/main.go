@@ -12,37 +12,36 @@
 // the raw series behind Figures 2, 3 and 9 are also written as CSV files
 // into DIR for replotting. Every sweep below runs -seeds consecutive
 // seeds starting at -seed; -seeds 0 takes the sweep's own default count
-// (defaultSeeds). The faults experiment (PageRank under a seeded
-// fault plan, both schedulers), the chaos experiment (a soak sweep with
-// invariant checking; -json writes the full report),
-// the recovery experiment (a driver-crash sweep checking
-// each crashed-and-recovered run against its unfailed reference)
-// and the tracesanity experiment (traced runs under both schedulers with
-// trace-format, determinism, decision-audit and critical-path invariant
-// checks) must be requested explicitly — none is part of "all", which
-// stays fault-free and byte-reproducible. The tenancy experiment
-// (open-loop arrival streams per scheduler on the shared
-// cluster, reporting per-pool throughput, latency percentiles and
-// slowdown versus isolated runs; -csv writes tenancy_pools.csv, -json the
-// full report, and any invariant violation exits nonzero) is likewise
-// explicit-only. So are the two elastic-substrate sweeps: the preempt
-// experiment (a preemption soak on the elastic instance
-// market, auditing the graceful-drain protocol end to end) and the elastic
-// experiment (the cost-vs-makespan Pareto sweep over acquisition policies
-// under identical reclamation plans; -csv writes elastic_pareto.csv, -json
-// the full report, and any frontier or invariant violation exits nonzero).
-// The federation experiment runs the two-phase placement protocol's
-// acceptance battery and a soak (multi-driver runs
-// under driver crashes, agent crash/restart episodes and an unreliable
-// control plane; -json writes the report), then the 1/2/4-driver scaling
-// sweep with its agent-churn column gating makespan under agent faults
-// within a tuned envelope of fault-free (-csv writes federation_scale.csv
-// and federation_agent_churn.csv); it is likewise explicit-only. The streaming
-// experiment sweeps seeded operator topologies under
-// every placement policy on the heterogeneous cluster and gates on the
-// paper's ordering — RUPAM's demand-vector placement must sustain at
-// least the throughput of Storm-style resource-aware placement, which
-// must sustain at least blind round-robin (-csv writes
+// (defaultSeeds). The faults experiment (PageRank under a seeded fault
+// plan, both schedulers), the chaos experiment (a soak sweep with
+// invariant checking; -json writes the full report), the recovery
+// experiment (a driver-crash sweep checking each crashed-and-recovered
+// run against its unfailed reference) and the tracesanity experiment
+// (traced runs under both schedulers with trace-format, determinism,
+// decision-audit and critical-path invariant checks) must be requested
+// explicitly — none is part of "all", which stays fault-free and
+// byte-reproducible. The tenancy experiment (open-loop arrival streams
+// per scheduler on the shared cluster, reporting per-pool throughput,
+// latency percentiles and slowdown versus isolated runs; -csv writes
+// tenancy_pools.csv, -json the full report, and any invariant violation
+// exits nonzero) is likewise explicit-only. So are the two
+// elastic-substrate sweeps: the preempt experiment (a preemption soak on
+// the elastic instance market, auditing the graceful-drain protocol end
+// to end) and the elastic experiment (the cost-vs-makespan Pareto sweep
+// over acquisition policies under identical reclamation plans; -csv
+// writes elastic_pareto.csv, -json the full report, and any frontier or
+// invariant violation exits nonzero). The federation experiment runs the
+// two-phase placement protocol's acceptance battery and a soak
+// (multi-driver runs under driver crashes, agent crash/restart episodes
+// and an unreliable control plane; -json writes the report), then the
+// 1/2/4-driver scaling sweep with its agent-churn column gating makespan
+// under agent faults within a tuned envelope of fault-free (-csv writes
+// federation_scale.csv and federation_agent_churn.csv); it is likewise
+// explicit-only. The streaming experiment sweeps seeded operator
+// topologies under every placement policy on the heterogeneous cluster
+// and gates on the paper's ordering — RUPAM's demand-vector placement
+// must sustain at least the throughput of Storm-style resource-aware
+// placement, which must sustain at least blind round-robin (-csv writes
 // streaming_throughput.csv, -json the full report; a gate or invariant
 // violation exits nonzero). It is likewise explicit-only.
 package main

@@ -73,7 +73,7 @@ func TestExecutorSetChangeRelaxesStaleLevel(t *testing.T) {
 // TestExecutorSetChangeUnstallsLocalityWait is the end-to-end half: all
 // input blocks live on a node the launch gate excludes (a revoked
 // dynamic-allocation lease). Without the executor-set notification the
-// stage serves out the full delay-scheduling ladder (two LocalityWait
+// stage serves out the full delay-scheduling ladder (two localityWait
 // periods) before anything launches; with it, tasks flow immediately.
 func TestExecutorSetChangeUnstallsLocalityWait(t *testing.T) {
 	run := func(notify bool) float64 {
