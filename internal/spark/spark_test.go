@@ -169,7 +169,7 @@ func TestOOMRetryEventuallyCompletes(t *testing.T) {
 		Count("j")
 	res := rt.Run(ctx.App())
 	if res.OOMs == 0 {
-		t.Fatal("expected OOM failures under the tiny heap")
+		t.Fatal("expected OOM failures from co-located 10 GB tasks")
 	}
 	for _, tk := range res.App.AllTasks() {
 		if tk.State != task.Finished {

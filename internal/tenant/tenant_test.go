@@ -74,9 +74,9 @@ func TestTenancyDeterminism(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl floods a single-slot system and checks that every
-// arrival is accounted for: admitted + rejected == arrived, with real
-// rejections and a bounded queue.
+// TestAdmissionControl floods the admission bounds with a burst of
+// arrivals and checks that every arrival is accounted for: admitted +
+// rejected == arrived, with real rejections and a bounded queue.
 func TestAdmissionControl(t *testing.T) {
 	cfg := Config{
 		Scheduler: "spark",
@@ -88,7 +88,8 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatalf("violations: %v", rep.Violations)
 	}
 	if rep.Rejected == 0 {
-		t.Fatal("expected rejections with a 1-deep admission queue and 1 s arrivals")
+		t.Fatalf("expected rejections with %d arrivals at a 0.5 s mean gap against %d running + %d queued",
+			rep.Arrived, maxConcurrentApps, maxPendingApps)
 	}
 	if rep.Arrived != rep.Admitted+rep.Rejected {
 		t.Fatalf("admission accounting: %d != %d + %d", rep.Arrived, rep.Admitted, rep.Rejected)
