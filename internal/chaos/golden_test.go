@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 
 	"rupam/internal/cluster"
@@ -133,11 +134,14 @@ func benchEnvelope() streaming.TopoConfig {
 	}
 }
 
-func TestGoldenStreamingEnvelopeFingerprints(t *testing.T) {
+// envelopeConfigs returns the run configuration of every
+// goldenStreamingEnvelope entry, in table order.
+func envelopeConfigs() []streaming.Config {
 	const horizon = 90
 	nodes := hydraNodeNames()
-	for _, g := range goldenStreamingEnvelope {
-		res := streaming.Run(streaming.Config{
+	cfgs := make([]streaming.Config, len(goldenStreamingEnvelope))
+	for i, g := range goldenStreamingEnvelope {
+		cfgs[i] = streaming.Config{
 			Seed:           g.seed,
 			Placer:         g.placer,
 			Topo:           benchEnvelope(),
@@ -145,13 +149,41 @@ func TestGoldenStreamingEnvelopeFingerprints(t *testing.T) {
 			Warmup:         horizon / 5,
 			Faults:         faults.RandomSchedule(g.seed, nodes, StreamingGen()),
 			ForceMigrateAt: horizon * 0.4,
-		})
+		}
+	}
+	return cfgs
+}
+
+func TestGoldenStreamingEnvelopeFingerprints(t *testing.T) {
+	for i, cfg := range envelopeConfigs() {
+		g := goldenStreamingEnvelope[i]
+		res := streaming.Run(cfg)
 		if v := streaming.CheckInvariants(res); len(v) != 0 {
 			t.Errorf("%s seed %d: invariant violations: %v", g.placer, g.seed, v)
 		}
 		if fp := fmt.Sprintf("%016x", res.Fingerprint()); fp != g.fingerprint {
 			t.Errorf("%s seed %d: fingerprint %s, golden %s", g.placer, g.seed, fp, g.fingerprint)
 		}
+	}
+}
+
+// TestStreamingEnvelopeAllocBudget caps the heap bytes one faulted run on
+// the benchmark envelope allocates, averaged over the golden envelope
+// runs. Keeping every raw sink latency sample, re-sorting a copy of them,
+// or keying per-operator state by map costs well over the budget.
+func TestStreamingEnvelopeAllocBudget(t *testing.T) {
+	const budgetKB = 400
+	cfgs := envelopeConfigs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, cfg := range cfgs {
+		streaming.Run(cfg)
+	}
+	runtime.ReadMemStats(&after)
+	perRunKB := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(cfgs)) / 1024
+	t.Logf("%.0f KB allocated per run", perRunKB)
+	if perRunKB > budgetKB {
+		t.Errorf("envelope runs allocated %.0f KB each, budget %d KB", perRunKB, budgetKB)
 	}
 }
 

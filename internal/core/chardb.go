@@ -126,15 +126,22 @@ func (db *CharDB) Lookup(key TaskKey) *Record {
 // MeanComputeTime averages the latest observed compute time over every
 // flushed record — the elastic autoscaler's per-task work predictor when
 // sizing spot-vs-on-demand acquisitions. Returns false on an empty store.
+// The sum runs in key order: a float sum in map order would differ in its
+// last bits from call to call.
 func (db *CharDB) MeanComputeTime() (float64, bool) {
 	if len(db.store) == 0 {
 		return 0, false
 	}
-	var sum float64
-	for _, r := range db.store {
-		sum += r.ComputeTime
+	keys := make([]TaskKey, 0, len(db.store))
+	for key := range db.store {
+		keys = append(keys, key)
 	}
-	return sum / float64(len(db.store)), true
+	sortKeys(keys)
+	var sum float64
+	for _, key := range keys {
+		sum += db.store[key].ComputeTime
+	}
+	return sum / float64(len(keys)), true
 }
 
 // Update enqueues a metrics observation for the task; it merges with the
@@ -190,10 +197,16 @@ func (db *CharDB) Update(key TaskKey, m *task.Metrics, bottleneck Resource, hasB
 }
 
 // Flush drains the write queue into the backing store (the helper
-// thread's periodic service); returns the number of writes applied.
+// thread's periodic service); returns the number of writes applied. A
+// known task's record is overwritten in place: Lookup hands out copies,
+// so nothing outside the store holds its pointers.
 func (db *CharDB) Flush() int {
 	n := len(db.queue)
 	for _, op := range db.queue {
+		if rec, ok := db.store[op.key]; ok {
+			*rec = op.rec
+			continue
+		}
 		rec := op.rec
 		db.store[op.key] = &rec
 	}

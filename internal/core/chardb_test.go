@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"rupam/internal/task"
@@ -157,5 +158,47 @@ func TestDBLookupReturnsCopy(t *testing.T) {
 	rec.ComputeTime = 999
 	if db.Lookup(key).ComputeTime == 999 {
 		t.Fatal("Lookup leaks internal state")
+	}
+}
+
+// TestDBMeanComputeTimeDeterministic pins the summation order: over a
+// store of 200 records with compute times of mixed magnitude, a sum in
+// map order differs in its last bits from one call to the next.
+func TestDBMeanComputeTimeDeterministic(t *testing.T) {
+	db := NewCharDB()
+	for i := 0; i < 200; i++ {
+		ct := float64(i%7)*1e4 + 1/float64(i+3) + float64(i%13)*1e-3
+		db.Update(TaskKey{"stage", i}, &task.Metrics{Executor: "a", End: 1, ComputeTime: ct}, CPU, true)
+	}
+	db.Flush()
+	first, ok := db.MeanComputeTime()
+	if !ok {
+		t.Fatal("no mean over a populated store")
+	}
+	for call := 1; call < 50; call++ {
+		if got, _ := db.MeanComputeTime(); math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("call %d: mean %v (bits %x), first call %v (bits %x)",
+				call, got, math.Float64bits(got), first, math.Float64bits(first))
+		}
+	}
+}
+
+// TestDBFlushOverwritesInPlace checks that a second flush of a known task
+// updates the stored record without disturbing copies handed out earlier.
+func TestDBFlushOverwritesInPlace(t *testing.T) {
+	db := NewCharDB()
+	key := TaskKey{"t", 0}
+	db.Update(key, &task.Metrics{Executor: "a", End: 3, ComputeTime: 2}, CPU, true)
+	db.Flush()
+	before := db.Lookup(key)
+	db.Update(key, &task.Metrics{Executor: "b", End: 1, ComputeTime: 4}, CPU, true)
+	db.Flush()
+	after := db.Lookup(key)
+	if before.ComputeTime != 2 || before.Runs != 1 {
+		t.Fatalf("earlier copy changed: compute %v runs %d", before.ComputeTime, before.Runs)
+	}
+	if after.ComputeTime != 3 || after.Runs != 2 || after.OptExecutor != "b" || db.Size() != 1 {
+		t.Fatalf("after second flush: compute %v runs %d opt %q size %d",
+			after.ComputeTime, after.Runs, after.OptExecutor, db.Size())
 	}
 }

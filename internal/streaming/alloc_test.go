@@ -20,7 +20,8 @@ func benchEnvelope() TopoConfig {
 // tick that allocates even a handful of objects — a topology walk, a
 // grants map, a regrown cohort slice, a boxed trace argument — blows
 // the budget many times over. What remains is setup (cluster, executors,
-// placement, channels), wire flows, CharDB feeds and latency samples.
+// placement, channels), wire flows, CharDB feeds and the sink's distinct
+// latencies.
 func TestRunAllocBudget(t *testing.T) {
 	const budget = 5000
 	cfg := Config{Seed: 1, Topo: benchEnvelope(), Horizon: 90, Warmup: 18}

@@ -1,8 +1,10 @@
 package streaming
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"rupam/internal/cluster"
@@ -88,7 +90,6 @@ func (r *Runtime) result() *Result {
 		ForceMigrateAt: r.cfg.ForceMigrateAt,
 		Drained:        r.drained,
 		QuiesceAt:      r.quiesceAt,
-		SourceEmitted:  r.sourceEmitted,
 		Migrations:     r.records,
 		LoadSpikes:     r.inj.LoadSpikes,
 		Violations:     r.violations,
@@ -104,16 +105,22 @@ func (r *Runtime) result() *Result {
 	for _, id := range r.topo.Sinks() {
 		res.OfferedHz += rates[id]
 	}
-	res.P50Ms, res.P99Ms = weightedPercentiles(r.latSamples)
+	res.P50Ms, res.P99Ms = weightedPercentiles(r.lats)
 	if r.sloTotal > 0 {
 		res.SLOAttain = r.sloHit / r.sloTotal
 	}
+	res.SourceEmitted = make(map[int]float64, len(r.sources))
+	for _, id := range r.sources {
+		if n := r.ops[id].sourceEmitted; n > 0 {
+			res.SourceEmitted[id] = n
+		}
+	}
 	for _, id := range r.order {
-		a := r.acc[id]
+		st := &r.ops[id]
 		res.Ops = append(res.Ops, OpStat{
-			ID: id, Name: r.ops[id].Name, Node: r.opNode[id],
-			Consumed: a.consumed, Emitted: a.emitted, Cycles: a.cycles,
-			MaxBacklog: a.maxBack,
+			ID: id, Name: st.op.Name, Node: st.node,
+			Consumed: st.consumed, Emitted: st.emitted, Cycles: st.cycles,
+			MaxBacklog: st.maxBack,
 		})
 	}
 	for _, ch := range r.chans {
@@ -126,15 +133,25 @@ func (r *Runtime) result() *Result {
 	return res
 }
 
-// weightedPercentiles returns the p50 and p99 of the weighted latency
-// samples, in milliseconds.
-func weightedPercentiles(samples []latSample) (p50, p99 float64) {
-	if len(samples) == 0 {
+// addLatency folds weight records consumed at latency lat into s, which
+// holds one entry per distinct latency in ascending order.
+func addLatency(s []latSample, lat, weight float64) []latSample {
+	i, found := slices.BinarySearchFunc(s, lat, func(x latSample, lat float64) int {
+		return cmp.Compare(x.lat, lat)
+	})
+	if found {
+		s[i].weight += weight
+		return s
+	}
+	return slices.Insert(s, i, latSample{lat: lat, weight: weight})
+}
+
+// weightedPercentiles returns the p50 and p99, in milliseconds, of the
+// latency weights addLatency folded into s.
+func weightedPercentiles(s []latSample) (p50, p99 float64) {
+	if len(s) == 0 {
 		return 0, 0
 	}
-	s := make([]latSample, len(samples))
-	copy(s, samples)
-	sort.Slice(s, func(a, b int) bool { return s[a].lat < s[b].lat })
 	total := 0.0
 	for _, x := range s {
 		total += x.weight

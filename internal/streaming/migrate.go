@@ -67,15 +67,15 @@ func (r *Runtime) streamSpanAt(node, op, phase, detail string, start, end float6
 // startMigration begins a graceful migration of the operator to the given
 // node ("" lets the placer pick). Returns false when no target exists.
 func (r *Runtime) startMigration(opID int, to, reason string, emergency bool) bool {
-	if r.migrating[opID] != nil {
+	st := &r.ops[opID]
+	if st.mig != nil {
 		return false
 	}
-	o := r.ops[opID]
-	from := r.opNode[opID]
+	from := st.node
 	if to == "" {
 		ex := r.liveExclusions()
 		ex[from] = true
-		to = r.placer.Pick(r.topo, o, r.nodes, r.opNode, ex)
+		to = r.placer.Pick(r.topo, st.op, r.nodes, r.placement(), ex)
 	}
 	if to == "" || to == from || !r.nodeAlive(to) {
 		return false
@@ -83,16 +83,16 @@ func (r *Runtime) startMigration(opID int, to, reason string, emergency bool) bo
 	now := r.eng.Now()
 	m := &migration{op: opID, from: from, to: to, reason: reason,
 		start: now, emergency: emergency}
-	r.migrating[opID] = m
+	st.mig = m
 	if !emergency {
-		for _, ch := range r.inChans[opID] {
+		for _, ch := range st.in {
 			ch.paused = true
 		}
 	}
 	// Close the operator's current "run" span at the migration boundary.
-	if openFrom, ok := r.runSpanFrom[opID]; ok {
-		r.streamSpanAt(from, o.Name, "run", "", openFrom, now)
-		delete(r.runSpanFrom, opID)
+	if st.running {
+		r.streamSpanAt(from, st.op.Name, "run", "", st.runFrom, now)
+		st.running = false
 	}
 	if emergency {
 		r.beginHandoff(m)
@@ -103,7 +103,8 @@ func (r *Runtime) startMigration(opID int, to, reason string, emergency bool) bo
 // emergency fails the operator over from a dead host: no drain is
 // possible, state rehydrates from the buddy replica.
 func (r *Runtime) emergency(opID int, reason string) {
-	if m := r.migrating[opID]; m != nil {
+	st := &r.ops[opID]
+	if m := st.mig; m != nil {
 		// A graceful migration was in flight when the host died: if the
 		// state is already shipping it lands on the chosen target; if the
 		// drain never finished, convert it to an emergency handoff.
@@ -114,20 +115,19 @@ func (r *Runtime) emergency(opID int, reason string) {
 		}
 		return
 	}
-	ex := r.liveExclusions()
-	to := r.placer.Pick(r.topo, r.ops[opID], r.nodes, r.opNode, ex)
+	to := r.placer.Pick(r.topo, st.op, r.nodes, r.placement(), r.liveExclusions())
 	if to == "" {
 		r.violations = append(r.violations, fmt.Sprintf(
-			"operator %d stranded: host %s dead and no live target", opID, r.opNode[opID]))
+			"operator %d stranded: host %s dead and no live target", opID, st.node))
 		return
 	}
 	r.startMigration(opID, to, reason, true)
 }
 
 // backlog sums the operator's in-channel queues.
-func (r *Runtime) backlog(opID int) float64 {
+func (st *opState) backlog() float64 {
 	b := 0.0
-	for _, ch := range r.inChans[opID] {
+	for _, ch := range st.in {
 		b += ch.q.count
 	}
 	return b
@@ -136,9 +136,9 @@ func (r *Runtime) backlog(opID int) float64 {
 // advanceMigrations moves draining migrations whose backlog is gone into
 // the handoff phase.
 func (r *Runtime) advanceMigrations() {
-	// Topological order keeps the scan deterministic despite the map.
 	for _, id := range r.order {
-		m := r.migrating[id]
+		st := &r.ops[id]
+		m := st.mig
 		if m == nil || m.shipping || m.emergency {
 			continue
 		}
@@ -148,7 +148,7 @@ func (r *Runtime) advanceMigrations() {
 			r.beginHandoff(m)
 			continue
 		}
-		if r.backlog(id) <= recEps {
+		if st.backlog() <= recEps {
 			r.beginHandoff(m)
 		}
 	}
@@ -161,7 +161,7 @@ func (r *Runtime) advanceMigrations() {
 func (r *Runtime) beginHandoff(m *migration) {
 	m.shipping = true
 	m.handoffAt = r.eng.Now()
-	o := r.ops[m.op]
+	o := r.ops[m.op].op
 	src := m.from
 	if m.emergency || !r.nodeAlive(src) {
 		src = m.to // fall back to loopback rehydration
@@ -183,17 +183,18 @@ func (r *Runtime) beginHandoff(m *migration) {
 
 // finishMigration rebinds the operator to its new host and resumes flow.
 func (r *Runtime) finishMigration(opID int) {
-	m := r.migrating[opID]
+	st := &r.ops[opID]
+	m := st.mig
 	if m == nil {
 		return
 	}
 	now := r.eng.Now()
-	o := r.ops[opID]
-	r.opNode[opID] = m.to
+	o := st.op
+	st.node = m.to
 
 	// Out-channel wires re-home by Redirect: the flow's remaining budget,
 	// destination and callback survive; only the source end moves.
-	for _, ch := range r.outChans[opID] {
+	for _, ch := range st.out {
 		if ch.wire != nil && !ch.wire.Done() {
 			if nf := r.clu.Net.Redirect(ch.wire, m.to); nf != nil {
 				ch.wire = nf
@@ -205,7 +206,7 @@ func (r *Runtime) finishMigration(opID int) {
 	}
 	// In-channel wires point at the old host; cancel them and let the
 	// wire manager reopen them toward the new host next tick.
-	for _, ch := range r.inChans[opID] {
+	for _, ch := range st.in {
 		if ch.wire != nil && !ch.wire.Done() {
 			r.clu.Net.Cancel(ch.wire)
 			ch.wire = nil
@@ -213,9 +214,9 @@ func (r *Runtime) finishMigration(opID int) {
 		ch.paused = false
 	}
 
-	delete(r.migrating, opID)
-	r.lastMigration[opID] = now
-	r.runSpanFrom[opID] = now
+	st.mig = nil
+	st.lastMigration = now
+	st.running, st.runFrom = true, now
 	rec := MigrationRecord{
 		Op: opID, OpName: o.Name, From: m.from, To: m.to, Reason: m.reason,
 		Start: m.start, HandoffAt: m.handoffAt, End: now, Emergency: m.emergency,

@@ -168,9 +168,11 @@ func (p *resourcePlacer) Place(t *Topology, nodes []NodeInfo) map[int]string {
 func (p *resourcePlacer) Pick(t *Topology, op *Operator, nodes []NodeInfo, current map[int]string, exclude map[string]bool) string {
 	demand := cpuDemand(t)
 	assigned := make(map[string]float64, len(nodes))
-	for id, node := range current {
-		if id != op.ID {
-			assigned[node] += demand[id]
+	// Sum in operator order, not map order, so the loads are the same
+	// bits on every call.
+	for _, o := range t.Ops {
+		if node, ok := current[o.ID]; ok && o.ID != op.ID {
+			assigned[node] += demand[o.ID]
 		}
 	}
 	ex := make(map[string]bool, len(exclude)+1)

@@ -111,32 +111,20 @@ type Runtime struct {
 
 	// Per-run topology index, built once by Run: nothing on the tick
 	// path walks the Topology's operator or edge lists.
-	order   []int                // topological order
-	sources []int                // operators with no in-edges, ascending
-	ops     map[int]*Operator    // by ID
-	keys    map[int]core.TaskKey // CharDB stream key by operator ID
-
-	opNode   map[int]string
-	chans    []*channel // topology edge order
-	inChans  map[int][]*channel
-	outChans map[int][]*channel
+	order   []int      // topological order
+	sources []int      // operators with no in-edges, ascending
+	ops     []opState  // by operator ID
+	chans   []*channel // topology edge order
 
 	spikeMult float64
 
-	sourceEmitted map[int]float64
-	acc           map[int]*opAccum
+	records    []MigrationRecord
+	forcedDone bool
 
-	migrating     map[int]*migration
-	lastMigration map[int]float64
-	overTicks     map[int]int
-	records       []MigrationRecord
-	forcedDone    bool
-
-	latSamples  []latSample
-	sinkWindow  float64 // sink records consumed in (Warmup, Horizon]
-	sloHit      float64 // of those, records within the SLO
-	sloTotal    float64
-	runSpanFrom map[int]float64 // open "run" span start per op
+	lats       []latSample // one per distinct sink latency, ascending
+	sinkWindow float64     // sink records consumed in (Warmup, Horizon]
+	sloHit     float64     // of those, records within the SLO
+	sloTotal   float64
 
 	tickN          int
 	sourcesStopped bool
@@ -144,10 +132,27 @@ type Runtime struct {
 	quiesceAt      float64
 	violations     []string
 
-	// Tick scratch, reused so the steady-state tick allocates nothing.
+	// Tick scratch, reused so the tick allocates nothing but sink
+	// latencies not seen before.
 	tickFn func()     // r.tick, bound once
 	items  []nodeItem // processNode's water-fill
 	popBuf []cohort   // processOp's consumed cohorts
+}
+
+// opState is everything the runtime tracks about one operator.
+type opState struct {
+	op      *Operator
+	key     core.TaskKey // CharDB stream key
+	node    string       // host node
+	in, out []*channel
+	opAccum
+
+	sourceEmitted float64    // records a source emitted; 0 until it first does
+	mig           *migration // in-flight move, or nil
+	lastMigration float64
+	overTicks     int
+	running       bool    // a "run" span is open...
+	runFrom       float64 // ...since this time
 }
 
 // nodeItem is one operator's share of its node's cycle budget in a tick.
@@ -167,6 +172,7 @@ type opAccum struct {
 	winCycles, winConsumed, winInBytes, winOutBytes float64
 }
 
+// latSample is the record weight the sink consumed at one latency.
 type latSample struct {
 	lat, weight float64
 }
@@ -180,25 +186,14 @@ func Run(cfg Config) *Result {
 	clu := cluster.NewHydra(cluster.New(eng))
 
 	r := &Runtime{
-		cfg:           cfg,
-		eng:           eng,
-		clu:           clu,
-		execs:         make(map[string]*executor.Executor),
-		cache:         executor.NewCacheTracker(),
-		col:           cfg.Collector,
-		db:            core.NewCharDB(),
-		opNode:        make(map[int]string),
-		ops:           make(map[int]*Operator),
-		keys:          make(map[int]core.TaskKey),
-		inChans:       make(map[int][]*channel),
-		outChans:      make(map[int][]*channel),
-		spikeMult:     1,
-		sourceEmitted: make(map[int]float64),
-		acc:           make(map[int]*opAccum),
-		migrating:     make(map[int]*migration),
-		lastMigration: make(map[int]float64),
-		overTicks:     make(map[int]int),
-		runSpanFrom:   make(map[int]float64),
+		cfg:       cfg,
+		eng:       eng,
+		clu:       clu,
+		execs:     make(map[string]*executor.Executor),
+		cache:     executor.NewCacheTracker(),
+		col:       cfg.Collector,
+		db:        core.NewCharDB(),
+		spikeMult: 1,
 	}
 	r.col.Bind(eng)
 	for _, n := range clu.Nodes {
@@ -213,10 +208,6 @@ func Run(cfg Config) *Result {
 	r.topo = GenTopology(cfg.Seed, cfg.Topo)
 	r.order = r.topo.TopoOrder()
 	r.sources = r.topo.Sources()
-	for _, o := range r.topo.Ops {
-		r.ops[o.ID] = o
-		r.keys[o.ID] = StreamKey(r.topo.Name, o)
-	}
 	r.nodes = SnapshotNodes(clu)
 	placer, err := NewPlacer(cfg.Placer, r.db, r.col)
 	if err != nil {
@@ -225,13 +216,14 @@ func Run(cfg Config) *Result {
 	r.placer = placer
 
 	// Initial placement.
-	r.opNode = placer.Place(r.topo, r.nodes)
-	for _, id := range r.order {
-		r.acc[id] = &opAccum{}
-		r.runSpanFrom[id] = 0
-		if r.opNode[id] == "" {
+	placement := placer.Place(r.topo, r.nodes)
+	r.ops = make([]opState, len(r.topo.Ops))
+	for id, o := range r.topo.Ops {
+		node := placement[id]
+		if node == "" {
 			panic(fmt.Sprintf("streaming: placer %s left operator %d unplaced", placer.Name(), id))
 		}
+		r.ops[id] = opState{op: o, key: StreamKey(r.topo.Name, o), node: node, running: true}
 	}
 
 	// Channels, sized to backlogSeconds of the closed-form steady rate.
@@ -241,11 +233,12 @@ func Run(cfg Config) *Result {
 		if capRecords < 100 {
 			capRecords = 100
 		}
+		from, to := &r.ops[e.From], &r.ops[e.To]
 		ch := &channel{from: e.From, to: e.To, capacity: capRecords,
-			bytesPerRecord: r.ops[e.From].BytesPerRecord}
+			bytesPerRecord: from.op.BytesPerRecord}
 		r.chans = append(r.chans, ch)
-		r.inChans[e.To] = append(r.inChans[e.To], ch)
-		r.outChans[e.From] = append(r.outChans[e.From], ch)
+		to.in = append(to.in, ch)
+		from.out = append(from.out, ch)
 	}
 
 	// Fault wiring: the injector targets the bookkeeping executors; the
@@ -278,6 +271,16 @@ func (r *Runtime) nodeAlive(name string) bool {
 	return ok && !ex.FailStopped()
 }
 
+// placement returns the current node of every operator — the placer's
+// view.
+func (r *Runtime) placement() map[int]string {
+	p := make(map[int]string, len(r.ops))
+	for id := range r.ops {
+		p[id] = r.ops[id].node
+	}
+	return p
+}
+
 // liveExclusions returns the dead-node set for placer Pick calls.
 func (r *Runtime) liveExclusions() map[string]bool {
 	ex := make(map[string]bool)
@@ -302,7 +305,7 @@ func (r *Runtime) tick() {
 
 	// (2) Liveness: operators on dead hosts fail over.
 	for _, id := range r.order {
-		if !r.nodeAlive(r.opNode[id]) {
+		if !r.nodeAlive(r.ops[id].node) {
 			r.emergency(id, "host-dead")
 		}
 	}
@@ -344,8 +347,9 @@ func (r *Runtime) tick() {
 
 	// (9) Book backlog stats.
 	for _, id := range r.order {
-		if back, a := r.backlog(id), r.acc[id]; back > a.maxBack {
-			a.maxBack = back
+		st := &r.ops[id]
+		if back := st.backlog(); back > st.maxBack {
+			st.maxBack = back
 		}
 	}
 
@@ -369,8 +373,10 @@ func (r *Runtime) tick() {
 // quiesced reports whether every channel is empty and no migration is in
 // flight.
 func (r *Runtime) quiesced() bool {
-	if len(r.migrating) > 0 {
-		return false
+	for id := range r.ops {
+		if r.ops[id].mig != nil {
+			return false
+		}
 	}
 	for _, ch := range r.chans {
 		if ch.q.count > 0 {
@@ -391,8 +397,8 @@ func (r *Runtime) finish(now float64, drained bool) {
 		ch.wire = nil
 	}
 	for _, id := range r.order {
-		if from, ok := r.runSpanFrom[id]; ok {
-			r.streamSpanAt(r.opNode[id], r.ops[id].Name, "run", "", from, now)
+		if st := &r.ops[id]; st.running {
+			r.streamSpanAt(st.node, st.op.Name, "run", "", st.runFrom, now)
 		}
 	}
 	r.feedCharDB(now)
@@ -408,19 +414,20 @@ func (r *Runtime) processNode(node *cluster.Node, now, dt float64) {
 	}
 	items := r.items[:0]
 	for _, id := range r.order {
-		if r.opNode[id] != name || len(r.inChans[id]) == 0 {
+		st := &r.ops[id]
+		if st.node != name || len(st.in) == 0 {
 			continue // sources emit in their own phase
 		}
-		o := r.ops[id]
+		o := st.op
 		avail := 0.0
-		for _, ch := range r.inChans[id] {
+		for _, ch := range st.in {
 			avail += ch.arrived
 		}
 		if avail <= 0 {
 			continue
 		}
 		space := avail
-		for _, ch := range r.outChans[id] {
+		for _, ch := range st.out {
 			if s := ch.free() / o.Selectivity; s < space {
 				space = s
 			}
@@ -472,11 +479,11 @@ func (r *Runtime) processNode(node *cluster.Node, now, dt float64) {
 // operator's in-channels and emits the results downstream (or samples
 // latency, for sinks).
 func (r *Runtime) processOp(id int, grant float64, now float64) {
-	o := r.ops[id]
-	a := r.acc[id]
+	st := &r.ops[id]
+	o := st.op
 	n := grant / o.CyclesPerRecord
 	avail := 0.0
-	for _, ch := range r.inChans[id] {
+	for _, ch := range st.in {
 		avail += ch.arrived
 	}
 	if n > avail {
@@ -485,21 +492,21 @@ func (r *Runtime) processOp(id int, grant float64, now float64) {
 	if n <= 0 {
 		return
 	}
-	isSink := len(r.outChans[id]) == 0
+	isSink := len(st.out) == 0
 	// Pop proportionally across in-channels so a slow upstream cannot be
 	// starved by a fast one.
-	for _, ch := range r.inChans[id] {
+	for _, ch := range st.in {
 		share := n * (ch.arrived / avail)
 		r.popBuf = ch.consume(share, r.popBuf)
 		for _, c := range r.popBuf {
-			a.consumed += c.count
-			a.cycles += c.count * o.CyclesPerRecord
-			a.winConsumed += c.count
-			a.winCycles += c.count * o.CyclesPerRecord
-			a.winInBytes += c.count * ch.bytesPerRecord
+			st.consumed += c.count
+			st.cycles += c.count * o.CyclesPerRecord
+			st.winConsumed += c.count
+			st.winCycles += c.count * o.CyclesPerRecord
+			st.winInBytes += c.count * ch.bytesPerRecord
 			if isSink {
 				lat := now - c.born
-				r.latSamples = append(r.latSamples, latSample{lat: lat, weight: c.count})
+				r.lats = addLatency(r.lats, lat, c.count)
 				if now > r.cfg.Warmup && now <= r.cfg.Horizon {
 					r.sinkWindow += c.count
 				}
@@ -509,10 +516,10 @@ func (r *Runtime) processOp(id int, grant float64, now float64) {
 				}
 			} else {
 				outN := c.count * o.Selectivity
-				for _, out := range r.outChans[id] {
+				for _, out := range st.out {
 					out.push(outN, c.born)
-					a.emitted += outN
-					a.winOutBytes += outN * o.BytesPerRecord
+					st.emitted += outN
+					st.winOutBytes += outN * o.BytesPerRecord
 				}
 			}
 		}
@@ -522,12 +529,13 @@ func (r *Runtime) processOp(id int, grant float64, now float64) {
 // emitSource emits one tick of source records, bounded by the credit of
 // every out-channel — when downstream is full, the source throttles.
 func (r *Runtime) emitSource(id int, now, dt float64) {
-	o := r.ops[id]
-	if !r.nodeAlive(r.opNode[id]) {
+	st := &r.ops[id]
+	o := st.op
+	if !r.nodeAlive(st.node) {
 		return // a dead host ingests nothing until the source fails over
 	}
 	n := o.RateHz * r.spikeMult * dt
-	for _, ch := range r.outChans[id] {
+	for _, ch := range st.out {
 		if f := ch.free(); f < n {
 			n = f
 		}
@@ -535,13 +543,12 @@ func (r *Runtime) emitSource(id int, now, dt float64) {
 	if n <= 0 {
 		return
 	}
-	a := r.acc[id]
-	for _, ch := range r.outChans[id] {
+	for _, ch := range st.out {
 		ch.push(n, now)
-		a.emitted += n
-		a.winOutBytes += n * o.BytesPerRecord
+		st.emitted += n
+		st.winOutBytes += n * o.BytesPerRecord
 	}
-	r.sourceEmitted[id] += n
+	st.sourceEmitted += n
 }
 
 // manageWires opens, closes, and re-homes the long-lived channel flows to
@@ -549,7 +556,7 @@ func (r *Runtime) emitSource(id int, now, dt float64) {
 // no wire: arrival is a memory copy.
 func (r *Runtime) manageWires() {
 	for _, ch := range r.chans {
-		src, dst := r.opNode[ch.from], r.opNode[ch.to]
+		src, dst := r.ops[ch.from].node, r.ops[ch.to].node
 		if src == dst {
 			if ch.wire != nil && !ch.wire.Done() {
 				r.clu.Net.Cancel(ch.wire)
@@ -587,34 +594,32 @@ func (r *Runtime) manageWires() {
 // state size. This is the evidence path the rupam placer reads.
 func (r *Runtime) feedCharDB(now float64) {
 	for _, id := range r.order {
-		a := r.acc[id]
-		if a.winConsumed <= 0 && a.winOutBytes <= 0 {
+		st := &r.ops[id]
+		if st.winConsumed <= 0 && st.winOutBytes <= 0 {
 			continue
 		}
-		o := r.ops[id]
-		node := r.opNode[id]
-		cpu := a.winCycles / charDBInterval
-		inBps := a.winInBytes / charDBInterval
-		outBps := a.winOutBytes / charDBInterval
+		cpu := st.winCycles / charDBInterval
+		inBps := st.winInBytes / charDBInterval
+		outBps := st.winOutBytes / charDBInterval
 		m := &task.Metrics{
-			Executor:         node,
+			Executor:         st.node,
 			Start:            now - charDBInterval,
 			End:              now,
 			ComputeTime:      cpu,
 			ShuffleReadTime:  inBps,
 			ShuffleWriteTime: outBps,
-			PeakMemory:       o.StateBytes,
+			PeakMemory:       st.op.StateBytes,
 		}
 		bottleneck := core.CPU
-		if n := r.clu.Node(node); n != nil {
+		if n := r.clu.Node(st.node); n != nil {
 			cpuFrac := cpu / n.Spec.CPUCapacity()
 			netFrac := (inBps + outBps) / n.Spec.NetBandwidth
 			if netFrac > cpuFrac {
 				bottleneck = core.Net
 			}
 		}
-		r.db.Update(r.keys[id], m, bottleneck, true)
-		a.winCycles, a.winConsumed, a.winInBytes, a.winOutBytes = 0, 0, 0, 0
+		r.db.Update(st.key, m, bottleneck, true)
+		st.winCycles, st.winConsumed, st.winInBytes, st.winOutBytes = 0, 0, 0, 0
 	}
 	r.db.Flush()
 }
@@ -627,10 +632,11 @@ func (r *Runtime) triggerMigrations(now float64) {
 		// Most backlogged operator, ties to the lowest ID.
 		bestID, bestBack := -1, -1.0
 		for _, id := range r.order {
-			if r.migrating[id] != nil {
+			st := &r.ops[id]
+			if st.mig != nil {
 				continue
 			}
-			if back := r.backlog(id); back > bestBack {
+			if back := st.backlog(); back > bestBack {
 				bestID, bestBack = id, back
 			}
 		}
@@ -639,40 +645,41 @@ func (r *Runtime) triggerMigrations(now float64) {
 		}
 	}
 	for _, id := range r.order {
-		if r.migrating[id] != nil || len(r.inChans[id]) == 0 {
-			r.overTicks[id] = 0
+		st := &r.ops[id]
+		if st.mig != nil || len(st.in) == 0 {
+			st.overTicks = 0
 			continue
 		}
-		if now-r.lastMigration[id] < migrationCooldown {
+		if now-st.lastMigration < migrationCooldown {
 			continue
 		}
-		node := r.clu.Node(r.opNode[id])
+		node := r.clu.Node(st.node)
 		if node == nil {
 			continue
 		}
 		capSum, back := 0.0, 0.0
-		for _, ch := range r.inChans[id] {
+		for _, ch := range st.in {
 			capSum += ch.capacity
 			back += ch.q.count
 		}
 		gray := node.CPU.PerClaimCap() < grayFreqFrac*node.Spec.FreqGHz
 		switch {
 		case gray && back > grayBacklogFrac*capSum:
-			r.overTicks[id]++
-			if r.overTicks[id] >= grayTicks {
+			st.overTicks++
+			if st.overTicks >= grayTicks {
 				if r.startMigration(id, "", "gray-degradation", false) {
-					r.overTicks[id] = 0
+					st.overTicks = 0
 				}
 			}
 		case back > spikeBacklogFrac*capSum:
-			r.overTicks[id]++
-			if r.overTicks[id] >= spikeTicks {
+			st.overTicks++
+			if st.overTicks >= spikeTicks {
 				if r.startMigration(id, "", "overload", false) {
-					r.overTicks[id] = 0
+					st.overTicks = 0
 				}
 			}
 		default:
-			r.overTicks[id] = 0
+			st.overTicks = 0
 		}
 	}
 }
@@ -681,7 +688,7 @@ func (r *Runtime) triggerMigrations(now float64) {
 // notice: the host is still alive for the grace window).
 func (r *Runtime) evacuate(node, reason string) {
 	for _, id := range r.order {
-		if r.opNode[id] == node && r.migrating[id] == nil {
+		if st := &r.ops[id]; st.node == node && st.mig == nil {
 			r.startMigration(id, "", reason, false)
 		}
 	}
@@ -690,7 +697,7 @@ func (r *Runtime) evacuate(node, reason string) {
 // failover emergency-migrates every operator still homed on a dead node.
 func (r *Runtime) failover(node, reason string) {
 	for _, id := range r.order {
-		if r.opNode[id] == node {
+		if r.ops[id].node == node {
 			r.emergency(id, reason)
 		}
 	}

@@ -51,8 +51,9 @@ type Edge struct {
 	From, To int
 }
 
-// Topology is an operator DAG. Build one by hand or with GenTopology;
-// Validate before running it.
+// Topology is an operator DAG whose operator IDs are dense: Ops[i].ID ==
+// i, so per-operator state can live in slices indexed by ID. Build one by
+// hand or with GenTopology; Validate before running it.
 type Topology struct {
 	Name  string
 	Ops   []*Operator
@@ -162,10 +163,10 @@ func (t *Topology) Validate() error {
 		return fmt.Errorf("streaming: topology %q has no operators", t.Name)
 	}
 	seen := make(map[int]bool, len(t.Ops))
-	for _, o := range t.Ops {
+	for i, o := range t.Ops {
 		switch {
-		case seen[o.ID]:
-			return fmt.Errorf("streaming: duplicate operator ID %d", o.ID)
+		case o.ID != i:
+			return fmt.Errorf("streaming: operator ID %d at position %d (IDs must be dense 0..N-1)", o.ID, i)
 		case o.Name == "":
 			return fmt.Errorf("streaming: operator %d without a name", o.ID)
 		case o.CyclesPerRecord <= 0:

@@ -89,6 +89,13 @@ func TestValidateRejectsBadTopologies(t *testing.T) {
 		{"dup-id", func(d *Topology) {
 			d.Ops = append(d.Ops, &Operator{ID: 0, Name: "x", CyclesPerRecord: 1, BytesPerRecord: 1, Selectivity: 1, Parallelism: 1})
 		}},
+		// IDs must be dense and in order (Ops[i].ID == i): the runtime
+		// indexes per-operator state by ID.
+		{"ids-out-of-order", func(d *Topology) { d.Ops[1].ID, d.Ops[2].ID = 2, 1 }},
+		{"sparse-ids", func(d *Topology) {
+			d.Ops[3].ID = 9
+			d.Edges = []Edge{{0, 1}, {0, 2}, {1, 9}, {2, 9}}
+		}},
 		{"source-no-rate", func(d *Topology) { d.Ops[0].RateHz = 0 }},
 		{"non-source-rate", func(d *Topology) { d.Ops[1].RateHz = 5 }},
 		{"bad-selectivity", func(d *Topology) { d.Ops[1].Selectivity = 0 }},
