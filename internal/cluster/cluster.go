@@ -133,7 +133,7 @@ func (c *Cluster) AddNode(spec NodeSpec) *Node {
 	n := &Node{
 		Spec:      spec,
 		CPU:       simx.NewPSResource(c.Eng, spec.Name+"/cpu", spec.CPUCapacity(), spec.FreqGHz),
-		GPU:       simx.NewTokens(c.Eng, spec.Name+"/gpu", spec.GPUs),
+		GPU:       simx.NewTokens(spec.Name+"/gpu", spec.GPUs),
 		Mem:       simx.NewSpace(c.Eng, spec.Name+"/mem", spec.MemBytes),
 		DiskRead:  simx.NewPSResource(c.Eng, spec.Name+"/disk-read", spec.DiskReadBW, 0),
 		DiskWrite: simx.NewPSResource(c.Eng, spec.Name+"/disk-write", spec.DiskWriteBW, 0),

@@ -89,9 +89,7 @@ type CharDB struct {
 	store map[TaskKey]*Record
 	queue []dbOp
 
-	// Reads/Writes/QueueHits count accesses for overhead reporting.
-	Reads     int
-	Writes    int
+	// QueueHits counts reads served by a pending write.
 	QueueHits int
 }
 
@@ -105,22 +103,26 @@ func KeyFor(st *task.Stage, t *task.Task) TaskKey {
 	return TaskKey{Signature: st.Signature, Partition: t.Index}
 }
 
-// Lookup returns the task's record, consulting pending writes first, or
-// nil if the task has never been observed.
+// Lookup returns a copy of the task's record, consulting pending writes
+// first, or nil if the task has never been observed.
 func (db *CharDB) Lookup(key TaskKey) *Record {
-	db.Reads++
-	for i := len(db.queue) - 1; i >= 0; i-- {
-		if db.queue[i].key == key {
-			db.QueueHits++
-			rec := db.queue[i].rec
-			return &rec
-		}
-	}
-	if r, ok := db.store[key]; ok {
+	if r := db.latest(key); r != nil {
 		rec := *r
 		return &rec
 	}
 	return nil
+}
+
+// latest returns the task's newest record in place — its last queued
+// write, else its flushed record — or nil.
+func (db *CharDB) latest(key TaskKey) *Record {
+	for i := len(db.queue) - 1; i >= 0; i-- {
+		if db.queue[i].key == key {
+			db.QueueHits++
+			return &db.queue[i].rec
+		}
+	}
+	return db.store[key]
 }
 
 // MeanComputeTime averages the latest observed compute time over every
@@ -146,17 +148,15 @@ func (db *CharDB) MeanComputeTime() (float64, bool) {
 
 // Update enqueues a metrics observation for the task; it merges with the
 // task's existing record (flushed or queued) and appends to the write
-// queue.
+// queue. The merged record is built in its queue slot.
 func (db *CharDB) Update(key TaskKey, m *task.Metrics, bottleneck Resource, hasBottleneck bool) {
-	db.Writes++
-	rec := db.Lookup(key)
-	db.Reads-- // internal read, not an external access
-	if rec == nil {
-		rec = &Record{
-			Key:             key,
-			HistoryResource: make(map[Resource]bool),
-			OOMNodes:        make(map[string]bool),
-		}
+	prev := db.latest(key)
+	// prev stays valid if the append moves the queue: it then points into
+	// the old backing array, whose contents are unchanged.
+	db.queue = append(db.queue, dbOp{key: key, rec: Record{Key: key}})
+	rec := &db.queue[len(db.queue)-1].rec
+	if prev != nil {
+		*rec = *prev
 	}
 	if rec.HistoryResource == nil {
 		rec.HistoryResource = make(map[Resource]bool)
@@ -193,7 +193,6 @@ func (db *CharDB) Update(key TaskKey, m *task.Metrics, bottleneck Resource, hasB
 			rec.OptExecutor = m.Executor
 		}
 	}
-	db.queue = append(db.queue, dbOp{key: key, rec: *rec})
 }
 
 // Flush drains the write queue into the backing store (the helper

@@ -202,3 +202,25 @@ func TestDBFlushOverwritesInPlace(t *testing.T) {
 			after.ComputeTime, after.Runs, after.OptExecutor, db.Size())
 	}
 }
+
+// TestDBUpdateBuildsInQueue checks that an observation of a known task
+// is merged in its queue slot: once the queue has grown, Update and Flush
+// allocate nothing, and queued merges still chain on each other.
+func TestDBUpdateBuildsInQueue(t *testing.T) {
+	db := NewCharDB()
+	key := TaskKey{"t", 0}
+	m := &task.Metrics{Executor: "a", End: 1, ComputeTime: 2}
+	db.Update(key, m, CPU, true)
+	db.Update(key, m, CPU, true)
+	if rec := db.Lookup(key); rec.Runs != 2 || db.PendingWrites() != 2 {
+		t.Fatalf("queued merge: runs %d, pending %d", rec.Runs, db.PendingWrites())
+	}
+	db.Flush()
+	allocs := testing.AllocsPerRun(100, func() {
+		db.Update(key, m, CPU, true)
+		db.Flush()
+	})
+	if allocs != 0 {
+		t.Fatalf("Update+Flush of a known task: %v allocations, want 0", allocs)
+	}
+}

@@ -152,14 +152,23 @@ func resourceByName(s string) (Resource, bool) {
 }
 
 // Load replaces the database's contents with previously saved records.
-// The input is decoded in full before anything is touched: a corrupt or
-// truncated file (a crash mid-write through a non-atomic path, a partial
-// copy) returns an error and leaves the database exactly as it was, so a
-// warm-start that finds garbage keeps whatever good state it already had.
+// The input is decoded and checked in full before anything is touched: a
+// corrupt or truncated file (a crash mid-write through a non-atomic path,
+// a partial copy) or a negative bottleneck count, which Save never
+// writes, returns an error and leaves the database exactly as it was, so
+// a warm-start that finds garbage keeps whatever good state it already
+// had.
 func (db *CharDB) Load(r io.Reader) error {
 	var in []persistedRecord
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return fmt.Errorf("chardb: unreadable task-characteristics data: %w", err)
+	}
+	for _, p := range in {
+		for _, c := range p.BottleneckCounts {
+			if c < 0 {
+				return fmt.Errorf("chardb: task %s|%d: negative bottleneck count", p.Signature, p.Partition)
+			}
+		}
 	}
 	db.Clear()
 	for _, p := range in {
@@ -185,8 +194,7 @@ func (db *CharDB) LoadFile(path string) error {
 // into the compact JSON payload journaled in write-ahead-log chardb-put
 // records. The bool is false when the task has never been observed.
 func (db *CharDB) PutPayload(key TaskKey) ([]byte, bool) {
-	rec := db.Lookup(key)
-	db.Reads-- // internal read, not an external access
+	rec := db.latest(key)
 	if rec == nil {
 		return nil, false
 	}
@@ -228,6 +236,3 @@ func (s *RUPAM) WarmStartFrom(prev *RUPAM) {
 		s.db.store[key] = &copied
 	}
 }
-
-// RecordCount is a test hook: distinct flushed records.
-func (db *CharDB) RecordCount() int { return len(db.store) }

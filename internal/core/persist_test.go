@@ -42,8 +42,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := restored.Load(strings.NewReader(buf.String())); err != nil {
 		t.Fatal(err)
 	}
-	if restored.RecordCount() != db.RecordCount() {
-		t.Fatalf("records: %d vs %d", restored.RecordCount(), db.RecordCount())
+	if restored.Size() != db.Size() {
+		t.Fatalf("records: %d vs %d", restored.Size(), db.Size())
 	}
 	rec := restored.Lookup(TaskKey{"grad", 0})
 	if rec == nil {
@@ -230,7 +230,7 @@ func TestWarmStartSpeedsSecondRun(t *testing.T) {
 	if warm > cold*1.05 {
 		t.Fatalf("warm start slower than cold: %v vs %v", warm, cold)
 	}
-	if sched.DB().RecordCount() == 0 {
+	if sched.DB().Size() == 0 {
 		t.Fatal("first run recorded nothing")
 	}
 }

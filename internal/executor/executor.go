@@ -234,9 +234,6 @@ func (ex *Executor) SetFlakeProb(p float64) {
 	ex.flakeProb = p
 }
 
-// FlakeProb returns the current transient-failure probability.
-func (ex *Executor) FlakeProb() float64 { return ex.flakeProb }
-
 // Down reports whether the executor is offline after a crash.
 func (ex *Executor) Down() bool { return ex.down }
 

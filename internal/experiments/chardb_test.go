@@ -27,8 +27,8 @@ func TestRunWithCharDB(t *testing.T) {
 	if err := saved.LoadFile(path); err != nil {
 		t.Fatalf("cold run's DB unreadable: %v", err)
 	}
-	if saved.RecordCount() != n {
-		t.Fatalf("DB file holds %d records, run reported %d", saved.RecordCount(), n)
+	if saved.Size() != n {
+		t.Fatalf("DB file holds %d records, run reported %d", saved.Size(), n)
 	}
 
 	warm, _ := RunWithCharDB(spec, path)

@@ -30,7 +30,6 @@ func Fig2(seed uint64) Fig2Result {
 		Scheduler: SchedSpark,
 		Cluster:   "motivation",
 		Seed:      seed,
-		Trace:     true,
 		// The block-exchange bursts last well under a second; sample fast
 		// enough to catch them.
 		Spark: spark.Config{SampleInterval: 0.25},

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"rupam/internal/metrics"
+	"rupam/internal/spark"
 	"rupam/internal/stats"
 )
 
@@ -92,7 +93,7 @@ func Fig8(seed uint64) Fig8Result {
 	var res Fig8Result
 	for _, w := range Fig7Workloads {
 		for _, sch := range []string{SchedSpark, SchedRUPAM} {
-			r := Run(RunSpec{Workload: w, Scheduler: sch, Seed: seed, Trace: true})
+			r := Run(RunSpec{Workload: w, Scheduler: sch, Seed: seed, Spark: spark.Config{SampleInterval: 1}})
 			res.Rows = append(res.Rows, Fig8Row{
 				Workload:  w,
 				Scheduler: sch,
@@ -158,8 +159,9 @@ func Fig9(seed uint64) Fig9Result {
 	if seed == 0 {
 		seed = 1
 	}
-	spark := Run(RunSpec{Workload: "PR", Scheduler: SchedSpark, Seed: seed, Trace: true})
-	rupam := Run(RunSpec{Workload: "PR", Scheduler: SchedRUPAM, Seed: seed, Trace: true})
+	sampled := spark.Config{SampleInterval: 1}
+	spark := Run(RunSpec{Workload: "PR", Scheduler: SchedSpark, Seed: seed, Spark: sampled})
+	rupam := Run(RunSpec{Workload: "PR", Scheduler: SchedRUPAM, Seed: seed, Spark: sampled})
 	res := Fig9Result{
 		Spark: metrics.NodeBalance(spark.Trace),
 		RUPAM: metrics.NodeBalance(rupam.Trace),

@@ -40,10 +40,10 @@ type RunSpec struct {
 	Seed uint64
 	// RUPAM carries scheduler tunables/ablations for SchedRUPAM runs.
 	RUPAM core.Config
-	// Spark carries framework overrides (zero fields keep defaults).
+	// Spark carries framework overrides (zero fields keep defaults,
+	// except SampleInterval: utilization is recorded, as Figures 2, 8
+	// and 9 need, only when it is positive).
 	Spark spark.Config
-	// Trace enables utilization recording (needed by Figures 2, 8, 9).
-	Trace bool
 	// Tracer, when non-nil, records structured events (task lifecycle,
 	// scheduler decisions, faults) for export and critical-path analysis.
 	Tracer *tracing.Collector
@@ -105,8 +105,8 @@ func newRuntime(eng *simx.Engine, clu *cluster.Cluster, spec RunSpec) *spark.Run
 	cfg := spec.Spark
 	cfg.Seed = spec.Seed*31 + 7
 	cfg.Tracer = spec.Tracer
-	if !spec.Trace && cfg.SampleInterval == 0 {
-		cfg.SampleInterval = -1 // disable tracing unless requested
+	if cfg.SampleInterval == 0 {
+		cfg.SampleInterval = -1
 	}
 	return spark.NewRuntime(eng, clu, sched, cfg)
 }
@@ -149,5 +149,5 @@ func RunWithCharDB(spec RunSpec, path string) (*spark.Result, int) {
 	if err := db.SaveFile(path); err != nil {
 		panic(fmt.Sprintf("experiments: saving chardb %s: %v", path, err))
 	}
-	return res, db.RecordCount()
+	return res, db.Size()
 }

@@ -56,9 +56,6 @@ func (i *Iface) Name() string { return i.name }
 // EgressCap returns the NIC's outbound capacity in bytes/sec.
 func (i *Iface) EgressCap() float64 { return i.egressCap }
 
-// IngressCap returns the NIC's inbound capacity in bytes/sec.
-func (i *Iface) IngressCap() float64 { return i.ingressCap }
-
 // EgressRate returns the currently allocated outbound rate in bytes/sec.
 func (i *Iface) EgressRate() float64 { return i.egRate }
 
@@ -183,9 +180,6 @@ func (n *Network) SetCapacity(name string, egress, ingress float64) {
 	i.egressCap, i.ingressCap = egress, ingress
 	n.reallocate()
 }
-
-// ActiveFlows returns the number of in-progress flows.
-func (n *Network) ActiveFlows() int { return n.live }
 
 // newFlow hands out a flow from the arena chunk.
 func (n *Network) newFlow() *Flow {

@@ -58,10 +58,6 @@ func (h *Heap[T]) Clear() {
 	h.items = h.items[:0]
 }
 
-// Items returns the heap's backing slice in heap order (not sorted order).
-// Callers must not mutate element priority without re-heapifying.
-func (h *Heap[T]) Items() []T { return h.items }
-
 func (h *Heap[T]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2

@@ -273,5 +273,4 @@ func (c *Context) stageID() int   { c.nextStage++; return c.nextStage }
 func (c *Context) taskID() int    { c.nextTask++; return c.nextTask }
 func (c *Context) jobID() int     { c.nextJob++; return c.nextJob }
 func (r *RDD) String() string     { return fmt.Sprintf("rdd %d (%s)", r.id, r.name) }
-func (r *RDD) Cached() bool       { return r.cached }
 func (r *RDD) Materialized() bool { return r.materialized }

@@ -52,10 +52,6 @@ func (t Timer) Cancel() {
 // has already fired, or is the zero handle.
 func (t Timer) Canceled() bool { return t.n == nil || t.n.gen != t.gen || t.n.canceled }
 
-// Active reports whether the timer is still armed (scheduled, not yet
-// fired, not cancelled).
-func (t Timer) Active() bool { return !t.Canceled() }
-
 // PoolStats reports timer-node pool behaviour, for leak tests and the
 // perf battery.
 type PoolStats struct {

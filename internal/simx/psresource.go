@@ -132,9 +132,6 @@ func (r *PSResource) Utilization() float64 {
 	return r.ratePerClaim() * float64(r.active) / r.capacity
 }
 
-// ActiveClaims returns the number of claims currently being served.
-func (r *PSResource) ActiveClaims() int { return r.active }
-
 // AvgUtilization returns the time-weighted average utilization fraction
 // since the resource was created.
 func (r *PSResource) AvgUtilization() float64 {

@@ -82,8 +82,7 @@ func TestSpaceSetCapacity(t *testing.T) {
 }
 
 func TestTokensAcquireRelease(t *testing.T) {
-	eng := NewEngine()
-	g := NewTokens(eng, "gpu", 2)
+	g := NewTokens("gpu", 2)
 	if !g.TryAcquire() || !g.TryAcquire() {
 		t.Fatal("could not take both tokens")
 	}
@@ -100,7 +99,7 @@ func TestTokensAcquireRelease(t *testing.T) {
 }
 
 func TestTokensEmptyPool(t *testing.T) {
-	g := NewTokens(NewEngine(), "gpu", 0)
+	g := NewTokens("gpu", 0)
 	if g.TryAcquire() {
 		t.Fatal("token from empty pool")
 	}
@@ -115,7 +114,7 @@ func TestTokensReleaseUnderflowPanics(t *testing.T) {
 			t.Fatal("no panic on token underflow")
 		}
 	}()
-	NewTokens(NewEngine(), "gpu", 1).Release()
+	NewTokens("gpu", 1).Release()
 }
 
 // Property: any interleaving of TryAlloc/Release keeps 0 <= used <=

@@ -1,30 +1,24 @@
 package simx
 
-import (
-	"fmt"
-
-	"rupam/internal/stats"
-)
+import "fmt"
 
 // Tokens models a resource acquired whole, one unit at a time: GPUs. A
 // task either holds a GPU exclusively for its compute phase or runs the
 // CPU fallback; there is no sharing, matching the NVBLAS usage in the
 // paper's GPU workloads.
 type Tokens struct {
-	eng   *Engine
 	name  string
 	total int
 	inUse int
-	usage stats.TimeAvg // tokens in use over time
 }
 
 // NewTokens creates a token pool of the given size (size 0 is valid: a
 // node without GPUs).
-func NewTokens(eng *Engine, name string, total int) *Tokens {
+func NewTokens(name string, total int) *Tokens {
 	if total < 0 {
 		panic(fmt.Sprintf("simx: tokens %q with negative total", name))
 	}
-	return &Tokens{eng: eng, name: name, total: total}
+	return &Tokens{name: name, total: total}
 }
 
 // Name returns the pool's diagnostic name.
@@ -48,18 +42,11 @@ func (t *Tokens) Utilization() float64 {
 	return float64(t.inUse) / float64(t.total)
 }
 
-// AvgInUse returns the time-weighted average number of tokens in use.
-func (t *Tokens) AvgInUse() float64 {
-	t.usage.Observe(t.eng.Now(), float64(t.inUse))
-	return t.usage.Value()
-}
-
 // TryAcquire takes one token, reporting whether one was available.
 func (t *Tokens) TryAcquire() bool {
 	if t.inUse >= t.total {
 		return false
 	}
-	t.usage.Observe(t.eng.Now(), float64(t.inUse))
 	t.inUse++
 	return true
 }
@@ -69,6 +56,5 @@ func (t *Tokens) Release() {
 	if t.inUse <= 0 {
 		panic(fmt.Sprintf("simx: tokens %q release underflow", t.name))
 	}
-	t.usage.Observe(t.eng.Now(), float64(t.inUse))
 	t.inUse--
 }

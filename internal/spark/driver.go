@@ -501,22 +501,7 @@ func (rt *Runtime) RunningOn(node string) int {
 	return n
 }
 
-// BlacklistedNow returns how many nodes are currently inside a blacklist
-// window (0 when blacklisting is off).
-func (rt *Runtime) BlacklistedNow() int {
-	if rt.bl == nil {
-		return 0
-	}
-	n := 0
-	for _, until := range rt.bl.until {
-		if until > rt.Eng.Now() {
-			n++
-		}
-	}
-	return n
-}
-
-// ActiveStages returns the currently active stages ordered by ID.
+// sortedActiveStages returns the currently active stages ordered by ID.
 func (rt *Runtime) sortedActiveStages() []*task.Stage {
 	ss := make([]*task.Stage, 0, len(rt.activeStages))
 	for _, s := range rt.activeStages {
@@ -525,6 +510,3 @@ func (rt *Runtime) sortedActiveStages() []*task.Stage {
 	slices.SortFunc(ss, func(a, b *task.Stage) int { return cmp.Compare(a.ID, b.ID) })
 	return ss
 }
-
-// ActiveStages returns active stages in deterministic (ID) order.
-func (rt *Runtime) ActiveStages() []*task.Stage { return rt.sortedActiveStages() }

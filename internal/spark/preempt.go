@@ -57,10 +57,6 @@ type movedOutput struct {
 	dest string
 }
 
-// Draining reports whether the node is inside an open preemption window
-// (notice delivered, loss not yet cleared by re-acquisition).
-func (rt *Runtime) Draining(node string) bool { return rt.preempted[node] }
-
 // PreemptionRecords returns every notice→kill episode the driver observed,
 // in notice order.
 func (rt *Runtime) PreemptionRecords() []PreemptionRecord {

@@ -92,14 +92,20 @@ func GenTopology(seed uint64, cfg TopoConfig) *Topology {
 	cfg = cfg.withDefaults()
 	rng := stats.NewRand(seed ^ 0x5eedc0de)
 	t := &Topology{Name: fmt.Sprintf("stream-%d", seed)}
-	next := 0
+	// hasOut records which operators feed an edge so far: the topology
+	// has no index until it is complete and validated.
+	var hasOut []bool
 	add := func(name string, o Operator) *Operator {
-		o.ID = next
-		o.Name = fmt.Sprintf("%s%d", name, next)
-		next++
+		o.ID = len(t.Ops)
+		o.Name = fmt.Sprintf("%s%d", name, o.ID)
 		op := o
 		t.Ops = append(t.Ops, &op)
+		hasOut = append(hasOut, false)
 		return &op
+	}
+	edge := func(from, to int) {
+		t.Edges = append(t.Edges, Edge{From: from, To: to})
+		hasOut[from] = true
 	}
 
 	// Layer 0: sources.
@@ -134,13 +140,13 @@ func GenTopology(seed uint64, cfg TopoConfig) *Topology {
 				fanin = len(prev)
 			}
 			first := rng.Intn(len(prev))
-			t.Edges = append(t.Edges, Edge{From: prev[first], To: o.ID})
+			edge(prev[first], o.ID)
 			if fanin == 2 {
 				second := rng.Intn(len(prev) - 1)
 				if second >= first {
 					second++
 				}
-				t.Edges = append(t.Edges, Edge{From: prev[second], To: o.ID})
+				edge(prev[second], o.ID)
 			}
 			layer = append(layer, o.ID)
 		}
@@ -148,8 +154,8 @@ func GenTopology(seed uint64, cfg TopoConfig) *Topology {
 		// an accidental sink; wire it into a deterministic member of
 		// the new layer instead.
 		for _, up := range prev {
-			if len(t.Out(up)) == 0 {
-				t.Edges = append(t.Edges, Edge{From: up, To: layer[up%len(layer)]})
+			if !hasOut[up] {
+				edge(up, layer[up%len(layer)])
 			}
 		}
 		prev = layer
@@ -164,7 +170,7 @@ func GenTopology(seed uint64, cfg TopoConfig) *Topology {
 		StateBytes:      stateMin + int64(rng.Float64()*float64(stateMax-stateMin)),
 	})
 	for _, up := range prev {
-		t.Edges = append(t.Edges, Edge{From: up, To: sink.ID})
+		edge(up, sink.ID)
 	}
 
 	if err := t.Validate(); err != nil {

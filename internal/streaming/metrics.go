@@ -109,16 +109,16 @@ func (r *Runtime) result() *Result {
 	if r.sloTotal > 0 {
 		res.SLOAttain = r.sloHit / r.sloTotal
 	}
-	res.SourceEmitted = make(map[int]float64, len(r.sources))
-	for _, id := range r.sources {
+	res.SourceEmitted = make(map[int]float64, len(r.topo.Sources()))
+	for _, id := range r.topo.Sources() {
 		if n := r.ops[id].sourceEmitted; n > 0 {
 			res.SourceEmitted[id] = n
 		}
 	}
-	for _, id := range r.order {
+	for _, id := range r.topo.TopoOrder() {
 		st := &r.ops[id]
 		res.Ops = append(res.Ops, OpStat{
-			ID: id, Name: st.op.Name, Node: st.node,
+			ID: id, Name: st.op.Name, Node: r.placed[id],
 			Consumed: st.consumed, Emitted: st.emitted, Cycles: st.cycles,
 			MaxBacklog: st.maxBack,
 		})
@@ -225,9 +225,9 @@ func CheckInvariants(res *Result) []string {
 	}
 
 	if res.Topo != nil {
-		opByID := make(map[int]OpStat, len(res.Ops))
+		consumed := make([]float64, len(res.Topo.Ops))
 		for _, o := range res.Ops {
-			opByID[o.ID] = o
+			consumed[o.ID] = o.Consumed
 		}
 		for _, c := range res.Chans {
 			o := res.Topo.Op(c.From)
@@ -235,7 +235,7 @@ func CheckInvariants(res *Result) []string {
 			if len(res.Topo.In(c.From)) == 0 {
 				want = res.SourceEmitted[c.From]
 			} else {
-				want = opByID[c.From].Consumed * o.Selectivity
+				want = consumed[c.From] * o.Selectivity
 			}
 			if !closeEnough(c.Emitted, want) {
 				v = append(v, fmt.Sprintf("chan %d->%d: emitted %.3f but upstream flow implies %.3f",

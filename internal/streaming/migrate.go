@@ -71,11 +71,11 @@ func (r *Runtime) startMigration(opID int, to, reason string, emergency bool) bo
 	if st.mig != nil {
 		return false
 	}
-	from := st.node
+	from := r.placed[opID]
 	if to == "" {
 		ex := r.liveExclusions()
 		ex[from] = true
-		to = r.placer.Pick(r.topo, st.op, r.nodes, r.placement(), ex)
+		to = r.placer.Pick(r.topo, st.op, r.nodes, r.placed, ex)
 	}
 	if to == "" || to == from || !r.nodeAlive(to) {
 		return false
@@ -115,10 +115,10 @@ func (r *Runtime) emergency(opID int, reason string) {
 		}
 		return
 	}
-	to := r.placer.Pick(r.topo, st.op, r.nodes, r.placement(), r.liveExclusions())
+	to := r.placer.Pick(r.topo, st.op, r.nodes, r.placed, r.liveExclusions())
 	if to == "" {
 		r.violations = append(r.violations, fmt.Sprintf(
-			"operator %d stranded: host %s dead and no live target", opID, st.node))
+			"operator %d stranded: host %s dead and no live target", opID, r.placed[opID]))
 		return
 	}
 	r.startMigration(opID, to, reason, true)
@@ -136,7 +136,7 @@ func (st *opState) backlog() float64 {
 // advanceMigrations moves draining migrations whose backlog is gone into
 // the handoff phase.
 func (r *Runtime) advanceMigrations() {
-	for _, id := range r.order {
+	for _, id := range r.topo.TopoOrder() {
 		st := &r.ops[id]
 		m := st.mig
 		if m == nil || m.shipping || m.emergency {
@@ -190,7 +190,7 @@ func (r *Runtime) finishMigration(opID int) {
 	}
 	now := r.eng.Now()
 	o := st.op
-	st.node = m.to
+	r.placed[opID] = m.to
 
 	// Out-channel wires re-home by Redirect: the flow's remaining budget,
 	// destination and callback survive; only the source end moves.

@@ -41,14 +41,15 @@ func SnapshotNodes(clu *cluster.Cluster) []NodeInfo {
 	return infos
 }
 
-// Placer decides where operators run. Place assigns every operator of a
-// topology a node up front; Pick chooses a migration target for one
+// Placer decides where operators run. A placement is a node name per
+// operator ID, "" for an unplaced operator. Place assigns every operator
+// of a topology a node up front; Pick chooses a migration target for one
 // operator, honoring the current placement and a set of excluded
 // (doomed or degraded) nodes. Pick returns "" when no candidate exists.
 type Placer interface {
 	Name() string
-	Place(t *Topology, nodes []NodeInfo) map[int]string
-	Pick(t *Topology, op *Operator, nodes []NodeInfo, current map[int]string, exclude map[string]bool) string
+	Place(t *Topology, nodes []NodeInfo) []string
+	Pick(t *Topology, op *Operator, nodes []NodeInfo, current []string, exclude map[string]bool) string
 }
 
 // PlacerNames lists the valid -placer values, in documentation order.
@@ -82,8 +83,8 @@ type defaultPlacer struct {
 
 func (p *defaultPlacer) Name() string { return "default" }
 
-func (p *defaultPlacer) Place(t *Topology, nodes []NodeInfo) map[int]string {
-	placement := make(map[int]string, len(t.Ops))
+func (p *defaultPlacer) Place(t *Topology, nodes []NodeInfo) []string {
+	placement := make([]string, len(t.Ops))
 	for _, id := range t.TopoOrder() {
 		node := nodes[p.next%len(nodes)].Name
 		p.next++
@@ -96,7 +97,7 @@ func (p *defaultPlacer) Place(t *Topology, nodes []NodeInfo) map[int]string {
 	return placement
 }
 
-func (p *defaultPlacer) Pick(t *Topology, op *Operator, nodes []NodeInfo, current map[int]string, exclude map[string]bool) string {
+func (p *defaultPlacer) Pick(t *Topology, op *Operator, nodes []NodeInfo, current []string, exclude map[string]bool) string {
 	for range nodes {
 		node := nodes[p.next%len(nodes)].Name
 		p.next++
@@ -127,20 +128,12 @@ type resourcePlacer struct {
 
 func (p *resourcePlacer) Name() string { return "resource" }
 
-// cpuDemand returns each operator's closed-form steady-state CPU demand
-// in Gcycles/s (sources excluded: emission is arrival, not compute).
-func cpuDemand(t *Topology) map[int]float64 {
-	rates := t.SteadyRates()
-	d := make(map[int]float64, len(t.Ops))
-	for _, o := range t.Ops {
-		d[o.ID] = rates[o.ID] * o.CyclesPerRecord
-	}
-	return d
-}
-
-// byDemandDesc returns operator IDs sorted by descending demand, ID
-// ascending on ties — the deterministic best-fit-decreasing order.
-func byDemandDesc(t *Topology, demand map[int]float64) []int {
+// byDemandDesc returns operator IDs sorted by descending closed-form
+// steady CPU demand (sources demand 0: emission is arrival, not
+// compute), ID ascending on ties — the deterministic best-fit-decreasing
+// order.
+func byDemandDesc(t *Topology) []int {
+	demand := t.index().cpu
 	ids := make([]int, 0, len(t.Ops))
 	for _, o := range t.Ops {
 		ids = append(ids, o.ID)
@@ -154,25 +147,23 @@ func byDemandDesc(t *Topology, demand map[int]float64) []int {
 	return ids
 }
 
-func (p *resourcePlacer) Place(t *Topology, nodes []NodeInfo) map[int]string {
-	demand := cpuDemand(t)
+func (p *resourcePlacer) Place(t *Topology, nodes []NodeInfo) []string {
+	demand := t.index().cpu
 	assigned := make(map[string]float64, len(nodes))
-	placement := make(map[int]string, len(t.Ops))
-	for _, id := range byDemandDesc(t, demand) {
+	placement := make([]string, len(t.Ops))
+	for _, id := range byDemandDesc(t) {
 		placement[id] = p.mostResidual(id, demand[id], nodes, assigned, nil)
 		assigned[placement[id]] += demand[id]
 	}
 	return placement
 }
 
-func (p *resourcePlacer) Pick(t *Topology, op *Operator, nodes []NodeInfo, current map[int]string, exclude map[string]bool) string {
-	demand := cpuDemand(t)
+func (p *resourcePlacer) Pick(t *Topology, op *Operator, nodes []NodeInfo, current []string, exclude map[string]bool) string {
+	demand := t.index().cpu
 	assigned := make(map[string]float64, len(nodes))
-	// Sum in operator order, not map order, so the loads are the same
-	// bits on every call.
-	for _, o := range t.Ops {
-		if node, ok := current[o.ID]; ok && o.ID != op.ID {
-			assigned[node] += demand[o.ID]
+	for id, node := range current {
+		if node != "" && id != op.ID {
+			assigned[node] += demand[id]
 		}
 	}
 	ex := make(map[string]bool, len(exclude)+1)

@@ -1,6 +1,7 @@
 package streaming
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -79,6 +80,9 @@ func TestPickExcludesCurrentAndDoomed(t *testing.T) {
 	for _, name := range PlacerNames {
 		p, _ := NewPlacer(name, nil, nil)
 		current := p.Place(topo, nodes)
+		if len(current) != len(topo.Ops) || slices.Contains(current, "") {
+			t.Fatalf("%s: Place left operators unplaced: %q", name, current)
+		}
 		cur := current[1]
 		exclude := map[string]bool{}
 		for _, n := range nodes {
@@ -93,6 +97,21 @@ func TestPickExcludesCurrentAndDoomed(t *testing.T) {
 		}
 		if got == cur || exclude[got] {
 			t.Fatalf("%s: Pick chose %s (current %s, excluded %v)", name, got, cur, exclude[got])
+		}
+	}
+}
+
+// TestPickWithUnplacedNeighbours moves an operator whose neighbours have
+// no node yet: "" entries are unplaced and charge nothing.
+func TestPickWithUnplacedNeighbours(t *testing.T) {
+	nodes := hydraNodes()
+	topo := serialHot()
+	for _, name := range PlacerNames {
+		p, _ := NewPlacer(name, nil, nil)
+		current := []string{"", nodes[0].Name, ""}
+		got := p.Pick(topo, topo.Op(1), nodes, current, nil)
+		if got == "" || got == nodes[0].Name {
+			t.Fatalf("%s: Pick chose %q away from %s", name, got, nodes[0].Name)
 		}
 	}
 }

@@ -109,12 +109,11 @@ type Runtime struct {
 	placer Placer
 	nodes  []NodeInfo
 
-	// Per-run topology index, built once by Run: nothing on the tick
-	// path walks the Topology's operator or edge lists.
-	order   []int      // topological order
-	sources []int      // operators with no in-edges, ascending
-	ops     []opState  // by operator ID
-	chans   []*channel // topology edge order
+	// Per-operator state lives in slices by operator ID; the graph
+	// itself is read from the topology's index.
+	ops    []opState  // by operator ID
+	placed []string   // host node by operator ID: the placers' view
+	chans  []*channel // topology edge order
 
 	spikeMult float64
 
@@ -143,7 +142,6 @@ type Runtime struct {
 type opState struct {
 	op      *Operator
 	key     core.TaskKey // CharDB stream key
-	node    string       // host node
 	in, out []*channel
 	opAccum
 
@@ -206,8 +204,6 @@ func Run(cfg Config) *Result {
 	}
 
 	r.topo = GenTopology(cfg.Seed, cfg.Topo)
-	r.order = r.topo.TopoOrder()
-	r.sources = r.topo.Sources()
 	r.nodes = SnapshotNodes(clu)
 	placer, err := NewPlacer(cfg.Placer, r.db, r.col)
 	if err != nil {
@@ -216,14 +212,13 @@ func Run(cfg Config) *Result {
 	r.placer = placer
 
 	// Initial placement.
-	placement := placer.Place(r.topo, r.nodes)
+	r.placed = placer.Place(r.topo, r.nodes)
 	r.ops = make([]opState, len(r.topo.Ops))
 	for id, o := range r.topo.Ops {
-		node := placement[id]
-		if node == "" {
+		if r.placed[id] == "" {
 			panic(fmt.Sprintf("streaming: placer %s left operator %d unplaced", placer.Name(), id))
 		}
-		r.ops[id] = opState{op: o, key: StreamKey(r.topo.Name, o), node: node, running: true}
+		r.ops[id] = opState{op: o, key: StreamKey(r.topo.Name, o), running: true}
 	}
 
 	// Channels, sized to backlogSeconds of the closed-form steady rate.
@@ -271,16 +266,6 @@ func (r *Runtime) nodeAlive(name string) bool {
 	return ok && !ex.FailStopped()
 }
 
-// placement returns the current node of every operator — the placer's
-// view.
-func (r *Runtime) placement() map[int]string {
-	p := make(map[int]string, len(r.ops))
-	for id := range r.ops {
-		p[id] = r.ops[id].node
-	}
-	return p
-}
-
 // liveExclusions returns the dead-node set for placer Pick calls.
 func (r *Runtime) liveExclusions() map[string]bool {
 	ex := make(map[string]bool)
@@ -304,8 +289,8 @@ func (r *Runtime) tick() {
 	}
 
 	// (2) Liveness: operators on dead hosts fail over.
-	for _, id := range r.order {
-		if !r.nodeAlive(r.ops[id].node) {
+	for _, id := range r.topo.TopoOrder() {
+		if !r.nodeAlive(r.placed[id]) {
 			r.emergency(id, "host-dead")
 		}
 	}
@@ -324,7 +309,7 @@ func (r *Runtime) tick() {
 	// (5) Sources emit, throttled by downstream credit — the terminal
 	// stage of backpressure.
 	if !r.sourcesStopped {
-		for _, id := range r.sources {
+		for _, id := range r.topo.Sources() {
 			r.emitSource(id, now, dt)
 		}
 	}
@@ -346,7 +331,7 @@ func (r *Runtime) tick() {
 	r.triggerMigrations(now)
 
 	// (9) Book backlog stats.
-	for _, id := range r.order {
+	for _, id := range r.topo.TopoOrder() {
 		st := &r.ops[id]
 		if back := st.backlog(); back > st.maxBack {
 			st.maxBack = back
@@ -396,9 +381,9 @@ func (r *Runtime) finish(now float64, drained bool) {
 		}
 		ch.wire = nil
 	}
-	for _, id := range r.order {
+	for _, id := range r.topo.TopoOrder() {
 		if st := &r.ops[id]; st.running {
-			r.streamSpanAt(st.node, st.op.Name, "run", "", st.runFrom, now)
+			r.streamSpanAt(r.placed[id], st.op.Name, "run", "", st.runFrom, now)
 		}
 	}
 	r.feedCharDB(now)
@@ -413,9 +398,9 @@ func (r *Runtime) processNode(node *cluster.Node, now, dt float64) {
 		return
 	}
 	items := r.items[:0]
-	for _, id := range r.order {
+	for _, id := range r.topo.TopoOrder() {
 		st := &r.ops[id]
-		if st.node != name || len(st.in) == 0 {
+		if r.placed[id] != name || len(st.in) == 0 {
 			continue // sources emit in their own phase
 		}
 		o := st.op
@@ -531,7 +516,7 @@ func (r *Runtime) processOp(id int, grant float64, now float64) {
 func (r *Runtime) emitSource(id int, now, dt float64) {
 	st := &r.ops[id]
 	o := st.op
-	if !r.nodeAlive(st.node) {
+	if !r.nodeAlive(r.placed[id]) {
 		return // a dead host ingests nothing until the source fails over
 	}
 	n := o.RateHz * r.spikeMult * dt
@@ -556,7 +541,7 @@ func (r *Runtime) emitSource(id int, now, dt float64) {
 // no wire: arrival is a memory copy.
 func (r *Runtime) manageWires() {
 	for _, ch := range r.chans {
-		src, dst := r.ops[ch.from].node, r.ops[ch.to].node
+		src, dst := r.placed[ch.from], r.placed[ch.to]
 		if src == dst {
 			if ch.wire != nil && !ch.wire.Done() {
 				r.clu.Net.Cancel(ch.wire)
@@ -593,7 +578,7 @@ func (r *Runtime) manageWires() {
 // carries Gcycles/s, ShuffleRead/Write carry bytes/s, PeakMemory the
 // state size. This is the evidence path the rupam placer reads.
 func (r *Runtime) feedCharDB(now float64) {
-	for _, id := range r.order {
+	for _, id := range r.topo.TopoOrder() {
 		st := &r.ops[id]
 		if st.winConsumed <= 0 && st.winOutBytes <= 0 {
 			continue
@@ -602,7 +587,7 @@ func (r *Runtime) feedCharDB(now float64) {
 		inBps := st.winInBytes / charDBInterval
 		outBps := st.winOutBytes / charDBInterval
 		m := &task.Metrics{
-			Executor:         st.node,
+			Executor:         r.placed[id],
 			Start:            now - charDBInterval,
 			End:              now,
 			ComputeTime:      cpu,
@@ -611,7 +596,7 @@ func (r *Runtime) feedCharDB(now float64) {
 			PeakMemory:       st.op.StateBytes,
 		}
 		bottleneck := core.CPU
-		if n := r.clu.Node(st.node); n != nil {
+		if n := r.clu.Node(r.placed[id]); n != nil {
 			cpuFrac := cpu / n.Spec.CPUCapacity()
 			netFrac := (inBps + outBps) / n.Spec.NetBandwidth
 			if netFrac > cpuFrac {
@@ -631,7 +616,7 @@ func (r *Runtime) triggerMigrations(now float64) {
 	if r.cfg.ForceMigrateAt > 0 && now >= r.cfg.ForceMigrateAt && !r.forcedDone {
 		// Most backlogged operator, ties to the lowest ID.
 		bestID, bestBack := -1, -1.0
-		for _, id := range r.order {
+		for _, id := range r.topo.TopoOrder() {
 			st := &r.ops[id]
 			if st.mig != nil {
 				continue
@@ -644,7 +629,7 @@ func (r *Runtime) triggerMigrations(now float64) {
 			r.forcedDone = true
 		}
 	}
-	for _, id := range r.order {
+	for _, id := range r.topo.TopoOrder() {
 		st := &r.ops[id]
 		if st.mig != nil || len(st.in) == 0 {
 			st.overTicks = 0
@@ -653,7 +638,7 @@ func (r *Runtime) triggerMigrations(now float64) {
 		if now-st.lastMigration < migrationCooldown {
 			continue
 		}
-		node := r.clu.Node(st.node)
+		node := r.clu.Node(r.placed[id])
 		if node == nil {
 			continue
 		}
@@ -687,8 +672,8 @@ func (r *Runtime) triggerMigrations(now float64) {
 // evacuate gracefully migrates every operator off a doomed node (spot
 // notice: the host is still alive for the grace window).
 func (r *Runtime) evacuate(node, reason string) {
-	for _, id := range r.order {
-		if st := &r.ops[id]; st.node == node && st.mig == nil {
+	for _, id := range r.topo.TopoOrder() {
+		if r.placed[id] == node && r.ops[id].mig == nil {
 			r.startMigration(id, "", reason, false)
 		}
 	}
@@ -696,8 +681,8 @@ func (r *Runtime) evacuate(node, reason string) {
 
 // failover emergency-migrates every operator still homed on a dead node.
 func (r *Runtime) failover(node, reason string) {
-	for _, id := range r.order {
-		if r.ops[id].node == node {
+	for _, id := range r.topo.TopoOrder() {
+		if r.placed[id] == node {
 			r.emergency(id, reason)
 		}
 	}

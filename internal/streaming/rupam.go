@@ -50,15 +50,13 @@ func StreamKey(topo string, op *Operator) core.TaskKey {
 // operator has history (ComputeTime carries Gcycles/s, ShuffleRead/Write
 // carry bytes/s under the streaming encoding — see Runtime.feedCharDB),
 // closed-form rates otherwise.
-func (p *rupamPlacer) demand(t *Topology, o *Operator, inRates, outRates map[int]float64) demandVec {
-	v := demandVec{
-		cpu:   inRates[o.ID] * o.CyclesPerRecord,
-		state: o.StateBytes,
+func (p *rupamPlacer) demand(t *Topology, o *Operator) demandVec {
+	x := t.index()
+	v := demandVec{cpu: x.cpu[o.ID], state: o.StateBytes}
+	for _, up := range x.in[o.ID] {
+		v.in += x.outRate[up] * t.Ops[up].BytesPerRecord
 	}
-	for _, up := range t.In(o.ID) {
-		v.in += outRates[up] * t.Op(up).BytesPerRecord
-	}
-	v.out = outRates[o.ID] * o.BytesPerRecord * float64(len(t.Out(o.ID)))
+	v.out = x.outRate[o.ID] * o.BytesPerRecord * float64(len(x.out[o.ID]))
 	if p.db != nil {
 		if rec := p.db.Lookup(StreamKey(t.Name, o)); rec != nil && rec.Runs > 0 {
 			v.cpu = rec.ComputeTime
@@ -80,37 +78,31 @@ type load struct {
 	stateUse int64
 }
 
-func (p *rupamPlacer) Place(t *Topology, nodes []NodeInfo) map[int]string {
-	inRates, outRates := t.SteadyRates(), t.SteadyOutRates()
-	demand := cpuDemand(t)
+func (p *rupamPlacer) Place(t *Topology, nodes []NodeInfo) []string {
 	assigned := make(map[string]*load, len(nodes))
 	for _, n := range nodes {
 		assigned[n.Name] = &load{}
 	}
-	placement := make(map[int]string, len(t.Ops))
-	for _, id := range byDemandDesc(t, demand) {
-		o := t.Op(id)
-		v := p.demand(t, o, inRates, outRates)
-		node := p.score(t, o, v, nodes, placement, assigned, nil, outRates)
+	placement := make([]string, len(t.Ops))
+	for _, id := range byDemandDesc(t) {
+		o := t.Ops[id]
+		v := p.demand(t, o)
+		node := p.score(t, o, v, nodes, placement, assigned, nil)
 		placement[id] = node
-		p.charge(t, o, v, node, placement, assigned, outRates)
+		p.charge(t, o, v, node, placement, assigned)
 	}
 	return placement
 }
 
-func (p *rupamPlacer) Pick(t *Topology, op *Operator, nodes []NodeInfo, current map[int]string, exclude map[string]bool) string {
-	inRates, outRates := t.SteadyRates(), t.SteadyOutRates()
+func (p *rupamPlacer) Pick(t *Topology, op *Operator, nodes []NodeInfo, current []string, exclude map[string]bool) string {
 	assigned := make(map[string]*load, len(nodes))
 	for _, n := range nodes {
 		assigned[n.Name] = &load{}
 	}
 	for _, other := range t.TopoOrder() {
-		if other == op.ID {
-			continue
-		}
-		if node, ok := current[other]; ok {
-			ov := p.demand(t, t.Op(other), inRates, outRates)
-			p.charge(t, t.Op(other), ov, node, current, assigned, outRates)
+		if node := current[other]; node != "" && other != op.ID {
+			o := t.Ops[other]
+			p.charge(t, o, p.demand(t, o), node, current, assigned)
 		}
 	}
 	ex := make(map[string]bool, len(exclude)+1)
@@ -118,29 +110,25 @@ func (p *rupamPlacer) Pick(t *Topology, op *Operator, nodes []NodeInfo, current 
 		ex[n] = true
 	}
 	ex[current[op.ID]] = true
-	v := p.demand(t, op, inRates, outRates)
-	others := make(map[int]string, len(current))
-	for id, node := range current {
-		if id != op.ID {
-			others[id] = node
-		}
-	}
-	return p.score(t, op, v, nodes, others, assigned, ex, outRates)
+	// Scoring never reads the operator's own entry in current: self-edges
+	// are rejected, so it is nobody's neighbour.
+	return p.score(t, op, p.demand(t, op), nodes, current, assigned, ex)
 }
 
 // crossBytes returns the bytes/s the operator would exchange with each
 // already-placed neighbor if hosted on node: zero for colocated
 // neighbors (loopback), the edge rate otherwise.
-func crossBytes(t *Topology, o *Operator, node string, placed map[int]string, outRates map[int]float64) float64 {
+func crossBytes(t *Topology, o *Operator, node string, placed []string) float64 {
+	x := t.index()
 	var bytes float64
-	for _, up := range t.In(o.ID) {
-		if peer, ok := placed[up]; ok && peer != node {
-			bytes += outRates[up] * t.Op(up).BytesPerRecord
+	for _, up := range x.in[o.ID] {
+		if peer := placed[up]; peer != "" && peer != node {
+			bytes += x.outRate[up] * t.Ops[up].BytesPerRecord
 		}
 	}
-	for _, down := range t.Out(o.ID) {
-		if peer, ok := placed[down]; ok && peer != node {
-			bytes += outRates[o.ID] * o.BytesPerRecord
+	for _, down := range x.out[o.ID] {
+		if peer := placed[down]; peer != "" && peer != node {
+			bytes += x.outRate[o.ID] * o.BytesPerRecord
 		}
 	}
 	return bytes
@@ -148,7 +136,7 @@ func crossBytes(t *Topology, o *Operator, node string, placed map[int]string, ou
 
 // score returns the best node for the operator, recording a placement
 // Decision with the per-node verdicts.
-func (p *rupamPlacer) score(t *Topology, o *Operator, v demandVec, nodes []NodeInfo, placed map[int]string, assigned map[string]*load, exclude map[string]bool, outRates map[int]float64) string {
+func (p *rupamPlacer) score(t *Topology, o *Operator, v demandVec, nodes []NodeInfo, placed []string, assigned map[string]*load, exclude map[string]bool) string {
 	d := p.col.NewDecision("placer/rupam", "")
 	if d != nil {
 		evidence := "closed-form demand"
@@ -187,7 +175,7 @@ func (p *rupamPlacer) score(t *Topology, o *Operator, v demandVec, nodes []NodeI
 				cpuRatio = 2 // a fit is a fit; don't over-reward idle giants
 			}
 		}
-		cross := crossBytes(t, o, n.Name, placed, outRates)
+		cross := crossBytes(t, o, n.Name, placed)
 		netRatio := (n.NetBps - l.net - cross) / n.NetBps
 		score := cpuRatio
 		if netRatio < score {
@@ -225,25 +213,26 @@ func (p *rupamPlacer) score(t *Topology, o *Operator, v demandVec, nodes []NodeI
 
 // charge books the operator's demand onto its chosen node and the edge
 // traffic onto both endpoints' NIC budgets.
-func (p *rupamPlacer) charge(t *Topology, o *Operator, v demandVec, node string, placed map[int]string, assigned map[string]*load, outRates map[int]float64) {
+func (p *rupamPlacer) charge(t *Topology, o *Operator, v demandVec, node string, placed []string, assigned map[string]*load) {
 	l, ok := assigned[node]
 	if !ok {
 		return
 	}
+	x := t.index()
 	l.cpu += v.cpu
 	l.stateUse += v.state
-	for _, up := range t.In(o.ID) {
-		if peer, ok := placed[up]; ok && peer != node {
-			bytes := outRates[up] * t.Op(up).BytesPerRecord
+	for _, up := range x.in[o.ID] {
+		if peer := placed[up]; peer != "" && peer != node {
+			bytes := x.outRate[up] * t.Ops[up].BytesPerRecord
 			l.net += bytes
 			if pl, ok := assigned[peer]; ok {
 				pl.net += bytes
 			}
 		}
 	}
-	for _, down := range t.Out(o.ID) {
-		if peer, ok := placed[down]; ok && peer != node {
-			bytes := outRates[o.ID] * o.BytesPerRecord
+	for _, down := range x.out[o.ID] {
+		if peer := placed[down]; peer != "" && peer != node {
+			bytes := x.outRate[o.ID] * o.BytesPerRecord
 			l.net += bytes
 			if pl, ok := assigned[peer]; ok {
 				pl.net += bytes

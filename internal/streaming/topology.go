@@ -13,6 +13,7 @@ package streaming
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -53,116 +54,114 @@ type Edge struct {
 
 // Topology is an operator DAG whose operator IDs are dense: Ops[i].ID ==
 // i, so per-operator state can live in slices indexed by ID. Build one by
-// hand or with GenTopology; Validate before running it.
+// hand or with GenTopology; Validate before running it, and again after
+// changing Ops or Edges.
 type Topology struct {
 	Name  string
 	Ops   []*Operator
 	Edges []Edge
+
+	idx *topoIndex // built by Validate
 }
+
+// topoIndex is everything the rest of the package reads about the graph,
+// by operator ID. Validate builds it; nothing else derives it.
+type topoIndex struct {
+	in, out        [][]int // neighbour IDs, in edge order
+	order          []int   // Kahn's order with an ascending-ID frontier
+	sources, sinks []int   // ascending
+	inRate         []float64
+	outRate        []float64 // per out-edge
+	cpu            []float64 // steady CPU demand, Gcycles/s
+}
+
+// index returns the topology's index, validating it on first use. It
+// panics on an invalid topology.
+func (t *Topology) index() *topoIndex {
+	if t.idx == nil {
+		if err := t.Validate(); err != nil {
+			panic(err.Error())
+		}
+	}
+	return t.idx
+}
+
+// The accessors below return the index's own slices: callers must not
+// modify them.
 
 // Op returns the operator with the given ID, or nil.
 func (t *Topology) Op(id int) *Operator {
-	for _, o := range t.Ops {
-		if o.ID == id {
-			return o
-		}
+	t.index()
+	if id < 0 || id >= len(t.Ops) {
+		return nil
 	}
-	return nil
+	return t.Ops[id]
 }
 
 // In returns the IDs of operators with an edge into id, in edge order.
-func (t *Topology) In(id int) []int {
-	var in []int
-	for _, e := range t.Edges {
-		if e.To == id {
-			in = append(in, e.From)
-		}
-	}
+func (t *Topology) In(id int) []int { return t.index().in[id] }
+
+// Out returns the IDs of operators id has an edge to, in edge order.
+func (t *Topology) Out(id int) []int { return t.index().out[id] }
+
+// Sources returns the IDs of operators with no in-edges, ascending.
+func (t *Topology) Sources() []int { return t.index().sources }
+
+// Sinks returns the IDs of operators with no out-edges, ascending.
+func (t *Topology) Sinks() []int { return t.index().sinks }
+
+// TopoOrder returns operator IDs in a deterministic topological order
+// (Kahn's algorithm with an ascending-ID frontier).
+func (t *Topology) TopoOrder() []int { return t.index().order }
+
+// SteadyRates returns the closed-form steady-state *input* rate of every
+// operator (records/sec) by ID, propagating source rates through
+// selectivities along every path: in(op) = Σ_upstream out(upstream), with
+// out(src) = RateHz and out(op) = in(op) × Selectivity. Sources report
+// input rate 0.
+func (t *Topology) SteadyRates() []float64 { return t.index().inRate }
+
+// SteadyOutRates is SteadyRates for output rates: the records/sec each
+// operator pushes onto *each* of its out-edges in steady state.
+func (t *Topology) SteadyOutRates() []float64 { return t.index().outRate }
+
+// PropagateEmitted propagates actual source emission counts through the
+// DAG's selectivities, returning by ID how many records each operator
+// must have consumed in a fully drained run (0 for sources), by the same
+// recurrence as SteadyRates with out(src) = emitted[src]. This is the
+// closed form the exactly-once invariant compares against.
+func (t *Topology) PropagateEmitted(emitted map[int]float64) []float64 {
+	in, _ := t.index().propagate(t.Ops, func(id int) float64 { return emitted[id] })
 	return in
 }
 
-// Out returns the IDs of operators id has an edge to, in edge order.
-func (t *Topology) Out(id int) []int {
-	var out []int
-	for _, e := range t.Edges {
-		if e.From == id {
-			out = append(out, e.To)
+// propagate pushes each source's output, srcOut(id), through the DAG in
+// topological order: in(op) is the sum of its upstreams' outputs in edge
+// order and out(op) = in(op) × Selectivity. Sources read input 0.
+func (x *topoIndex) propagate(ops []*Operator, srcOut func(id int) float64) (in, out []float64) {
+	in, out = make([]float64, len(ops)), make([]float64, len(ops))
+	for _, id := range x.order {
+		if len(x.in[id]) == 0 {
+			out[id] = srcOut(id)
+			continue
 		}
+		sum := 0.0
+		for _, up := range x.in[id] {
+			sum += out[up]
+		}
+		in[id], out[id] = sum, sum*ops[id].Selectivity
 	}
-	return out
+	return in, out
 }
 
-// Sources returns the IDs of operators with no in-edges, ascending.
-func (t *Topology) Sources() []int {
-	var s []int
-	for _, o := range t.Ops {
-		if len(t.In(o.ID)) == 0 {
-			s = append(s, o.ID)
-		}
-	}
-	sort.Ints(s)
-	return s
-}
-
-// Sinks returns the IDs of operators with no out-edges, ascending.
-func (t *Topology) Sinks() []int {
-	var s []int
-	for _, o := range t.Ops {
-		if len(t.Out(o.ID)) == 0 {
-			s = append(s, o.ID)
-		}
-	}
-	sort.Ints(s)
-	return s
-}
-
-// TopoOrder returns operator IDs in a deterministic topological order
-// (Kahn's algorithm with an ascending-ID frontier). It panics on a cycle;
-// call Validate first on untrusted topologies.
-func (t *Topology) TopoOrder() []int {
-	indeg := make(map[int]int, len(t.Ops))
-	for _, o := range t.Ops {
-		indeg[o.ID] = 0
-	}
-	for _, e := range t.Edges {
-		indeg[e.To]++
-	}
-	var frontier []int
-	for _, o := range t.Ops {
-		if indeg[o.ID] == 0 {
-			frontier = append(frontier, o.ID)
-		}
-	}
-	sort.Ints(frontier)
-	var order []int
-	for len(frontier) > 0 {
-		id := frontier[0]
-		frontier = frontier[1:]
-		order = append(order, id)
-		for _, to := range t.Out(id) {
-			indeg[to]--
-			if indeg[to] == 0 {
-				// Insert keeping the frontier sorted, so equal-depth
-				// operators always drain in ID order.
-				i := sort.SearchInts(frontier, to)
-				frontier = append(frontier, 0)
-				copy(frontier[i+1:], frontier[i:])
-				frontier[i] = to
-			}
-		}
-	}
-	if len(order) != len(t.Ops) {
-		panic(fmt.Sprintf("streaming: topology %q has a cycle", t.Name))
-	}
-	return order
-}
-
-// Validate reports the first structural problem with the topology, or nil.
+// Validate reports the first structural problem with the topology, or nil,
+// and on success builds the index every accessor reads.
 func (t *Topology) Validate() error {
-	if len(t.Ops) == 0 {
+	t.idx = nil
+	n := len(t.Ops)
+	if n == 0 {
 		return fmt.Errorf("streaming: topology %q has no operators", t.Name)
 	}
-	seen := make(map[int]bool, len(t.Ops))
 	for i, o := range t.Ops {
 		switch {
 		case o.ID != i:
@@ -178,51 +177,55 @@ func (t *Topology) Validate() error {
 		case o.StateBytes < 0:
 			return fmt.Errorf("streaming: operator %s: negative state size", o.Name)
 		}
-		seen[o.ID] = true
 	}
 	for _, e := range t.Edges {
-		if !seen[e.From] || !seen[e.To] {
+		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
 			return fmt.Errorf("streaming: edge %d→%d names an unknown operator", e.From, e.To)
 		}
 		if e.From == e.To {
 			return fmt.Errorf("streaming: self-edge on operator %d", e.From)
 		}
 	}
-	dup := make(map[Edge]bool, len(t.Edges))
+	x := &topoIndex{in: make([][]int, n), out: make([][]int, n)}
 	for _, e := range t.Edges {
-		if dup[e] {
+		if slices.Contains(x.out[e.From], e.To) {
 			return fmt.Errorf("streaming: duplicate edge %d→%d", e.From, e.To)
 		}
-		dup[e] = true
+		x.out[e.From] = append(x.out[e.From], e.To)
+		x.in[e.To] = append(x.in[e.To], e.From)
 	}
-	// Acyclicity via Kahn without panicking.
-	indeg := make(map[int]int, len(t.Ops))
-	for _, e := range t.Edges {
-		indeg[e.To]++
-	}
-	removed := 0
-	var frontier []int
-	for _, o := range t.Ops {
-		if indeg[o.ID] == 0 {
-			frontier = append(frontier, o.ID)
+
+	// Kahn's algorithm; a cycle leaves operators out of the order.
+	indeg := make([]int, n)
+	for id := range indeg {
+		if indeg[id] = len(x.in[id]); indeg[id] == 0 {
+			x.sources = append(x.sources, id)
+		}
+		if len(x.out[id]) == 0 {
+			x.sinks = append(x.sinks, id)
 		}
 	}
+	frontier := slices.Clone(x.sources)
+	x.order = make([]int, 0, n)
 	for len(frontier) > 0 {
-		id := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		removed++
-		for _, to := range t.Out(id) {
-			indeg[to]--
-			if indeg[to] == 0 {
-				frontier = append(frontier, to)
+		id := frontier[0]
+		frontier = frontier[1:]
+		x.order = append(x.order, id)
+		for _, to := range x.out[id] {
+			if indeg[to]--; indeg[to] == 0 {
+				// Insert keeping the frontier sorted, so equal-depth
+				// operators always drain in ID order.
+				i, _ := slices.BinarySearch(frontier, to)
+				frontier = slices.Insert(frontier, i, to)
 			}
 		}
 	}
-	if removed != len(t.Ops) {
+	if len(x.order) != n {
 		return fmt.Errorf("streaming: topology %q has a cycle", t.Name)
 	}
+
 	for _, o := range t.Ops {
-		src := len(t.In(o.ID)) == 0
+		src := len(x.in[o.ID]) == 0
 		if src && o.RateHz <= 0 {
 			return fmt.Errorf("streaming: source %s without a positive rate", o.Name)
 		}
@@ -232,74 +235,18 @@ func (t *Topology) Validate() error {
 		if !src && o.Selectivity <= 0 {
 			return fmt.Errorf("streaming: operator %s: non-positive selectivity", o.Name)
 		}
-		if src && len(t.Out(o.ID)) == 0 {
+		if src && len(x.out[o.ID]) == 0 {
 			return fmt.Errorf("streaming: source %s is also a sink", o.Name)
 		}
 	}
+
+	x.inRate, x.outRate = x.propagate(t.Ops, func(id int) float64 { return t.Ops[id].RateHz })
+	x.cpu = make([]float64, n)
+	for id, o := range t.Ops {
+		x.cpu[id] = x.inRate[id] * o.CyclesPerRecord
+	}
+	t.idx = x
 	return nil
-}
-
-// SteadyRates returns the closed-form steady-state *input* rate of every
-// operator (records/sec), propagating source rates through selectivities
-// along every path: in(op) = Σ_upstream out(upstream), with out(src) =
-// RateHz and out(op) = in(op) × Selectivity. Sources report input rate 0.
-func (t *Topology) SteadyRates() map[int]float64 {
-	in := make(map[int]float64, len(t.Ops))
-	out := make(map[int]float64, len(t.Ops))
-	for _, id := range t.TopoOrder() {
-		o := t.Op(id)
-		if len(t.In(id)) == 0 {
-			out[id] = o.RateHz
-			in[id] = 0
-			continue
-		}
-		sum := 0.0
-		for _, up := range t.In(id) {
-			sum += out[up]
-		}
-		in[id] = sum
-		out[id] = sum * o.Selectivity
-	}
-	return in
-}
-
-// SteadyOutRates is SteadyRates for output rates: the records/sec each
-// operator pushes onto *each* of its out-edges in steady state.
-func (t *Topology) SteadyOutRates() map[int]float64 {
-	in := t.SteadyRates()
-	out := make(map[int]float64, len(t.Ops))
-	for _, o := range t.Ops {
-		if len(t.In(o.ID)) == 0 {
-			out[o.ID] = o.RateHz
-		} else {
-			out[o.ID] = in[o.ID] * o.Selectivity
-		}
-	}
-	return out
-}
-
-// PropagateEmitted propagates actual source emission counts through the
-// DAG's selectivities, returning how many records each operator must have
-// consumed in a fully drained run: in(op) = Σ_upstream out(upstream),
-// out(op) = in(op) × Selectivity, out(src) = emitted[src]. This is the
-// closed form the exactly-once invariant compares against.
-func (t *Topology) PropagateEmitted(emitted map[int]float64) map[int]float64 {
-	in := make(map[int]float64, len(t.Ops))
-	out := make(map[int]float64, len(t.Ops))
-	for _, id := range t.TopoOrder() {
-		o := t.Op(id)
-		if len(t.In(id)) == 0 {
-			out[id] = emitted[id]
-			continue
-		}
-		sum := 0.0
-		for _, up := range t.In(id) {
-			sum += out[up]
-		}
-		in[id] = sum
-		out[id] = sum * o.Selectivity
-	}
-	return in
 }
 
 // Fingerprintable returns a deterministic byte serialization of the
@@ -307,13 +254,7 @@ func (t *Topology) PropagateEmitted(emitted map[int]float64) map[int]float64 {
 // fingerprint. Two identical topologies serialize identically.
 func (t *Topology) Fingerprintable() string {
 	s := fmt.Sprintf("topology %q ops=%d edges=%d\n", t.Name, len(t.Ops), len(t.Edges))
-	ids := make([]int, 0, len(t.Ops))
 	for _, o := range t.Ops {
-		ids = append(ids, o.ID)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		o := t.Op(id)
 		s += fmt.Sprintf("op %d %s cyc=%.9g bytes=%.9g sel=%.9g par=%d state=%d rate=%.9g\n",
 			o.ID, o.Name, o.CyclesPerRecord, o.BytesPerRecord, o.Selectivity,
 			o.Parallelism, o.StateBytes, o.RateHz)

@@ -81,31 +81,56 @@ func TestValidateRejectsBadTopologies(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(*Topology)
+		want string
 	}{
-		{"cycle", func(d *Topology) { d.Edges = append(d.Edges, Edge{3, 0}) }},
-		{"self-edge", func(d *Topology) { d.Edges = append(d.Edges, Edge{1, 1}) }},
-		{"dup-edge", func(d *Topology) { d.Edges = append(d.Edges, Edge{0, 1}) }},
-		{"unknown-op", func(d *Topology) { d.Edges = append(d.Edges, Edge{0, 99}) }},
+		{"cycle", func(d *Topology) { d.Edges = append(d.Edges, Edge{3, 0}) },
+			`streaming: topology "diamond" has a cycle`},
+		{"self-edge", func(d *Topology) { d.Edges = append(d.Edges, Edge{1, 1}) },
+			"streaming: self-edge on operator 1"},
+		{"dup-edge", func(d *Topology) { d.Edges = append(d.Edges, Edge{0, 1}) },
+			"streaming: duplicate edge 0→1"},
+		{"unknown-op", func(d *Topology) { d.Edges = append(d.Edges, Edge{0, 99}) },
+			"streaming: edge 0→99 names an unknown operator"},
 		{"dup-id", func(d *Topology) {
 			d.Ops = append(d.Ops, &Operator{ID: 0, Name: "x", CyclesPerRecord: 1, BytesPerRecord: 1, Selectivity: 1, Parallelism: 1})
-		}},
+		}, "streaming: operator ID 0 at position 4 (IDs must be dense 0..N-1)"},
 		// IDs must be dense and in order (Ops[i].ID == i): the runtime
 		// indexes per-operator state by ID.
-		{"ids-out-of-order", func(d *Topology) { d.Ops[1].ID, d.Ops[2].ID = 2, 1 }},
+		{"ids-out-of-order", func(d *Topology) { d.Ops[1].ID, d.Ops[2].ID = 2, 1 },
+			"streaming: operator ID 2 at position 1 (IDs must be dense 0..N-1)"},
 		{"sparse-ids", func(d *Topology) {
 			d.Ops[3].ID = 9
 			d.Edges = []Edge{{0, 1}, {0, 2}, {1, 9}, {2, 9}}
-		}},
-		{"source-no-rate", func(d *Topology) { d.Ops[0].RateHz = 0 }},
-		{"non-source-rate", func(d *Topology) { d.Ops[1].RateHz = 5 }},
-		{"bad-selectivity", func(d *Topology) { d.Ops[1].Selectivity = 0 }},
-		{"bad-parallelism", func(d *Topology) { d.Ops[2].Parallelism = 0 }},
+		}, "streaming: operator ID 9 at position 3 (IDs must be dense 0..N-1)"},
+		{"source-no-rate", func(d *Topology) { d.Ops[0].RateHz = 0 },
+			"streaming: source src without a positive rate"},
+		{"non-source-rate", func(d *Topology) { d.Ops[1].RateHz = 5 },
+			"streaming: non-source a with a source rate"},
+		{"bad-selectivity", func(d *Topology) { d.Ops[1].Selectivity = 0 },
+			"streaming: operator a: non-positive selectivity"},
+		{"bad-parallelism", func(d *Topology) { d.Ops[2].Parallelism = 0 },
+			"streaming: operator b: non-positive parallelism"},
+		{"no-ops", func(d *Topology) { d.Ops, d.Edges = nil, nil },
+			`streaming: topology "diamond" has no operators`},
+		{"no-name", func(d *Topology) { d.Ops[1].Name = "" },
+			"streaming: operator 1 without a name"},
+		{"bad-cycles", func(d *Topology) { d.Ops[1].CyclesPerRecord = 0 },
+			"streaming: operator a: non-positive cycles/record"},
+		{"bad-bytes", func(d *Topology) { d.Ops[1].BytesPerRecord = 0 },
+			"streaming: operator a: non-positive bytes/record"},
+		{"negative-state", func(d *Topology) { d.Ops[1].StateBytes = -1 },
+			"streaming: operator a: negative state size"},
+		{"source-is-sink", func(d *Topology) {
+			d.Ops = append(d.Ops, &Operator{ID: 4, Name: "lone", CyclesPerRecord: 1, BytesPerRecord: 1, Parallelism: 1, RateHz: 1})
+		}, "streaming: source lone is also a sink"},
 	}
 	for _, c := range cases {
 		d := diamond()
 		c.mut(d)
 		if err := d.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted an invalid topology", c.name)
+		} else if err.Error() != c.want {
+			t.Errorf("%s: Validate said %q, want %q", c.name, err, c.want)
 		}
 	}
 }

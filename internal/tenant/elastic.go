@@ -403,14 +403,3 @@ func (m *Manager) BackoffDelays() []float64 {
 
 // SpotEvents returns (notices heard, kills observed) at the manager.
 func (m *Manager) SpotEvents() (int, int) { return m.spotNotices, m.spotKills }
-
-// HeldInstances returns the currently held instances in cluster order.
-func (m *Manager) HeldInstances() []string {
-	var out []string
-	for _, node := range m.nodeOrder {
-		if m.held[node] {
-			out = append(out, node)
-		}
-	}
-	return out
-}

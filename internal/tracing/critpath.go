@@ -48,15 +48,6 @@ type CriticalPath struct {
 	Segments   []PathSegment // in execution order, source → sink
 }
 
-// TaskIDs returns the path's task IDs in execution order.
-func (cp *CriticalPath) TaskIDs() []int {
-	ids := make([]int, len(cp.Segments))
-	for i, s := range cp.Segments {
-		ids[i] = s.TaskID
-	}
-	return ids
-}
-
 // node is the per-task DP state.
 type cpNode struct {
 	t       *task.Task
