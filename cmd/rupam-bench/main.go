@@ -85,10 +85,8 @@ var defaultSeeds = map[string]int{
 	// (policy, scheduler) is the smallest sweep where the policy means
 	// separate from that noise.
 	"tenancy": 5, "elastic": 5,
-	// Single-seed orderings are hostage to one topology's shape; five
-	// seeds is the smallest sweep where the placer means separate from
-	// topology luck.
-	"streaming": 5,
+	// The smallest sweep the placement gate is evaluated on.
+	"streaming": experiments.StreamingGateSeeds,
 }
 
 // federationScaleSeeds is the seed count of the federation experiment's

@@ -25,15 +25,21 @@ func buildBench(t *testing.T) (bin, dir string) {
 }
 
 // TestStreamingExperimentCLI drives the built binary end to end: the
-// streaming experiment must validate its seed count, pass its placement
-// gate on the default sweep, and emit the CSV and JSON artifacts CI
-// uploads.
+// streaming experiment must validate its seed count, report a short
+// sweep without gating it, pass its placement gate on the default sweep,
+// and emit the CSV and JSON artifacts CI uploads.
 func TestStreamingExperimentCLI(t *testing.T) {
 	bin, dir := buildBench(t)
 
 	out, err := exec.Command(bin, "-experiment", "streaming", "-seeds", "-1").CombinedOutput()
 	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
 		t.Fatalf("negative -seeds: want exit 2, got %v\n%s", err, out)
+	}
+
+	// A sweep shorter than the gate's seed count reports without gating.
+	out, err = exec.Command(bin, "-experiment", "streaming", "-seeds", "2").CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "placement gate not evaluated") {
+		t.Fatalf("-seeds 2: want exit 0 and the not-evaluated line, got %v\n%s", err, out)
 	}
 
 	csvDir := filepath.Join(dir, "csv")

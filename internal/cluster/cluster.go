@@ -134,7 +134,7 @@ func (c *Cluster) AddNode(spec NodeSpec) *Node {
 		Spec:      spec,
 		CPU:       simx.NewPSResource(c.Eng, spec.Name+"/cpu", spec.CPUCapacity(), spec.FreqGHz),
 		GPU:       simx.NewTokens(spec.Name+"/gpu", spec.GPUs),
-		Mem:       simx.NewSpace(c.Eng, spec.Name+"/mem", spec.MemBytes),
+		Mem:       simx.NewSpace(spec.Name+"/mem", spec.MemBytes),
 		DiskRead:  simx.NewPSResource(c.Eng, spec.Name+"/disk-read", spec.DiskReadBW, 0),
 		DiskWrite: simx.NewPSResource(c.Eng, spec.Name+"/disk-write", spec.DiskWriteBW, 0),
 		Net:       c.Net.AddNode(spec.Name, spec.NetBandwidth, spec.NetBandwidth),

@@ -1,7 +1,5 @@
 package cluster
 
-import "sort"
-
 // The instance market prices the Hydra hardware classes the way a public
 // cloud would sell them: every class is offered on-demand (pay full rate,
 // never reclaimed) and as a spot instance (steep discount, but the
@@ -57,14 +55,7 @@ type Market struct {
 
 // NewMarket builds a market from explicit offers.
 func NewMarket(offers ...InstanceOffer) *Market {
-	m := &Market{offers: append([]InstanceOffer(nil), offers...)}
-	sort.SliceStable(m.offers, func(i, j int) bool {
-		if m.offers[i].Class != m.offers[j].Class {
-			return m.offers[i].Class < m.offers[j].Class
-		}
-		return m.offers[i].Billing < m.offers[j].Billing
-	})
-	return m
+	return &Market{offers: append([]InstanceOffer(nil), offers...)}
 }
 
 // DefaultMarket prices the Hydra classes. On-demand rates scale roughly
@@ -116,9 +107,4 @@ func (m *Market) Hazard(class string) float64 {
 		return o.PreemptHazard
 	}
 	return 0
-}
-
-// Offers returns the market's offers in (class, billing) order.
-func (m *Market) Offers() []InstanceOffer {
-	return append([]InstanceOffer(nil), m.offers...)
 }

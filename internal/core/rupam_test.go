@@ -5,6 +5,7 @@ import (
 
 	"rupam/internal/cluster"
 	"rupam/internal/executor"
+	"rupam/internal/faults"
 	"rupam/internal/hdfs"
 	"rupam/internal/metrics"
 	"rupam/internal/rdd"
@@ -344,5 +345,64 @@ func TestOfferSortedByCapability(t *testing.T) {
 	sortOffers(offers)
 	if offers[0].node != "fastIdle" || offers[1].node != "fastBusy" || offers[2].node != "slowIdle" {
 		t.Fatalf("offer order: %v %v %v", offers[0].node, offers[1].node, offers[2].node)
+	}
+}
+
+// TestHeartbeatFreqTracksCPUDegrade checks the one metric the heartbeat
+// carries. Inside a CPUDegrade window the fast node's reported CPUFreq
+// reads below spec, the driver sees it degraded, and RUPAM releases the
+// best-node locks it had learned there; after the window the report is
+// back at spec and the node leaves RUPAM's degraded set.
+func TestHeartbeatFreqTracksCPUDegrade(t *testing.T) {
+	w := newWorld(t)
+	ctx := rdd.NewContext("app", w.store, 1)
+	pts := ctx.Read(w.store.CreateEven("in", 400*1e6, 8)).
+		Map("parse", rdd.Profile{CPUPerByte: 3e-9, MemPerByte: 1.2}).Cache()
+	for i := 0; i < 5; i++ {
+		pts.Map("grad", rdd.Profile{CPUPerByte: 150e-9, OutRatio: 1e-4}).
+			Shuffle("sum", rdd.Profile{}, 2).Count("iter")
+	}
+	const spec, at, dur = 3.0, 5.0, 5.0
+	sched := New(Config{})
+	rt := spark.NewRuntime(w.eng, w.clu, sched, spark.Config{Seed: 1, Faults: &faults.Schedule{Events: []faults.Event{
+		{Kind: faults.CPUDegrade, Node: "fast", At: at, Duration: dur, Factor: 0.25},
+	}}})
+
+	locksBefore := 0
+	w.eng.At(at-0.1, func() {
+		sched.DB().Flush()
+		for _, rec := range sched.DB().store {
+			if rec.OptExecutor == "fast" {
+				locksBefore++
+			}
+		}
+	})
+	var inside, after float64
+	var degradedInside, rupamInside, degradedAfter, rupamAfter bool
+	var running bool
+	w.eng.At(at+2, func() {
+		inside = rt.Mon.Latest("fast").CPUFreq
+		degradedInside, rupamInside = rt.NodeDegraded("fast"), sched.degraded["fast"]
+	})
+	w.eng.At(at+dur+2, func() {
+		after = rt.Mon.Latest("fast").CPUFreq
+		degradedAfter, rupamAfter = rt.NodeDegraded("fast"), sched.degraded["fast"]
+		running = !rt.Done()
+	})
+	rt.Run(ctx.App())
+
+	if !running {
+		t.Fatal("application finished before the post-window check; heartbeats had stopped")
+	}
+	if inside >= spec || !degradedInside || !rupamInside {
+		t.Errorf("inside the window: CPUFreq %v (spec %v), NodeDegraded %v, RUPAM degraded %v",
+			inside, spec, degradedInside, rupamInside)
+	}
+	if locksBefore == 0 || sched.LocksReleased < locksBefore {
+		t.Errorf("%d locks on fast before the window, %d released", locksBefore, sched.LocksReleased)
+	}
+	if after != spec || degradedAfter || rupamAfter {
+		t.Errorf("after the window: CPUFreq %v (spec %v), NodeDegraded %v, RUPAM degraded %v",
+			after, spec, degradedAfter, rupamAfter)
 	}
 }

@@ -145,10 +145,8 @@ type Executor struct {
 	OnRestart func()
 
 	// Counters for reporting.
-	TasksRun  int
 	OOMs      int
 	Crashes   int
-	KilledCnt int
 	FailStops int
 	Flakes    int
 
@@ -176,7 +174,7 @@ func New(eng *simx.Engine, clu *cluster.Cluster, node *cluster.Node, cache *Cach
 		clu:         clu,
 		node:        node,
 		cfg:         cfg,
-		heap:        simx.NewSpace(eng, node.Name()+"/heap", cfg.HeapBytes),
+		heap:        simx.NewSpace(node.Name()+"/heap", cfg.HeapBytes),
 		cache:       cache,
 		rng:         stats.NewRand(cfg.Seed ^ hashName(node.Name())),
 		peers:       peers,
@@ -218,9 +216,6 @@ func (ex *Executor) SetMemPressure(f float64) {
 	}
 	ex.memPressure = f
 }
-
-// MemPressure returns the current effective-heap multiplier (1 = healthy).
-func (ex *Executor) MemPressure() float64 { return ex.memPressure }
 
 // SetFlakeProb sets the probability that an attempt started on this node
 // dies with a transient Flaked failure. 0 restores the healthy state.
@@ -356,7 +351,6 @@ func (ex *Executor) Launch(t *task.Task, st *task.Stage, opts Options, onDone fu
 	r.reservedMem = t.Demand.PeakMemory
 	ex.reserved += r.reservedMem
 	ex.running = append(ex.running, r)
-	ex.TasksRun++
 	r.armTimer(dispatchDelay, r.start)
 	return r
 }

@@ -674,7 +674,6 @@ func (r *Run) Kill(notify bool) {
 		return
 	}
 	r.m.Killed = true
-	r.ex.KilledCnt++
 	if !notify {
 		r.onDone = nil
 	}

@@ -46,16 +46,6 @@ func Fig7(seed uint64) Fig7Result {
 	return res
 }
 
-// Row returns the breakdown for a workload × scheduler pair.
-func (r Fig7Result) Row(workload, scheduler string) (Fig7Row, bool) {
-	for _, row := range r.Rows {
-		if row.Workload == workload && row.Scheduler == scheduler {
-			return row, true
-		}
-	}
-	return Fig7Row{}, false
-}
-
 // Print writes the figure as a table (task-seconds per category).
 func (r Fig7Result) Print(w io.Writer) {
 	fmt.Fprintln(w, "Figure 7: execution-time breakdown (summed task-seconds)")
@@ -102,16 +92,6 @@ func Fig8(seed uint64) Fig8Result {
 		}
 	}
 	return res
-}
-
-// Row returns the utilization for a workload × scheduler pair.
-func (r Fig8Result) Row(workload, scheduler string) (Fig8Row, bool) {
-	for _, row := range r.Rows {
-		if row.Workload == workload && row.Scheduler == scheduler {
-			return row, true
-		}
-	}
-	return Fig8Row{}, false
 }
 
 // Print writes the figure as a table.

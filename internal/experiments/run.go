@@ -40,9 +40,9 @@ type RunSpec struct {
 	Seed uint64
 	// RUPAM carries scheduler tunables/ablations for SchedRUPAM runs.
 	RUPAM core.Config
-	// Spark carries framework overrides (zero fields keep defaults,
-	// except SampleInterval: utilization is recorded, as Figures 2, 8
-	// and 9 need, only when it is positive).
+	// Spark carries framework overrides (zero fields keep defaults;
+	// utilization is recorded, as Figures 2, 8 and 9 need, only when
+	// SampleInterval is positive).
 	Spark spark.Config
 	// Tracer, when non-nil, records structured events (task lifecycle,
 	// scheduler decisions, faults) for export and critical-path analysis.
@@ -105,9 +105,6 @@ func newRuntime(eng *simx.Engine, clu *cluster.Cluster, spec RunSpec) *spark.Run
 	cfg := spec.Spark
 	cfg.Seed = spec.Seed*31 + 7
 	cfg.Tracer = spec.Tracer
-	if cfg.SampleInterval == 0 {
-		cfg.SampleInterval = -1
-	}
 	return spark.NewRuntime(eng, clu, sched, cfg)
 }
 
@@ -126,7 +123,6 @@ func HardenedConfig() spark.Config {
 		HeartbeatInterval:      0.5,
 		HeartbeatTimeout:       4,
 		MaxSimTime:             7200,
-		SampleInterval:         -1,
 	}
 }
 

@@ -29,6 +29,36 @@ func TestStreamingGate(t *testing.T) {
 	}
 }
 
+// TestStreamingGateNeedsFullSweep: below StreamingGateSeeds the ordering
+// is reported but not gated. Seeds 1–2 are a sweep on which the
+// resource-aware mean falls below round-robin's, so a gated run would
+// fail; the short sweep must pass with the not-evaluated line instead of
+// the verdict.
+func TestStreamingGateNeedsFullSweep(t *testing.T) {
+	res := Streaming(StreamingConfig{Seeds: []uint64{1, 2}})
+	var b bytes.Buffer
+	res.Print(&b)
+	if res.Violations != 0 || len(res.GateViolations) != 0 {
+		t.Fatalf("short sweep gated:\n%s", b.String())
+	}
+	var resource, deflt float64
+	for _, s := range res.Summary {
+		switch s.Placer {
+		case "resource":
+			resource = s.MeanThroughput
+		case "default":
+			deflt = s.MeanThroughput
+		}
+	}
+	if resource >= deflt {
+		t.Fatalf("seeds 1–2 no longer invert resource (%.1f Hz) and default (%.1f Hz); pick a short sweep that does", resource, deflt)
+	}
+	out := b.String()
+	if !strings.Contains(out, "placement gate not evaluated: 2 seeds") || strings.Contains(out, "placement gate holds") {
+		t.Fatalf("short sweep verdict wrong:\n%s", out)
+	}
+}
+
 // TestStreamingArtifacts checks the JSON and CSV emitters round-trip the
 // fields the CI plots consume.
 func TestStreamingArtifacts(t *testing.T) {

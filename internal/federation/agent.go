@@ -12,7 +12,6 @@ import (
 type agentClaim struct {
 	id        ClaimID
 	driver    string // reply address
-	task      int
 	slots     int
 	committed bool
 	expiry    simx.Timer // armed while accepted, cancelled at commit
@@ -294,7 +293,7 @@ func (a *Agent) onPropose(from string, m Message) {
 	}
 	if c, ok := a.claims[m.Claim]; ok {
 		// Duplicate PROPOSE of a live claim: replay the accept verbatim.
-		a.plane.Send(a.Name, from, Message{Type: Accept, Claim: c.id, Inc: a.inc, Expiry: a.eng.Now() + acceptTTL})
+		a.plane.Send(a.Name, from, Message{Type: Accept, Claim: c.id, Inc: a.inc})
 		return
 	}
 	if _, dead := a.verdicts[m.Claim]; dead {
@@ -318,13 +317,12 @@ func (a *Agent) onPropose(from string, m Message) {
 			return
 		}
 	}
-	c := &agentClaim{id: m.Claim, driver: from, task: m.Task, slots: m.Slots}
+	c := &agentClaim{id: m.Claim, driver: from, slots: m.Slots}
 	a.claims[c.id] = c
 	a.reserve(c.slots)
 	a.Accepts++
-	expiry := a.eng.Now() + acceptTTL
 	c.expiry = a.eng.Schedule(acceptTTL, func() { a.expire(c.id) })
-	a.plane.Send(a.Name, from, Message{Type: Accept, Claim: c.id, Inc: a.inc, Expiry: expiry})
+	a.plane.Send(a.Name, from, Message{Type: Accept, Claim: c.id, Inc: a.inc})
 }
 
 // evictFor tries to free enough slots for m by evicting accepted,
@@ -470,7 +468,7 @@ func (a *Agent) onResyncClaim(from string, m Message) {
 	}
 	// Rebuilt claims are committed — no expiry timer; only an explicit
 	// RELEASE/ABORT frees them, exactly like a claim committed normally.
-	c := &agentClaim{id: m.Claim, driver: from, task: m.Task, slots: m.Slots, committed: true}
+	c := &agentClaim{id: m.Claim, driver: from, slots: m.Slots, committed: true}
 	a.claims[c.id] = c
 	a.reserve(c.slots)
 	a.Rebuilt++

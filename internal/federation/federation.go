@@ -287,7 +287,6 @@ func Run(cfg Config) *Result {
 		scfg.Faults = nil // the injector belongs to the harness
 		scfg.Seed = cfg.Seed*31 + 7 + uint64(j)*1013
 		scfg.AppLabel = app.Name
-		scfg.SampleInterval = -1
 		scfg.MaxSimTime = maxSimTime
 		// The application's WAL carries both scheduler state and claim
 		// protocol records; crash recovery folds both from one stream.

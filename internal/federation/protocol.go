@@ -48,8 +48,9 @@ type MsgType int
 const (
 	// Propose asks the node's agent to reserve Slots cores for Task.
 	Propose MsgType = iota
-	// Accept grants the reservation until Expiry; an uncommitted claim
-	// past its expiry is unilaterally returned to the pool.
+	// Accept grants the reservation for acceptTTL; an uncommitted claim
+	// past that deadline is unilaterally returned to the pool by the
+	// agent's own timer.
 	Accept
 	// Reject refuses the claim (capacity, arbitration loss, or a
 	// tombstoned claim ID); RetryAfter hints when to try this node again.
@@ -130,9 +131,6 @@ type Message struct {
 	// RetryAfter is a REJECT's backoff hint: the absolute virtual time
 	// before which the driver should not re-propose on this node.
 	RetryAfter float64
-	// Expiry is an ACCEPT's reservation deadline: the absolute virtual
-	// time at which an uncommitted claim self-releases at the agent.
-	Expiry float64
 	// Inc is an incarnation number: agents count their crashes (boot is
 	// incarnation 0) and stamp every message they send with the current
 	// value; drivers stamp PROPOSE/COMMIT with their last-known view of the

@@ -82,7 +82,6 @@ func (d *Dataset) LocalityOn(p int, node string) Locality {
 // Store places datasets across a fixed set of nodes.
 type Store struct {
 	nodes       []string
-	weights     []float64 // placement weight per node (e.g. disk capacity share)
 	rng         *stats.Rand
 	datasets    map[string]*Dataset
 	replication int

@@ -117,7 +117,7 @@ func TestRecorderSamples(t *testing.T) {
 		MemBytes: cluster.GB, NetBandwidth: cluster.GbE(1),
 		DiskReadBW: cluster.MBps(100), DiskWriteBW: cluster.MBps(100),
 	})
-	heap := simx.NewSpace(eng, "heap", cluster.GB)
+	heap := simx.NewSpace("heap", cluster.GB)
 	heap.ForceAlloc(cluster.GB / 2)
 	rec := NewRecorder(eng, clu, map[string]fakeHeap{"a": {heap}}, 1)
 	n.CPU.Acquire(100, nil)

@@ -1,10 +1,10 @@
-// Package monitor implements RUPAM's Resource Monitor (RM): a per-node
-// Collector samples the machine's multi-dimensional resource state and
-// piggy-backs it on the worker's periodic heartbeat to the master-side
-// Monitor, which keeps the freshest view per node (the paper's
-// executorDataMap reuse). The node-side metrics are the left-hand column
-// of Table I: CPU frequency, idle GPUs, SSD presence, network bandwidth,
-// free memory, and CPU/disk/network load.
+// Package monitor implements RUPAM's Resource Monitor (RM): a periodic
+// per-node heartbeat to the master-side Monitor, which keeps the freshest
+// report per node (the paper's executorDataMap reuse). Of Table I's
+// node-side metrics the report carries the one that changes under the
+// schedulers' feet, the effective CPU frequency; the schedulers read the
+// others (idle GPUs, free heap, CPU/disk/network load, running tasks)
+// live from the node and its executor at offer time.
 package monitor
 
 import (
@@ -12,37 +12,14 @@ import (
 	"rupam/internal/simx"
 )
 
-// NodeMetrics is one heartbeat's resource report (Table I, left side).
+// NodeMetrics is one heartbeat's resource report.
 type NodeMetrics struct {
-	Node string
-	Time float64
-
 	// CPUFreq is the *effective* per-core speed in GHz — the spec
 	// frequency unless an injected CPUDegrade window has rescaled the
 	// node, in which case the heartbeat reports the throttled value
-	// (Table I treats cpufreq as dynamic for exactly this reason). Consumers compare it against the spec to spot fail-slow
-	// nodes.
-	CPUFreq      float64 // GHz
-	Cores        int
-	SSD          bool
-	NetBandwidth float64 // bytes/sec
-	TotalGPUs    int
-
-	// Dynamic properties, refreshed every heartbeat.
-	IdleGPUs     int
-	FreeMemory   int64   // executor heap free bytes
-	CPUUtil      float64 // [0,1]
-	DiskUtil     float64 // [0,1]
-	NetUtil      float64 // [0,1]
-	RunningTasks int
-}
-
-// HeapProbe lets the monitor read executor-level free memory without
-// importing the executor package (the executor layer registers itself).
-type HeapProbe interface {
-	HeapFree() int64
-	RunningTasks() int
-	Down() bool
+	// (Table I treats cpufreq as dynamic for exactly this reason).
+	// Consumers compare it against the spec to spot fail-slow nodes.
+	CPUFreq float64
 }
 
 // Monitor is the master-side collector state.
@@ -50,7 +27,6 @@ type Monitor struct {
 	eng      *simx.Engine
 	clu      *cluster.Cluster
 	interval float64
-	probes   map[string]HeapProbe
 	latest   map[string]*NodeMetrics
 
 	// OnHeartbeat, if set, fires after each node's report lands — the
@@ -80,13 +56,9 @@ func New(eng *simx.Engine, clu *cluster.Cluster, interval float64) *Monitor {
 		eng:      eng,
 		clu:      clu,
 		interval: interval,
-		probes:   make(map[string]HeapProbe),
 		latest:   make(map[string]*NodeMetrics),
 	}
 }
-
-// RegisterProbe attaches an executor-level probe for a node.
-func (m *Monitor) RegisterProbe(node string, p HeapProbe) { m.probes[node] = p }
 
 // Start begins heartbeat collection, staggering nodes across the interval
 // the way independently-started workers would be.
@@ -139,27 +111,9 @@ func (m *Monitor) tick(slot int, node *cluster.Node) {
 	})
 }
 
-// Collect samples a node's current state (the Collector's job).
+// Collect samples a node's current report (the Collector's job).
 func (m *Monitor) Collect(node *cluster.Node) *NodeMetrics {
-	nm := &NodeMetrics{
-		Node:         node.Name(),
-		Time:         m.eng.Now(),
-		CPUFreq:      effectiveFreq(node),
-		Cores:        node.Spec.Cores,
-		SSD:          node.Spec.SSD,
-		NetBandwidth: node.Spec.NetBandwidth,
-		TotalGPUs:    node.Spec.GPUs,
-		IdleGPUs:     node.GPU.Idle(),
-		CPUUtil:      node.CPUUtil(),
-		DiskUtil:     node.DiskUtil(),
-		NetUtil:      node.NetUtil(),
-		FreeMemory:   node.Mem.Free(),
-	}
-	if p, ok := m.probes[node.Name()]; ok {
-		nm.FreeMemory = p.HeapFree()
-		nm.RunningTasks = p.RunningTasks()
-	}
-	return nm
+	return &NodeMetrics{CPUFreq: effectiveFreq(node)}
 }
 
 // effectiveFreq reads the node's current per-core speed off its CPU

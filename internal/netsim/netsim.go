@@ -84,7 +84,6 @@ func (i *Iface) Utilization() float64 {
 // Flow is an in-progress transfer.
 type Flow struct {
 	src, dst  *Iface
-	seq       uint64
 	remaining float64
 	rate      float64
 	onDone    func()
@@ -114,9 +113,8 @@ type Network struct {
 	eng        *simx.Engine
 	ifaces     map[string]*Iface
 	ifaceList  []*Iface // insertion order, for deterministic iteration
-	flows      []*Flow  // seq order; done flows compacted lazily
+	flows      []*Flow  // start order; done flows compacted lazily
 	live       int      // flows not yet done
-	flowSeq    uint64
 	lastUpdate float64
 	timer      simx.Timer
 	target     *Flow // flow the armed timer is for; force-completed on fire
@@ -236,9 +234,8 @@ func (n *Network) Start(src, dst string, bytes float64, onDone func()) *Flow {
 	if !ok {
 		panic(fmt.Sprintf("netsim: unknown destination %q", dst))
 	}
-	n.flowSeq++
 	f := n.newFlow()
-	*f = Flow{src: s, dst: d, seq: n.flowSeq, remaining: bytes, onDone: onDone, loopback: src == dst}
+	*f = Flow{src: s, dst: d, remaining: bytes, onDone: onDone, loopback: src == dst}
 	if bytes <= bytesEps {
 		f.done = true
 		n.eng.Schedule(0, func() {
@@ -347,7 +344,7 @@ func (n *Network) reallocate() {
 		i.egRate, i.inRate = 0, 0
 	}
 	if n.live > 0 {
-		// Active non-loopback flows, already in seq order.
+		// Active non-loopback flows, already in start order.
 		netFlows := n.active[:0]
 		for _, f := range n.flows {
 			if f.done {
@@ -514,7 +511,7 @@ func (n *Network) complete() {
 		t.remaining = 0
 	}
 	n.target = nil
-	// The flow list is in seq order, so finished comes out sorted and the
+	// The flow list is in start order, so finished comes out sorted and the
 	// callback order is deterministic by construction.
 	finished := n.finished[:0]
 	for _, f := range n.flows {

@@ -1,10 +1,6 @@
 package simx
 
-import (
-	"fmt"
-
-	"rupam/internal/stats"
-)
+import "fmt"
 
 const demandEps = 1e-9
 
@@ -40,10 +36,8 @@ type PSResource struct {
 	active      int      // live (not done) claims in the slice
 	lastUpdate  float64
 	timer       Timer
-	target      *Claim        // claim the armed timer is for; force-completed on fire
-	util        stats.TimeAvg // fraction of capacity in use over time
-	load        stats.TimeAvg // number of active claims over time
-	served      float64       // total demand served
+	target      *Claim  // claim the armed timer is for; force-completed on fire
+	served      float64 // total demand served
 	claimSeq    uint64
 	completeFn  func()   // bound once; avoids a closure per reschedule
 	finished    []*Claim // scratch for complete()
@@ -132,14 +126,6 @@ func (r *PSResource) Utilization() float64 {
 	return r.ratePerClaim() * float64(r.active) / r.capacity
 }
 
-// AvgUtilization returns the time-weighted average utilization fraction
-// since the resource was created.
-func (r *PSResource) AvgUtilization() float64 {
-	r.advance() // fold in the current interval
-	r.reschedule()
-	return r.util.Value()
-}
-
 // TotalServed returns the total demand served so far.
 func (r *PSResource) TotalServed() float64 {
 	r.advance()
@@ -226,16 +212,13 @@ func (c *Claim) Remaining() float64 {
 	return c.remaining
 }
 
-// advance applies service between lastUpdate and now to all active claims
-// and accumulates utilization statistics. It does not fire completions —
+// advance applies service between lastUpdate and now to all active
+// claims. It does not fire completions —
 // reschedule does, via the event queue, so that callbacks never run inside
 // another resource's mutation.
 func (r *PSResource) advance() {
 	now := r.eng.Now()
 	rate := r.ratePerClaim()
-	n := float64(r.active)
-	r.util.Observe(now, rate*n/r.capacity)
-	r.load.Observe(now, n)
 	dt := now - r.lastUpdate
 	if dt > 0 && rate > 0 {
 		servedEach := rate * dt

@@ -131,18 +131,6 @@ func TestPSUtilization(t *testing.T) {
 	}
 }
 
-func TestPSAvgUtilization(t *testing.T) {
-	eng := NewEngine()
-	r := NewPSResource(eng, "r", 1, 0)
-	r.Acquire(2, nil) // busy [0,2]
-	eng.Run()
-	eng.Schedule(2, func() {}) // idle [2,4]
-	eng.Run()
-	if got := r.AvgUtilization(); !almost(got, 0.5, 1e-9) {
-		t.Fatalf("avg utilization = %v, want 0.5", got)
-	}
-}
-
 func TestPSTotalServed(t *testing.T) {
 	eng := NewEngine()
 	r := NewPSResource(eng, "r", 3, 0)

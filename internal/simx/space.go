@@ -1,30 +1,23 @@
 package simx
 
-import (
-	"fmt"
-
-	"rupam/internal/stats"
-)
+import "fmt"
 
 // Space models a capacity resource that is occupied rather than served:
-// executor heap memory. Allocations either fit or fail immediately — the
-// OutOfMemory semantics the paper's §III-C3 builds its memory-straggler
-// handling around.
+// node memory and executor heap. Callers check Free before they allocate:
+// an attempt whose working set does not fit is doomed to the OutOfMemory
+// the paper's §III-C3 memory-straggler handling is built around.
 type Space struct {
-	eng      *Engine
 	name     string
 	capacity int64
 	used     int64
-	peak     int64
-	usage    stats.TimeAvg // bytes in use over time
 }
 
 // NewSpace creates a space resource with the given capacity in bytes.
-func NewSpace(eng *Engine, name string, capacity int64) *Space {
+func NewSpace(name string, capacity int64) *Space {
 	if capacity < 0 {
 		panic(fmt.Sprintf("simx: space %q with negative capacity", name))
 	}
-	return &Space{eng: eng, name: name, capacity: capacity}
+	return &Space{name: name, capacity: capacity}
 }
 
 // Name returns the resource's diagnostic name.
@@ -48,9 +41,6 @@ func (s *Space) Used() int64 { return s.used }
 // Free returns the bytes currently available.
 func (s *Space) Free() int64 { return s.capacity - s.used }
 
-// Peak returns the high-water mark of usage.
-func (s *Space) Peak() int64 { return s.peak }
-
 // Utilization returns the instantaneous fraction of capacity in use.
 func (s *Space) Utilization() float64 {
 	if s.capacity == 0 {
@@ -59,47 +49,14 @@ func (s *Space) Utilization() float64 {
 	return float64(s.used) / float64(s.capacity)
 }
 
-// AvgUsed returns the time-weighted average bytes in use.
-func (s *Space) AvgUsed() float64 {
-	s.usage.Observe(s.eng.Now(), float64(s.used))
-	return s.usage.Value()
-}
-
-// TryAlloc reserves n bytes, reporting whether the allocation fit. A failed
-// allocation changes nothing.
-func (s *Space) TryAlloc(n int64) bool {
-	if n < 0 {
-		panic("simx: negative allocation")
-	}
-	if s.used+n > s.capacity {
-		return false
-	}
-	s.usage.Observe(s.eng.Now(), float64(s.used))
-	s.used += n
-	if s.used > s.peak {
-		s.peak = s.used
-	}
-	return true
-}
-
-// ForceAlloc reserves n bytes even beyond capacity. The default Spark
-// scheduler admits tasks by core count alone, so the sum of task working
-// sets can exceed the heap — that over-commit (and the OOM it triggers) is
-// decided by the executor model, which uses ForceAlloc and then checks
-// Overcommitted.
+// ForceAlloc reserves n bytes, even beyond capacity: whether an
+// allocation fits is the caller's decision, made from Free.
 func (s *Space) ForceAlloc(n int64) {
 	if n < 0 {
 		panic("simx: negative allocation")
 	}
-	s.usage.Observe(s.eng.Now(), float64(s.used))
 	s.used += n
-	if s.used > s.peak {
-		s.peak = s.used
-	}
 }
-
-// Overcommitted reports whether usage currently exceeds capacity.
-func (s *Space) Overcommitted() bool { return s.used > s.capacity }
 
 // Release returns n bytes to the pool. It panics on underflow, which would
 // indicate an accounting bug in the executor layer.
@@ -110,6 +67,5 @@ func (s *Space) Release(n int64) {
 	if n > s.used {
 		panic(fmt.Sprintf("simx: space %q release underflow (%d > %d)", s.name, n, s.used))
 	}
-	s.usage.Observe(s.eng.Now(), float64(s.used))
 	s.used -= n
 }

@@ -6,14 +6,8 @@ import (
 )
 
 func TestSpaceAllocRelease(t *testing.T) {
-	eng := NewEngine()
-	s := NewSpace(eng, "mem", 100)
-	if !s.TryAlloc(60) {
-		t.Fatal("alloc 60/100 failed")
-	}
-	if s.TryAlloc(50) {
-		t.Fatal("alloc beyond capacity succeeded")
-	}
+	s := NewSpace("mem", 100)
+	s.ForceAlloc(60)
 	if s.Used() != 60 || s.Free() != 40 {
 		t.Fatalf("used=%d free=%d", s.Used(), s.Free())
 	}
@@ -24,34 +18,26 @@ func TestSpaceAllocRelease(t *testing.T) {
 }
 
 func TestSpaceForceAllocOvercommit(t *testing.T) {
-	eng := NewEngine()
-	s := NewSpace(eng, "mem", 100)
+	s := NewSpace("mem", 100)
 	s.ForceAlloc(150)
-	if !s.Overcommitted() {
-		t.Fatal("overcommit not detected")
-	}
-	if s.Peak() != 150 {
-		t.Fatalf("peak = %d", s.Peak())
+	if s.Free() != -50 {
+		t.Fatalf("free = %d over capacity, want -50", s.Free())
 	}
 	s.Release(150)
-	if s.Overcommitted() {
-		t.Fatal("still overcommitted after release")
+	if s.Free() != 100 {
+		t.Fatalf("free = %d after release, want 100", s.Free())
 	}
 }
 
 func TestSpaceUtilizationAndAvg(t *testing.T) {
-	eng := NewEngine()
-	s := NewSpace(eng, "mem", 200)
-	s.ForceAlloc(100) // 50% from t=0
-	eng.Schedule(10, func() { s.Release(100) })
-	eng.Run()
-	eng.Schedule(10, func() {})
-	eng.Run() // idle [10,20]
+	s := NewSpace("mem", 200)
+	s.ForceAlloc(100)
+	if got := s.Utilization(); got != 0.5 {
+		t.Fatalf("utilization = %v, want 0.5", got)
+	}
+	s.Release(100)
 	if got := s.Utilization(); got != 0 {
 		t.Fatalf("utilization = %v", got)
-	}
-	if got := s.AvgUsed(); got < 49 || got > 51 {
-		t.Fatalf("avg used = %v, want ~50", got)
 	}
 }
 
@@ -61,13 +47,12 @@ func TestSpaceReleaseUnderflowPanics(t *testing.T) {
 			t.Fatal("no panic on release underflow")
 		}
 	}()
-	s := NewSpace(NewEngine(), "mem", 10)
+	s := NewSpace("mem", 10)
 	s.Release(1)
 }
 
 func TestSpaceSetCapacity(t *testing.T) {
-	eng := NewEngine()
-	s := NewSpace(eng, "mem", 100)
+	s := NewSpace("mem", 100)
 	s.ForceAlloc(50)
 	s.SetCapacity(60)
 	if s.Free() != 10 {
@@ -117,16 +102,18 @@ func TestTokensReleaseUnderflowPanics(t *testing.T) {
 	NewTokens("gpu", 1).Release()
 }
 
-// Property: any interleaving of TryAlloc/Release keeps 0 <= used <=
-// capacity and free+used == capacity.
+// Property: any interleaving of Release and ForceAlloc-if-Free-allows
+// (the executor's pattern) keeps 0 <= used <= capacity and free+used ==
+// capacity.
 func TestQuickSpaceInvariant(t *testing.T) {
 	f := func(ops []int16) bool {
-		s := NewSpace(NewEngine(), "mem", 1000)
+		s := NewSpace("mem", 1000)
 		var held []int64
 		for _, op := range ops {
 			if op >= 0 {
 				n := int64(op % 300)
-				if s.TryAlloc(n) {
+				if s.Free() >= n {
+					s.ForceAlloc(n)
 					held = append(held, n)
 				}
 			} else if len(held) > 0 {

@@ -24,9 +24,6 @@ func buildTestSubstrate(w *world, rtRef **Runtime) *Substrate {
 		})
 	}
 	mon := monitor.New(w.eng, w.clu, 1)
-	for name, ex := range execs {
-		mon.RegisterProbe(name, ex)
-	}
 	mon.OnHeartbeat = func(node string, nm *monitor.NodeMetrics) {
 		if rt := *rtRef; rt != nil {
 			rt.DeliverHeartbeat(node, nm)

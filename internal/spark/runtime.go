@@ -52,8 +52,8 @@ type Config struct {
 	// a DriverCrash (a crash without a WAL would be unrecoverable), and no
 	// log is kept otherwise.
 	WAL *wal.Log
-	// SampleInterval is the utilization-trace sampling period (default
-	// 1 s; 0 keeps the default, negative disables tracing).
+	// SampleInterval is the utilization-trace sampling period in seconds;
+	// the trace is recorded only when it is positive.
 	SampleInterval float64
 	// MaxSimTime aborts (panics) a run whose virtual clock exceeds this
 	// many seconds — a watchdog against scheduler livelocks (default
@@ -78,9 +78,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HeartbeatTimeout == 0 {
 		c.HeartbeatTimeout = 10
-	}
-	if c.SampleInterval == 0 {
-		c.SampleInterval = 1
 	}
 	if c.MaxSimTime == 0 {
 		c.MaxSimTime = 86400

@@ -71,9 +71,6 @@ func NewSubstrate(eng *simx.Engine, clu *cluster.Cluster, o SubstrateOptions) *S
 		hb = 1
 	}
 	mon := monitor.New(eng, clu, hb)
-	for name, ex := range execs {
-		mon.RegisterProbe(name, ex)
-	}
 	mon.OnHeartbeat = o.OnHeartbeat
 	return &Substrate{Execs: execs, Cache: cache, Mon: mon}
 }

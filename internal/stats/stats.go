@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit the evaluation
 // harness needs: summary statistics with confidence intervals (the paper
-// reports 5-run means with 95% CIs), time-weighted averages for resource
-// utilization series, percentiles for speculation thresholds, and a
+// reports 5-run means with 95% CIs), percentiles for speculation
+// thresholds, and a
 // deterministic PRNG wrapper with the skew distributions the workload
 // generators use.
 package stats
@@ -132,41 +132,3 @@ func Summarize(xs []float64) Summary {
 	}
 	return s
 }
-
-// TimeAvg accumulates a time-weighted average of a piecewise-constant
-// signal, e.g. a node's CPU utilization between simulation events. The zero
-// value is ready to use.
-type TimeAvg struct {
-	weighted float64 // integral of value dt
-	duration float64
-	last     float64 // last observed value
-	lastT    float64
-	started  bool
-}
-
-// Observe records that the signal had value v from the previous observation
-// time up to time t, then holds at v.
-func (a *TimeAvg) Observe(t, v float64) {
-	if a.started && t > a.lastT {
-		a.weighted += a.last * (t - a.lastT)
-		a.duration += t - a.lastT
-	}
-	a.last = v
-	a.lastT = t
-	a.started = true
-}
-
-// CloseAt extends the last observed value up to time t without changing it.
-func (a *TimeAvg) CloseAt(t float64) { a.Observe(t, a.last) }
-
-// Value returns the time-weighted average observed so far (0 if no time has
-// elapsed).
-func (a *TimeAvg) Value() float64 {
-	if a.duration == 0 {
-		return a.last
-	}
-	return a.weighted / a.duration
-}
-
-// Duration returns the total time span accumulated so far.
-func (a *TimeAvg) Duration() float64 { return a.duration }

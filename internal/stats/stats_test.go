@@ -79,30 +79,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestTimeAvgPiecewise(t *testing.T) {
-	var a TimeAvg
-	a.Observe(0, 10) // 10 from t=0
-	a.Observe(5, 20) // avg so far: 10 over [0,5]
-	if !almost(a.Value(), 10, 1e-12) {
-		t.Fatalf("value = %v, want 10", a.Value())
-	}
-	a.CloseAt(10) // 20 over [5,10]
-	if !almost(a.Value(), 15, 1e-12) {
-		t.Fatalf("value = %v, want 15", a.Value())
-	}
-	if !almost(a.Duration(), 10, 1e-12) {
-		t.Fatalf("duration = %v", a.Duration())
-	}
-}
-
-func TestTimeAvgNoElapsed(t *testing.T) {
-	var a TimeAvg
-	a.Observe(3, 7)
-	if a.Value() != 7 {
-		t.Fatalf("zero-duration value = %v, want last observed", a.Value())
-	}
-}
-
 func TestRandDeterminism(t *testing.T) {
 	a, b := NewRand(42), NewRand(42)
 	for i := 0; i < 100; i++ {

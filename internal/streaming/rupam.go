@@ -25,9 +25,6 @@ import (
 type rupamPlacer struct {
 	db  *core.CharDB
 	col *tracing.Collector
-
-	// sigPrefix scopes CharDB keys, set by the runtime per topology.
-	sigPrefix string
 }
 
 func (p *rupamPlacer) Name() string { return "rupam" }

@@ -385,7 +385,6 @@ func (m *Manager) startApp(a *appState) {
 	cfg.Tracer = m.cfg.Tracer
 	cfg.AppLabel = a.label
 	cfg.PoolLabel = a.pool
-	cfg.SampleInterval = -1
 	cfg.MaxSimTime = maxSimTime
 	if m.cfg.Faults.HasKind(faults.DriverCrash) {
 		// A routed driver crash needs a log to replay; keep one in memory
