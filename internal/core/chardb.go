@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"rupam/internal/task"
@@ -86,16 +88,76 @@ type dbOp struct {
 // as §III-B2 describes; reads consult the queue before the backing store
 // so in-flight updates are visible.
 type CharDB struct {
-	store map[TaskKey]*Record
+	// store holds the flushed records by signature, then partition: a
+	// string-keyed map and a partition-ordered slice look up faster than
+	// one map keyed by the whole TaskKey, which every scheduler read
+	// hashes.
+	store map[string]sigRecords
+	size  int // flushed records
+	gen   int // counts the store's new records, for recordOf's memo
 	queue []dbOp
+
+	// memoStage's flushed records, as of store generation memoGen.
+	memoStage *task.Stage
+	memoGen   int
+	memoRecs  sigRecords
 
 	// QueueHits counts reads served by a pending write.
 	QueueHits int
 }
 
+// sigRecords holds one signature's flushed records in ascending partition
+// order. A stage's partitions are 0..n-1, so partition p's record usually
+// sits at index p.
+type sigRecords []partRecord
+
+type partRecord struct {
+	part int
+	rec  *Record
+}
+
+// find returns the index of partition p's record, or where it belongs.
+func (rs sigRecords) find(p int) (int, bool) {
+	if uint(p) < uint(len(rs)) && rs[p].part == p {
+		return p, true
+	}
+	return slices.BinarySearchFunc(rs, p, func(r partRecord, p int) int { return cmp.Compare(r.part, p) })
+}
+
 // NewCharDB returns an empty database.
 func NewCharDB() *CharDB {
-	return &CharDB{store: make(map[TaskKey]*Record)}
+	return &CharDB{store: make(map[string]sigRecords)}
+}
+
+// stored returns the task's flushed record, or nil.
+func (db *CharDB) stored(key TaskKey) *Record {
+	rs := db.store[key.Signature]
+	if i, ok := rs.find(key.Partition); ok {
+		return rs[i].rec
+	}
+	return nil
+}
+
+// put installs rec as the task's flushed record.
+func (db *CharDB) put(key TaskKey, rec *Record) {
+	rs := db.store[key.Signature]
+	i, ok := rs.find(key.Partition)
+	if ok {
+		rs[i].rec = rec
+		return
+	}
+	db.store[key.Signature] = slices.Insert(rs, i, partRecord{part: key.Partition, rec: rec})
+	db.size++
+	db.gen++
+}
+
+// each calls f on every flushed record, in no fixed order.
+func (db *CharDB) each(f func(TaskKey, *Record)) {
+	for sig, rs := range db.store {
+		for _, r := range rs {
+			f(TaskKey{Signature: sig, Partition: r.part}, r.rec)
+		}
+	}
 }
 
 // KeyFor derives the database key for a task in a stage.
@@ -114,15 +176,41 @@ func (db *CharDB) Lookup(key TaskKey) *Record {
 }
 
 // latest returns the task's newest record in place — its last queued
-// write, else its flushed record — or nil.
+// write, else its flushed record — or nil. The scheduler's read paths use
+// it instead of Lookup's copy; the record must not be modified, nor held
+// across an Update or Flush.
 func (db *CharDB) latest(key TaskKey) *Record {
+	if r := db.queued(key); r != nil {
+		return r
+	}
+	return db.stored(key)
+}
+
+// queued returns the task's last queued write, or nil.
+func (db *CharDB) queued(key TaskKey) *Record {
 	for i := len(db.queue) - 1; i >= 0; i-- {
-		if db.queue[i].key == key {
+		if k := db.queue[i].key; k.Partition == key.Partition && k.Signature == key.Signature {
 			db.QueueHits++
 			return &db.queue[i].rec
 		}
 	}
-	return db.store[key]
+	return nil
+}
+
+// recordOf is latest for task t of stage st. Scheduler reads come in runs
+// over one stage's tasks, so it keeps the stage's flushed records from the
+// previous call until the store next gains a record.
+func (db *CharDB) recordOf(st *task.Stage, t *task.Task) *Record {
+	if r := db.queued(KeyFor(st, t)); r != nil {
+		return r
+	}
+	if st != db.memoStage || db.memoGen != db.gen {
+		db.memoStage, db.memoGen, db.memoRecs = st, db.gen, db.store[st.Signature]
+	}
+	if i, ok := db.memoRecs.find(t.Index); ok {
+		return db.memoRecs[i].rec
+	}
+	return nil
 }
 
 // MeanComputeTime averages the latest observed compute time over every
@@ -131,17 +219,15 @@ func (db *CharDB) latest(key TaskKey) *Record {
 // The sum runs in key order: a float sum in map order would differ in its
 // last bits from call to call.
 func (db *CharDB) MeanComputeTime() (float64, bool) {
-	if len(db.store) == 0 {
+	if db.size == 0 {
 		return 0, false
 	}
-	keys := make([]TaskKey, 0, len(db.store))
-	for key := range db.store {
-		keys = append(keys, key)
-	}
+	keys := make([]TaskKey, 0, db.size)
+	db.each(func(key TaskKey, _ *Record) { keys = append(keys, key) })
 	sortKeys(keys)
 	var sum float64
 	for _, key := range keys {
-		sum += db.store[key].ComputeTime
+		sum += db.stored(key).ComputeTime
 	}
 	return sum / float64(len(keys)), true
 }
@@ -198,23 +284,23 @@ func (db *CharDB) Update(key TaskKey, m *task.Metrics, bottleneck Resource, hasB
 // Flush drains the write queue into the backing store (the helper
 // thread's periodic service); returns the number of writes applied. A
 // known task's record is overwritten in place: Lookup hands out copies,
-// so nothing outside the store holds its pointers.
+// and latest's readers do not hold a record across a Flush.
 func (db *CharDB) Flush() int {
 	n := len(db.queue)
 	for _, op := range db.queue {
-		if rec, ok := db.store[op.key]; ok {
+		if rec := db.stored(op.key); rec != nil {
 			*rec = op.rec
 			continue
 		}
 		rec := op.rec
-		db.store[op.key] = &rec
+		db.put(op.key, &rec)
 	}
 	db.queue = db.queue[:0]
 	return n
 }
 
 // Size returns the number of distinct tasks with flushed records.
-func (db *CharDB) Size() int { return len(db.store) }
+func (db *CharDB) Size() int { return db.size }
 
 // PendingWrites returns the write-queue depth.
 func (db *CharDB) PendingWrites() int { return len(db.queue) }
@@ -222,7 +308,9 @@ func (db *CharDB) PendingWrites() int { return len(db.queue) }
 // Clear empties the database (the paper clears DB_taskchar between
 // repetitions of each experiment).
 func (db *CharDB) Clear() {
-	db.store = make(map[TaskKey]*Record)
+	db.store = make(map[string]sigRecords)
+	db.size = 0
+	db.gen++
 	db.queue = nil
 }
 
@@ -234,7 +322,7 @@ func (db *CharDB) Clear() {
 func (db *CharDB) ForgetNode(node string) []TaskKey {
 	db.Flush()
 	var changed []TaskKey
-	for key, rec := range db.store {
+	db.each(func(key TaskKey, rec *Record) {
 		touched := false
 		if rec.OptExecutor == node {
 			rec.OptExecutor = ""
@@ -248,7 +336,7 @@ func (db *CharDB) ForgetNode(node string) []TaskKey {
 		if touched {
 			changed = append(changed, key)
 		}
-	}
+	})
 	sortKeys(changed)
 	return changed
 }
@@ -262,13 +350,13 @@ func (db *CharDB) ForgetNode(node string) []TaskKey {
 func (db *CharDB) ReleaseNodeLocks(node string) []TaskKey {
 	db.Flush()
 	var changed []TaskKey
-	for key, rec := range db.store {
+	db.each(func(key TaskKey, rec *Record) {
 		if rec.OptExecutor == node {
 			rec.OptExecutor = ""
 			rec.BestTime = 0
 			changed = append(changed, key)
 		}
-	}
+	})
 	sortKeys(changed)
 	return changed
 }

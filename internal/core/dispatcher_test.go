@@ -222,7 +222,7 @@ func TestStragglerScansLeaveRunListIntact(t *testing.T) {
 				}
 				rec := s.db.Lookup(keyByRuntime(rt, tk))
 				if rec == nil || rec.BestTime == 0 ||
-					(s.lockCompatible(rec, n.Name()) && !s.degraded[n.Name()]) {
+					(s.lockCompatible(rec, n) && !s.degraded[n.Name()]) {
 					continue
 				}
 				if now-r.Metrics().Launch > 1.5*rec.BestTime+1 {

@@ -100,10 +100,10 @@ func fromPersisted(p persistedRecord) *Record {
 // scheduler can warm-start from a previous run's characterization.
 func (db *CharDB) Save(w io.Writer) error {
 	db.Flush()
-	out := make([]persistedRecord, 0, len(db.store))
-	for key, rec := range db.store {
+	out := make([]persistedRecord, 0, db.size)
+	db.each(func(key TaskKey, rec *Record) {
 		out = append(out, toPersisted(key, rec))
-	}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Signature != out[j].Signature {
 			return out[i].Signature < out[j].Signature
@@ -173,7 +173,7 @@ func (db *CharDB) Load(r io.Reader) error {
 	db.Clear()
 	for _, p := range in {
 		rec := fromPersisted(p)
-		db.store[rec.Key] = rec
+		db.put(rec.Key, rec)
 	}
 	return nil
 }
@@ -213,7 +213,7 @@ func (db *CharDB) InstallPayload(data []byte) error {
 		return fmt.Errorf("chardb: bad journaled record: %w", err)
 	}
 	rec := fromPersisted(p)
-	db.store[rec.Key] = rec
+	db.put(rec.Key, rec)
 	return nil
 }
 
@@ -223,7 +223,7 @@ func (db *CharDB) InstallPayload(data []byte) error {
 func (s *RUPAM) WarmStartFrom(prev *RUPAM) {
 	prev.db.Flush()
 	s.db.Clear()
-	for key, rec := range prev.db.store {
+	prev.db.each(func(key TaskKey, rec *Record) {
 		copied := *rec
 		copied.HistoryResource = make(map[Resource]bool, len(rec.HistoryResource))
 		for k, v := range rec.HistoryResource {
@@ -233,6 +233,6 @@ func (s *RUPAM) WarmStartFrom(prev *RUPAM) {
 		for k, v := range rec.OOMNodes {
 			copied.OOMNodes[k] = v
 		}
-		s.db.store[key] = &copied
-	}
+		s.db.put(key, &copied)
+	})
 }

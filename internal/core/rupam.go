@@ -212,7 +212,7 @@ func (s *RUPAM) characterize(st *task.Stage, t *task.Task) []Resource {
 		// races copies onto idle GPUs (§III-C3).
 		return []Resource{GPU, CPU}
 	}
-	rec := s.db.Lookup(KeyFor(st, t))
+	rec := s.db.recordOf(st, t)
 	if rec == nil || rec.Runs == 0 {
 		if st.Kind == task.ShuffleMap {
 			// Unknown map task: bounded by everything.
@@ -398,11 +398,11 @@ func (s *RUPAM) DriverRecovery(ws *wal.State) {
 			}
 		}
 	}
-	for key, rec := range s.db.store {
+	s.db.each(func(key TaskKey, rec *Record) {
 		if rec.GPU {
 			s.gpuStage[key.Signature] = true
 		}
-	}
+	})
 }
 
 // TaskEnded implements spark.Scheduler: record the observation in the
@@ -510,17 +510,18 @@ func (s *RUPAM) reclaimMemory(nodeName string, nm *monitor.NodeMetrics) {
 // a better one, regardless of Spark's stage-quantile gate (§III-C3).
 func (s *RUPAM) detectResourceStragglers() {
 	now := s.rt.Eng.Now()
-	for _, n := range s.rt.Clu.Nodes {
-		ex := s.rt.Execs[n.Name()]
+	for i, n := range s.rt.Clu.Nodes {
+		ex := s.rt.ExecutorAt(i)
 		if ex == nil {
 			continue
 		}
 		for _, r := range ex.RunningView() {
 			t := r.Task()
-			if s.rt.StageOf(t) == nil {
+			st := s.rt.StageOf(t)
+			if st == nil {
 				continue // another tenant's attempt on the shared executor
 			}
-			rec := s.db.Lookup(keyByRuntime(s.rt, t))
+			rec := s.db.recordOf(st, t)
 			if rec == nil || rec.BestTime == 0 {
 				continue
 			}
@@ -528,7 +529,7 @@ func (s *RUPAM) detectResourceStragglers() {
 			// already on hardware as good as its best), but not when the
 			// node's heartbeats show it running below spec: the spec
 			// comparison no longer describes reality there.
-			if s.lockCompatible(rec, n.Name()) && !s.degraded[n.Name()] {
+			if s.lockCompatible(rec, n) && !s.degraded[n.Name()] {
 				continue
 			}
 			if now-r.Metrics().Launch > 1.5*rec.BestTime+1 {
@@ -553,8 +554,8 @@ func (s *RUPAM) raceGPUTasks() {
 		return
 	}
 	now := s.rt.Eng.Now()
-	for _, n := range s.rt.Clu.Nodes {
-		ex := s.rt.Execs[n.Name()]
+	for i := range s.rt.Clu.Nodes {
+		ex := s.rt.ExecutorAt(i)
 		if ex == nil {
 			continue
 		}
@@ -674,7 +675,7 @@ func (s *RUPAM) Schedule() {
 
 // noteLaunch records the dimension that placed an attempt on a node.
 func (s *RUPAM) noteLaunch(node string, run *executor.Run, res Resource) {
-	if rec := s.db.Lookup(KeyFor(run.Stage(), run.Task())); rec == nil || rec.Runs == 0 {
+	if rec := s.db.recordOf(run.Stage(), run.Task()); rec == nil || rec.Runs == 0 {
 		s.UncharacterizedLaunches++
 	}
 	f := s.inFlight[node]
@@ -781,11 +782,10 @@ func (s *RUPAM) pickTask(res Resource, node string, d *tracing.Decision) (*task.
 		}
 	}
 	now := s.rt.Eng.Now()
+	nd := s.rt.Clu.Node(node) // offers come from cluster nodes
 	overCore := false
 	if ex := s.rt.Execs[node]; ex != nil {
-		if n := s.rt.Clu.Node(node); n != nil {
-			overCore = ex.RunningTasks() >= n.Spec.Cores
-		}
+		overCore = ex.RunningTasks() >= nd.Spec.Cores
 	}
 
 	// Compact stale entries (launched or finished elsewhere) first.
@@ -810,7 +810,7 @@ scan:
 			}
 			continue // blacklisted pairing after repeated failures there
 		}
-		rec := s.db.Lookup(keyByRuntime(s.rt, t))
+		rec := s.record(t)
 		// Over-commit is only for tasks whose bottleneck is known to
 		// leave the cores idle; an uncharacterized task gets a real core
 		// slot or waits (§III-C2's "overlap tasks with different resource
@@ -854,7 +854,7 @@ scan:
 			continue
 		}
 		if locked && !lockExpired {
-			if s.lockCompatible(rec, node) {
+			if s.lockCompatible(rec, nd) {
 				if d != nil {
 					d.Candidate(t.ID, t.LocalityOn(node).String(), "", recDetail(rec))
 				}
@@ -980,13 +980,12 @@ func (s *RUPAM) nodeBetterFor(candidate, incumbent string, dim Resource) bool {
 // pins tasks to hardware, and equally-endowed siblings of the best node
 // count as that hardware (otherwise eight tasks locked to one 8-core
 // machine would serialize).
-func (s *RUPAM) lockCompatible(rec *Record, nodeName string) bool {
-	if rec.OptExecutor == nodeName {
+func (s *RUPAM) lockCompatible(rec *Record, node *cluster.Node) bool {
+	if rec.OptExecutor == node.Name() {
 		return true
 	}
-	node := s.rt.Clu.Node(nodeName)
 	opt := s.rt.Clu.Node(rec.OptExecutor)
-	if node == nil || opt == nil {
+	if opt == nil {
 		return false
 	}
 	r, ok := s.bottleneckOf(rec)
@@ -1074,7 +1073,7 @@ func (s *RUPAM) copyWorthwhile(t *task.Task, cur *executor.Run, nodeName string)
 		}
 		return node.GPU.Idle() > pendingWant
 	}
-	if rec := s.db.Lookup(keyByRuntime(s.rt, t)); rec != nil && rec.OptExecutor == nodeName {
+	if rec := s.record(t); rec != nil && rec.OptExecutor == nodeName {
 		return true
 	}
 	curNode := s.rt.Clu.Node(cur.Metrics().Executor)
@@ -1095,8 +1094,8 @@ func (s *RUPAM) copyWorthwhile(t *task.Task, cur *executor.Run, nodeName string)
 // rescueStarvation is a liveness net: if nothing is running anywhere and
 // work is pending, force the first pending task onto the roomiest node.
 func (s *RUPAM) rescueStarvation() {
-	for _, n := range s.rt.Clu.Nodes {
-		if ex := s.rt.Execs[n.Name()]; ex != nil && ex.RunningTasks() > 0 {
+	for i := range s.rt.Clu.Nodes {
+		if ex := s.rt.ExecutorAt(i); ex != nil && ex.RunningTasks() > 0 {
 			return
 		}
 	}
@@ -1114,8 +1113,8 @@ func (s *RUPAM) rescueStarvation() {
 	}
 	var bestNode string
 	var bestFree int64 = -1
-	for _, n := range s.rt.Clu.Nodes {
-		ex := s.rt.Execs[n.Name()]
+	for i, n := range s.rt.Clu.Nodes {
+		ex := s.rt.ExecutorAt(i)
 		if ex == nil || !s.rt.CanRunOn(n.Name()) {
 			continue
 		}
@@ -1134,6 +1133,15 @@ func (s *RUPAM) rescueStarvation() {
 			s.noteLaunch(bestNode, run, Mem)
 		}
 	}
+}
+
+// record returns the task's CharDB record in place (see latest), found
+// via its stage in the runtime.
+func (s *RUPAM) record(t *task.Task) *Record {
+	if st := s.rt.StageOf(t); st != nil {
+		return s.db.recordOf(st, t)
+	}
+	return s.db.latest(keyByRuntime(s.rt, t))
 }
 
 // keyByRuntime resolves a task's DB key via its stage in the runtime.

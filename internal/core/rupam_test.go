@@ -247,15 +247,15 @@ func TestLockCompatible(t *testing.T) {
 	// CPU-bound record locked to the 1 GHz gpu node: the 3 GHz fast node
 	// qualifies, the equal-speed bigmem node qualifies, and OptExecutor
 	// always does.
-	if !s.lockCompatible(rec, "gpu") || !s.lockCompatible(rec, "fast") || !s.lockCompatible(rec, "bigmem") {
+	if !s.lockCompatible(rec, w.clu.Node("gpu")) || !s.lockCompatible(rec, w.clu.Node("fast")) || !s.lockCompatible(rec, w.clu.Node("bigmem")) {
 		t.Fatal("compatibility too strict")
 	}
 	rec2 := &Record{OptExecutor: "fast", ComputeTime: 10, Runs: 3}
-	if s.lockCompatible(rec2, "bigmem") {
+	if s.lockCompatible(rec2, w.clu.Node("bigmem")) {
 		t.Fatal("slower node passed CPU compatibility")
 	}
 	rec3 := &Record{OptExecutor: "bigmem", ShuffleRead: 10, ComputeTime: 1, Runs: 3}
-	if s.lockCompatible(rec3, "fast") {
+	if s.lockCompatible(rec3, w.clu.Node("fast")) {
 		t.Fatal("slower-network node passed Net compatibility")
 	}
 }
@@ -371,11 +371,11 @@ func TestHeartbeatFreqTracksCPUDegrade(t *testing.T) {
 	locksBefore := 0
 	w.eng.At(at-0.1, func() {
 		sched.DB().Flush()
-		for _, rec := range sched.DB().store {
+		sched.DB().each(func(_ TaskKey, rec *Record) {
 			if rec.OptExecutor == "fast" {
 				locksBefore++
 			}
-		}
+		})
 	})
 	var inside, after float64
 	var degradedInside, rupamInside, degradedAfter, rupamAfter bool

@@ -29,21 +29,21 @@ func TestAgentCrashFencesUntilRestart(t *testing.T) {
 	c1 := federation.ClaimID{Driver: 0, Seq: 1}
 	c2 := federation.ClaimID{Driver: 0, Seq: 2}
 	eng.At(0, func() {
-		plane.Send("driver:0", "node1", federation.Message{Type: federation.Propose, Claim: c1, Task: 7, Slots: 1})
+		plane.Send("driver:0", "node1", federation.Message{Type: federation.Propose, Claim: c1, Slots: 1})
 	})
 	eng.At(0.1, agent.Crash)
 	// Down: this PROPOSE must vanish without any reply.
 	eng.At(0.2, func() {
-		plane.Send("driver:0", "node1", federation.Message{Type: federation.Propose, Claim: c1, Task: 7, Slots: 1})
+		plane.Send("driver:0", "node1", federation.Message{Type: federation.Propose, Claim: c1, Slots: 1})
 	})
 	eng.At(0.3, agent.Restart)
 	// Restarted: a stale-incarnation PROPOSE is fenced off...
 	eng.At(0.4, func() {
-		plane.Send("driver:0", "node1", federation.Message{Type: federation.Propose, Claim: c1, Task: 7, Slots: 1})
+		plane.Send("driver:0", "node1", federation.Message{Type: federation.Propose, Claim: c1, Slots: 1})
 	})
 	// ...and a fresh one under incarnation 1 goes through.
 	eng.At(0.5, func() {
-		plane.Send("driver:0", "node1", federation.Message{Type: federation.Propose, Claim: c2, Task: 7, Slots: 1, Inc: 1})
+		plane.Send("driver:0", "node1", federation.Message{Type: federation.Propose, Claim: c2, Slots: 1, Inc: 1})
 	})
 	eng.At(0.6, func() {
 		plane.Send("driver:0", "node1", federation.Message{Type: federation.Abort, Claim: c2, Inc: 1})

@@ -377,7 +377,6 @@ func (d *Driver) send(c *fclaim, mt MsgType) {
 	}
 	m := Message{Type: mt, Claim: c.id, Inc: d.agentInc[c.node]}
 	if mt == Propose {
-		m.Task = c.task.ID
 		m.Slots = c.slots
 		// A retransmitted PROPOSE is a fresh proposal to whatever
 		// incarnation now runs the node.

@@ -46,7 +46,7 @@ type MsgType int
 // Protocol messages. Drivers send PROPOSE/COMMIT/ABORT/RELEASE; agents
 // answer ACCEPT/REJECT/COMMIT_ACK/COMMIT_NACK/ABORT_ACK/RELEASE_ACK.
 const (
-	// Propose asks the node's agent to reserve Slots cores for Task.
+	// Propose asks the node's agent to reserve Slots cores.
 	Propose MsgType = iota
 	// Accept grants the reservation for acceptTTL; an uncommitted claim
 	// past that deadline is unilaterally returned to the pool by the
@@ -125,7 +125,9 @@ func (t MsgType) String() string {
 type Message struct {
 	Type  MsgType
 	Claim ClaimID
-	// Task and Slots describe the placement in a PROPOSE.
+	// Slots is the core count a PROPOSE or RESYNC_CLAIM reserves. Task is
+	// set only on RESYNC_CLAIM: the task a bound claim backs, which the
+	// agent checks against its executor.
 	Task  int
 	Slots int
 	// RetryAfter is a REJECT's backoff hint: the absolute virtual time

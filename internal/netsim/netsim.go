@@ -468,6 +468,17 @@ func (n *Network) waterfill(flows []*Flow) {
 		// bottleneck share. Link shares are the quotients cached by the
 		// min-scan, re-derived on mutation — the same divisions an inline
 		// recompute performs, so shares stay bit-identical.
+		//
+		// The 1e-9 tolerance is below half an ulp of every share above
+		// 2^24 B/s, which covers every Hydra NIC, so share+1e-9 == share
+		// there. A bottleneck link whose share rounds up by one ulp after
+		// a freeze is then not frozen in this round, and it drains over
+		// several. On batch-fair (seed 7) a pass runs about 100k fills,
+		// 72% of them after a flow completes; a fill takes 6.7 rounds and
+		// about 940 flow visits for about 180 flows. Two exact rewrites,
+		// flow lists per bottleneck link and struct-of-arrays link state,
+		// matched this code bit for bit on 101k recorded fills but were
+		// slower: one pass's fills took 0.46–0.69 s against 0.38–0.46 s.
 		keep := act[:0]
 		for _, f := range act {
 			le, li := f.src, f.dst

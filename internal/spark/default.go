@@ -1,7 +1,9 @@
 package spark
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"rupam/internal/cluster"
 	"rupam/internal/executor"
@@ -20,36 +22,47 @@ import (
 type DefaultScheduler struct {
 	rt *Runtime
 
-	pending    map[int][]*task.Task // pending tasks by stage ID
-	order      []int                // stage submission order
-	allowed    map[int]hdfs.Locality
-	lastLaunch map[int]float64
-	rot        int
+	// queued holds the stages with a non-empty queue, in submission
+	// order; every offer scans it. byID finds any stage handed over since
+	// the last driver recovery, for the completion and resubmit paths.
+	queued []*stageQueue
+	byID   map[int]*stageQueue
+	seq    int // submission counter behind stageQueue.seq
+	rot    int
 
-	// oomBackoff halves a stage's per-node parallelism each time its
+	// runningByNodeStage counts this scheduler's in-flight attempts per
+	// node per stage, for the backoff cap.
+	runningByNodeStage map[string]map[int]int
+}
+
+// stageQueue is the default scheduler's state for one stage.
+type stageQueue struct {
+	st  *task.Stage
+	seq int // submission order
+
+	// pending may also hold tasks that have since launched or finished;
+	// offers compact them away lazily.
+	pending    []*task.Task
+	allowed    hdfs.Locality // delay-scheduling level
+	lastLaunch float64       // start of the current locality wait
+
+	// oomBackoff halves the stage's per-node parallelism each time its
 	// tasks die of OOM — the task-failure backoff real Spark gets from
 	// TaskSetManager failure tracking and executor blacklisting. Without
 	// it, a memory-starved stage relaunches a full slot-width wave that
 	// OOMs (and crashes workers) forever. Successes slowly claw the
 	// parallelism back (AIMD), so a stage that was merely unlucky does
 	// not stay throttled — and one that truly doesn't fit keeps paying.
-	oomBackoff map[int]int
-	// successStreak counts a stage's successes since its last OOM, for
+	oomBackoff int
+	// successStreak counts the stage's successes since its last OOM, for
 	// the backoff decay.
-	successStreak map[int]int
-	// runningByNodeStage counts this scheduler's in-flight attempts per
-	// node per stage, for the backoff cap.
-	runningByNodeStage map[string]map[int]int
+	successStreak int
 }
 
 // NewDefaultScheduler returns Spark's stock policy.
 func NewDefaultScheduler() *DefaultScheduler {
 	return &DefaultScheduler{
-		pending:            make(map[int][]*task.Task),
-		allowed:            make(map[int]hdfs.Locality),
-		lastLaunch:         make(map[int]float64),
-		oomBackoff:         make(map[int]int),
-		successStreak:      make(map[int]int),
+		byID:               make(map[int]*stageQueue),
 		runningByNodeStage: make(map[string]map[int]int),
 	}
 }
@@ -76,10 +89,41 @@ func (s *DefaultScheduler) HeapFor(node *cluster.Node) int64 {
 
 // StageSubmitted implements Scheduler.
 func (s *DefaultScheduler) StageSubmitted(st *task.Stage) {
-	s.pending[st.ID] = append([]*task.Task(nil), st.Tasks...)
-	s.order = append(s.order, st.ID)
-	s.allowed[st.ID] = bestPossibleLevel(st)
-	s.lastLaunch[st.ID] = s.rt.Eng.Now()
+	sq := s.stage(st)
+	s.setPending(sq, append([]*task.Task(nil), st.Tasks...))
+	sq.allowed = bestPossibleLevel(st)
+	sq.lastLaunch = s.rt.Eng.Now()
+}
+
+// stage returns st's record, registering it in submission order if it
+// has none yet or only an OOM backoff from before its submission.
+func (s *DefaultScheduler) stage(st *task.Stage) *stageQueue {
+	sq := s.byID[st.ID]
+	if sq == nil {
+		sq = &stageQueue{st: st}
+		s.byID[st.ID] = sq
+	}
+	if sq.seq == 0 {
+		s.seq++
+		sq.seq = s.seq
+	}
+	return sq
+}
+
+// setPending replaces sq's queue and keeps queued listing exactly the
+// stages whose queue is non-empty, in submission order.
+func (s *DefaultScheduler) setPending(sq *stageQueue, q []*task.Task) {
+	was := len(sq.pending) > 0
+	sq.pending = q
+	switch now := len(q) > 0; {
+	case now && !was:
+		i, _ := slices.BinarySearchFunc(s.queued, sq.seq, func(x *stageQueue, seq int) int {
+			return cmp.Compare(x.seq, seq)
+		})
+		s.queued = slices.Insert(s.queued, i, sq)
+	case was && !now:
+		s.queued = slices.DeleteFunc(s.queued, func(x *stageQueue) bool { return x == sq })
+	}
 }
 
 // bestPossibleLevel returns the tightest locality the stage's tasks can
@@ -104,12 +148,13 @@ func bestPossibleLevel(st *task.Stage) hdfs.Locality {
 // a stage as if freshly submitted, or its tasks would sit in a queue no
 // dispatch round ever visits.
 func (s *DefaultScheduler) Resubmit(t *task.Task, st *task.Stage) {
-	if _, known := s.allowed[st.ID]; !known {
-		s.order = append(s.order, st.ID)
-		s.allowed[st.ID] = bestPossibleLevel(st)
-		s.lastLaunch[st.ID] = s.rt.Eng.Now()
+	sq := s.byID[st.ID]
+	if sq == nil || sq.seq == 0 {
+		sq = s.stage(st)
+		sq.allowed = bestPossibleLevel(st)
+		sq.lastLaunch = s.rt.Eng.Now()
 	}
-	s.pending[st.ID] = append(s.pending[st.ID], t)
+	s.setPending(sq, append(sq.pending, t))
 }
 
 // TaskEnded implements Scheduler: maintain per-node stage counts and back
@@ -119,39 +164,43 @@ func (s *DefaultScheduler) TaskEnded(t *task.Task, r *executor.Run, out executor
 	if m := s.runningByNodeStage[node]; m != nil && m[t.StageID] > 0 {
 		m[t.StageID]--
 	}
+	sq := s.byID[t.StageID]
 	switch out {
 	case executor.OOM:
-		s.successStreak[t.StageID] = 0
-		b := s.oomBackoff[t.StageID]
-		if b == 0 {
-			b = 1
+		if sq == nil {
+			// A stage not handed over since the last driver recovery (an
+			// orphaned attempt) keeps its backoff for a later resubmit;
+			// seq 0 leaves it unregistered until then.
+			sq = &stageQueue{st: r.Stage()}
+			s.byID[t.StageID] = sq
 		}
-		if b < 16 {
-			s.oomBackoff[t.StageID] = b * 2
+		sq.successStreak = 0
+		if sq.oomBackoff == 0 {
+			sq.oomBackoff = 1
+		}
+		if sq.oomBackoff < 16 {
+			sq.oomBackoff *= 2
 		}
 	case executor.Success:
-		if s.oomBackoff[t.StageID] > 1 {
-			s.successStreak[t.StageID]++
-			if s.successStreak[t.StageID] >= 12 {
-				s.successStreak[t.StageID] = 0
-				s.oomBackoff[t.StageID] /= 2
+		if sq != nil && sq.oomBackoff > 1 {
+			sq.successStreak++
+			if sq.successStreak >= 12 {
+				sq.successStreak = 0
+				sq.oomBackoff /= 2
 			}
 		}
 	}
 }
 
-// stageCap returns the per-node concurrency allowed for a stage on a node.
-func (s *DefaultScheduler) stageCap(node string, stageID int) int {
-	b := s.oomBackoff[stageID]
-	if b <= 1 {
-		return 1 << 30 // uncapped until the stage misbehaves
+// backedOff reports whether sq has reached its OOM-backoff cap on node:
+// per-node concurrency of cores/oomBackoff (at least 1) once the stage's
+// tasks have died of OOM, uncapped before.
+func (s *DefaultScheduler) backedOff(sq *stageQueue, node string) bool {
+	if sq.oomBackoff <= 1 {
+		return false
 	}
-	cores := s.rt.Clu.Node(node).Spec.Cores
-	cap := cores / b
-	if cap < 1 {
-		cap = 1
-	}
-	return cap
+	cap := max(s.rt.Clu.Node(node).Spec.Cores/sq.oomBackoff, 1)
+	return s.runningByNodeStage[node][sq.st.ID] >= cap
 }
 
 func (s *DefaultScheduler) noteLaunch(node string, stageID int) {
@@ -171,8 +220,8 @@ func (s *DefaultScheduler) Heartbeat(node string, nm *monitor.NodeMetrics) {}
 // harness's queue-drain invariant expects zero after a completed run.
 func (s *DefaultScheduler) PendingTasks() int {
 	n := 0
-	for _, q := range s.pending {
-		for _, t := range q {
+	for _, sq := range s.queued {
+		for _, t := range sq.pending {
 			if t.State == task.Pending {
 				n++
 			}
@@ -198,9 +247,9 @@ func (s *DefaultScheduler) ExecutorLost(node string) {
 // the stage actually uses the restored locality.
 func (s *DefaultScheduler) ExecutorSetChanged() {
 	now := s.rt.Eng.Now()
-	for id, q := range s.pending {
+	for _, sq := range s.queued {
 		reachable, pending := hdfs.Any+1, false
-		for _, t := range q {
+		for _, t := range sq.pending {
 			if t.State != task.Pending {
 				continue
 			}
@@ -220,11 +269,11 @@ func (s *DefaultScheduler) ExecutorSetChanged() {
 				reachable = best
 			}
 		}
-		if !pending || reachable == s.allowed[id] {
+		if !pending || reachable == sq.allowed {
 			continue
 		}
-		s.allowed[id] = reachable
-		s.lastLaunch[id] = now
+		sq.allowed = reachable
+		sq.lastLaunch = now
 	}
 }
 
@@ -234,13 +283,10 @@ func (s *DefaultScheduler) ExecutorSetChanged() {
 // StageSubmitted right after, which refills the queues from the replayed
 // write-ahead-log truth.
 func (s *DefaultScheduler) DriverRecovery(ws *wal.State) {
-	s.pending = make(map[int][]*task.Task)
-	s.order = nil
-	s.allowed = make(map[int]hdfs.Locality)
-	s.lastLaunch = make(map[int]float64)
+	s.queued = nil
+	s.byID = make(map[int]*stageQueue)
+	s.seq = 0
 	s.rot = 0
-	s.oomBackoff = make(map[int]int)
-	s.successStreak = make(map[int]int)
 	s.runningByNodeStage = make(map[string]map[int]int)
 }
 
@@ -252,13 +298,10 @@ func (s *DefaultScheduler) Schedule() {
 	now := rt.Eng.Now()
 
 	// Delay-scheduling relaxation.
-	for id, lvl := range s.allowed {
-		if len(s.pending[id]) == 0 {
-			continue
-		}
-		if lvl < hdfs.Any && now-s.lastLaunch[id] > localityWait {
-			s.allowed[id] = lvl + 1
-			s.lastLaunch[id] = now
+	for _, sq := range s.queued {
+		if sq.allowed < hdfs.Any && now-sq.lastLaunch > localityWait {
+			sq.allowed++
+			sq.lastLaunch = now
 		}
 	}
 
@@ -267,10 +310,13 @@ func (s *DefaultScheduler) Schedule() {
 		launchedAny = false
 		s.rot++
 		for i := range nodes {
-			node := nodes[(i+s.rot)%len(nodes)]
+			k := (i + s.rot) % len(nodes)
+			node := nodes[k]
 			name := node.Name()
-			ex := rt.Execs[name]
-			if ex == nil || !rt.CanRunOn(name) || ex.RunningTasks() >= node.Spec.Cores {
+			// A full node is skipped before CanRunOn's map lookups; both
+			// checks are pure, so their order does not matter.
+			ex := rt.ExecutorAt(k)
+			if ex == nil || ex.RunningTasks() >= node.Spec.Cores || !rt.CanRunOn(name) {
 				continue
 			}
 			if s.launchOn(name) {
@@ -286,48 +332,48 @@ func (s *DefaultScheduler) launchOn(node string) bool {
 	rt := s.rt
 	d := rt.NewDecision(s.Name(), node)
 	// Pending tasks first, stages in submission order (FIFO).
-	for _, id := range s.order {
-		// Compact away queue entries that are no longer pending — tasks
-		// finished or running elsewhere (a stage re-handed over by driver
-		// recovery enqueues all of its tasks, and a task can be enqueued
-		// twice by a resubmit racing the re-hand-over). Left in place they
-		// would be picked, refused by Launch, and re-appended forever,
-		// starving the genuinely pending work behind them.
-		q := s.pending[id]
-		kept := q[:0]
-		for _, t := range q {
-			if t.State == task.Pending {
-				kept = append(kept, t)
-			}
-		}
-		q = kept
-		s.pending[id] = q
-		if len(q) == 0 {
-			continue
-		}
-		if s.runningByNodeStage[node][id] >= s.stageCap(node, id) {
-			if d != nil {
-				d.Note("stage %d skipped: oom-backoff cap on %s", id, node)
-			}
-			continue // stage backed off on this node after OOMs
-		}
-		if st := rt.stages[id]; st != nil && !rt.StageReady(st) {
-			if d != nil {
-				d.Note("stage %d skipped: awaiting parent recompute", id)
-			}
-			continue // parent outputs lost; a rollback is recomputing them
-		}
-		allowed := s.allowed[id]
+	for qi := 0; qi < len(s.queued); qi++ {
+		sq := s.queued[qi]
+		// A stage backed off on this node after OOMs, or one whose parent
+		// outputs a rollback is recomputing, offers no candidate.
+		capped := s.backedOff(sq, node)
+		skip := capped || !rt.StageReady(sq.st)
+		// One pass compacts away queue entries that are no longer pending
+		// and picks the best candidate among the rest. Stale entries are
+		// tasks finished or running elsewhere (a stage re-handed over by
+		// driver recovery enqueues all of its tasks, and a task can be
+		// enqueued twice by a resubmit racing the re-hand-over). Left in
+		// place they would be picked, refused by Launch, and re-appended
+		// forever, starving the genuinely pending work behind them.
+		//
+		// The blacklist is consulted only for a candidate that would become
+		// the best, which picks the same task as checking every one; with a
+		// decision audit attached every candidate is checked, so the audit
+		// lists each blacklisted pairing.
+		allowed := sq.allowed
 		bestIdx, bestLvl := -1, hdfs.Any+1
-		for i, t := range q {
-			if rt.TaskBlockedOn(t.ID, node) {
-				d.Candidate(t.ID, t.LocalityOn(node).String(), "blacklisted-pairing", "")
-				continue // blacklisted pairing
+		q := sq.pending[:0]
+		for _, t := range sq.pending {
+			if t.State != task.Pending {
+				continue
+			}
+			q = append(q, t)
+			if skip {
+				continue
 			}
 			lvl := t.LocalityOn(node)
-			if lvl <= allowed && lvl < bestLvl {
-				bestIdx, bestLvl = i, lvl
-				d.Candidate(t.ID, lvl.String(), "", "")
+			wins := lvl <= allowed && lvl < bestLvl
+			if (wins || d != nil) && rt.TaskBlockedOn(t.ID, node) {
+				if d != nil {
+					d.Candidate(t.ID, lvl.String(), "blacklisted-pairing", "")
+				}
+				continue // blacklisted pairing
+			}
+			if wins {
+				bestIdx, bestLvl = len(q)-1, lvl
+				if d != nil {
+					d.Candidate(t.ID, lvl.String(), "", "")
+				}
 			} else if d != nil {
 				reason, detail := "lost-on-locality", ""
 				if lvl > allowed {
@@ -337,20 +383,35 @@ func (s *DefaultScheduler) launchOn(node string) bool {
 				d.Candidate(t.ID, lvl.String(), reason, detail)
 			}
 		}
+		if len(q) == 0 {
+			s.setPending(sq, q)
+			qi-- // the stage left queued
+			continue
+		}
+		if skip {
+			sq.pending = q
+			if d != nil && capped {
+				d.Note("stage %d skipped: oom-backoff cap on %s", sq.st.ID, node)
+			} else if d != nil {
+				d.Note("stage %d skipped: awaiting parent recompute", sq.st.ID)
+			}
+			continue
+		}
 		if bestIdx < 0 {
+			sq.pending = q
 			continue
 		}
 		t := q[bestIdx]
-		s.pending[id] = append(q[:bestIdx], q[bestIdx+1:]...)
+		s.setPending(sq, append(q[:bestIdx], q[bestIdx+1:]...))
 		if rt.Launch(t, node, executor.Options{Locality: t.LocalityOn(node)}) != nil {
 			d.SetWinner(t.ID, "delay-scheduling", bestLvl.String(), false)
 			d.Commit()
-			s.noteLaunch(node, id)
-			s.lastLaunch[id] = rt.Eng.Now()
+			s.noteLaunch(node, sq.st.ID)
+			sq.lastLaunch = rt.Eng.Now()
 			return true
 		}
 		// Launch refused (executor just went down): put it back.
-		s.pending[id] = append(s.pending[id], t)
+		s.setPending(sq, append(sq.pending, t))
 		return false
 	}
 	// No pending work for this node: try a speculative copy. The copy

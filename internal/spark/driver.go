@@ -2,6 +2,7 @@ package spark
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"rupam/internal/executor"
@@ -20,9 +21,7 @@ func (rt *Runtime) submitJob(j int) {
 	rt.wlog.Append(wal.Record{Kind: wal.KindJobSubmitted, Job: j})
 	for _, st := range job.Stages {
 		rt.stages[st.ID] = st
-		for _, t := range st.Tasks {
-			rt.stageOf[t.ID] = st
-		}
+		rt.stageOf.add(st)
 	}
 	for _, st := range job.Stages {
 		rt.maybeSubmitStage(st)
@@ -88,6 +87,20 @@ func (rt *Runtime) CanRunOn(node string) bool {
 	return rt.hooks.CanLaunch == nil || rt.hooks.CanLaunch(node)
 }
 
+// ExecutorAt returns the executor of Clu.Nodes[i], or nil. Loops over the
+// cluster's nodes use it instead of hashing each node's name into Execs.
+func (rt *Runtime) ExecutorAt(i int) *executor.Executor {
+	if len(rt.execAt) != len(rt.Clu.Nodes) {
+		rt.execAt = make([]*executor.Executor, len(rt.Clu.Nodes))
+	}
+	ex := rt.execAt[i]
+	if ex == nil {
+		ex = rt.Execs[rt.Clu.Nodes[i].Name()]
+		rt.execAt[i] = ex
+	}
+	return ex
+}
+
 // Launch starts an attempt of t on node, returning the attempt's Run (nil
 // if the launch was refused). All schedulers place tasks through this
 // single entry point.
@@ -96,8 +109,8 @@ func (rt *Runtime) Launch(t *task.Task, node string, opts executor.Options) *exe
 		return nil
 	}
 	ex := rt.Execs[node]
-	st, ok := rt.stageOf[t.ID]
-	if !ok {
+	st := rt.StageOf(t)
+	if st == nil {
 		return nil
 	}
 	if t.State == task.Finished || t.State == task.Failed {
@@ -193,7 +206,7 @@ func (rt *Runtime) onTaskEnd(r *executor.Run, out executor.Outcome) {
 	case executor.Success:
 		if t.State != task.Finished {
 			t.State = task.Finished
-			delete(rt.speculatable, t.ID)
+			rt.ClearSpeculatable(t)
 			if m := r.Metrics(); m.End > m.Launch {
 				// Observed attempt wall time feeds the drain's fence-point
 				// prediction (how late a doomed node can still accept work).
@@ -383,29 +396,31 @@ func (rt *Runtime) scanForStragglers() {
 			if now-att.Metrics().Launch > threshold {
 				rt.Cfg.Tracer.SpeculatableMarked(t.ID)
 				rt.wlog.Append(wal.Record{Kind: wal.KindSpecMarked, Task: t.ID, Stage: st.ID})
-				rt.speculatable[t.ID] = t
+				rt.markSpeculatable(t)
 			}
 		}
 	}
 }
 
-// SpeculativeTasks returns the current straggler set in deterministic
+// SpeculativeTasks returns the running tasks of the straggler set in ID
 // order; schedulers launch copies of these when they have spare resources
-// (Algorithm 2's speculativeTaskSet path).
+// (Algorithm 2's speculativeTaskSet path). Schedulers poll it on every
+// offer that finds no pending work, so while every straggler is running it
+// returns the set itself, without allocating. Callers must not modify the
+// slice.
 func (rt *Runtime) SpeculativeTasks() []*task.Task {
-	if len(rt.speculatable) == 0 {
-		// Fast path for the common case: schedulers poll this on every
-		// scheduling round, and the straggler set is almost always empty.
-		return nil
-	}
-	ts := make([]*task.Task, 0, len(rt.speculatable))
-	for _, t := range rt.speculatable {
-		if t.State == task.Running {
-			ts = append(ts, t)
+	for i, t := range rt.speculatable {
+		if t.State != task.Running {
+			ts := slices.Clone(rt.speculatable[:i])
+			for _, t := range rt.speculatable[i+1:] {
+				if t.State == task.Running {
+					ts = append(ts, t)
+				}
+			}
+			return ts
 		}
 	}
-	slices.SortFunc(ts, func(a, b *task.Task) int { return cmp.Compare(a.ID, b.ID) })
-	return ts
+	return rt.speculatable
 }
 
 // MarkSpeculatable force-adds a task to the straggler set (RUPAM's
@@ -414,13 +429,33 @@ func (rt *Runtime) MarkSpeculatable(t *task.Task) {
 	if t.State == task.Running {
 		rt.Cfg.Tracer.SpeculatableMarked(t.ID)
 		rt.wlog.Append(wal.Record{Kind: wal.KindSpecMarked, Task: t.ID, Stage: t.StageID})
-		rt.speculatable[t.ID] = t
+		rt.markSpeculatable(t)
 	}
 }
 
 // ClearSpeculatable removes a task from the straggler set (a copy was
 // launched or the task finished).
-func (rt *Runtime) ClearSpeculatable(t *task.Task) { delete(rt.speculatable, t.ID) }
+func (rt *Runtime) ClearSpeculatable(t *task.Task) {
+	if i, ok := rt.specIndex(t.ID); ok {
+		rt.speculatable = slices.Delete(slices.Clone(rt.speculatable), i, i+1)
+	}
+}
+
+// markSpeculatable adds t to the straggler set. The set is copied on
+// every change, never written in place, so a slice SpeculativeTasks
+// handed out stays valid while its holder launches copies.
+func (rt *Runtime) markSpeculatable(t *task.Task) {
+	if i, ok := rt.specIndex(t.ID); !ok {
+		rt.speculatable = slices.Insert(slices.Clip(rt.speculatable), i, t)
+	}
+}
+
+// specIndex finds task id in the straggler set, or where it would go.
+func (rt *Runtime) specIndex(id int) (int, bool) {
+	return slices.BinarySearchFunc(rt.speculatable, id, func(t *task.Task, id int) int {
+		return cmp.Compare(t.ID, id)
+	})
+}
 
 // SpecInFlight counts the live speculative copies of a stage's tasks. It
 // is computed from the attempt registry rather than a counter so silent
@@ -468,15 +503,57 @@ func (rt *Runtime) SpecCopyAllowed(t *task.Task, node string) bool {
 		return false
 	}
 	if max := rt.Cfg.SpeculationMaxPerStage; max > 0 {
-		if st := rt.stageOf[t.ID]; st != nil && rt.SpecInFlight(st.ID) >= max {
+		if st := rt.StageOf(t); st != nil && rt.SpecInFlight(st.ID) >= max {
 			return false
 		}
 	}
 	return true
 }
 
-// StageOf returns the stage owning the task.
-func (rt *Runtime) StageOf(t *task.Task) *task.Stage { return rt.stageOf[t.ID] }
+// StageOf returns the stage owning the task, or nil when the task is not
+// in one of this application's submitted jobs.
+func (rt *Runtime) StageOf(t *task.Task) *task.Stage { return rt.stageOf.get(t.ID) }
+
+// taskStages maps an application's task IDs to their stages. rdd numbers
+// an application's tasks densely and tenant.Renumber only offsets them, so
+// a slice indexed by task ID minus the application's lowest task ID covers
+// every task without hashing. An entry stays nil until its job is
+// submitted.
+type taskStages struct {
+	base  int
+	stage []*task.Stage
+}
+
+// newTaskStages sizes the table for app's task ID range.
+func newTaskStages(app *task.Application) taskStages {
+	lo, hi := math.MaxInt, math.MinInt
+	for _, j := range app.Jobs {
+		for _, st := range j.Stages {
+			for _, t := range st.Tasks {
+				lo, hi = min(lo, t.ID), max(hi, t.ID)
+			}
+		}
+	}
+	if hi < lo {
+		return taskStages{}
+	}
+	return taskStages{base: lo, stage: make([]*task.Stage, hi-lo+1)}
+}
+
+// get returns the stage of task id, or nil outside the table.
+func (ts taskStages) get(id int) *task.Stage {
+	if i := uint(id - ts.base); i < uint(len(ts.stage)) {
+		return ts.stage[i]
+	}
+	return nil
+}
+
+// add records st as the stage of each of its tasks.
+func (ts taskStages) add(st *task.Stage) {
+	for _, t := range st.Tasks {
+		ts.stage[t.ID-ts.base] = st
+	}
+}
 
 // LiveAttempts returns the number of attempts still registered as
 // in-flight. After a run (completed or aborted) it must be zero — the

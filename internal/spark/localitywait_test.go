@@ -50,20 +50,20 @@ func TestExecutorSetChangeRelaxesStaleLevel(t *testing.T) {
 		{ID: 50, StageID: 5, Index: 0, State: task.Pending, PrefNodes: []string{"fast"}},
 	}}
 	sched.StageSubmitted(st)
-	if sched.allowed[5] != hdfs.NodeLocal {
-		t.Fatalf("fresh stage allows %v, want NodeLocal", sched.allowed[5])
+	if sched.byID[5].allowed != hdfs.NodeLocal {
+		t.Fatalf("fresh stage allows %v, want NodeLocal", sched.byID[5].allowed)
 	}
 
 	gate["fast"] = false
 	sched.ExecutorSetChanged()
-	if sched.allowed[5] != hdfs.Any {
-		t.Fatalf("preferred node left the set but stage still allows %v", sched.allowed[5])
+	if sched.byID[5].allowed != hdfs.Any {
+		t.Fatalf("preferred node left the set but stage still allows %v", sched.byID[5].allowed)
 	}
 
 	gate["fast"] = true
 	sched.ExecutorSetChanged()
-	if sched.allowed[5] != hdfs.NodeLocal {
-		t.Fatalf("preferred node returned but stage allows %v, want NodeLocal", sched.allowed[5])
+	if sched.byID[5].allowed != hdfs.NodeLocal {
+		t.Fatalf("preferred node returned but stage allows %v, want NodeLocal", sched.byID[5].allowed)
 	}
 }
 

@@ -198,11 +198,11 @@ func (rt *Runtime) recoverDriver() {
 // fold, discarding whatever the crashed incarnation had in memory.
 func (rt *Runtime) restoreFromState(s *wal.State) {
 	rt.stages = make(map[int]*task.Stage)
-	rt.stageOf = make(map[int]*task.Stage)
+	clear(rt.stageOf.stage)
 	rt.activeStages = make(map[int]*task.Stage)
 	rt.submitted = make(map[int]bool)
 	rt.resetRunning()
-	rt.speculatable = make(map[int]*task.Task)
+	rt.speculatable = nil
 
 	rt.jobIdx = s.JobIdx
 	if rt.jobIdx < 0 {
@@ -214,9 +214,7 @@ func (rt *Runtime) restoreFromState(s *wal.State) {
 	for j := 0; j <= rt.jobIdx; j++ {
 		for _, st := range rt.app.Jobs[j].Stages {
 			rt.stages[st.ID] = st
-			for _, t := range st.Tasks {
-				rt.stageOf[t.ID] = st
-			}
+			rt.stageOf.add(st)
 		}
 	}
 
@@ -307,7 +305,7 @@ func (rt *Runtime) adoptSurvivors(s *wal.State) int {
 		}
 		for _, r := range ex.Running() {
 			t := r.Task()
-			if _, mine := rt.stageOf[t.ID]; !mine {
+			if rt.StageOf(t) == nil {
 				continue // a sibling application's attempt on the shared executor
 			}
 			if r.Done() {
@@ -348,7 +346,7 @@ func (rt *Runtime) reconcileLost(s *wal.State) {
 		}
 		if !rt.execReachable(name) {
 			for _, r := range ex.Running() {
-				if _, mine := rt.stageOf[r.Task().ID]; !mine {
+				if rt.StageOf(r.Task()) == nil {
 					continue // a sibling application's attempt; not ours to fence
 				}
 				r.Kill(false)

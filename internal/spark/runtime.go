@@ -138,6 +138,11 @@ type Runtime struct {
 	Execs map[string]*executor.Executor
 	Rec   *metrics.Recorder
 
+	// execAt caches Execs by node index in Clu.Nodes, filled on first
+	// use: a substrate builds each node's executor once and never
+	// replaces it.
+	execAt []*executor.Executor
+
 	sched Scheduler
 	app   *task.Application
 
@@ -158,14 +163,14 @@ type Runtime struct {
 
 	// driver state (driver.go)
 	stages       map[int]*task.Stage
-	stageOf      map[int]*task.Stage // by task ID
+	stageOf      taskStages // by task ID, for the submitted jobs
 	jobIdx       int
 	activeStages map[int]*task.Stage
 	submitted    map[int]bool
 	runningAtt   map[int][]*executor.Run // live attempts by task ID; no empty entries
 	liveAtt      int                     // Σ len(runningAtt), kept by setRunning
-	speculatable map[int]*task.Task
-	specDurs     []float64 // scanForStragglers scratch
+	speculatable []*task.Task            // straggler set by ascending ID; copied on change
+	specDurs     []float64               // scanForStragglers scratch
 	specTimer    simx.Timer
 	appDone      bool
 	appStart     float64
@@ -291,11 +296,9 @@ func NewRuntimeOn(eng *simx.Engine, clu *cluster.Cluster, sched Scheduler, cfg C
 		hooks:        hooks,
 		sched:        sched,
 		stages:       make(map[int]*task.Stage),
-		stageOf:      make(map[int]*task.Stage),
 		activeStages: make(map[int]*task.Stage),
 		submitted:    make(map[int]bool),
 		runningAtt:   make(map[int][]*executor.Run),
-		speculatable: make(map[int]*task.Task),
 		lastHB:       make(map[string]float64),
 		lostExecs:    make(map[string]bool),
 		lastInc:      make(map[string]int),
@@ -456,6 +459,7 @@ func (rt *Runtime) Start(app *task.Application) {
 		panic("spark: application with no jobs")
 	}
 	rt.app = app
+	rt.stageOf = newTaskStages(app)
 	rt.appStart = rt.Eng.Now()
 	rt.Cfg.Tracer.Bind(rt.Eng)
 	for _, n := range rt.Clu.Nodes {

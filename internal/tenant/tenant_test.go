@@ -10,6 +10,7 @@ import (
 	"rupam/internal/hdfs"
 	"rupam/internal/simx"
 	"rupam/internal/spark"
+	"rupam/internal/task"
 	"rupam/internal/workloads"
 )
 
@@ -377,6 +378,60 @@ func TestFairRoundSteadyStateAllocs(t *testing.T) {
 			}
 			if n := testing.AllocsPerRun(50, m.ScheduleAll); n > fairRoundAllocBudget {
 				t.Fatalf("FAIR round allocates %v times in steady state, budget %d", n, fairRoundAllocBudget)
+			}
+		})
+	}
+}
+
+// TestStageOfStaysInNamespace: each application's runtime maps task IDs
+// to stages through a table offset by its lowest task ID. In a tenancy
+// run, where Renumber moves every application after the first above 0,
+// StageOf resolves the application's own submitted tasks and returns nil
+// for a sibling's task and for IDs just outside its range.
+func TestStageOfStaysInNamespace(t *testing.T) {
+	for _, sched := range []string{"spark", "rupam"} {
+		t.Run(sched, func(t *testing.T) {
+			m := NewManager(quickCfg(sched, 1))
+			m.start()
+			for now := 5.0; len(m.running) < 2; now += 5 {
+				if m.finished {
+					t.Fatal("run finished before two applications overlapped")
+				}
+				m.eng.RunUntil(now)
+			}
+			offset := false
+			for _, a := range m.running {
+				app := a.rt.App()
+				lo, hi := app.Jobs[0].Stages[0].Tasks[0].ID, 0
+				for _, tk := range app.AllTasks() {
+					lo, hi = min(lo, tk.ID), max(hi, tk.ID)
+				}
+				offset = offset || lo > 0
+				for _, st := range app.Jobs[0].Stages {
+					for _, tk := range st.Tasks {
+						if got := a.rt.StageOf(tk); got != st {
+							t.Fatalf("%s: StageOf(task %d) = %v, want stage %d", a.label, tk.ID, got, st.ID)
+						}
+					}
+				}
+				for _, id := range []int{lo - 1, hi + 1} {
+					if st := a.rt.StageOf(&task.Task{ID: id}); st != nil {
+						t.Fatalf("%s: StageOf(%d) outside [%d,%d] = stage %d", a.label, id, lo, hi, st.ID)
+					}
+				}
+				for _, b := range m.running {
+					if b == a {
+						continue
+					}
+					for _, tk := range b.rt.App().AllTasks() {
+						if st := a.rt.StageOf(tk); st != nil {
+							t.Fatalf("%s resolves %s's task %d to stage %d", a.label, b.label, tk.ID, st.ID)
+						}
+					}
+				}
+			}
+			if !offset {
+				t.Fatal("no running application has a Renumber base above 0")
 			}
 		})
 	}
