@@ -2,6 +2,7 @@ package core
 
 import (
 	"maps"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -299,5 +300,53 @@ func TestPendingTasksCountsDistinctWithoutAllocating(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { s.PendingTasks() }); n != 0 {
 		t.Fatalf("PendingTasks allocates %v times per call after warm-up, want 0", n)
+	}
+}
+
+// TestPendingTasksMatchesMapCount checks the pass-stamped count against
+// a count of distinct task IDs over random queues in which tasks sit in
+// several resource queues and change state between calls, some enqueued
+// carrying a stamp equal to the next pass number, as another scheduler
+// could have left it.
+func TestPendingTasksMatchesMapCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	s := New(Config{})
+	w := newWorld(t)
+	spark.NewRuntime(w.eng, w.clu, s, spark.Config{Seed: 1})
+	st := &task.Stage{Signature: "m", Kind: task.ShuffleMap}
+	tasks := make([]*task.Task, 40)
+	for i := range tasks {
+		tasks[i] = &task.Task{ID: i, Kind: task.ShuffleMap}
+	}
+	for round := 0; round < 200; round++ {
+		for r := range s.taskQ {
+			s.taskQ[r] = s.taskQ[r][:0]
+		}
+		for _, tk := range tasks {
+			tk.State = task.State(rng.Intn(3)) // Pending, Running or Finished
+			if rng.Intn(4) == 0 {
+				tk.SchedMark = s.pendingPass + 1
+				s.enqueue(st, tk) // every queue
+				continue
+			}
+			for r := range s.taskQ {
+				for k := rng.Intn(3); k > 0; k-- {
+					s.taskQ[r] = append(s.taskQ[r], tk)
+				}
+			}
+		}
+		want := map[int]bool{}
+		for r := range s.taskQ {
+			for _, tk := range s.taskQ[r] {
+				if tk.State == task.Pending {
+					want[tk.ID] = true
+				}
+			}
+		}
+		for call := 0; call < 2; call++ {
+			if got := s.PendingTasks(); got != len(want) {
+				t.Fatalf("round %d call %d: PendingTasks = %d, distinct pending IDs = %d", round, call, got, len(want))
+			}
+		}
 	}
 }

@@ -139,7 +139,9 @@ type RUPAM struct {
 	inFlight map[string]*[NumResources]int
 	dimOf    map[*executor.Run]Resource // attempt's placing dimension
 
-	pendingSeen map[int]bool // PendingTasks scratch, cleared every call
+	// pendingPass numbers PendingTasks calls; a call stamps each task it
+	// counts with its number in task.SchedMark.
+	pendingPass uint64
 
 	rrIdx    int
 	offerSeq uint64
@@ -155,7 +157,6 @@ func New(cfg Config) *RUPAM {
 		degraded:     make(map[string]bool),
 		inFlight:     make(map[string]*[NumResources]int),
 		dimOf:        make(map[*executor.Run]Resource),
-		pendingSeen:  make(map[int]bool),
 	}
 }
 
@@ -283,6 +284,8 @@ func (s *RUPAM) classifyMetrics(m *task.Metrics) (Resource, bool) {
 
 // enqueue places a task on its characteristic queues.
 func (s *RUPAM) enqueue(st *task.Stage, t *task.Task) {
+	// A stamp left by another scheduler could equal a later pass number.
+	t.SchedMark = 0
 	for _, r := range s.characterize(st, t) {
 		s.taskQ[r] = append(s.taskQ[r], t)
 	}
@@ -311,16 +314,17 @@ func (s *RUPAM) Resubmit(t *task.Task, st *task.Stage) {
 // finished tasks are skipped, as the dispatcher itself does). The chaos
 // harness's queue-drain invariant expects zero after a completed run.
 func (s *RUPAM) PendingTasks() int {
-	seen := s.pendingSeen
-	clear(seen)
+	s.pendingPass++
+	n := 0
 	for r := range s.taskQ {
 		for _, t := range s.taskQ[r] {
-			if t.State == task.Pending && !seen[t.ID] {
-				seen[t.ID] = true
+			if t.State == task.Pending && t.SchedMark != s.pendingPass {
+				t.SchedMark = s.pendingPass
+				n++
 			}
 		}
 	}
-	return len(seen)
+	return n
 }
 
 // ExecutorLost implements spark.ExecutorLossAware: a dead node's offers

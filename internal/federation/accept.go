@@ -302,25 +302,32 @@ func AcceptanceScenarios() []AcceptScenario {
 	}
 }
 
-// RunAcceptScenario executes one scenario on a fresh engine and returns
-// the list of expectation failures (empty means pass).
-func RunAcceptScenario(s AcceptScenario) []string {
-	var fails []string
+// acceptRun is one scenario wired onto a fresh engine: the agent under
+// test on a fault-free plane, a recording handler per driver endpoint and
+// every step scheduled. Running the engine plays the scenario.
+type acceptRun struct {
+	eng   *simx.Engine
+	plane *Plane
+	agent *Agent
+	eps   []string            // driver endpoints, sorted
+	got   map[string][]string // replies per endpoint, "TYPE claim" in delivery order
+	fails []string            // invariant violations the agent reported
+}
+
+func newAcceptRun(s AcceptScenario) *acceptRun {
 	capacity := s.Capacity
 	if capacity == 0 {
 		capacity = 2
 	}
-	eng := simx.NewEngine()
-	plane := NewPlane(eng, 1)
-	agent := NewAgent(eng, plane, "node1", capacity, func(v string) {
-		fails = append(fails, "violation: "+v)
+	r := &acceptRun{eng: simx.NewEngine(), got: make(map[string][]string)}
+	r.plane = NewPlane(r.eng, 1)
+	r.agent = NewAgent(r.eng, r.plane, "node1", capacity, func(v string) {
+		r.fails = append(r.fails, "violation: "+v)
 	})
-
 	if len(s.Drivers) > 0 {
-		agent.SetDrivers(s.Drivers)
+		r.agent.SetDrivers(s.Drivers)
 	}
 
-	got := make(map[string][]string)
 	endpoints := map[string]bool{}
 	for _, st := range s.Steps {
 		if st.From != "" {
@@ -333,15 +340,14 @@ func RunAcceptScenario(s AcceptScenario) []string {
 	for ep := range s.Replies {
 		endpoints[ep] = true
 	}
-	eps := make([]string, 0, len(endpoints))
 	for ep := range endpoints {
-		eps = append(eps, ep)
+		r.eps = append(r.eps, ep)
 	}
-	sort.Strings(eps)
-	for _, ep := range eps {
+	sort.Strings(r.eps)
+	for _, ep := range r.eps {
 		ep := ep
-		plane.Handle(ep, func(from string, m Message) {
-			got[ep] = append(got[ep], fmt.Sprintf("%s %s", m.Type, m.Claim))
+		r.plane.Handle(ep, func(from string, m Message) {
+			r.got[ep] = append(r.got[ep], fmt.Sprintf("%s %s", m.Type, m.Claim))
 		})
 	}
 
@@ -349,19 +355,26 @@ func RunAcceptScenario(s AcceptScenario) []string {
 		st := st
 		switch st.Op {
 		case "crash":
-			eng.At(st.At, agent.Crash)
+			r.eng.At(st.At, r.agent.Crash)
 		case "restart":
-			eng.At(st.At, agent.Restart)
+			r.eng.At(st.At, r.agent.Restart)
 		default:
-			eng.At(st.At, func() { plane.Send(st.From, agent.Name, st.Msg) })
+			r.eng.At(st.At, func() { r.plane.Send(st.From, r.agent.Name, st.Msg) })
 		}
 	}
-	eng.Run()
+	return r
+}
 
-	for _, ep := range eps {
+// RunAcceptScenario executes one scenario on a fresh engine and returns
+// the list of expectation failures (empty means pass).
+func RunAcceptScenario(s AcceptScenario) []string {
+	r := newAcceptRun(s)
+	r.eng.Run()
+	fails, agent := r.fails, r.agent
+	for _, ep := range r.eps {
 		want := s.Replies[ep]
-		if fmt.Sprint(got[ep]) != fmt.Sprint(want) {
-			fails = append(fails, fmt.Sprintf("%s replies: got %v, want %v", ep, got[ep], want))
+		if fmt.Sprint(r.got[ep]) != fmt.Sprint(want) {
+			fails = append(fails, fmt.Sprintf("%s replies: got %v, want %v", ep, r.got[ep], want))
 		}
 	}
 	if agent.Reserved() != s.Reserved {

@@ -21,13 +21,13 @@ type agentClaim struct {
 // pure message-driven state machine: PROPOSE reserves (with deterministic
 // lowest-ID-wins arbitration when the node is contended), COMMIT pins,
 // ABORT/RELEASE free. It defends against every transport pathology —
-// duplicate messages replay the prior verdict from a tombstone table, and
-// accepted-but-uncommitted claims expire on their own so a proposing
-// driver's death cannot leak slots — and it is itself a fault domain: a
-// Crash wipes every claim, timer and tombstone (node-local daemon state
-// does not survive the process), and a Restart bumps the incarnation,
-// fences off pre-crash messages, and rebuilds surviving reservations via
-// the RESYNC handshake before accepting new proposals.
+// proposals for a claim ID that has ended are refused from a tombstone
+// set, and accepted-but-uncommitted claims expire on their own so a
+// proposing driver's death cannot leak slots — and it is itself a fault
+// domain: a Crash wipes every claim, timer and tombstone (node-local
+// daemon state does not survive the process), and a Restart bumps the
+// incarnation, fences off pre-crash messages, and rebuilds surviving
+// reservations via the RESYNC handshake before accepting new proposals.
 type Agent struct {
 	Name     string
 	Capacity int
@@ -35,8 +35,10 @@ type Agent struct {
 	eng   *simx.Engine
 	plane *Plane
 
-	claims   map[ClaimID]*agentClaim
-	verdicts map[ClaimID]string // tombstones: rejected|expired|evicted|aborted|released
+	claims map[ClaimID]*agentClaim
+	// tombstones holds every claim ID this incarnation rejected, expired,
+	// evicted, aborted or released: such an ID is never accepted again.
+	tombstones map[ClaimID]struct{}
 
 	// drivers is the broadcast list for the restart RESYNC handshake,
 	// installed once at harness build time.
@@ -87,14 +89,14 @@ type Agent struct {
 // name. violation receives invariant breaches (never nil-checked hot).
 func NewAgent(eng *simx.Engine, plane *Plane, node string, capacity int, violation func(string)) *Agent {
 	a := &Agent{
-		Name:      node,
-		Capacity:  capacity,
-		eng:       eng,
-		plane:     plane,
-		claims:    make(map[ClaimID]*agentClaim),
-		verdicts:  make(map[ClaimID]string),
-		digest:    digest.New().Sum64(),
-		violation: violation,
+		Name:       node,
+		Capacity:   capacity,
+		eng:        eng,
+		plane:      plane,
+		claims:     make(map[ClaimID]*agentClaim),
+		tombstones: make(map[ClaimID]struct{}),
+		digest:     digest.New().Sum64(),
+		violation:  violation,
 	}
 	plane.Handle(node, a.handle)
 	return a
@@ -132,7 +134,7 @@ func (a *Agent) Crash() {
 		c.expiry.Cancel()
 	}
 	a.claims = make(map[ClaimID]*agentClaim)
-	a.verdicts = make(map[ClaimID]string)
+	a.tombstones = make(map[ClaimID]struct{})
 	a.reserved = 0
 	a.stopResync()
 }
@@ -296,7 +298,7 @@ func (a *Agent) onPropose(from string, m Message) {
 		a.plane.Send(a.Name, from, Message{Type: Accept, Claim: c.id, Inc: a.inc})
 		return
 	}
-	if _, dead := a.verdicts[m.Claim]; dead {
+	if _, dead := a.tombstones[m.Claim]; dead {
 		// A claim ID is never resurrected: whatever ended it (reject,
 		// expiry, abort) is final, so duplicates and stale retransmits
 		// deterministically converge on REJECT.
@@ -347,7 +349,7 @@ func (a *Agent) evictFor(m Message) bool {
 		if need <= 0 {
 			break
 		}
-		a.drop(c, "evicted")
+		a.drop(c)
 		need -= c.slots
 		a.plane.Send(a.Name, c.driver, Message{Type: Reject, Claim: c.id, Inc: a.inc, RetryAfter: a.eng.Now() + retryTimeout})
 	}
@@ -355,16 +357,16 @@ func (a *Agent) evictFor(m Message) bool {
 }
 
 func (a *Agent) rejectNow(from string, id ClaimID) {
-	a.verdicts[id] = "rejected"
+	a.tombstones[id] = struct{}{}
 	a.Rejects++
 	a.plane.Send(a.Name, from, Message{Type: Reject, Claim: id, Inc: a.inc, RetryAfter: a.eng.Now() + retryTimeout})
 }
 
 // drop removes a live claim, frees its slots and tombstones the ID.
-func (a *Agent) drop(c *agentClaim, verdict string) {
+func (a *Agent) drop(c *agentClaim) {
 	c.expiry.Cancel()
 	delete(a.claims, c.id)
-	a.verdicts[c.id] = verdict
+	a.tombstones[c.id] = struct{}{}
 	a.reserve(-c.slots)
 }
 
@@ -377,7 +379,7 @@ func (a *Agent) expire(id ClaimID) {
 		return
 	}
 	a.mix(uint64(id.Driver), id.Seq, ^uint64(0))
-	a.drop(c, "expired")
+	a.drop(c)
 	a.Expiries++
 }
 
@@ -415,25 +417,25 @@ func (a *Agent) onCommit(from string, m Message) {
 
 func (a *Agent) onAbort(from string, m Message) {
 	if c, ok := a.claims[m.Claim]; ok {
-		a.drop(c, "aborted")
+		a.drop(c)
 	} else {
 		// Unknown (already expired/aborted, or wiped by a crash): still ack —
 		// the driver only needs to know the claim is gone — but tombstone the
 		// ID anyway. The ack finishes the claim driver-side, so a delayed
 		// RESYNC_CLAIM answer reordered behind this abort must not resurrect
 		// a reservation nobody will ever free.
-		a.verdicts[m.Claim] = "aborted"
+		a.tombstones[m.Claim] = struct{}{}
 	}
 	a.plane.Send(a.Name, from, Message{Type: AbortAck, Claim: m.Claim, Inc: a.inc})
 }
 
 func (a *Agent) onRelease(from string, m Message) {
 	if c, ok := a.claims[m.Claim]; ok {
-		a.drop(c, "released")
+		a.drop(c)
 	} else {
 		// Same tombstone-the-unknown rule as onAbort, and for the same
 		// reordering race against a late RESYNC_CLAIM.
-		a.verdicts[m.Claim] = "released"
+		a.tombstones[m.Claim] = struct{}{}
 	}
 	a.plane.Send(a.Name, from, Message{Type: ReleaseAck, Claim: m.Claim, Inc: a.inc})
 }
@@ -451,7 +453,7 @@ func (a *Agent) onResyncClaim(from string, m Message) {
 	if _, ok := a.claims[m.Claim]; ok {
 		return // duplicate answer: the claim is already rebuilt
 	}
-	if _, dead := a.verdicts[m.Claim]; dead {
+	if _, dead := a.tombstones[m.Claim]; dead {
 		return // resolved since the resync; a dead ID stays dead
 	}
 	if m.Slots <= 0 || a.Capacity-a.reserved < m.Slots {

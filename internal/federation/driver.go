@@ -42,9 +42,10 @@ func (s claimState) String() string {
 	return fmt.Sprintf("claimState(%d)", int(s))
 }
 
-// fclaim is one driver-side placement claim.
+// fclaim is one driver-side placement claim. Build it with newClaim.
 type fclaim struct {
 	id    ClaimID
+	key   string // id.String(), the claim's WAL key, formatted once
 	app   *fedApp
 	task  *task.Task
 	node  string
@@ -57,7 +58,54 @@ type fclaim struct {
 
 	attempts int // sends so far in the current retransmit cycle
 	cycle    int // completed cycles (abort/release re-arm with growing pauses)
-	timer    simx.Timer
+
+	// timer is the claim's retransmit, re-arm or stale-claim timer. Every
+	// assignment to it goes through arm, which cancels the previous timer
+	// first, so a claim has at most one live timer: onTimer, bound once in
+	// newClaim, reads what the live timer is for from timerKind and
+	// pending, which arm set when it scheduled that timer.
+	timer     simx.Timer
+	timerKind claimTimer
+	pending   MsgType // the message type the live timer retransmits
+	onTimer   func()
+}
+
+// claimTimer says what a claim's live timer does when it fires.
+type claimTimer int
+
+const (
+	timerRetransmit claimTimer = iota // the send of pending went unanswered
+	timerRearm                        // a terminal cycle's pause is over: send pending again
+	timerStale                        // a Ready claim the scheduler never used
+)
+
+// newClaim builds a claim negotiated with the node's last-known agent
+// incarnation, formats its WAL key and binds its timer callback.
+func (d *Driver) newClaim(id ClaimID, a *fedApp, t *task.Task, node string, slots int) *fclaim {
+	c := &fclaim{id: id, key: id.String(), app: a, task: t, node: node, slots: slots,
+		inc: d.agentInc[node]}
+	c.onTimer = func() { d.onClaimTimer(c) }
+	return c
+}
+
+// arm replaces the claim's live timer.
+func (d *Driver) arm(c *fclaim, kind claimTimer, mt MsgType, delay float64) {
+	c.timer.Cancel()
+	c.timerKind, c.pending = kind, mt
+	c.timer = d.eng.Schedule(delay, c.onTimer)
+}
+
+func (d *Driver) onClaimTimer(c *fclaim) {
+	switch c.timerKind {
+	case timerRetransmit:
+		d.onTimeout(c, c.pending)
+	case timerRearm:
+		d.queueSend(c, c.pending)
+	case timerStale:
+		if cur, ok := d.claims[c.id]; ok && cur == c && c.state == csReady && !d.down {
+			d.releaseClaim(c)
+		}
+	}
 }
 
 // fedApp couples one application runtime to its federated driver, and is
@@ -107,6 +155,8 @@ type Driver struct {
 	gen        int // bumped at crash; invalidates queued dispatch actions
 	busyUntil  float64
 	sweepArmed bool
+	// actions holds dispatch records whose event has fired, for reuse.
+	actions []*dispatchAction
 
 	// BusySeconds is the total serial dispatch time this driver spent;
 	// max over drivers bounds the run's placement throughput.
@@ -179,11 +229,25 @@ func (a *fedApp) PlacementStarted(t *task.Task, node string) {
 // LiveClaims returns the driver's current claim count (tests).
 func (d *Driver) LiveClaims() int { return len(d.claims) }
 
-// enqueue serializes a protocol action through the driver's single
+// dispatchAction is one protocol action queued on the driver's dispatch
+// loop: the send of a claim's current cycle (claim set) or the handling
+// of one received message (claim nil). Records are pooled per driver and
+// their fire func is bound once, when the record is first made.
+type dispatchAction struct {
+	d     *Driver
+	gen   int // the driver's gen when queued; a crash since voids the action
+	claim *fclaim
+	mt    MsgType
+	from  string
+	m     Message
+	fire  func()
+}
+
+// dispatch serializes a protocol action through the driver's single
 // dispatch loop: each action starts when the previous one's cost is paid.
 // This is the model's scalability story — the per-action cost is constant,
 // so N drivers sustain N× the placement rate of one.
-func (d *Driver) enqueue(fn func()) {
+func (d *Driver) dispatch(c *fclaim, mt MsgType, from string, m Message) {
 	if d.down {
 		return
 	}
@@ -193,13 +257,36 @@ func (d *Driver) enqueue(fn func()) {
 	}
 	d.busyUntil = start + dispatchCost
 	d.BusySeconds += dispatchCost
-	gen := d.gen
-	d.eng.At(d.busyUntil, func() {
-		if d.down || d.gen != gen {
-			return
-		}
-		fn()
-	})
+	var act *dispatchAction
+	if n := len(d.actions); n > 0 {
+		act = d.actions[n-1]
+		d.actions[n-1] = nil
+		d.actions = d.actions[:n-1]
+	} else {
+		act = &dispatchAction{d: d}
+		act.fire = act.run
+	}
+	act.gen, act.claim, act.mt, act.from, act.m = d.gen, c, mt, from, m
+	d.eng.At(d.busyUntil, act.fire)
+}
+
+// queueSend queues the send of mt for the claim's current cycle.
+func (d *Driver) queueSend(c *fclaim, mt MsgType) { d.dispatch(c, mt, "", Message{}) }
+
+// run performs the action. The record goes back to the free list first,
+// because sending and handling may queue further actions.
+func (act *dispatchAction) run() {
+	d, gen, c, mt, from, m := act.d, act.gen, act.claim, act.mt, act.from, act.m
+	act.claim = nil
+	d.actions = append(d.actions, act)
+	if d.down || d.gen != gen {
+		return
+	}
+	if c != nil {
+		d.send(c, mt)
+	} else {
+		d.handle(from, m)
+	}
 }
 
 // admitPlacement is the Launch-time arbitration gate. It returns true
@@ -231,21 +318,13 @@ func (d *Driver) admitPlacement(a *fedApp, t *task.Task, node string) bool {
 		return false // the node is fully claimed already
 	}
 	d.seq++
-	c := &fclaim{
-		id:    ClaimID{Driver: d.ID, Seq: d.seq},
-		app:   a,
-		task:  t,
-		node:  node,
-		slots: 1,
-		state: csProposing,
-		inc:   d.agentInc[node],
-	}
+	c := d.newClaim(ClaimID{Driver: d.ID, Seq: d.seq}, a, t, node, 1)
 	d.claims[c.id] = c
 	d.byTask[t.ID] = c
 	d.inflight[node]++
-	a.wlog.Append(wal.Record{Kind: wal.KindClaimProposed, Key: c.id.String(),
+	a.wlog.Append(wal.Record{Kind: wal.KindClaimProposed, Key: c.key,
 		Task: t.ID, Node: node, Slots: c.slots})
-	d.enqueue(func() { d.send(c, Propose) })
+	d.queueSend(c, Propose)
 	return false
 }
 
@@ -261,7 +340,7 @@ func (d *Driver) placementStarted(a *fedApp, t *task.Task, node string) {
 	c.state = csBound
 	c.timer.Cancel()
 	delete(d.byTask, t.ID) // a bound claim no longer blocks new proposals
-	a.wlog.Append(wal.Record{Kind: wal.KindClaimBound, Key: c.id.String()})
+	a.wlog.Append(wal.Record{Kind: wal.KindClaimBound, Key: c.key})
 	d.armSweep()
 }
 
@@ -318,7 +397,7 @@ func (d *Driver) releaseClaim(c *fclaim) {
 	}
 	c.state = csReleasing // csCommitting, csReady or csBound
 	c.attempts, c.cycle = 0, 0
-	d.enqueue(func() { d.send(c, Release) })
+	d.queueSend(c, Release)
 }
 
 // abortClaim puts a claim on the ABORT cycle (recovery path).
@@ -336,7 +415,7 @@ func (d *Driver) abortClaim(c *fclaim) {
 	c.timer.Cancel()
 	c.state = csAborting
 	c.attempts, c.cycle = 0, 0
-	d.enqueue(func() { d.send(c, Abort) })
+	d.queueSend(c, Abort)
 }
 
 // finishClaim writes the claim's terminal WAL record and forgets it.
@@ -352,7 +431,7 @@ func (d *Driver) finishClaim(c *fclaim, kind string) {
 			d.violate("inflight count for %s went negative", c.node)
 		}
 	}
-	c.app.wlog.Append(wal.Record{Kind: kind, Key: c.id.String()})
+	c.app.wlog.Append(wal.Record{Kind: kind, Key: c.key})
 }
 
 // send transmits the message type for the claim's current cycle and arms
@@ -384,9 +463,7 @@ func (d *Driver) send(c *fclaim, mt MsgType) {
 	}
 	d.plane.Send(d.Addr, c.node, m)
 	c.attempts++
-	wait := retryTimeout * float64(c.attempts)
-	c.timer.Cancel()
-	c.timer = d.eng.Schedule(wait, func() { d.onTimeout(c, mt) })
+	d.arm(c, timerRetransmit, mt, retryTimeout*float64(c.attempts))
 }
 
 func (d *Driver) onTimeout(c *fclaim, mt MsgType) {
@@ -397,7 +474,7 @@ func (d *Driver) onTimeout(c *fclaim, mt MsgType) {
 		return
 	}
 	if c.attempts < maxRetries {
-		d.enqueue(func() { d.send(c, mt) })
+		d.queueSend(c, mt)
 		return
 	}
 	switch mt {
@@ -421,23 +498,14 @@ func (d *Driver) onTimeout(c *fclaim, mt MsgType) {
 		if shift > 6 {
 			shift = 6
 		}
-		pause := retryTimeout * float64(int(1)<<shift)
 		c.attempts = 0
-		c.timer.Cancel()
-		c.timer = d.eng.Schedule(pause, func() {
-			if d.down {
-				return
-			}
-			d.enqueue(func() { d.send(c, mt) })
-		})
+		d.arm(c, timerRearm, mt, retryTimeout*float64(int(1)<<shift))
 	}
 }
 
 // onMessage is the driver's plane handler; every verdict pays the serial
 // dispatch cost before taking effect.
-func (d *Driver) onMessage(from string, m Message) {
-	d.enqueue(func() { d.handle(from, m) })
-}
+func (d *Driver) onMessage(from string, m Message) { d.dispatch(nil, 0, from, m) }
 
 func (d *Driver) handle(from string, m Message) {
 	if m.Type == Resync {
@@ -465,7 +533,7 @@ func (d *Driver) handle(from string, m Message) {
 		// Logged *before* the commit send: a crash from here on must
 		// chase this claim, because the agent holds (or will hold) it
 		// beyond any TTL once the commit lands.
-		c.app.wlog.Append(wal.Record{Kind: wal.KindClaimCommitted, Key: c.id.String()})
+		c.app.wlog.Append(wal.Record{Kind: wal.KindClaimCommitted, Key: c.key})
 		c.attempts = 0
 		d.send(c, Commit)
 	case Reject:
@@ -482,15 +550,10 @@ func (d *Driver) handle(from string, m Message) {
 			return // duplicate ack
 		}
 		c.state = csReady
-		c.timer.Cancel()
 		d.Commits++
 		// A Ready claim the scheduler never consumes is released after
 		// the stale TTL so contended slots recirculate.
-		c.timer = d.eng.Schedule(staleClaimTTL, func() {
-			if cur, ok := d.claims[c.id]; ok && cur == c && c.state == csReady && !d.down {
-				d.releaseClaim(c)
-			}
-		})
+		d.arm(c, timerStale, 0, staleClaimTTL)
 		// The slot is secured; let the owning app's scheduler retry the
 		// placement it was refused.
 		if !c.app.rt.Done() && !c.app.rt.Crashed() {
@@ -784,8 +847,7 @@ func (d *Driver) onAppRecovered(a *fedApp, st *wal.State) {
 			d.violate("recovery folded claim %s for unknown task %d", k, wc.Task)
 			continue
 		}
-		c := &fclaim{id: id, app: a, task: t, node: wc.Node, slots: wc.Slots,
-			inc: d.agentInc[wc.Node]}
+		c := d.newClaim(id, a, t, wc.Node, wc.Slots)
 		d.claims[id] = c
 		d.inflight[wc.Node]++
 		switch wc.State {

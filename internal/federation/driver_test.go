@@ -40,11 +40,8 @@ func TestDoubleReleaseKeepsRetransmitCycleAlive(t *testing.T) {
 		wlog:     wal.New(nil, wal.Options{Clock: eng.Now}),
 		taskByID: make(map[int]*task.Task),
 	}
-	tk := &task.Task{ID: 7}
-	c := &fclaim{
-		id: ClaimID{Driver: 0, Seq: 1}, app: a, task: tk,
-		node: "node1", slots: 1, state: csBound,
-	}
+	c := d.newClaim(ClaimID{Driver: 0, Seq: 1}, a, &task.Task{ID: 7}, "node1", 1)
+	c.state = csBound
 	d.claims[c.id] = c
 	d.inflight[c.node]++
 
@@ -86,10 +83,8 @@ func TestDoubleAbortKeepsRetransmitCycleAlive(t *testing.T) {
 		wlog:     wal.New(nil, wal.Options{Clock: eng.Now}),
 		taskByID: make(map[int]*task.Task),
 	}
-	c := &fclaim{
-		id: ClaimID{Driver: 0, Seq: 1}, app: a, task: &task.Task{ID: 9},
-		node: "node1", slots: 1, state: csCommitting,
-	}
+	c := d.newClaim(ClaimID{Driver: 0, Seq: 1}, a, &task.Task{ID: 9}, "node1", 1)
+	c.state = csCommitting
 	d.claims[c.id] = c
 	d.inflight[c.node]++
 

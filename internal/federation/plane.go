@@ -22,6 +22,10 @@ type Plane struct {
 	handlers map[string]func(from string, m Message)
 	down     map[string]bool
 	windows  []faults.Event // message-fault windows only, deterministic order
+	// free holds delivery records whose event has fired, for reuse by
+	// the next Send: the steady path schedules deliveries without
+	// allocating.
+	free []*delivery
 
 	// Counters for reports and fingerprints.
 	Sent      int
@@ -130,8 +134,36 @@ func (p *Plane) Send(from, to string, m Message) {
 	}
 	for c := 0; c < copies; c++ {
 		delay := msgLatency + extra + float64(c)*msgLatency*0.5
-		p.eng.Schedule(delay, func() { p.deliver(from, to, m) })
+		var dv *delivery
+		if n := len(p.free); n > 0 {
+			dv = p.free[n-1]
+			p.free[n-1] = nil
+			p.free = p.free[:n-1]
+		} else {
+			dv = &delivery{p: p}
+			dv.fire = dv.run
+		}
+		dv.from, dv.to, dv.m = from, to, m
+		p.eng.Schedule(delay, dv.fire)
 	}
+}
+
+// delivery is one message in flight. Its fire func is bound once, when
+// the record is first made, and the record returns to the plane's free
+// list as it fires.
+type delivery struct {
+	p        *Plane
+	from, to string
+	m        Message
+	fire     func()
+}
+
+// run delivers the message. The record goes back to the free list before
+// the handler runs, because the handler may Send and reuse it.
+func (dv *delivery) run() {
+	p, from, to, m := dv.p, dv.from, dv.to, dv.m
+	p.free = append(p.free, dv)
+	p.deliver(from, to, m)
 }
 
 func (p *Plane) deliver(from, to string, m Message) {

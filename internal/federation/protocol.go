@@ -17,7 +17,10 @@
 // reservations from the drivers' answers to its RESYNC broadcast.
 package federation
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // ClaimID names one placement claim globally: the proposing driver and
 // its per-driver proposal sequence number. IDs totally order claims; the
@@ -29,7 +32,14 @@ type ClaimID struct {
 }
 
 // String renders the ID in its WAL key form, "d<driver>:<seq>".
-func (id ClaimID) String() string { return fmt.Sprintf("d%d:%d", id.Driver, id.Seq) }
+func (id ClaimID) String() string {
+	var buf [48]byte
+	b := append(buf[:0], 'd')
+	b = strconv.AppendInt(b, int64(id.Driver), 10)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, id.Seq, 10)
+	return string(b)
+}
 
 // Less is the deterministic arbitration order: lowest driver ID first,
 // then lowest sequence.

@@ -180,6 +180,11 @@ type Task struct {
 
 	State    State
 	Attempts []*Metrics
+
+	// SchedMark is scratch space for the scheduler whose queues hold the
+	// task: a pass stamp that lets it count the task once however many
+	// of its queues list it. No other code reads it.
+	SchedMark uint64
 }
 
 // LocalityOn returns the best locality level the task would have on node.
