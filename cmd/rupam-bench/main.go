@@ -84,9 +84,9 @@ var defaultSeeds = map[string]int{
 	// pinned on a slow node for a stage); five arrival streams per
 	// (policy, scheduler) is the smallest sweep where the policy means
 	// separate from that noise.
-	"tenancy": 5, "elastic": 5,
-	// The smallest sweep the placement gate is evaluated on.
-	"streaming": experiments.StreamingGateSeeds,
+	"tenancy": 5,
+	// The smallest sweeps their gates are evaluated on.
+	"elastic": experiments.GateSeeds, "streaming": experiments.GateSeeds,
 }
 
 // federationScaleSeeds is the seed count of the federation experiment's

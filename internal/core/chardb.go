@@ -34,12 +34,11 @@ type Record struct {
 	OptExecutor string
 	BestTime    float64
 
-	// HistoryResource is the set of bottleneck resources TM has
-	// determined for this task over its lifetime.
-	HistoryResource map[Resource]bool
 	// BottleneckCounts tallies how often each resource was the task's
 	// bottleneck; classification follows the majority so that one noisy
-	// run cannot re-route a task (§III-C1's fluctuation damping).
+	// run cannot re-route a task (§III-C1's fluctuation damping). The
+	// resources with a positive count are the task's bottleneck history
+	// (Table I's history_resource).
 	BottleneckCounts [NumResources]int
 
 	// Runs counts successful observations.
@@ -62,6 +61,17 @@ func (r *Record) MajorityBottleneck() (Resource, int, bool) {
 	return best, n, n > 0
 }
 
+// fullHistory reports whether every resource has been the task's
+// bottleneck at least once.
+func (r *Record) fullHistory() bool {
+	for _, c := range r.BottleneckCounts {
+		if c <= 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Locked reports whether the task should be pinned to OptExecutor: either
 // the paper's strict Algorithm 2 condition (history covers all five
 // resources) or the practical condition of lockAfterRuns stable
@@ -71,42 +81,33 @@ func (r *Record) Locked(lockAfterRuns int) bool {
 	if r.OptExecutor == "" {
 		return false
 	}
-	if len(r.HistoryResource) >= NumResources {
+	if r.fullHistory() {
 		return true
 	}
 	return lockAfterRuns > 0 && r.Runs >= lockAfterRuns
 }
 
-// dbOp is one queued write for the helper thread.
-type dbOp struct {
-	key TaskKey
-	rec Record
-}
-
-// CharDB is the task-characteristics database (DB_taskchar). Writes go
-// through an asynchronous write-behind queue served by a helper, exactly
-// as §III-B2 describes; reads consult the queue before the backing store
-// so in-flight updates are visible.
+// CharDB is the task-characteristics database (DB_taskchar). An Update
+// merges into the task's record in place. The paper applies writes
+// through an asynchronous helper thread (§III-B2) so that the scheduling
+// thread never waits on the database; in a discrete-event simulation that
+// wait costs no virtual time, so the helper is not modelled.
 type CharDB struct {
-	// store holds the flushed records by signature, then partition: a
+	// store holds the records by signature, then partition: a
 	// string-keyed map and a partition-ordered slice look up faster than
 	// one map keyed by the whole TaskKey, which every scheduler read
 	// hashes.
 	store map[string]sigRecords
-	size  int // flushed records
+	size  int // records
 	gen   int // counts the store's new records, for recordOf's memo
-	queue []dbOp
 
-	// memoStage's flushed records, as of store generation memoGen.
+	// memoStage's records, as of store generation memoGen.
 	memoStage *task.Stage
 	memoGen   int
 	memoRecs  sigRecords
-
-	// QueueHits counts reads served by a pending write.
-	QueueHits int
 }
 
-// sigRecords holds one signature's flushed records in ascending partition
+// sigRecords holds one signature's records in ascending partition
 // order. A stage's partitions are 0..n-1, so partition p's record usually
 // sits at index p.
 type sigRecords []partRecord
@@ -129,7 +130,8 @@ func NewCharDB() *CharDB {
 	return &CharDB{store: make(map[string]sigRecords)}
 }
 
-// stored returns the task's flushed record, or nil.
+// stored returns the task's record in place, or nil. The scheduler's read
+// paths use it instead of Lookup's copy; the record must not be modified.
 func (db *CharDB) stored(key TaskKey) *Record {
 	rs := db.store[key.Signature]
 	if i, ok := rs.find(key.Partition); ok {
@@ -138,7 +140,7 @@ func (db *CharDB) stored(key TaskKey) *Record {
 	return nil
 }
 
-// put installs rec as the task's flushed record.
+// put installs rec as the task's record.
 func (db *CharDB) put(key TaskKey, rec *Record) {
 	rs := db.store[key.Signature]
 	i, ok := rs.find(key.Partition)
@@ -151,7 +153,7 @@ func (db *CharDB) put(key TaskKey, rec *Record) {
 	db.gen++
 }
 
-// each calls f on every flushed record, in no fixed order.
+// each calls f on every record, in no fixed order.
 func (db *CharDB) each(f func(TaskKey, *Record)) {
 	for sig, rs := range db.store {
 		for _, r := range rs {
@@ -165,45 +167,20 @@ func KeyFor(st *task.Stage, t *task.Task) TaskKey {
 	return TaskKey{Signature: st.Signature, Partition: t.Index}
 }
 
-// Lookup returns a copy of the task's record, consulting pending writes
-// first, or nil if the task has never been observed.
+// Lookup returns a copy of the task's record, or nil if the task has
+// never been observed.
 func (db *CharDB) Lookup(key TaskKey) *Record {
-	if r := db.latest(key); r != nil {
+	if r := db.stored(key); r != nil {
 		rec := *r
 		return &rec
 	}
 	return nil
 }
 
-// latest returns the task's newest record in place — its last queued
-// write, else its flushed record — or nil. The scheduler's read paths use
-// it instead of Lookup's copy; the record must not be modified, nor held
-// across an Update or Flush.
-func (db *CharDB) latest(key TaskKey) *Record {
-	if r := db.queued(key); r != nil {
-		return r
-	}
-	return db.stored(key)
-}
-
-// queued returns the task's last queued write, or nil.
-func (db *CharDB) queued(key TaskKey) *Record {
-	for i := len(db.queue) - 1; i >= 0; i-- {
-		if k := db.queue[i].key; k.Partition == key.Partition && k.Signature == key.Signature {
-			db.QueueHits++
-			return &db.queue[i].rec
-		}
-	}
-	return nil
-}
-
-// recordOf is latest for task t of stage st. Scheduler reads come in runs
-// over one stage's tasks, so it keeps the stage's flushed records from the
+// recordOf is stored for task t of stage st. Scheduler reads come in runs
+// over one stage's tasks, so it keeps the stage's records from the
 // previous call until the store next gains a record.
 func (db *CharDB) recordOf(st *task.Stage, t *task.Task) *Record {
-	if r := db.queued(KeyFor(st, t)); r != nil {
-		return r
-	}
 	if st != db.memoStage || db.memoGen != db.gen {
 		db.memoStage, db.memoGen, db.memoRecs = st, db.gen, db.store[st.Signature]
 	}
@@ -214,7 +191,7 @@ func (db *CharDB) recordOf(st *task.Stage, t *task.Task) *Record {
 }
 
 // MeanComputeTime averages the latest observed compute time over every
-// flushed record — the elastic autoscaler's per-task work predictor when
+// record — the elastic autoscaler's per-task work predictor when
 // sizing spot-vs-on-demand acquisitions. Returns false on an empty store.
 // The sum runs in key order: a float sum in map order would differ in its
 // last bits from call to call.
@@ -232,25 +209,20 @@ func (db *CharDB) MeanComputeTime() (float64, bool) {
 	return sum / float64(len(keys)), true
 }
 
-// Update enqueues a metrics observation for the task; it merges with the
-// task's existing record (flushed or queued) and appends to the write
-// queue. The merged record is built in its queue slot.
+// Update merges a metrics observation into the task's record in place,
+// creating the record on the task's first observation. A copy taken
+// earlier through Lookup keeps its values, except the OOMNodes map, which
+// it shares with the record.
 func (db *CharDB) Update(key TaskKey, m *task.Metrics, bottleneck Resource, hasBottleneck bool) {
-	prev := db.latest(key)
-	// prev stays valid if the append moves the queue: it then points into
-	// the old backing array, whose contents are unchanged.
-	db.queue = append(db.queue, dbOp{key: key, rec: Record{Key: key}})
-	rec := &db.queue[len(db.queue)-1].rec
-	if prev != nil {
-		*rec = *prev
-	}
-	if rec.HistoryResource == nil {
-		rec.HistoryResource = make(map[Resource]bool)
-	}
-	if rec.OOMNodes == nil {
-		rec.OOMNodes = make(map[string]bool)
+	rec := db.stored(key)
+	if rec == nil {
+		rec = &Record{Key: key}
+		db.put(key, rec)
 	}
 	if m.OOM {
+		if rec.OOMNodes == nil {
+			rec.OOMNodes = make(map[string]bool)
+		}
 		rec.OOMNodes[m.Executor] = true
 	} else if !m.Killed {
 		if rec.Runs == 0 {
@@ -270,7 +242,6 @@ func (db *CharDB) Update(key TaskKey, m *task.Metrics, bottleneck Resource, hasB
 		rec.PeakMemory = m.PeakMemory
 		rec.Runs++
 		if hasBottleneck {
-			rec.HistoryResource[bottleneck] = true
 			rec.BottleneckCounts[bottleneck]++
 		}
 		d := m.Duration()
@@ -281,29 +252,8 @@ func (db *CharDB) Update(key TaskKey, m *task.Metrics, bottleneck Resource, hasB
 	}
 }
 
-// Flush drains the write queue into the backing store (the helper
-// thread's periodic service); returns the number of writes applied. A
-// known task's record is overwritten in place: Lookup hands out copies,
-// and latest's readers do not hold a record across a Flush.
-func (db *CharDB) Flush() int {
-	n := len(db.queue)
-	for _, op := range db.queue {
-		if rec := db.stored(op.key); rec != nil {
-			*rec = op.rec
-			continue
-		}
-		rec := op.rec
-		db.put(op.key, &rec)
-	}
-	db.queue = db.queue[:0]
-	return n
-}
-
-// Size returns the number of distinct tasks with flushed records.
+// Size returns the number of distinct tasks with records.
 func (db *CharDB) Size() int { return db.size }
-
-// PendingWrites returns the write-queue depth.
-func (db *CharDB) PendingWrites() int { return len(db.queue) }
 
 // Clear empties the database (the paper clears DB_taskchar between
 // repetitions of each experiment).
@@ -311,7 +261,6 @@ func (db *CharDB) Clear() {
 	db.store = make(map[string]sigRecords)
 	db.size = 0
 	db.gen++
-	db.queue = nil
 }
 
 // ForgetNode erases a lost node from every record: best-node locks naming
@@ -320,7 +269,6 @@ func (db *CharDB) Clear() {
 // back with a fresh heap. It returns the keys of the records it changed,
 // sorted, so callers can re-journal them.
 func (db *CharDB) ForgetNode(node string) []TaskKey {
-	db.Flush()
 	var changed []TaskKey
 	db.each(func(key TaskKey, rec *Record) {
 		touched := false
@@ -348,7 +296,6 @@ func (db *CharDB) ForgetNode(node string) []TaskKey {
 // keep steering (and pinning) tasks onto a degraded machine until its gray
 // failure cleared. Best times are relearned from the next completions.
 func (db *CharDB) ReleaseNodeLocks(node string) []TaskKey {
-	db.Flush()
 	var changed []TaskKey
 	db.each(func(key TaskKey, rec *Record) {
 		if rec.OptExecutor == node {

@@ -40,7 +40,10 @@ func TestDBLookupEmpty(t *testing.T) {
 	}
 }
 
-func TestDBUpdateAndFlush(t *testing.T) {
+// TestDBUpdateVisibleToNextRead checks that an observation is visible to
+// the read that follows it, through Lookup and through the scheduler's
+// in-place read, including a stage whose records recordOf has memoized.
+func TestDBUpdateVisibleToNextRead(t *testing.T) {
 	db := NewCharDB()
 	key := TaskKey{"grad", 1}
 	m := &task.Metrics{
@@ -50,30 +53,31 @@ func TestDBUpdateAndFlush(t *testing.T) {
 	}
 	db.Update(key, m, CPU, true)
 
-	// Visible through the write queue before flushing (§III-B2's helper
-	// thread read path).
 	rec := db.Lookup(key)
 	if rec == nil {
-		t.Fatal("queued write invisible to reads")
-	}
-	if db.QueueHits == 0 {
-		t.Fatal("queue read not counted")
+		t.Fatal("update invisible to the next read")
 	}
 	if rec.ComputeTime != 8 || rec.Runs != 1 || rec.OptExecutor != "thor1" || rec.BestTime != 10 {
 		t.Fatalf("record = %+v", rec)
 	}
-	if !rec.HistoryResource[CPU] {
+	if rec.BottleneckCounts[CPU] != 1 {
 		t.Fatal("bottleneck not recorded")
 	}
+	if db.Size() != 1 {
+		t.Fatalf("size %d after one task's update, want 1", db.Size())
+	}
 
-	if n := db.Flush(); n != 1 {
-		t.Fatalf("flush applied %d writes", n)
+	st := &task.Stage{Signature: "grad"}
+	if r := db.recordOf(st, &task.Task{Index: 1}); r == nil || r.Runs != 1 {
+		t.Fatalf("in-place read = %+v", r)
 	}
-	if db.PendingWrites() != 0 || db.Size() != 1 {
-		t.Fatal("flush bookkeeping wrong")
+	db.Update(key, m, Mem, true)
+	if r := db.recordOf(st, &task.Task{Index: 1}); r == nil || r.Runs != 2 || r.BottleneckCounts[Mem] != 1 {
+		t.Fatalf("memoized read missed an update of a known task: %+v", r)
 	}
-	if db.Lookup(key) == nil {
-		t.Fatal("flushed record missing")
+	db.Update(TaskKey{"grad", 0}, m, CPU, true)
+	if r := db.recordOf(st, &task.Task{Index: 0}); r == nil || r.Runs != 1 {
+		t.Fatalf("memoized read missed a new task: %+v", r)
 	}
 }
 
@@ -130,7 +134,11 @@ func TestRecordLocked(t *testing.T) {
 		t.Fatal("not locked after enough runs")
 	}
 	r.Runs = 1
-	r.HistoryResource = map[Resource]bool{CPU: true, Mem: true, Disk: true, Net: true, GPU: true}
+	r.BottleneckCounts = [NumResources]int{1, 1, 1, 1, 0}
+	if r.Locked(3) {
+		t.Fatal("locked with a resource missing from the history")
+	}
+	r.BottleneckCounts[GPU] = 2
 	if !r.Locked(3) {
 		t.Fatal("all-five-resources condition did not lock")
 	}
@@ -142,7 +150,6 @@ func TestRecordLocked(t *testing.T) {
 func TestDBClear(t *testing.T) {
 	db := NewCharDB()
 	db.Update(TaskKey{"t", 0}, &task.Metrics{Executor: "a", End: 1}, CPU, true)
-	db.Flush()
 	db.Clear()
 	if db.Size() != 0 || db.Lookup(TaskKey{"t", 0}) != nil {
 		t.Fatal("clear incomplete")
@@ -153,7 +160,6 @@ func TestDBLookupReturnsCopy(t *testing.T) {
 	db := NewCharDB()
 	key := TaskKey{"t", 0}
 	db.Update(key, &task.Metrics{Executor: "a", End: 3, ComputeTime: 2}, CPU, true)
-	db.Flush()
 	rec := db.Lookup(key)
 	rec.ComputeTime = 999
 	if db.Lookup(key).ComputeTime == 999 {
@@ -170,7 +176,6 @@ func TestDBMeanComputeTimeDeterministic(t *testing.T) {
 		ct := float64(i%7)*1e4 + 1/float64(i+3) + float64(i%13)*1e-3
 		db.Update(TaskKey{"stage", i}, &task.Metrics{Executor: "a", End: 1, ComputeTime: ct}, CPU, true)
 	}
-	db.Flush()
 	first, ok := db.MeanComputeTime()
 	if !ok {
 		t.Fatal("no mean over a populated store")
@@ -183,44 +188,48 @@ func TestDBMeanComputeTimeDeterministic(t *testing.T) {
 	}
 }
 
-// TestDBFlushOverwritesInPlace checks that a second flush of a known task
-// updates the stored record without disturbing copies handed out earlier.
-func TestDBFlushOverwritesInPlace(t *testing.T) {
+// TestDBUpdateOverwritesInPlace checks that a second update of a known
+// task changes its record in place without disturbing copies handed out
+// earlier.
+func TestDBUpdateOverwritesInPlace(t *testing.T) {
 	db := NewCharDB()
 	key := TaskKey{"t", 0}
 	db.Update(key, &task.Metrics{Executor: "a", End: 3, ComputeTime: 2}, CPU, true)
-	db.Flush()
 	before := db.Lookup(key)
+	stored := db.stored(key)
 	db.Update(key, &task.Metrics{Executor: "b", End: 1, ComputeTime: 4}, CPU, true)
-	db.Flush()
 	after := db.Lookup(key)
 	if before.ComputeTime != 2 || before.Runs != 1 {
 		t.Fatalf("earlier copy changed: compute %v runs %d", before.ComputeTime, before.Runs)
 	}
 	if after.ComputeTime != 3 || after.Runs != 2 || after.OptExecutor != "b" || db.Size() != 1 {
-		t.Fatalf("after second flush: compute %v runs %d opt %q size %d",
+		t.Fatalf("after second update: compute %v runs %d opt %q size %d",
 			after.ComputeTime, after.Runs, after.OptExecutor, db.Size())
+	}
+	if db.stored(key) != stored {
+		t.Fatal("second update replaced the record instead of merging in place")
 	}
 }
 
-// TestDBUpdateBuildsInQueue checks that an observation of a known task
-// is merged in its queue slot: once the queue has grown, Update and Flush
-// allocate nothing, and queued merges still chain on each other.
-func TestDBUpdateBuildsInQueue(t *testing.T) {
+// TestDBUpdateKnownTaskAllocatesNothing checks that an observation of a
+// known task, an out-of-memory one on a node already recorded included,
+// merges into its record without allocating, and that merges chain.
+func TestDBUpdateKnownTaskAllocatesNothing(t *testing.T) {
 	db := NewCharDB()
 	key := TaskKey{"t", 0}
 	m := &task.Metrics{Executor: "a", End: 1, ComputeTime: 2}
+	oom := &task.Metrics{Executor: "a", OOM: true}
 	db.Update(key, m, CPU, true)
 	db.Update(key, m, CPU, true)
-	if rec := db.Lookup(key); rec.Runs != 2 || db.PendingWrites() != 2 {
-		t.Fatalf("queued merge: runs %d, pending %d", rec.Runs, db.PendingWrites())
+	db.Update(key, oom, CPU, false)
+	if rec := db.Lookup(key); rec.Runs != 2 || rec.BottleneckCounts[CPU] != 2 || !rec.OOMNodes["a"] {
+		t.Fatalf("merge: %+v", rec)
 	}
-	db.Flush()
 	allocs := testing.AllocsPerRun(100, func() {
 		db.Update(key, m, CPU, true)
-		db.Flush()
+		db.Update(key, oom, CPU, false)
 	})
 	if allocs != 0 {
-		t.Fatalf("Update+Flush of a known task: %v allocations, want 0", allocs)
+		t.Fatalf("Update of a known task: %v allocations, want 0", allocs)
 	}
 }

@@ -116,7 +116,6 @@ func TestOOMNodeAvoidance(t *testing.T) {
 	key := TaskKey{Signature: "sig", Partition: 0}
 	s.db.Update(key, &task.Metrics{Executor: "fast", OOM: true}, CPU, false)
 	s.db.Update(key, &task.Metrics{Executor: "bigmem", Launch: 0, End: 5, ComputeTime: 4}, CPU, true)
-	s.db.Flush()
 	rec := s.db.Lookup(key)
 	if !rec.OOMNodes["fast"] {
 		t.Fatal("OOM node not remembered")

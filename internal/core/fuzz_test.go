@@ -8,14 +8,17 @@ import (
 
 // FuzzCharDBLoad feeds Load arbitrary bytes. It must never panic; a
 // rejected input must leave the database exactly as it was; an accepted
-// input must Save to bytes that Load back to the same records. The seed
-// corpus in testdata holds one real saved database, written by
-// `rupam-sim -workload MatMul -scheduler rupam -partitions 1
-// -iterations 1 -input 0.1 -chardb FILE`.
+// input must Save to bytes that Load back to the same records. Of the two
+// one-record seeds, the first names a history other than its positive
+// counts and is rejected; the second agrees and loads. The seed corpus in
+// testdata holds one real saved database, written by `rupam-sim -workload
+// MatMul -scheduler rupam -partitions 1 -iterations 1 -input 0.1 -chardb
+// FILE`, and two records Save never writes.
 func FuzzCharDBLoad(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("[]"))
 	f.Add([]byte(`[{"signature":"s","partition":1,"history":["cpu"],"bottleneck_counts":{"net":2},"oom_nodes":["n"]}]`))
+	f.Add([]byte(`[{"signature":"s","partition":1,"history":["cpu","net"],"bottleneck_counts":{"cpu":1,"net":2},"oom_nodes":["n"]}]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db := populatedDB(t)
 		before := saved(t, db)

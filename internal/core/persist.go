@@ -44,18 +44,16 @@ func toPersisted(key TaskKey, rec *Record) persistedRecord {
 		BestTime:     rec.BestTime,
 		Runs:         rec.Runs,
 	}
-	for r := range rec.HistoryResource {
-		p.History = append(p.History, r.String())
-	}
-	sort.Strings(p.History)
 	for i, c := range rec.BottleneckCounts {
 		if c > 0 {
 			if p.BottleneckCounts == nil {
 				p.BottleneckCounts = make(map[string]int)
 			}
 			p.BottleneckCounts[Resource(i).String()] = c
+			p.History = append(p.History, Resource(i).String())
 		}
 	}
+	sort.Strings(p.History)
 	for n := range rec.OOMNodes {
 		p.OOMNodes = append(p.OOMNodes, n)
 	}
@@ -63,43 +61,53 @@ func toPersisted(key TaskKey, rec *Record) persistedRecord {
 	return p
 }
 
-// fromPersisted rebuilds a live record from its JSON form.
-func fromPersisted(p persistedRecord) *Record {
+// fromPersisted rebuilds a live record from its JSON form. It rejects
+// what Save never writes: a negative bottleneck count, or a history that
+// names other resources than the positive counts it is derived from.
+// Names that are no resource are ignored.
+func fromPersisted(p persistedRecord) (*Record, error) {
 	rec := &Record{
-		Key:             TaskKey{Signature: p.Signature, Partition: p.Partition},
-		ComputeTime:     p.ComputeTime,
-		GPU:             p.GPU,
-		PeakMemory:      p.PeakMemory,
-		ShuffleRead:     p.ShuffleRead,
-		ShuffleWrite:    p.ShuffleWrite,
-		OptExecutor:     p.OptExecutor,
-		BestTime:        p.BestTime,
-		Runs:            p.Runs,
-		HistoryResource: make(map[Resource]bool),
-		OOMNodes:        make(map[string]bool),
+		Key:          TaskKey{Signature: p.Signature, Partition: p.Partition},
+		ComputeTime:  p.ComputeTime,
+		GPU:          p.GPU,
+		PeakMemory:   p.PeakMemory,
+		ShuffleRead:  p.ShuffleRead,
+		ShuffleWrite: p.ShuffleWrite,
+		OptExecutor:  p.OptExecutor,
+		BestTime:     p.BestTime,
+		Runs:         p.Runs,
+		OOMNodes:     make(map[string]bool),
 	}
+	var named, counted [NumResources]bool
 	for _, name := range p.History {
 		if res, ok := resourceByName(name); ok {
-			rec.HistoryResource[res] = true
+			named[res] = true
 		}
 	}
 	for name, c := range p.BottleneckCounts {
+		if c < 0 {
+			return nil, fmt.Errorf("chardb: task %s|%d: negative bottleneck count", p.Signature, p.Partition)
+		}
 		if res, ok := resourceByName(name); ok {
 			rec.BottleneckCounts[res] = c
+			counted[res] = c > 0
 		}
+	}
+	if named != counted {
+		return nil, fmt.Errorf("chardb: task %s|%d: history %v does not match the positive bottleneck counts %v",
+			p.Signature, p.Partition, p.History, p.BottleneckCounts)
 	}
 	for _, n := range p.OOMNodes {
 		rec.OOMNodes[n] = true
 	}
-	return rec
+	return rec, nil
 }
 
-// Save serializes the database (flushed state plus pending writes) as
-// JSON. The paper's DB_taskchar outlives a single application run — data
-// centers re-run the same applications periodically (§III-B2) — so the
-// scheduler can warm-start from a previous run's characterization.
+// Save serializes the database as JSON. The paper's DB_taskchar outlives
+// a single application run — data centers re-run the same applications
+// periodically (§III-B2) — so the scheduler can warm-start from a
+// previous run's characterization.
 func (db *CharDB) Save(w io.Writer) error {
-	db.Flush()
 	out := make([]persistedRecord, 0, db.size)
 	db.each(func(key TaskKey, rec *Record) {
 		out = append(out, toPersisted(key, rec))
@@ -154,25 +162,24 @@ func resourceByName(s string) (Resource, bool) {
 // Load replaces the database's contents with previously saved records.
 // The input is decoded and checked in full before anything is touched: a
 // corrupt or truncated file (a crash mid-write through a non-atomic path,
-// a partial copy) or a negative bottleneck count, which Save never
-// writes, returns an error and leaves the database exactly as it was, so
-// a warm-start that finds garbage keeps whatever good state it already
-// had.
+// a partial copy) or a record Save never writes (see fromPersisted)
+// returns an error and leaves the database exactly as it was, so a
+// warm-start that finds garbage keeps whatever good state it already had.
 func (db *CharDB) Load(r io.Reader) error {
 	var in []persistedRecord
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return fmt.Errorf("chardb: unreadable task-characteristics data: %w", err)
 	}
-	for _, p := range in {
-		for _, c := range p.BottleneckCounts {
-			if c < 0 {
-				return fmt.Errorf("chardb: task %s|%d: negative bottleneck count", p.Signature, p.Partition)
-			}
+	recs := make([]*Record, len(in))
+	for i, p := range in {
+		rec, err := fromPersisted(p)
+		if err != nil {
+			return err
 		}
+		recs[i] = rec
 	}
 	db.Clear()
-	for _, p := range in {
-		rec := fromPersisted(p)
+	for _, rec := range recs {
 		db.put(rec.Key, rec)
 	}
 	return nil
@@ -190,11 +197,11 @@ func (db *CharDB) LoadFile(path string) error {
 	return db.Load(f)
 }
 
-// PutPayload marshals the task's current record (queued writes included)
-// into the compact JSON payload journaled in write-ahead-log chardb-put
-// records. The bool is false when the task has never been observed.
+// PutPayload marshals the task's current record into the compact JSON
+// payload journaled in write-ahead-log chardb-put records. The bool is
+// false when the task has never been observed.
 func (db *CharDB) PutPayload(key TaskKey) ([]byte, bool) {
-	rec := db.latest(key)
+	rec := db.stored(key)
 	if rec == nil {
 		return nil, false
 	}
@@ -206,33 +213,17 @@ func (db *CharDB) PutPayload(key TaskKey) ([]byte, bool) {
 }
 
 // InstallPayload decodes a chardb-put payload (see PutPayload) and installs
-// it as the task's flushed record — the replay half of WAL-based recovery.
+// it as the task's record — the replay half of WAL-based recovery. A
+// payload PutPayload never writes (see fromPersisted) is rejected.
 func (db *CharDB) InstallPayload(data []byte) error {
 	var p persistedRecord
 	if err := json.Unmarshal(data, &p); err != nil {
 		return fmt.Errorf("chardb: bad journaled record: %w", err)
 	}
-	rec := fromPersisted(p)
+	rec, err := fromPersisted(p)
+	if err != nil {
+		return err
+	}
 	db.put(rec.Key, rec)
 	return nil
-}
-
-// WarmStartFrom copies another scheduler's flushed database — the
-// convenience path for back-to-back runs of the same application in one
-// process (e.g. the warm-start benchmark).
-func (s *RUPAM) WarmStartFrom(prev *RUPAM) {
-	prev.db.Flush()
-	s.db.Clear()
-	prev.db.each(func(key TaskKey, rec *Record) {
-		copied := *rec
-		copied.HistoryResource = make(map[Resource]bool, len(rec.HistoryResource))
-		for k, v := range rec.HistoryResource {
-			copied.HistoryResource[k] = v
-		}
-		copied.OOMNodes = make(map[string]bool, len(rec.OOMNodes))
-		for k, v := range rec.OOMNodes {
-			copied.OOMNodes[k] = v
-		}
-		s.db.put(key, &copied)
-	})
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,7 +29,6 @@ func populatedDB(t *testing.T) *CharDB {
 	db.Update(TaskKey{"blas", 1}, &task.Metrics{
 		Executor: "stack1", Launch: 0, End: 4, UsedGPU: true,
 	}, GPU, true)
-	db.Flush()
 	return db
 }
 
@@ -52,8 +53,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if rec.Runs != 2 || rec.OptExecutor != "thor2" || rec.BestTime != 8 {
 		t.Fatalf("grad record corrupted: %+v", rec)
 	}
-	if !rec.HistoryResource[CPU] || rec.BottleneckCounts[CPU] != 2 {
-		t.Fatalf("history lost: %+v", rec)
+	if h := toPersisted(rec.Key, rec).History; rec.BottleneckCounts[CPU] != 2 || !slices.Equal(h, []string{"cpu"}) {
+		t.Fatalf("history lost: %+v, history %v", rec, h)
 	}
 	oom := restored.Lookup(TaskKey{"join", 3})
 	if oom == nil || !oom.OOMNodes["hulk1"] {
@@ -204,11 +205,60 @@ func TestPutInstallPayloadRoundTrip(t *testing.T) {
 	}
 }
 
+// mismatchedHistories are records whose history names other resources
+// than their positive bottleneck counts, which Save and PutPayload never
+// write.
+var mismatchedHistories = []string{
+	`{"signature":"s","partition":1,"history":["cpu"],"bottleneck_counts":{"net":2}}`,
+	`{"signature":"s","partition":1,"history":["cpu"]}`,
+	`{"signature":"s","partition":1,"bottleneck_counts":{"cpu":1}}`,
+	`{"signature":"s","partition":1,"history":["cpu","net"],"bottleneck_counts":{"cpu":1}}`,
+	`{"signature":"s","partition":1,"history":["cpu","net"],"bottleneck_counts":{"cpu":1,"net":0}}`,
+}
+
+// TestLoadRejectsMismatchedHistory checks that Load rejects a record
+// whose history differs from its positive counts and leaves the database
+// unchanged, and that the agreeing form of the same record loads.
+func TestLoadRejectsMismatchedHistory(t *testing.T) {
+	for _, rec := range mismatchedHistories {
+		db := populatedDB(t)
+		before := saved(t, db)
+		if err := db.Load(strings.NewReader("[" + rec + "]")); err == nil {
+			t.Fatalf("Load accepted %s", rec)
+		}
+		if after := saved(t, db); !bytes.Equal(before, after) {
+			t.Fatalf("rejected Load of %s changed the database:\n%s\nwant\n%s", rec, after, before)
+		}
+	}
+	db := NewCharDB()
+	agreeing := `[{"signature":"s","partition":1,"history":["net","cpu","cpu"],"bottleneck_counts":{"cpu":1,"net":2,"disk":0,"bogus":3}}]`
+	if err := db.Load(strings.NewReader(agreeing)); err != nil {
+		t.Fatalf("Load rejected a history that agrees with its counts: %v", err)
+	}
+	if rec := db.Lookup(TaskKey{"s", 1}); rec == nil || rec.BottleneckCounts != [NumResources]int{CPU: 1, Net: 2} {
+		t.Fatalf("agreeing record loaded as %+v", rec)
+	}
+}
+
+// TestInstallPayloadRejectsMismatchedHistory is the WAL-replay side of
+// TestLoadRejectsMismatchedHistory.
+func TestInstallPayloadRejectsMismatchedHistory(t *testing.T) {
+	for _, rec := range mismatchedHistories {
+		db := NewCharDB()
+		if err := db.InstallPayload([]byte(rec)); err == nil {
+			t.Fatalf("InstallPayload accepted %s", rec)
+		}
+		if db.Size() != 0 {
+			t.Fatalf("rejected payload %s installed a record", rec)
+		}
+	}
+}
+
 func TestWarmStartSpeedsSecondRun(t *testing.T) {
 	// Two identical apps back to back: the second, warm-started from the
-	// first scheduler's DB, must not be slower — the paper's periodic-job
-	// observation (§III-B2).
-	runOnce := func(warmFrom *RUPAM) (float64, *RUPAM) {
+	// first scheduler's saved DB, must not be slower — the paper's
+	// periodic-job observation (§III-B2).
+	runOnce := func(warmFrom []byte) (float64, *RUPAM) {
 		w := newWorld(t)
 		ctx := rdd.NewContext("app", w.store, 3)
 		pts := ctx.Read(w.store.CreateEven("in", 400*1e6, 8)).
@@ -219,14 +269,16 @@ func TestWarmStartSpeedsSecondRun(t *testing.T) {
 		}
 		sched := New(Config{})
 		if warmFrom != nil {
-			sched.WarmStartFrom(warmFrom)
+			if err := sched.DB().Load(bytes.NewReader(warmFrom)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		rt := spark.NewRuntime(w.eng, w.clu, sched, spark.Config{Seed: 3})
 		res := rt.Run(ctx.App())
 		return res.Duration, sched
 	}
 	cold, sched := runOnce(nil)
-	warm, _ := runOnce(sched)
+	warm, _ := runOnce(saved(t, sched.DB()))
 	if warm > cold*1.05 {
 		t.Fatalf("warm start slower than cold: %v vs %v", warm, cold)
 	}

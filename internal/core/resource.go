@@ -9,10 +9,9 @@
 //     this package maintains the per-resource node priority queues
 //     ("Resource Queue"), refilled as nodes report in or free capacity and
 //     drained every scheduling round.
-//   - Task Manager (TM): the task-characteristics database (CharDB, with
-//     the paper's asynchronous write-behind helper), Algorithm 1
-//     characterization, and the per-resource pending task queues
-//     ("Task Queue").
+//   - Task Manager (TM): the task-characteristics database (CharDB),
+//     Algorithm 1 characterization, and the per-resource pending task
+//     queues ("Task Queue").
 //   - Dispatcher: Algorithm 2 — round-robin across resource queues,
 //     memory-fit check, best-node locking, locality tie-breaking,
 //     speculative stragglers (including the GPU/CPU dual-version race and

@@ -437,11 +437,9 @@ func (s *RUPAM) TaskEnded(t *task.Task, r *executor.Run, out executor.Outcome) {
 
 // ---- Resource Monitor side --------------------------------------------------
 
-// Heartbeat implements spark.Scheduler: flush the DB write queue (the
-// helper thread's service period), run the straggler detectors, and offer
-// the reporting node.
+// Heartbeat implements spark.Scheduler: run the straggler detectors and
+// offer the reporting node.
 func (s *RUPAM) Heartbeat(nodeName string, nm *monitor.NodeMetrics) {
-	s.db.Flush()
 	s.noteFreq(nodeName, nm)
 	if !s.cfg.DisableMemAware {
 		s.reclaimMemory(nodeName, nm)
@@ -838,7 +836,7 @@ scan:
 			// Exception mirroring Algorithm 2 lines 13-16: a fully
 			// characterized task locked to this very node runs here even
 			// under pressure — history says this is its best home.
-			if locked && rec.OptExecutor == node && len(rec.HistoryResource) >= NumResources {
+			if locked && rec.OptExecutor == node && rec.fullHistory() {
 				if d != nil {
 					d.Candidate(t.ID, t.LocalityOn(node).String(), "", recDetail(rec))
 				}
@@ -1139,13 +1137,13 @@ func (s *RUPAM) rescueStarvation() {
 	}
 }
 
-// record returns the task's CharDB record in place (see latest), found
+// record returns the task's CharDB record in place (see stored), found
 // via its stage in the runtime.
 func (s *RUPAM) record(t *task.Task) *Record {
 	if st := s.rt.StageOf(t); st != nil {
 		return s.db.recordOf(st, t)
 	}
-	return s.db.latest(keyByRuntime(s.rt, t))
+	return s.db.stored(keyByRuntime(s.rt, t))
 }
 
 // keyByRuntime resolves a task's DB key via its stage in the runtime.

@@ -298,7 +298,6 @@ func TestDBRecordsAccumulateAcrossJobs(t *testing.T) {
 		pts.Map("work", rdd.Profile{CPUPerByte: 60e-9, OutRatio: 1e-4}).Count("iter")
 	}
 	_, sched := runApp(t, w, ctx.App(), Config{})
-	sched.DB().Flush()
 	rec := sched.DB().Lookup(TaskKey{Signature: "work", Partition: 0})
 	if rec == nil {
 		t.Fatal("no record for recurring task")
@@ -370,7 +369,6 @@ func TestHeartbeatFreqTracksCPUDegrade(t *testing.T) {
 
 	locksBefore := 0
 	w.eng.At(at-0.1, func() {
-		sched.DB().Flush()
 		sched.DB().each(func(_ TaskKey, rec *Record) {
 			if rec.OptExecutor == "fast" {
 				locksBefore++

@@ -1,6 +1,9 @@
 package experiments_test
 
 import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"rupam/internal/chaos"
@@ -52,4 +55,34 @@ func TestGoldenAblationFingerprints(t *testing.T) {
 				c.Name, c.Workload, fp, events, g.name, g.workload, g.fingerprint, g.events)
 		}
 	}
+}
+
+// goldenElastic pins the default elastic sweep (seeds 1–5, as
+// rupam-bench -experiment elastic runs it): FNV-64a digests of its JSON
+// report and of its printout. Its autoscaler is the one reader of
+// core.CharDB.MeanComputeTime, so a change to what that mean averages
+// shows here if it moves an acquisition. Generated before the change it
+// guards and never regenerated.
+var goldenElastic = struct{ json, print string }{"d0d30b813ca270bc", "7796b47b33d03f18"}
+
+func TestGoldenElasticReport(t *testing.T) {
+	res := experiments.Elastic(experiments.ElasticConfig{Seeds: []uint64{1, 2, 3, 4, 5}})
+	var j, p bytes.Buffer
+	if err := res.WriteJSON(&j); err != nil {
+		t.Fatal(err)
+	}
+	res.Print(&p)
+	if got := fnvHex(j.Bytes()); got != goldenElastic.json {
+		t.Errorf("elastic sweep: JSON digest %s, golden %s", got, goldenElastic.json)
+	}
+	if got := fnvHex(p.Bytes()); got != goldenElastic.print {
+		t.Errorf("elastic sweep: printout digest %s, golden %s\n%s", got, goldenElastic.print, p.String())
+	}
+}
+
+// fnvHex is the FNV-64a digest of b in hex.
+func fnvHex(b []byte) string {
+	h := fnv.New64a()
+	h.Write(b)
+	return fmt.Sprintf("%016x", h.Sum64())
 }

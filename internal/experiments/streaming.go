@@ -19,13 +19,6 @@ import (
 // across seeds: the RUPAM demand-vector placer ≥ the Storm-style
 // resource-aware placer ≥ capability-blind round-robin.
 
-// StreamingGateSeeds is the smallest sweep the placement gate is
-// evaluated on. Single-seed orderings are hostage to one topology's
-// shape; five seeds is the smallest sweep where the placer means
-// separate from topology luck (on seeds 1–2 the resource-aware mean
-// falls below round-robin's), so the ordering is claimed over no fewer.
-const StreamingGateSeeds = 5
-
 // StreamingConfig parameterizes the sweep.
 type StreamingConfig struct {
 	// Seeds are the topologies each placer runs.
@@ -161,7 +154,7 @@ func Streaming(cfg StreamingConfig) *StreamingResult {
 }
 
 // gated reports whether the sweep is large enough for the placement gate.
-func (r *StreamingResult) gated() bool { return len(r.Config.Seeds) >= StreamingGateSeeds }
+func (r *StreamingResult) gated() bool { return len(r.Config.Seeds) >= GateSeeds }
 
 // Print summarizes the sweep.
 func (r *StreamingResult) Print(w io.Writer) {
@@ -188,7 +181,7 @@ func (r *StreamingResult) Print(w io.Writer) {
 	switch {
 	case !r.gated():
 		fmt.Fprintf(w, "placement gate not evaluated: %d seeds, fewer than the %d its ordering is claimed over\n",
-			len(r.Config.Seeds), StreamingGateSeeds)
+			len(r.Config.Seeds), GateSeeds)
 	case r.Violations == 0:
 		fmt.Fprintln(w, "placement gate holds: rupam >= resource-aware >= default")
 	}

@@ -29,7 +29,7 @@ func TestStreamingGate(t *testing.T) {
 	}
 }
 
-// TestStreamingGateNeedsFullSweep: below StreamingGateSeeds the ordering
+// TestStreamingGateNeedsFullSweep: below GateSeeds the ordering
 // is reported but not gated. Seeds 1–2 are a sweep on which the
 // resource-aware mean falls below round-robin's, so a gated run would
 // fail; the short sweep must pass with the not-evaluated line instead of

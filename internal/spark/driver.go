@@ -369,7 +369,8 @@ func (rt *Runtime) scheduleSpeculationScan() {
 // nodes.
 func (rt *Runtime) scanForStragglers() {
 	now := rt.Eng.Now()
-	for _, st := range rt.sortedActiveStages() {
+	rt.specStages = rt.sortedActiveStages(rt.specStages[:0])
+	for _, st := range rt.specStages {
 		n := st.NumTasks()
 		if n <= 1 || float64(st.Completed()) < speculationQuantile*float64(n) {
 			continue
@@ -384,7 +385,8 @@ func (rt *Runtime) scanForStragglers() {
 		if len(durs) == 0 {
 			continue
 		}
-		threshold := speculationMultiplier * stats.Median(durs)
+		slices.Sort(durs)
+		threshold := speculationMultiplier * stats.SortedPercentile(durs, 50)
 		if threshold < 0.1 {
 			threshold = 0.1
 		}
@@ -578,9 +580,9 @@ func (rt *Runtime) RunningOn(node string) int {
 	return n
 }
 
-// sortedActiveStages returns the currently active stages ordered by ID.
-func (rt *Runtime) sortedActiveStages() []*task.Stage {
-	ss := make([]*task.Stage, 0, len(rt.activeStages))
+// sortedActiveStages appends the currently active stages to ss, ordered
+// by ID, and returns the result.
+func (rt *Runtime) sortedActiveStages(ss []*task.Stage) []*task.Stage {
 	for _, s := range rt.activeStages {
 		ss = append(ss, s)
 	}

@@ -166,3 +166,44 @@ func TestRecoveryRebuildsTaskStages(t *testing.T) {
 		t.Fatal("post-recovery probe never ran")
 	}
 }
+
+// TestStragglerScanAllocatesNothing gates the periodic speculation scan:
+// once its scratch slices have grown, a scan of a stage past the
+// speculation quantile, with its straggler still running, allocates
+// nothing.
+func TestStragglerScanAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	w := newWorld(t)
+	rt := NewRuntime(w.eng, w.clu, NewDefaultScheduler(), Config{Seed: 1})
+	// One task is ~20× the rest, so it is still running once 75% finish.
+	ctx := rdd.NewContext("skewy", w.store, 4)
+	sizes := make([]int64, 16)
+	for i := range sizes {
+		sizes[i] = 20 * 1e6
+	}
+	sizes[0] = 400 * 1e6
+	ctx.Read(w.store.Create("skew-in", sizes)).Map("m", rdd.Profile{CPUPerByte: 100e-9, MemPerByte: 1}).Count("j")
+
+	measured := false
+	var probe func()
+	probe = func() {
+		for _, st := range rt.activeStages {
+			if !measured && rt.LiveAttempts() > 0 && float64(st.Completed()) >= speculationQuantile*float64(st.NumTasks()) {
+				measured = true
+				if n := testing.AllocsPerRun(100, rt.scanForStragglers); n != 0 {
+					t.Errorf("scan of a warmed stage allocates %v times, want 0", n)
+				}
+			}
+		}
+		if !measured && !rt.appDone {
+			w.eng.Schedule(0.25, probe)
+		}
+	}
+	w.eng.Schedule(0.25, probe)
+	rt.Run(ctx.App())
+	if !measured {
+		t.Fatal("no probe found a stage past the speculation quantile with a task running")
+	}
+}

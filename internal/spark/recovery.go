@@ -127,7 +127,7 @@ func (rt *Runtime) recoverDriver() {
 	// its queues refill; pending tasks get fresh cache locations first.
 	// Schedulers skip non-pending tasks lazily, so finished and adopted
 	// tasks riding along are harmless.
-	for _, st := range rt.sortedActiveStages() {
+	for _, st := range rt.sortedActiveStages(nil) {
 		for _, t := range st.Tasks {
 			if t.State == task.Pending {
 				rt.resolveCacheLocation(t)

@@ -171,6 +171,7 @@ type Runtime struct {
 	liveAtt      int                     // Σ len(runningAtt), kept by setRunning
 	speculatable []*task.Task            // straggler set by ascending ID; copied on change
 	specDurs     []float64               // scanForStragglers scratch
+	specStages   []*task.Stage           // scanForStragglers scratch
 	specTimer    simx.Timer
 	appDone      bool
 	appStart     float64

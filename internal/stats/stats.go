@@ -90,6 +90,15 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return SortedPercentile(sorted, p)
+}
+
+// SortedPercentile is Percentile of a slice already in ascending order,
+// read without copying or sorting it. It returns 0 for an empty slice.
+func SortedPercentile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
 	if p <= 0 {
 		return sorted[0]
 	}

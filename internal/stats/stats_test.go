@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -69,6 +70,34 @@ func TestPercentile(t *testing.T) {
 	}
 	if Median([]float64{3, 1, 2}) != 2 {
 		t.Error("median failed")
+	}
+}
+
+// TestSortedPercentileMatchesMedian checks that the median read from a
+// slice sorted in place is bit-for-bit stats.Median of the unsorted input,
+// on random inputs of odd and even length drawn from a few values so that
+// ties are common.
+func TestSortedPercentileMatchesMedian(t *testing.T) {
+	r := NewRand(11)
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + r.Intn(40)
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(r.Intn(8)) * r.Range(0.1, 3)
+			if r.Intn(3) == 0 && i > 0 {
+				xs[i] = xs[r.Intn(i)]
+			}
+		}
+		want := Median(xs)
+		sorted := slices.Clone(xs)
+		slices.Sort(sorted)
+		if got := SortedPercentile(sorted, 50); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d %v: sorted median %v (bits %x), Median %v (bits %x)",
+				n, xs, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	if SortedPercentile(nil, 50) != 0 {
+		t.Fatal("median of an empty slice")
 	}
 }
 

@@ -387,7 +387,6 @@ func (r *Runtime) finish(now float64, drained bool) {
 		}
 	}
 	r.feedCharDB(now)
-	r.db.Flush()
 }
 
 // processNode water-fills the node's cycle budget for this tick across
@@ -606,7 +605,6 @@ func (r *Runtime) feedCharDB(now float64) {
 		r.db.Update(st.key, m, bottleneck, true)
 		st.winCycles, st.winConsumed, st.winInBytes, st.winOutBytes = 0, 0, 0, 0
 	}
-	r.db.Flush()
 }
 
 // triggerMigrations evaluates the per-tick migration policy: the forced
