@@ -83,6 +83,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"strconv"
@@ -134,11 +135,11 @@ func (p *eventPlan) Set(s string) error {
 		return fmt.Errorf("want NODE:AT:%s, got %q", p.dur, s)
 	}
 	at, err := strconv.ParseFloat(parts[1], 64)
-	if err != nil || at < 0 {
+	if err != nil || at < 0 || math.IsNaN(at) || math.IsInf(at, 0) {
 		return fmt.Errorf("%s %q must be a non-negative number of seconds", p.when, parts[1])
 	}
 	d, err := strconv.ParseFloat(parts[2], 64)
-	if err != nil || d <= 0 {
+	if err != nil || d <= 0 || math.IsNaN(d) || math.IsInf(d, 0) {
 		return fmt.Errorf("%s %q must be a positive number of seconds", p.length, parts[2])
 	}
 	p.events = append(p.events, faults.Event{Kind: p.kind, Node: parts[0], At: at, Duration: d})

@@ -88,6 +88,14 @@ func TestEventPlanFlags(t *testing.T) {
 			`notice time "-1" must be a non-negative number of seconds`},
 		{"preempt zero grace", newPreempt, "thor1:10:0", faults.Event{},
 			`grace window "0" must be a positive number of seconds`},
+		{"preempt NaN time", newPreempt, "hulk1:NaN:5", faults.Event{},
+			`notice time "NaN" must be a non-negative number of seconds`},
+		{"preempt infinite time", newPreempt, "hulk1:+Inf:5", faults.Event{},
+			`notice time "+Inf" must be a non-negative number of seconds`},
+		{"preempt NaN grace", newPreempt, "hulk1:5:NaN", faults.Event{},
+			`grace window "NaN" must be a positive number of seconds`},
+		{"preempt infinite grace", newPreempt, "hulk1:5:Inf", faults.Event{},
+			`grace window "Inf" must be a positive number of seconds`},
 		{"agent-crash valid", newAgentCrash, "hulk2:0:3",
 			faults.Event{Kind: faults.AgentCrash, Node: "hulk2", At: 0, Duration: 3}, ""},
 		{"agent-crash arity", newAgentCrash, "hulk2:1:2:3", faults.Event{},
@@ -97,6 +105,8 @@ func TestEventPlanFlags(t *testing.T) {
 			`crash time "-0.5" must be a non-negative number of seconds`},
 		{"agent-crash negative downtime", newAgentCrash, "hulk2:1:-4", faults.Event{},
 			`downtime "-4" must be a positive number of seconds`},
+		{"agent-crash NaN downtime", newAgentCrash, "hulk2:1:nan", faults.Event{},
+			`downtime "nan" must be a positive number of seconds`},
 	}
 	for _, tc := range cases {
 		p := tc.plan()
@@ -185,6 +195,8 @@ func TestAgentCrashCLI(t *testing.T) {
 		{"-drivers", "2", "-agent-crash", "thor1:2:0"},
 		{"-drivers", "2", "-agent-crash", "thor1:2:-4"},
 		{"-drivers", "2", "-agent-crash", "thor1:x:3"},
+		{"-drivers", "2", "-agent-crash", "thor1:NaN:3"},
+		{"-drivers", "2", "-agent-crash", "thor1:2:+Inf"},
 		// Unknown node in the hydra cluster.
 		{"-drivers", "2", "-agent-crash", "nohost:2:3"},
 		// Streaming runs have no placement agents.

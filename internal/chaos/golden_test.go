@@ -304,7 +304,7 @@ var goldenReports = []struct {
 	}, "37cd750b6e476ce5", "d58505a661f4bda2"},
 	{"recovery", func() soakReport {
 		return RecoverySoak(Config{Seeds: []uint64{1}, SkipVerify: true})
-	}, "5020770add14936f", "cbf70768bf4c9cd4"},
+	}, "3eb122e7cf04dac6", "6ac6b1676dd8f0d5"},
 	{"tenancy", func() soakReport {
 		return TenancySoak(TenancyConfig{Seeds: []uint64{1}, SkipVerify: true})
 	}, "04387b4bc5c42fcc", "0dbdf49c5b36285d"},
@@ -359,17 +359,17 @@ func TestGoldenReportBytes(t *testing.T) {
 // and of one driver-crash recovery run's log together with the canonical
 // encoding of the replay of its retained tail. The federated logs cover
 // every claim record kind; the recovery log covers snapshot checkpoints,
-// the crash and recovery barrier records, and Replay.
+// the recovery barrier and adoption records, and Replay.
 var goldenWAL = struct {
 	federation    []string // per application, in AppRuntimes order
 	recovery      string
 	recoveryState string
 }{
 	federation: []string{
-		"9072c6f2cd79319c", "a7a1b958a01d67b7", "ab71bd4875fd93c7", "bdce6aac70b9f998",
+		"0998b6ebf1312dd9", "3d5d68814fcce32e", "6c239668d17df6f0", "3b67e7f9bd242ea5",
 	},
-	recovery:      "97206c65e02a9889",
-	recoveryState: "80247a741c470c76",
+	recovery:      "6fc59d6bed009acc",
+	recoveryState: "3792beea175cbb41",
 }
 
 // goldenWALRecoverySeed is the recovery run's seed; its plan's driver

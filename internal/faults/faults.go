@@ -10,6 +10,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"rupam/internal/stats"
@@ -193,6 +194,10 @@ func (e Event) Validate() error {
 		return fmt.Errorf("faults: driver-crash event names a node (%s)", e.Node)
 	case e.Node != "" && e.Kind == LoadSpike:
 		return fmt.Errorf("faults: load-spike event names a node (%s); spikes hit the offered load", e.Node)
+	case !finite(e.At) || !finite(e.Duration) || !finite(e.Factor) || !finite(e.Delay):
+		// NaN would pass every range check below.
+		return fmt.Errorf("faults: %s %s: non-finite value (at %g, duration %g, factor %g, delay %g)",
+			e.Kind, e.Node, e.At, e.Duration, e.Factor, e.Delay)
 	case e.At < 0:
 		return fmt.Errorf("faults: %s %s: negative time %g", e.Kind, e.Node, e.At)
 	case e.Duration < 0:
@@ -250,6 +255,8 @@ func (e Event) Validate() error {
 	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Schedule is a full fault plan for one simulation run.
 type Schedule struct {

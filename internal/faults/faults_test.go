@@ -2,6 +2,7 @@ package faults
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 )
 
 func TestEventValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []Event{
 		{Kind: NodeCrash},                                       // no node
 		{Kind: NodeCrash, Node: "a", At: -1},                    // negative time
@@ -22,6 +24,18 @@ func TestEventValidate(t *testing.T) {
 		{Kind: DiskDegrade, Node: "a", Factor: 0.5},             // no duration
 		{Kind: HeartbeatLoss, Node: "a"},                        // no duration
 		{Kind: Kind(99), Node: "a"},                             // unknown kind
+		// Non-finite values pass every range check unless refused first.
+		{Kind: SpotPreempt, Node: "a", At: nan, Duration: 5},               // NaN notice time
+		{Kind: SpotPreempt, Node: "a", At: 5, Duration: nan},               // NaN grace window
+		{Kind: NodeCrash, Node: "a", At: inf},                              // infinite time
+		{Kind: NodeCrash, Node: "a", At: 1, Duration: inf},                 // infinite recovery
+		{Kind: DriverCrash, At: 1, Duration: nan},                          // NaN restart delay
+		{Kind: CPUDegrade, Node: "a", At: 1, Duration: 5, Factor: nan},     // NaN factor
+		{Kind: LoadSpike, At: 1, Duration: 5, Factor: inf},                 // infinite spike
+		{Kind: MsgDelay, At: 1, Duration: 5, Factor: 0.3, Delay: inf},      // infinite delay
+		{Kind: MsgDelay, At: 1, Duration: 5, Factor: 0.3, Delay: -inf},     // negative infinity
+		{Kind: AgentCrash, Node: "a", At: 1, Duration: nan},                // NaN downtime
+		{Kind: HeartbeatLoss, Node: "a", At: 1, Duration: 5, Factor: -inf}, // unused field
 	}
 	for _, e := range bad {
 		if e.Validate() == nil {

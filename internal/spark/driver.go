@@ -43,7 +43,7 @@ func (rt *Runtime) maybeSubmitStage(st *task.Stage) {
 	rt.submitted[st.ID] = true
 	rt.activeStages[st.ID] = st
 	rt.Cfg.Tracer.StageBegin(st)
-	rt.wlog.Append(wal.Record{Kind: wal.KindStageSubmitted, Stage: st.ID, Job: rt.jobIdx})
+	rt.wlog.Append(wal.Record{Kind: wal.KindStageSubmitted, Stage: st.ID})
 	for _, t := range st.Tasks {
 		rt.resolveCacheLocation(t)
 		t.State = task.Pending
@@ -145,8 +145,7 @@ func (rt *Runtime) Launch(t *task.Task, node string, opts executor.Options) *exe
 	}
 	r := ex.Launch(t, st, opts, rt.onTaskEnd)
 	rt.setRunning(t.ID, append(rt.runningAtt[t.ID], r))
-	rt.wlog.Append(wal.Record{Kind: wal.KindTaskLaunched,
-		Task: t.ID, Stage: st.ID, Index: t.Index, Node: node, Spec: opts.Speculative})
+	rt.wlog.Append(wal.Record{Kind: wal.KindTaskLaunched, Task: t.ID, Node: node, Spec: opts.Speculative})
 	if rt.hooks.Broker != nil {
 		rt.hooks.Broker.PlacementStarted(t, node)
 	}
@@ -283,7 +282,6 @@ func (rt *Runtime) onTaskEnd(r *executor.Run, out executor.Outcome) {
 		t.State = task.Pending
 		rt.resolveCacheLocation(t) // cache may have moved or been dropped
 		rt.Cfg.Tracer.TaskQueued(t.ID)
-		rt.wlog.Append(wal.Record{Kind: wal.KindTaskRequeued, Task: t.ID, Stage: st.ID})
 		rt.sched.Resubmit(t, st)
 	}
 	if rt.appDone {
@@ -297,14 +295,12 @@ func (rt *Runtime) onTaskEnd(r *executor.Run, out executor.Outcome) {
 func (rt *Runtime) onStageComplete(st *task.Stage) {
 	delete(rt.activeStages, st.ID)
 	rt.Cfg.Tracer.StageEnd(st.ID)
-	rt.wlog.Append(wal.Record{Kind: wal.KindStageCompleted, Stage: st.ID, Job: rt.jobIdx})
 	job := rt.app.Jobs[rt.jobIdx]
 	for _, s := range job.Stages {
 		rt.maybeSubmitStage(s)
 	}
 	if st == job.Final {
 		rt.Cfg.Tracer.JobEnd(job.ID)
-		rt.wlog.Append(wal.Record{Kind: wal.KindJobCompleted, Job: rt.jobIdx})
 		rt.jobEnds = append(rt.jobEnds, rt.Eng.Now())
 		if rt.jobIdx+1 < len(rt.app.Jobs) {
 			rt.submitJob(rt.jobIdx + 1)
@@ -397,7 +393,6 @@ func (rt *Runtime) scanForStragglers() {
 			att := rt.runningAtt[t.ID][0]
 			if now-att.Metrics().Launch > threshold {
 				rt.Cfg.Tracer.SpeculatableMarked(t.ID)
-				rt.wlog.Append(wal.Record{Kind: wal.KindSpecMarked, Task: t.ID, Stage: st.ID})
 				rt.markSpeculatable(t)
 			}
 		}
@@ -430,7 +425,6 @@ func (rt *Runtime) SpeculativeTasks() []*task.Task {
 func (rt *Runtime) MarkSpeculatable(t *task.Task) {
 	if t.State == task.Running {
 		rt.Cfg.Tracer.SpeculatableMarked(t.ID)
-		rt.wlog.Append(wal.Record{Kind: wal.KindSpecMarked, Task: t.ID, Stage: t.StageID})
 		rt.markSpeculatable(t)
 	}
 }

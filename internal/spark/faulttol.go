@@ -110,7 +110,7 @@ func (rt *Runtime) executorLost(node string, reason string) {
 	rt.lostExecs[node] = true
 	rt.ExecutorsLost++
 	rt.Cfg.Tracer.ExecutorLost(node, reason)
-	rt.wlog.Append(wal.Record{Kind: wal.KindExecLost, Node: node, Reason: reason})
+	rt.wlog.Append(wal.Record{Kind: wal.KindExecLost, Node: node})
 
 	if ela, ok := rt.sched.(ExecutorLossAware); ok {
 		ela.ExecutorLost(node)
@@ -249,7 +249,7 @@ func (rt *Runtime) rollbackOutputs(node string) {
 			rt.activeStages[st.ID] = st
 		}
 		for _, idx := range lost {
-			rt.wlog.Append(wal.Record{Kind: wal.KindOutputLost, Stage: st.ID, Index: idx, Node: node})
+			rt.wlog.Append(wal.Record{Kind: wal.KindOutputLost, Stage: st.ID, Index: idx})
 			t := st.TaskByIndex(idx)
 			if t == nil || t.State != task.Finished {
 				continue
@@ -259,7 +259,7 @@ func (rt *Runtime) rollbackOutputs(node string) {
 			rt.Resubmissions++
 			rt.resubmits[t.ID]++
 			rt.Cfg.Tracer.TaskQueued(t.ID)
-			rt.wlog.Append(wal.Record{Kind: wal.KindTaskRolledBack, Task: t.ID, Stage: st.ID})
+			rt.wlog.Append(wal.Record{Kind: wal.KindTaskRolledBack, Task: t.ID})
 			rt.sched.Resubmit(t, st)
 		}
 	}
@@ -326,8 +326,6 @@ func (rt *Runtime) abortJob(t *task.Task, st *task.Stage, reason string) {
 	}
 	t.State = task.Failed
 	rt.Cfg.Tracer.JobAborted(rt.aborted.Error())
-	rt.wlog.Append(wal.Record{Kind: wal.KindJobAborted, Job: rt.jobIdx, Task: t.ID,
-		Stage: st.ID, Reason: reason})
 	for _, r := range rt.runningSorted() {
 		r.Kill(false)
 	}

@@ -68,7 +68,6 @@ func (rt *Runtime) driverCrash(restartAfter float64) {
 	}
 	rt.SpecLiveAtCrash = append(rt.SpecLiveAtCrash, spec)
 	rt.Cfg.Tracer.DriverCrashed(restartAfter)
-	rt.wlog.Append(wal.Record{Kind: wal.KindDriverCrashed})
 	if rt.ownsSubstrate {
 		// A shared monitor belongs to the tenant manager and keeps beating
 		// for the sibling applications; this driver simply stops listening
@@ -323,9 +322,7 @@ func (rt *Runtime) adoptSurvivors(s *wal.State) int {
 			}
 			t.State = task.Running
 			rt.setRunning(t.ID, append(rt.runningAtt[t.ID], r))
-			rt.wlog.Append(wal.Record{Kind: wal.KindTaskAdopted,
-				Task: t.ID, Stage: r.Stage().ID, Index: t.Index,
-				Node: name, Spec: r.Speculative()})
+			rt.wlog.Append(wal.Record{Kind: wal.KindTaskAdopted, Task: t.ID, Node: name, Spec: r.Speculative()})
 			adopted++
 		}
 	}

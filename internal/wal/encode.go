@@ -74,7 +74,6 @@ func (e *encoder) recordFields(b []byte, r *Record) []byte {
 	b = optInt(b, `,"inc":`, int64(r.Inc))
 	b = optInt(b, `,"slots":`, int64(r.Slots))
 	b = optString(b, `,"key":`, r.Key)
-	b = optString(b, `,"reason":`, r.Reason)
 	if len(r.CharDB) != 0 {
 		b = append(b, `,"chardb":`...)
 		b = e.rawMessage(b, r.CharDB)

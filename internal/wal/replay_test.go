@@ -70,7 +70,7 @@ func reframe(data []byte) []byte {
 func TestReplayBufferFitsTheStream(t *testing.T) {
 	l := New(nil, Options{})
 	for i := 0; i < 8; i++ {
-		l.Append(Record{Kind: KindTaskLaunched, Task: i, Stage: 1, Node: "thor1"})
+		l.Append(Record{Kind: KindTaskLaunched, Task: i, Node: "thor1"})
 	}
 	short := append([]byte(nil), l.Bytes()...)
 	const runs = 50

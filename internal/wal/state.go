@@ -72,9 +72,10 @@ type State struct {
 // NewState returns the empty pre-application state.
 func NewState() *State { return &State{JobIdx: -1} }
 
-// Apply folds one record into the state. The fold is total: unknown and
-// audit-only kinds are no-ops, and attempt removals tolerate absence, so
-// replaying any valid prefix of a log never fails.
+// Apply folds one record into the state. The fold is total: unknown kinds
+// and fields are no-ops (logs holding the retired audit-only kinds still
+// replay), and attempt removals tolerate absence, so replaying any valid
+// prefix of a log never fails.
 func (s *State) Apply(r *Record) {
 	s.Seq, s.T = r.Seq, r.T
 	switch r.Kind {

@@ -1,9 +1,10 @@
 // Package wal implements the driver's write-ahead log: a deterministic,
-// append-only record of every driver state transition (job/stage
-// submission, task launches and terminations, map-output registration and
-// rollback, CharDB updates, blacklist activations, executor membership),
+// append-only record of the state a restarted driver rebuilds (job/stage
+// submission, task launches and terminations, map outputs, CharDB
+// updates, blacklist activations, executor membership, placement claims),
 // stamped with virtual-clock time and periodically checkpointed with full
-// state snapshots embedded in the stream.
+// state snapshots embedded in the stream. The audit trail of what
+// happened and why is the tracing.Collector's (rupam-sim -trace).
 //
 // The log exists so a crashed driver can be rebuilt exactly: Replay folds
 // the serialized bytes back into a State, stopping cleanly at the first
@@ -33,29 +34,24 @@ import (
 	"rupam/internal/digest"
 )
 
-// Record kinds. Fold semantics live in State.Apply; kinds marked audit-only
-// carry forensic detail but do not change replayed state.
+// Record kinds, each with the fields it carries: exactly those its
+// State.Apply case reads. The WAL is recovery state and the Collector is
+// the audit trail, so a fact replay does not fold is not logged here.
 const (
 	KindJobSubmitted    = "job-submitted"    // Job
-	KindStageSubmitted  = "stage-submitted"  // Stage, Job
-	KindTaskLaunched    = "task-launched"    // Task, Stage, Node, Spec
-	KindTaskAdopted     = "task-adopted"     // Task, Stage, Node, Spec (recovery re-registration; no launch counted)
+	KindStageSubmitted  = "stage-submitted"  // Stage
+	KindTaskLaunched    = "task-launched"    // Task, Node, Spec
+	KindTaskAdopted     = "task-adopted"     // Task, Node, Spec (recovery re-registration; no launch counted)
 	KindTaskSucceeded   = "task-succeeded"   // Task, Stage, Index, Node, Bytes (map-output registration when Bytes > 0)
 	KindAttemptEnded    = "attempt-ended"    // Task, Node, Outcome (loser kills, failures, late successes)
-	KindTaskRequeued    = "task-requeued"    // Task (audit-only: failed attempt put back in the pool)
-	KindTaskRolledBack  = "task-rolled-back" // Task, Stage (finished task resubmitted after output loss)
-	KindOutputLost      = "output-lost"      // Stage, Index, Node (map-output rollback)
+	KindTaskRolledBack  = "task-rolled-back" // Task (finished task resubmitted after output loss)
+	KindOutputLost      = "output-lost"      // Stage, Index (map-output rollback)
 	KindOutputMoved     = "output-moved"     // Stage, Index, Node, Bytes (graceful-drain re-replication: the output now lives on Node)
 	KindExecLost        = "exec-lost"        // Node
 	KindExecRejoined    = "exec-rejoined"    // Node
 	KindExecIncarnation = "exec-incarnation" // Node, Inc
 	KindBlacklistAdd    = "blacklist-add"    // Node, Until (absolute virtual-clock expiry)
 	KindCharDBPut       = "chardb-put"       // Key, CharDB (last-writer-wins upsert)
-	KindSpecMarked      = "spec-marked"      // Task (audit-only: speculation decision)
-	KindStageCompleted  = "stage-completed"  // Stage (audit-only)
-	KindJobCompleted    = "job-completed"    // Job (audit-only)
-	KindJobAborted      = "job-aborted"      // Reason (audit-only; an aborted app is done, never recovered)
-	KindDriverCrashed   = "driver-crashed"   // audit-only crash marker
 	KindRecovered       = "recovered"        // recovery barrier: drops all pre-crash in-flight attempts
 	KindSnapshot        = "snapshot"         // Snapshot (full State checkpoint; replay restarts the fold here)
 
@@ -90,7 +86,6 @@ type Record struct {
 	Inc      int             `json:"inc,omitempty"`
 	Slots    int             `json:"slots,omitempty"`
 	Key      string          `json:"key,omitempty"`
-	Reason   string          `json:"reason,omitempty"`
 	CharDB   json.RawMessage `json:"chardb,omitempty"`
 	Snapshot json.RawMessage `json:"snapshot,omitempty"`
 }

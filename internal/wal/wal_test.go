@@ -14,8 +14,8 @@ import (
 // scriptedLog appends a representative driver history: two stages, a
 // launch/success cycle with map-output registration, a failure with
 // blacklist activation, an executor loss with rollback, and a CharDB put.
-// With snapAfter > 0, audit-only records stamped at time zero come first,
-// so that the checkpoint lands right after the history's snapAfter-th
+// With snapAfter > 0, no-op records stamped at time zero come first, so
+// that the checkpoint lands right after the history's snapAfter-th
 // record; the history itself and its timestamps are the same either way.
 func scriptedLog(t *testing.T, snapAfter int) *Log {
 	t.Helper()
@@ -27,38 +27,41 @@ func scriptedLog(t *testing.T, snapAfter int) *Log {
 		return now
 	}})
 	if snapAfter > 0 {
-		padAudit(l, snapshotEvery-snapAfter)
+		padNoOp(l, snapshotEvery-snapAfter)
 	}
 	ticking = true
 	l.Append(Record{Kind: KindJobSubmitted, Job: 0})
-	l.Append(Record{Kind: KindStageSubmitted, Stage: 0, Job: 0})
-	l.Append(Record{Kind: KindStageSubmitted, Stage: 1, Job: 0})
-	l.Append(Record{Kind: KindTaskLaunched, Task: 10, Stage: 0, Node: "fast"})
-	l.Append(Record{Kind: KindTaskLaunched, Task: 11, Stage: 0, Node: "slow"})
-	l.Append(Record{Kind: KindTaskLaunched, Task: 11, Stage: 0, Node: "gpu", Spec: true})
+	l.Append(Record{Kind: KindStageSubmitted, Stage: 0})
+	l.Append(Record{Kind: KindStageSubmitted, Stage: 1})
+	l.Append(Record{Kind: KindTaskLaunched, Task: 10, Node: "fast"})
+	l.Append(Record{Kind: KindTaskLaunched, Task: 11, Node: "slow"})
+	l.Append(Record{Kind: KindTaskLaunched, Task: 11, Node: "gpu", Spec: true})
 	l.Append(Record{Kind: KindTaskSucceeded, Task: 10, Stage: 0, Index: 0, Node: "fast", Bytes: 1 << 20})
 	l.Append(Record{Kind: KindAttemptEnded, Task: 11, Node: "slow", Outcome: "flaked"})
-	l.Append(Record{Kind: KindTaskRequeued, Task: 11})
 	l.Append(Record{Kind: KindBlacklistAdd, Node: "slow", Until: 64.25})
 	l.Append(Record{Kind: KindTaskSucceeded, Task: 11, Stage: 0, Index: 1, Node: "gpu", Bytes: 2 << 20})
 	l.Append(Record{Kind: KindExecLost, Node: "fast"})
-	l.Append(Record{Kind: KindOutputLost, Stage: 0, Index: 0, Node: "fast"})
-	l.Append(Record{Kind: KindTaskRolledBack, Task: 10, Stage: 0})
+	l.Append(Record{Kind: KindOutputLost, Stage: 0, Index: 0})
+	l.Append(Record{Kind: KindTaskRolledBack, Task: 10})
 	l.Append(Record{Kind: KindExecIncarnation, Node: "fast", Inc: 1})
 	l.Append(Record{Kind: KindExecRejoined, Node: "fast"})
 	l.Append(Record{Kind: KindCharDBPut, Key: "grad|0", CharDB: []byte(`{"signature":"grad","partition":0}`)})
-	l.Append(Record{Kind: KindTaskLaunched, Task: 10, Stage: 0, Node: "gpu"})
+	l.Append(Record{Kind: KindTaskLaunched, Task: 10, Node: "gpu"})
 	if err := l.Err(); err != nil {
 		t.Fatal(err)
 	}
 	return l
 }
 
-// padAudit appends n audit-only records, which change no replayed state
-// but count toward the checkpoint cadence.
-func padAudit(l *Log, n int) {
+// noOp is a record whose fold changes nothing but the state's Seq and T:
+// the commit of a claim the log never proposed.
+var noOp = Record{Kind: KindClaimCommitted, Key: "d9:0"}
+
+// padNoOp appends n no-op records, which change no replayed state but
+// count toward the checkpoint cadence.
+func padNoOp(l *Log, n int) {
 	for range n {
-		l.Append(Record{Kind: KindSpecMarked, Task: -1})
+		l.Append(noOp)
 	}
 }
 
@@ -68,8 +71,8 @@ func TestReplayFoldsHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 18 {
-		t.Fatalf("folded %d records, want 18", n)
+	if n != 17 {
+		t.Fatalf("folded %d records, want 17", n)
 	}
 	if s.JobIdx != 0 || !s.Submitted[0] || !s.Submitted[1] {
 		t.Fatalf("job/stage state wrong: %+v", s)
@@ -203,10 +206,10 @@ func TestNilLogIsNoOp(t *testing.T) {
 	if l.Bytes() != nil || l.Seq() != 0 || l.Err() != nil {
 		t.Fatal("nil log must be inert")
 	}
-	// The driver appends on every speculation mark and task end whether
-	// or not it logs; a nil log must not move the record to the heap.
+	// The driver appends on every task launch and end whether or not it
+	// logs; a nil log must not move the record to the heap.
 	if n := testing.AllocsPerRun(100, func() {
-		l.Append(Record{Kind: KindSpecMarked, Task: 7, Stage: 3, Node: "fast"})
+		l.Append(Record{Kind: KindTaskLaunched, Task: 7, Node: "fast", Spec: true})
 	}); n != 0 {
 		t.Fatalf("nil Append allocates %v times per call, want 0", n)
 	}
@@ -220,10 +223,10 @@ const liveAppendAllocBudget = 0
 func TestLiveAppendAllocBudget(t *testing.T) {
 	l := New(nil, Options{Clock: func() float64 { return 12.5 }})
 	l.buf = make([]byte, 0, 1<<20)
-	l.Append(Record{Kind: KindSpecMarked, Task: 7, Stage: 3})
+	l.Append(noOp)
 	// AllocsPerRun appends runs+1 records, all before the first checkpoint.
 	n := testing.AllocsPerRun(snapshotEvery-3, func() {
-		l.Append(Record{Kind: KindSpecMarked, Task: 7, Stage: 3})
+		l.Append(noOp)
 	})
 	if n > liveAppendAllocBudget {
 		t.Fatalf("live Append allocates %v times per record, budget %d", n, liveAppendAllocBudget)
@@ -249,10 +252,9 @@ func legacyFrame(r *Record) (string, error) {
 func TestFramingMatchesMarshalSprintf(t *testing.T) {
 	kinds := []string{
 		KindJobSubmitted, KindStageSubmitted, KindTaskLaunched, KindTaskAdopted,
-		KindTaskSucceeded, KindAttemptEnded, KindTaskRequeued, KindTaskRolledBack,
+		KindTaskSucceeded, KindAttemptEnded, KindTaskRolledBack,
 		KindOutputLost, KindOutputMoved, KindExecLost, KindExecRejoined,
-		KindExecIncarnation, KindBlacklistAdd, KindCharDBPut, KindSpecMarked,
-		KindStageCompleted, KindJobCompleted, KindJobAborted, KindDriverCrashed,
+		KindExecIncarnation, KindBlacklistAdd, KindCharDBPut,
 		KindRecovered, KindSnapshot, KindClaimProposed, KindClaimCommitted,
 		KindClaimBound, KindClaimAborted, KindClaimReleased,
 	}
@@ -285,7 +287,7 @@ func TestFramingMatchesMarshalSprintf(t *testing.T) {
 				Kind: kind, Job: i, Stage: -j, Task: i * j, Index: j, Node: s,
 				Bytes: int64(i) << 40, Spec: j%2 == 0, Outcome: s,
 				Until: times[j%len(times)], Inc: j, Slots: i,
-				Key: s + ":" + strconv.Itoa(j), Reason: s,
+				Key: s + ":" + strconv.Itoa(j),
 			}
 			if j%3 != 1 {
 				r.CharDB = chardb
@@ -320,10 +322,10 @@ func TestMirrorWriterReceivesSameBytes(t *testing.T) {
 	var sink bytes.Buffer
 	now := 0.0
 	l := New(&sink, Options{Clock: func() float64 { now++; return now }})
-	padAudit(l, snapshotEvery-2)
+	padNoOp(l, snapshotEvery-2)
 	l.Append(Record{Kind: KindJobSubmitted, Job: 0})
 	l.Append(Record{Kind: KindStageSubmitted, Stage: 0})
-	l.Append(Record{Kind: KindTaskLaunched, Task: 1, Stage: 0, Node: "fast"})
+	l.Append(Record{Kind: KindTaskLaunched, Task: 1, Node: "fast"})
 	if got := int64(sink.Len()); got != l.Written() {
 		t.Fatalf("external sink holds %d bytes, Written reports %d", got, l.Written())
 	}
@@ -403,10 +405,10 @@ func TestClaimFold(t *testing.T) {
 func TestClaimSnapshotRoundTrip(t *testing.T) {
 	// A snapshot taken with live claims must restore them exactly.
 	l := New(nil, Options{})
-	padAudit(l, snapshotEvery-2)
+	padNoOp(l, snapshotEvery-2)
 	l.Append(Record{Kind: KindClaimProposed, Key: "d2:7", Task: 3, Node: "fast", Slots: 1})
 	l.Append(Record{Kind: KindClaimCommitted, Key: "d2:7"}) // snapshot lands after this
-	l.Append(Record{Kind: KindTaskLaunched, Task: 3, Stage: 0, Node: "fast"})
+	l.Append(Record{Kind: KindTaskLaunched, Task: 3, Node: "fast"})
 	s, _, err := Replay(bytes.NewReader(l.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +432,7 @@ func TestDecodeLineRejectsLaxCRCHeaders(t *testing.T) {
 	var body []byte
 	var sum uint32
 	for i := 0; ; i++ {
-		b, err := json.Marshal(Record{Seq: 1, Kind: KindJobAborted, Reason: strconv.Itoa(i)})
+		b, err := json.Marshal(Record{Seq: 1, Kind: KindCharDBPut, Key: strconv.Itoa(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -474,7 +476,7 @@ func retentionRecord(i int) Record {
 	case 0:
 		return Record{Kind: KindStageSubmitted, Stage: stage}
 	case 1:
-		return Record{Kind: KindTaskLaunched, Task: task, Stage: stage, Node: node}
+		return Record{Kind: KindTaskLaunched, Task: task, Node: node}
 	case 2:
 		return Record{Kind: KindTaskSucceeded, Task: task, Stage: stage, Index: task, Node: node, Bytes: 1<<20 + int64(i%1000)}
 	case 3:
@@ -487,7 +489,7 @@ func retentionRecord(i int) Record {
 	case 6:
 		return Record{Kind: KindExecIncarnation, Node: node, Inc: g % 7}
 	}
-	return Record{Kind: KindSpecMarked, Task: task, Stage: stage}
+	return Record{Kind: KindExecRejoined, Node: node}
 }
 
 // TestRetentionBounded is the bounded-memory gate of truncation at
@@ -544,5 +546,64 @@ func TestRetentionBounded(t *testing.T) {
 	}
 	if got := cap(l.Bytes()); got != warmCap {
 		t.Fatalf("capacity grew during the allocation check: %d → %d bytes", warmCap, got)
+	}
+}
+
+// TestReplayIgnoresRetiredRecords replays a log in the shape written
+// before the WAL kept only what recovery folds: it holds the six retired
+// audit-only kinds, a loss reason, and the fields no fold reads. It must
+// fold to the state of the same history written today, Seq and T aside.
+func TestReplayIgnoresRetiredRecords(t *testing.T) {
+	legacy := []string{
+		`"kind":"job-submitted"`,
+		`"kind":"stage-submitted","stage":1,"job":0`,
+		`"kind":"task-launched","task":10,"stage":1,"index":2,"node":"fast"`,
+		`"kind":"spec-marked","task":10,"stage":1`,
+		`"kind":"task-launched","task":10,"stage":1,"index":2,"node":"gpu","spec":true`,
+		`"kind":"attempt-ended","task":10,"node":"fast","outcome":"flaked"`,
+		`"kind":"task-requeued","task":10,"stage":1`,
+		`"kind":"task-succeeded","task":10,"stage":1,"index":2,"node":"gpu","bytes":4096`,
+		`"kind":"stage-completed","stage":1,"job":0`,
+		`"kind":"exec-lost","node":"gpu","reason":"heartbeat timeout"`,
+		`"kind":"output-lost","stage":1,"index":2,"node":"gpu"`,
+		`"kind":"task-rolled-back","task":10,"stage":1`,
+		`"kind":"driver-crashed"`,
+		`"kind":"recovered"`,
+		`"kind":"task-adopted","task":11,"stage":1,"index":3,"node":"slow","spec":true`,
+		`"kind":"job-completed","job":0`,
+		`"kind":"job-aborted","job":0,"task":11,"stage":1,"reason":"oom"`,
+	}
+	var old []byte
+	for i, fields := range legacy {
+		body := fmt.Sprintf(`{"seq":%d,"t":%d,%s}`, i+1, i, fields)
+		old = fmt.Appendf(old, "%08x %s\n", crc32.ChecksumIEEE([]byte(body)), body)
+	}
+	l := New(nil, Options{})
+	l.Append(Record{Kind: KindJobSubmitted})
+	l.Append(Record{Kind: KindStageSubmitted, Stage: 1})
+	l.Append(Record{Kind: KindTaskLaunched, Task: 10, Node: "fast"})
+	l.Append(Record{Kind: KindTaskLaunched, Task: 10, Node: "gpu", Spec: true})
+	l.Append(Record{Kind: KindAttemptEnded, Task: 10, Node: "fast", Outcome: "flaked"})
+	l.Append(Record{Kind: KindTaskSucceeded, Task: 10, Stage: 1, Index: 2, Node: "gpu", Bytes: 4096})
+	l.Append(Record{Kind: KindExecLost, Node: "gpu"})
+	l.Append(Record{Kind: KindOutputLost, Stage: 1, Index: 2})
+	l.Append(Record{Kind: KindTaskRolledBack, Task: 10})
+	l.Append(Record{Kind: KindRecovered})
+	l.Append(Record{Kind: KindTaskAdopted, Task: 11, Node: "slow", Spec: true})
+
+	got, n, err := Replay(bytes.NewReader(old))
+	if err != nil || n != len(legacy) {
+		t.Fatalf("legacy stream replayed %d of %d records: %v", n, len(legacy), err)
+	}
+	want, _, err := Replay(bytes.NewReader(l.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Seq, got.T, want.Seq, want.T = 0, 0, 0, 0
+	if !bytes.Equal(got.Encode(), want.Encode()) {
+		t.Fatalf("legacy stream folds to a different state:\n%s\n---\n%s", got.Encode(), want.Encode())
+	}
+	if want.Counters.Launches != 2 || want.Counters.Resubmissions != 1 || len(want.Running[11]) != 1 {
+		t.Fatalf("the history folded to an unexpected state:\n%s", want.Encode())
 	}
 }
