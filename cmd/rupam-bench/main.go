@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	rupam-bench [-experiment all|fig2|fig3|tab2|tab4|fig5|fig6|tab5|fig7|fig8|fig9|ablations|faults|chaos|recovery|tracesanity|tenancy|preempt|elastic|federation|streaming]
+//	rupam-bench [-experiment all|fig2|fig3|tab2|tab4|fig5|fig6|tab5|fig7|fig8|fig9|ablations|faults|chaos|recovery|tracesanity|tenancy|preempt|elastic|federation|streaming|perf]
 //	            [-runs N] [-seed N] [-seeds N] [-csv DIR] [-json FILE]
 //
 // fig5 runs every workload under both schedulers -runs times (default 5,
@@ -43,7 +43,10 @@
 // must sustain at least the throughput of Storm-style resource-aware
 // placement, which must sustain at least blind round-robin (-csv writes
 // streaming_throughput.csv, -json the full report; a gate or invariant
-// violation exits nonzero). It is likewise explicit-only.
+// violation exits nonzero). It is likewise explicit-only. So is the perf
+// experiment, the wall-time performance battery (-json writes its BENCH
+// report; -baseline compares against one and exits nonzero on a
+// regression past -threshold).
 package main
 
 import (
@@ -65,10 +68,11 @@ import (
 	"rupam/internal/perf"
 )
 
-// experimentNames is every value -experiment accepts. "faults", "chaos"
-// and "perf" are the only ones outside "all": the first two inject
-// failures, so the default artifact sweep stays byte-identical run to
-// run, and "perf" measures wall time, which no artifact may depend on.
+// experimentNames is every value -experiment accepts. "all" runs the
+// fault-free paper artifacts, tab2 through ablations, so it stays
+// byte-identical run to run. The ten after them must be named: all but
+// "perf" inject failures, run many seeds or gate on invariants, and
+// "perf" measures wall time, which no artifact may depend on.
 var experimentNames = []string{
 	"all", "tab2", "tab4", "fig2", "fig3", "fig5", "fig6", "tab5",
 	"fig7", "fig8", "fig9", "ablations", "faults", "chaos", "recovery",

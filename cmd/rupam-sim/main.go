@@ -337,7 +337,7 @@ func main() {
 		spec.Spark.WAL = walLog
 	}
 	if wantTracing {
-		spec.Tracer = tracing.NewCollector()
+		spec.Spark.Tracer = tracing.NewCollector()
 	}
 
 	if *compare {
@@ -355,13 +355,13 @@ func main() {
 		report(res)
 		fmt.Printf("DB_taskchar: %d task records persisted to %s\n", db, *charDB)
 		walReport(walLog, walFile, *walPath)
-		traceReports(spec.Tracer, traceFile, *tracePath, *critPath, *explain, res)
+		traceReports(spec.Spark.Tracer, traceFile, *tracePath, *critPath, *explain, res)
 		return
 	}
 	res := experiments.Run(spec)
 	report(res)
 	walReport(walLog, walFile, *walPath)
-	traceReports(spec.Tracer, traceFile, *tracePath, *critPath, *explain, res)
+	traceReports(spec.Spark.Tracer, traceFile, *tracePath, *critPath, *explain, res)
 }
 
 // streamingBatchOnly lists the flags that have no meaning in a streaming

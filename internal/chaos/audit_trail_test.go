@@ -24,22 +24,17 @@ type traceEvent struct {
 	Args map[string]any `json:"args"`
 }
 
-// openSpanEnd is how far past the run's end the sentinel below pushes the
-// Collector's horizon: the exporter ends a span that was never closed
-// there, so a closed span is one that ends before it.
-const openSpanEnd = 1e6
-
 // auditedRun runs the soak workload under plan with a Collector attached
 // and returns the result with the Collector's exported events.
 func auditedRun(t *testing.T, scheduler string, seed uint64, cfg spark.Config) (*spark.Result, []traceEvent) {
 	t.Helper()
 	col := tracing.NewCollector()
+	cfg.Tracer = col
 	rt, app := experiments.NewRun(experiments.RunSpec{
 		Workload: soakWorkload, Params: soakParams, Scheduler: scheduler, Seed: seed,
-		Spark: cfg, Tracer: col,
+		Spark: cfg,
 	})
 	res := rt.Run(app)
-	col.FaultSpan("", "sentinel", "", openSpanEnd)
 	var buf bytes.Buffer
 	if err := col.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -52,30 +47,41 @@ func auditedRun(t *testing.T, scheduler string, seed uint64, cfg spark.Config) (
 }
 
 // checkClosedSpans checks that every completed job's span closed at the
-// job's end and every completed stage's span closed by the run's end.
+// job's end, every completed stage's span closed by the run's end, and
+// every other job and stage span is exported open.
 func checkClosedSpans(t *testing.T, res *spark.Result, evs []traceEvent) {
 	t.Helper()
-	end := map[string]float64{}
+	spans := map[string]traceEvent{}
 	for _, e := range evs {
 		if e.Ph == "X" {
-			end[e.Name] = (e.Ts + e.Dur) / 1e6
+			spans[e.Name] = e
 		}
+	}
+	// closedEnd returns the end of a completed job's or stage's span and
+	// checks that the span is exported open exactly when it did not
+	// complete.
+	closedEnd := func(name string, done bool) (end float64, closed bool) {
+		e, ok := spans[name]
+		if !ok {
+			if done {
+				t.Errorf("%s: completed, but has no span", name)
+			}
+			return 0, false
+		}
+		if open, _ := e.Args["open"].(bool); open == done {
+			t.Errorf("%s: completed %v, but its span is exported with open=%v", name, done, open)
+		}
+		return (e.Ts + e.Dur) / 1e6, done
 	}
 	for j, job := range res.App.Jobs {
 		name := fmt.Sprintf("job %d (%s)", job.ID, job.Name)
-		if j < len(res.JobEnds) {
-			if got, ok := end[name]; !ok || math.Abs(got-res.JobEnds[j]) > 1e-6 {
-				t.Errorf("%s: span ends at %v (found %v), job ended at %v", name, got, ok, res.JobEnds[j])
-			}
+		if end, closed := closedEnd(name, j < len(res.JobEnds)); closed && math.Abs(end-res.JobEnds[j]) > 1e-6 {
+			t.Errorf("%s: span ends at %v, job ended at %v", name, end, res.JobEnds[j])
 		}
 		for _, st := range job.Stages {
-			if !st.IsComplete() {
-				continue
-			}
 			name := fmt.Sprintf("stage %d (%s)", st.ID, st.Name)
-			if got, ok := end[name]; !ok || got > res.Duration+1e-6 {
-				t.Errorf("%s: completed, but its span ends at %v (found %v), after the run's end %v",
-					name, got, ok, res.Duration)
+			if end, closed := closedEnd(name, st.IsComplete()); closed && end > res.Duration+1e-6 {
+				t.Errorf("%s: completed, but its span ends at %v, after the run's end %v", name, end, res.Duration)
 			}
 		}
 	}

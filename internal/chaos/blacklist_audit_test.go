@@ -29,13 +29,14 @@ func TestBlacklistHeavyRunsSameTracedAndUntraced(t *testing.T) {
 	cfg := experiments.HardenedConfig()
 	cfg.Faults = &faults.Schedule{Events: events}
 	run := func(seed uint64, col *tracing.Collector) (string, int) {
+		cfg := cfg
+		cfg.Tracer = col
 		rt, app := experiments.NewRun(experiments.RunSpec{
 			Workload:  soakWorkload,
 			Params:    workloads.Params{InputGB: 1, Partitions: 16, Iterations: 2},
 			Scheduler: experiments.SchedSpark,
 			Seed:      seed,
 			Spark:     cfg,
-			Tracer:    col,
 		})
 		res := rt.Run(app)
 		if res.Aborted != nil {

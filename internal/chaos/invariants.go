@@ -15,12 +15,6 @@ import (
 // (package experiments reuses CheckResourceConservation instead of
 // hand-rolling the same assertions).
 
-// pendingCounter is the optional scheduler capability the queue-drain
-// check uses; both shipped schedulers implement it.
-type pendingCounter interface {
-	PendingTasks() int
-}
-
 // CheckInvariants runs every post-run invariant against a finished run
 // and returns the violations (empty means the run is clean). It asserts:
 //
@@ -88,10 +82,8 @@ func CheckAppInvariants(res *spark.Result, rt *spark.Runtime) []string {
 		if n := rt.SpeculatableCount(); n != 0 {
 			v = append(v, fmt.Sprintf("straggler set not drained: %d entries", n))
 		}
-		if pc, ok := rt.Scheduler().(pendingCounter); ok {
-			if n := pc.PendingTasks(); n != 0 {
-				v = append(v, fmt.Sprintf("scheduler queues not drained: %d pending tasks", n))
-			}
+		if n := rt.Scheduler().PendingTasks(); n != 0 {
+			v = append(v, fmt.Sprintf("scheduler queues not drained: %d pending tasks", n))
 		}
 	}
 

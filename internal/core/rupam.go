@@ -188,6 +188,11 @@ func (s *RUPAM) RelocatesCache() bool { return true }
 // Bind implements spark.Scheduler.
 func (s *RUPAM) Bind(rt *spark.Runtime) { s.rt = rt }
 
+// ExecutorSetChanged implements spark.ExecutorSetAware as a no-op: RUPAM
+// keeps no delay-scheduling state, and ExecutorLost purges a lost node's
+// offers.
+func (s *RUPAM) ExecutorSetChanged() {}
+
 // HeapFor implements spark.Scheduler: dynamic executor sizing — each node
 // gets (memory − reserve), instead of one conservative global size.
 func (s *RUPAM) HeapFor(node *cluster.Node) int64 {

@@ -63,9 +63,6 @@ func (r *Run) Speculative() bool { return r.opts.Speculative }
 // Done reports whether the attempt has reached a terminal state.
 func (r *Run) Done() bool { return r.done }
 
-// Executor returns the executor running the attempt.
-func (r *Run) Executor() *Executor { return r.ex }
-
 // armTimer schedules fn after delay, tracking the timer for cancellation.
 func (r *Run) armTimer(delay float64, fn func()) {
 	r.timer = r.ex.eng.Schedule(delay, func() {

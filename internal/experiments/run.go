@@ -14,7 +14,6 @@ import (
 	"rupam/internal/simx"
 	"rupam/internal/spark"
 	"rupam/internal/task"
-	"rupam/internal/tracing"
 	"rupam/internal/workloads"
 )
 
@@ -55,9 +54,6 @@ type RunSpec struct {
 	// utilization is recorded, as Figures 2, 8 and 9 need, only when
 	// SampleInterval is positive).
 	Spark spark.Config
-	// Tracer, when non-nil, records structured events (task lifecycle,
-	// scheduler decisions, faults) for export and critical-path analysis.
-	Tracer *tracing.Collector
 }
 
 // BuildCluster constructs the named topology on a fresh engine.
@@ -115,7 +111,6 @@ func newRuntime(eng *simx.Engine, clu *cluster.Cluster, spec RunSpec) *spark.Run
 
 	cfg := spec.Spark
 	cfg.Seed = spec.Seed*31 + 7
-	cfg.Tracer = spec.Tracer
 	return spark.NewRuntime(eng, clu, sched, cfg)
 }
 

@@ -62,10 +62,11 @@ func traceOnce(spec RunSpec) (TraceSanityRow, []string) {
 
 	run := func() (*tracing.Collector, []byte, float64, int) {
 		s := spec
-		s.Tracer = tracing.NewCollector()
+		col := tracing.NewCollector()
+		s.Spark.Tracer = col
 		res := Run(s)
 		var buf bytes.Buffer
-		if err := s.Tracer.WriteChromeTrace(&buf); err != nil {
+		if err := col.WriteChromeTrace(&buf); err != nil {
 			bad("trace export failed: %v", err)
 		}
 		// The critical path is computed per run because Analyze reads the
@@ -76,10 +77,10 @@ func traceOnce(spec RunSpec) (TraceSanityRow, []string) {
 		} else {
 			checkCritPath(cp, res.Duration, res.App, bad)
 		}
-		if got, want := s.Tracer.DecisionCount(), res.Launches; got != want {
+		if got, want := col.DecisionCount(), res.Launches; got != want {
 			bad("decision audit: %d committed decisions for %d launches", got, want)
 		}
-		return s.Tracer, buf.Bytes(), res.Duration, res.Launches
+		return col, buf.Bytes(), res.Duration, res.Launches
 	}
 
 	tr, data, duration, launches := run()

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"reflect"
 	"strings"
@@ -164,18 +165,28 @@ func TestInjectorAppliesAndRestores(t *testing.T) {
 	})
 	eng.Run()
 
-	if inj.Crashes != 1 || inj.Recoveries != 1 || inj.NICDegrades != 1 ||
-		inj.DiskDegrades != 1 || inj.HeartbeatLosses != 1 {
-		t.Fatalf("counters: %+v", inj)
-	}
 	var buf bytes.Buffer
 	if err := col.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"crash"`, "recovery 2s", `"nic-degrade"`, `"disk-degrade"`, `"heartbeat-loss"`} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("fault spans missing %s:\n%s", want, buf.String())
+	var tr struct {
+		TraceEvents []struct{ Name, Cat, Ph string }
+	}
+	if err := json.Unmarshal(buf.Bytes(), &tr); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]int{}
+	for _, e := range tr.TraceEvents {
+		if e.Cat == "fault" && e.Ph == "X" {
+			spans[e.Name]++
 		}
+	}
+	want := map[string]int{"crash": 1, "nic-degrade": 1, "disk-degrade": 1, "heartbeat-loss": 1}
+	if !reflect.DeepEqual(spans, want) {
+		t.Fatalf("fault spans by kind = %v, want %v", spans, want)
+	}
+	if !strings.Contains(buf.String(), "recovery 2s") {
+		t.Fatalf("crash span does not carry its recovery time:\n%s", buf.String())
 	}
 }
 

@@ -78,21 +78,9 @@ type Injector struct {
 	// handshake here.
 	OnAgentRestart func(node string)
 
-	// Counters for reporting.
-	Crashes         int
-	Recoveries      int
-	NICDegrades     int
-	DiskDegrades    int
-	HeartbeatLosses int
-	CPUDegrades     int
-	MemPressures    int
-	TaskFlakes      int
-	DriverCrashes   int
-	SpotNotices     int
-	SpotKills       int
-	LoadSpikes      int
-	AgentCrashes    int
-	AgentRestarts   int
+	// LoadSpikes counts the load-spike windows opened, for the streaming
+	// report.
+	LoadSpikes int
 }
 
 type windowKey struct {
@@ -185,7 +173,6 @@ func (inj *Injector) crashAgent(ev Event) {
 	if inj.OnAgentCrash == nil {
 		return
 	}
-	inj.AgentCrashes++
 	detail := "until explicit restart"
 	if ev.Duration > 0 {
 		detail = fmt.Sprintf("restart %.1fs", ev.Duration)
@@ -207,7 +194,6 @@ func (inj *Injector) agentBack(node string) {
 	if inj.OnAgentRestart == nil {
 		return
 	}
-	inj.AgentRestarts++
 	inj.OnAgentRestart(node)
 }
 
@@ -238,7 +224,6 @@ func (inj *Injector) preempt(ev Event) {
 	if !ok || ex.FailStopped() {
 		return
 	}
-	inj.SpotNotices++
 	inj.Collector.FaultSpan(ev.Node, "spot-preempt",
 		fmt.Sprintf("grace %.1fs", ev.Duration), ev.Duration)
 	if inj.OnSpotNotice != nil {
@@ -248,7 +233,6 @@ func (inj *Injector) preempt(ev Event) {
 		if ex.FailStopped() {
 			return
 		}
-		inj.SpotKills++
 		if inj.OnAgentCrash != nil {
 			// Reclamation takes the whole instance: the co-located agent
 			// dies for good with the node (downtime 0, no scheduled
@@ -266,7 +250,6 @@ func (inj *Injector) crashDriver(ev Event) {
 	if inj.OnDriverCrash == nil {
 		return
 	}
-	inj.DriverCrashes++
 	inj.Collector.FaultSpan("", "driver-crash",
 		fmt.Sprintf("restart %.1fs", ev.Duration), ev.Duration)
 	inj.OnDriverCrash(ev.Duration)
@@ -277,7 +260,6 @@ func (inj *Injector) crash(ev Event) {
 	if !ok || ex.FailStopped() {
 		return
 	}
-	inj.Crashes++
 	detail := "permanent"
 	if ev.Duration > 0 {
 		detail = fmt.Sprintf("recovery %.0fs", ev.Duration)
@@ -294,7 +276,6 @@ func (inj *Injector) crash(ev Event) {
 	ex.FailStop(ev.Duration)
 	if ev.Duration > 0 {
 		inj.eng.Schedule(ev.Duration, func() {
-			inj.Recoveries++
 			inj.agentBack(ev.Node)
 		})
 	}
@@ -361,7 +342,6 @@ func (inj *Injector) effectiveFactor(key windowKey) float64 {
 func (inj *Injector) degradeNIC(ev Event) {
 	node := inj.clu.Node(ev.Node)
 	base := node.Spec.NetBandwidth
-	inj.NICDegrades++
 	inj.Collector.FaultSpan(ev.Node, "nic-degrade",
 		fmt.Sprintf("×%.2f for %.0fs", ev.Factor, ev.Duration), ev.Duration)
 	inj.openWindow(ev, func(f float64) {
@@ -372,7 +352,6 @@ func (inj *Injector) degradeNIC(ev Event) {
 func (inj *Injector) degradeDisk(ev Event) {
 	node := inj.clu.Node(ev.Node)
 	readBase, writeBase := node.Spec.DiskReadBW, node.Spec.DiskWriteBW
-	inj.DiskDegrades++
 	inj.Collector.FaultSpan(ev.Node, "disk-degrade",
 		fmt.Sprintf("×%.2f for %.0fs", ev.Factor, ev.Duration), ev.Duration)
 	inj.openWindow(ev, func(f float64) {
@@ -384,7 +363,6 @@ func (inj *Injector) degradeDisk(ev Event) {
 func (inj *Injector) degradeCPU(ev Event) {
 	node := inj.clu.Node(ev.Node)
 	spec := node.Spec
-	inj.CPUDegrades++
 	inj.Collector.FaultSpan(ev.Node, "cpu-degrade",
 		fmt.Sprintf("×%.2f for %.0fs", ev.Factor, ev.Duration), ev.Duration)
 	inj.openWindow(ev, func(f float64) {
@@ -398,7 +376,6 @@ func (inj *Injector) pressureMem(ev Event) {
 	if !ok {
 		return
 	}
-	inj.MemPressures++
 	inj.Collector.FaultSpan(ev.Node, "mem-pressure",
 		fmt.Sprintf("×%.2f for %.0fs", ev.Factor, ev.Duration), ev.Duration)
 	inj.openWindow(ev, func(f float64) {
@@ -411,7 +388,6 @@ func (inj *Injector) flakeTasks(ev Event) {
 	if !ok {
 		return
 	}
-	inj.TaskFlakes++
 	inj.Collector.FaultSpan(ev.Node, "task-flake",
 		fmt.Sprintf("p=%.2f for %.0fs", ev.Factor, ev.Duration), ev.Duration)
 	inj.openWindow(ev, func(p float64) {
@@ -420,7 +396,6 @@ func (inj *Injector) flakeTasks(ev Event) {
 }
 
 func (inj *Injector) loseHeartbeats(ev Event) {
-	inj.HeartbeatLosses++
 	inj.Collector.FaultSpan(ev.Node, "heartbeat-loss",
 		fmt.Sprintf("for %.0fs", ev.Duration), ev.Duration)
 	inj.hbLost[ev.Node]++

@@ -115,9 +115,6 @@ func (a *Agent) SetDrivers(addrs []string) { a.drivers = addrs }
 // Incarnation returns the agent's crash count; boot is incarnation 0.
 func (a *Agent) Incarnation() uint64 { return a.inc }
 
-// Down reports whether the agent is currently crashed.
-func (a *Agent) Down() bool { return a.down }
-
 // Crash kills the agent amnesiac: every claim, expiry timer and tombstone
 // is wiped and the reserved slots are implicitly freed — node-local daemon
 // state does not survive the process. The plane drops deliveries while the

@@ -184,10 +184,11 @@ func Run(cfg Config) *Result {
 	}
 	sub := spark.NewSubstrate(eng, clu, spark.SubstrateOptions{
 		Seed:              cfg.Seed*31 + 7,
+		Scheduler:         spark.NewDefaultScheduler(),
 		HeartbeatInterval: cfg.Spark.HeartbeatInterval,
 		Tracer:            cfg.Spark.Tracer,
 		OnRestart: func() {
-			fan(func(rt *spark.Runtime) { rt.NotifyExecutorSetChanged() })
+			fan(func(rt *spark.Runtime) { rt.Scheduler().ExecutorSetChanged() })
 			fan(func(rt *spark.Runtime) { rt.Scheduler().Schedule() })
 		},
 		OnHeartbeat: func(node string, nm *monitor.NodeMetrics) {

@@ -108,9 +108,6 @@ func NewStore(nodes []string, replication int, seed uint64) *Store {
 	}
 }
 
-// Nodes returns the store's node names.
-func (s *Store) Nodes() []string { return s.nodes }
-
 // Replication returns the default replication factor.
 func (s *Store) Replication() int { return s.replication }
 

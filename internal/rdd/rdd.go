@@ -66,9 +66,6 @@ func NewContext(appName string, store *hdfs.Store, seed uint64) *Context {
 // App returns the application built so far.
 func (c *Context) App() *task.Application { return c.app }
 
-// Store returns the context's block store.
-func (c *Context) Store() *hdfs.Store { return c.store }
-
 // RDD is a node in the logical plan.
 type RDD struct {
 	ctx  *Context

@@ -73,6 +73,10 @@ func (s *DefaultScheduler) Name() string { return "spark" }
 // Bind implements Scheduler.
 func (s *DefaultScheduler) Bind(rt *Runtime) { s.rt = rt }
 
+// RelocatesCache implements CacheRelocator: stock Spark leaves a cached
+// partition where it was written and reads it remotely.
+func (s *DefaultScheduler) RelocatesCache() bool { return false }
+
 // localityWait is the delay-scheduling relaxation timeout per locality
 // level, in seconds (spark.locality.wait).
 const localityWait float64 = 3

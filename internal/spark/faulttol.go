@@ -17,9 +17,9 @@ import (
 // simulation; with no faults injected none of it ever observes a missing
 // heartbeat, so runs without a fault schedule are unchanged.
 
-// ExecutorLossAware is an optional Scheduler capability: schedulers that
-// keep per-node state (offer queues, in-flight counts, best-node locks)
-// implement it to purge a lost node.
+// ExecutorLossAware is the part of the Scheduler contract told when a
+// node's executor is lost: the scheduler purges its per-node state (offer
+// queues, in-flight counts, best-node locks).
 type ExecutorLossAware interface {
 	ExecutorLost(node string)
 }
@@ -94,7 +94,7 @@ func (rt *Runtime) noteHeartbeat(node string) {
 		rt.clearPreempted(node)
 		// A rejoined node may restore locality levels the pending stages
 		// gave up on; let the scheduler re-derive its delay state.
-		rt.notifyExecutorSetChanged()
+		rt.sched.ExecutorSetChanged()
 	}
 }
 
@@ -112,10 +112,8 @@ func (rt *Runtime) executorLost(node string, reason string) {
 	rt.Cfg.Tracer.ExecutorLost(node, reason)
 	rt.wlog.Append(wal.Record{Kind: wal.KindExecLost, Node: node})
 
-	if ela, ok := rt.sched.(ExecutorLossAware); ok {
-		ela.ExecutorLost(node)
-	}
-	rt.notifyExecutorSetChanged()
+	rt.sched.ExecutorLost(node)
+	rt.sched.ExecutorSetChanged()
 
 	// Decide fetch redirection before the rollback wipes the stage maps: a
 	// preempted node whose still-needed shuffle outputs were all relocated

@@ -90,7 +90,7 @@ func TestExecutorSetChangeUnstallsLocalityWait(t *testing.T) {
 		rt.Start(app)
 		if notify {
 			// The tenant layer fires this when a lease set changes.
-			w.eng.Schedule(1, rt.NotifyExecutorSetChanged)
+			w.eng.Schedule(1, rt.Scheduler().ExecutorSetChanged)
 		}
 		w.eng.RunUntil(3600)
 		if !rt.Done() {

@@ -109,7 +109,7 @@ func (rt *Runtime) PreemptNotice(node string, grace float64) {
 	// go elsewhere and the grace window is spent only finishing what is
 	// already running and draining outputs.
 	rec.FencedFrom = now
-	rt.notifyExecutorSetChanged()
+	rt.sched.ExecutorSetChanged()
 	// Attempts already running race the deadline: start speculative copies
 	// now (decommission-style migration) so long tasks that cannot finish
 	// in the window are already re-running elsewhere when the kill lands.

@@ -23,12 +23,11 @@ import (
 // unreachable or restarted executors lost), redelivers the buffered
 // completions through the normal completion path, and resumes.
 
-// RecoveryAware is an optional Scheduler capability: schedulers that keep
-// internal queues or learned state (RUPAM's CharDB, the default
-// scheduler's locality queues) implement it to rebuild themselves from
-// the replayed write-ahead-log state after a driver crash. Schedulers
-// without it are rebuilt implicitly through the StageSubmitted/Resubmit
-// calls recovery replays.
+// RecoveryAware is the part of the Scheduler contract called after a
+// driver crash: the scheduler rebuilds its internal queues and learned
+// state (RUPAM's CharDB, the default scheduler's locality queues) from
+// the replayed write-ahead-log state, before recovery re-hands it the
+// active stages through StageSubmitted.
 type RecoveryAware interface {
 	DriverRecovery(s *wal.State)
 }
@@ -112,9 +111,7 @@ func (rt *Runtime) recoverDriver() {
 	rt.wlog.Append(wal.Record{Kind: wal.KindRecovered})
 
 	// 4. Let the scheduler rebuild its internal state from the fold.
-	if ra, ok := rt.sched.(RecoveryAware); ok {
-		ra.DriverRecovery(s)
-	}
+	rt.sched.DriverRecovery(s)
 
 	// 5. Reconcile, part one — adoption: on every reachable executor
 	// still running the incarnation the log knew, re-adopt the in-flight

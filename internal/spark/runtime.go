@@ -85,26 +85,34 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// CacheRelocator is an optional Scheduler capability: a scheduler that
-// migrates tasks deliberately wants cached partitions to follow them.
+// CacheRelocator is the part of the Scheduler contract that decides cache
+// relocation: a scheduler that migrates tasks deliberately wants cached
+// partitions to follow them.
 type CacheRelocator interface {
 	RelocatesCache() bool
 }
 
-// ExecutorSetAware is an optional Scheduler capability: schedulers whose
-// pending queues carry time-based state keyed to the set of usable
-// executors (the default scheduler's delay-scheduling level and timer)
-// implement it to re-derive that state when the set changes — a node is
-// lost or rejoins, a crashed worker restarts, or dynamic allocation
-// grants/revokes the application's slots on a node.
+// ExecutorSetAware is the part of the Scheduler contract told when the set
+// of usable executors changes — a node is lost or rejoins, a crashed
+// worker restarts, or dynamic allocation grants/revokes the application's
+// slots on a node. Schedulers whose pending queues carry time-based state
+// keyed to that set (the default scheduler's delay-scheduling level and
+// timer) re-derive it here.
 type ExecutorSetAware interface {
 	ExecutorSetChanged()
 }
 
-// Scheduler is the task-placement policy. The Runtime notifies it of
-// schedulable work and cluster events; the scheduler responds by calling
-// Runtime.Launch.
+// Scheduler is the task-placement policy together with the executor
+// policy that comes with it (heap sizing, cache relocation). The Runtime
+// notifies it of schedulable work and cluster events; the scheduler
+// responds by calling Runtime.Launch. A substrate asks an unbound
+// scheduler only HeapFor and RelocatesCache.
 type Scheduler interface {
+	CacheRelocator
+	ExecutorSetAware
+	ExecutorLossAware
+	RecoveryAware
+
 	// Name identifies the scheduler in reports ("spark", "rupam", ...).
 	Name() string
 	// Bind attaches the scheduler to a runtime before the app starts.
@@ -123,6 +131,9 @@ type Scheduler interface {
 	Heartbeat(node string, nm *monitor.NodeMetrics)
 	// Schedule launches as many pending tasks as current resources allow.
 	Schedule()
+	// PendingTasks counts queued tasks still genuinely pending: the
+	// tenant layer's FAIR demand and the chaos queue-drain check.
+	PendingTasks() int
 }
 
 // Runtime wires a cluster, an application, and a scheduler together and
@@ -156,9 +167,9 @@ type Runtime struct {
 	sub           *Substrate
 	ownsSubstrate bool
 	hooks         Hooks
-	// hbDelivered counts heartbeats this runtime actually processed; in
-	// shared-monitor mode Result.Heartbeats reports it instead of the
-	// monitor's all-application total.
+	// hbDelivered counts heartbeats this runtime actually processed, which
+	// Result.Heartbeats reports: a shared monitor's total counts every
+	// application's.
 	hbDelivered int
 
 	// driver state (driver.go)
@@ -329,18 +340,6 @@ func (rt *Runtime) reschedule() {
 	rt.sched.Schedule()
 }
 
-// notifyExecutorSetChanged tells a capable scheduler the usable executor
-// set changed, so stale delay-scheduling state can be re-derived.
-func (rt *Runtime) notifyExecutorSetChanged() {
-	if esa, ok := rt.sched.(ExecutorSetAware); ok {
-		esa.ExecutorSetChanged()
-	}
-}
-
-// NotifyExecutorSetChanged is the exported hook the tenant layer calls
-// when dynamic allocation grants or revokes this application's slots.
-func (rt *Runtime) NotifyExecutorSetChanged() { rt.notifyExecutorSetChanged() }
-
 // DeliverHeartbeat feeds one node report into this application's driver:
 // loss detection bookkeeping plus the scheduler's resource view. In
 // single-application mode the monitor calls it directly; in tenant mode
@@ -378,15 +377,8 @@ func (rt *Runtime) Crashed() bool { return rt.crashed }
 // App returns the application this runtime is driving (nil before Start).
 func (rt *Runtime) App() *task.Application { return rt.app }
 
-// Aborted returns the structured abort error, or nil.
-func (rt *Runtime) Aborted() *AbortError { return rt.aborted }
-
 // Scheduler returns the bound scheduler.
 func (rt *Runtime) Scheduler() Scheduler { return rt.sched }
-
-// Injector returns the fault injector, or nil when no faults were
-// configured. Experiments read its counters for reporting.
-func (rt *Runtime) Injector() *faults.Injector { return rt.inj }
 
 // WAL returns the run's write-ahead log (nil when none is kept).
 func (rt *Runtime) WAL() *wal.Log { return rt.wlog }
@@ -471,15 +463,13 @@ func (rt *Runtime) Start(app *task.Application) {
 		// Executors sized by the scheduler's policy; heartbeats drive
 		// scheduling rounds (and RUPAM's RM).
 		rt.ownsSubstrate = true
-		cr, ok := rt.sched.(CacheRelocator)
 		sub := NewSubstrate(rt.Eng, rt.Clu, SubstrateOptions{
 			Seed:              rt.Cfg.Seed,
-			HeapFor:           rt.sched.HeapFor,
+			Scheduler:         rt.sched,
 			HeartbeatInterval: rt.Cfg.HeartbeatInterval,
-			RelocateCache:     ok && cr.RelocatesCache(),
 			Tracer:            rt.Cfg.Tracer,
 			OnRestart: func() {
-				rt.notifyExecutorSetChanged()
+				rt.sched.ExecutorSetChanged()
 				rt.reschedule()
 			},
 			OnHeartbeat: func(node string, nm *monitor.NodeMetrics) {
@@ -546,17 +536,13 @@ func (rt *Runtime) Start(app *task.Application) {
 // drains; tenant managers call it per application from its Done hook.
 func (rt *Runtime) BuildResult() *Result {
 	app := rt.app
-	heartbeats := rt.hbDelivered
-	if rt.ownsSubstrate {
-		heartbeats = rt.Mon.Heartbeats
-	}
 	res := &Result{
 		App:        app,
 		Scheduler:  rt.sched.Name(),
 		Duration:   rt.appEnd - rt.appStart,
 		JobEnds:    rt.jobEnds,
 		Evictions:  rt.Cache.Evictions,
-		Heartbeats: heartbeats,
+		Heartbeats: rt.hbDelivered,
 		Counters:   rt.Counters,
 		Aborted:    rt.aborted,
 	}

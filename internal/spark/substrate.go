@@ -30,13 +30,14 @@ type SubstrateOptions struct {
 	// Seed is the framework seed; node i's executor draws from
 	// Seed + i*7919 over the cluster's node order.
 	Seed uint64
-	// HeapFor sizes each node's executor heap; nil uses StaticHeapBytes.
-	HeapFor func(*cluster.Node) int64
+	// Scheduler is the policy the run's drivers place tasks with; its
+	// HeapFor sizes each node's executor heap and its RelocatesCache
+	// decides whether cached partitions follow migrated tasks. It is only
+	// asked, never bound.
+	Scheduler Scheduler
 	// HeartbeatInterval is the monitor period; 0 means 1 s.
 	HeartbeatInterval float64
-	// RelocateCache mirrors the RUPAM cache-relocation policy.
-	RelocateCache bool
-	Tracer        *tracing.Collector
+	Tracer            *tracing.Collector
 	// OnRestart fires when any executor restarts (after a crash window);
 	// the owner fans executor-set-change notifications to its drivers.
 	OnRestart func()
@@ -50,19 +51,15 @@ type SubstrateOptions struct {
 // driver program runs on the cluster's first node, so result flows land
 // there. Fault injection stays with the caller: it owns crash routing.
 func NewSubstrate(eng *simx.Engine, clu *cluster.Cluster, o SubstrateOptions) *Substrate {
-	heapFor := o.HeapFor
-	if heapFor == nil {
-		heapFor = func(*cluster.Node) int64 { return StaticHeapBytes }
-	}
 	cache := executor.NewCacheTracker()
 	execs := make(map[string]*executor.Executor)
 	for i, n := range clu.Nodes {
 		ex := executor.New(eng, clu, n, cache, execs, executor.Config{
-			HeapBytes:                 heapFor(n),
+			HeapBytes:                 o.Scheduler.HeapFor(n),
 			Seed:                      o.Seed + uint64(i)*7919,
 			DriverNode:                clu.Nodes[0].Name(),
 			Tracer:                    o.Tracer,
-			RelocateCacheOnRemoteRead: o.RelocateCache,
+			RelocateCacheOnRemoteRead: o.Scheduler.RelocatesCache(),
 		})
 		ex.OnRestart = o.OnRestart
 	}

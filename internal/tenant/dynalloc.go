@@ -159,7 +159,7 @@ func (m *Manager) scaleUp(a *appState, n int) int {
 		granted++
 	}
 	if granted > 0 && a.rt != nil {
-		a.rt.NotifyExecutorSetChanged()
+		a.rt.Scheduler().ExecutorSetChanged()
 	}
 	if granted < n {
 		// Unmet demand becomes an acquisition request (no-op unless the
@@ -189,7 +189,7 @@ func (m *Manager) releaseLease(a *appState, node string, reason string) {
 	}
 	m.cfg.Tracer.LeaseChanged(a.label, node, 0, reason)
 	if a.rt != nil && !a.done {
-		a.rt.NotifyExecutorSetChanged()
+		a.rt.Scheduler().ExecutorSetChanged()
 	}
 }
 

@@ -386,12 +386,6 @@ func (m *Manager) checkElasticEndState() {
 	}
 }
 
-// CloudCost returns the run's total metered instance cost in dollars.
-func (m *Manager) CloudCost() float64 { return m.cloudCost }
-
-// Acquisitions returns how many instance grants the pilot queue made.
-func (m *Manager) Acquisitions() int { return m.acquisitions }
-
 // AcquireDenials returns how many capacity denials the pilot queue hit.
 func (m *Manager) AcquireDenials() int { return m.denials }
 

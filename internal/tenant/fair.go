@@ -20,18 +20,10 @@ import (
 // The heterogeneity heuristics keep choosing *which node* a task lands
 // on; this layer only decides *which application's tasks* may launch.
 
-// pendingCounter is the scheduler capability both shipped policies
-// implement; demand = live attempts + genuinely pending tasks.
-type pendingCounter interface {
-	PendingTasks() int
-}
-
+// demandOf splits an application's demand into live attempts and
+// genuinely pending tasks.
 func (m *Manager) demandOf(a *appState) (live, pending int) {
-	live = a.rt.LiveAttempts()
-	if pc, ok := a.rt.Scheduler().(pendingCounter); ok {
-		pending = pc.PendingTasks()
-	}
-	return live, pending
+	return a.rt.LiveAttempts(), a.rt.Scheduler().PendingTasks()
 }
 
 // ScheduleAll runs a global FAIR scheduling round over every active

@@ -115,9 +115,6 @@ func (m *Manager) AppRuns() []AppRun {
 // Substrate exposes the shared cluster-side state (invariant checks).
 func (m *Manager) Substrate() *spark.Substrate { return m.sub }
 
-// Violations returns the accumulated invariant violations.
-func (m *Manager) Violations() []string { return m.violations }
-
 func (m *Manager) recordOf(a *appState) AppRecord {
 	rec := AppRecord{
 		Label:    a.label,

@@ -136,6 +136,9 @@ type Manager struct {
 	clu *cluster.Cluster
 	sub *spark.Substrate
 
+	// newSched builds one application's scheduler; the substrate asks one
+	// more for the run's executor policy.
+	newSched func() spark.Scheduler
 	sharedDB *core.CharDB // every RUPAM application's characteristics; nil under spark
 
 	capacity  int // total cluster cores
@@ -186,11 +189,17 @@ type Manager struct {
 
 // NewManager validates and captures the configuration; Run does the work.
 func NewManager(cfg Config) *Manager {
-	cfg = cfg.withDefaults()
-	if cfg.Scheduler != "spark" && cfg.Scheduler != "rupam" {
-		panic(fmt.Sprintf("tenant: unknown scheduler %q", cfg.Scheduler))
+	m := &Manager{cfg: cfg.withDefaults()}
+	switch m.cfg.Scheduler {
+	case "spark":
+		m.newSched = func() spark.Scheduler { return spark.NewDefaultScheduler() }
+	case "rupam":
+		m.sharedDB = core.NewCharDB()
+		m.newSched = func() spark.Scheduler { return core.NewWithDB(core.Config{}, m.sharedDB) }
+	default:
+		panic(fmt.Sprintf("tenant: unknown scheduler %q", m.cfg.Scheduler))
 	}
-	return &Manager{cfg: cfg}
+	return m
 }
 
 // Run executes the whole multi-tenant scenario on a fresh engine and
@@ -229,9 +238,6 @@ func (m *Manager) start() {
 	}
 
 	m.buildSubstrate()
-	if m.cfg.Scheduler == "rupam" {
-		m.sharedDB = core.NewCharDB()
-	}
 
 	m.arrivals = drawArrivals(m.cfg.Seed, m.cfg.Arrivals)
 	for i := range m.arrivals {
@@ -249,13 +255,12 @@ func (m *Manager) start() {
 func (m *Manager) buildSubstrate() {
 	m.sub = spark.NewSubstrate(m.eng, m.clu, spark.SubstrateOptions{
 		Seed:              m.cfg.Seed*31 + 7,
-		HeapFor:           m.heapPolicy(),
+		Scheduler:         m.newSched(),
 		HeartbeatInterval: m.cfg.Spark.HeartbeatInterval,
-		RelocateCache:     m.cfg.Scheduler == "rupam",
 		Tracer:            m.cfg.Tracer,
 		OnRestart: func() {
 			for _, a := range m.activeApps() {
-				a.rt.NotifyExecutorSetChanged()
+				a.rt.Scheduler().ExecutorSetChanged()
 			}
 			m.ScheduleAll()
 		},
@@ -277,17 +282,6 @@ func (m *Manager) buildSubstrate() {
 		inj.OnSpotKill = m.onSpotKill
 		inj.Install(m.cfg.Faults)
 	}
-}
-
-// heapPolicy sizes the shared node-level executors the way the run's
-// scheduler would size its own: RUPAM's memory-aware per-node heap, or
-// stock Spark's one static size everywhere.
-func (m *Manager) heapPolicy() func(*cluster.Node) int64 {
-	if m.cfg.Scheduler == "rupam" {
-		sizer := core.New(core.Config{})
-		return sizer.HeapFor
-	}
-	return func(*cluster.Node) int64 { return spark.StaticHeapBytes }
 }
 
 // activeApps returns the running applications in arrival order — the
@@ -371,13 +365,6 @@ func (m *Manager) startApp(a *appState) {
 	app.Name = a.label
 	a.app = app
 
-	var sched spark.Scheduler
-	if m.cfg.Scheduler == "rupam" {
-		sched = core.NewWithDB(core.Config{}, m.sharedDB)
-	} else {
-		sched = spark.NewDefaultScheduler()
-	}
-
 	cfg := m.cfg.Spark
 	cfg.Faults = nil // the injector belongs to the manager
 	cfg.WAL = nil
@@ -392,7 +379,7 @@ func (m *Manager) startApp(a *appState) {
 		cfg.WAL = wal.New(nil, wal.Options{Clock: m.eng.Now})
 	}
 
-	rt := spark.NewRuntimeOn(m.eng, m.clu, sched, cfg, m.sub, spark.Hooks{
+	rt := spark.NewRuntimeOn(m.eng, m.clu, m.newSched(), cfg, m.sub, spark.Hooks{
 		CanLaunch:  func(node string) bool { return a.leases[node] > 0 },
 		UnderCap:   func() bool { return a.rt.LiveAttempts() < a.slotTarget },
 		Reschedule: m.ScheduleAll,

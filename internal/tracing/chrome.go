@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 )
 
@@ -14,9 +15,12 @@ import (
 //	pid 2+i          node i in registration order — tid s+1 for core slot s,
 //	                 tid 999 for the fault/executor-status track
 //
-// Events carry ts/dur in microseconds of virtual time. Output bytes are
-// deterministic: events are stably sorted by (ts, emit sequence) and
-// serialized with encoding/json, which orders object keys.
+// Events carry ts/dur in microseconds of virtual time. A span still open
+// at export (an aborted run's job and stages, a permanent crash) ends at
+// the trace's horizon with "open": true in its args, so it cannot be read
+// as one that closed there. Output bytes are deterministic: events are
+// stably sorted by (ts, emit sequence) and serialized with encoding/json,
+// which orders object keys.
 
 const (
 	driverPid    = 1
@@ -112,9 +116,14 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	var evs []keyed
 
 	for _, sp := range c.spans {
-		end := sp.end
+		end, args := sp.end, sp.args
 		if end < 0 {
 			end = c.maxTime
+			args = maps.Clone(sp.args)
+			if args == nil {
+				args = map[string]interface{}{}
+			}
+			args["open"] = true
 		}
 		pid, tid := driverPid, tidJobs
 		switch sp.cat {
@@ -128,7 +137,7 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		evs = append(evs, keyed{seq: sp.seq, ev: chromeEvent{
 			Name: sp.name, Cat: sp.cat, Ph: "X",
 			Ts: usec(sp.start), Dur: durPtr(sp.start, end),
-			Pid: pid, Tid: tid, Args: sp.args,
+			Pid: pid, Tid: tid, Args: args,
 		}})
 	}
 

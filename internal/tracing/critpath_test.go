@@ -44,7 +44,7 @@ func TestCriticalPathInvariants(t *testing.T) {
 	for _, sched := range []string{experiments.SchedSpark, experiments.SchedRUPAM} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			spec := smallSpec(sched, seed)
-			spec.Tracer = tracing.NewCollector()
+			spec.Spark.Tracer = tracing.NewCollector()
 			res := experiments.Run(spec)
 
 			cp, err := tracing.Analyze(res.App)
@@ -75,11 +75,11 @@ func TestCriticalPathInvariants(t *testing.T) {
 			}
 
 			// Every launch committed exactly one decision record.
-			if got, want := spec.Tracer.DecisionCount(), res.Launches; got != want {
+			if got, want := spec.Spark.Tracer.DecisionCount(), res.Launches; got != want {
 				t.Errorf("%s seed %d: %d decisions for %d launches", sched, seed, got, want)
 			}
 			var buf bytes.Buffer
-			if err := spec.Tracer.WriteChromeTrace(&buf); err != nil {
+			if err := spec.Spark.Tracer.WriteChromeTrace(&buf); err != nil {
 				t.Fatalf("%s seed %d: export: %v", sched, seed, err)
 			}
 			if err := tracing.ValidateChromeTrace(buf.Bytes()); err != nil {
@@ -109,10 +109,10 @@ func TestAnalyzeRejectsIncompleteApp(t *testing.T) {
 func TestTraceGolden(t *testing.T) {
 	export := func(scheduler string) []byte {
 		spec := smallSpec(scheduler, 1)
-		spec.Tracer = tracing.NewCollector()
+		spec.Spark.Tracer = tracing.NewCollector()
 		experiments.Run(spec)
 		var buf bytes.Buffer
-		if err := spec.Tracer.WriteChromeTrace(&buf); err != nil {
+		if err := spec.Spark.Tracer.WriteChromeTrace(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -132,7 +132,7 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 	for _, sched := range []string{experiments.SchedSpark, experiments.SchedRUPAM} {
 		plain := experiments.Run(smallSpec(sched, 2))
 		spec := smallSpec(sched, 2)
-		spec.Tracer = tracing.NewCollector()
+		spec.Spark.Tracer = tracing.NewCollector()
 		traced := experiments.Run(spec)
 		if plain.Duration != traced.Duration || plain.Launches != traced.Launches {
 			t.Errorf("%s: tracing changed the run: %.9fs/%d launches vs %.9fs/%d launches",

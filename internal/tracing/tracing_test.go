@@ -2,6 +2,7 @@ package tracing
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"reflect"
 	"strings"
@@ -239,6 +240,71 @@ func TestOpenSpansCloseAtTraceEnd(t *testing.T) {
 	// negative or absent.
 	if !strings.Contains(buf.String(), `"dur":4000000`) {
 		t.Fatalf("open crash span not closed at trace end:\n%s", buf.String())
+	}
+}
+
+// TestAbortedRunMarksOpenSpans scripts an aborted run: its job and the
+// stage running at the abort never close. The export must end both at the
+// horizon and mark them open, and must not mark the stage that finished.
+func TestAbortedRunMarksOpenSpans(t *testing.T) {
+	eng := simx.NewEngine()
+	c := NewCollector()
+	c.Bind(eng)
+	c.RegisterNode("n1", 1)
+	eng.At(0, func() {
+		c.JobBegin(0, "aborted")
+		c.StageBegin(&task.Stage{ID: 1, Name: "map"})
+	})
+	eng.At(2, func() {
+		c.StageEnd(1)
+		c.StageBegin(&task.Stage{ID: 2, Name: "reduce"})
+	})
+	eng.At(3, func() { c.JobAborted("task failed 4 times") })
+	eng.At(5, func() { c.ExecutorLost("n1", "heartbeat timeout") })
+	eng.Run()
+
+	var buf bytes.Buffer
+	if err := c.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var tr struct {
+		TraceEvents []struct {
+			Name    string
+			Ph      string
+			Ts, Dur float64
+			Args    map[string]interface{}
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &tr); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]struct {
+		end  float64
+		open bool
+	}{
+		"job 0 (aborted)":  {5, true},
+		"stage 1 (map)":    {2, false},
+		"stage 2 (reduce)": {5, true},
+	}
+	seen := 0
+	for _, e := range tr.TraceEvents {
+		w, ok := want[e.Name]
+		if !ok || e.Ph != "X" {
+			continue
+		}
+		seen++
+		if end := (e.Ts + e.Dur) / 1e6; end != w.end {
+			t.Errorf("%s ends at %vs, want %vs", e.Name, end, w.end)
+		}
+		if open, _ := e.Args["open"].(bool); open != w.open {
+			t.Errorf("%s: open = %v, want %v (args %v)", e.Name, open, w.open, e.Args)
+		}
+		if strings.HasPrefix(e.Name, "stage") && e.Args["kind"] == nil {
+			t.Errorf("%s lost its stage args: %v", e.Name, e.Args)
+		}
+	}
+	if seen != len(want) {
+		t.Fatalf("found %d of the %d job and stage spans:\n%s", seen, len(want), buf.String())
 	}
 }
 
