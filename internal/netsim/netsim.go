@@ -127,6 +127,8 @@ type Network struct {
 	holdAt  float64
 	stale   bool
 
+	fills uint64 // re-rates so far; see Fills
+
 	// scratch, reused across re-rates
 	wfGen    uint64
 	active   []*Flow  // active non-loopback flows
@@ -336,10 +338,17 @@ func (n *Network) advance() {
 	n.lastUpdate = now
 }
 
+// Fills returns how many times the network has re-rated its flows: one
+// water-fill per flow start, finish, cancel or capacity change, or one
+// per Release that follows any of those under a hold. The count is
+// deterministic, so it measures re-rating work independently of the host.
+func (n *Network) Fills() uint64 { return n.fills }
+
 // reallocate recomputes max-min fair rates for every active flow after
 // a membership or capacity change and re-arms the completion timer.
 func (n *Network) reallocate() {
 	n.stale = false
+	n.fills++
 	for _, i := range n.ifaceList {
 		i.egRate, i.inRate = 0, 0
 	}

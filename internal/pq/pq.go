@@ -1,6 +1,5 @@
-// Package pq provides a small generic binary heap used across the
-// simulator: the event queue in simx, flow bookkeeping in netsim, and the
-// per-resource priority queues in the RUPAM dispatcher.
+// Package pq provides a small generic binary heap. Its one user is the
+// event queue of the simx engine.
 //
 // The zero Heap is not usable; construct one with New. The heap is not
 // safe for concurrent use: the simulation is single-threaded by design so

@@ -25,6 +25,7 @@ type timerNode struct {
 	seq      uint64
 	gen      uint64
 	fn       func()
+	eng      *Engine // owner, whose live count a Cancel decrements
 	canceled bool
 }
 
@@ -42,9 +43,10 @@ type Timer struct {
 // Cancel prevents the timer's callback from running. Cancelling an
 // already-fired or already-cancelled timer is a no-op.
 func (t Timer) Cancel() {
-	if t.n != nil && t.n.gen == t.gen {
+	if t.n != nil && t.n.gen == t.gen && !t.n.canceled {
 		t.n.canceled = true
 		t.n.fn = nil
+		t.n.eng.live--
 	}
 }
 
@@ -67,6 +69,7 @@ type Engine struct {
 	now     float64
 	seq     uint64
 	events  *pq.Heap[*timerNode]
+	live    int // queued events not cancelled
 	running bool
 	fired   uint64
 
@@ -126,7 +129,7 @@ func (e *Engine) getNode() *timerNode {
 		return nd
 	}
 	e.news++
-	return &timerNode{}
+	return &timerNode{eng: e}
 }
 
 // putNode retires a node that has left the heap. The generation bump
@@ -158,6 +161,7 @@ func (e *Engine) At(t float64, fn func()) Timer {
 	nd := e.getNode()
 	nd.t, nd.seq, nd.fn, nd.canceled = t, e.seq, fn, false
 	e.events.Push(nd)
+	e.live++
 	return Timer{n: nd, gen: nd.gen}
 }
 
@@ -192,6 +196,7 @@ func (e *Engine) RunUntil(limit float64) {
 		e.now = nd.t
 		fn := nd.fn
 		e.putNode(nd)
+		e.live--
 		e.fired++
 		fn()
 	}
@@ -212,6 +217,7 @@ func (e *Engine) Step() bool {
 		e.now = nd.t
 		fn := nd.fn
 		e.putNode(nd)
+		e.live--
 		e.fired++
 		fn()
 		return true
@@ -219,5 +225,7 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// Pending returns the number of queued (possibly cancelled) events.
-func (e *Engine) Pending() int { return e.events.Len() }
+// Pending returns the number of events still due to fire. Cancelled
+// events leave the queue only when the loop reaches them, so the count
+// is kept apart from the queue's length.
+func (e *Engine) Pending() int { return e.live }

@@ -49,6 +49,35 @@ func TestEngineCancel(t *testing.T) {
 	}
 }
 
+// TestEnginePendingSkipsCancelled pins that Pending counts only events
+// still due to fire: a cancelled event stays queued as a tombstone until
+// the loop reaches it, and must not count as pending before then.
+func TestEnginePendingSkipsCancelled(t *testing.T) {
+	eng := NewEngine()
+	tm := eng.Schedule(10, func() {})
+	eng.Schedule(20, func() {})
+	if got := eng.Pending(); got != 2 {
+		t.Fatalf("Pending() = %d with two events queued, want 2", got)
+	}
+	tm.Cancel()
+	tm.Cancel() // a second cancel is a no-op
+	eng.RunUntil(5)
+	if got := eng.Pending(); got != 1 {
+		t.Fatalf("Pending() = %d after cancelling one of two events, want 1", got)
+	}
+	eng.RunUntil(15)
+	if got := eng.Pending(); got != 1 {
+		t.Fatalf("Pending() = %d after passing the tombstone, want 1", got)
+	}
+	if !eng.Step() || eng.Pending() != 0 {
+		t.Fatalf("Pending() = %d after the last event fired, want 0", eng.Pending())
+	}
+	tm.Cancel() // a stale handle must not touch the count
+	if got := eng.Pending(); got != 0 {
+		t.Fatalf("Pending() = %d after cancelling a stale handle, want 0", got)
+	}
+}
+
 func TestEngineNestedScheduling(t *testing.T) {
 	eng := NewEngine()
 	var times []float64

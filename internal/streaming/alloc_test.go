@@ -2,10 +2,10 @@ package streaming
 
 import "testing"
 
-// benchEnvelope is the topology envelope of the benchmark's
+// BenchEnvelope is the topology envelope of the benchmark's
 // streaming-faults workload: 3 sources, 4 layers of width 3–4, rates
 // 4000–7000 Hz and parallelism 12–24.
-func benchEnvelope() TopoConfig {
+func BenchEnvelope() TopoConfig {
 	return TopoConfig{
 		Sources: 3, Layers: 4, WidthMin: 3, WidthMax: 4,
 		RateMin: 4000, RateMax: 7000,
@@ -24,7 +24,7 @@ func benchEnvelope() TopoConfig {
 // latencies.
 func TestRunAllocBudget(t *testing.T) {
 	const budget = 5000
-	cfg := Config{Seed: 1, Topo: benchEnvelope(), Horizon: 90, Warmup: 18}
+	cfg := Config{Seed: 1, Topo: BenchEnvelope(), Horizon: 90, Warmup: 18}
 	allocs := testing.AllocsPerRun(1, func() { Run(cfg) })
 	if allocs > budget {
 		t.Errorf("fault-free 90 s run made %.0f allocations, budget %d", allocs, budget)

@@ -116,9 +116,10 @@ type channel struct {
 	q       recQueue
 	arrived float64 // prefix of q.count that has crossed the wire
 
-	wire          *netsim.Flow
-	lastRemaining float64
-	shipCredit    float64 // wire bytes banked but not yet converted to arrivals
+	wire             *netsim.Flow
+	wireSrc, wireDst int // the wire's endpoints by cluster node index
+	lastRemaining    float64
+	shipCredit       float64 // wire bytes banked but not yet converted to arrivals
 
 	// paused stops the upstream operator from emitting into this channel
 	// (free() == 0) while its consumer drains for a migration.

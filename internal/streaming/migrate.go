@@ -51,7 +51,7 @@ type MigrationRecord struct {
 // migration is one in-flight operator move.
 type migration struct {
 	op        int
-	from, to  string
+	from, to  int // cluster node indices
 	reason    string
 	start     float64
 	handoffAt float64
@@ -64,20 +64,25 @@ func (r *Runtime) streamSpanAt(node, op, phase, detail string, start, end float6
 	r.col.StreamSpanAt(node, op, phase, detail, start, end)
 }
 
-// startMigration begins a graceful migration of the operator to the given
-// node ("" lets the placer pick). Returns false when no target exists.
-func (r *Runtime) startMigration(opID int, to, reason string, emergency bool) bool {
+// startMigration begins a graceful migration of the operator to the node
+// with the given cluster index (-1 lets the placer pick). Returns false
+// when no target exists.
+func (r *Runtime) startMigration(opID, to int, reason string, emergency bool) bool {
 	st := &r.ops[opID]
 	if st.mig != nil {
 		return false
 	}
-	from := r.placed[opID]
-	if to == "" {
+	from := r.host[opID]
+	if to < 0 {
 		ex := r.liveExclusions()
-		ex[from] = true
-		to = r.placer.Pick(r.topo, st.op, r.nodes, r.placed, ex)
+		ex[r.placed[opID]] = true
+		name := r.placer.Pick(r.topo, st.op, r.nodes, r.placed, ex)
+		if name == "" {
+			return false
+		}
+		to = r.nodeIx[name]
 	}
-	if to == "" || to == from || !r.nodeAlive(to) {
+	if to == from || !r.nodeAlive(to) {
 		return false
 	}
 	now := r.eng.Now()
@@ -91,7 +96,7 @@ func (r *Runtime) startMigration(opID int, to, reason string, emergency bool) bo
 	}
 	// Close the operator's current "run" span at the migration boundary.
 	if st.running {
-		r.streamSpanAt(from, st.op.Name, "run", "", st.runFrom, now)
+		r.streamSpanAt(r.placed[opID], st.op.Name, "run", "", st.runFrom, now)
 		st.running = false
 	}
 	if emergency {
@@ -121,7 +126,7 @@ func (r *Runtime) emergency(opID int, reason string) {
 			"operator %d stranded: host %s dead and no live target", opID, r.placed[opID]))
 		return
 	}
-	r.startMigration(opID, to, reason, true)
+	r.startMigration(opID, r.nodeIx[to], reason, true)
 }
 
 // backlog sums the operator's in-channel queues.
@@ -165,10 +170,9 @@ func (r *Runtime) beginHandoff(m *migration) {
 	src := m.from
 	if m.emergency || !r.nodeAlive(src) {
 		src = m.to // fall back to loopback rehydration
-		for _, n := range r.clu.Nodes {
-			name := n.Spec.Name
-			if r.nodeAlive(name) && name != m.to {
-				src = name
+		for i := range r.clu.Nodes {
+			if r.nodeAlive(i) && i != m.to {
+				src = i
 				break
 			}
 		}
@@ -178,7 +182,7 @@ func (r *Runtime) beginHandoff(m *migration) {
 		bytes = 1
 	}
 	op := m.op
-	r.clu.Net.Start(src, m.to, bytes, func() { r.finishMigration(op) })
+	r.clu.Net.Start(r.nodeName(src), r.nodeName(m.to), bytes, func() { r.finishMigration(op) })
 }
 
 // finishMigration rebinds the operator to its new host and resumes flow.
@@ -190,14 +194,16 @@ func (r *Runtime) finishMigration(opID int) {
 	}
 	now := r.eng.Now()
 	o := st.op
-	r.placed[opID] = m.to
+	r.setHost(opID, m.to)
+	from, to := r.nodeName(m.from), r.placed[opID]
 
 	// Out-channel wires re-home by Redirect: the flow's remaining budget,
 	// destination and callback survive; only the source end moves.
 	for _, ch := range st.out {
 		if ch.wire != nil && !ch.wire.Done() {
-			if nf := r.clu.Net.Redirect(ch.wire, m.to); nf != nil {
+			if nf := r.clu.Net.Redirect(ch.wire, to); nf != nil {
 				ch.wire = nf
+				ch.wireSrc = m.to
 				ch.lastRemaining = nf.Remaining()
 			} else {
 				ch.wire = nil
@@ -218,17 +224,17 @@ func (r *Runtime) finishMigration(opID int) {
 	st.lastMigration = now
 	st.running, st.runFrom = true, now
 	rec := MigrationRecord{
-		Op: opID, OpName: o.Name, From: m.from, To: m.to, Reason: m.reason,
+		Op: opID, OpName: o.Name, From: from, To: to, Reason: m.reason,
 		Start: m.start, HandoffAt: m.handoffAt, End: now, Emergency: m.emergency,
 	}
 	r.records = append(r.records, rec)
 
 	if !m.emergency {
-		r.streamSpanAt(m.from, o.Name, "drain", m.reason, m.start, m.handoffAt)
+		r.streamSpanAt(from, o.Name, "drain", m.reason, m.start, m.handoffAt)
 	}
 	if r.col != nil {
-		r.streamSpanAt(m.to, o.Name, "handoff",
-			fmt.Sprintf("%d state bytes from %s", o.StateBytes, m.from), m.handoffAt, now)
+		r.streamSpanAt(to, o.Name, "handoff",
+			fmt.Sprintf("%d state bytes from %s", o.StateBytes, from), m.handoffAt, now)
 	}
-	r.col.OperatorMigrated(o.Name, m.from, m.to, m.reason, now-m.start)
+	r.col.OperatorMigrated(o.Name, from, to, m.reason, now-m.start)
 }

@@ -100,10 +100,15 @@ type Runtime struct {
 	eng   *simx.Engine
 	clu   *cluster.Cluster
 	execs map[string]*executor.Executor
-	cache *executor.CacheTracker
-	inj   *faults.Injector
-	col   *tracing.Collector
-	db    *core.CharDB
+	// nodeEx holds the executors by cluster node index; nodeIx maps a
+	// node name (a placer's answer, a fault hook's argument) to that
+	// index. The tick itself compares indices, never names.
+	nodeEx []*executor.Executor
+	nodeIx map[string]int
+	cache  *executor.CacheTracker
+	inj    *faults.Injector
+	col    *tracing.Collector
+	db     *core.CharDB
 
 	topo   *Topology
 	placer Placer
@@ -113,7 +118,12 @@ type Runtime struct {
 	// itself is read from the topology's index.
 	ops    []opState  // by operator ID
 	placed []string   // host node by operator ID: the placers' view
+	host   []int      // placed[id]'s cluster index; both written by setHost
 	chans  []*channel // topology edge order
+
+	// resident lists each node's non-source operators in topological
+	// order, by cluster index. bucketResidents rebuilds it every tick.
+	resident [][]int
 
 	spikeMult float64
 
@@ -179,6 +189,19 @@ type latSample struct {
 // its Result. Everything is derived from the seed and the config, so the
 // same inputs reproduce a bit-identical Result.
 func Run(cfg Config) *Result {
+	return newRuntime(cfg).run()
+}
+
+// run drives the runtime's ticks to quiescence and freezes the result.
+func (r *Runtime) run() *Result {
+	r.eng.Schedule(batchInterval, r.tickFn)
+	r.eng.Run()
+	return r.result()
+}
+
+// newRuntime builds the cluster, executors, placement, channels and
+// fault wiring of one run, ready for its first tick.
+func newRuntime(cfg Config) *Runtime {
 	cfg = cfg.withDefaults()
 	eng := simx.NewEngine()
 	clu := cluster.NewHydra(cluster.New(eng))
@@ -188,19 +211,23 @@ func Run(cfg Config) *Result {
 		eng:       eng,
 		clu:       clu,
 		execs:     make(map[string]*executor.Executor),
+		nodeEx:    make([]*executor.Executor, len(clu.Nodes)),
+		nodeIx:    make(map[string]int, len(clu.Nodes)),
+		resident:  make([][]int, len(clu.Nodes)),
 		cache:     executor.NewCacheTracker(),
 		col:       cfg.Collector,
 		db:        core.NewCharDB(),
 		spikeMult: 1,
 	}
 	r.col.Bind(eng)
-	for _, n := range clu.Nodes {
+	for i, n := range clu.Nodes {
 		r.col.RegisterNode(n.Spec.Name, n.Spec.Cores)
-		executor.New(eng, clu, n, r.cache, r.execs, executor.Config{
+		r.nodeEx[i] = executor.New(eng, clu, n, r.cache, r.execs, executor.Config{
 			HeapBytes: execHeapBytes,
 			Seed:      cfg.Seed,
 			Tracer:    r.col,
 		})
+		r.nodeIx[n.Spec.Name] = i
 	}
 
 	r.topo = GenTopology(cfg.Seed, cfg.Topo)
@@ -213,11 +240,14 @@ func Run(cfg Config) *Result {
 
 	// Initial placement.
 	r.placed = placer.Place(r.topo, r.nodes)
+	r.host = make([]int, len(r.placed))
 	r.ops = make([]opState, len(r.topo.Ops))
 	for id, o := range r.topo.Ops {
-		if r.placed[id] == "" {
+		i, ok := r.nodeIx[r.placed[id]]
+		if !ok {
 			panic(fmt.Sprintf("streaming: placer %s left operator %d unplaced", placer.Name(), id))
 		}
+		r.setHost(id, i)
 		r.ops[id] = opState{op: o, key: StreamKey(r.topo.Name, o), running: true}
 	}
 
@@ -254,23 +284,28 @@ func Run(cfg Config) *Result {
 	}
 
 	r.tickFn = r.tick
-	eng.Schedule(batchInterval, r.tickFn)
-	eng.Run()
-
-	return r.result()
+	return r
 }
 
-// nodeAlive reports whether the node can currently host operators.
-func (r *Runtime) nodeAlive(name string) bool {
-	ex, ok := r.execs[name]
-	return ok && !ex.FailStopped()
+// setHost homes the operator on the node with the given cluster index.
+// It is the only writer of placed and host, so the two never disagree.
+func (r *Runtime) setHost(id, node int) {
+	r.host[id] = node
+	r.placed[id] = r.nodeName(node)
 }
+
+// nodeName returns the name of the node with the given cluster index.
+func (r *Runtime) nodeName(node int) string { return r.clu.Nodes[node].Spec.Name }
+
+// nodeAlive reports whether the node with the given cluster index can
+// currently host operators.
+func (r *Runtime) nodeAlive(node int) bool { return !r.nodeEx[node].FailStopped() }
 
 // liveExclusions returns the dead-node set for placer Pick calls.
 func (r *Runtime) liveExclusions() map[string]bool {
 	ex := make(map[string]bool)
-	for _, n := range r.clu.Nodes {
-		if !r.nodeAlive(n.Spec.Name) {
+	for i, n := range r.clu.Nodes {
+		if !r.nodeAlive(i) {
 			ex[n.Spec.Name] = true
 		}
 	}
@@ -290,7 +325,7 @@ func (r *Runtime) tick() {
 
 	// (2) Liveness: operators on dead hosts fail over.
 	for _, id := range r.topo.TopoOrder() {
-		if !r.nodeAlive(r.placed[id]) {
+		if !r.nodeAlive(r.host[id]) {
 			r.emergency(id, "host-dead")
 		}
 	}
@@ -302,8 +337,9 @@ func (r *Runtime) tick() {
 	// (4) Process: water-fill each node's cycle budget over its resident
 	// operators, bounded per operator by parallelism × per-core speed,
 	// available input, and downstream credit.
-	for _, node := range r.clu.Nodes {
-		r.processNode(node, now, dt)
+	r.bucketResidents()
+	for i := range r.clu.Nodes {
+		r.processNode(i, now, dt)
 	}
 
 	// (5) Sources emit, throttled by downstream credit — the terminal
@@ -389,19 +425,32 @@ func (r *Runtime) finish(now float64, drained bool) {
 	r.feedCharDB(now)
 }
 
-// processNode water-fills the node's cycle budget for this tick across
-// its resident operators and executes the grants.
-func (r *Runtime) processNode(node *cluster.Node, now, dt float64) {
-	name := node.Spec.Name
-	if !r.nodeAlive(name) {
+// bucketResidents rebuilds each node's resident list. Placement changes
+// only in finishMigration, which runs as an event of its own, so the
+// lists built here hold for the rest of the tick.
+func (r *Runtime) bucketResidents() {
+	for i := range r.resident {
+		r.resident[i] = r.resident[i][:0]
+	}
+	for _, id := range r.topo.TopoOrder() {
+		if len(r.ops[id].in) > 0 { // sources emit in their own phase
+			h := r.host[id]
+			r.resident[h] = append(r.resident[h], id)
+		}
+	}
+}
+
+// processNode water-fills the cycle budget of the node with cluster
+// index i for this tick across its resident operators and executes the
+// grants.
+func (r *Runtime) processNode(i int, now, dt float64) {
+	if !r.nodeAlive(i) {
 		return
 	}
+	node := r.clu.Nodes[i]
 	items := r.items[:0]
-	for _, id := range r.topo.TopoOrder() {
+	for _, id := range r.resident[i] {
 		st := &r.ops[id]
-		if r.placed[id] != name || len(st.in) == 0 {
-			continue // sources emit in their own phase
-		}
 		o := st.op
 		avail := 0.0
 		for _, ch := range st.in {
@@ -515,7 +564,7 @@ func (r *Runtime) processOp(id int, grant float64, now float64) {
 func (r *Runtime) emitSource(id int, now, dt float64) {
 	st := &r.ops[id]
 	o := st.op
-	if !r.nodeAlive(r.placed[id]) {
+	if !r.nodeAlive(r.host[id]) {
 		return // a dead host ingests nothing until the source fails over
 	}
 	n := o.RateHz * r.spikeMult * dt
@@ -538,12 +587,21 @@ func (r *Runtime) emitSource(id int, now, dt float64) {
 // manageWires opens, closes, and re-homes the long-lived channel flows to
 // match queue state and the current placement. A colocated channel needs
 // no wire: arrival is a memory copy.
+//
+// Every start and cancel runs under one network hold, so the tick pays
+// for one water-fill, not one per wire. The rates are the same bits:
+// nothing here reads a rate or schedules an event, and wires carry
+// wireBudget bytes and no callback, so the re-armed completion timer
+// keeps its order among every live event.
 func (r *Runtime) manageWires() {
+	net := r.clu.Net
+	net.Hold()
+	defer net.Release()
 	for _, ch := range r.chans {
-		src, dst := r.placed[ch.from], r.placed[ch.to]
+		src, dst := r.host[ch.from], r.host[ch.to]
 		if src == dst {
 			if ch.wire != nil && !ch.wire.Done() {
-				r.clu.Net.Cancel(ch.wire)
+				net.Cancel(ch.wire)
 			}
 			ch.wire = nil
 			ch.arrived = ch.q.count
@@ -551,9 +609,9 @@ func (r *Runtime) manageWires() {
 			continue
 		}
 		stale := ch.wire != nil && !ch.wire.Done() &&
-			(ch.wire.Src() != src || ch.wire.Dst() != dst)
+			(ch.wireSrc != src || ch.wireDst != dst)
 		if stale {
-			r.clu.Net.Cancel(ch.wire)
+			net.Cancel(ch.wire)
 			ch.wire = nil
 		}
 		if ch.wire != nil && ch.wire.Done() {
@@ -562,11 +620,12 @@ func (r *Runtime) manageWires() {
 		switch {
 		case ch.unarrived() > recEps && ch.wire == nil:
 			if r.nodeAlive(src) && r.nodeAlive(dst) {
-				ch.wire = r.clu.Net.Start(src, dst, wireBudget, nil)
+				ch.wire = net.Start(r.placed[ch.from], r.placed[ch.to], wireBudget, nil)
+				ch.wireSrc, ch.wireDst = src, dst
 				ch.lastRemaining = wireBudget
 			}
 		case ch.unarrived() <= recEps && ch.wire != nil:
-			r.clu.Net.Cancel(ch.wire)
+			net.Cancel(ch.wire)
 			ch.wire = nil
 		}
 	}
@@ -595,12 +654,9 @@ func (r *Runtime) feedCharDB(now float64) {
 			PeakMemory:       st.op.StateBytes,
 		}
 		bottleneck := core.CPU
-		if n := r.clu.Node(r.placed[id]); n != nil {
-			cpuFrac := cpu / n.Spec.CPUCapacity()
-			netFrac := (inBps + outBps) / n.Spec.NetBandwidth
-			if netFrac > cpuFrac {
-				bottleneck = core.Net
-			}
+		n := r.clu.Nodes[r.host[id]]
+		if (inBps+outBps)/n.Spec.NetBandwidth > cpu/n.Spec.CPUCapacity() {
+			bottleneck = core.Net
 		}
 		r.db.Update(st.key, m, bottleneck, true)
 		st.winCycles, st.winConsumed, st.winInBytes, st.winOutBytes = 0, 0, 0, 0
@@ -623,7 +679,7 @@ func (r *Runtime) triggerMigrations(now float64) {
 				bestID, bestBack = id, back
 			}
 		}
-		if bestID >= 0 && r.startMigration(bestID, "", "forced", false) {
+		if bestID >= 0 && r.startMigration(bestID, -1, "forced", false) {
 			r.forcedDone = true
 		}
 	}
@@ -636,10 +692,7 @@ func (r *Runtime) triggerMigrations(now float64) {
 		if now-st.lastMigration < migrationCooldown {
 			continue
 		}
-		node := r.clu.Node(r.placed[id])
-		if node == nil {
-			continue
-		}
+		node := r.clu.Nodes[r.host[id]]
 		capSum, back := 0.0, 0.0
 		for _, ch := range st.in {
 			capSum += ch.capacity
@@ -650,14 +703,14 @@ func (r *Runtime) triggerMigrations(now float64) {
 		case gray && back > grayBacklogFrac*capSum:
 			st.overTicks++
 			if st.overTicks >= grayTicks {
-				if r.startMigration(id, "", "gray-degradation", false) {
+				if r.startMigration(id, -1, "gray-degradation", false) {
 					st.overTicks = 0
 				}
 			}
 		case back > spikeBacklogFrac*capSum:
 			st.overTicks++
 			if st.overTicks >= spikeTicks {
-				if r.startMigration(id, "", "overload", false) {
+				if r.startMigration(id, -1, "overload", false) {
 					st.overTicks = 0
 				}
 			}
@@ -670,17 +723,25 @@ func (r *Runtime) triggerMigrations(now float64) {
 // evacuate gracefully migrates every operator off a doomed node (spot
 // notice: the host is still alive for the grace window).
 func (r *Runtime) evacuate(node, reason string) {
+	i, ok := r.nodeIx[node]
+	if !ok {
+		return
+	}
 	for _, id := range r.topo.TopoOrder() {
-		if r.placed[id] == node && r.ops[id].mig == nil {
-			r.startMigration(id, "", reason, false)
+		if r.host[id] == i && r.ops[id].mig == nil {
+			r.startMigration(id, -1, reason, false)
 		}
 	}
 }
 
 // failover emergency-migrates every operator still homed on a dead node.
 func (r *Runtime) failover(node, reason string) {
+	i, ok := r.nodeIx[node]
+	if !ok {
+		return
+	}
 	for _, id := range r.topo.TopoOrder() {
-		if r.placed[id] == node {
+		if r.host[id] == i {
 			r.emergency(id, reason)
 		}
 	}
