@@ -103,9 +103,6 @@ func (n *Node) DiskUtil() float64 {
 // NetUtil returns the busier NIC direction's utilization in [0,1].
 func (n *Node) NetUtil() float64 { return n.Net.Utilization() }
 
-// FreeMem returns the node's unreserved memory in bytes.
-func (n *Node) FreeMem() int64 { return n.Mem.Free() }
-
 // Cluster ties the nodes to a shared engine and network.
 type Cluster struct {
 	Eng   *simx.Engine

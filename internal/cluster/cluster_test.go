@@ -186,7 +186,7 @@ func TestNodeUtilHelpers(t *testing.T) {
 	if n.DiskUtil() <= 0 {
 		t.Fatal("disk util not reflecting write claim")
 	}
-	if n.FreeMem() != 8*GB {
-		t.Fatalf("free mem = %d", n.FreeMem())
+	if n.Mem.Free() != 8*GB {
+		t.Fatalf("free mem = %d", n.Mem.Free())
 	}
 }

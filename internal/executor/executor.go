@@ -304,19 +304,6 @@ func (ex *Executor) Running() []*Run {
 // launch or kill runs while iterating it (use Running for that).
 func (ex *Executor) RunningView() []*Run { return ex.running }
 
-// AttemptOf returns this executor's in-flight attempt of t, or nil. When
-// multiple attempts of the same task are somehow in flight here, the
-// earliest-launched wins (deterministic). A recovering driver uses this to
-// re-adopt attempts it logged as launched before crashing.
-func (ex *Executor) AttemptOf(t *task.Task) *Run {
-	for _, r := range ex.running {
-		if r.t == t {
-			return r
-		}
-	}
-	return nil
-}
-
 // Options controls one task attempt.
 type Options struct {
 	// Locality is the level the scheduler assigned (recorded in metrics

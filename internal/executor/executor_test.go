@@ -496,8 +496,8 @@ func TestFailStopRecoveryBumpsIncarnation(t *testing.T) {
 }
 
 // TestRunningKeepsLaunchOrder finishes and kills attempts out of launch
-// order: the rest must stay in launch order, Running must hand out a copy
-// the caller may mutate, and AttemptOf must pick the earliest launch.
+// order: the rest must stay in launch order, and Running must hand out a
+// copy the caller may mutate.
 func TestRunningKeepsLaunchOrder(t *testing.T) {
 	r := newRig(t, 8*cluster.GB, Config{})
 	var runs []*Run
@@ -532,14 +532,6 @@ func TestRunningKeepsLaunchOrder(t *testing.T) {
 	runs[3].Kill(false)
 	runs[0].Kill(false)
 	want("after out-of-order kills", runs[1], runs[4], runs[5], dup)
-
-	if got := r.a.AttemptOf(runs[4].Task()); got != runs[4] {
-		t.Fatalf("AttemptOf picked the later attempt")
-	}
-	runs[4].Kill(false)
-	if got := r.a.AttemptOf(runs[4].Task()); got != dup {
-		t.Fatalf("AttemptOf missed the remaining attempt")
-	}
 
 	// Killing through the returned slice must not disturb iteration.
 	for _, run := range r.a.Running() {

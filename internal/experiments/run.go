@@ -110,7 +110,7 @@ func newRuntime(eng *simx.Engine, clu *cluster.Cluster, spec RunSpec) *spark.Run
 	}
 
 	cfg := spec.Spark
-	cfg.Seed = spec.Seed*31 + 7
+	cfg.Seed = spark.FrameworkSeed(spec.Seed, 0)
 	return spark.NewRuntime(eng, clu, sched, cfg)
 }
 

@@ -7,7 +7,6 @@ import (
 	"rupam/internal/cluster"
 	"rupam/internal/digest"
 	"rupam/internal/faults"
-	"rupam/internal/monitor"
 	"rupam/internal/simx"
 	"rupam/internal/spark"
 	"rupam/internal/tenant"
@@ -36,8 +35,8 @@ type Config struct {
 	// control plane, node kinds onto a shared injector; DriverCrash
 	// events rotate round-robin over drivers that still own live apps.
 	Faults *faults.Schedule
-	// Spark carries per-application framework overrides (Faults and WAL
-	// are owned by the harness and overwritten).
+	// Spark carries per-application framework overrides (its Faults is
+	// not read, and the harness overwrites its WAL).
 	Spark spark.Config
 }
 
@@ -171,30 +170,23 @@ func Run(cfg Config) *Result {
 		agentByName[a.Name] = a
 	}
 
-	// Shared substrate: one executor set, one monitor, heartbeats fanned
-	// to every active application (then a local round each — there is no
-	// global scheduler; the agents arbitrate).
-	var rts []*spark.Runtime
-	fan := func(fn func(rt *spark.Runtime)) {
-		for _, rt := range rts {
-			if rt != nil && !rt.Done() && !rt.Crashed() {
-				fn(rt)
+	// Shared substrate: one executor set, one monitor. After the
+	// substrate fans a node event out to the applications, each live one
+	// runs a local round — there is no global scheduler; the agents
+	// arbitrate.
+	round := func() {
+		for _, rt := range res.AppRuntimes {
+			if !rt.Done() && !rt.Crashed() {
+				rt.Scheduler().Schedule()
 			}
 		}
 	}
 	sub := spark.NewSubstrate(eng, clu, spark.SubstrateOptions{
-		Seed:              cfg.Seed*31 + 7,
+		Seed:              spark.FrameworkSeed(cfg.Seed, 0),
 		Scheduler:         spark.NewDefaultScheduler(),
 		HeartbeatInterval: cfg.Spark.HeartbeatInterval,
 		Tracer:            cfg.Spark.Tracer,
-		OnRestart: func() {
-			fan(func(rt *spark.Runtime) { rt.Scheduler().ExecutorSetChanged() })
-			fan(func(rt *spark.Runtime) { rt.Scheduler().Schedule() })
-		},
-		OnHeartbeat: func(node string, nm *monitor.NodeMetrics) {
-			fan(func(rt *spark.Runtime) { rt.DeliverHeartbeat(node, nm) })
-			fan(func(rt *spark.Runtime) { rt.Scheduler().Schedule() })
-		},
+		Round:             round,
 	})
 
 	// A restarted agent cross-checks bound RESYNC_CLAIMs against the
@@ -285,8 +277,7 @@ func Run(cfg Config) *Result {
 		app.Name = fmt.Sprintf("app%d-%s", j, cfg.Workload)
 
 		scfg := cfg.Spark
-		scfg.Faults = nil // the injector belongs to the harness
-		scfg.Seed = cfg.Seed*31 + 7 + uint64(j)*1013
+		scfg.Seed = spark.FrameworkSeed(cfg.Seed, j)
 		scfg.AppLabel = app.Name
 		scfg.MaxSimTime = maxSimTime
 		// The application's WAL carries both scheduler state and claim
@@ -297,12 +288,11 @@ func Run(cfg Config) *Result {
 		fa, hooks := d.Adopt(wlog, app, finish)
 		rt := spark.NewRuntimeOn(eng, clu, spark.NewDefaultScheduler(), scfg, sub, hooks)
 		fa.rt = rt
-		rts = append(rts, rt)
 		res.AppRuntimes = append(res.AppRuntimes, rt)
 		rt.Start(app)
 	}
 	sub.Mon.Start()
-	fan(func(rt *spark.Runtime) { rt.Scheduler().Schedule() })
+	round()
 
 	// Drain: applications finish first, then outstanding abort/release
 	// cycles settle (they always do — fault windows are finite, restarted

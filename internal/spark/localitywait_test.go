@@ -3,34 +3,24 @@ package spark
 import (
 	"testing"
 
-	"rupam/internal/cluster"
-	"rupam/internal/executor"
 	"rupam/internal/hdfs"
-	"rupam/internal/monitor"
 	"rupam/internal/rdd"
 	"rupam/internal/task"
 )
 
-// buildTestSubstrate wires executors on every node of w plus a heartbeat
-// monitor that drives the runtime — the shape the tenant manager uses, so
-// launch-gate behavior can be exercised at runtime level.
+// buildTestSubstrate builds the shared substrate the tenant manager uses,
+// whose round schedules the runtime *rtRef once it exists, so launch-gate
+// behavior can be exercised at runtime level.
 func buildTestSubstrate(w *world, rtRef **Runtime) *Substrate {
-	cache := executor.NewCacheTracker()
-	execs := make(map[string]*executor.Executor)
-	for i, n := range w.clu.Nodes {
-		executor.New(w.eng, w.clu, n, cache, execs, executor.Config{
-			HeapBytes: 12 * cluster.GB,
-			Seed:      100 + uint64(i)*7919,
-		})
-	}
-	mon := monitor.New(w.eng, w.clu, 1)
-	mon.OnHeartbeat = func(node string, nm *monitor.NodeMetrics) {
-		if rt := *rtRef; rt != nil {
-			rt.DeliverHeartbeat(node, nm)
-			rt.Scheduler().Schedule()
-		}
-	}
-	return &Substrate{Execs: execs, Cache: cache, Mon: mon}
+	return NewSubstrate(w.eng, w.clu, SubstrateOptions{
+		Seed:      100,
+		Scheduler: NewDefaultScheduler(),
+		Round: func() {
+			if rt := *rtRef; rt != nil {
+				rt.Scheduler().Schedule()
+			}
+		},
+	})
 }
 
 // TestExecutorSetChangeRelaxesStaleLevel is the state-transition half of

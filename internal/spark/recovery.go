@@ -380,7 +380,7 @@ func (rt *Runtime) execReachable(node string) bool {
 	if ex == nil || ex.Down() || ex.FailStopped() {
 		return false
 	}
-	if rt.inj != nil && rt.inj.Suppressed(node) {
+	if inj := rt.sub.Inj; inj != nil && inj.Suppressed(node) {
 		return false
 	}
 	return true

@@ -44,7 +44,8 @@ type Config struct {
 	Blacklist BlacklistConfig
 	// Faults, when non-empty, is the fault-injection plan applied to the
 	// cluster during the run. Nil or empty leaves the run byte-identical
-	// to one without the fault layer.
+	// to one without the fault layer. Only a runtime that builds its own
+	// substrate reads it: a shared substrate's owner installs its faults.
 	Faults *faults.Schedule
 	// WAL, when non-nil, receives every driver state transition as an
 	// append-only write-ahead log; crash recovery replays it. Left nil, an
@@ -157,13 +158,12 @@ type Runtime struct {
 	sched Scheduler
 	app   *task.Application
 
-	// multi-application (tenant) mode. sub is non-nil when this runtime
-	// shares its executors, cache, monitor and fault injector with sibling
-	// applications; the substrate's owner (the tenant manager or the
-	// federation harness) then drives heartbeats through DeliverHeartbeat
-	// and the engine itself, and steers the runtime through hooks.
-	// ownsSubstrate marks the classic single-application path, where the
-	// runtime creates and tears down those objects itself.
+	// sub is the substrate this runtime is attached to: handed in by a
+	// multi-application owner (the tenant manager or the federation
+	// harness), which runs the engine and steers the runtime through
+	// hooks, or built in Start. ownsSubstrate marks the classic
+	// single-application path, where the runtime creates, fault-injects
+	// and tears down its substrate itself.
 	sub           *Substrate
 	ownsSubstrate bool
 	hooks         Hooks
@@ -197,7 +197,6 @@ type Runtime struct {
 	resubmits map[int]int        // rollback resubmissions per task ID
 	bl        *blacklist         // nil unless Cfg.Blacklist.Enabled
 	wdTimer   simx.Timer         // heartbeat-timeout watchdog
-	inj       *faults.Injector   // nil unless Cfg.Faults is non-empty
 	aborted   *AbortError
 
 	// spot-preemption / graceful-drain state (preempt.go)
@@ -321,13 +320,21 @@ func NewRuntimeOn(eng *simx.Engine, clu *cluster.Cluster, sched Scheduler, cfg C
 		drainFlows:   make(map[string][]*netsim.Flow),
 	}
 	if sub != nil {
-		rt.Cache, rt.Execs, rt.Mon, rt.inj = sub.Cache, sub.Execs, sub.Mon, sub.Inj
+		rt.attachTo(sub)
 	}
 	if cfg.Blacklist.Enabled {
 		rt.bl = newBlacklist(eng)
 	}
 	sched.Bind(rt)
 	return rt
+}
+
+// attachTo makes sub this runtime's substrate and subscribes it to sub's
+// node events.
+func (rt *Runtime) attachTo(sub *Substrate) {
+	rt.sub = sub
+	rt.Cache, rt.Execs, rt.Mon = sub.Cache, sub.Execs, sub.Mon
+	sub.attach(rt)
 }
 
 // reschedule triggers a scheduling round: the bound scheduler's own in
@@ -341,9 +348,8 @@ func (rt *Runtime) reschedule() {
 }
 
 // DeliverHeartbeat feeds one node report into this application's driver:
-// loss detection bookkeeping plus the scheduler's resource view. In
-// single-application mode the monitor calls it directly; in tenant mode
-// the manager fans each heartbeat out to every active application. A
+// loss detection bookkeeping plus the scheduler's resource view. The
+// substrate fans each heartbeat out to every attached application. A
 // crashed or finished driver ignores reports (its executors buffer their
 // completions; monitoring state is rebuilt at recovery).
 func (rt *Runtime) DeliverHeartbeat(node string, nm *monitor.NodeMetrics) {
@@ -463,28 +469,20 @@ func (rt *Runtime) Start(app *task.Application) {
 		// Executors sized by the scheduler's policy; heartbeats drive
 		// scheduling rounds (and RUPAM's RM).
 		rt.ownsSubstrate = true
-		sub := NewSubstrate(rt.Eng, rt.Clu, SubstrateOptions{
+		rt.attachTo(NewSubstrate(rt.Eng, rt.Clu, SubstrateOptions{
 			Seed:              rt.Cfg.Seed,
 			Scheduler:         rt.sched,
 			HeartbeatInterval: rt.Cfg.HeartbeatInterval,
 			Tracer:            rt.Cfg.Tracer,
-			OnRestart: func() {
-				rt.sched.ExecutorSetChanged()
-				rt.reschedule()
-			},
-			OnHeartbeat: func(node string, nm *monitor.NodeMetrics) {
-				rt.DeliverHeartbeat(node, nm)
-				rt.reschedule()
-			},
-		})
-		rt.Cache, rt.Execs, rt.Mon = sub.Cache, sub.Execs, sub.Mon
+			Round:             rt.reschedule,
+		}))
 		rt.Mon.Start()
 	}
 
 	// Fault injection (opt-in) and executor-loss detection. The watchdog
 	// is always armed: with every node heartbeating on time it observes
-	// nothing, so fault-free runs are unchanged. In shared-substrate mode
-	// the injector (if any) belongs to the manager, which installs it once
+	// nothing, so fault-free runs are unchanged. On a shared substrate
+	// the injector (if any) belongs to the owner, which installs it once
 	// over the shared executors and routes driver crashes itself.
 	for _, n := range rt.Clu.Nodes {
 		rt.lastHB[n.Name()] = rt.Eng.Now()
@@ -504,18 +502,19 @@ func (rt *Runtime) Start(app *task.Application) {
 		rt.wlog.SetClock(rt.Eng.Now)
 	}
 	if rt.ownsSubstrate && !rt.Cfg.Faults.Empty() {
-		rt.inj = faults.NewInjector(rt.Eng, rt.Clu, rt.Execs)
-		rt.Mon.Drop = rt.inj.Suppressed
-		rt.inj.Collector = rt.Cfg.Tracer
-		rt.inj.OnDriverCrash = rt.driverCrash
-		rt.inj.OnSpotNotice = rt.PreemptNotice
-		rt.inj.OnSpotKill = rt.SpotKill
+		inj := faults.NewInjector(rt.Eng, rt.Clu, rt.Execs)
+		rt.sub.Inj = inj
+		rt.Mon.Drop = inj.Suppressed
+		inj.Collector = rt.Cfg.Tracer
+		inj.OnDriverCrash = rt.driverCrash
+		inj.OnSpotNotice = rt.PreemptNotice
+		inj.OnSpotKill = rt.SpotKill
 		if rt.wlog == nil && rt.Cfg.Faults.HasKind(faults.DriverCrash) {
 			// A crash without a WAL would be unrecoverable; keep an
 			// in-memory log so the plan's DriverCrash events can replay.
 			rt.wlog = wal.New(nil, wal.Options{Clock: rt.Eng.Now})
 		}
-		rt.inj.Install(rt.Cfg.Faults)
+		inj.Install(rt.Cfg.Faults)
 	}
 	rt.armWatchdog()
 

@@ -144,9 +144,6 @@ func (m Metrics) Succeeded() bool {
 	return m.End > 0 && !m.OOM && !m.Killed && !m.FetchFailed && !m.Flaked
 }
 
-// ShuffleTime returns total time in shuffle I/O.
-func (m Metrics) ShuffleTime() float64 { return m.ShuffleReadTime + m.ShuffleWriteTime }
-
 // State tracks a task through its lifetime.
 type State int
 
@@ -391,15 +388,6 @@ func (s *Stage) TaskByIndex(idx int) *Task {
 		}
 	}
 	return nil
-}
-
-// TotalShuffleOutput returns the stage's total materialized shuffle bytes.
-func (s *Stage) TotalShuffleOutput() int64 {
-	var total int64
-	for _, b := range s.ShuffleOutputByNode {
-		total += b
-	}
-	return total
 }
 
 // Job is a DAG of stages triggered by one action.

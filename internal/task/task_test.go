@@ -27,12 +27,9 @@ func TestDemandHelpers(t *testing.T) {
 }
 
 func TestMetricsHelpers(t *testing.T) {
-	m := Metrics{Launch: 2, End: 7, ShuffleReadTime: 1, ShuffleWriteTime: 2}
+	m := Metrics{Launch: 2, End: 7}
 	if m.Duration() != 5 {
 		t.Fatalf("duration = %v", m.Duration())
-	}
-	if m.ShuffleTime() != 3 {
-		t.Fatalf("shuffle time = %v", m.ShuffleTime())
 	}
 }
 
@@ -99,9 +96,6 @@ func TestShuffleOutputAccounting(t *testing.T) {
 	st.AddShuffleOutput("a", 25)
 	if st.ShuffleOutputByNode["a"] != 125 || st.ShuffleOutputByNode["b"] != 50 {
 		t.Fatalf("by-node = %v", st.ShuffleOutputByNode)
-	}
-	if st.TotalShuffleOutput() != 175 {
-		t.Fatalf("total = %d", st.TotalShuffleOutput())
 	}
 }
 

@@ -59,7 +59,6 @@ type poolShare struct {
 // (ScheduleAll's guard), and nothing keeps them past the round.
 func (m *Manager) fairRound() {
 	running := append(m.roundApps[:0], m.running...)
-	slices.SortFunc(running, func(a, b *appState) int { return cmp.Compare(a.idx, b.idx) })
 	pools := m.poolTable(running)
 	apps := running[:0]
 	for _, a := range running {

@@ -9,15 +9,12 @@
 package tenant
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"rupam/internal/cluster"
 	"rupam/internal/core"
 	"rupam/internal/faults"
 	"rupam/internal/hdfs"
-	"rupam/internal/monitor"
 	"rupam/internal/simx"
 	"rupam/internal/spark"
 	"rupam/internal/task"
@@ -254,22 +251,11 @@ func (m *Manager) start() {
 // application's runtime attaches to.
 func (m *Manager) buildSubstrate() {
 	m.sub = spark.NewSubstrate(m.eng, m.clu, spark.SubstrateOptions{
-		Seed:              m.cfg.Seed*31 + 7,
+		Seed:              spark.FrameworkSeed(m.cfg.Seed, 0),
 		Scheduler:         m.newSched(),
 		HeartbeatInterval: m.cfg.Spark.HeartbeatInterval,
 		Tracer:            m.cfg.Tracer,
-		OnRestart: func() {
-			for _, a := range m.activeApps() {
-				a.rt.Scheduler().ExecutorSetChanged()
-			}
-			m.ScheduleAll()
-		},
-		OnHeartbeat: func(node string, nm *monitor.NodeMetrics) {
-			for _, a := range m.activeApps() {
-				a.rt.DeliverHeartbeat(node, nm)
-			}
-			m.ScheduleAll()
-		},
+		Round:             m.ScheduleAll,
 	})
 
 	if !m.cfg.Faults.Empty() {
@@ -284,13 +270,12 @@ func (m *Manager) buildSubstrate() {
 	}
 }
 
-// activeApps returns the running applications in arrival order — the
-// deterministic fan-out order for heartbeats and notifications.
+// activeApps returns a copy of the running applications, which are in
+// arrival order: startApp runs only in FIFO order (an arrival with an
+// empty queue, or the queue's head) and appFinished removes in place. The
+// copy lets a loop start or finish applications as it goes.
 func (m *Manager) activeApps() []*appState {
-	out := make([]*appState, 0, len(m.running))
-	out = append(out, m.running...)
-	slices.SortFunc(out, func(a, b *appState) int { return cmp.Compare(a.idx, b.idx) })
-	return out
+	return append([]*appState(nil), m.running...)
 }
 
 // onArrival is the admission-control decision point: start immediately,
@@ -366,9 +351,8 @@ func (m *Manager) startApp(a *appState) {
 	a.app = app
 
 	cfg := m.cfg.Spark
-	cfg.Faults = nil // the injector belongs to the manager
 	cfg.WAL = nil
-	cfg.Seed = m.cfg.Seed*31 + 7 + uint64(a.idx)*1013
+	cfg.Seed = spark.FrameworkSeed(m.cfg.Seed, a.idx)
 	cfg.Tracer = m.cfg.Tracer
 	cfg.AppLabel = a.label
 	cfg.PoolLabel = a.pool

@@ -107,6 +107,56 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestRunningStaysInArrivalOrder steps a stream with rejections and a
+// routed driver crash event by event, checking after every admission and
+// finish that the running applications are in arrival order: the order
+// the substrate fans node events in and fairRound splits shares in.
+func TestRunningStaysInArrivalOrder(t *testing.T) {
+	m := NewManager(Config{
+		Scheduler: "spark",
+		Seed:      3,
+		Arrivals:  ArrivalConfig{Count: 20, MeanGap: 0.5},
+		Faults: &faults.Schedule{Events: []faults.Event{
+			{Kind: faults.DriverCrash, At: 5, Duration: 3},
+		}},
+	})
+	m.start()
+	admitted, finished := 0, 0
+	for m.eng.Now() <= maxSimTime && m.eng.Step() {
+		done := 0
+		for _, a := range m.apps {
+			if a.done {
+				done++
+			}
+		}
+		if m.admitted == admitted && done == finished {
+			continue
+		}
+		admitted, finished = m.admitted, done
+		for i := 1; i < len(m.running); i++ {
+			if m.running[i-1].idx >= m.running[i].idx {
+				t.Fatalf("t=%.2f: running app %d before app %d", m.eng.Now(), m.running[i-1].idx, m.running[i].idx)
+			}
+		}
+	}
+	if !m.finished {
+		t.Fatal("run did not finish")
+	}
+	if m.checkEndState(); len(m.violations) != 0 {
+		t.Fatalf("violations: %v", m.violations)
+	}
+	crashes := 0
+	for _, a := range m.apps {
+		if a.res != nil {
+			crashes += a.res.DriverCrashes
+		}
+	}
+	if m.rejectedN == 0 || finished != m.admitted || crashes != 1 {
+		t.Fatalf("stream had %d rejections, %d of %d admitted apps finished, %d driver crashes; want >0, all, 1",
+			m.rejectedN, finished, m.admitted, crashes)
+	}
+}
+
 // TestSharedCharDBWarmStart is the cross-application learning check: with
 // the shared characteristics database, the second instance of a workload
 // launches far fewer uncharacterized (never-observed) tasks than the
@@ -159,7 +209,7 @@ func TestSharedCharDBWarmStart(t *testing.T) {
 	clu := cluster.NewHydra(cluster.New(eng))
 	app := BuildApp(clu, cfg.Seed, "PR", DefaultMix()[0].Params, 2*IDSpan)
 	cold := core.New(core.Config{})
-	res := spark.NewRuntime(eng, clu, cold, spark.Config{Seed: cfg.Seed*31 + 7 + 1013, SampleInterval: -1}).Run(app)
+	res := spark.NewRuntime(eng, clu, cold, spark.Config{Seed: spark.FrameworkSeed(cfg.Seed, 1), SampleInterval: -1}).Run(app)
 	if res.Aborted != nil {
 		t.Fatalf("cold run aborted: %v", res.Aborted)
 	}
