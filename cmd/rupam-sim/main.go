@@ -90,6 +90,7 @@ import (
 	"strings"
 
 	"rupam/internal/chaos"
+	"rupam/internal/cluster"
 	"rupam/internal/digest"
 	"rupam/internal/experiments"
 	"rupam/internal/faults"
@@ -262,12 +263,12 @@ func main() {
 			Seed:     *seed,
 		}
 		if *chaosSeed > 0 {
-			names := experiments.BuildCluster(simx.NewEngine(), "hydra").NodeNames()
+			names := cluster.HydraNodeNames()
 			cfg.Spark = experiments.HardenedConfig()
 			cfg.Faults = faults.RandomSchedule(*chaosSeed, names, chaos.FederationGen())
 		}
 		if len(agentCrashes.events) > 0 {
-			names := experiments.BuildCluster(simx.NewEngine(), "hydra").NodeNames()
+			names := cluster.HydraNodeNames()
 			if n := agentCrashes.unknownNode(names); n != "" {
 				usageError("-agent-crash names unknown node %q (cluster hydra has: %s)",
 					n, strings.Join(names, ", "))
@@ -411,7 +412,7 @@ func validateStreamingFlags(streamingRun bool, placer string, sloMs float64, exp
 func runStreaming(seed uint64, placer string, sloMs float64, chaosSeed uint64, traceFile *os.File, tracePath string) {
 	cfg := streaming.Config{Seed: seed, Placer: placer, SLOMs: sloMs}
 	if chaosSeed > 0 {
-		names := experiments.BuildCluster(simx.NewEngine(), "hydra").NodeNames()
+		names := cluster.HydraNodeNames()
 		cfg.Faults = faults.RandomSchedule(chaosSeed, names, chaos.StreamingGen())
 	}
 	if traceFile != nil {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"rupam/internal/cluster"
 	"rupam/internal/experiments"
 	"rupam/internal/faults"
 	"rupam/internal/spark"
@@ -95,7 +96,7 @@ func checkClosedSpans(t *testing.T, res *spark.Result, evs []traceEvent) {
 // cover them all.
 func TestCollectorCarriesAuditTrail(t *testing.T) {
 	cfg := experiments.HardenedConfig()
-	cfg.Faults = faults.RandomSchedule(auditSeed, hydraNodeNames(), recoveryGen())
+	cfg.Faults = faults.RandomSchedule(auditSeed, cluster.HydraNodeNames(), recoveryGen())
 	cfg.WAL = wal.New(nil, wal.Options{})
 	res, evs := auditedRun(t, experiments.SchedRUPAM, auditSeed, cfg)
 	if res.Aborted != nil || res.DriverCrashes == 0 || res.ExecutorsLost == 0 || res.TaskFlakes == 0 {
@@ -142,7 +143,7 @@ func TestCollectorCarriesAuditTrail(t *testing.T) {
 	// retry budget aborts the job.
 	cfg = experiments.HardenedConfig()
 	cfg.Faults = &faults.Schedule{}
-	for _, node := range hydraNodeNames() {
+	for _, node := range cluster.HydraNodeNames() {
 		cfg.Faults.Events = append(cfg.Faults.Events,
 			faults.Event{Kind: faults.TaskFlake, Node: node, At: 0, Duration: 1000, Factor: 1})
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 
+	"rupam/internal/cluster"
 	"rupam/internal/digest"
 	"rupam/internal/experiments"
 	"rupam/internal/faults"
@@ -69,8 +70,6 @@ func DefaultGen() faults.GenConfig {
 		CPUDegrades:     2,
 		MemPressures:    1,
 		TaskFlakes:      2,
-		MinFlakeProb:    0.15,
-		MaxFlakeProb:    0.5,
 	}
 }
 
@@ -121,7 +120,7 @@ func Soak(cfg Config) *Report {
 // invariants.
 func soakSeed(rec *RunRecord, scheduler string, seed uint64) {
 	rec.Scheduler, rec.Seed = scheduler, seed
-	plan := faults.RandomSchedule(seed, hydraNodeNames(), DefaultGen())
+	plan := faults.RandomSchedule(seed, cluster.HydraNodeNames(), DefaultGen())
 	rec.Events = len(plan.Events)
 	rt, app := newRun(scheduler, seed, plan, nil)
 	res := rt.Run(app)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"rupam/internal/cluster"
 	"rupam/internal/experiments"
 	"rupam/internal/faults"
 	"rupam/internal/federation"
@@ -45,7 +46,7 @@ func fedSoakRun(seed uint64) federation.Config {
 		Drivers: fedSoakDrivers,
 		Apps:    fedSoakApps,
 		Seed:    seed,
-		Faults:  faults.RandomSchedule(seed, hydraNodeNames(), FederationGen()),
+		Faults:  faults.RandomSchedule(seed, cluster.HydraNodeNames(), FederationGen()),
 		Spark:   experiments.HardenedConfig(),
 	}
 }
@@ -66,8 +67,6 @@ func FederationGen() faults.GenConfig {
 	g.MsgDelays = 1
 	g.MsgReorders = 1
 	g.AgentCrashes = 2
-	g.MinAgentDowntime = 3
-	g.MaxAgentDowntime = 8
 	return g
 }
 

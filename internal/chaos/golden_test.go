@@ -138,7 +138,7 @@ func benchEnvelope() streaming.TopoConfig {
 // goldenStreamingEnvelope entry, in table order.
 func envelopeConfigs() []streaming.Config {
 	const horizon = 90
-	nodes := hydraNodeNames()
+	nodes := cluster.HydraNodeNames()
 	cfgs := make([]streaming.Config, len(goldenStreamingEnvelope))
 	for i, g := range goldenStreamingEnvelope {
 		cfgs[i] = streaming.Config{

@@ -15,6 +15,7 @@ import (
 	"io"
 	"sort"
 
+	"rupam/internal/cluster"
 	"rupam/internal/faults"
 	"rupam/internal/spark"
 	"rupam/internal/task"
@@ -66,7 +67,7 @@ func recoveryGen() faults.GenConfig {
 // to a write-ahead log whose mirror keeps the full stream, which the run
 // returns: the log itself retains only the tail since its last snapshot.
 func RecoveryRun(scheduler string, seed uint64, crash bool) (*spark.Result, *spark.Runtime, []byte) {
-	plan := faults.RandomSchedule(seed, hydraNodeNames(), recoveryGen())
+	plan := faults.RandomSchedule(seed, cluster.HydraNodeNames(), recoveryGen())
 	if !crash {
 		plan = plan.WithoutKind(faults.DriverCrash)
 	}

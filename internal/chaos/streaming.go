@@ -6,7 +6,6 @@ import (
 
 	"rupam/internal/cluster"
 	"rupam/internal/faults"
-	"rupam/internal/simx"
 	"rupam/internal/streaming"
 )
 
@@ -42,22 +41,20 @@ const streamingSoakHorizon float64 = 100
 // migration machinery reacts to.
 func StreamingGen() faults.GenConfig {
 	return faults.GenConfig{
-		Horizon:        80,
-		Crashes:        1,
-		MinRecovery:    20,
-		MaxRecovery:    50,
-		PermanentProb:  0.2,
-		CPUDegrades:    2,
-		MinFactor:      0.2,
-		MaxFactor:      0.6,
-		MinDuration:    10,
-		MaxDuration:    30,
-		SpotPreempts:   1,
-		MinGrace:       4,
-		MaxGrace:       10,
-		LoadSpikes:     1,
-		MinSpikeFactor: 1.5,
-		MaxSpikeFactor: 3,
+		Horizon:       80,
+		Crashes:       1,
+		MinRecovery:   20,
+		MaxRecovery:   50,
+		PermanentProb: 0.2,
+		CPUDegrades:   2,
+		MinFactor:     0.2,
+		MaxFactor:     0.6,
+		MinDuration:   10,
+		MaxDuration:   30,
+		SpotPreempts:  1,
+		MinGrace:      4,
+		MaxGrace:      10,
+		LoadSpikes:    1,
 	}
 }
 
@@ -101,8 +98,7 @@ func StreamingSoak(cfg StreamingConfig) *StreamingReport {
 // battery.
 func streamingSeed(rec *StreamingRunRecord, placer string, seed uint64) {
 	rec.Placer, rec.Seed = placer, seed
-	nodes := cluster.NewHydra(cluster.New(simx.NewEngine())).NodeNames()
-	plan := faults.RandomSchedule(seed, nodes, StreamingGen())
+	plan := faults.RandomSchedule(seed, cluster.HydraNodeNames(), StreamingGen())
 	rec.Events = len(plan.Events)
 
 	res := streaming.Run(streaming.Config{

@@ -7,7 +7,6 @@ import (
 	"rupam/internal/cluster"
 	"rupam/internal/experiments"
 	"rupam/internal/faults"
-	"rupam/internal/simx"
 	"rupam/internal/tenant"
 )
 
@@ -94,7 +93,7 @@ func TenancySoak(cfg TenancyConfig) *TenancyReport {
 // checks both the manager's battery and the per-application invariants.
 func tenancySeed(rec *TenancyRunRecord, scheduler string, seed uint64) {
 	rec.Scheduler, rec.Seed = scheduler, seed
-	plan := faults.RandomSchedule(seed, hydraNodeNames(), TenancyGen())
+	plan := faults.RandomSchedule(seed, cluster.HydraNodeNames(), TenancyGen())
 	rec.Events = len(plan.Events)
 
 	m := tenant.NewManager(tenant.Config{
@@ -122,14 +121,6 @@ func tenancySeed(rec *TenancyRunRecord, scheduler string, seed uint64) {
 			rec.Violations = append(rec.Violations, fmt.Sprintf("%s: %s", run.Record.Label, v))
 		}
 	}
-}
-
-// hydraNodeNames returns the reference cluster's node names (fault plans
-// are drawn before a run builds its own cluster).
-func hydraNodeNames() []string {
-	clu := cluster.New(simx.NewEngine())
-	cluster.NewHydra(clu)
-	return clu.NodeNames()
 }
 
 // WriteJSON writes the report as a deterministic, indented JSON artifact.

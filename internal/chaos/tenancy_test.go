@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"rupam/internal/cluster"
 	"rupam/internal/faults"
 )
 
@@ -48,7 +49,7 @@ func TestTenancySoakRoutesDriverCrash(t *testing.T) {
 			}
 		}
 	}
-	plan := faults.RandomSchedule(2, hydraNodeNames(), gen)
+	plan := faults.RandomSchedule(2, cluster.HydraNodeNames(), gen)
 	if !plan.HasKind(faults.DriverCrash) {
 		t.Fatal("TenancyGen produced no driver crash for seed 2")
 	}

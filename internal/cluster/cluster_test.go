@@ -116,6 +116,14 @@ func TestHydraTopology(t *testing.T) {
 			t.Errorf("%s count = %d, want %d", class, counts[class], want)
 		}
 	}
+	want := []string{"thor1", "thor2", "thor3", "thor4", "thor5", "thor6",
+		"hulk1", "hulk2", "hulk3", "hulk4", "stack1", "stack2"}
+	if got := HydraNodeNames(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("HydraNodeNames = %v, want %v", got, want)
+	}
+	if got := c.NodeNames(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("NewHydra node names = %v, want %v", got, want)
+	}
 	// Table II properties.
 	thor := c.Node("thor1").Spec
 	hulk := c.Node("hulk1").Spec

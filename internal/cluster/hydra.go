@@ -1,6 +1,9 @@
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Hardware classes of the paper's Hydra testbed (Table II). The effective
 // per-core speeds encode the SysBench findings of Table IV: thor (AMD
@@ -33,21 +36,33 @@ var (
 // HydraCounts is the node mix of the paper's testbed.
 var HydraCounts = map[string]int{"thor": 6, "hulk": 4, "stack": 2}
 
+// hydraClasses is the order NewHydra adds the classes in.
+var hydraClasses = []string{"thor", "hulk", "stack"}
+
+// HydraNodeNames returns the names NewHydra assigns, in its order, without
+// building a cluster: fault plans are drawn over these before a run builds
+// its own.
+func HydraNodeNames() []string {
+	var names []string
+	for _, class := range hydraClasses {
+		for i := 1; i <= HydraCounts[class]; i++ {
+			names = append(names, fmt.Sprintf("%s%d", class, i))
+		}
+	}
+	return names
+}
+
 // NewHydra builds the 12-node heterogeneous testbed of Table II into c:
 // thor1..6, hulk1..4, stack1..2. The paper runs the Spark master
 // co-located on a worker (stack1); scheduling code treats all 12 as
 // workers.
 func NewHydra(c *Cluster) *Cluster {
-	add := func(spec NodeSpec, class string, count int) {
-		for i := 1; i <= count; i++ {
-			s := spec
-			s.Name = fmt.Sprintf("%s%d", class, i)
-			c.AddNode(s)
-		}
+	specs := map[string]NodeSpec{"thor": ThorSpec, "hulk": HulkSpec, "stack": StackSpec}
+	for _, name := range HydraNodeNames() {
+		s := specs[strings.TrimRight(name, "0123456789")] // the class
+		s.Name = name
+		c.AddNode(s)
 	}
-	add(ThorSpec, "thor", HydraCounts["thor"])
-	add(HulkSpec, "hulk", HydraCounts["hulk"])
-	add(StackSpec, "stack", HydraCounts["stack"])
 	return c
 }
 

@@ -628,13 +628,22 @@ func (s *RUPAM) offerNode(node *cluster.Node) {
 	// count against the idle total, otherwise the queue hands out the
 	// same GPU many times and the surplus tasks land on the GPU node's
 	// slow cores.
-	gpuWant := 0
+	add(GPU, float64(node.GPU.Idle()), node.GPU.Utilization(), node.GPU.Idle() > gpuWant(ex))
+}
+
+// gpuWant counts the attempts on ex heading for its node's GPUs:
+// GPU-capable and not yet in their compute phase. A nil executor has none.
+func gpuWant(ex *executor.Executor) int {
+	if ex == nil {
+		return 0
+	}
+	n := 0
 	for _, run := range ex.RunningView() {
 		if run.Task().Demand.GPUCapable() && !run.Metrics().UsedGPU {
-			gpuWant++
+			n++
 		}
 	}
-	add(GPU, float64(node.GPU.Idle()), node.GPU.Utilization(), node.GPU.Idle() > gpuWant)
+	return n
 }
 
 // ---- Dispatcher (Algorithm 2) ----------------------------------------------
@@ -960,6 +969,23 @@ func (s *RUPAM) anyPrefFree(t *task.Task) bool {
 	return false
 }
 
+// capability is the node's nominal endowment along one resource
+// dimension.
+func capability(node *cluster.Node, dim Resource) float64 {
+	switch dim {
+	case Mem:
+		return float64(node.Spec.MemBytes)
+	case Disk:
+		return node.Spec.DiskReadBW + node.Spec.DiskWriteBW
+	case Net:
+		return node.Spec.NetBandwidth
+	case GPU:
+		return float64(node.Spec.GPUs)
+	default:
+		return node.Spec.FreqGHz
+	}
+}
+
 // nodeBetterFor reports whether candidate strictly beats incumbent along
 // the given resource dimension.
 func (s *RUPAM) nodeBetterFor(candidate, incumbent string, dim Resource) bool {
@@ -968,18 +994,7 @@ func (s *RUPAM) nodeBetterFor(candidate, incumbent string, dim Resource) bool {
 	if c == nil || i == nil {
 		return true
 	}
-	switch dim {
-	case Mem:
-		return c.Spec.MemBytes > i.Spec.MemBytes
-	case Disk:
-		return c.Spec.DiskReadBW+c.Spec.DiskWriteBW > i.Spec.DiskReadBW+i.Spec.DiskWriteBW
-	case Net:
-		return c.Spec.NetBandwidth > i.Spec.NetBandwidth
-	case GPU:
-		return c.Spec.GPUs > i.Spec.GPUs
-	default:
-		return c.Spec.FreqGHz > i.Spec.FreqGHz
-	}
+	return capability(c, dim) > capability(i, dim)
 }
 
 // lockCompatible reports whether node is at least as capable as the
@@ -996,22 +1011,7 @@ func (s *RUPAM) lockCompatible(rec *Record, node *cluster.Node) bool {
 		return false
 	}
 	r, ok := s.bottleneckOf(rec)
-	if !ok {
-		return false
-	}
-	switch r {
-	case CPU:
-		return node.Spec.FreqGHz >= opt.Spec.FreqGHz
-	case Mem:
-		return node.Spec.MemBytes >= opt.Spec.MemBytes
-	case Disk:
-		return node.Spec.DiskReadBW+node.Spec.DiskWriteBW >= opt.Spec.DiskReadBW+opt.Spec.DiskWriteBW
-	case Net:
-		return node.Spec.NetBandwidth >= opt.Spec.NetBandwidth
-	case GPU:
-		return node.Spec.GPUs >= opt.Spec.GPUs
-	}
-	return false
+	return ok && capability(node, r) >= capability(opt, r)
 }
 
 // pickSpeculative implements Algorithm 2's straggler path: when no pending
@@ -1070,15 +1070,7 @@ func (s *RUPAM) copyWorthwhile(t *task.Task, cur *executor.Run, nodeName string)
 		// counting copies already in flight toward this node's GPUs —
 		// otherwise the copies themselves pile up on the GPU node's
 		// (slow) cores.
-		pendingWant := 0
-		if ex := s.rt.Execs[nodeName]; ex != nil {
-			for _, r := range ex.RunningView() {
-				if r.Task().Demand.GPUCapable() && !r.Metrics().UsedGPU {
-					pendingWant++
-				}
-			}
-		}
-		return node.GPU.Idle() > pendingWant
+		return node.GPU.Idle() > gpuWant(s.rt.Execs[nodeName])
 	}
 	if rec := s.record(t); rec != nil && rec.OptExecutor == nodeName {
 		return true

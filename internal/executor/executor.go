@@ -255,21 +255,10 @@ func (ex *Executor) FailStop(recoverAfter float64) {
 		ex.heap.Release(lost)
 	}
 	if recoverAfter > 0 {
-		ex.eng.Schedule(recoverAfter, func() {
-			if !ex.failStopped {
-				// Reactivate already brought the node back (the elastic
-				// substrate re-acquired it before this crash's recovery
-				// timer fired); a second restart would double-count an
-				// incarnation.
-				return
-			}
-			ex.failStopped = false
-			ex.down = false
-			ex.Incarnation++
-			if ex.OnRestart != nil {
-				ex.OnRestart()
-			}
-		})
+		// A no-op if the elastic substrate re-acquired the node before
+		// this recovery timer fired: a second restart would double-count
+		// an incarnation.
+		ex.eng.Schedule(recoverAfter, ex.Reactivate)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"rupam/internal/cluster"
 	"rupam/internal/faults"
 	"rupam/internal/federation"
-	"rupam/internal/simx"
 )
 
 // The federation experiment: the same homogeneous application load run
@@ -92,9 +91,7 @@ type FederationResult struct {
 func Federation(cfg FederationConfig) *FederationResult {
 	cfg = cfg.withDefaults()
 	res := &FederationResult{Config: cfg}
-	refClu := cluster.New(simx.NewEngine())
-	cluster.NewHydra(refClu)
-	nodes := refClu.NodeNames()
+	nodes := cluster.HydraNodeNames()
 	for _, n := range cfg.DriverCounts {
 		for _, seed := range cfg.Seeds {
 			r := federation.Run(federation.Config{

@@ -11,6 +11,7 @@ package faults
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rupam/internal/stats"
@@ -108,55 +109,119 @@ const (
 	AgentRestart
 )
 
+// nodeRule says what an event's Node names.
+type nodeRule int
+
+const (
+	// nodeRequired: a worker node (the zero value, so an unknown kind
+	// without a node is reported as such before it is reported unknown).
+	nodeRequired nodeRule = iota
+	// nodeNone: no node; the fault hits the driver or the offered load.
+	nodeNone
+	// nodeEdges: one agent's protocol edges, or "" for every edge.
+	nodeEdges
+)
+
+// factorRule says what range an event's Factor must lie in.
+type factorRule int
+
+const (
+	factorUnused   factorRule = iota
+	factorFraction            // (0,1]: a capacity share or a probability
+	factorAmplify             // ≥ 1: a multiplier on the offered load
+)
+
+// durationRule says whether an event's Duration may or must be zero.
+type durationRule int
+
+const (
+	durationPositive durationRule = iota // a window: 0 is invalid
+	durationOptional                     // 0 is an unbounded window
+	durationZero                         // instantaneous: must be 0
+)
+
+// kindRow is everything the package knows about one fault kind.
+type kindRow struct {
+	name string
+	node nodeRule
+	// nodeNote ends the error for a nodeNone event that names a node.
+	nodeNote string
+	factor   factorRule
+	duration durationRule
+	// durationNoun names a positive Duration in its kind's error; empty
+	// means the generic windowed-fault text.
+	durationNoun string
+	// needsDelay: Delay must be positive (MsgDelay).
+	needsDelay bool
+	// overlap names the kind's windows in an overlap error; empty means
+	// its windows compose freely. A scoped kind's events may not overlap
+	// within one (kind, node) pair, or within the kind for nodeNone kinds.
+	//   - A node cannot crash while it is already down, so two crash
+	//     windows of one node encode an impossible state (a permanent
+	//     crash — Duration 0 — occupies the rest of the run). The same
+	//     holds for the driver, which cannot crash again while it waits to
+	//     restart, and for an agent (a Duration-0 agent crash stays down
+	//     until an explicit restart, i.e. an unbounded window).
+	//   - A node cannot receive a second preemption notice while an
+	//     earlier notice's grace window is still open: the instance is
+	//     already doomed. (A later notice after a kill is fine — it models
+	//     the re-acquired instance being reclaimed again.)
+	//   - The plane applies one factor per (kind, scope) message-fault
+	//     window, "" being the global scope, so an overlap encodes an
+	//     ambiguous severity. Distinct scopes and distinct kinds compose.
+	//   - The streaming runtime applies a single multiplier per load-spike
+	//     window, so overlapping spikes would encode an ambiguous load.
+	overlap string
+	// apply is the node injector's handler; nil for the message kinds,
+	// which the federation plane installs itself.
+	apply func(*Injector, Event)
+}
+
+// kinds holds one row per Kind. A new kind appends a row here and its
+// generator draw at the end of RandomSchedule.
+var kinds = [...]kindRow{
+	NodeCrash:     {name: "node-crash", duration: durationOptional, overlap: "crash windows", apply: (*Injector).crash},
+	NICDegrade:    {name: "nic-degrade", factor: factorFraction, apply: (*Injector).degradeNIC},
+	DiskDegrade:   {name: "disk-degrade", factor: factorFraction, apply: (*Injector).degradeDisk},
+	HeartbeatLoss: {name: "heartbeat-loss", apply: (*Injector).loseHeartbeats},
+	CPUDegrade:    {name: "cpu-degrade", factor: factorFraction, apply: (*Injector).degradeCPU},
+	MemPressure:   {name: "mem-pressure", factor: factorFraction, apply: (*Injector).pressureMem},
+	TaskFlake:     {name: "task-flake", factor: factorFraction, apply: (*Injector).flakeTasks},
+	DriverCrash: {name: "driver-crash", node: nodeNone, durationNoun: "restart delay",
+		overlap: "driver-crash windows", apply: (*Injector).crashDriver},
+	SpotPreempt: {name: "spot-preempt", durationNoun: "grace window",
+		overlap: "preemption notices", apply: (*Injector).preempt},
+	MsgDrop:  {name: "msg-drop", node: nodeEdges, factor: factorFraction, overlap: "msg-drop windows"},
+	MsgDup:   {name: "msg-dup", node: nodeEdges, factor: factorFraction, overlap: "msg-dup windows"},
+	MsgDelay: {name: "msg-delay", node: nodeEdges, factor: factorFraction, needsDelay: true, overlap: "msg-delay windows"},
+	MsgReorder: {name: "msg-reorder", node: nodeEdges, factor: factorFraction,
+		overlap: "msg-reorder windows"},
+	LoadSpike: {name: "load-spike", node: nodeNone, nodeNote: "; spikes hit the offered load",
+		factor: factorAmplify, durationNoun: "duration", overlap: "load-spike windows", apply: (*Injector).spikeLoad},
+	AgentCrash:   {name: "agent-crash", duration: durationOptional, overlap: "agent-crash windows", apply: (*Injector).crashAgent},
+	AgentRestart: {name: "agent-restart", duration: durationZero, apply: (*Injector).restartAgent},
+}
+
+// row returns the kind's table row; an unknown kind gets the zero row,
+// whose empty name marks it unknown.
+func (k Kind) row() kindRow {
+	if k < 0 || int(k) >= len(kinds) {
+		return kindRow{}
+	}
+	return kinds[k]
+}
+
 // IsMessageKind reports whether the kind targets the federation control
 // plane rather than a cluster node. The node Injector ignores these; the
 // federation plane installs them.
-func (k Kind) IsMessageKind() bool {
-	switch k {
-	case MsgDrop, MsgDup, MsgDelay, MsgReorder:
-		return true
-	}
-	return false
-}
+func (k Kind) IsMessageKind() bool { return k.row().node == nodeEdges }
 
 // String names the kind.
 func (k Kind) String() string {
-	switch k {
-	case NodeCrash:
-		return "node-crash"
-	case NICDegrade:
-		return "nic-degrade"
-	case DiskDegrade:
-		return "disk-degrade"
-	case HeartbeatLoss:
-		return "heartbeat-loss"
-	case CPUDegrade:
-		return "cpu-degrade"
-	case MemPressure:
-		return "mem-pressure"
-	case TaskFlake:
-		return "task-flake"
-	case DriverCrash:
-		return "driver-crash"
-	case SpotPreempt:
-		return "spot-preempt"
-	case MsgDrop:
-		return "msg-drop"
-	case MsgDup:
-		return "msg-dup"
-	case MsgDelay:
-		return "msg-delay"
-	case MsgReorder:
-		return "msg-reorder"
-	case LoadSpike:
-		return "load-spike"
-	case AgentCrash:
-		return "agent-crash"
-	case AgentRestart:
-		return "agent-restart"
-	default:
-		return fmt.Sprintf("faults.Kind(%d)", int(k))
+	if name := k.row().name; name != "" {
+		return name
 	}
+	return fmt.Sprintf("faults.Kind(%d)", int(k))
 }
 
 // Event is one scheduled fault.
@@ -185,15 +250,12 @@ func (e Event) String() string {
 
 // Validate reports the first problem with the event, or nil.
 func (e Event) Validate() error {
+	row := e.Kind.row()
 	switch {
-	// Msg kinds may leave Node empty (= every protocol edge) or name a
-	// node to scope the fault to that agent's edges.
-	case e.Node == "" && e.Kind != DriverCrash && e.Kind != LoadSpike && !e.Kind.IsMessageKind():
+	case e.Node == "" && row.node == nodeRequired:
 		return fmt.Errorf("faults: %s event without a node", e.Kind)
-	case e.Node != "" && e.Kind == DriverCrash:
-		return fmt.Errorf("faults: driver-crash event names a node (%s)", e.Node)
-	case e.Node != "" && e.Kind == LoadSpike:
-		return fmt.Errorf("faults: load-spike event names a node (%s); spikes hit the offered load", e.Node)
+	case e.Node != "" && row.node == nodeNone:
+		return fmt.Errorf("faults: %s event names a node (%s)%s", e.Kind, e.Node, row.nodeNote)
 	case !finite(e.At) || !finite(e.Duration) || !finite(e.Factor) || !finite(e.Delay):
 		// NaN would pass every range check below.
 		return fmt.Errorf("faults: %s %s: non-finite value (at %g, duration %g, factor %g, delay %g)",
@@ -204,54 +266,20 @@ func (e Event) Validate() error {
 		return fmt.Errorf("faults: %s %s: negative duration %g", e.Kind, e.Node, e.Duration)
 	case e.Delay < 0:
 		return fmt.Errorf("faults: %s %s: negative delay %g", e.Kind, e.Node, e.Delay)
-	}
-	switch e.Kind {
-	case NICDegrade, DiskDegrade, CPUDegrade, MemPressure, TaskFlake:
-		if e.Factor <= 0 || e.Factor > 1 {
-			return fmt.Errorf("faults: %s %s: factor %g outside (0,1]", e.Kind, e.Node, e.Factor)
-		}
-		if e.Duration == 0 {
-			return fmt.Errorf("faults: %s %s: windowed fault needs a duration", e.Kind, e.Node)
-		}
-	case HeartbeatLoss:
-		if e.Duration == 0 {
-			return fmt.Errorf("faults: %s %s: windowed fault needs a duration", e.Kind, e.Node)
-		}
-	case NodeCrash:
-	case DriverCrash:
-		if e.Duration <= 0 {
-			return fmt.Errorf("faults: driver-crash needs a positive restart delay, got %g", e.Duration)
-		}
-	case SpotPreempt:
-		if e.Duration <= 0 {
-			return fmt.Errorf("faults: spot-preempt needs a positive grace window, got %g", e.Duration)
-		}
-	case MsgDrop, MsgDup, MsgDelay, MsgReorder:
-		if e.Factor <= 0 || e.Factor > 1 {
-			return fmt.Errorf("faults: %s %s: factor %g outside (0,1]", e.Kind, e.Node, e.Factor)
-		}
-		if e.Duration <= 0 {
-			return fmt.Errorf("faults: %s %s: windowed fault needs a duration", e.Kind, e.Node)
-		}
-		if e.Kind == MsgDelay && e.Delay <= 0 {
-			return fmt.Errorf("faults: msg-delay %s needs a positive delay, got %g", e.Node, e.Delay)
-		}
-	case LoadSpike:
-		if e.Factor < 1 {
-			return fmt.Errorf("faults: load-spike factor %g below 1; spikes amplify the offered load", e.Factor)
-		}
-		if e.Duration <= 0 {
-			return fmt.Errorf("faults: load-spike needs a positive duration, got %g", e.Duration)
-		}
-	case AgentCrash:
-		// Duration 0 = down until an explicit AgentRestart; negative
-		// downtimes are caught by the generic check above.
-	case AgentRestart:
-		if e.Duration != 0 {
-			return fmt.Errorf("faults: agent-restart %s is instantaneous; drop the duration (%g)", e.Node, e.Duration)
-		}
-	default:
+	case row.name == "":
 		return fmt.Errorf("faults: unknown kind %d", int(e.Kind))
+	case row.factor == factorFraction && (e.Factor <= 0 || e.Factor > 1):
+		return fmt.Errorf("faults: %s %s: factor %g outside (0,1]", e.Kind, e.Node, e.Factor)
+	case row.factor == factorAmplify && e.Factor < 1:
+		return fmt.Errorf("faults: %s factor %g below 1; spikes amplify the offered load", e.Kind, e.Factor)
+	case row.duration == durationPositive && e.Duration == 0 && row.durationNoun != "":
+		return fmt.Errorf("faults: %s needs a positive %s, got %g", e.Kind, row.durationNoun, e.Duration)
+	case row.duration == durationPositive && e.Duration == 0:
+		return fmt.Errorf("faults: %s %s: windowed fault needs a duration", e.Kind, e.Node)
+	case row.duration == durationZero && e.Duration != 0:
+		return fmt.Errorf("faults: %s %s is instantaneous; drop the duration (%g)", e.Kind, e.Node, e.Duration)
+	case row.needsDelay && e.Delay == 0:
+		return fmt.Errorf("faults: %s %s needs a positive delay, got %g", e.Kind, e.Node, e.Delay)
 	}
 	return nil
 }
@@ -331,49 +359,30 @@ type scope struct {
 	node string
 }
 
-// overlapScope returns the event's overlap scope; ok is false for kinds
-// whose windows compose freely.
-//   - A node cannot crash while it is already down, so two crash windows
-//     of one node encode an impossible state (a permanent crash — Duration
-//     0 — occupies the rest of the run). The same holds for the driver,
-//     which cannot crash again while it waits to restart, and for an
-//     agent (a Duration-0 agent crash stays down until an explicit
-//     restart, i.e. an unbounded window).
-//   - A node cannot receive a second preemption notice while an earlier
-//     notice's grace window is still open: the instance is already doomed.
-//     (A later notice after a kill is fine — it models the re-acquired
-//     instance being reclaimed again.)
-//   - The plane applies one factor per (kind, scope) message-fault window,
-//     "" being the global scope, so an overlap encodes an ambiguous
-//     severity. Distinct scopes and distinct kinds compose fine.
-//   - Load spikes share one global scope, and the streaming runtime
-//     applies a single multiplier per window, so overlapping spikes would
-//     encode an ambiguous offered load.
+// overlapScope returns the event's overlap scope (see kindRow.overlap);
+// ok is false for kinds whose windows compose freely.
 func overlapScope(e Event) (scope, bool) {
-	switch {
-	case e.Kind == DriverCrash, e.Kind == LoadSpike:
-		return scope{kind: e.Kind}, true
-	case e.Kind == NodeCrash, e.Kind == SpotPreempt, e.Kind == AgentCrash, e.Kind.IsMessageKind():
-		return scope{kind: e.Kind, node: e.Node}, true
+	row := e.Kind.row()
+	if row.overlap == "" {
+		return scope{}, false
 	}
-	return scope{}, false
+	if row.node == nodeNone {
+		return scope{kind: e.Kind}, true
+	}
+	return scope{kind: e.Kind, node: e.Node}, true
 }
 
 // overlapError describes two overlapping events of one scope.
 func overlapError(a, b Event) error {
-	switch a.Kind {
-	case NodeCrash:
-		return fmt.Errorf("faults: overlapping crash windows on %s (%s / %s)", a.Node, a, b)
-	case SpotPreempt:
-		return fmt.Errorf("faults: overlapping preemption notices on %s (%s / %s)", a.Node, a, b)
-	case DriverCrash:
-		return fmt.Errorf("faults: overlapping driver-crash windows (%s / %s)", a, b)
-	case LoadSpike:
-		return fmt.Errorf("faults: overlapping load-spike windows (%s / %s)", a, b)
-	case AgentCrash:
-		return fmt.Errorf("faults: overlapping agent-crash windows on %s (%s / %s)", a.Node, a, b)
+	row := a.Kind.row()
+	where := ""
+	switch row.node {
+	case nodeRequired:
+		where = " on " + a.Node
+	case nodeEdges:
+		where = fmt.Sprintf(" on scope %q", a.Node)
 	}
-	return fmt.Errorf("faults: overlapping %s windows on scope %q (%s / %s)", a.Kind, a.Node, a, b)
+	return fmt.Errorf("faults: overlapping %s%s (%s / %s)", row.overlap, where, a, b)
 }
 
 // crashWindowsOverlap reports whether two NodeCrash events of one node
@@ -404,7 +413,10 @@ func (s *Schedule) sorted() []Event {
 	return evs
 }
 
-// GenConfig parameterizes RandomSchedule.
+// GenConfig parameterizes RandomSchedule. Each count draws that many
+// events of its kind; RandomSchedule draws the kinds in the order they
+// were added here, so each extension appended to — never reordered —
+// older seeds' draws.
 type GenConfig struct {
 	// Horizon is the time window faults are drawn from, in seconds.
 	Horizon float64
@@ -416,7 +428,9 @@ type GenConfig struct {
 	MaxRecovery   float64
 	PermanentProb float64
 	// Degrades is the number of NIC/disk degradation windows (an even
-	// coin picks NIC vs disk).
+	// coin picks NIC vs disk). Every windowed node fault lasts between
+	// MinDuration and MaxDuration and the capacity ones keep Factor of
+	// nominal, between MinFactor and MaxFactor.
 	Degrades    int
 	MinFactor   float64
 	MaxFactor   float64
@@ -432,22 +446,16 @@ type GenConfig struct {
 	MemPressures int
 	// TaskFlakes is the number of transient task-failure windows; each
 	// attempt started on the node during the window fails with a
-	// probability drawn between MinFlakeProb and MaxFlakeProb.
-	TaskFlakes   int
-	MinFlakeProb float64
-	MaxFlakeProb float64
+	// probability between minFlakeProb and maxFlakeProb.
+	TaskFlakes int
 	// DriverCrashes is the number of driver kill points; each restarts
 	// after a delay drawn between MinDriverRestart and MaxDriverRestart.
-	// These fields sit last so their RNG draws append to — never reorder —
-	// the draw sequence of pre-existing plans: a seed's worker-fault trace
-	// is unchanged by the driver-crash extension.
 	DriverCrashes    int
 	MinDriverRestart float64
 	MaxDriverRestart float64
 	// SpotPreempts is the number of spot-reclamation events; each delivers
 	// a notice, then kills the node after a grace window drawn between
-	// MinGrace and MaxGrace. Like the driver-crash fields these sit last so
-	// their RNG draws append to the draw sequence of pre-existing plans.
+	// MinGrace and MaxGrace.
 	SpotPreempts int
 	MinGrace     float64
 	MaxGrace     float64
@@ -456,37 +464,33 @@ type GenConfig struct {
 	// edges or (with probability 1/(len(nodes)+1)) to every edge, with a
 	// hit probability between minMsgFactor and maxMsgFactor and (for
 	// MsgDelay) an extra latency between minMsgDelay and maxMsgDelay.
-	// These draw last of all — after SpotPreempts — so pre-existing seeds'
-	// fault traces are unchanged by the message-fault extension.
 	MsgDrops    int
 	MsgDups     int
 	MsgDelays   int
 	MsgReorders int
 	// LoadSpikes counts offered-load spike windows for streaming runs;
-	// each multiplies every source's emission rate by a factor drawn
-	// between MinSpikeFactor and MaxSpikeFactor (≥ 1). These draw last of
-	// all — after the message faults — so pre-existing seeds' fault traces
-	// are unchanged by the streaming extension.
-	LoadSpikes     int
-	MinSpikeFactor float64
-	MaxSpikeFactor float64
+	// each multiplies every source's emission rate by a factor between
+	// minSpikeFactor and maxSpikeFactor.
+	LoadSpikes int
 	// AgentCrashes counts federation agent kill points; each crashed agent
-	// restarts (and resynchronizes with the drivers) after a downtime drawn
-	// between MinAgentDowntime and MaxAgentDowntime. These draw last of
-	// all — after the load spikes — so pre-existing seeds' fault traces are
-	// unchanged by the agent-fault extension.
-	AgentCrashes     int
-	MinAgentDowntime float64
-	MaxAgentDowntime float64
+	// restarts (and resynchronizes with the drivers) after a downtime
+	// between minAgentDowntime and maxAgentDowntime.
+	AgentCrashes int
 }
 
-// The message-fault windows' fixed bounds: each window's hit probability
-// and, for MsgDelay, its extra one-way latency in seconds.
+// The generator's fixed bounds, for the kinds whose bounds no caller
+// varies.
 const (
-	minMsgFactor float64 = 0.1
-	maxMsgFactor float64 = 0.4
-	minMsgDelay  float64 = 0.05
-	maxMsgDelay  float64 = 0.5
+	minFlakeProb     float64 = 0.15
+	maxFlakeProb     float64 = 0.5
+	minMsgFactor     float64 = 0.1
+	maxMsgFactor     float64 = 0.4
+	minMsgDelay      float64 = 0.05
+	maxMsgDelay      float64 = 0.5
+	minSpikeFactor   float64 = 1.5
+	maxSpikeFactor   float64 = 3
+	minAgentDowntime float64 = 3
+	maxAgentDowntime float64 = 8
 )
 
 func (g GenConfig) withDefaults() GenConfig {
@@ -511,12 +515,6 @@ func (g GenConfig) withDefaults() GenConfig {
 	if g.MaxDuration < g.MinDuration {
 		g.MaxDuration = 60
 	}
-	if g.MinFlakeProb <= 0 {
-		g.MinFlakeProb = 0.1
-	}
-	if g.MaxFlakeProb < g.MinFlakeProb {
-		g.MaxFlakeProb = 0.5
-	}
 	if g.MinDriverRestart <= 0 {
 		g.MinDriverRestart = 2
 	}
@@ -529,177 +527,113 @@ func (g GenConfig) withDefaults() GenConfig {
 	if g.MaxGrace < g.MinGrace {
 		g.MaxGrace = g.MinGrace + 18
 	}
-	if g.MinSpikeFactor < 1 {
-		g.MinSpikeFactor = 1.5
-	}
-	if g.MaxSpikeFactor < g.MinSpikeFactor {
-		g.MaxSpikeFactor = 4
-	}
-	if g.MinAgentDowntime <= 0 {
-		g.MinAgentDowntime = 3
-	}
-	if g.MaxAgentDowntime < g.MinAgentDowntime {
-		g.MaxAgentDowntime = g.MinAgentDowntime + 5
-	}
 	return g
+}
+
+// bounds is a [lo, hi) range to draw one field from; the zero value
+// means the field is not drawn.
+type bounds struct{ lo, hi float64 }
+
+// recipe says how RandomSchedule draws one kind's events.
+type recipe struct {
+	count int
+	kind  Kind
+	// lead, if set, makes the draws that precede the node and returns the
+	// event's kind (and any field it drew): the crash's recovery time and
+	// permanence coin, the degradation's NIC/disk coin.
+	lead                    func() Event
+	duration, factor, delay bounds
 }
 
 // RandomSchedule draws a reproducible schedule over the named nodes from
 // the seed. The same (seed, nodes, cfg) triple always yields the same
-// schedule, independent of call site. Crash draws that would overlap an
-// already-drawn crash window on the same node are deterministically
-// redrawn (and dropped after a bounded number of tries), so the result
-// always passes Validate — which it asserts before returning.
+// schedule, independent of call site. Each event draws its node (per its
+// kind's node rule), then At, Duration, Factor and Delay, in Event field
+// order. An event whose window overlaps an earlier one of its overlap
+// scope (the rule Validate enforces) is deterministically redrawn, and
+// dropped after 16 tries, so the result always passes Validate — which it
+// asserts before returning.
 func RandomSchedule(seed uint64, nodes []string, cfg GenConfig) *Schedule {
 	cfg = cfg.withDefaults()
 	if len(nodes) == 0 {
 		return &Schedule{}
 	}
 	rng := stats.NewRand(seed ^ 0xfa17f5eed)
-	var evs []Event
-	// drawWindows appends count events from draw. An event whose window
-	// overlaps an earlier one of its overlap scope (the rule Validate
-	// enforces) is redrawn, and dropped after 16 tries; each draw closure
-	// keeps its kind's RNG call order, so a seed's plan never changes.
-	windows := make(map[scope][]Event)
-	drawWindows := func(count int, draw func() Event) {
-		for i := 0; i < count; i++ {
-			for try := 0; try < 16; try++ {
-				ev := draw()
-				sc, _ := overlapScope(ev)
-				overlaps := false
-				for _, prev := range windows[sc] {
-					if crashWindowsOverlap(prev, ev) {
-						overlaps = true
-						break
-					}
-				}
-				if !overlaps {
-					windows[sc] = append(windows[sc], ev)
-					evs = append(evs, ev)
-					break
-				}
-			}
+	drawIn := func(b bounds, dst *float64) {
+		if b != (bounds{}) {
+			*dst = rng.Range(b.lo, b.hi)
 		}
 	}
-	drawWindows(cfg.Crashes, func() Event {
-		dur := rng.Range(cfg.MinRecovery, cfg.MaxRecovery)
-		if rng.Float64() < cfg.PermanentProb {
-			dur = 0
+	draw := func(r recipe) Event {
+		ev := Event{Kind: r.kind}
+		if r.lead != nil {
+			ev = r.lead()
 		}
-		return Event{
-			Kind:     NodeCrash,
-			Node:     nodes[rng.Intn(len(nodes))],
-			At:       rng.Range(0, cfg.Horizon),
-			Duration: dur,
-		}
-	})
-	for i := 0; i < cfg.Degrades; i++ {
-		kind := NICDegrade
-		if rng.Float64() < 0.5 {
-			kind = DiskDegrade
-		}
-		evs = append(evs, Event{
-			Kind:     kind,
-			Node:     nodes[rng.Intn(len(nodes))],
-			At:       rng.Range(0, cfg.Horizon),
-			Duration: rng.Range(cfg.MinDuration, cfg.MaxDuration),
-			Factor:   rng.Range(cfg.MinFactor, cfg.MaxFactor),
-		})
-	}
-	for i := 0; i < cfg.HeartbeatLosses; i++ {
-		evs = append(evs, Event{
-			Kind:     HeartbeatLoss,
-			Node:     nodes[rng.Intn(len(nodes))],
-			At:       rng.Range(0, cfg.Horizon),
-			Duration: rng.Range(cfg.MinDuration, cfg.MaxDuration),
-		})
-	}
-	for i := 0; i < cfg.CPUDegrades; i++ {
-		evs = append(evs, Event{
-			Kind:     CPUDegrade,
-			Node:     nodes[rng.Intn(len(nodes))],
-			At:       rng.Range(0, cfg.Horizon),
-			Duration: rng.Range(cfg.MinDuration, cfg.MaxDuration),
-			Factor:   rng.Range(cfg.MinFactor, cfg.MaxFactor),
-		})
-	}
-	for i := 0; i < cfg.MemPressures; i++ {
-		evs = append(evs, Event{
-			Kind:     MemPressure,
-			Node:     nodes[rng.Intn(len(nodes))],
-			At:       rng.Range(0, cfg.Horizon),
-			Duration: rng.Range(cfg.MinDuration, cfg.MaxDuration),
-			Factor:   rng.Range(cfg.MinFactor, cfg.MaxFactor),
-		})
-	}
-	for i := 0; i < cfg.TaskFlakes; i++ {
-		evs = append(evs, Event{
-			Kind:     TaskFlake,
-			Node:     nodes[rng.Intn(len(nodes))],
-			At:       rng.Range(0, cfg.Horizon),
-			Duration: rng.Range(cfg.MinDuration, cfg.MaxDuration),
-			Factor:   rng.Range(cfg.MinFlakeProb, cfg.MaxFlakeProb),
-		})
-	}
-	// The kinds below draw in the order they were added to GenConfig, so
-	// each extension appended to — never reordered — older seeds' draws.
-	drawWindows(cfg.DriverCrashes, func() Event {
-		return Event{
-			Kind:     DriverCrash,
-			At:       rng.Range(0, cfg.Horizon),
-			Duration: rng.Range(cfg.MinDriverRestart, cfg.MaxDriverRestart),
-		}
-	})
-	drawWindows(cfg.SpotPreempts, func() Event {
-		return Event{
-			Kind:     SpotPreempt,
-			Node:     nodes[rng.Intn(len(nodes))],
-			At:       rng.Range(0, cfg.Horizon),
-			Duration: rng.Range(cfg.MinGrace, cfg.MaxGrace),
-		}
-	})
-	// A message fault's scope draws len(nodes)+1 ways: index len(nodes)
-	// is the empty scope, i.e. every protocol edge.
-	drawMsg := func(kind Kind, count int) {
-		drawWindows(count, func() Event {
-			node := ""
+		switch ev.Kind.row().node {
+		case nodeRequired:
+			ev.Node = nodes[rng.Intn(len(nodes))]
+		case nodeEdges:
+			// Index len(nodes) is the empty scope, i.e. every edge.
 			if idx := rng.Intn(len(nodes) + 1); idx < len(nodes) {
-				node = nodes[idx]
+				ev.Node = nodes[idx]
 			}
-			ev := Event{
-				Kind:     kind,
-				Node:     node,
-				At:       rng.Range(0, cfg.Horizon),
-				Duration: rng.Range(cfg.MinDuration, cfg.MaxDuration),
-				Factor:   rng.Range(minMsgFactor, maxMsgFactor),
-			}
-			if kind == MsgDelay {
-				ev.Delay = rng.Range(minMsgDelay, maxMsgDelay)
-			}
-			return ev
-		})
+		}
+		ev.At = rng.Range(0, cfg.Horizon)
+		drawIn(r.duration, &ev.Duration)
+		drawIn(r.factor, &ev.Factor)
+		drawIn(r.delay, &ev.Delay)
+		return ev
 	}
-	drawMsg(MsgDrop, cfg.MsgDrops)
-	drawMsg(MsgDup, cfg.MsgDups)
-	drawMsg(MsgDelay, cfg.MsgDelays)
-	drawMsg(MsgReorder, cfg.MsgReorders)
-	drawWindows(cfg.LoadSpikes, func() Event {
-		return Event{
-			Kind:     LoadSpike,
-			At:       rng.Range(0, cfg.Horizon),
-			Duration: rng.Range(cfg.MinDuration, cfg.MaxDuration),
-			Factor:   rng.Range(cfg.MinSpikeFactor, cfg.MaxSpikeFactor),
+	window := bounds{cfg.MinDuration, cfg.MaxDuration}
+	severity := bounds{cfg.MinFactor, cfg.MaxFactor}
+	msgHit := bounds{minMsgFactor, maxMsgFactor}
+	// In the order the kinds were added (see GenConfig): a new kind
+	// appends its recipe last.
+	recipes := []recipe{
+		{count: cfg.Crashes, lead: func() Event {
+			dur := rng.Range(cfg.MinRecovery, cfg.MaxRecovery)
+			if rng.Float64() < cfg.PermanentProb {
+				dur = 0
+			}
+			return Event{Kind: NodeCrash, Duration: dur}
+		}},
+		{count: cfg.Degrades, lead: func() Event {
+			if rng.Float64() < 0.5 {
+				return Event{Kind: DiskDegrade}
+			}
+			return Event{Kind: NICDegrade}
+		}, duration: window, factor: severity},
+		{count: cfg.HeartbeatLosses, kind: HeartbeatLoss, duration: window},
+		{count: cfg.CPUDegrades, kind: CPUDegrade, duration: window, factor: severity},
+		{count: cfg.MemPressures, kind: MemPressure, duration: window, factor: severity},
+		{count: cfg.TaskFlakes, kind: TaskFlake, duration: window, factor: bounds{minFlakeProb, maxFlakeProb}},
+		{count: cfg.DriverCrashes, kind: DriverCrash, duration: bounds{cfg.MinDriverRestart, cfg.MaxDriverRestart}},
+		{count: cfg.SpotPreempts, kind: SpotPreempt, duration: bounds{cfg.MinGrace, cfg.MaxGrace}},
+		{count: cfg.MsgDrops, kind: MsgDrop, duration: window, factor: msgHit},
+		{count: cfg.MsgDups, kind: MsgDup, duration: window, factor: msgHit},
+		{count: cfg.MsgDelays, kind: MsgDelay, duration: window, factor: msgHit, delay: bounds{minMsgDelay, maxMsgDelay}},
+		{count: cfg.MsgReorders, kind: MsgReorder, duration: window, factor: msgHit},
+		{count: cfg.LoadSpikes, kind: LoadSpike, duration: window, factor: bounds{minSpikeFactor, maxSpikeFactor}},
+		{count: cfg.AgentCrashes, kind: AgentCrash, duration: bounds{minAgentDowntime, maxAgentDowntime}},
+	}
+	var evs []Event
+	windows := make(map[scope][]Event)
+	for _, r := range recipes {
+		for i := 0; i < r.count; i++ {
+			for try := 0; try < 16; try++ {
+				ev := draw(r)
+				if sc, scoped := overlapScope(ev); scoped {
+					overlaps := func(prev Event) bool { return crashWindowsOverlap(prev, ev) }
+					if slices.ContainsFunc(windows[sc], overlaps) {
+						continue
+					}
+					windows[sc] = append(windows[sc], ev)
+				}
+				evs = append(evs, ev)
+				break
+			}
 		}
-	})
-	drawWindows(cfg.AgentCrashes, func() Event {
-		return Event{
-			Kind:     AgentCrash,
-			Node:     nodes[rng.Intn(len(nodes))],
-			At:       rng.Range(0, cfg.Horizon),
-			Duration: rng.Range(cfg.MinAgentDowntime, cfg.MaxAgentDowntime),
-		}
-	})
+	}
 	s := &Schedule{Events: evs}
 	if err := s.Validate(); err != nil {
 		// Construction guarantees validity; a failure here is a bug in

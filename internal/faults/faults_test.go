@@ -535,3 +535,24 @@ func TestValidateOverlapErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestKindTableComplete checks that every kind has a named row and that
+// the names are distinct, so a kind added without its row fails here
+// rather than validating as unknown.
+func TestKindTableComplete(t *testing.T) {
+	if len(kinds) != int(AgentRestart)+1 {
+		t.Fatalf("kind table has %d rows, want %d", len(kinds), int(AgentRestart)+1)
+	}
+	seen := map[string]Kind{}
+	for k := NodeCrash; k <= AgentRestart; k++ {
+		name := kinds[k].name
+		if name == "" {
+			t.Errorf("kind %d has no row", int(k))
+			continue
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d share the name %q", int(prev), int(k), name)
+		}
+		seen[name] = k
+	}
+}

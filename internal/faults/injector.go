@@ -124,46 +124,18 @@ func (inj *Injector) Install(s *Schedule) {
 		panic(err)
 	}
 	for _, ev := range s.sorted() {
-		if ev.Kind.IsMessageKind() {
+		row := ev.Kind.row()
+		if row.apply == nil {
 			// Message faults target the federation control plane, which
 			// installs them itself (federation.Plane.Install); the node
 			// injector has no transport to degrade.
 			continue
 		}
-		if ev.Kind != DriverCrash && ev.Kind != LoadSpike && inj.clu.Node(ev.Node) == nil {
+		if row.node == nodeRequired && inj.clu.Node(ev.Node) == nil {
 			panic(fmt.Sprintf("faults: schedule names unknown node %q", ev.Node))
 		}
 		e := ev
-		inj.eng.At(e.At, func() { inj.apply(e) })
-	}
-}
-
-func (inj *Injector) apply(ev Event) {
-	switch ev.Kind {
-	case NodeCrash:
-		inj.crash(ev)
-	case NICDegrade:
-		inj.degradeNIC(ev)
-	case DiskDegrade:
-		inj.degradeDisk(ev)
-	case HeartbeatLoss:
-		inj.loseHeartbeats(ev)
-	case CPUDegrade:
-		inj.degradeCPU(ev)
-	case MemPressure:
-		inj.pressureMem(ev)
-	case TaskFlake:
-		inj.flakeTasks(ev)
-	case DriverCrash:
-		inj.crashDriver(ev)
-	case SpotPreempt:
-		inj.preempt(ev)
-	case LoadSpike:
-		inj.spikeLoad(ev)
-	case AgentCrash:
-		inj.crashAgent(ev)
-	case AgentRestart:
-		inj.restartAgent(ev)
+		inj.eng.At(e.At, func() { row.apply(inj, e) })
 	}
 }
 

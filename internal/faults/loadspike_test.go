@@ -56,7 +56,7 @@ func TestRandomScheduleDrawsLoadSpikes(t *testing.T) {
 		if ev.Node != "" {
 			t.Fatalf("spike scoped to a node: %v", ev)
 		}
-		if ev.Factor < 1.5 || ev.Factor > 4.0 {
+		if ev.Factor < 1.5 || ev.Factor > 3 {
 			t.Fatalf("spike factor %v outside the default range", ev.Factor)
 		}
 		if ev.At+ev.Duration > cfg.Horizon {

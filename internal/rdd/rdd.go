@@ -165,6 +165,19 @@ func (r *RDD) Map(name string, prof Profile) *RDD {
 // the child stage reads the parent's shuffle output repartitioned into
 // numPartitions, skewed per prof.Skew.
 func (r *RDD) Shuffle(name string, prof Profile, numPartitions int) *RDD {
+	return r.shuffled(nil, name, prof, numPartitions)
+}
+
+// Join shuffles both inputs into numPartitions and combines them. Demands
+// are derived from the summed input sizes.
+func (r *RDD) Join(other *RDD, name string, prof Profile, numPartitions int) *RDD {
+	return r.shuffled(other, name, prof, numPartitions)
+}
+
+// shuffled builds the wide child of r, joined with other unless it is nil:
+// one skew draw spreads the summed input over numPartitions. The child
+// inherits the root dataset of its larger input.
+func (r *RDD) shuffled(other *RDD, name string, prof Profile, numPartitions int) *RDD {
 	if numPartitions <= 0 {
 		numPartitions = r.partitions
 	}
@@ -174,51 +187,20 @@ func (r *RDD) Shuffle(name string, prof Profile, numPartitions int) *RDD {
 		ratio = 1
 	}
 	inTotal := r.TotalBytes()
-	factors := stats.SkewFactors(r.ctx.rng, numPartitions, prof.Skew)
-	out := make([]int64, numPartitions)
-	in := make([]int64, numPartitions)
-	each := float64(inTotal) / float64(numPartitions)
-	for i := range out {
-		in[i] = int64(each * factors[i])
-		out[i] = scaleBytes(in[i], ratio)
-	}
-	return &RDD{
-		ctx: r.ctx, id: r.ctx.nextRDD, name: name,
-		partitions: numPartitions,
-		prof:       prof,
-		parent:     r,
-		wide:       true,
-		partBytes:  out,
-		rootDS:     r.rootDS,
-		rootBytes:  resize(r.rootBytes, numPartitions),
-
-		shuffleInBytes: in,
-	}
-}
-
-// Join shuffles both inputs into numPartitions and combines them. Demands
-// are derived from the summed input sizes.
-func (r *RDD) Join(other *RDD, name string, prof Profile, numPartitions int) *RDD {
-	if numPartitions <= 0 {
-		numPartitions = r.partitions
-	}
-	r.ctx.nextRDD++
-	ratio := prof.OutRatio
-	if ratio == 0 {
-		ratio = 1
-	}
-	inTotal := r.TotalBytes() + other.TotalBytes()
-	factors := stats.SkewFactors(r.ctx.rng, numPartitions, prof.Skew)
-	out := make([]int64, numPartitions)
-	in := make([]int64, numPartitions)
-	each := float64(inTotal) / float64(numPartitions)
-	for i := range out {
-		in[i] = int64(each * factors[i])
-		out[i] = scaleBytes(in[i], ratio)
-	}
 	root, rootBytes := r.rootDS, r.rootBytes
-	if other.TotalBytes() > r.TotalBytes() {
-		root, rootBytes = other.rootDS, other.rootBytes
+	if other != nil {
+		inTotal += other.TotalBytes()
+		if other.TotalBytes() > r.TotalBytes() {
+			root, rootBytes = other.rootDS, other.rootBytes
+		}
+	}
+	factors := stats.SkewFactors(r.ctx.rng, numPartitions, prof.Skew)
+	out := make([]int64, numPartitions)
+	in := make([]int64, numPartitions)
+	each := float64(inTotal) / float64(numPartitions)
+	for i := range out {
+		in[i] = int64(each * factors[i])
+		out[i] = scaleBytes(in[i], ratio)
 	}
 	return &RDD{
 		ctx: r.ctx, id: r.ctx.nextRDD, name: name,
